@@ -122,6 +122,12 @@ def kb_eval(B: InnerFunctionB, z: complex, w: complex) -> complex:
     return (1.0 - bz * np.conj(bw)) / (1.0 - zv * np.conj(wv))
 
 
+def _kb_gram(B: InnerFunctionB, zs: np.ndarray) -> np.ndarray:
+    """K_b Gram matrix over the points zs, with b evaluated once per point."""
+    bz = _b_many(B, zs)
+    return (1.0 - bz[:, None] * np.conj(bz)[None, :]) / (1.0 - zs[:, None] * np.conj(zs)[None, :])
+
+
 def _atom_index(mu: CircleMeasure, x: float) -> int:
     hits = np.where(np.abs(mu.atoms - float(x)) <= ATOM_MATCH_TOL)[0]
     if hits.size != 1:
@@ -159,15 +165,7 @@ def build_kb_factorization(B: InnerFunctionB, points) -> BoundaryFactorization:
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
     zs = _require_interior(ps.coords[:, 0])
-    n = ps.size
-    bz = _b_many(B, zs)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = (1.0 - bz[i] * np.conj(bz[j])) / (
-                1.0 - zs[i] * np.conj(zs[j])
-            )
-    gram = _hermitian_mirror(gram)
+    gram = _kb_gram(B, zs)
     kernel = FiniteKernel(points=ps, gram=gram, field_tag="complex")
     return BoundaryFactorization(
         kernel=kernel,

@@ -219,24 +219,28 @@ def polydisk_szego_eval(z, w) -> complex:
     return complex(np.prod(1.0 / (1.0 - zv * np.conj(wv))))
 
 
+def _szego_gram(coords: np.ndarray) -> np.ndarray:
+    """Gram of the (polydisk) Szego kernel: prod_k 1 / (1 - z_k conj(w_k))."""
+    return np.prod(1.0 / (1.0 - coords[:, None, :] * np.conj(coords)[None, :, :]), axis=2)
+
+
 def _kernel_callable(spec: KernelSpec):
-    if spec.variant == "szego":
-        return lambda z, w: szego_eval(z[0], w[0])
-    if spec.variant == "polydisk-szego":
-        return polydisk_szego_eval
+    """Evaluator mapping an (n, k) coordinate array to the n x n Gram matrix."""
+    if spec.variant in ("szego", "polydisk-szego"):
+        return _szego_gram
     if spec.variant == "debranges-rovnyak":
         # Imported here: clark builds on this module.
-        from .clark import InnerFunctionB, kb_eval
+        from .clark import InnerFunctionB, _kb_gram
 
         b = InnerFunctionB(measure=spec.measure)
-        return lambda z, w: kb_eval(b, z[0], w[0])
+        return lambda coords: _kb_gram(b, coords[:, 0])
     raise ShapeMismatch(f"no callable for variant {spec.variant!r}")
 
 
 def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
-    """Evaluate the kernel pairwise over the point set.
+    """Evaluate the kernel over the point set in one array evaluation.
 
-    The upper triangle is evaluated once and mirrored, so the result is
+    ``FiniteKernel`` mirrors the upper triangle, so the result is
     Hermitian exactly.  Disk-type kernels require every coordinate strictly
     inside the unit disk; the table variant requires a matrix of matching
     size.
@@ -257,14 +261,7 @@ def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
             f"got {points.dim}"
         )
     _check_in_disk(points.coords)
-
-    eval_pair = _kernel_callable(spec)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = eval_pair(points.coords[i], points.coords[j])
-            if j > i:
-                gram[j, i] = np.conj(gram[i, j])
+    gram = _kernel_callable(spec)(points.coords)
     return FiniteKernel(points=points, gram=gram, field_tag="complex")
 
 

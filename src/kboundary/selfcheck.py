@@ -420,7 +420,7 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
         Fs = clark.build_szego_factorization(mu, zpts)
         E = clark.expectation_vector(Fs)
         b = clark.InnerFunctionB(measure=mu)
-        bvals = np.array([clark.b_eval(b, z) for z in zpts])
+        bvals = clark._b_many(b, zpts)
         worst_cross = max(worst_cross, float(np.abs(1.0 / E - (1.0 - bvals)).max()))
 
     passed = (

@@ -1,7 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
 
 from kboundary import cli
@@ -53,6 +57,51 @@ class TestParseConfig:
         cfg = cli.parse_config({"command": "clark", "seed": 0})
         with pytest.raises(ConfigError):
             cli.run(cfg)
+
+    def test_shipped_schema_matches_its_metaschema(self):
+        schema = cli.load_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "validate", "bogus": 1},
+            {"command": "validate", "kernel": {"variant": "bergman"}},
+            {
+                "command": "validate",
+                "kernel": {"variant": "table", "table": [[{"re": 1.0}, {"re": "x"}]]},
+            },
+        ],
+        ids=["unknown-field", "bad-enum", "non-number-in-table-cnum"],
+    )
+    def test_schema_errors_carry_the_jsonschema_message(self, config):
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(instance=config, schema=cli.load_schema())
+        with pytest.raises(ConfigError) as raised:
+            cli.parse_config(config)
+        assert str(raised.value) == f"config does not match schema: {reference.value.message}"
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[-0.0, 5e-324], [1e300, -1e300]]),
+        np.array(
+            [
+                [complex(-0.0, -0.0), complex(0.0, 5e-324), complex(1e300, -5e-324)],
+                [complex(-5e-324, -1e300), complex(0.5, 0.25), complex(1e300, -0.0)],
+            ]
+        ),
+        np.array([complex(1.0, -0.0), complex(5e-324, 1e300)]),
+    ],
+    ids=["real", "complex", "vector"],
+)
+def test_matrix_to_json_matches_per_entry_conversion(mat):
+    per_entry = [
+        [{"re": float(np.real(z)), "im": float(np.imag(z))} for z in row]
+        for row in np.atleast_2d(np.asarray(mat, dtype=complex))
+    ]
+    assert json.dumps(cli._matrix_to_json(mat)) == json.dumps(per_entry)
 
 
 class TestPipelines:
@@ -178,9 +227,15 @@ class TestMainEntry:
     def test_installed_module_entry(self, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps(SZEGO_VALIDATE))
+        # The child imports the package under test, also when only pytest's
+        # pythonpath setting (not PYTHONPATH) puts it on the path.
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "kboundary.cli", "validate", "--config", str(path)],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"]

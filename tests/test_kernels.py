@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kboundary import (
+    CircleMeasure,
     DimensionMismatch,
     DomainViolation,
     FiniteKernel,
@@ -16,6 +17,7 @@ from kboundary import (
     polydisk_szego_eval,
     szego_eval,
 )
+from kboundary.clark import InnerFunctionB, kb_eval
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
@@ -196,3 +198,43 @@ def test_debranges_rovnyak_variant_matches_clark_closed_form():
     zs = ps.coords[:, 0]
     expected = 1.0 + zs[:, None] * np.conj(zs)[None, :]
     np.testing.assert_allclose(K.gram, expected, atol=1e-13)
+
+
+DBR_MEASURE = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+@pytest.mark.parametrize(
+    "spec, dim, scalar",
+    [
+        (KernelSpec.szego(), 1, lambda z, w: szego_eval(z[0], w[0])),
+        (KernelSpec.polydisk(2), 2, polydisk_szego_eval),
+        (KernelSpec.polydisk(3), 3, polydisk_szego_eval),
+        (
+            KernelSpec.debranges_rovnyak(DBR_MEASURE),
+            1,
+            lambda z, w: kb_eval(InnerFunctionB(measure=DBR_MEASURE), z[0], w[0]),
+        ),
+    ],
+    ids=["szego", "polydisk-2", "polydisk-3", "debranges-rovnyak"],
+)
+def test_array_assembly_matches_scalar_evaluators(spec, dim, scalar, n):
+    rng = np.random.default_rng(n)
+    radius = 0.9 * np.sqrt(rng.uniform(size=(n, dim)))
+    ps = PointSet.from_points(radius * np.exp(2j * np.pi * rng.uniform(size=(n, dim))))
+    K = assemble_gram(spec, ps)
+    expected = np.array([[scalar(z, w) for w in ps.coords] for z in ps.coords])
+    np.testing.assert_allclose(K.gram, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, coords",
+    [
+        (KernelSpec.polydisk(2), [(0.1, 0.2j), (0.3, np.exp(2.1j))]),
+        (KernelSpec.debranges_rovnyak(DBR_MEASURE), [np.exp(-0.4j), 0.2]),
+    ],
+    ids=["polydisk-2", "debranges-rovnyak"],
+)
+def test_array_assembly_rejects_a_point_on_the_circle(spec, coords):
+    with pytest.raises(DomainViolation):
+        assemble_gram(spec, PointSet.from_points(coords))
