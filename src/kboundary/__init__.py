@@ -9,7 +9,6 @@ from .errors import (
     BAtOne,
     BaseMismatch,
     CauchyZero,
-    CheckFailure,
     ConfigError,
     DimensionMismatch,
     DomainViolation,

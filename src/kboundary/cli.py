@@ -13,6 +13,7 @@ timing field.  Set KB_LOG=debug|info|warning for verbosity.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import logging
@@ -48,7 +49,61 @@ def load_schema() -> dict:
 
 
 def _to_complex(obj) -> complex:
-    return complex(float(obj["re"]), float(obj.get("im", 0.0)))
+    try:
+        z = complex(float(obj["re"]), float(obj.get("im", 0.0)))
+    except OverflowError:  # an integer literal beyond the float range
+        z = cmath.inf
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex numbers must be finite, got {obj!r}")
+    return z
+
+
+_CNUM_KEYS = frozenset(("re", "im"))
+_NUMBER_TYPES = (int, float)
+
+
+def _is_cnum(z) -> bool:
+    """True when ``z`` is a cnum the schema accepts, with every part exactly
+    an int or a float (bool, numpy scalars and Decimal are left to the schema)."""
+    return (
+        type(z) is dict
+        and z.keys() <= _CNUM_KEYS
+        and type(z.get("re")) in _NUMBER_TYPES
+        and type(z.get("im", 0.0)) in _NUMBER_TYPES
+    )
+
+
+def _is_cnum_rows(rows) -> bool:
+    return type(rows) is list and all(
+        type(row) is list and all(map(_is_cnum, row)) for row in rows
+    )
+
+
+def _schema_view(data):
+    """A shallow copy of ``data`` in which every cnum array that ``_is_cnum``
+    accepts throughout is replaced by ``[]``.
+
+    ``[]`` is valid wherever these arrays sit and an accepted array yields no
+    schema error, so jsonschema finds the same errors on the view as on
+    ``data``, without walking each number; a rejected array stays for
+    jsonschema to explain.
+    """
+    if type(data) is not dict:
+        return data
+    view = dict(data)
+    points = view.get("points")
+    if type(points) is list and all(
+        _is_cnum(p) or (type(p) is list and p and all(map(_is_cnum, p))) for p in points
+    ):
+        view["points"] = []
+    nested = {"kernel": ("table",), "morphism": ("target_features", "source_features")}
+    for key, fields in nested.items():
+        if type(view.get(key)) is dict:
+            sub = view[key] = dict(view[key])
+            for field in fields:
+                if _is_cnum_rows(sub.get(field)):
+                    sub[field] = []
+    return view
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
@@ -118,12 +173,19 @@ class JobConfig:
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
-    """Strict parse of a raw config dict; unknown fields are rejected."""
+    """Strict parse of a raw config dict; unknown fields are rejected.
+
+    jsonschema explains every rejection, with the message
+    ``jsonschema.validate`` gives.  Cnum arrays (points, table, morphism
+    features) are screened directly by ``_is_cnum`` and shown to jsonschema
+    as ``[]`` when every entry passes (``_schema_view``).  A non-finite
+    complex number is a ``ConfigError``.
+    """
     # jsonschema.validate minus its check_schema call: the shipped schema is
     # checked against its metaschema once, by the test suite.
     schema = load_schema()
     validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    error = jsonschema.exceptions.best_match(validator.iter_errors(_schema_view(data)))
     if error is not None:
         raise ConfigError(f"config does not match schema: {error.message}")
 
@@ -440,11 +502,51 @@ def run(cfg: JobConfig) -> tuple[dict, int]:
     return report, 0 if passed else 2
 
 
+_CELL = '{\n          "im": %s,\n          "re": %s\n        }'
+
+
+def _matrix_text(rows) -> str:
+    """``rows`` (lists of cnums) as ``json.dumps(report, sort_keys=True,
+    indent=2)`` writes them at ``report["matrices"][name]``.
+
+    All numbers go through one call of the C encoder, which writes floats
+    (``repr``, ``NaN``, ``Infinity``) as the pure-Python indent encoder does.
+    """
+    if not rows:
+        return "[]"
+    flat = [v for row in rows for z in row for v in (z["im"], z["re"])]
+    numbers = json.JSONEncoder().encode(flat)[1:-1].split(", ")
+    texts = []
+    start = 0
+    for row in rows:
+        if not row:
+            texts.append("[]")
+            continue
+        stop = start + 2 * len(row)
+        template = "[\n        " + (_CELL + ",\n        ") * (len(row) - 1) + _CELL + "\n      ]"
+        texts.append(template % tuple(numbers[start:stop]))
+        start = stop
+    return "[\n      " + ",\n      ".join(texts) + "\n    ]"
+
+
 def emit(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report; JSON has stable key order, CSV flattens matrices
-    row-major under an \"i,j,re,im\" header."""
+    """Serialize a report; CSV flattens matrices row-major under an
+    \"i,j,re,im\" header.
+
+    JSON output is byte for byte ``json.dumps(report, sort_keys=True,
+    indent=2)`` plus a newline.  The report is dumped with each matrix
+    replaced by a placeholder string, into which ``_matrix_text`` splices the
+    matrix, so the numbers skip the pure-Python indent encoder.
+    """
     if fmt == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        matrices = report.get("matrices") or {}
+        # No report string starts with NUL, so a placeholder cannot collide.
+        marks = {name: "\x00" + name for name in matrices}
+        skeleton = {**report, "matrices": marks} if marks else report
+        text = json.dumps(skeleton, sort_keys=True, indent=2)
+        for name, rows in matrices.items():
+            text = text.replace(json.dumps(marks[name]), _matrix_text(rows), 1)
+        return (text + "\n").encode()
     if fmt != "csv":
         raise ConfigError(f"unknown output format {fmt!r}")
     lines = [f"# kb report command={report['command']} version={report['version']}"]

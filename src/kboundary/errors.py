@@ -72,6 +72,3 @@ class InvalidMeasure(KernelBoundaryError):
 class ConfigError(KernelBoundaryError):
     """Job configuration failed to parse or validate."""
 
-
-class CheckFailure(KernelBoundaryError):
-    """A pipeline check failed (CLI exit code 2)."""

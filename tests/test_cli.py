@@ -7,9 +7,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kboundary import cli
-from kboundary.errors import ConfigError
+from kboundary.errors import ConfigError, KernelBoundaryError
 
 SZEGO_VALIDATE = {
     "command": "validate",
@@ -23,6 +25,34 @@ SZEGO_VALIDATE = {
     ],
     "seed": 7,
 }
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+ONE_ATOM = {"atoms": ["a"], "weights": [1.0]}
+
+
+def _morphism_config(**features):
+    return {
+        "command": "morphism-check",
+        "morphism": {"source": ONE_ATOM, "target": ONE_ATOM, "map": {"a": "a"}, **features},
+    }
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+CNUM_LIKE = st.dictionaries(
+    st.sampled_from(["re", "im", "x"]), st.integers() | st.floats() | JSON_SCALARS, max_size=3
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | CNUM_LIKE,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["re", "im", "x", ""]), inner, max_size=3),
+    max_leaves=8,
+)
+# Arbitrary JSON, biased toward arrays that are, or are nearly, cnum arrays.
+CNUM_ARRAYS = JSON_VALUES | st.lists(
+    st.lists(CNUM_LIKE, min_size=1, max_size=3) | CNUM_LIKE | JSON_VALUES, max_size=4
+)
+
 
 CLARK_TWO_ATOMS = {
     "command": "clark",
@@ -71,8 +101,34 @@ class TestParseConfig:
                 "command": "validate",
                 "kernel": {"variant": "table", "table": [[{"re": 1.0}, {"re": "x"}]]},
             },
+            {"command": "validate", "points": [{"re": 0.1}, {"re": 0.2, "im": None}]},
+            {"command": "validate", "points": [[{"re": 0.1}], [{"re": 0.2}, {"im": "x"}]]},
+            {"command": "validate", "points": [[{"re": 0.1}], []]},
+            {"command": "validate", "points": [{"re": 0.1}, {"re": True}]},
+            {"command": "validate", "points": [{"re": 0.1, "im": 0.0, "phase": 1.0}]},
+            {"command": "validate", "points": [{"re": 0.1}, {"im": 0.5}]},
+            {"command": "validate", "kernel": {"variant": "table", "table": {"re": 1.0}}},
+            {"command": "validate", "kernel": {"variant": "table", "table": [{"re": 1.0}]}},
+            _morphism_config(target_features=[[{"re": 1.0}], [{"re": [1.0]}]]),
+            _morphism_config(
+                target_features=[[{"re": 1.0}]], source_features=[[{"re": 1.0, "img": 0.0}]]
+            ),
         ],
-        ids=["unknown-field", "bad-enum", "non-number-in-table-cnum"],
+        ids=[
+            "unknown-field",
+            "bad-enum",
+            "non-number-in-table-cnum",
+            "bad-cnum-in-scalar-points",
+            "bad-cnum-in-tuple-points",
+            "empty-tuple-point",
+            "bool-re",
+            "cnum-extra-key",
+            "cnum-missing-re",
+            "table-not-a-list",
+            "table-row-not-a-list",
+            "bad-cnum-in-target-features",
+            "bad-cnum-in-source-features",
+        ],
     )
     def test_schema_errors_carry_the_jsonschema_message(self, config):
         with pytest.raises(jsonschema.ValidationError) as reference:
@@ -80,6 +136,61 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as raised:
             cli.parse_config(config)
         assert str(raised.value) == f"config does not match schema: {reference.value.message}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cnum_screen_agrees_with_jsonschema(self, data):
+        config = data.draw(
+            st.sampled_from(
+                [
+                    lambda v: {"command": "validate", "kernel": {"variant": "szego"}, "points": v},
+                    lambda v: {"command": "validate", "kernel": {"variant": "table", "table": v}},
+                    lambda v: _morphism_config(target_features=v),
+                    lambda v: _morphism_config(target_features=[], source_features=v),
+                ]
+            )
+        )(data.draw(CNUM_ARRAYS))
+        try:
+            jsonschema.validate(instance=config, schema=cli.load_schema())
+            expected = None
+        except jsonschema.ValidationError as exc:
+            expected = f"config does not match schema: {exc.message}"
+        try:
+            cli.parse_config(config)
+            got = None
+        except KernelBoundaryError as exc:
+            got = str(exc)
+        if expected is None:
+            assert got is None or not got.startswith("config does not match schema")
+        else:
+            assert got == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"command": "validate", "kernel": {"variant": "szego"}, "points": [{"re": NaN}]}',
+        '{"command": "validate", "kernel": {"variant": "table", "table": [[{"re": 1e999}]]}}',
+        '{"command": "validate", "kernel": {"variant": "table", "table": [[{"re": 1%s}]]}}'
+        % ("0" * 400),
+        # json.dumps writes an infinite float as the literal Infinity.
+        json.dumps(_morphism_config(target_features=[[{"re": 1.0, "im": float("inf")}]])),
+    ],
+    ids=[
+        "nan-point",
+        "overflowing-table-entry",
+        "huge-integer-table-entry",
+        "infinite-target-feature",
+    ],
+)
+def test_non_finite_cnums_are_config_errors(text, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    command = json.loads(text)["command"]
+    assert cli.main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: complex numbers must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -141,7 +252,56 @@ class TestPipelines:
         assert len(report["checks"]) == 10
 
 
+def _reference_json(report: dict) -> bytes:
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _edge_report(matrices: dict) -> dict:
+    return {
+        "command": "validate",
+        "version": "0",
+        "seed_record": {"seed": 0},
+        "passed": False,
+        "checks": [{"name": "positive-definite", "passed": False, "min_eigenvalue": -1.5}],
+        "matrices": {name: cli._matrix_to_json(mat) for name, mat in matrices.items()},
+        "timing": {"seconds": 0.25},
+    }
+
+
 class TestEmit:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_worked_config_reports_match_json_dumps(self, path):
+        report, _ = cli.run(cli.parse_config(json.loads(path.read_text())))
+        assert cli.emit(report) == _reference_json(report)
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [
+            {
+                "gram": np.array(
+                    [
+                        [complex(-0.0, 5e-324), complex(1e300, np.nan)],
+                        [complex(np.inf, -np.inf), complex(-1e300, -0.0)],
+                    ]
+                )
+            },
+            {"gram": np.zeros((0, 0))},
+            {"frame": np.zeros((3, 0))},
+            {"gram": np.array([[0.5 - 0.25j]])},
+            {"frame": np.arange(6.0).reshape(2, 3) + 1j, "gram": np.eye(2)},
+            {},
+        ],
+        ids=["extreme-values", "empty", "n-by-0", "1-by-1", "non-square-and-two", "no-matrices"],
+    )
+    def test_edge_reports_match_json_dumps(self, matrices):
+        report = _edge_report(matrices)
+        assert cli.emit(report) == _reference_json(report)
+
+    def test_report_without_matrices_key_matches_json_dumps(self):
+        report = _edge_report({})
+        del report["matrices"]
+        assert cli.emit(report) == _reference_json(report)
+
     def _report(self):
         report, _ = cli.run(cli.parse_config(SZEGO_VALIDATE))
         return report
