@@ -13,28 +13,14 @@ import numpy as np
 
 from kboundary import (
     InnerFunctionB,
-    CircleMeasure,
     build_kb_factorization,
     herglotz_poisson_check,
     inner_modulus_check,
     minimality_test,
     verify_factorization,
 )
-
-
-def random_measure(rng, m, min_sep=0.08):
-    while True:
-        atoms = np.sort(rng.uniform(size=m))
-        gaps = np.diff(np.concatenate([atoms, [atoms[0] + 1.0]]))
-        if m == 1 or gaps.min() >= min_sep:
-            break
-    w = rng.uniform(1.0, 3.0, size=m)
-    return CircleMeasure(atoms=atoms, weights=w / w.sum())
-
-
-def random_interior(rng, count, radius=0.9):
-    r = radius * np.sqrt(rng.uniform(size=count))
-    return r * np.exp(2j * np.pi * rng.uniform(size=count))
+from kboundary.clark import atom_gap_grid
+from kboundary.selfcheck import random_circle_measure, random_interior
 
 
 def main():
@@ -48,22 +34,16 @@ def main():
     print(f"{'atoms':>5} {'points':>6} {'residual':>12} {'rank':>4} "
           f"{'herglotz':>12} {'1-|b| @ r=1-1e-6':>18}")
     for _ in range(args.trials):
-        m = int(rng.integers(1, args.max_atoms + 1))
-        mu = random_measure(rng, m)
+        mu = random_circle_measure(rng, args.max_atoms, min_sep=0.08)
         b = InnerFunctionB(measure=mu)
-        zs = random_interior(rng, m + 2)
+        zs = random_interior(rng, mu.size + 2)
         F = build_kb_factorization(b, zs)
         residual = verify_factorization(F)
         rank = minimality_test(F)["feature_rank"]
-        herglotz = max(
-            herglotz_poisson_check(b, z)["abs_error"] for z in random_interior(rng, 40)
-        )
-        grid = (np.arange(48) + 0.5) / 48.0
-        gaps = np.abs(grid[:, None] - mu.atoms[None, :])
-        gaps = np.minimum(gaps, 1.0 - gaps)
-        grid = grid[gaps.min(axis=1) >= 2e-3]
+        herglotz = herglotz_poisson_check(b, random_interior(rng, 40))["abs_error"].max()
+        grid = atom_gap_grid(mu, (np.arange(48) + 0.5) / 48.0, 2e-3)
         modulus = inner_modulus_check(b, grid, 1.0 - 1e-6)
-        print(f"{m:>5} {len(zs):>6} {residual:>12.3e} {rank:>4} "
+        print(f"{mu.size:>5} {len(zs):>6} {residual:>12.3e} {rank:>4} "
               f"{herglotz:>12.3e} {modulus:>18.3e}")
 
 

@@ -39,7 +39,7 @@ from .errors import (
     ZeroExpectation,
 )
 from .factorization import BoundaryFactorization, apply_V
-from .kernels import DISK_RADIUS_BOUND, FiniteKernel, PointSet, _hermitian_mirror
+from .kernels import FiniteKernel, PointSet, _check_in_disk, _hermitian_mirror
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
@@ -47,18 +47,15 @@ EXPECTATION_TOL = 1e-12
 ATOM_MATCH_TOL = 1e-15
 
 
-def _require_interior(z) -> np.ndarray:
-    zv = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zv) >= DISK_RADIUS_BOUND):
-        raise DomainViolation(f"point {z!r} is not strictly inside the unit disk")
-    return zv
+def cauchy_transform(mu: CircleMeasure, z):
+    """C(z) = sum_j w_j / (1 - z conj(e(x_j))) for z in the open disk.
 
-
-def cauchy_transform(mu: CircleMeasure, z: complex) -> complex:
-    """C(z) = sum_j w_j / (1 - z conj(e(x_j))) for z in the open disk."""
-    zv = _require_interior(z)
+    ``z`` is a scalar or an array; the sum over the atoms runs on a new last
+    axis, so the result has the shape of ``z`` (a numpy scalar for a scalar).
+    """
+    zv = _check_in_disk(z)
     e = mu.boundary_points()
-    return complex(np.sum(mu.weights / (1.0 - zv * np.conj(e))))
+    return np.sum(mu.weights / (1.0 - zv[..., None] * np.conj(e)), axis=-1)[()]
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,8 @@ class InnerFunctionB:
     measure: CircleMeasure
 
 
-def b_eval(B: InnerFunctionB, z: complex, form: str = "reciprocal") -> complex:
-    """Evaluate b at an interior point.
+def b_eval(B: InnerFunctionB, z, form: str = "reciprocal"):
+    """Evaluate b at interior points (a scalar or an array).
 
     ``form="reciprocal"`` (default) gives 1 - 1/C(z); ``form="linear"``
     gives the affine variant 1 - C(z), exposed for comparison only (it is
@@ -77,23 +74,21 @@ def b_eval(B: InnerFunctionB, z: complex, form: str = "reciprocal") -> complex:
     """
     C = cauchy_transform(B.measure, z)
     if form == "linear":
-        return complex(1.0 - C)
+        return 1.0 - C
     if form != "reciprocal":
         raise ShapeMismatch(f"unknown form {form!r}; use 'reciprocal' or 'linear'")
-    if abs(C) < CAUCHY_ZERO_TOL:
-        raise CauchyZero(f"Cauchy transform vanishes at z = {z!r}")
-    return complex(1.0 - 1.0 / C)
-
-
-def _b_many(B: InnerFunctionB, zs: np.ndarray) -> np.ndarray:
-    e = B.measure.boundary_points()
-    C = np.sum(
-        B.measure.weights[None, :] / (1.0 - zs[:, None] * np.conj(e)[None, :]),
-        axis=1,
-    )
     if np.any(np.abs(C) < CAUCHY_ZERO_TOL):
-        raise CauchyZero("Cauchy transform vanishes on the evaluation grid")
+        raise CauchyZero(f"Cauchy transform vanishes at a point of z = {z!r}")
     return 1.0 - 1.0 / C
+
+
+def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
+    """The angles of ``thetas`` (mod 1, flattened) whose circular distance
+    to every atom of ``mu`` is at least ``margin``."""
+    th = np.asarray(thetas, dtype=float).ravel() % 1.0
+    gaps = np.abs(th[:, None] - mu.atoms[None, :])
+    gaps = np.minimum(gaps, 1.0 - gaps)
+    return th[gaps.min(axis=1) >= margin]
 
 
 def inner_modulus_check(B: InnerFunctionB, thetas, r: float) -> float:
@@ -104,49 +99,34 @@ def inner_modulus_check(B: InnerFunctionB, thetas, r: float) -> float:
     """
     if not (0.0 < r < 1.0):
         raise DomainViolation(f"radius must lie in (0,1), got {r!r}")
-    th = np.asarray(thetas, dtype=float).ravel() % 1.0
-    gaps = np.abs(th[:, None] - B.measure.atoms[None, :])
-    gaps = np.minimum(gaps, 1.0 - gaps)
-    if gaps.size and gaps.min() < 1e-3:
+    th = atom_gap_grid(B.measure, thetas, 1e-3)
+    if th.size < np.size(thetas):
         raise DomainViolation("theta grid comes closer than 1e-3 to an atom")
     zs = r * np.exp(2j * np.pi * th)
-    return float(np.abs(1.0 - np.abs(_b_many(B, zs))).max()) if th.size else 0.0
+    return float(np.abs(1.0 - np.abs(b_eval(B, zs))).max()) if th.size else 0.0
 
 
-def kb_eval(B: InnerFunctionB, z: complex, w: complex) -> complex:
-    """K_b(z, w) = (1 - b(z) conj(b(w))) / (1 - z conj(w))."""
-    zv = complex(_require_interior(z))
-    wv = complex(_require_interior(w))
-    bz = b_eval(B, zv)
-    bw = b_eval(B, wv)
-    return (1.0 - bz * np.conj(bw)) / (1.0 - zv * np.conj(wv))
+def kb_eval(B: InnerFunctionB, z, w):
+    """K_b(z, w) = (1 - b(z) conj(b(w))) / (1 - z conj(w)), broadcast over
+    ``z`` and ``w``."""
+    zv = _check_in_disk(z)
+    wv = _check_in_disk(w)
+    return ((1.0 - b_eval(B, zv) * np.conj(b_eval(B, wv))) / (1.0 - zv * np.conj(wv)))[()]
 
 
-def _kb_gram(B: InnerFunctionB, zs: np.ndarray) -> np.ndarray:
-    """K_b Gram matrix over the points zs, with b evaluated once per point."""
-    bz = _b_many(B, zs)
-    return (1.0 - bz[:, None] * np.conj(bz)[None, :]) / (1.0 - zs[:, None] * np.conj(zs)[None, :])
-
-
-def _atom_index(mu: CircleMeasure, x: float) -> int:
-    hits = np.where(np.abs(mu.atoms - float(x)) <= ATOM_MATCH_TOL)[0]
-    if hits.size != 1:
+def _atom_index(mu: CircleMeasure, x) -> np.ndarray:
+    hits = np.abs(mu.atoms - np.asarray(x, dtype=float)[..., None]) <= ATOM_MATCH_TOL
+    if np.any(hits.sum(axis=-1) != 1):
         raise InvalidMeasure(f"{x!r} is not an atom of the measure")
-    return int(hits[0])
+    return hits.argmax(axis=-1)
 
 
-def kb_feature(B: InnerFunctionB, z: complex, x: float) -> complex:
-    """Boundary feature k_z(x) at an atom x, with b(e(x)) = 1 (radial limit)."""
-    zv = complex(_require_interior(z))
-    j = _atom_index(B.measure, x)
-    e = B.measure.boundary_points()[j]
-    return (1.0 - b_eval(B, zv)) / (1.0 - zv * np.conj(e))
-
-
-def _kb_feature_matrix(B: InnerFunctionB, zs: np.ndarray) -> np.ndarray:
-    e = B.measure.boundary_points()
-    bz = _b_many(B, zs)
-    return (1.0 - bz)[:, None] / (1.0 - zs[:, None] * np.conj(e)[None, :])
+def kb_feature(B: InnerFunctionB, z, x):
+    """Boundary feature k_z(x) at atoms x, with b(e(x)) = 1 (radial limit);
+    broadcast over ``z`` and ``x``."""
+    zv = _check_in_disk(z)
+    e = B.measure.boundary_points()[_atom_index(B.measure, x)]
+    return ((1.0 - b_eval(B, zv)) / (1.0 - zv * np.conj(e)))[()]
 
 
 def _as_pointset(points) -> PointSet:
@@ -164,13 +144,13 @@ def build_kb_factorization(B: InnerFunctionB, points) -> BoundaryFactorization:
     ps = _as_pointset(points)
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
-    zs = _require_interior(ps.coords[:, 0])
-    gram = _kb_gram(B, zs)
+    zs = ps.coords[:, 0]
+    gram = kb_eval(B, zs[:, None], zs[None, :])
     kernel = FiniteKernel(points=ps, gram=gram, field_tag="complex")
     return BoundaryFactorization(
         kernel=kernel,
         measure=B.measure.as_discrete(),
-        features=_kb_feature_matrix(B, zs),
+        features=kb_feature(B, zs[:, None], B.measure.atoms),
     )
 
 
@@ -186,30 +166,32 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     ps = _as_pointset(points)
     if ps.dim != 1:
         raise ShapeMismatch("Szego features need 1-dim complex points")
-    zs = _require_interior(ps.coords[:, 0])
+    zs = _check_in_disk(ps.coords[:, 0])
     e = mu.boundary_points()
     features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
-    gram = _hermitian_mirror((features * mu.weights[None, :]) @ np.conj(features).T)
+    gram = (features * mu.weights[None, :]) @ np.conj(features).T
     kernel = FiniteKernel(points=ps, gram=gram, field_tag="complex")
     return BoundaryFactorization(kernel=kernel, measure=mu.as_discrete(), features=features)
 
 
-def herglotz_poisson_check(B: InnerFunctionB, z: complex) -> dict:
-    """Herglotz real part against the Poisson integral of mu.
+def herglotz_poisson_check(B: InnerFunctionB, z) -> dict:
+    """Herglotz real part against the Poisson integral of mu, at interior
+    points ``z`` (a scalar or an array; each value has the shape of ``z``).
 
     lhs = Re[(1 + b(z)) / (1 - b(z))],
     rhs = sum_j w_j (1 - |z|^2) / |e(x_j) - z|^2.
     """
-    zv = complex(_require_interior(z))
+    zv = _check_in_disk(z)
     bz = b_eval(B, zv)
-    if abs(1.0 - bz) < CAUCHY_ZERO_TOL:
-        raise BAtOne(f"b(z) = 1 within tolerance at z = {zv!r}")
-    lhs = float(np.real((1.0 + bz) / (1.0 - bz)))
+    if np.any(np.abs(1.0 - bz) < CAUCHY_ZERO_TOL):
+        raise BAtOne(f"b(z) = 1 within tolerance at a point of z = {z!r}")
+    lhs = np.real((1.0 + bz) / (1.0 - bz))
     e = B.measure.boundary_points()
-    rhs = float(
-        np.sum(B.measure.weights * (1.0 - abs(zv) ** 2) / np.abs(e - zv) ** 2)
+    rhs = np.sum(
+        B.measure.weights * (1.0 - np.abs(zv[..., None]) ** 2) / np.abs(e - zv[..., None]) ** 2,
+        axis=-1,
     )
-    return {"lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs)}
+    return {"lhs": lhs[()], "rhs": rhs[()], "abs_error": np.abs(lhs - rhs)[()]}
 
 
 def expectation_vector(F: BoundaryFactorization) -> np.ndarray:

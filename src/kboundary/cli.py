@@ -201,6 +201,9 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
     try:
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(data.get("tolerances", {}))
+        tol = {key: None if v is None else float(v) for key, v in tol.items()}
+        if not all(v is None or np.isfinite(v) for v in tol.values()):
+            raise ConfigError(f"tolerances must be finite, got {tol!r}")
         out = data.get("output", {})
         return JobConfig(
             command=resolved,
@@ -208,9 +211,9 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             points=_parse_points(data["points"]) if "points" in data else None,
             measure=_parse_circle_measure(data["measure"]) if "measure" in data else None,
             morphism=data.get("morphism"),
-            psd_tol=float(tol["psd_tol"]),
-            fact_tol=float(tol["fact_tol"]),
-            rank_tol=None if tol["rank_tol"] is None else float(tol["rank_tol"]),
+            psd_tol=tol["psd_tol"],
+            fact_tol=tol["fact_tol"],
+            rank_tol=tol["rank_tol"],
             seed=int(data.get("seed", 0)),
             sample_count=data.get("sample_count"),
             output_path=out.get("path"),
@@ -307,10 +310,7 @@ def _clark_points(cfg: JobConfig) -> np.ndarray:
             raise ConfigError("clark pipelines need 1-dim complex points")
         return cfg.points.coords[:, 0]
     rng = np.random.default_rng([cfg.seed, 100])
-    count = int(cfg.sample_count or 50)
-    radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return radius * np.exp(1j * angle)
+    return selfcheck.random_interior(rng, int(cfg.sample_count or 50))
 
 
 def _run_clark(cfg: JobConfig):
@@ -320,13 +320,8 @@ def _run_clark(cfg: JobConfig):
     F = clark.build_kb_factorization(b, zs)
     residual = factorization.verify_factorization(F)
     minimal = factorization.minimality_test(F, rank_tol=cfg.rank_tol)
-    herglotz_worst = max(
-        clark.herglotz_poisson_check(b, z)["abs_error"] for z in zs
-    )
-    grid = (np.arange(64) + 0.5) / 64.0
-    gaps = np.abs(grid[:, None] - mu.atoms[None, :])
-    gaps = np.minimum(gaps, 1.0 - gaps)
-    grid = grid[gaps.min(axis=1) >= 2e-3]
+    herglotz_worst = float(clark.herglotz_poisson_check(b, zs)["abs_error"].max())
+    grid = clark.atom_gap_grid(mu, (np.arange(64) + 0.5) / 64.0, 2e-3)
     modulus_dev = clark.inner_modulus_check(b, grid, 1.0 - 1e-6)
     expect_minimal = len(zs) >= mu.size
     checks = [
@@ -345,7 +340,7 @@ def _run_clark(cfg: JobConfig):
         {
             "name": "poisson-herglotz",
             "passed": herglotz_worst <= 1e-10,
-            "max_abs_error": float(herglotz_worst),
+            "max_abs_error": herglotz_worst,
         },
         {
             "name": "inner-modulus",
@@ -363,8 +358,7 @@ def _run_renorm(cfg: JobConfig):
     ctx = clark.renormalize(F)
     residual = factorization.verify_factorization(ctx.kren_factorization())
     psd = kernels.check_positive_definite(ctx.kren_kernel(), tol=cfg.psd_tol)
-    b = clark.InnerFunctionB(measure=mu)
-    bvals = clark._b_many(b, zs)
+    bvals = clark.b_eval(clark.InnerFunctionB(measure=mu), zs)
     cross = float(np.abs(1.0 / ctx.expectations - (1.0 - bvals)).max())
     checks = [
         {
@@ -399,9 +393,7 @@ def _run_morphism_check(cfg: JobConfig):
     )
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
-    gram = kernels._hermitian_mirror(
-        (target_features * target.weights[None, :]) @ np.conj(target_features).T
-    )
+    gram = (target_features * target.weights[None, :]) @ np.conj(target_features).T
     pts = kernels.PointSet.from_points(np.arange(target_features.shape[0], dtype=complex))
     kern = kernels.FiniteKernel(points=pts, gram=gram)
     F1 = factorization.BoundaryFactorization(

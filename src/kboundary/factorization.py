@@ -22,6 +22,7 @@ intertwine the features.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class BoundaryFactorization:
         object.__setattr__(self, "features", phi)
         if self.tol < 0:
             raise ShapeMismatch("tolerance must be nonnegative")
+
+    @cached_property
+    def residual(self) -> float:
+        """verify_factorization(self), computed once: the fields are frozen."""
+        return verify_factorization(self)
 
     @property
     def n_points(self) -> int:
@@ -122,7 +128,7 @@ def is_factorization(F: BoundaryFactorization, tol: float | None = None) -> bool
     """Membership check: the identity holds within ``tol`` (the declared
     tolerance when None)."""
     limit = F.tol if tol is None else tol
-    return verify_factorization(F) <= limit
+    return F.residual <= limit
 
 
 def minimality_test(
@@ -147,10 +153,9 @@ def minimality_test(
 
 
 def _require_factorization(F: BoundaryFactorization) -> None:
-    residual = verify_factorization(F)
-    if residual > F.tol:
+    if F.residual > F.tol:
         raise NotAFactorization(
-            f"factorization residual {residual!r} exceeds declared tolerance {F.tol!r}"
+            f"factorization residual {F.residual!r} exceeds declared tolerance {F.tol!r}"
         )
 
 
@@ -233,14 +238,13 @@ def check_isometry(F: BoundaryFactorization, rank_tol: float | None = None) -> d
     product.
     """
     _require_factorization(F)
-    wstar_w_residual = verify_factorization(F)
     P = range_projection(F, rank_tol)
     idem = float(np.abs(P @ P - P).max()) if P.size else 0.0
     d = F.measure.weights
     adj = (np.conj(P).T * d[None, :]) / d[:, None]
     self_adj = float(np.abs(adj - P).max()) if P.size else 0.0
     return {
-        "wstar_w_residual": wstar_w_residual,
+        "wstar_w_residual": F.residual,
         "projection_residual": max(idem, self_adj),
     }
 

@@ -112,9 +112,7 @@ class KernelSpec:
             t = np.asarray(self.table, dtype=complex)
             if t.ndim != 2 or t.shape[0] != t.shape[1]:
                 raise ShapeMismatch("table must be square")
-            scale = max(1.0, float(np.abs(t).max()) if t.size else 1.0)
-            if np.abs(t - t.conj().T).max() > HERMITIAN_TOL * scale:
-                raise NotHermitian("table variant requires a Hermitian matrix")
+            _require_hermitian(t, "table variant requires a Hermitian matrix")
             t.setflags(write=False)
             object.__setattr__(self, "table", t)
         if self.dim < 1:
@@ -150,9 +148,7 @@ class FiniteKernel:
         n = self.points.size
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
-        scale = max(1.0, float(np.abs(g).max()) if g.size else 1.0)
-        if n and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * scale:
-            raise NotHermitian("gram matrix is not Hermitian")
+        _require_hermitian(g, "gram matrix is not Hermitian")
         # Mirror the upper triangle so Hermitian symmetry holds bit for bit.
         g = _hermitian_mirror(g)
         g.setflags(write=False)
@@ -180,6 +176,14 @@ class PsdReport:
     is_psd: bool
 
 
+def _require_hermitian(g: np.ndarray, message: str) -> None:
+    """Raise NotHermitian unless the square ``g`` is Hermitian to within
+    HERMITIAN_TOL relative to max(1, max|g|)."""
+    scale = max(1.0, float(np.abs(g).max()) if g.size else 1.0)
+    if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * scale:
+        raise NotHermitian(message)
+
+
 def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
     out = np.array(g, dtype=complex)
     n = out.shape[0]
@@ -190,50 +194,54 @@ def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_in_disk(z: np.ndarray) -> None:
-    if np.any(np.abs(z) >= DISK_RADIUS_BOUND):
-        worst = np.abs(z).max()
+def _check_in_disk(z) -> np.ndarray:
+    """``z`` as a complex array, every element strictly inside the disk guard."""
+    zv = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zv) >= DISK_RADIUS_BOUND):
+        worst = np.abs(zv).max()
         raise DomainViolation(
             f"evaluation point has |z| = {worst!r}, outside the open disk guard"
         )
+    return zv
 
 
-def szego_eval(z: complex, w: complex) -> complex:
-    """Szego kernel of the disk, 1 / (1 - z conj(w))."""
-    z = complex(z)
-    w = complex(w)
-    _check_in_disk(np.array([z, w]))
-    return 1.0 / (1.0 - z * np.conj(w))
+def szego_eval(z, w):
+    """Szego kernel of the disk, 1 / (1 - z conj(w)).
+
+    ``z`` and ``w`` are scalars or broadcastable arrays; a scalar pair
+    gives a numpy complex scalar.
+    """
+    zv = _check_in_disk(z)
+    wv = _check_in_disk(w)
+    return (1.0 / (1.0 - zv * np.conj(wv)))[()]
 
 
-def polydisk_szego_eval(z, w) -> complex:
-    """Product of 1-d Szego kernels over the coordinates of the polydisk."""
-    zv = np.asarray(z, dtype=complex).ravel()
-    wv = np.asarray(w, dtype=complex).ravel()
-    if zv.size != wv.size:
+def polydisk_szego_eval(z, w):
+    """Product of 1-d Szego kernels over the coordinates of the polydisk.
+
+    The last axis of ``z`` and ``w`` is the coordinate axis (a scalar is a
+    one-coordinate point); the leading axes broadcast.  A pair of points
+    gives a numpy complex scalar.
+    """
+    zv = np.atleast_1d(_check_in_disk(z))
+    wv = np.atleast_1d(_check_in_disk(w))
+    if zv.shape[-1] != wv.shape[-1]:
         raise DimensionMismatch(
-            f"point dimensions differ: {zv.size} vs {wv.size}"
+            f"point dimensions differ: {zv.shape[-1]} vs {wv.shape[-1]}"
         )
-    _check_in_disk(zv)
-    _check_in_disk(wv)
-    return complex(np.prod(1.0 / (1.0 - zv * np.conj(wv))))
-
-
-def _szego_gram(coords: np.ndarray) -> np.ndarray:
-    """Gram of the (polydisk) Szego kernel: prod_k 1 / (1 - z_k conj(w_k))."""
-    return np.prod(1.0 / (1.0 - coords[:, None, :] * np.conj(coords)[None, :, :]), axis=2)
+    return np.prod(1.0 / (1.0 - zv * np.conj(wv)), axis=-1)[()]
 
 
 def _kernel_callable(spec: KernelSpec):
     """Evaluator mapping an (n, k) coordinate array to the n x n Gram matrix."""
     if spec.variant in ("szego", "polydisk-szego"):
-        return _szego_gram
+        return lambda c: polydisk_szego_eval(c[:, None, :], c[None, :, :])
     if spec.variant == "debranges-rovnyak":
         # Imported here: clark builds on this module.
-        from .clark import InnerFunctionB, _kb_gram
+        from .clark import InnerFunctionB, kb_eval
 
         b = InnerFunctionB(measure=spec.measure)
-        return lambda coords: _kb_gram(b, coords[:, 0])
+        return lambda c: kb_eval(b, c[:, None, 0], c[None, :, 0])
     raise ShapeMismatch(f"no callable for variant {spec.variant!r}")
 
 
@@ -260,7 +268,6 @@ def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
             f"variant {spec.variant!r} expects {expected_dim}-dim points, "
             f"got {points.dim}"
         )
-    _check_in_disk(points.coords)
     gram = _kernel_callable(spec)(points.coords)
     return FiniteKernel(points=points, gram=gram, field_tag="complex")
 
@@ -273,13 +280,9 @@ def check_positive_definite(K: FiniteKernel, tol: float = 1e-10) -> PsdReport:
     """
     if tol < 0:
         raise ShapeMismatch("tolerance must be nonnegative")
-    g = K.gram
-    scale = max(1.0, float(np.abs(g).max()) if g.size else 1.0)
-    if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * scale:
-        raise NotHermitian("gram matrix is not Hermitian")
     if K.size == 0:
         return PsdReport(min_eigenvalue=0.0, max_eigenvalue=0.0, is_psd=True)
-    eigs = np.linalg.eigvalsh(g)
+    eigs = np.linalg.eigvalsh(K.gram)
     lo = float(eigs[0])
     hi = float(eigs[-1])
     return PsdReport(

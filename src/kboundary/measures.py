@@ -25,6 +25,8 @@ def _as_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidMeasure("weights must be a nonempty 1-d array")
+    if not np.all(np.isfinite(w)):
+        raise InvalidMeasure("all weights must be finite")
     if np.any(w <= 0.0):
         raise InvalidMeasure("all weights must be strictly positive")
     return w
@@ -62,7 +64,7 @@ class DiscreteMeasure:
             c = np.atleast_2d(np.asarray(self.coords, dtype=float))
             if c.shape[0] != len(atoms):
                 raise InvalidMeasure("coords must supply one tuple per atom")
-            if np.any(c < 0.0) or np.any(c >= 1.0):
+            if not np.all((c >= 0.0) & (c < 1.0)):  # NaN fails too
                 raise InvalidMeasure("coords must lie in [0,1)^k")
             if len({tuple(row) for row in c}) != c.shape[0]:
                 raise InvalidMeasure("coordinate tuples must be pairwise distinct")
@@ -99,7 +101,7 @@ class CircleMeasure:
         x = np.asarray(self.atoms, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise InvalidMeasure("atoms must be a nonempty 1-d array")
-        if np.any(x < 0.0) or np.any(x >= 1.0):
+        if not np.all((x >= 0.0) & (x < 1.0)):  # NaN fails too
             raise InvalidMeasure("atoms must lie in [0,1)")
         if len(set(x.tolist())) != x.size:
             raise InvalidMeasure("atoms must be pairwise distinct")

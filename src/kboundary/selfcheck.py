@@ -52,15 +52,17 @@ def _random_feature_factorization(
     meas = measures.DiscreteMeasure(
         atoms=tuple(range(m)), weights=w, normalized=False
     )
-    gram = kernels._hermitian_mirror((phi * w[None, :]) @ np.conj(phi).T)
+    gram = (phi * w[None, :]) @ np.conj(phi).T
     pts = kernels.PointSet.from_points(np.arange(n, dtype=complex))
     kern = kernels.FiniteKernel(points=pts, gram=gram)
     return factorization.BoundaryFactorization(kernel=kern, measure=meas, features=phi)
 
 
-def _random_circle_measure(
+def random_circle_measure(
     rng: np.random.Generator, max_atoms: int = 6, min_sep: float = 0.1
 ) -> measures.CircleMeasure:
+    """1 to ``max_atoms`` atoms, circular gaps >= ``min_sep``, weights drawn
+    uniform on [1, 3] and normalized."""
     m = int(rng.integers(1, max_atoms + 1))
     while True:
         atoms = np.sort(rng.uniform(0.0, 1.0, size=m))
@@ -72,7 +74,8 @@ def _random_circle_measure(
     return measures.CircleMeasure(atoms=atoms, weights=w)
 
 
-def _random_interior(rng: np.random.Generator, count: int, radius: float = 0.9) -> np.ndarray:
+def random_interior(rng: np.random.Generator, count: int, radius: float = 0.9) -> np.ndarray:
+    """``count`` points uniform in area on the disk of the given radius."""
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
     th = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return r * np.exp(1j * th)
@@ -173,9 +176,7 @@ def _two_point_factorization(measure: measures.DiscreteMeasure, e_values, z_poin
     zs = np.asarray(z_points, dtype=complex)
     ev = np.asarray(e_values, dtype=complex)
     phi = 1.0 + zs[:, None] * np.conj(ev)[None, :]
-    gram = kernels._hermitian_mirror(
-        (phi * measure.weights[None, :]) @ np.conj(phi).T
-    )
+    gram = (phi * measure.weights[None, :]) @ np.conj(phi).T
     pts = kernels.PointSet.from_points(zs)
     kern = kernels.FiniteKernel(points=pts, gram=gram)
     return factorization.BoundaryFactorization(kernel=kern, measure=measure, features=phi)
@@ -297,20 +298,21 @@ def check_clark_exactness(seed: int = 0) -> CriterionResult:
     b1 = clark.InnerFunctionB(measure=mu1)
     b2 = clark.InnerFunctionB(measure=mu2)
 
-    zs = _random_interior(rng, 100)
-    ws = _random_interior(rng, 100)
-    worst_b = 0.0
-    worst_k = 0.0
-    for z, w in zip(zs, ws):
-        worst_b = max(worst_b, abs(clark.b_eval(b1, z) - z))
-        worst_b = max(worst_b, abs(clark.b_eval(b2, z) - z * z))
-        worst_k = max(worst_k, abs(clark.kb_eval(b1, z, w) - 1.0))
-        worst_k = max(worst_k, abs(clark.kb_eval(b2, z, w) - (1.0 + z * np.conj(w))))
+    zs = random_interior(rng, 100)
+    ws = random_interior(rng, 100)
+    worst_b = float(max(
+        np.abs(clark.b_eval(b1, zs) - zs).max(),
+        np.abs(clark.b_eval(b2, zs) - zs * zs).max(),
+    ))
+    worst_k = float(max(
+        np.abs(clark.kb_eval(b1, zs, ws) - 1.0).max(),
+        np.abs(clark.kb_eval(b2, zs, ws) - (1.0 + zs * np.conj(ws))).max(),
+    ))
 
     worst_res = 0.0
     ranks_ok = True
     for b, mu in ((b1, mu1), (b2, mu2)):
-        pts = _random_interior(rng, 6)
+        pts = random_interior(rng, 6)
         F = clark.build_kb_factorization(b, pts)
         worst_res = max(worst_res, factorization.verify_factorization(F))
         ranks_ok = ranks_ok and (
@@ -332,8 +334,8 @@ def check_clark_exactness(seed: int = 0) -> CriterionResult:
 
 def _herglotz_corpus(seed: int, n_measures: int = 20):
     rng = _rng(seed, 7)
-    corpus = [_random_circle_measure(rng) for _ in range(n_measures)]
-    zs = _random_interior(rng, 100)
+    corpus = [random_circle_measure(rng) for _ in range(n_measures)]
+    zs = random_interior(rng, 100)
     return corpus, zs
 
 
@@ -342,9 +344,8 @@ def check_poisson_herglotz(seed: int = 0) -> CriterionResult:
     corpus, zs = _herglotz_corpus(seed)
     worst = 0.0
     for mu in corpus:
-        b = clark.InnerFunctionB(measure=mu)
-        for z in zs:
-            worst = max(worst, clark.herglotz_poisson_check(b, z)["abs_error"])
+        res = clark.herglotz_poisson_check(clark.InnerFunctionB(measure=mu), zs)
+        worst = max(worst, float(res["abs_error"].max()))
     return CriterionResult(
         key="poisson-herglotz",
         description="Herglotz/Poisson identity on 20 random measures x 100 interior points",
@@ -359,12 +360,8 @@ def check_inner_modulus(seed: int = 0) -> CriterionResult:
     r = 1.0 - 1e-6
     worst = 0.0
     for mu in corpus:
-        b = clark.InnerFunctionB(measure=mu)
-        grid = (np.arange(64) + 0.5) / 64.0
-        gaps = np.abs(grid[:, None] - mu.atoms[None, :])
-        gaps = np.minimum(gaps, 1.0 - gaps)
-        grid = grid[gaps.min(axis=1) >= 2e-3]
-        worst = max(worst, clark.inner_modulus_check(b, grid, r))
+        grid = clark.atom_gap_grid(mu, (np.arange(64) + 0.5) / 64.0, 2e-3)
+        worst = max(worst, clark.inner_modulus_check(clark.InnerFunctionB(measure=mu), grid, r))
 
     mu1 = measures.CircleMeasure(atoms=[0.0], weights=[1.0])
     mu2 = measures.CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
@@ -391,7 +388,7 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
     phi = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    gram = kernels._hermitian_mirror((phi * meas.weights[None, :]) @ np.conj(phi).T)
+    gram = (phi * meas.weights[None, :]) @ np.conj(phi).T
     pts = kernels.PointSet.from_points([0.0, 1.0])
     F = factorization.BoundaryFactorization(
         kernel=kernels.FiniteKernel(points=pts, gram=gram), measure=meas, features=phi
@@ -415,12 +412,11 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
 
     worst_cross = 0.0
     for _ in range(10):
-        mu = _random_circle_measure(rng)
-        zpts = _random_interior(rng, 5)
+        mu = random_circle_measure(rng)
+        zpts = random_interior(rng, 5)
         Fs = clark.build_szego_factorization(mu, zpts)
         E = clark.expectation_vector(Fs)
-        b = clark.InnerFunctionB(measure=mu)
-        bvals = clark._b_many(b, zpts)
+        bvals = clark.b_eval(clark.InnerFunctionB(measure=mu), zpts)
         worst_cross = max(worst_cross, float(np.abs(1.0 / E - (1.0 - bvals)).max()))
 
     passed = (
@@ -447,7 +443,7 @@ def check_polydisk_density(seed: int = 0) -> CriterionResult:
     rng = _rng(seed, 10)
     k1_ok = True
     for _ in range(30):
-        mu = _random_circle_measure(rng, max_atoms=8, min_sep=0.02)
+        mu = random_circle_measure(rng, max_atoms=8, min_sep=0.02)
         m = mu.size
         res = clark.polydisk_density_test(mu, max_degree=m)
         sat_degree = len(res["rank_sequence"]) - 1

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from kboundary import (
     normalized_transform_V,
     parseval_factorize,
     polydisk_density_test,
+    polydisk_szego_eval,
     renormalize,
+    szego_eval,
     verify_factorization,
 )
 
@@ -405,3 +409,49 @@ def test_kb_factorization_identity_is_algebraic(z):
     feature = (1.0 - b_eval(b, z)) / (1.0 - z * np.conj(e))
     total = float(np.sum(np.abs(feature) ** 2 * mu.weights).real)
     assert total == pytest.approx(kb_eval(b, z, z).real, abs=1e-10)
+
+
+def _disk(rng, shape):
+    return 0.9 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+
+THREE_ATOMS = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
+B3 = InnerFunctionB(measure=THREE_ATOMS)
+_RNG = np.random.default_rng(3)
+Z, W = _disk(_RNG, (4, 1)), _disk(_RNG, (1, 3))
+Z3, W3 = _disk(_RNG, (4, 1, 3)), _disk(_RNG, (1, 3, 3))
+
+
+@pytest.mark.parametrize(
+    # core: trailing axes that one call consumes (the polydisk coordinate axis)
+    "evaluator, args, core",
+    [
+        (szego_eval, (Z, W), 0),
+        (polydisk_szego_eval, (Z3, W3), 1),
+        (partial(cauchy_transform, THREE_ATOMS), (Z,), 0),
+        (partial(b_eval, B3), (Z,), 0),
+        (partial(kb_eval, B3), (Z, W), 0),
+        (partial(kb_feature, B3), (Z, THREE_ATOMS.atoms), 0),
+        (partial(herglotz_poisson_check, B3), (Z,), 0),
+    ],
+    ids=["szego", "polydisk-szego", "cauchy", "b", "kb", "kb-feature", "herglotz"],
+)
+def test_evaluators_broadcast_like_their_pointwise_calls(evaluator, args, core):
+    def values(out):
+        return [out["lhs"], out["rhs"]] if isinstance(out, dict) else [out]
+
+    arrays = np.broadcast_arrays(*args)
+    batch = arrays[0].shape[: arrays[0].ndim - core]
+    pointwise = [
+        values(evaluator(*(a[idx].tolist() for a in arrays))) for idx in np.ndindex(batch)
+    ]
+    for point in pointwise:
+        assert all(isinstance(v, (complex, float)) for v in point)
+    for got, want in zip(values(evaluator(*args)), zip(*pointwise)):
+        assert got.shape == batch
+        np.testing.assert_allclose(got, np.reshape(want, batch), rtol=1e-14, atol=0.0)
+
+    on_circle = np.array(args[0], dtype=complex)
+    on_circle.flat[-1] = np.exp(0.7j)
+    with pytest.raises(DomainViolation):
+        evaluator(on_circle, *args[1:])

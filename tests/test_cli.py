@@ -194,6 +194,44 @@ def test_non_finite_cnums_are_config_errors(text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"command": "clark", "measure": {"atoms": [NaN, 0.5], "weights": [0.5, 0.5]},'
+        ' "sample_count": 5}',
+        '{"command": "clark", "measure": {"atoms": [0.0, 0.5], "weights": [NaN, 0.5]},'
+        ' "sample_count": 5}',
+        '{"command": "morphism-check", "morphism": {"source": {"atoms": ["a"],'
+        ' "weights": [Infinity]}, "target": {"atoms": ["a"], "weights": [1.0]},'
+        ' "map": {"a": "a"}, "target_features": [[{"re": 1.0}]]}}',
+    ],
+    ids=["nan-atom", "nan-weight", "infinite-discrete-weight"],
+)
+def test_non_finite_measures_are_rejected(text, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    command = json.loads(text)["command"]
+    assert cli.main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "InvalidMeasure" in err
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    ['{"psd_tol": NaN}', '{"fact_tol": Infinity}', '{"rank_tol": NaN}'],
+    ids=["nan-psd-tol", "infinite-fact-tol", "nan-rank-tol"],
+)
+def test_non_finite_tolerances_are_config_errors(tolerances, tmp_path, capsys):
+    text = json.dumps(SZEGO_VALIDATE)[:-1] + ', "tolerances": %s}' % tolerances
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: tolerances must be finite" in err
+
+
+@pytest.mark.parametrize(
     "mat",
     [
         np.array([[-0.0, 5e-324], [1e300, -1e300]]),
