@@ -72,6 +72,7 @@ from .gaussian import (
     consistency_check,
     empirical_covariance,
     log_density,
+    moments,
     realize,
     sample,
 )

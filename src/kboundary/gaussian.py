@@ -10,7 +10,10 @@ E(k_s conj(k_t)) = K(s, t) holds in both conventions.
 Sampling is chunked over a counter-based generator keyed by
 (seed, chunk index): a fixed (seed, chunk layout, N) always reproduces
 the same batch, and chunks are independent so parallel evaluation cannot
-reorder the stream.
+reorder the stream.  ``moments`` reads the same chunks as ``sample`` but
+keeps only running sums, so its memory does not grow with N.  A Gram
+matrix with zero imaginary part gets a real factor, so real-tagged draws
+and their sums stay in real arithmetic.
 
 The finite-marginal density uses the standard Gaussian normalization,
 (2 pi)^(-n/2) det(M)^(-1/2) in the real case and pi^(-n) det(M)^(-1) in
@@ -32,7 +35,9 @@ FACTOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaussianRealization:
-    """Spectral factor L (n x r) with L L^* = G, plus the sampling seed."""
+    """Spectral factor L (n x r) with L L^* = G, plus the sampling seed.
+
+    L is float64 when given real and complex128 otherwise."""
 
     kernel: FiniteKernel
     factor: np.ndarray
@@ -40,7 +45,8 @@ class GaussianRealization:
     field_tag: str = "complex"
 
     def __post_init__(self):
-        L = np.asarray(self.factor, dtype=complex)
+        L = np.asarray(self.factor)
+        L = L.astype(complex if np.iscomplexobj(L) else float, copy=False)
         if L.ndim != 2 or L.shape[0] != self.kernel.size:
             raise ShapeMismatch(
                 f"factor must have {self.kernel.size} rows, got shape {L.shape}"
@@ -72,24 +78,26 @@ class SampleBatch:
 
 
 def realize(K: FiniteKernel, seed: int = 0, tol: float = FACTOR_TOL) -> GaussianRealization:
-    """Spectral square root of the Gram matrix, clipping eigenvalues in [-tol, tol].
+    """Spectral square root of the Gram matrix, dropping eigenvalues at or
+    below tol * max eigenvalue.
 
     Deterministic for a given kernel; raises NotPsd when the kernel fails
-    the PSD check at the same tolerance.
+    the PSD check at the same tolerance.  The factor is real when the Gram
+    matrix has zero imaginary part.
     """
     report = check_positive_definite(K, tol=tol)
     if not report.is_psd:
         raise NotPsd(
             f"kernel has min eigenvalue {report.min_eigenvalue!r}; cannot realize"
         )
+    gram = K.gram if K.gram.imag.any() else K.gram.real
     if K.size == 0:
         return GaussianRealization(
-            kernel=K, factor=np.zeros((0, 0), dtype=complex), seed=seed,
+            kernel=K, factor=np.zeros((0, 0), dtype=gram.dtype), seed=seed,
             field_tag=K.field_tag,
         )
-    eigs, vecs = np.linalg.eigh(K.gram)
-    clip = tol * max(1.0, float(eigs[-1]))
-    keep = eigs > clip
+    eigs, vecs = np.linalg.eigh(gram)
+    keep = eigs > tol * max(float(eigs[-1]), 0.0)
     L = vecs[:, keep] * np.sqrt(eigs[keep])[None, :]
     return GaussianRealization(kernel=K, factor=L, seed=seed, field_tag=K.field_tag)
 
@@ -99,20 +107,15 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(
-    R: GaussianRealization, N: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> SampleBatch:
-    """Draw N realizations of the process; zero mean by construction."""
+def _draw_chunks(R: GaussianRealization, N: int, chunk_size: int):
+    """Yield the N draws of R as chunks of at most chunk_size rows, chunk i
+    drawn from the Philox stream keyed by (seed, i)."""
     if N < 1:
         raise ShapeMismatch("sample count must be >= 1")
     if chunk_size < 1:
         raise ShapeMismatch("chunk size must be >= 1")
     r = R.rank
-    n = R.kernel.size
-    pieces = []
-    start = 0
-    chunk_index = 0
-    while start < N:
+    for chunk_index, start in enumerate(range(0, N, chunk_size)):
         count = min(chunk_size, N - start)
         rng = _chunk_rng(R.seed, chunk_index)
         if R.field_tag == "real":
@@ -122,13 +125,23 @@ def sample(
                 rng.standard_normal((count, r))
                 + 1j * rng.standard_normal((count, r))
             ) / np.sqrt(2.0)
-        pieces.append(w @ R.factor.T if r else np.zeros((count, n)))
-        start += count
-        chunk_index += 1
-    draws = np.vstack(pieces) if pieces else np.zeros((0, n), dtype=complex)
+        yield w @ R.factor.T
+
+
+def _seed_record(R: GaussianRealization, N: int, chunk_size: int) -> dict:
+    return {"seed": R.seed, "chunk_size": int(chunk_size), "count": int(N)}
+
+
+def sample(
+    R: GaussianRealization, N: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> SampleBatch:
+    """Draw N realizations of the process; zero mean by construction.
+
+    Holds the whole N x n batch; callers that need only the mean and the
+    covariance use ``moments``."""
     return SampleBatch(
-        draws=draws,
-        seed_record={"seed": R.seed, "chunk_size": int(chunk_size), "count": int(N)},
+        draws=np.vstack(list(_draw_chunks(R, N, chunk_size))),
+        seed_record=_seed_record(R, N, chunk_size),
     )
 
 
@@ -139,6 +152,24 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     if N < 2:
         raise ShapeMismatch("need at least two draws")
     return (batch.draws.T @ np.conj(batch.draws)) / N
+
+
+def moments(
+    R: GaussianRealization, N: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> tuple:
+    """(mean, covariance, seed_record) of the draws of ``sample(R, N, chunk_size)``.
+
+    The covariance is the zero-mean estimator of ``empirical_covariance``.
+    Each chunk is added to the running sums of d and d d^* and then
+    dropped, so memory stays at one chunk whatever N is.
+    """
+    if N < 2:
+        raise ShapeMismatch("need at least two draws")
+    total = outer = 0.0
+    for d in _draw_chunks(R, N, chunk_size):
+        total = total + d.sum(axis=0)
+        outer = outer + d.T @ d.conj()
+    return total / N, outer / N, _seed_record(R, N, chunk_size)
 
 
 def log_density(M_F: FiniteKernel, z, tol: float = 1e-12) -> float:
@@ -170,9 +201,10 @@ def consistency_check(
 
     exact_ok asserts structurally that restricting the factor rows
     reproduces the principal Gram submatrix within 1e-12.  The empirical
-    deviation compares the covariance of the projected full-process
-    samples against a directly realized process on the subset (sampled
-    from the derived seed+1 stream).
+    deviation compares the subset's block of the full process's empirical
+    covariance (the covariance of its projected samples) against a
+    directly realized process on the subset (sampled from the derived
+    seed+1 stream).
     """
     idx = list(subset)
     n = K.size
@@ -187,12 +219,8 @@ def consistency_check(
     exact_dev = float(np.abs(L_sub @ np.conj(L_sub).T - sub_gram).max())
     exact_ok = bool(exact_dev <= 1e-12)
 
-    full_batch = sample(R, N)
-    emp_projected = empirical_covariance(
-        SampleBatch(draws=full_batch.draws[:, idx], seed_record=full_batch.seed_record)
-    )
-    K_sub = K.restrict(idx)
-    R_sub = realize(K_sub, seed=seed + 1)
-    emp_direct = empirical_covariance(sample(R_sub, N))
+    emp_projected = moments(R, N)[1][np.ix_(idx, idx)]
+    R_sub = realize(K.restrict(idx), seed=seed + 1)
+    emp_direct = moments(R_sub, N)[1]
     deviation = float(np.abs(emp_projected - emp_direct).max())
     return {"exact_ok": exact_ok, "empirical_deviation": deviation}

@@ -185,19 +185,20 @@ def _require_hermitian(g: np.ndarray, message: str) -> None:
 
 
 def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
-    out = np.array(g, dtype=complex)
-    n = out.shape[0]
-    iu = np.triu_indices(n, k=1)
-    out[(iu[1], iu[0])] = np.conj(out[iu])
-    di = np.diag_indices(n)
-    out[di] = out[di].real
+    """Copy of the complex square ``g`` with its strict lower triangle
+    replaced by the conjugated upper one and its diagonal made real."""
+    out = np.where(np.tri(g.shape[0], k=-1, dtype=bool), g.conj().T, g)
+    np.fill_diagonal(out, out.diagonal().real)
     return out
 
 
 def _check_in_disk(z) -> np.ndarray:
-    """``z`` as a complex array, every element strictly inside the disk guard."""
+    """``z`` as a complex array, every element strictly inside the disk guard.
+
+    Written as ``not all(|z| < bound)`` so that NaN, which compares false
+    either way, is rejected too."""
     zv = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zv) >= DISK_RADIUS_BOUND):
+    if not np.all(np.abs(zv) < DISK_RADIUS_BOUND):
         worst = np.abs(zv).max()
         raise DomainViolation(
             f"evaluation point has |z| = {worst!r}, outside the open disk guard"

@@ -17,7 +17,7 @@ from kboundary import (
     polydisk_szego_eval,
     szego_eval,
 )
-from kboundary.clark import InnerFunctionB, kb_eval
+from kboundary.clark import InnerFunctionB, b_eval, kb_eval
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
@@ -238,3 +238,48 @@ def test_array_assembly_matches_scalar_evaluators(spec, dim, scalar, n):
 def test_array_assembly_rejects_a_point_on_the_circle(spec, coords):
     with pytest.raises(DomainViolation):
         assemble_gram(spec, PointSet.from_points(coords))
+
+
+def _mirror_by_index_assignment(g):
+    # Reference formula: assign the conjugated upper triangle through
+    # triu_indices and take the real part on diag_indices.
+    out = np.array(g, dtype=complex)
+    n = out.shape[0]
+    iu = np.triu_indices(n, k=1)
+    out[(iu[1], iu[0])] = np.conj(out[iu])
+    di = np.diag_indices(n)
+    out[di] = out[di].real
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_hermitian_mirror_is_bit_identical_to_index_assignment(n):
+    from kboundary.kernels import _hermitian_mirror
+
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # Signed zeros in every part and triangle, including the diagonal.
+    zeros = rng.random((n, n)) < 0.3
+    g[zeros] = complex(-0.0, -0.0)
+    g[rng.random((n, n)) < 0.2] = complex(0.0, -0.0)
+    if n:
+        g[0, 0] = complex(-0.0, -0.0)
+    got = _hermitian_mirror(g)
+    want = _mirror_by_index_assignment(g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: szego_eval(np.nan, 0.2),
+        lambda: szego_eval(0.2, complex(0.1, np.nan)),
+        lambda: polydisk_szego_eval([0.1, np.nan], [0.2, 0.3]),
+        lambda: b_eval(InnerFunctionB(measure=DBR_MEASURE), complex(np.nan, 0.0)),
+    ],
+    ids=["szego-z", "szego-w", "polydisk", "b-eval"],
+)
+def test_nan_point_is_a_domain_violation(evaluate):
+    with pytest.raises(DomainViolation):
+        evaluate()
