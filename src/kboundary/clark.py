@@ -38,8 +38,8 @@ from .errors import (
     ShapeMismatch,
     ZeroExpectation,
 )
-from .factorization import BoundaryFactorization, apply_V
-from .kernels import FiniteKernel, PointSet, _check_in_disk, _hermitian_mirror
+from .factorization import BoundaryFactorization, apply_V, minimality_test
+from .kernels import FiniteKernel, PointSet, _check_in_disk, _hermitian_mirror, numerical_rank
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
@@ -268,7 +268,7 @@ def normalized_transform_V(ctx: RenormContext, g) -> np.ndarray:
     return raw / np.conj(ctx.expectations)
 
 
-def density_criterion(obj, rank_tol: float | None = None) -> dict:
+def density_criterion(obj) -> dict:
     """Do the (renormalized) features span L^2(mu)?
 
     Accepts a RenormContext or a BoundaryFactorization.  Density of the
@@ -276,10 +276,8 @@ def density_criterion(obj, rank_tol: float | None = None) -> dict:
     all of L^2(mu) as a co-isometry, and, in the finite model, to full
     feature rank.
     """
-    from .factorization import minimality_test
-
     F = obj.kren_factorization() if isinstance(obj, RenormContext) else obj
-    result = minimality_test(F, rank_tol=rank_tol)
+    result = minimality_test(F)
     rank = result["feature_rank"]
     return {
         "is_dense": result["is_minimal"],
@@ -321,7 +319,7 @@ def polydisk_density_test(measure, max_degree: int | None = None) -> dict:
         exponents = np.stack([g.ravel() for g in grids], axis=1)
         phases = exponents @ coords.T  # (n_monomials, m)
         rows = np.exp(2j * np.pi * phases) * sqrt_w[None, :]
-        rank = int(np.linalg.matrix_rank(rows))
+        rank = numerical_rank(rows)
         ranks.append(rank)
         if rank == m:
             saturated = True

@@ -32,9 +32,9 @@ from .errors import (
     NotAFactorization,
     ShapeMismatch,
 )
-from .kernels import FiniteKernel
+from .kernels import FiniteKernel, Spectrum, default_rank_tol, numerical_rank, spectrum
 from .measures import DiscreteMeasure
-from .rkhs import ParsevalFrame, RkhsElement, default_rank_tol, same_base
+from .rkhs import ParsevalFrame, RkhsElement, same_base
 
 DEFAULT_FACTORIZATION_TOL = 1e-9
 MORPHISM_TOL = 1e-12
@@ -65,6 +65,14 @@ class BoundaryFactorization:
     def residual(self) -> float:
         """verify_factorization(self), computed once: the fields are frozen."""
         return verify_factorization(self)
+
+    @cached_property
+    def feature_spectrum(self) -> Spectrum:
+        """Spectrum of the features' mu-Gram B B^* on L^2(mu), B = D^(1/2) Phi^T
+        in sqrt-weighted coordinates, computed once.  Its nonzero eigenvalues
+        are those of conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
+        B = np.sqrt(self.measure.weights)[:, None] * self.features.T
+        return spectrum(B @ np.conj(B).T)
 
     @property
     def n_points(self) -> int:
@@ -120,8 +128,7 @@ def verify_factorization(F: BoundaryFactorization) -> float:
     """Max-abs residual of the factorization identity Phi D Phi^* - G."""
     weighted = F.features * F.measure.weights[None, :]
     recon = weighted @ np.conj(F.features).T
-    residual = float(np.abs(recon - F.kernel.gram).max()) if F.kernel.size else 0.0
-    return residual
+    return float(np.abs(recon - F.kernel.gram).max()) if F.kernel.size else 0.0
 
 
 def is_factorization(F: BoundaryFactorization, tol: float | None = None) -> bool:
@@ -131,9 +138,7 @@ def is_factorization(F: BoundaryFactorization, tol: float | None = None) -> bool
     return F.residual <= limit
 
 
-def minimality_test(
-    F: BoundaryFactorization, rank_tol: float | None = None
-) -> dict:
+def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> dict:
     """Finite model of tightness: do the features span L^2(mu)?
 
     The features k_{s_i} are rows of the feature matrix; they span the
@@ -142,13 +147,7 @@ def minimality_test(
     which is the actual L^2(mu) geometry.
     """
     weighted = F.features * np.sqrt(F.measure.weights)[None, :]
-    if weighted.size == 0:
-        rank = 0
-    elif rank_tol is None:
-        rank = int(np.linalg.matrix_rank(weighted))
-    else:
-        svals = np.linalg.svd(weighted, compute_uv=False)
-        rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size else 0
+    rank = numerical_rank(weighted, rank_tol)
     return {"is_minimal": rank == F.n_atoms, "feature_rank": rank}
 
 
@@ -190,45 +189,24 @@ def apply_V(F: BoundaryFactorization, g) -> np.ndarray:
     return np.conj(F.features) @ (F.measure.weights * gv)
 
 
-def _hermitian_pinv(M: np.ndarray, rank_tol: float) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(M)
-    lam_max = max(float(eigs[-1]), 0.0) if eigs.size else 0.0
-    inv = np.zeros_like(eigs)
-    keep = eigs > rank_tol * max(lam_max, 1e-300)
-    inv[keep] = 1.0 / eigs[keep]
-    return (vecs * inv[None, :]) @ np.conj(vecs).T
-
-
-def range_projection(F: BoundaryFactorization, rank_tol: float | None = None) -> np.ndarray:
+def range_projection(F: BoundaryFactorization) -> np.ndarray:
     """Matrix of P = W W^* on L^2(mu): mu-orthogonal projection onto span{k_s}.
 
-    Built from the actual mu-Gram of the features (which equals conj(G)
-    for an exact factorization), pseudo-inverted at the same relative rank
-    threshold used for frames, so P is a projection even on degenerate or
-    statistically factorized kernels.
+    D^(1/2) P D^(-1/2) projects onto the eigenvectors of F.feature_spectrum
+    above the frame cutoff: a projection even on degenerate kernels.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol(F.n_points)
-    phi = F.features
-    d = F.measure.weights
-    # mu-Gram of the feature rows; equals conj(G) when the identity is exact.
-    mu_gram = (np.conj(phi) * d[None, :]) @ phi.T
-    return phi.T @ _hermitian_pinv(mu_gram, rank_tol) @ (np.conj(phi) * d[None, :])
+    sqrt_w = np.sqrt(F.measure.weights)
+    S = F.feature_spectrum.projector(default_rank_tol(F.n_points))
+    return S * sqrt_w[None, :] / sqrt_w[:, None]
 
 
-def projection_spectrum(F: BoundaryFactorization, rank_tol: float | None = None) -> np.ndarray:
+def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
     """Eigenvalues of the range projection, computed on its Hermitian
     similarity transform D^(1/2) P D^(-1/2); they lie in {0, 1}."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(F.n_points)
-    sqrt_w = np.sqrt(F.measure.weights)
-    B = sqrt_w[:, None] * F.features.T
-    mu_gram = np.conj(B).T @ B
-    S = B @ _hermitian_pinv(mu_gram, rank_tol) @ np.conj(B).T
-    return np.linalg.eigvalsh(S)
+    return spectrum(F.feature_spectrum.projector(default_rank_tol(F.n_points))).values
 
 
-def check_isometry(F: BoundaryFactorization, rank_tol: float | None = None) -> dict:
+def check_isometry(F: BoundaryFactorization) -> dict:
     """Residuals for W^* W = I and for W W^* being a mu-self-adjoint projection.
 
     W^* W - I, read through Gram coordinates, reduces exactly to the
@@ -238,7 +216,7 @@ def check_isometry(F: BoundaryFactorization, rank_tol: float | None = None) -> d
     product.
     """
     _require_factorization(F)
-    P = range_projection(F, rank_tol)
+    P = range_projection(F)
     idem = float(np.abs(P @ P - P).max()) if P.size else 0.0
     d = F.measure.weights
     adj = (np.conj(P).T * d[None, :]) / d[:, None]

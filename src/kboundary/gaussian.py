@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotPsd, ShapeMismatch, SingularCovariance
-from .kernels import FiniteKernel, check_positive_definite
+from .kernels import FiniteKernel
 
 DEFAULT_CHUNK_SIZE = 1 << 16
-FACTOR_TOL = 1e-10
+FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
+DENSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,29 +78,17 @@ class SampleBatch:
         return int(self.draws.shape[0])
 
 
-def realize(K: FiniteKernel, seed: int = 0, tol: float = FACTOR_TOL) -> GaussianRealization:
-    """Spectral square root of the Gram matrix, dropping eigenvalues at or
-    below tol * max eigenvalue.
-
-    Deterministic for a given kernel; raises NotPsd when the kernel fails
-    the PSD check at the same tolerance.  The factor is real when the Gram
-    matrix has zero imaginary part.
+def realize(K: FiniteKernel, seed: int = 0) -> GaussianRealization:
+    """Spectral square root of the Gram matrix from K.spectrum, dropping
+    eigenvalues at or below FACTOR_TOL * ||G||_2.  Raises NotPsd when one lies
+    below -FACTOR_TOL * ||G||_2.  The factor is real for a real Gram matrix.
     """
-    report = check_positive_definite(K, tol=tol)
-    if not report.is_psd:
-        raise NotPsd(
-            f"kernel has min eigenvalue {report.min_eigenvalue!r}; cannot realize"
-        )
-    gram = K.gram if K.gram.imag.any() else K.gram.real
-    if K.size == 0:
-        return GaussianRealization(
-            kernel=K, factor=np.zeros((0, 0), dtype=gram.dtype), seed=seed,
-            field_tag=K.field_tag,
-        )
-    eigs, vecs = np.linalg.eigh(gram)
-    keep = eigs > tol * max(float(eigs[-1]), 0.0)
-    L = vecs[:, keep] * np.sqrt(eigs[keep])[None, :]
-    return GaussianRealization(kernel=K, factor=L, seed=seed, field_tag=K.field_tag)
+    spec = K.spectrum
+    if not spec.is_psd(FACTOR_TOL):
+        raise NotPsd(f"kernel has min eigenvalue {spec.values[0]!r}; cannot realize")
+    return GaussianRealization(
+        kernel=K, factor=spec.factor(FACTOR_TOL), seed=seed, field_tag=K.field_tag
+    )
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -172,23 +161,25 @@ def moments(
     return total / N, outer / N, _seed_record(R, N, chunk_size)
 
 
-def log_density(M_F: FiniteKernel, z, tol: float = 1e-12) -> float:
+def log_density(M_F: FiniteKernel, z) -> float:
     """Log density of the finite marginal at z, w.r.t. Lebesgue measure.
 
     Real tag: -(1/2) [n log(2 pi) + log det M + z^T M^{-1} z].
     Complex tag (circular): -[n log(pi) + log det M + z^* M^{-1} z].
+    Both terms are read from M_F.spectrum; raises SingularCovariance unless
+    every eigenvalue is above DENSITY_TOL * ||M||_2.
     """
     n = M_F.size
     zv = np.asarray(z, dtype=complex).ravel()
     if zv.size != n:
         raise ShapeMismatch(f"point has length {zv.size}, marginal has {n}")
-    eigs = np.linalg.eigvalsh(M_F.gram)
-    if n == 0 or eigs[0] <= tol * max(1.0, float(eigs[-1])):
+    spec = M_F.spectrum
+    if n == 0 or spec.values[0] <= DENSITY_TOL * spec.norm:
         raise SingularCovariance(
-            f"marginal covariance has min eigenvalue {eigs[0] if n else 0.0!r}"
+            f"marginal covariance has min eigenvalue {spec.values[0] if n else 0.0!r}"
         )
-    logdet = float(np.sum(np.log(eigs)))
-    quad = np.real(np.conj(zv) @ np.linalg.solve(M_F.gram, zv))
+    logdet = float(np.sum(np.log(spec.values)))
+    quad = float(np.sum(np.abs(np.conj(spec.vectors).T @ zv) ** 2 / spec.values))
     if M_F.field_tag == "real":
         return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
     return -(n * np.log(np.pi) + logdet + quad)

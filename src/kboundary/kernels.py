@@ -1,4 +1,4 @@
-"""Kernel definitions, Gram assembly and positive definiteness checks.
+"""Kernel definitions, Gram assembly and the spectral core.
 
 A kernel here is a Hermitian positive definite function on S x S for a
 finite point set S.  Closed forms cover the Szego kernel of the disk,
@@ -8,11 +8,14 @@ from a circle measure; arbitrary Hermitian tables are accepted as well.
 All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
 consumers (Gaussian sampling, densities) can pick the right convention.
+Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
+eigendecomposition) or ``numerical_rank`` (the one SVD).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .errors import (
     DomainViolation,
     NotHermitian,
     ShapeMismatch,
+    UnknownLabel,
 )
 from .measures import CircleMeasure
 
@@ -43,7 +47,7 @@ class PointSet:
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise ShapeMismatch("point labels must be pairwise distinct")
-        c = np.asarray(self.coords, dtype=complex)
+        c = _require_finite(np.asarray(self.coords, dtype=complex), "point coordinates")
         if c.ndim == 1:
             c = c.reshape(-1, 1)
         if c.ndim != 2 or c.shape[0] != len(labels) or c.shape[1] < 1:
@@ -62,8 +66,6 @@ class PointSet:
         return int(self.coords.shape[1])
 
     def index(self, label) -> int:
-        from .errors import UnknownLabel
-
         try:
             return self.labels.index(label)
         except ValueError:
@@ -109,7 +111,7 @@ class KernelSpec:
         if self.variant == "table":
             if self.table is None:
                 raise ShapeMismatch("table variant requires a matrix")
-            t = np.asarray(self.table, dtype=complex)
+            t = _require_finite(np.asarray(self.table, dtype=complex), "table entries")
             if t.ndim != 2 or t.shape[0] != t.shape[1]:
                 raise ShapeMismatch("table must be square")
             _require_hermitian(t, "table variant requires a Hermitian matrix")
@@ -144,7 +146,7 @@ class FiniteKernel:
     field_tag: str = "complex"
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=complex)
+        g = _require_finite(np.asarray(self.gram, dtype=complex), "gram entries")
         n = self.points.size
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
@@ -155,6 +157,11 @@ class FiniteKernel:
         object.__setattr__(self, "gram", g)
         if self.field_tag not in ("real", "complex"):
             raise ShapeMismatch(f"field_tag must be real or complex, got {self.field_tag!r}")
+
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """spectrum(self.gram), computed once: the fields are frozen."""
+        return spectrum(self.gram)
 
     @property
     def size(self) -> int:
@@ -176,11 +183,16 @@ class PsdReport:
     is_psd: bool
 
 
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself, after raising DomainViolation on a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise DomainViolation(f"{what} must be finite")
+    return a
+
+
 def _require_hermitian(g: np.ndarray, message: str) -> None:
-    """Raise NotHermitian unless the square ``g`` is Hermitian to within
-    HERMITIAN_TOL relative to max(1, max|g|)."""
-    scale = max(1.0, float(np.abs(g).max()) if g.size else 1.0)
-    if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * scale:
+    """Raise NotHermitian unless ``g`` is Hermitian to HERMITIAN_TOL * max|g|."""
+    if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * np.abs(g).max():
         raise NotHermitian(message)
 
 
@@ -273,21 +285,70 @@ def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
     return FiniteKernel(points=points, gram=gram, field_tag="complex")
 
 
-def check_positive_definite(K: FiniteKernel, tol: float = 1e-10) -> PsdReport:
-    """Eigenvalue-based PSD check with a relative tolerance.
+def default_rank_tol(n: int) -> float:
+    """Relative cutoff for rank decisions on an n-dimensional problem."""
+    return 1e-12 * max(n, 1)
 
-    ``is_psd`` holds iff min_eig >= -tol * max(1, max_eig).  The report
-    carries both extreme eigenvalues so callers can judge margins.
-    """
+
+def _real_if_zero_imag(M: np.ndarray) -> np.ndarray:
+    """M.real when M has zero imaginary part, so it is decomposed in float64."""
+    return M.real if np.iscomplexobj(M) and not M.imag.any() else M
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """M = vectors diag(values) vectors^*, values ascending, norm = ||M||_2.
+
+    An eigenvalue above ``rtol * norm`` is kept; M is PSD when none lies
+    below ``-tol * norm``.  No cutoff has an absolute floor: a backward-stable
+    solver is accurate to about eps * ||M||_2 (Weyl), so verdicts do not
+    depend on units."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    norm: float
+
+    def is_psd(self, tol: float) -> bool:
+        return not self.values.size or bool(self.values[0] >= -tol * self.norm)
+
+    def kept(self, rtol: float) -> np.ndarray:
+        return self.values > rtol * self.norm
+
+    def factor(self, rtol: float) -> np.ndarray:
+        """Columns sqrt(lam) v over the kept eigenpairs, ascending."""
+        keep = self.kept(rtol)
+        return self.vectors[:, keep] * np.sqrt(self.values[keep])[None, :]
+
+    def projector(self, rtol: float) -> np.ndarray:
+        """Orthogonal projection onto the kept eigenvectors."""
+        v = self.vectors[:, self.kept(rtol)]
+        return v @ np.conj(v).T
+
+
+def spectrum(M) -> Spectrum:
+    """Eigendecomposition of the Hermitian M (lower triangle read), in float64
+    when M has zero imaginary part."""
+    values, vectors = np.linalg.eigh(_real_if_zero_imag(np.asarray(M)))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    norm = float(max(-values[0], values[-1])) if values.size else 0.0
+    return Spectrum(values=values, vectors=vectors, norm=norm)
+
+
+def numerical_rank(A, rtol: float | None = None) -> int:
+    """Number of singular values of A above rtol * sigma_max, rtol defaulting
+    to default_rank_tol(max(A.shape)); float64 when A has zero imaginary part."""
+    A = _real_if_zero_imag(np.asarray(A))
+    rtol = default_rank_tol(max(A.shape)) if rtol is None else rtol
+    svals = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(svals > rtol * svals.max(initial=0.0)))
+
+
+def check_positive_definite(K: FiniteKernel, tol: float = 1e-10) -> PsdReport:
+    """PSD check on K.spectrum: ``is_psd`` iff min_eig >= -tol * ||G||_2.  The
+    report carries both extreme eigenvalues so callers can judge margins."""
     if tol < 0:
         raise ShapeMismatch("tolerance must be nonnegative")
-    if K.size == 0:
-        return PsdReport(min_eigenvalue=0.0, max_eigenvalue=0.0, is_psd=True)
-    eigs = np.linalg.eigvalsh(K.gram)
-    lo = float(eigs[0])
-    hi = float(eigs[-1])
-    return PsdReport(
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-        is_psd=bool(lo >= -tol * max(1.0, hi)),
-    )
+    spec = K.spectrum
+    lo, hi = (float(spec.values[0]), float(spec.values[-1])) if K.size else (0.0, 0.0)
+    return PsdReport(min_eigenvalue=lo, max_eigenvalue=hi, is_psd=spec.is_psd(tol))

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BaseMismatch, NotPsd, ShapeMismatch
-from .kernels import FiniteKernel
-
-
-def default_rank_tol(n: int) -> float:
-    """Relative eigenvalue cutoff for numerical rank decisions."""
-    return 1e-12 * max(n, 1)
+from .kernels import FiniteKernel, default_rank_tol, numerical_rank
 
 
 def same_base(a: FiniteKernel, b: FiniteKernel) -> bool:
@@ -98,31 +93,18 @@ def evaluate(f: RkhsElement, label) -> complex:
 
 
 def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> ParsevalFrame:
-    """Spectral Parseval frame of a PSD Gram matrix.
+    """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum.
 
-    Eigenvalues above rank_tol * max_eig are retained; rows are
-    sqrt(lam_n) * v_n evaluated on the points.  Raises NotPsd when an
-    eigenvalue is negative beyond the same relative tolerance.
+    Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
+    retained; rows are sqrt(lam_n) * v_n evaluated on the points.  Raises
+    NotPsd when an eigenvalue lies below minus that cutoff.
     """
-    n = K.size
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
-    if n == 0:
-        return ParsevalFrame(base=K, frame=np.zeros((0, 0), dtype=complex))
-    eigs, vecs = np.linalg.eigh(K.gram)
-    lam_max = max(float(eigs[-1]), 0.0)
-    if float(eigs[0]) < -rank_tol * max(1.0, lam_max):
-        raise NotPsd(
-            f"eigenvalue {eigs[0]!r} negative beyond tolerance; not a PSD kernel"
-        )
-    keep = eigs > rank_tol * lam_max
-    lam = eigs[keep]
+    rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
+    spec = K.spectrum
+    if not spec.is_psd(rank_tol):
+        raise NotPsd(f"eigenvalue {spec.values[0]!r} negative beyond tolerance")
     # Descending order reads naturally: strongest frame vector first.
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    v = vecs[:, keep][:, order]
-    rows = np.sqrt(lam)[:, None] * v.T
-    return ParsevalFrame(base=K, frame=rows)
+    return ParsevalFrame(base=K, frame=spec.factor(rank_tol)[:, ::-1].T)
 
 
 def verify_parseval(frame: ParsevalFrame, seed: int = 0, trials: int = 4) -> float:
@@ -176,7 +158,4 @@ def tightness_test(frame: ParsevalFrame) -> bool:
     sequence space: the analysis map is onto exactly when no row is linearly
     dependent on the others.
     """
-    m = frame.retained_rank
-    if m == 0:
-        return True
-    return int(np.linalg.matrix_rank(frame.frame)) == m
+    return numerical_rank(frame.frame) == frame.retained_rank

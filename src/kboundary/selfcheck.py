@@ -397,16 +397,14 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
 
     worst_res = 0.0
     min_expectation = np.inf
+    kren_psd_ok = True
     for _ in range(100):
         Fr = _random_feature_factorization(rng, mean_shift=2.0)
         ctx_r = clark.renormalize(Fr)
         min_expectation = min(min_expectation, float(np.abs(ctx_r.expectations).min()))
-        worst_res = max(
-            worst_res, factorization.verify_factorization(ctx_r.kren_factorization())
-        )
-        psd = kernels.check_positive_definite(ctx_r.kren_kernel())
-        if not psd.is_psd:
-            worst_res = np.inf
+        F_ren = ctx_r.kren_factorization()
+        worst_res = max(worst_res, factorization.verify_factorization(F_ren))
+        kren_psd_ok = kren_psd_ok and kernels.check_positive_definite(F_ren.kernel).is_psd
 
     worst_cross = 0.0
     for _ in range(10):
@@ -422,6 +420,7 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
         and worst_res <= 1e-10
         and min_expectation >= 1e-3
         and worst_cross <= 1e-12
+        and kren_psd_ok
     )
     return CriterionResult(
         key="renormalization",
@@ -430,6 +429,7 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
         details={
             "worked_example_error": worked_err,
             "max_identity_residual": worst_res,
+            "kren_psd_ok": kren_psd_ok,
             "min_expectation_modulus": float(min_expectation),
             "max_cross_check_error": worst_cross,
         },
