@@ -27,6 +27,7 @@ soon as there are at least as many distinct points z as atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -219,16 +220,11 @@ class RenormContext:
             raise ZeroExpectation("renormalization context needs nonzero feature means")
         object.__setattr__(self, "expectations", E)
 
-    def kren_kernel(self) -> FiniteKernel:
-        return FiniteKernel(
-            points=self.factorization.kernel.points,
-            gram=self.kren_gram,
-            field_tag="complex",
-        )
-
+    @cached_property
     def kren_factorization(self) -> BoundaryFactorization:
+        """The renormalized factorization, built once: the fields are frozen."""
         return BoundaryFactorization(
-            kernel=self.kren_kernel(),
+            kernel=FiniteKernel(points=self.factorization.kernel.points, gram=self.kren_gram),
             measure=self.factorization.measure,
             features=self.kren_features,
             tol=self.factorization.tol,
@@ -276,7 +272,7 @@ def density_criterion(obj) -> dict:
     all of L^2(mu) as a co-isometry, and, in the finite model, to full
     feature rank.
     """
-    F = obj.kren_factorization() if isinstance(obj, RenormContext) else obj
+    F = obj.kren_factorization if isinstance(obj, RenormContext) else obj
     result = minimality_test(F)
     rank = result["feature_rank"]
     return {

@@ -17,6 +17,7 @@ import cmath
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -25,8 +26,9 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from . import __version__, clark, factorization, gaussian, kernels, measures, rkhs, selfcheck
+from . import __version__, clark, factorization, kernels, measures, rkhs, selfcheck
 from .errors import ConfigError, KernelBoundaryError
+from .selfcheck import Check
 
 log = logging.getLogger("kboundary")
 
@@ -242,18 +244,28 @@ def _build_kernel(cfg: JobConfig) -> kernels.FiniteKernel:
     return kernels.assemble_gram(spec, points)
 
 
+def _residual_check(name: str, residual: float, K: kernels.FiniteKernel, tol: float,
+                    **details) -> Check:
+    """Judge ``residual`` relative to ||G||_2 (K.spectrum.norm), so that the
+    verdict does not depend on units.  A zero residual is relative 0; against
+    a zero or overflowed norm any other is infinite, so the check fails."""
+    norm = K.spectrum.norm
+    if not residual:
+        relative = 0.0
+    else:
+        relative = residual / norm if 0.0 < norm < math.inf else math.inf
+    return Check(name, relative <= tol, {"residual": residual, "relative_residual": relative,
+                                         "tolerance": tol, **details})
+
+
 def _run_validate(cfg: JobConfig):
     K = _build_kernel(cfg)
     report = kernels.check_positive_definite(K, tol=cfg.psd_tol)
-    checks = [
-        {
-            "name": "positive-definite",
-            "passed": report.is_psd,
-            "min_eigenvalue": report.min_eigenvalue,
-            "max_eigenvalue": report.max_eigenvalue,
-            "tolerance": cfg.psd_tol,
-        }
-    ]
+    checks = [Check("positive-definite", report.is_psd, {
+        "min_eigenvalue": report.min_eigenvalue,
+        "max_eigenvalue": report.max_eigenvalue,
+        "tolerance": cfg.psd_tol,
+    })]
     return checks, {"gram": K.gram}, {"seed": cfg.seed}
 
 
@@ -261,16 +273,10 @@ def _run_factorize(cfg: JobConfig):
     K = _build_kernel(cfg)
     frame = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol)
     residual = rkhs.verify_parseval(frame, seed=cfg.seed)
-    tight = rkhs.tightness_test(frame)
     checks = [
-        {
-            "name": "parseval-reconstruction",
-            "passed": residual <= cfg.fact_tol,
-            "residual": residual,
-            "tolerance": cfg.fact_tol,
-            "retained_rank": frame.retained_rank,
-        },
-        {"name": "tightness", "passed": tight},
+        _residual_check("parseval-reconstruction", residual, K, cfg.fact_tol,
+                        retained_rank=frame.retained_rank),
+        Check("tightness", rkhs.tightness_test(frame)),
     ]
     return checks, {"frame": frame.frame}, {"seed": cfg.seed}
 
@@ -278,26 +284,14 @@ def _run_factorize(cfg: JobConfig):
 def _run_gaussian_sample(cfg: JobConfig):
     K = _build_kernel(cfg)
     n_draws = int(cfg.sample_count or 10000)
-    means, emp, seed_record = gaussian.moments(
-        gaussian.realize(K, seed=cfg.seed), n_draws
-    )
-    deviation = float(np.abs(emp - K.gram).max())
-    cov_bound = 4.0 * float(np.abs(K.gram).max()) / np.sqrt(n_draws)
+    deviation, mean_moduli, emp, seed_record = selfcheck.moment_errors(K, cfg.seed, n_draws)
+    cov_bound = selfcheck.covariance_bound(K, n_draws)
     mean_bounds = 5.0 * np.sqrt(np.maximum(np.diag(K.gram).real, 0.0) / n_draws)
-    mean_ok = bool(np.all(np.abs(means) <= mean_bounds))
     checks = [
-        {
-            "name": "covariance-deviation",
-            "passed": deviation <= cov_bound,
-            "deviation": deviation,
-            "bound": cov_bound,
-            "n_draws": n_draws,
-        },
-        {
-            "name": "mean-zero",
-            "passed": mean_ok,
-            "max_mean_modulus": float(np.abs(means).max()),
-        },
+        Check("covariance-deviation", deviation <= cov_bound,
+              {"deviation": deviation, "bound": cov_bound, "n_draws": n_draws}),
+        Check("mean-zero", np.all(mean_moduli <= mean_bounds),
+              {"max_mean_modulus": mean_moduli.max()}),
     ]
     return checks, {"empirical_covariance": emp}, seed_record
 
@@ -318,33 +312,15 @@ def _run_clark(cfg: JobConfig):
     F = clark.build_kb_factorization(b, zs)
     residual = factorization.verify_factorization(F)
     minimal = factorization.minimality_test(F, rank_tol=cfg.rank_tol)
-    herglotz_worst = float(clark.herglotz_poisson_check(b, zs)["abs_error"].max())
-    grid = clark.atom_gap_grid(mu, (np.arange(64) + 0.5) / 64.0, 2e-3)
-    modulus_dev = clark.inner_modulus_check(b, grid, 1.0 - 1e-6)
-    expect_minimal = len(zs) >= mu.size
+    herglotz = selfcheck.herglotz_error(b, zs)
+    modulus = selfcheck.modulus_deviation(mu)
     checks = [
-        {
-            "name": "factorization-residual",
-            "passed": residual <= cfg.fact_tol,
-            "residual": residual,
-            "tolerance": cfg.fact_tol,
-        },
-        {
-            "name": "minimality",
-            "passed": minimal["is_minimal"] or not expect_minimal,
-            "feature_rank": minimal["feature_rank"],
-            "atoms": mu.size,
-        },
-        {
-            "name": "poisson-herglotz",
-            "passed": herglotz_worst <= 1e-10,
-            "max_abs_error": herglotz_worst,
-        },
-        {
-            "name": "inner-modulus",
-            "passed": modulus_dev <= 1e-3,
-            "max_deviation": float(modulus_dev),
-        },
+        _residual_check("factorization-residual", residual, F.kernel, cfg.fact_tol),
+        Check("minimality", minimal["is_minimal"] or len(zs) < mu.size,
+              {"feature_rank": minimal["feature_rank"], "atoms": mu.size}),
+        Check("poisson-herglotz", herglotz <= selfcheck.HERGLOTZ_TOL,
+              {"max_abs_error": herglotz}),
+        Check("inner-modulus", modulus <= selfcheck.MODULUS_TOL, {"max_deviation": modulus}),
     ]
     return checks, {"gram": F.kernel.gram}, {"seed": cfg.seed, "n_points": len(zs)}
 
@@ -352,29 +328,15 @@ def _run_clark(cfg: JobConfig):
 def _run_renorm(cfg: JobConfig):
     mu = _require(cfg, "measure")
     zs = _clark_points(cfg)
-    F = clark.build_szego_factorization(mu, zs)
-    ctx = clark.renormalize(F)
-    residual = factorization.verify_factorization(ctx.kren_factorization())
-    psd = kernels.check_positive_definite(ctx.kren_kernel(), tol=cfg.psd_tol)
-    bvals = clark.b_eval(clark.InnerFunctionB(measure=mu), zs)
-    cross = float(np.abs(1.0 / ctx.expectations - (1.0 - bvals)).max())
+    ctx = clark.renormalize(clark.build_szego_factorization(mu, zs))
+    residual, psd = selfcheck.renormalized_identity(ctx, cfg.psd_tol)
+    cross = selfcheck.inverse_mean_error(mu, zs, ctx.expectations)
     checks = [
-        {
-            "name": "renormalized-identity",
-            "passed": residual <= cfg.fact_tol,
-            "residual": residual,
-            "tolerance": cfg.fact_tol,
-        },
-        {
-            "name": "renormalized-psd",
-            "passed": psd.is_psd,
-            "min_eigenvalue": psd.min_eigenvalue,
-        },
-        {
-            "name": "inverse-mean-matches-b",
-            "passed": cross <= 1e-12,
-            "max_abs_error": cross,
-        },
+        _residual_check("renormalized-identity", residual, ctx.kren_factorization.kernel,
+                        cfg.fact_tol),
+        Check("renormalized-psd", psd.is_psd, {"min_eigenvalue": psd.min_eigenvalue}),
+        Check("inverse-mean-matches-b", cross <= selfcheck.INVERSE_MEAN_TOL,
+              {"max_abs_error": cross}),
     ]
     return checks, {"kren_gram": ctx.kren_gram}, {"seed": cfg.seed, "n_points": len(zs)}
 
@@ -407,31 +369,20 @@ def _run_morphism_check(cfg: JobConfig):
     else:
         F2 = factorization.pullback(F1, morphism)
     verdicts = factorization.check_morphism(morphism, F1, F2)
-    rng = np.random.default_rng([cfg.seed, 200])
-    worst_iso = 0.0
-    for _ in range(10):
-        f = rng.standard_normal(target.size) + 1j * rng.standard_normal(target.size)
-        worst_iso = max(worst_iso, factorization.pullback_isometry_residual(morphism, f))
+    worst_iso = selfcheck.pullback_isometry_error(morphism, np.random.default_rng([cfg.seed, 200]))
     checks = [
-        {"name": "pushforward", "passed": verdicts["pushforward_ok"]},
-        {"name": "sigma-algebra", "passed": verdicts["sigma_ok"]},
-        {"name": "diagram", "passed": verdicts["diagram_ok"]},
-        {
-            "name": "pullback-isometry",
-            "passed": (not verdicts["pushforward_ok"]) or worst_iso <= 1e-12,
-            "max_residual": worst_iso,
-        },
+        Check("pushforward", verdicts["pushforward_ok"]),
+        Check("sigma-algebra", verdicts["sigma_ok"]),
+        Check("diagram", verdicts["diagram_ok"]),
+        Check("pullback-isometry",
+              not verdicts["pushforward_ok"] or worst_iso <= selfcheck.ISOMETRY_TOL,
+              {"max_residual": worst_iso}),
     ]
     return checks, {}, {"seed": cfg.seed}
 
 
 def _run_verify_all(cfg: JobConfig):
-    checks = []
-    for result in selfcheck.run_all(seed=cfg.seed):
-        # Wall time is not part of the deterministic payload.
-        details = {k: v for k, v in result.details.items() if k != "elapsed_seconds"}
-        checks.append({"name": result.key, "passed": result.passed, **details})
-    return checks, {}, {"seed": cfg.seed}
+    return selfcheck.run_all(seed=cfg.seed), {}, {"seed": cfg.seed}
 
 
 PIPELINES = {
@@ -443,20 +394,6 @@ PIPELINES = {
     "morphism-check": _run_morphism_check,
     "verify-all": _run_verify_all,
 }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
 
 
 def run(cfg: JobConfig) -> tuple[dict, int]:
@@ -471,13 +408,13 @@ def run(cfg: JobConfig) -> tuple[dict, int]:
     started = time.perf_counter()
     checks, matrices, seed_record = PIPELINES[cfg.command](cfg)
     elapsed = time.perf_counter() - started
-    passed = all(entry["passed"] for entry in checks)
+    passed = all(check.passed for check in checks)
     report = {
         "command": cfg.command,
         "version": __version__,
-        "seed_record": _json_safe(seed_record),
-        "passed": bool(passed),
-        "checks": _json_safe(checks),
+        "seed_record": seed_record,
+        "passed": passed,
+        "checks": [check.as_json() for check in checks],
         "matrices": {name: _matrix_to_json(mat) for name, mat in sorted(matrices.items())},
         "timing": {"seconds": elapsed},
     }
@@ -518,14 +455,16 @@ def emit(report: dict, fmt: str = "json") -> bytes:
     JSON output is byte for byte ``json.dumps(report, sort_keys=True,
     indent=2)`` plus a newline.  The report is dumped with each matrix
     replaced by a placeholder string, into which ``_matrix_text`` splices the
-    matrix, so the numbers skip the pure-Python indent encoder.
+    matrix, so the numbers skip the pure-Python indent encoder.  Outside the
+    matrices a NaN or infinity raises ValueError: ``Check`` turns non-finite
+    diagnostics into null.
     """
     if fmt == "json":
         matrices = report.get("matrices") or {}
         # No report string starts with NUL, so a placeholder cannot collide.
         marks = {name: "\x00" + name for name in matrices}
         skeleton = {**report, "matrices": marks} if marks else report
-        text = json.dumps(skeleton, sort_keys=True, indent=2)
+        text = json.dumps(skeleton, sort_keys=True, indent=2, allow_nan=False)
         for name, rows in matrices.items():
             text = text.replace(json.dumps(marks[name]), _matrix_text(rows), 1)
         return (text + "\n").encode()

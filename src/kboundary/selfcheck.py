@@ -1,14 +1,18 @@
-"""Seeded self-check suite: one function per verification criterion.
+"""Seeded self-check suite, and the verdicts it shares with the ``kb`` pipelines.
 
-Each check builds its own randomized corpus from the given master seed,
-runs the relevant pipeline end to end and returns a CriterionResult with
-the measured extremes, so the CLI ``verify-all`` command and the test
-suite share one implementation.  All tolerances are fixed here; nothing
-is calibrated at run time.
+Every verdict, of a ``kb`` pipeline or of a criterion here, is one ``Check``
+record.  A quantity that ``kb <command>`` and ``kb verify-all`` both judge
+is computed by one function below, its bound a named constant: the
+pipeline applies it to the user's objects, and the criterion to its seeded
+corpus, keeping the worst value.  Each criterion builds its corpus from the
+given master seed, so the CLI ``verify-all`` command and the test suite
+share one implementation.  All tolerances are fixed here; nothing is
+calibrated at run time.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,13 +20,104 @@ import numpy as np
 
 from . import clark, factorization, gaussian, kernels, measures, rkhs
 
+HERGLOTZ_TOL = 1e-10  # |Re[(1+b)/(1-b)] - Poisson[mu]|
+MODULUS_TOL = 1e-3  # |1 - |b|| on the grid below
+MODULUS_RADIUS = 1.0 - 1e-6
+MODULUS_THETAS = (np.arange(64) + 0.5) / 64.0
+MODULUS_MARGIN = 2e-3  # least circular distance of a grid angle to an atom
+INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
+ISOMETRY_DRAWS = 10
+ISOMETRY_TOL = 1e-12  # pullback isometry residual
+
 
 @dataclass(frozen=True)
-class CriterionResult:
-    key: str
-    description: str
+class Check:
+    """One verdict: its name, whether it passed, and numerical details.
+
+    The details are made JSON-ready once, here: numpy scalars become Python
+    bool, int and float, and a non-finite float becomes None and fails the
+    check, so no report check carries NaN or Infinity.
+    """
+
+    name: str
     passed: bool
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        non_finite = []
+        object.__setattr__(self, "details", _plain(self.details, non_finite))
+        object.__setattr__(self, "passed", bool(self.passed) and not non_finite)
+
+    def as_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, **self.details}
+
+
+def _plain(value, non_finite: list):
+    """``value`` with numpy scalars as Python ones and each non-finite float
+    as None, recorded in ``non_finite``; tuples become lists."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v, non_finite) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, non_finite) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        if math.isfinite(value):
+            return float(value)
+        non_finite.append(value)
+        return None
+    return value
+
+
+def herglotz_error(b: clark.InnerFunctionB, zs) -> float:
+    """Worst Herglotz/Poisson identity error of ``b`` over ``zs``."""
+    return float(clark.herglotz_poisson_check(b, zs)["abs_error"].max())
+
+
+def modulus_deviation(mu: measures.CircleMeasure) -> float:
+    """Worst |1 - |b|| of the inner function of ``mu`` at MODULUS_RADIUS, over
+    the MODULUS_THETAS at least MODULUS_MARGIN from every atom."""
+    grid = clark.atom_gap_grid(mu, MODULUS_THETAS, MODULUS_MARGIN)
+    return clark.inner_modulus_check(clark.InnerFunctionB(measure=mu), grid, MODULUS_RADIUS)
+
+
+def inverse_mean_error(mu: measures.CircleMeasure, zs, expectations) -> float:
+    """Worst |1/E - (1 - b)| over ``zs``, E the means of the Szego features
+    of ``mu`` at ``zs``."""
+    bvals = clark.b_eval(clark.InnerFunctionB(measure=mu), zs)
+    return float(np.abs(1.0 / expectations - (1.0 - bvals)).max())
+
+
+def pullback_isometry_error(morphism: factorization.MeasureMorphism, rng) -> float:
+    """Worst pullback isometry residual over ISOMETRY_DRAWS complex normal
+    functions on the target atoms, drawn from ``rng``."""
+    m = morphism.target.size
+    worst = 0.0
+    for _ in range(ISOMETRY_DRAWS):
+        f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        worst = max(worst, factorization.pullback_isometry_residual(morphism, f))
+    return worst
+
+
+def moment_errors(K: kernels.FiniteKernel, seed: int, n_draws: int):
+    """Streamed moments of ``n_draws`` seeded draws of K's Gaussian process:
+    (max |covariance - G|, |mean| per point, covariance, seed record)."""
+    means, emp, seed_record = gaussian.moments(gaussian.realize(K, seed=seed), n_draws)
+    return float(np.abs(emp - K.gram).max()), np.abs(means), emp, seed_record
+
+
+def covariance_bound(K: kernels.FiniteKernel, n_draws: int) -> float:
+    """The CLT-scale budget 4 max|G| / sqrt(N) for a covariance error."""
+    return 4.0 * float(np.abs(K.gram).max()) / np.sqrt(n_draws)
+
+
+def renormalized_identity(ctx: clark.RenormContext, psd_tol: float = 1e-10):
+    """(identity residual, PSD report) of the renormalized factorization."""
+    F = ctx.kren_factorization
+    return (factorization.verify_factorization(F),
+            kernels.check_positive_definite(F.kernel, tol=psd_tol))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -81,7 +176,7 @@ def random_interior(rng: np.random.Generator, count: int, radius: float = 0.9) -
     return r * np.exp(1j * th)
 
 
-def check_parseval_reconstruction(seed: int = 0) -> CriterionResult:
+def check_parseval_reconstruction(seed: int = 0) -> Check:
     """200 random Hermitian PSD matrices: factorize, verify within 1e-10."""
     rng = _rng(seed, 1)
     worst = 0.0
@@ -89,15 +184,10 @@ def check_parseval_reconstruction(seed: int = 0) -> CriterionResult:
         K = _random_psd_kernel(rng)
         frame = rkhs.parseval_factorize(K)
         worst = max(worst, rkhs.verify_parseval(frame))
-    return CriterionResult(
-        key="parseval-reconstruction",
-        description="Parseval factorize/verify residual <= 1e-10 on 200 random PSD matrices",
-        passed=worst <= 1e-10,
-        details={"max_residual": worst, "matrices": 200},
-    )
+    return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
 
 
-def check_transform_pair(seed: int = 0) -> CriterionResult:
+def check_transform_pair(seed: int = 0) -> Check:
     """Counting-measure transforms: isometry, V.W on generators, projection."""
     rng = _rng(seed, 2)
     worst_iso = worst_gen = worst_proj = worst_spec = 0.0
@@ -129,11 +219,10 @@ def check_transform_pair(seed: int = 0) -> CriterionResult:
         and worst_proj <= 1e-9
         and worst_spec <= 1e-7
     )
-    return CriterionResult(
-        key="transform-pair",
-        description="W isometry, V.W generator identity, projection residuals and spectrum",
-        passed=passed,
-        details={
+    return Check(
+        "transform-pair",
+        passed,
+        {
             "max_isometry_residual": worst_iso,
             "max_generator_residual": worst_gen,
             "max_projection_residual": worst_proj,
@@ -142,7 +231,7 @@ def check_transform_pair(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_schwarz_bound(seed: int = 0) -> CriterionResult:
+def check_schwarz_bound(seed: int = 0) -> Check:
     """500 random (g, xi, factorization) triples plus the equality case."""
     rng = _rng(seed, 3)
     violations = 0
@@ -163,12 +252,8 @@ def check_schwarz_bound(seed: int = 0) -> CriterionResult:
         rel = abs(res_eq["lhs"] - res_eq["rhs"]) / max(1.0, abs(res_eq["rhs"]))
         worst_eq = max(worst_eq, rel)
     passed = violations == 0 and worst_eq <= 1e-9
-    return CriterionResult(
-        key="schwarz-bound",
-        description="Cauchy-Schwarz bound on 500 random triples; equality case matches",
-        passed=passed,
-        details={"violations": violations, "max_equality_deviation": worst_eq},
-    )
+    return Check("schwarz-bound", passed,
+                 {"violations": violations, "max_equality_deviation": worst_eq})
 
 
 def _two_point_factorization(measure: measures.DiscreteMeasure, e_values, z_points):
@@ -182,7 +267,7 @@ def _two_point_factorization(measure: measures.DiscreteMeasure, e_values, z_poin
     return factorization.BoundaryFactorization(kernel=kern, measure=measure, features=phi)
 
 
-def check_morphism_examples(seed: int = 0) -> CriterionResult:
+def check_morphism_examples(seed: int = 0) -> Check:
     """Worked order-relation examples plus the pullback isometry."""
     rng = _rng(seed, 4)
     zs = [0.3, -0.2 + 0.1j]
@@ -221,19 +306,12 @@ def check_morphism_examples(seed: int = 0) -> CriterionResult:
     ]
     verdicts_ok = [v1, v2, v3] == expected
 
-    worst_iso = 0.0
-    for morph in (ident, collapse):
-        for _ in range(10):
-            f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            worst_iso = max(
-                worst_iso, factorization.pullback_isometry_residual(morph, f)
-            )
-    passed = verdicts_ok and worst_iso <= 1e-12
-    return CriterionResult(
-        key="morphism-checker",
-        description="Worked morphism verdict triples and pullback isometry residual",
-        passed=passed,
-        details={
+    worst_iso = max(pullback_isometry_error(morph, rng) for morph in (ident, collapse))
+    passed = verdicts_ok and worst_iso <= ISOMETRY_TOL
+    return Check(
+        "morphism-checker",
+        passed,
+        {
             "verdicts_ok": verdicts_ok,
             "max_isometry_residual": worst_iso,
             "verdicts": [v1, v2, v3],
@@ -250,7 +328,7 @@ def szego_real_part_kernel(points=(0.0, 0.35, -0.2, 0.4j)) -> kernels.FiniteKern
     )
 
 
-def check_gaussian_realization(seed: int = 0, n_draws: int = 200_000) -> CriterionResult:
+def check_gaussian_realization(seed: int = 0, n_draws: int = 200_000) -> Check:
     """Sampled covariance, means and marginal consistency at N = 2e5."""
     start = time.perf_counter()
     K_szego = szego_real_part_kernel()
@@ -261,34 +339,32 @@ def check_gaussian_realization(seed: int = 0, n_draws: int = 200_000) -> Criteri
     )
     worst_cov = worst_mean = 0.0
     for K in (K_szego, eye):
-        means, emp, _ = gaussian.moments(gaussian.realize(K, seed=seed), n_draws)
-        worst_cov = max(worst_cov, float(np.abs(emp - K.gram).max()))
-        worst_mean = max(worst_mean, float(np.abs(means).max()))
+        cov_error, mean_moduli, _, _ = moment_errors(K, seed, n_draws)
+        worst_cov = max(worst_cov, cov_error)
+        worst_mean = max(worst_mean, float(mean_moduli.max()))
     cons = gaussian.consistency_check(K_szego, [0, 2], n_draws, seed=seed)
-    elapsed = time.perf_counter() - start
+    # The runtime bound is part of the verdict; the seconds are not reported.
     passed = (
         worst_cov <= 0.02
         and worst_mean <= 0.012
         and cons["exact_ok"]
         and cons["empirical_deviation"] <= 0.03
-        and elapsed <= 10.0
+        and time.perf_counter() - start <= 10.0
     )
-    return CriterionResult(
-        key="gaussian-realization",
-        description="Empirical covariance/means/consistency for the sampled process",
-        passed=passed,
-        details={
+    return Check(
+        "gaussian-realization",
+        passed,
+        {
             "max_covariance_error": worst_cov,
             "max_mean_modulus": worst_mean,
             "consistency_exact_ok": cons["exact_ok"],
             "consistency_deviation": cons["empirical_deviation"],
-            "elapsed_seconds": elapsed,
             "n_draws": n_draws,
         },
     )
 
 
-def check_clark_exactness(seed: int = 0) -> CriterionResult:
+def check_clark_exactness(seed: int = 0) -> Check:
     """Worked Clark measures: b, K_b, exact factorization, minimality."""
     rng = _rng(seed, 6)
     mu1 = measures.CircleMeasure(atoms=[0.0], weights=[1.0])
@@ -317,11 +393,10 @@ def check_clark_exactness(seed: int = 0) -> CriterionResult:
             factorization.minimality_test(F)["feature_rank"] == mu.size
         )
     passed = worst_b <= 1e-12 and worst_k <= 1e-12 and worst_res <= 1e-10 and ranks_ok
-    return CriterionResult(
-        key="clark-exactness",
-        description="b(z) and K_b closed forms, exact finite-sum factorization, minimality",
-        passed=passed,
-        details={
+    return Check(
+        "clark-exactness",
+        passed,
+        {
             "max_b_error": worst_b,
             "max_kernel_error": worst_k,
             "max_factorization_residual": worst_res,
@@ -337,29 +412,18 @@ def _herglotz_corpus(seed: int, n_measures: int = 20):
     return corpus, zs
 
 
-def check_poisson_herglotz(seed: int = 0) -> CriterionResult:
+def check_poisson_herglotz(seed: int = 0) -> Check:
     """Re[(1+b)/(1-b)] equals the Poisson integral on random atomic measures."""
     corpus, zs = _herglotz_corpus(seed)
-    worst = 0.0
-    for mu in corpus:
-        res = clark.herglotz_poisson_check(clark.InnerFunctionB(measure=mu), zs)
-        worst = max(worst, float(res["abs_error"].max()))
-    return CriterionResult(
-        key="poisson-herglotz",
-        description="Herglotz/Poisson identity on 20 random measures x 100 interior points",
-        passed=worst <= 1e-10,
-        details={"max_abs_error": worst},
-    )
+    worst = max(herglotz_error(clark.InnerFunctionB(measure=mu), zs) for mu in corpus)
+    return Check("poisson-herglotz", worst <= HERGLOTZ_TOL, {"max_abs_error": worst})
 
 
-def check_inner_modulus(seed: int = 0) -> CriterionResult:
+def check_inner_modulus(seed: int = 0) -> Check:
     """|b| approaches 1 at the boundary away from atoms."""
     corpus, _ = _herglotz_corpus(seed)
-    r = 1.0 - 1e-6
-    worst = 0.0
-    for mu in corpus:
-        grid = clark.atom_gap_grid(mu, (np.arange(64) + 0.5) / 64.0, 2e-3)
-        worst = max(worst, clark.inner_modulus_check(clark.InnerFunctionB(measure=mu), grid, r))
+    worst = max(modulus_deviation(mu) for mu in corpus)
+    r = MODULUS_RADIUS
 
     mu1 = measures.CircleMeasure(atoms=[0.0], weights=[1.0])
     mu2 = measures.CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
@@ -367,20 +431,12 @@ def check_inner_modulus(seed: int = 0) -> CriterionResult:
     dev2 = clark.inner_modulus_check(clark.InnerFunctionB(measure=mu2), [0.2, 0.31, 0.77], r)
     exact1 = abs(dev1 - (1.0 - r))
     exact2 = abs(dev2 - (1.0 - r**2))
-    passed = worst <= 1e-3 and exact1 <= 1e-12 and exact2 <= 1e-12
-    return CriterionResult(
-        key="inner-modulus",
-        description="|1 - |b|| small near the boundary; exact power law on worked examples",
-        passed=passed,
-        details={
-            "max_deviation": worst,
-            "point_mass_error": exact1,
-            "two_atom_error": exact2,
-        },
-    )
+    passed = worst <= MODULUS_TOL and exact1 <= 1e-12 and exact2 <= 1e-12
+    return Check("inner-modulus", passed,
+                 {"max_deviation": worst, "point_mass_error": exact1, "two_atom_error": exact2})
 
 
-def check_renormalization(seed: int = 0) -> CriterionResult:
+def check_renormalization(seed: int = 0) -> Check:
     """Worked renormalization, random mean-normalized identities, 1/E = 1 - b."""
     rng = _rng(seed, 9)
 
@@ -399,34 +455,30 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
     min_expectation = np.inf
     kren_psd_ok = True
     for _ in range(100):
-        Fr = _random_feature_factorization(rng, mean_shift=2.0)
-        ctx_r = clark.renormalize(Fr)
+        ctx_r = clark.renormalize(_random_feature_factorization(rng, mean_shift=2.0))
         min_expectation = min(min_expectation, float(np.abs(ctx_r.expectations).min()))
-        F_ren = ctx_r.kren_factorization()
-        worst_res = max(worst_res, factorization.verify_factorization(F_ren))
-        kren_psd_ok = kren_psd_ok and kernels.check_positive_definite(F_ren.kernel).is_psd
+        residual, psd = renormalized_identity(ctx_r)
+        worst_res = max(worst_res, residual)
+        kren_psd_ok = kren_psd_ok and psd.is_psd
 
     worst_cross = 0.0
     for _ in range(10):
         mu = random_circle_measure(rng)
         zpts = random_interior(rng, 5)
-        Fs = clark.build_szego_factorization(mu, zpts)
-        E = clark.expectation_vector(Fs)
-        bvals = clark.b_eval(clark.InnerFunctionB(measure=mu), zpts)
-        worst_cross = max(worst_cross, float(np.abs(1.0 / E - (1.0 - bvals)).max()))
+        E = clark.expectation_vector(clark.build_szego_factorization(mu, zpts))
+        worst_cross = max(worst_cross, inverse_mean_error(mu, zpts, E))
 
     passed = (
         worked_err <= 1e-12
         and worst_res <= 1e-10
         and min_expectation >= 1e-3
-        and worst_cross <= 1e-12
+        and worst_cross <= INVERSE_MEAN_TOL
         and kren_psd_ok
     )
-    return CriterionResult(
-        key="renormalization",
-        description="Worked mean-normalization, random identity residuals, 1/E = 1 - b",
-        passed=passed,
-        details={
+    return Check(
+        "renormalization",
+        passed,
+        {
             "worked_example_error": worked_err,
             "max_identity_residual": worst_res,
             "kren_psd_ok": kren_psd_ok,
@@ -436,7 +488,7 @@ def check_renormalization(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_polydisk_density(seed: int = 0) -> CriterionResult:
+def check_polydisk_density(seed: int = 0) -> Check:
     """Monomial rank saturation: degree m-1 for k=1, at most m for k=2."""
     rng = _rng(seed, 10)
     k1_ok = True
@@ -458,12 +510,7 @@ def check_polydisk_density(seed: int = 0) -> CriterionResult:
         res = clark.polydisk_density_test(meas, max_degree=m)
         k2_ok = k2_ok and res["saturated"]
 
-    return CriterionResult(
-        key="polydisk-density",
-        description="Monomial density saturation on the circle and the 2-torus",
-        passed=k1_ok and k2_ok,
-        details={"k1_ok": k1_ok, "k2_ok": k2_ok},
-    )
+    return Check("polydisk-density", k1_ok and k2_ok, {"k1_ok": k1_ok, "k2_ok": k2_ok})
 
 
 ALL_CHECKS = (
@@ -480,7 +527,7 @@ ALL_CHECKS = (
 )
 
 
-def run_all(seed: int = 0) -> list[CriterionResult]:
+def run_all(seed: int = 0) -> list[Check]:
     """Run every criterion; report determinism is checked by running the
     CLI twice (it cannot be observed from inside a single run)."""
     return [check(seed=seed) for check in ALL_CHECKS]

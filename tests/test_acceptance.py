@@ -16,8 +16,8 @@ ACCEPTANCE_SEED = 20260809
 
 def _report(number, result):
     status = "PASS" if result.passed else "FAIL"
-    print(f"ACCEPTANCE {number:>2} {result.key:28s} {status}")
-    assert result.passed, f"{result.key} failed: {result.details}"
+    print(f"ACCEPTANCE {number:>2} {result.name:28s} {status}")
+    assert result.passed, f"{result.name} failed: {result.details}"
 
 
 def test_criterion_01_parseval_reconstruction():

@@ -265,7 +265,7 @@ class TestExpectationAndRenormalization:
             ctx.kren_gram, [[1.0, 1.0], [1.0, 4.0]], atol=1e-15
         )
         np.testing.assert_allclose(ctx.kren_features[1], [2.0, -2.0], atol=1e-15)
-        assert verify_factorization(ctx.kren_factorization()) <= 1e-12
+        assert verify_factorization(ctx.kren_factorization) <= 1e-12
 
     def test_zero_expectation_fails_fast(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
@@ -290,7 +290,7 @@ class TestExpectationAndRenormalization:
             features=phi,
         )
         ctx = renormalize(F)
-        residual = verify_factorization(ctx.kren_factorization())
+        residual = verify_factorization(ctx.kren_factorization)
         scale = float(np.abs(ctx.kren_gram).max())
         assert residual <= 1e-9 * scale
 
@@ -311,7 +311,7 @@ class TestNormalizedTransform:
         for t in range(2):
             out = normalized_transform_V(ctx, ctx.kren_features[t])
             np.testing.assert_allclose(out, ctx.kren_gram[t, :], atol=1e-12)
-            via_plain = apply_V(ctx.kren_factorization(), ctx.kren_features[t])
+            via_plain = apply_V(ctx.kren_factorization, ctx.kren_features[t])
             np.testing.assert_allclose(out, via_plain, atol=1e-12)
 
     def test_zero_input(self):
