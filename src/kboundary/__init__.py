@@ -55,7 +55,6 @@ from .factorization import (
     check_isometry,
     check_morphism,
     from_parseval_frame,
-    is_factorization,
     l2_inner,
     l2_norm_squared,
     minimality_test,

@@ -44,7 +44,7 @@ from .kernels import FiniteKernel, PointSet, _check_in_disk, _hermitian_mirror, 
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
-EXPECTATION_TOL = 1e-12
+EXPECTATION_TOL = 1e-12  # |E_i| relative to sum_x |k_i(x)| mu(x)
 ATOM_MATCH_TOL = 1e-15
 
 
@@ -214,12 +214,6 @@ class RenormContext:
     kren_gram: np.ndarray
     kren_features: np.ndarray
 
-    def __post_init__(self):
-        E = np.asarray(self.expectations, dtype=complex).ravel()
-        if E.size and np.abs(E).min() <= EXPECTATION_TOL:
-            raise ZeroExpectation("renormalization context needs nonzero feature means")
-        object.__setattr__(self, "expectations", E)
-
     @cached_property
     def kren_factorization(self) -> BoundaryFactorization:
         """The renormalized factorization, built once: the fields are frozen."""
@@ -227,19 +221,20 @@ class RenormContext:
             kernel=FiniteKernel(points=self.factorization.kernel.points, gram=self.kren_gram),
             measure=self.factorization.measure,
             features=self.kren_features,
-            tol=self.factorization.tol,
         )
 
 
 def renormalize(F: BoundaryFactorization) -> RenormContext:
     """Divide kernel and features by the feature means.
 
-    Fails fast with ZeroExpectation when any feature mean vanishes
-    (modulus <= 1e-12); renormalization is undefined there.
+    Fails fast with ZeroExpectation when a feature mean cancels, that is
+    |E_i| <= EXPECTATION_TOL * sum_x |k_i(x)| mu(x): renormalization is
+    undefined there, and the rule does not depend on the features' units.
     """
     E = expectation_vector(F)
-    if E.size and np.abs(E).min() <= EXPECTATION_TOL:
-        worst = int(np.argmin(np.abs(E)))
+    cancelled = np.abs(E) <= EXPECTATION_TOL * (np.abs(F.features) @ F.measure.weights)
+    if cancelled.any():
+        worst = int(np.argmax(cancelled))
         raise ZeroExpectation(
             f"feature mean for point index {worst} has modulus {abs(E[worst])!r}"
         )

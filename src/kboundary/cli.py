@@ -17,7 +17,6 @@ import cmath
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -41,8 +40,6 @@ COMMANDS = (
     "morphism-check",
     "verify-all",
 )
-
-DEFAULT_TOLERANCES = {"psd_tol": 1e-10, "fact_tol": 1e-9, "rank_tol": None}
 
 
 def load_schema() -> dict:
@@ -165,8 +162,8 @@ class JobConfig:
     points: kernels.PointSet | None = None
     measure: measures.CircleMeasure | None = None
     morphism: dict | None = None
-    psd_tol: float = 1e-10
-    fact_tol: float = 1e-9
+    psd_tol: float = kernels.PSD_TOL
+    fact_tol: float = factorization.FACTORIZATION_TOL
     rank_tol: float | None = None
     seed: int = 0
     sample_count: int | None = None
@@ -201,10 +198,9 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
         raise ConfigError("no command given")
 
     try:
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(data.get("tolerances", {}))
-        tol = {key: None if v is None else float(v) for key, v in tol.items()}
-        if not all(v is None or np.isfinite(v) for v in tol.values()):
+        # Unset tolerances keep the JobConfig defaults.
+        tol = {key: float(v) for key, v in data.get("tolerances", {}).items()}
+        if not all(np.isfinite(v) for v in tol.values()):
             raise ConfigError(f"tolerances must be finite, got {tol!r}")
         out = data.get("output", {})
         return JobConfig(
@@ -213,9 +209,7 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             points=_parse_points(data["points"]) if "points" in data else None,
             measure=_parse_circle_measure(data["measure"]) if "measure" in data else None,
             morphism=data.get("morphism"),
-            psd_tol=tol["psd_tol"],
-            fact_tol=tol["fact_tol"],
-            rank_tol=tol["rank_tol"],
+            **tol,
             seed=int(data.get("seed", 0)),
             sample_count=data.get("sample_count"),
             output_path=out.get("path"),
@@ -246,14 +240,9 @@ def _build_kernel(cfg: JobConfig) -> kernels.FiniteKernel:
 
 def _residual_check(name: str, residual: float, K: kernels.FiniteKernel, tol: float,
                     **details) -> Check:
-    """Judge ``residual`` relative to ||G||_2 (K.spectrum.norm), so that the
-    verdict does not depend on units.  A zero residual is relative 0; against
-    a zero or overflowed norm any other is infinite, so the check fails."""
-    norm = K.spectrum.norm
-    if not residual:
-        relative = 0.0
-    else:
-        relative = residual / norm if 0.0 < norm < math.inf else math.inf
+    """Judge ``residual`` by kernels.relative_residual, so that the verdict does
+    not depend on units; an infinite relative residual is null and fails."""
+    relative = kernels.relative_residual(residual, K)
     return Check(name, relative <= tol, {"residual": residual, "relative_residual": relative,
                                          "tolerance": tol, **details})
 

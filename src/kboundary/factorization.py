@@ -32,12 +32,19 @@ from .errors import (
     NotAFactorization,
     ShapeMismatch,
 )
-from .kernels import FiniteKernel, Spectrum, default_rank_tol, numerical_rank, spectrum
+from .kernels import (
+    FiniteKernel,
+    Spectrum,
+    default_rank_tol,
+    numerical_rank,
+    relative_residual,
+    spectrum,
+)
 from .measures import DiscreteMeasure
 from .rkhs import ParsevalFrame, RkhsElement, same_base
 
-DEFAULT_FACTORIZATION_TOL = 1e-9
-MORPHISM_TOL = 1e-12
+FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
+MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,6 @@ class BoundaryFactorization:
     kernel: FiniteKernel
     measure: DiscreteMeasure
     features: np.ndarray
-    tol: float = DEFAULT_FACTORIZATION_TOL
 
     def __post_init__(self):
         phi = np.asarray(self.features, dtype=complex)
@@ -58,8 +64,6 @@ class BoundaryFactorization:
             )
         phi.setflags(write=False)
         object.__setattr__(self, "features", phi)
-        if self.tol < 0:
-            raise ShapeMismatch("tolerance must be nonnegative")
 
     @cached_property
     def residual(self) -> float:
@@ -104,11 +108,14 @@ class MeasureMorphism:
             raise LabelMismatch(f"map hits unknown target atoms {bad!r}")
         object.__setattr__(self, "map", mapping)
 
+    @cached_property
     def target_index_of_source(self) -> np.ndarray:
-        """phi as an index array: position j holds the target index of source atom j."""
-        return np.array(
-            [self.target.index(self.map[a]) for a in self.source.atoms], dtype=int
-        )
+        """phi as an index array, position j holding the target index of source
+        atom j; built once: the fields are frozen."""
+        position = {atom: i for i, atom in enumerate(self.target.atoms)}
+        idx = np.array([position[self.map[a]] for a in self.source.atoms], dtype=int)
+        idx.setflags(write=False)
+        return idx
 
 
 def l2_inner(g, h, measure: DiscreteMeasure) -> complex:
@@ -131,13 +138,6 @@ def verify_factorization(F: BoundaryFactorization) -> float:
     return float(np.abs(recon - F.kernel.gram).max()) if F.kernel.size else 0.0
 
 
-def is_factorization(F: BoundaryFactorization, tol: float | None = None) -> bool:
-    """Membership check: the identity holds within ``tol`` (the declared
-    tolerance when None)."""
-    limit = F.tol if tol is None else tol
-    return F.residual <= limit
-
-
 def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> dict:
     """Finite model of tightness: do the features span L^2(mu)?
 
@@ -152,9 +152,12 @@ def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> 
 
 
 def _require_factorization(F: BoundaryFactorization) -> None:
-    if F.residual > F.tol:
+    """Raise NotAFactorization unless residual / ||G||_2 <= FACTORIZATION_TOL."""
+    relative = relative_residual(F.residual, F.kernel)
+    if not relative <= FACTORIZATION_TOL:
         raise NotAFactorization(
-            f"factorization residual {F.residual!r} exceeds declared tolerance {F.tol!r}"
+            f"factorization residual {F.residual!r} is {relative!r} of ||G||_2, "
+            f"above {FACTORIZATION_TOL!r}"
         )
 
 
@@ -232,7 +235,7 @@ def schwarz_bound_check(F: BoundaryFactorization, g, xi) -> dict:
 
     lhs = |sum_i xi_i (V g)(s_i)|^2,
     rhs = ||g||^2_{L2(mu)} * sum_{ij} xi_i conj(xi_j) K(s_i, s_j);
-    holds iff lhs <= rhs * (1 + 1e-9).
+    holds iff lhs <= rhs * (1 + 1e-9), with no absolute floor.
     """
     xv = np.asarray(xi, dtype=complex).ravel()
     if xv.size != F.n_points:
@@ -243,23 +246,22 @@ def schwarz_bound_check(F: BoundaryFactorization, g, xi) -> dict:
     lhs = float(np.abs(np.sum(xv * vg)) ** 2)
     quad = np.real(np.conj(xv) @ (F.kernel.gram @ xv))
     rhs = float(l2_norm_squared(g, F.measure) * quad)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-300)}
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-9))}
 
 
 def check_morphism(
-    m: MeasureMorphism,
-    F1: BoundaryFactorization,
-    F2: BoundaryFactorization,
-    tol: float = MORPHISM_TOL,
+    m: MeasureMorphism, F1: BoundaryFactorization, F2: BoundaryFactorization
 ) -> dict:
     """Order-relation check for two factorizations of the same kernel.
 
-    pushforward_ok: the source weights push onto the target weights.
+    pushforward_ok: the source weights push onto the target weights, within
+    MORPHISM_TOL times the target's total mass.
     sigma_ok: phi is injective (power-set model of the sigma-algebra
     condition; on finite atomic spaces pulling back the target power set
     separates source atoms exactly when phi is injective).
-    diagram_ok: features_2[i, x] = features_1[i, phi(x)], i.e. the source
-    transform factors through composition with phi on generators.
+    diagram_ok: features_2[i, x] = features_1[i, phi(x)] within MORPHISM_TOL
+    times max |features_1|, i.e. the source transform factors through
+    composition with phi on generators.
     """
     if not same_base(F1.kernel, F2.kernel):
         raise LabelMismatch("factorizations do not share a base kernel")
@@ -272,18 +274,17 @@ def check_morphism(
     ):
         raise LabelMismatch("morphism target must be the measure of F1")
 
-    idx = m.target_index_of_source()
+    idx = m.target_index_of_source
     pushed = np.zeros(m.target.size)
     np.add.at(pushed, idx, m.source.weights)
-    pushforward_ok = bool(np.abs(pushed - m.target.weights).max() <= tol)
+    pushforward_dev = np.abs(pushed - m.target.weights).max()
+    pushforward_ok = bool(pushforward_dev <= MORPHISM_TOL * m.target.total_mass())
 
     sigma_ok = bool(len(set(idx.tolist())) == m.source.size)
 
     pulled = F1.features[:, idx]
-    diagram_dev = (
-        float(np.abs(F2.features - pulled).max()) if F2.features.size else 0.0
-    )
-    diagram_ok = bool(diagram_dev <= tol)
+    diagram_dev = np.abs(F2.features - pulled).max(initial=0.0)
+    diagram_ok = bool(diagram_dev <= MORPHISM_TOL * np.abs(F1.features).max(initial=0.0))
 
     return {
         "pushforward_ok": pushforward_ok,
@@ -296,12 +297,8 @@ def pullback(F1: BoundaryFactorization, m: MeasureMorphism) -> BoundaryFactoriza
     """Factorization over the morphism source with features composed with phi."""
     if m.target.atoms != F1.measure.atoms:
         raise LabelMismatch("morphism target must be the measure of F1")
-    idx = m.target_index_of_source()
     return BoundaryFactorization(
-        kernel=F1.kernel,
-        measure=m.source,
-        features=F1.features[:, idx],
-        tol=F1.tol,
+        kernel=F1.kernel, measure=m.source, features=F1.features[:, m.target_index_of_source]
     )
 
 
@@ -310,23 +307,20 @@ def pullback_isometry_residual(m: MeasureMorphism, f) -> float:
     fv = np.asarray(f, dtype=complex).ravel()
     if fv.size != m.target.size:
         raise ShapeMismatch("f must have one value per target atom")
-    idx = m.target_index_of_source()
-    lhs = float(np.sum(np.abs(fv[idx]) ** 2 * m.source.weights))
+    lhs = float(np.sum(np.abs(fv[m.target_index_of_source]) ** 2 * m.source.weights))
     rhs = float(np.sum(np.abs(fv) ** 2 * m.target.weights))
     return abs(lhs - rhs)
 
 
-def from_parseval_frame(frame: ParsevalFrame, tol: float = DEFAULT_FACTORIZATION_TOL) -> BoundaryFactorization:
+def from_parseval_frame(frame: ParsevalFrame) -> BoundaryFactorization:
     """Counting-measure factorization carried by a Parseval frame.
 
     Atoms are the frame indices with weight one; features are the frame
     rows transposed, so the factorization identity is the frame
     reconstruction identity.
     """
-    m = frame.retained_rank
     return BoundaryFactorization(
         kernel=frame.base,
-        measure=DiscreteMeasure.counting(m),
+        measure=DiscreteMeasure.counting(frame.retained_rank),
         features=frame.frame.T.copy(),
-        tol=tol,
     )

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotPsd, ShapeMismatch, SingularCovariance
-from .kernels import FiniteKernel
+from .kernels import FiniteKernel, relative_residual
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
 DENSITY_TOL = 1e-12
+EXACT_TOL = 1e-12  # restricted factor against the Gram block, relative to ||G||_2
 
 
 @dataclass(frozen=True)
@@ -191,11 +192,11 @@ def consistency_check(
     """Marginalization consistency of the realized process.
 
     exact_ok asserts structurally that restricting the factor rows
-    reproduces the principal Gram submatrix within 1e-12.  The empirical
-    deviation compares the subset's block of the full process's empirical
-    covariance (the covariance of its projected samples) against a
-    directly realized process on the subset (sampled from the derived
-    seed+1 stream).
+    reproduces the principal Gram submatrix within EXACT_TOL * ||G||_2.
+    The empirical deviation compares the subset's block of the full
+    process's empirical covariance (the covariance of its projected
+    samples) against a directly realized process on the subset (sampled
+    from the derived seed+1 stream).
     """
     idx = list(subset)
     n = K.size
@@ -208,7 +209,7 @@ def consistency_check(
     L_sub = R.factor[idx, :]
     sub_gram = K.gram[np.ix_(idx, idx)]
     exact_dev = float(np.abs(L_sub @ np.conj(L_sub).T - sub_gram).max())
-    exact_ok = bool(exact_dev <= 1e-12)
+    exact_ok = relative_residual(exact_dev, K) <= EXACT_TOL
 
     emp_projected = moments(R, N)[1][np.ix_(idx, idx)]
     R_sub = realize(K.restrict(idx), seed=seed + 1)

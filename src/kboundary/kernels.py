@@ -14,6 +14,7 @@ eigendecomposition) or ``numerical_rank`` (the one SVD).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +34,7 @@ from .measures import CircleMeasure
 DISK_RADIUS_BOUND = 1.0 - 1e-15
 
 HERMITIAN_TOL = 1e-12
+PSD_TOL = 1e-10  # default PSD cutoff, relative to ||G||_2
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,17 @@ def numerical_rank(A, rtol: float | None = None) -> int:
     return int(np.count_nonzero(svals > rtol * svals.max(initial=0.0)))
 
 
-def check_positive_definite(K: FiniteKernel, tol: float = 1e-10) -> PsdReport:
+def relative_residual(residual: float, K: FiniteKernel) -> float:
+    """``residual / ||G||_2`` (K.spectrum.norm), the one scale for judging a
+    residual of K's identities.  A zero residual is relative 0; against a zero
+    or overflowed norm any other is infinite, so no tolerance accepts it."""
+    if not residual:
+        return 0.0
+    norm = K.spectrum.norm
+    return residual / norm if 0.0 < norm < math.inf else math.inf
+
+
+def check_positive_definite(K: FiniteKernel, tol: float = PSD_TOL) -> PsdReport:
     """PSD check on K.spectrum: ``is_psd`` iff min_eig >= -tol * ||G||_2.  The
     report carries both extreme eigenvalues so callers can judge margins."""
     if tol < 0:

@@ -113,7 +113,7 @@ def covariance_bound(K: kernels.FiniteKernel, n_draws: int) -> float:
     return 4.0 * float(np.abs(K.gram).max()) / np.sqrt(n_draws)
 
 
-def renormalized_identity(ctx: clark.RenormContext, psd_tol: float = 1e-10):
+def renormalized_identity(ctx: clark.RenormContext, psd_tol: float = kernels.PSD_TOL):
     """(identity residual, PSD report) of the renormalized factorization."""
     F = ctx.kren_factorization
     return (factorization.verify_factorization(F),

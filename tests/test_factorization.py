@@ -40,25 +40,25 @@ def _kernel_from_gram(gram):
     )
 
 
-def clark_two_atom_factorization(z1=0.3 + 0.1j, z2=-0.4 + 0.2j, tol=1e-9):
+def clark_two_atom_factorization(z1=0.3 + 0.1j, z2=-0.4 + 0.2j):
     """K(z, w) = 1 + z conj(w) factorized through e = +-1, weights 1/2."""
     zs = np.array([z1, z2])
     gram = 1.0 + zs[:, None] * np.conj(zs)[None, :]
     features = np.stack([1.0 + zs, 1.0 - zs], axis=1)
     measure = DiscreteMeasure(atoms=("0", "0.5"), weights=[0.5, 0.5])
     return BoundaryFactorization(
-        kernel=_kernel_from_gram(gram), measure=measure, features=features, tol=tol
+        kernel=_kernel_from_gram(gram), measure=measure, features=features
     )
 
 
-def induced_factorization(rng, n, m, tol=1e-9):
+def induced_factorization(rng, n, m):
     phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     w = rng.uniform(0.2, 1.0, size=m)
     gram = (phi * w[None, :]) @ np.conj(phi).T
     gram = (gram + np.conj(gram).T) / 2.0
     measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w, normalized=False)
     return BoundaryFactorization(
-        kernel=_kernel_from_gram(gram), measure=measure, features=phi, tol=tol
+        kernel=_kernel_from_gram(gram), measure=measure, features=phi
     )
 
 
@@ -163,7 +163,6 @@ class TestApplyW:
             kernel=F.kernel,
             measure=F.measure,
             features=np.zeros_like(F.features),
-            tol=1e-12,
         )
         with pytest.raises(NotAFactorization):
             apply_W(broken, RkhsElement.kernel_section(F.kernel, "p0"))

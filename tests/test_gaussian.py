@@ -172,9 +172,7 @@ def test_sampled_factorization_is_not_minimal():
     batch = sample(realize(K, seed=19), 64)
     weights = np.full(64, 1.0 / 64.0)
     measure = DiscreteMeasure(atoms=tuple(range(64)), weights=weights, normalized=True)
-    F = BoundaryFactorization(
-        kernel=K, measure=measure, features=batch.draws.T, tol=1.0
-    )
+    F = BoundaryFactorization(kernel=K, measure=measure, features=batch.draws.T)
     result = minimality_test(F)
     assert not result["is_minimal"]
     assert result["feature_rank"] <= 3

@@ -1,4 +1,5 @@
-"""The spectral core: one decomposition, one cutoff relative to ||G||_2."""
+"""The spectral core and the tolerance rule: one decomposition, every verdict
+relative to the scale of what it measures."""
 
 import json
 import re
@@ -10,19 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kboundary import (
+    BoundaryFactorization,
+    DiscreteMeasure,
     DomainViolation,
     FiniteKernel,
     KernelSpec,
+    MeasureMorphism,
+    NotAFactorization,
     NotHermitian,
     NotPsd,
     PointSet,
+    RkhsElement,
+    apply_W,
+    check_morphism,
     check_positive_definite,
     cli,
+    consistency_check,
     from_parseval_frame,
     kernels,
     minimality_test,
     parseval_factorize,
     realize,
+    renormalize,
     tightness_test,
 )
 from kboundary.kernels import numerical_rank, spectrum
@@ -97,13 +107,20 @@ def _verdicts(gram) -> dict:
     except NotPsd:
         verdicts["frame"] = "not psd"
     else:
+        F = from_parseval_frame(frame)
         verdicts["frame"] = (
             frame.retained_rank,
             tightness_test(frame),
-            minimality_test(from_parseval_frame(frame))["feature_rank"],
+            minimality_test(F)["feature_rank"],
         )
+        try:
+            apply_W(F, RkhsElement(base=K, coeffs=np.ones(K.size)))
+            verdicts["apply_W"] = "accepts"
+        except NotAFactorization:
+            verdicts["apply_W"] = "rejects"
     try:
         verdicts["realize"] = realize(K).rank
+        verdicts["exact"] = consistency_check(K, [0], N=2, seed=0)["exact_ok"]
     except NotPsd:
         verdicts["realize"] = "not psd"
     return verdicts
@@ -113,6 +130,25 @@ def _verdicts(gram) -> dict:
 @given(gram=hermitian_matrices(), k=st.integers(-12, 12))
 def test_verdicts_do_not_depend_on_units(gram, k):
     assert _verdicts(gram * 10.0**k) == _verdicts(gram)
+
+
+def _two_atom_factorization(scale: float) -> BoundaryFactorization:
+    """The worked renormalization example, E = (1, 1/2), features times ``scale``."""
+    measure = DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
+    phi = scale * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    gram = (phi * measure.weights[None, :]) @ np.conj(phi).T
+    return BoundaryFactorization(kernel=_kernel(gram), measure=measure, features=phi)
+
+
+@pytest.mark.parametrize("k", range(-13, 9))
+def test_feature_verdicts_do_not_depend_on_units(k):
+    F = _two_atom_factorization(10.0**k)
+    np.testing.assert_allclose(renormalize(F).kren_gram, [[1.0, 1.0], [1.0, 4.0]],
+                               rtol=1e-14, atol=0.0)
+    ident = MeasureMorphism(source=F.measure, target=F.measure, map={"0": "0", "1": "1"})
+    one_ulp = BoundaryFactorization(kernel=F.kernel, measure=F.measure,
+                                    features=np.nextafter(F.features.real, np.inf))
+    assert check_morphism(ident, F, one_ulp)["diagram_ok"]
 
 
 @pytest.mark.parametrize(
