@@ -1,8 +1,9 @@
 """Positive definite kernels against finite boundary measure spaces.
 
-Factorize kernels through Parseval frames and atomic measures, drive the
-isometry/co-isometry transform pair, realize Gaussian boundary processes,
-and run the Clark-measure analytic machinery on the disk.
+Factorize kernels through atomic measures (the spectral Parseval frame is
+the factorization through a counting measure), drive the isometry/
+co-isometry transform pair, realize Gaussian boundary processes, and run
+the Clark-measure analytic machinery on the disk.
 """
 
 from .errors import (
@@ -36,11 +37,8 @@ from .kernels import (
     szego_eval,
 )
 from .rkhs import (
-    ParsevalFrame,
     RkhsElement,
     evaluate,
-    frame_expand,
-    frame_synthesize,
     norm_squared,
     parseval_factorize,
     rkhs_inner,
@@ -54,7 +52,6 @@ from .factorization import (
     apply_W,
     check_isometry,
     check_morphism,
-    from_parseval_frame,
     l2_inner,
     l2_norm_squared,
     minimality_test,

@@ -8,12 +8,11 @@ The associated inner function is taken in the reciprocal form
 
     b(z) = 1 - 1 / C(z).
 
-The alternative affine form 1 - C(z) is available behind the ``form``
-flag for comparison, but it is not inner: for a unit point mass it gives
--z/(1-z), which is unbounded near z = 1, while the reciprocal form gives
-b(z) = z, satisfies b(0) = 0 and |b| < 1 on the disk, matches the
-Herglotz identity Re[(1+b)/(1-b)] = Poisson integral of mu, and makes
-1 / E(K_z^*) = 1 - b(z) for Szego features averaged against mu.
+The affine form 1 - C(z) is not used, because it is not inner: for a unit
+point mass it gives -z/(1-z), which is unbounded near z = 1, while the
+reciprocal form gives b(z) = z, satisfies b(0) = 0 and |b| < 1 on the disk,
+matches the Herglotz identity Re[(1+b)/(1-b)] = Poisson integral of mu, and
+makes 1 / E(K_z^*) = 1 - b(z) for Szego features averaged against mu.
 
 At the atoms of mu the radial limit of b equals 1; the boundary feature
 
@@ -66,18 +65,9 @@ class InnerFunctionB:
     measure: CircleMeasure
 
 
-def b_eval(B: InnerFunctionB, z, form: str = "reciprocal"):
-    """Evaluate b at interior points (a scalar or an array).
-
-    ``form="reciprocal"`` (default) gives 1 - 1/C(z); ``form="linear"``
-    gives the affine variant 1 - C(z), exposed for comparison only (it is
-    not an inner function).
-    """
+def b_eval(B: InnerFunctionB, z):
+    """Evaluate b(z) = 1 - 1/C(z) at interior points (a scalar or an array)."""
     C = cauchy_transform(B.measure, z)
-    if form == "linear":
-        return 1.0 - C
-    if form != "reciprocal":
-        raise ShapeMismatch(f"unknown form {form!r}; use 'reciprocal' or 'linear'")
     if np.any(np.abs(C) < CAUCHY_ZERO_TOL):
         raise CauchyZero(f"Cauchy transform vanishes at a point of z = {z!r}")
     return 1.0 - 1.0 / C
@@ -170,9 +160,7 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     zs = _check_in_disk(ps.coords[:, 0])
     e = mu.boundary_points()
     features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
-    gram = (features * mu.weights[None, :]) @ np.conj(features).T
-    kernel = FiniteKernel(points=ps, gram=gram, field_tag="complex")
-    return BoundaryFactorization(kernel=kernel, measure=mu.as_discrete(), features=features)
+    return BoundaryFactorization.induced(mu.as_discrete(), features, ps)
 
 
 def herglotz_poisson_check(B: InnerFunctionB, z) -> dict:

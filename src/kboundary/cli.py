@@ -17,6 +17,7 @@ import cmath
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -47,11 +48,16 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def _to_complex(obj) -> complex:
+def _to_float(x) -> float:
+    """float(x), with an integer literal beyond the float range as infinity."""
     try:
-        z = complex(float(obj["re"]), float(obj.get("im", 0.0)))
-    except OverflowError:  # an integer literal beyond the float range
-        z = cmath.inf
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _to_complex(obj) -> complex:
+    z = complex(_to_float(obj["re"]), _to_float(obj.get("im", 0.0)))
     if not cmath.isfinite(z):
         raise ConfigError(f"complex numbers must be finite, got {obj!r}")
     return z
@@ -199,7 +205,7 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
 
     try:
         # Unset tolerances keep the JobConfig defaults.
-        tol = {key: float(v) for key, v in data.get("tolerances", {}).items()}
+        tol = {key: _to_float(v) for key, v in data.get("tolerances", {}).items()}
         if not all(np.isfinite(v) for v in tol.values()):
             raise ConfigError(f"tolerances must be finite, got {tol!r}")
         out = data.get("output", {})
@@ -260,14 +266,14 @@ def _run_validate(cfg: JobConfig):
 
 def _run_factorize(cfg: JobConfig):
     K = _build_kernel(cfg)
-    frame = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol)
-    residual = rkhs.verify_parseval(frame, seed=cfg.seed)
+    F = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol)
+    residual = rkhs.verify_parseval(F, seed=cfg.seed)
     checks = [
         _residual_check("parseval-reconstruction", residual, K, cfg.fact_tol,
-                        retained_rank=frame.retained_rank),
-        Check("tightness", rkhs.tightness_test(frame)),
+                        retained_rank=F.n_atoms),
+        Check("tightness", rkhs.tightness_test(F)),
     ]
-    return checks, {"frame": frame.frame}, {"seed": cfg.seed}
+    return checks, {"frame": F.features.T}, {"seed": cfg.seed}
 
 
 def _run_gaussian_sample(cfg: JobConfig):
@@ -342,18 +348,13 @@ def _run_morphism_check(cfg: JobConfig):
     )
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
-    gram = (target_features * target.weights[None, :]) @ np.conj(target_features).T
-    pts = kernels.PointSet.from_points(np.arange(target_features.shape[0], dtype=complex))
-    kern = kernels.FiniteKernel(points=pts, gram=gram)
-    F1 = factorization.BoundaryFactorization(
-        kernel=kern, measure=target, features=target_features
-    )
+    F1 = factorization.BoundaryFactorization.induced(target, target_features)
     if "source_features" in raw:
         source_features = np.array(
             [[_to_complex(z) for z in row] for row in raw["source_features"]]
         )
         F2 = factorization.BoundaryFactorization(
-            kernel=kern, measure=source, features=source_features
+            kernel=F1.kernel, measure=source, features=source_features
         )
     else:
         F2 = factorization.pullback(F1, morphism)

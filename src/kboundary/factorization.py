@@ -34,6 +34,7 @@ from .errors import (
 )
 from .kernels import (
     FiniteKernel,
+    PointSet,
     Spectrum,
     default_rank_tol,
     numerical_rank,
@@ -41,7 +42,7 @@ from .kernels import (
     spectrum,
 )
 from .measures import DiscreteMeasure
-from .rkhs import ParsevalFrame, RkhsElement, same_base
+from .rkhs import RkhsElement, same_base
 
 FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
 MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
@@ -64,6 +65,21 @@ class BoundaryFactorization:
             )
         phi.setflags(write=False)
         object.__setattr__(self, "features", phi)
+
+    @classmethod
+    def induced(cls, measure: DiscreteMeasure, features,
+                points: PointSet | None = None) -> "BoundaryFactorization":
+        """The factorization whose kernel is the one the features induce,
+        G = Phi D Phi^*, over ``points`` (index points 0..n-1 when None)."""
+        phi = np.asarray(features, dtype=complex)
+        if phi.ndim != 2 or phi.shape[1] != measure.size:
+            raise ShapeMismatch(
+                f"features must have {measure.size} columns, got shape {phi.shape}"
+            )
+        if points is None:
+            points = PointSet.from_points(range(phi.shape[0]))
+        kernel = FiniteKernel(points=points, gram=_induced_gram(phi, measure.weights))
+        return cls(kernel=kernel, measure=measure, features=phi)
 
     @cached_property
     def residual(self) -> float:
@@ -131,10 +147,14 @@ def l2_norm_squared(g, measure: DiscreteMeasure) -> float:
     return l2_inner(g, g, measure).real
 
 
+def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Phi D Phi^*: the Gram matrix that features Phi induce under weights D."""
+    return (features * weights[None, :]) @ np.conj(features).T
+
+
 def verify_factorization(F: BoundaryFactorization) -> float:
     """Max-abs residual of the factorization identity Phi D Phi^* - G."""
-    weighted = F.features * F.measure.weights[None, :]
-    recon = weighted @ np.conj(F.features).T
+    recon = _induced_gram(F.features, F.measure.weights)
     return float(np.abs(recon - F.kernel.gram).max()) if F.kernel.size else 0.0
 
 
@@ -277,7 +297,7 @@ def check_morphism(
     idx = m.target_index_of_source
     pushed = np.zeros(m.target.size)
     np.add.at(pushed, idx, m.source.weights)
-    pushforward_dev = np.abs(pushed - m.target.weights).max()
+    pushforward_dev = np.abs(pushed - m.target.weights).max(initial=0.0)
     pushforward_ok = bool(pushforward_dev <= MORPHISM_TOL * m.target.total_mass())
 
     sigma_ok = bool(len(set(idx.tolist())) == m.source.size)
@@ -310,17 +330,3 @@ def pullback_isometry_residual(m: MeasureMorphism, f) -> float:
     lhs = float(np.sum(np.abs(fv[m.target_index_of_source]) ** 2 * m.source.weights))
     rhs = float(np.sum(np.abs(fv) ** 2 * m.target.weights))
     return abs(lhs - rhs)
-
-
-def from_parseval_frame(frame: ParsevalFrame) -> BoundaryFactorization:
-    """Counting-measure factorization carried by a Parseval frame.
-
-    Atoms are the frame indices with weight one; features are the frame
-    rows transposed, so the factorization identity is the frame
-    reconstruction identity.
-    """
-    return BoundaryFactorization(
-        kernel=frame.base,
-        measure=DiscreteMeasure.counting(frame.retained_rank),
-        features=frame.frame.T.copy(),
-    )

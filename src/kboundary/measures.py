@@ -23,8 +23,8 @@ NORMALIZATION_TOL = 1e-12
 
 def _as_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidMeasure("weights must be a nonempty 1-d array")
+    if w.ndim != 1:
+        raise InvalidMeasure("weights must be a 1-d array")
     if not np.all(np.isfinite(w)):
         raise InvalidMeasure("all weights must be finite")
     if np.any(w <= 0.0):

@@ -1,4 +1,4 @@
-"""Kernel-coordinate RKHS elements and Parseval frame factorizations.
+"""Kernel-coordinate RKHS elements and the spectral Parseval frame.
 
 An element f of the reproducing kernel Hilbert space H(K) is stored as a
 coefficient vector xi against the kernel sections, f = sum_i xi_i K(., s_i).
@@ -8,19 +8,28 @@ non-unique and every operation is defined through the Gram matrix, never
 through the coefficients alone.
 
 The spectral Parseval frame of a PSD Gram matrix G = sum_n lam_n v_n v_n^*
-stores rows beta_n(s_i) = sqrt(lam_n) v_n[i].  Frame rows are unique only
-up to a unitary, so frames are compared through the reconstruction
-identity K(s,t) = sum_n beta_n(s) conj(beta_n(t)), never row by row.
+has vectors beta_n(s_i) = sqrt(lam_n) v_n[i].  It is the boundary
+factorization of K through the counting measure on the frame indices, with
+features[i, n] = beta_n(s_i): the analysis coefficients <f, beta_n> are
+conj(apply_W(F, f)), and synthesis is features @ c.  Frame vectors are
+unique only up to a unitary, so frames are compared through the
+reconstruction identity K(s,t) = sum_n beta_n(s) conj(beta_n(t)), never
+vector by vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BaseMismatch, NotPsd, ShapeMismatch
 from .kernels import FiniteKernel, default_rank_tol, numerical_rank
+from .measures import DiscreteMeasure
+
+if TYPE_CHECKING:
+    from .factorization import BoundaryFactorization
 
 
 def same_base(a: FiniteKernel, b: FiniteKernel) -> bool:
@@ -53,27 +62,6 @@ class RkhsElement:
         return cls(base=base, coeffs=xi)
 
 
-@dataclass(frozen=True)
-class ParsevalFrame:
-    """Rows are frame vectors evaluated on the base points: frame[n, i] = beta_n(s_i)."""
-
-    base: FiniteKernel
-    frame: np.ndarray
-
-    def __post_init__(self):
-        fr = np.asarray(self.frame, dtype=complex)
-        if fr.ndim != 2 or fr.shape[1] != self.base.size:
-            raise ShapeMismatch(
-                f"frame must have {self.base.size} columns, got shape {fr.shape}"
-            )
-        fr.setflags(write=False)
-        object.__setattr__(self, "frame", fr)
-
-    @property
-    def retained_rank(self) -> int:
-        return int(self.frame.shape[0])
-
-
 def rkhs_inner(f: RkhsElement, g: RkhsElement) -> complex:
     """H(K) inner product <f, g> = eta^* G xi for coefficient vectors xi, eta."""
     if not same_base(f.base, g.base):
@@ -92,70 +80,55 @@ def evaluate(f: RkhsElement, label) -> complex:
     return complex(f.base.gram[i, :] @ f.coeffs)
 
 
-def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> ParsevalFrame:
-    """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum.
+def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> BoundaryFactorization:
+    """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum, as
+    the counting-measure factorization of K.
 
     Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
-    retained; rows are sqrt(lam_n) * v_n evaluated on the points.  Raises
-    NotPsd when an eigenvalue lies below minus that cutoff.
+    retained; feature column n is sqrt(lam_n) * v_n evaluated on the points,
+    the strongest first.  Raises NotPsd when an eigenvalue lies below minus
+    that cutoff.
     """
+    from .factorization import BoundaryFactorization
+
     rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
     spec = K.spectrum
     if not spec.is_psd(rank_tol):
         raise NotPsd(f"eigenvalue {spec.values[0]!r} negative beyond tolerance")
-    # Descending order reads naturally: strongest frame vector first.
-    return ParsevalFrame(base=K, frame=spec.factor(rank_tol)[:, ::-1].T)
+    features = np.ascontiguousarray(spec.factor(rank_tol)[:, ::-1], dtype=complex)
+    return BoundaryFactorization(
+        kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features
+    )
 
 
-def verify_parseval(frame: ParsevalFrame, seed: int = 0, trials: int = 4) -> float:
-    """Reconstruction residual of the frame against its base Gram matrix.
+def verify_parseval(F: BoundaryFactorization, seed: int = 0, trials: int = 4) -> float:
+    """Reconstruction residual of a counting-measure factorization.
 
-    Returns the max of (a) the max-abs entry of the reconstruction
-    identity sum_n beta_n(s_i) conj(beta_n(s_j)) - K(s_i, s_j) and (b)
-    the relative Parseval norm-identity deviation
-    | ||f||^2 - sum_n |<f, beta_n>|^2 | over a few seeded random
-    elements f.
+    Returns the max of (a) F.residual, the max-abs entry of the
+    reconstruction identity sum_n beta_n(s_i) conj(beta_n(s_j)) - K(s_i, s_j),
+    and (b) the relative Parseval norm-identity deviation
+    | ||f||^2 - sum_n |<f, beta_n>|^2 | over a few seeded random elements f.
     """
-    G = frame.base.gram
-    recon = frame.frame.T @ np.conj(frame.frame)
-    residual = float(np.abs(recon - G).max()) if G.size else 0.0
-
+    residual = F.residual
     rng = np.random.default_rng(seed)
-    n = frame.base.size
+    n = F.n_points
     for _ in range(trials):
         if n == 0:
             break
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = RkhsElement(base=frame.base, coeffs=xi)
+        f = RkhsElement(base=F.kernel, coeffs=xi)
         nrm2 = norm_squared(f)
-        coeffs = frame_expand(f, frame)
+        coeffs = np.conj(F.features).T @ f.coeffs  # <f, beta_n> = conj((W f)_n)
         dev = abs(nrm2 - float(np.abs(coeffs) ** 2 @ np.ones(coeffs.size)))
         residual = max(residual, dev / max(1.0, abs(nrm2)))
     return residual
 
 
-def frame_expand(f: RkhsElement, frame: ParsevalFrame) -> np.ndarray:
-    """Analysis coefficients c_n = <f, beta_n> = sum_i xi_i conj(beta_n(s_i))."""
-    if not same_base(f.base, frame.base):
-        raise BaseMismatch("element and frame live over different base kernels")
-    return np.conj(frame.frame) @ f.coeffs
-
-
-def frame_synthesize(frame: ParsevalFrame, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise values of sum_n c_n beta_n on the base points."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size != frame.retained_rank:
-        raise ShapeMismatch(
-            f"expected {frame.retained_rank} coefficients, got {c.size}"
-        )
-    return frame.frame.T @ c
-
-
-def tightness_test(frame: ParsevalFrame) -> bool:
-    """True iff the frame rows span C^m, m = number of rows.
+def tightness_test(F: BoundaryFactorization) -> bool:
+    """True iff the frame vectors (feature columns) span C^m, m = F.n_atoms.
 
     This is the finite model of the feature functions being dense in the
-    sequence space: the analysis map is onto exactly when no row is linearly
-    dependent on the others.
+    sequence space: the analysis map is onto exactly when no frame vector is
+    linearly dependent on the others.
     """
-    return numerical_rank(frame.frame) == frame.retained_rank
+    return numerical_rank(F.features) == F.n_atoms

@@ -147,10 +147,7 @@ def _random_feature_factorization(
     meas = measures.DiscreteMeasure(
         atoms=tuple(range(m)), weights=w, normalized=False
     )
-    gram = (phi * w[None, :]) @ np.conj(phi).T
-    pts = kernels.PointSet.from_points(np.arange(n, dtype=complex))
-    kern = kernels.FiniteKernel(points=pts, gram=gram)
-    return factorization.BoundaryFactorization(kernel=kern, measure=meas, features=phi)
+    return factorization.BoundaryFactorization.induced(meas, phi)
 
 
 def random_circle_measure(
@@ -182,8 +179,7 @@ def check_parseval_reconstruction(seed: int = 0) -> Check:
     worst = 0.0
     for _ in range(200):
         K = _random_psd_kernel(rng)
-        frame = rkhs.parseval_factorize(K)
-        worst = max(worst, rkhs.verify_parseval(frame))
+        worst = max(worst, rkhs.verify_parseval(rkhs.parseval_factorize(K)))
     return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
 
 
@@ -193,8 +189,7 @@ def check_transform_pair(seed: int = 0) -> Check:
     worst_iso = worst_gen = worst_proj = worst_spec = 0.0
     for _ in range(200):
         K = _random_psd_kernel(rng)
-        frame = rkhs.parseval_factorize(K)
-        F = factorization.from_parseval_frame(frame)
+        F = rkhs.parseval_factorize(K)
         for _ in range(3):
             xi = rng.standard_normal(K.size) + 1j * rng.standard_normal(K.size)
             f = rkhs.RkhsElement(base=K, coeffs=xi)
@@ -261,10 +256,9 @@ def _two_point_factorization(measure: measures.DiscreteMeasure, e_values, z_poin
     zs = np.asarray(z_points, dtype=complex)
     ev = np.asarray(e_values, dtype=complex)
     phi = 1.0 + zs[:, None] * np.conj(ev)[None, :]
-    gram = (phi * measure.weights[None, :]) @ np.conj(phi).T
-    pts = kernels.PointSet.from_points(zs)
-    kern = kernels.FiniteKernel(points=pts, gram=gram)
-    return factorization.BoundaryFactorization(kernel=kern, measure=measure, features=phi)
+    return factorization.BoundaryFactorization.induced(
+        measure, phi, kernels.PointSet.from_points(zs)
+    )
 
 
 def check_morphism_examples(seed: int = 0) -> Check:
@@ -442,10 +436,8 @@ def check_renormalization(seed: int = 0) -> Check:
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
     phi = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    gram = (phi * meas.weights[None, :]) @ np.conj(phi).T
-    pts = kernels.PointSet.from_points([0.0, 1.0])
-    F = factorization.BoundaryFactorization(
-        kernel=kernels.FiniteKernel(points=pts, gram=gram), measure=meas, features=phi
+    F = factorization.BoundaryFactorization.induced(
+        meas, phi, kernels.PointSet.from_points([0.0, 1.0])
     )
     ctx = clark.renormalize(F)
     target = np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex)

@@ -23,7 +23,6 @@ from kboundary import (
     cauchy_transform,
     density_criterion,
     expectation_vector,
-    from_parseval_frame,
     herglotz_poisson_check,
     inner_modulus_check,
     kb_eval,
@@ -79,12 +78,6 @@ class TestInnerFunction:
     def test_strictly_contractive(self, z):
         rng_measure = CircleMeasure(atoms=[0.1, 0.4, 0.75], weights=[0.2, 0.5, 0.3])
         assert abs(b_eval(InnerFunctionB(measure=rng_measure), z)) < 1.0
-
-    def test_linear_form_is_exposed_but_different(self):
-        b = InnerFunctionB(measure=POINT_MASS)
-        z = 0.5
-        assert b_eval(b, z, form="linear") == pytest.approx(1.0 - 1.0 / (1.0 - z))
-        assert b_eval(b, z, form="linear") != pytest.approx(b_eval(b, z))
 
     def test_modulus_grows_with_radius(self):
         # trend toward unimodular boundary values at a non-atom angle
@@ -353,7 +346,7 @@ class TestDensityCriterion:
         K = FiniteKernel(
             points=PointSet.from_points(np.arange(4, dtype=complex)), gram=A @ A.T
         )
-        F = from_parseval_frame(parseval_factorize(K))
+        F = parseval_factorize(K)
         assert density_criterion(F)["is_dense"]
 
     def test_renorm_context_accepted(self):

@@ -29,6 +29,7 @@ SZEGO_VALIDATE = {
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 ONE_ATOM = {"atoms": ["a"], "weights": [1.0]}
+EMPTY_MEASURE = {"atoms": [], "weights": []}
 
 
 def _morphism_config(**features):
@@ -113,6 +114,8 @@ class TestParseConfig:
             _morphism_config(
                 target_features=[[{"re": 1.0}]], source_features=[[{"re": 1.0, "img": 0.0}]]
             ),
+            _morphism_config(source=EMPTY_MEASURE, target=EMPTY_MEASURE, map={},
+                             target_features=[]),
         ],
         ids=[
             "unknown-field",
@@ -128,6 +131,7 @@ class TestParseConfig:
             "table-row-not-a-list",
             "bad-cnum-in-target-features",
             "bad-cnum-in-source-features",
+            "empty-discrete-measures",
         ],
     )
     def test_schema_errors_carry_the_jsonschema_message(self, config):
@@ -218,8 +222,13 @@ def test_non_finite_measures_are_rejected(text, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "tolerances",
-    ['{"psd_tol": NaN}', '{"fact_tol": Infinity}', '{"rank_tol": NaN}'],
-    ids=["nan-psd-tol", "infinite-fact-tol", "nan-rank-tol"],
+    [
+        '{"psd_tol": NaN}',
+        '{"fact_tol": Infinity}',
+        '{"rank_tol": NaN}',
+        '{"psd_tol": 1%s}' % ("0" * 400),
+    ],
+    ids=["nan-psd-tol", "infinite-fact-tol", "nan-rank-tol", "huge-integer-psd-tol"],
 )
 def test_non_finite_tolerances_are_config_errors(tolerances, tmp_path, capsys):
     text = json.dumps(SZEGO_VALIDATE)[:-1] + ', "tolerances": %s}' % tolerances

@@ -18,7 +18,6 @@ from kboundary import (
     apply_W,
     check_isometry,
     check_morphism,
-    from_parseval_frame,
     l2_norm_squared,
     minimality_test,
     parseval_factorize,
@@ -86,10 +85,9 @@ class TestVerifyFactorization:
         rng = np.random.default_rng(23)
         A = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         K = _kernel_from_gram(A @ np.conj(A).T)
-        frame = parseval_factorize(K)
-        F = from_parseval_frame(frame)
+        F = parseval_factorize(K)
         assert verify_factorization(F) <= 1e-12
-        assert abs(verify_factorization(F) - verify_parseval(frame)) <= 1e-12
+        assert abs(verify_factorization(F) - verify_parseval(F)) <= 1e-12
         assert minimality_test(F)["is_minimal"]
 
     def test_zero_features(self):
@@ -100,6 +98,25 @@ class TestVerifyFactorization:
         assert verify_factorization(zeroed) == pytest.approx(
             float(np.abs(F.kernel.gram).max())
         )
+
+
+def test_zero_kernel_has_an_empty_transform_pair():
+    """The zero kernel is PSD: its Parseval frame has rank 0, and the transform
+    pair, and the identity morphism of its empty counting measure, still work."""
+    K = _kernel_from_gram(np.zeros((2, 2)))
+    F = parseval_factorize(K)
+    assert F.n_atoms == 0
+    assert check_isometry(F) == {"wstar_w_residual": 0.0, "projection_residual": 0.0}
+    f = RkhsElement(base=K, coeffs=[1.0, 2.0 - 1.0j])
+    assert apply_W(F, f).shape == (0,)
+    identity = MeasureMorphism(source=F.measure, target=F.measure, map={})
+    assert check_morphism(identity, F, F) == {
+        "pushforward_ok": True,
+        "sigma_ok": True,
+        "diagram_ok": True,
+    }
+    with pytest.raises(InvalidMeasure):  # an empty measure has mass 0, not 1
+        DiscreteMeasure(atoms=(), weights=[])
 
 
 class TestMinimality:

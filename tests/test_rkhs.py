@@ -3,17 +3,18 @@ import pytest
 
 from kboundary import (
     BaseMismatch,
+    BoundaryFactorization,
+    DiscreteMeasure,
     FiniteKernel,
     KernelSpec,
     NotPsd,
-    ParsevalFrame,
     PointSet,
     RkhsElement,
     UnknownLabel,
+    apply_V,
+    apply_W,
     assemble_gram,
     evaluate,
-    frame_expand,
-    frame_synthesize,
     norm_squared,
     parseval_factorize,
     rkhs_inner,
@@ -32,6 +33,14 @@ def _table_kernel(matrix):
     return FiniteKernel(
         points=PointSet.from_points(np.arange(n, dtype=complex)),
         gram=np.asarray(matrix, dtype=complex),
+    )
+
+
+def _counting_factorization(base, frame):
+    """The factorization through the counting measure whose frame vectors are
+    the rows of ``frame``."""
+    return BoundaryFactorization(
+        kernel=base, measure=DiscreteMeasure.counting(frame.shape[0]), features=frame.T
     )
 
 
@@ -103,20 +112,20 @@ class TestEvaluate:
 
 class TestParsevalFactorize:
     def test_identity_gram(self):
-        frame = parseval_factorize(_table_kernel(np.eye(2)))
-        assert frame.retained_rank == 2
-        assert verify_parseval(frame) <= 1e-12
+        F = parseval_factorize(_table_kernel(np.eye(2)))
+        assert F.n_atoms == 2
+        assert verify_parseval(F) <= 1e-12
 
     def test_two_by_two_reconstruction(self):
-        frame = parseval_factorize(_table_kernel([[2.0, 1.0], [1.0, 2.0]]))
-        recon = frame.frame.T @ np.conj(frame.frame)
+        F = parseval_factorize(_table_kernel([[2.0, 1.0], [1.0, 2.0]]))
+        recon = F.features @ np.conj(F.features).T
         np.testing.assert_allclose(recon, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
     def test_rank_one_gram(self):
-        frame = parseval_factorize(_table_kernel([[1.0, 1.0], [1.0, 1.0]]))
-        assert frame.retained_rank == 1
-        # single row proportional to (1, 1), phase free
-        row = frame.frame[0]
+        F = parseval_factorize(_table_kernel([[1.0, 1.0], [1.0, 1.0]]))
+        assert F.n_atoms == 1
+        # single frame vector proportional to (1, 1), phase free
+        row = F.features.T[0]
         assert abs(row[0] - row[1]) <= 1e-12
         np.testing.assert_allclose(np.abs(row), [1.0, 1.0], atol=1e-12)
 
@@ -128,16 +137,16 @@ class TestParsevalFactorize:
 class TestVerifyParseval:
     def test_zeroed_row_loses_rank_one_piece(self):
         base = _table_kernel(np.eye(2))
-        frame = parseval_factorize(base)
-        broken = np.array(frame.frame)
+        frame = parseval_factorize(base).features.T
+        broken = np.array(frame)
         broken[0, :] = 0.0
-        assert verify_parseval(ParsevalFrame(base=base, frame=broken)) == pytest.approx(1.0)
+        assert verify_parseval(_counting_factorization(base, broken)) == pytest.approx(1.0)
 
     def test_empty_frame_on_zero_gram(self):
         base = _table_kernel(np.zeros((2, 2)))
-        frame = parseval_factorize(base)
-        assert frame.retained_rank == 0
-        assert verify_parseval(frame) == 0.0
+        F = parseval_factorize(base)
+        assert F.n_atoms == 0
+        assert verify_parseval(F) == 0.0
 
     def test_random_corpus(self):
         rng = np.random.default_rng(7)
@@ -146,57 +155,62 @@ class TestVerifyParseval:
             assert verify_parseval(parseval_factorize(K)) <= 1e-10
 
 
+def _analysis(F, f):
+    """Frame coefficients c_n = <f, beta_n>, the conjugate of W f."""
+    return np.conj(apply_W(F, f))
+
+
 class TestFrameExpand:
     def test_eigenrow_gives_unit_coordinate(self):
         K = _table_kernel([[2.0, 1.0], [1.0, 2.0]])  # distinct eigenvalues
-        frame = parseval_factorize(K)
-        for n in range(frame.retained_rank):
-            xi = np.linalg.solve(K.gram, frame.frame[n, :])
-            coeffs = frame_expand(RkhsElement(base=K, coeffs=xi), frame)
-            expected = np.zeros(frame.retained_rank)
+        F = parseval_factorize(K)
+        for n in range(F.n_atoms):
+            xi = np.linalg.solve(K.gram, F.features[:, n])
+            coeffs = _analysis(F, RkhsElement(base=K, coeffs=xi))
+            expected = np.zeros(F.n_atoms)
             expected[n] = 1.0
             np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
     def test_zero_element(self, szego_base):
-        frame = parseval_factorize(szego_base)
-        coeffs = frame_expand(RkhsElement(base=szego_base, coeffs=[0, 0]), frame)
+        F = parseval_factorize(szego_base)
+        coeffs = _analysis(F, RkhsElement(base=szego_base, coeffs=[0, 0]))
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-15)
 
     def test_identity_gram_section(self):
         K = _table_kernel(np.eye(2))
-        frame = parseval_factorize(K)
+        F = parseval_factorize(K)
         f = RkhsElement.kernel_section(K, "p0")
-        coeffs = frame_expand(f, frame)
-        np.testing.assert_allclose(coeffs, np.conj(frame.frame[:, 0]), atol=1e-12)
-        np.testing.assert_allclose(frame_synthesize(frame, coeffs), [1.0, 0.0], atol=1e-12)
+        coeffs = _analysis(F, f)
+        np.testing.assert_allclose(coeffs, np.conj(F.features[0, :]), atol=1e-12)
+        np.testing.assert_allclose(F.features @ coeffs, [1.0, 0.0], atol=1e-12)
 
     def test_synthesis_reevaluates_pointwise(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             K = _random_psd(rng, int(rng.integers(1, 10)))
-            frame = parseval_factorize(K)
+            F = parseval_factorize(K)
             xi = rng.standard_normal(K.size) + 1j * rng.standard_normal(K.size)
             f = RkhsElement(base=K, coeffs=xi)
-            values = frame_synthesize(frame, frame_expand(f, frame))
+            values = np.conj(apply_V(F, apply_W(F, f)))
             np.testing.assert_allclose(values, K.gram @ xi, atol=1e-9)
 
     def test_norm_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             K = _random_psd(rng, int(rng.integers(1, 10)))
-            frame = parseval_factorize(K)
+            F = parseval_factorize(K)
             xi = rng.standard_normal(K.size) + 1j * rng.standard_normal(K.size)
             f = RkhsElement(base=K, coeffs=xi)
-            coeffs = frame_expand(f, frame)
+            coeffs = _analysis(F, f)
             assert norm_squared(f) == pytest.approx(
                 float(np.sum(np.abs(coeffs) ** 2)), abs=1e-9
             )
 
     def test_base_mismatch(self, szego_base):
-        frame = parseval_factorize(szego_base)
+        F = parseval_factorize(szego_base)
         other = _table_kernel(np.eye(2))
         with pytest.raises(BaseMismatch):
-            frame_expand(RkhsElement.kernel_section(other, "p0"), frame)
+            apply_W(F, RkhsElement.kernel_section(other, "p0"))
 
 
 class TestTightness:
@@ -204,14 +218,14 @@ class TestTightness:
         assert tightness_test(parseval_factorize(szego_base))
 
     def test_zero_row_padding_breaks_tightness(self, szego_base):
-        frame = parseval_factorize(szego_base)
-        padded = np.vstack([frame.frame, np.zeros((1, szego_base.size))])
-        assert not tightness_test(ParsevalFrame(base=szego_base, frame=padded))
+        frame = parseval_factorize(szego_base).features.T
+        padded = np.vstack([frame, np.zeros((1, szego_base.size))])
+        assert not tightness_test(_counting_factorization(szego_base, padded))
 
     def test_duplicated_row_breaks_tightness(self, szego_base):
-        frame = parseval_factorize(szego_base)
-        padded = np.vstack([frame.frame, frame.frame[:1, :]])
-        assert not tightness_test(ParsevalFrame(base=szego_base, frame=padded))
+        frame = parseval_factorize(szego_base).features.T
+        padded = np.vstack([frame, frame[:1, :]])
+        assert not tightness_test(_counting_factorization(szego_base, padded))
 
 
 def test_retained_rank_invariant_under_unitary_conjugation():
@@ -222,6 +236,6 @@ def test_retained_rank_invariant_under_unitary_conjugation():
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         conjugated = _table_kernel(Q @ K.gram @ np.conj(Q).T)
         assert (
-            parseval_factorize(K).retained_rank
-            == parseval_factorize(conjugated).retained_rank
+            parseval_factorize(K).n_atoms
+            == parseval_factorize(conjugated).n_atoms
         )

@@ -27,7 +27,6 @@ from kboundary import (
     check_positive_definite,
     cli,
     consistency_check,
-    from_parseval_frame,
     kernels,
     minimality_test,
     parseval_factorize,
@@ -103,14 +102,13 @@ def _verdicts(gram) -> dict:
     K = _kernel(gram)
     verdicts = {"psd": check_positive_definite(K).is_psd}
     try:
-        frame = parseval_factorize(K)
+        F = parseval_factorize(K)
     except NotPsd:
         verdicts["frame"] = "not psd"
     else:
-        F = from_parseval_frame(frame)
         verdicts["frame"] = (
-            frame.retained_rank,
-            tightness_test(frame),
+            F.n_atoms,
+            tightness_test(F),
             minimality_test(F)["feature_rank"],
         )
         try:
