@@ -6,8 +6,9 @@ Commands: validate, factorize, gaussian-sample, clark, renorm,
 morphism-check, verify-all.  Configs are validated strictly against the
 shipped JSON schema (unknown fields rejected).  Exit code 0 when every
 check passes, 2 on a check failure, 1 on a config or domain error.
-Reports are deterministic for a fixed (config, seed) apart from the
-timing field.  Set KB_LOG=debug|info|warning for verbosity.
+A JSON report written to --out keeps each matrix in a digest-pinned .npy
+file beside it.  Reports are deterministic for a fixed (config, seed)
+apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -31,17 +33,6 @@ from .errors import ConfigError, KernelBoundaryError
 from .selfcheck import Check
 
 log = logging.getLogger("kboundary")
-
-COMMANDS = (
-    "validate",
-    "factorize",
-    "gaussian-sample",
-    "clark",
-    "renorm",
-    "morphism-check",
-    "verify-all",
-)
-
 
 def load_schema() -> dict:
     with resources.files("kboundary.schema").joinpath("job_config.schema.json").open() as fh:
@@ -111,12 +102,8 @@ def _schema_view(data):
     return view
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [
-        [{"re": re, "im": im} for re, im in zip(re_row, im_row)]
-        for re_row, im_row in zip(m.real.tolist(), m.imag.tolist())
-    ]
+def _parse_matrix(rows) -> np.ndarray:
+    return np.array([[_to_complex(z) for z in row] for row in rows])
 
 
 def _parse_points(raw) -> kernels.PointSet:
@@ -157,8 +144,7 @@ def _parse_kernel(raw) -> kernels.KernelSpec:
         return kernels.KernelSpec.debranges_rovnyak(_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
-    table = np.array([[_to_complex(z) for z in row] for row in raw["table"]])
-    return kernels.KernelSpec.from_table(table)
+    return kernels.KernelSpec.from_table(_parse_matrix(raw["table"]))
 
 
 @dataclasses.dataclass
@@ -266,7 +252,7 @@ def _run_validate(cfg: JobConfig):
 
 def _run_factorize(cfg: JobConfig):
     K = _build_kernel(cfg)
-    F = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol)
+    F = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol, psd_tol=cfg.psd_tol)
     residual = rkhs.verify_parseval(F, seed=cfg.seed)
     checks = [
         _residual_check("parseval-reconstruction", residual, K, cfg.fact_tol,
@@ -343,18 +329,13 @@ def _run_morphism_check(cfg: JobConfig):
     morphism = factorization.MeasureMorphism(
         source=source, target=target, map=dict(raw["map"])
     )
-    target_features = np.array(
-        [[_to_complex(z) for z in row] for row in raw["target_features"]]
-    )
+    target_features = _parse_matrix(raw["target_features"])
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
     F1 = factorization.BoundaryFactorization.induced(target, target_features)
     if "source_features" in raw:
-        source_features = np.array(
-            [[_to_complex(z) for z in row] for row in raw["source_features"]]
-        )
         F2 = factorization.BoundaryFactorization(
-            kernel=F1.kernel, measure=source, features=source_features
+            kernel=F1.kernel, measure=source, features=_parse_matrix(raw["source_features"])
         )
     else:
         F2 = factorization.pullback(F1, morphism)
@@ -384,6 +365,7 @@ PIPELINES = {
     "morphism-check": _run_morphism_check,
     "verify-all": _run_verify_all,
 }
+COMMANDS = tuple(PIPELINES)
 
 
 def run(cfg: JobConfig) -> tuple[dict, int]:
@@ -405,75 +387,88 @@ def run(cfg: JobConfig) -> tuple[dict, int]:
         "seed_record": seed_record,
         "passed": passed,
         "checks": [check.as_json() for check in checks],
-        "matrices": {name: _matrix_to_json(mat) for name, mat in sorted(matrices.items())},
+        "matrices": {name: np.ascontiguousarray(np.atleast_2d(mat), dtype=complex)
+                     for name, mat in sorted(matrices.items())},
         "timing": {"seconds": elapsed},
     }
     return report, 0 if passed else 2
 
 
-_CELL = '{\n          "im": %s,\n          "re": %s\n        }'
+def _npy(mat: np.ndarray, file: str | None = None) -> tuple[dict, bytes]:
+    """The ``.npy`` bytes of ``mat`` and its report entry: the sidecar
+    ``file`` (None when not written), shape, dtype and the bytes' sha256."""
+    import hashlib  # on first use, so that importing cli does not load it
+
+    buf = io.BytesIO()
+    np.save(buf, mat, allow_pickle=False)
+    blob = buf.getvalue()
+    return {"file": file, "shape": list(mat.shape), "dtype": mat.dtype.name,
+            "sha256": hashlib.sha256(blob).hexdigest()}, blob
 
 
-def _matrix_text(rows) -> str:
-    """``rows`` (lists of cnums) as ``json.dumps(report, sort_keys=True,
-    indent=2)`` writes them at ``report["matrices"][name]``.
+def _unwritten_matrix(obj) -> dict:
+    if isinstance(obj, np.ndarray):
+        return _npy(obj)[0]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    All numbers go through one call of the C encoder, which writes floats
-    (``repr``, ``NaN``, ``Infinity``) as the pure-Python indent encoder does.
-    """
-    if not rows:
-        return "[]"
-    flat = [v for row in rows for z in row for v in (z["im"], z["re"])]
-    numbers = json.JSONEncoder().encode(flat)[1:-1].split(", ")
-    texts = []
-    start = 0
-    for row in rows:
-        if not row:
-            texts.append("[]")
-            continue
-        stop = start + 2 * len(row)
-        template = "[\n        " + (_CELL + ",\n        ") * (len(row) - 1) + _CELL + "\n      ]"
-        texts.append(template % tuple(numbers[start:stop]))
-        start = stop
-    return "[\n      " + ",\n      ".join(texts) + "\n    ]"
+
+def _write_matrices(matrices: dict, report_path: str) -> dict:
+    """Write each matrix next to ``report_path`` as ``<report stem>.<name>.npy``
+    and return the report entries, whose ``file`` is relative to the report."""
+    folder, base = os.path.split(report_path)
+    entries = {}
+    for name, mat in matrices.items():
+        entries[name], blob = _npy(mat, f"{os.path.splitext(base)[0]}.{name}.npy")
+        with open(os.path.join(folder, entries[name]["file"]), "wb") as fh:
+            fh.write(blob)
+    return entries
 
 
 def emit(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report; CSV flattens matrices row-major under an
-    \"i,j,re,im\" header.
-
-    JSON output is byte for byte ``json.dumps(report, sort_keys=True,
-    indent=2)`` plus a newline.  The report is dumped with each matrix
-    replaced by a placeholder string, into which ``_matrix_text`` splices the
-    matrix, so the numbers skip the pure-Python indent encoder.  Outside the
-    matrices a NaN or infinity raises ValueError: ``Check`` turns non-finite
-    diagnostics into null.
-    """
+    """Serialize a report.  JSON is strict (``Check`` nulls non-finite
+    diagnostics), with a matrix not yet written by ``_write_matrices`` given
+    as its entry with ``"file": null``.  CSV lists each matrix row-major
+    under an \"i,j,re,im\" header."""
     if fmt == "json":
-        matrices = report.get("matrices") or {}
-        # No report string starts with NUL, so a placeholder cannot collide.
-        marks = {name: "\x00" + name for name in matrices}
-        skeleton = {**report, "matrices": marks} if marks else report
-        text = json.dumps(skeleton, sort_keys=True, indent=2, allow_nan=False)
-        for name, rows in matrices.items():
-            text = text.replace(json.dumps(marks[name]), _matrix_text(rows), 1)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                          default=_unwritten_matrix)
         return (text + "\n").encode()
     if fmt != "csv":
         raise ConfigError(f"unknown output format {fmt!r}")
     lines = [f"# kb report command={report['command']} version={report['version']}"]
-    for name, rows in sorted(report.get("matrices", {}).items()):
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        lines.append(f"# matrix {name} rows={n_rows} cols={n_cols}")
+    for name, mat in sorted(report.get("matrices", {}).items()):
+        lines.append(f"# matrix {name} rows={mat.shape[0]} cols={mat.shape[1]}")
         lines.append("i,j,re,im")
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                lines.append(f"{i},{j},{entry['re']!r},{entry['im']!r}")
+        for i, row in enumerate(zip(mat.real.tolist(), mat.imag.tolist())):
+            lines.extend(f"{i},{j},{re!r},{im!r}" for j, (re, im) in enumerate(zip(*row)))
     return ("\n".join(lines) + "\n").encode()
 
 
-def parse_report(blob: bytes) -> dict:
-    return json.loads(blob.decode())
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def parse_report(path: str) -> dict:
+    """The strict-JSON report at ``path`` with each matrix loaded from its
+    sidecar (``allow_pickle=False``), once the file's sha256, shape and dtype
+    are found to match its entry; ValueError otherwise."""
+    import hashlib
+
+    with open(path, "rb") as fh:
+        report = json.loads(fh.read(), parse_constant=_reject_constant)
+    for name, entry in report.get("matrices", {}).items():
+        file = entry["file"]
+        if file is None or os.path.basename(file) != file:
+            raise ValueError(f"matrix {name!r} names no sidecar next to the report: {file!r}")
+        with open(os.path.join(os.path.dirname(path), file), "rb") as fh:
+            blob = fh.read()
+        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+            raise ValueError(f"sidecar {file} does not match its sha256")
+        mat = np.load(io.BytesIO(blob), allow_pickle=False)
+        if _npy(mat, file)[0] != entry:
+            raise ValueError(f"sidecar {file} does not match its shape and dtype")
+        report["matrices"][name] = mat
+    return report
 
 
 def main(argv=None) -> int:
@@ -511,14 +506,17 @@ def main(argv=None) -> int:
             cfg.output_format = args.fmt
 
         report, code = run(cfg)
-        blob = emit(report, cfg.output_format)
         if cfg.output_path:
             try:
+                if cfg.output_format == "json":
+                    report["matrices"] = _write_matrices(report["matrices"], cfg.output_path)
+                blob = emit(report, cfg.output_format)
                 with open(cfg.output_path, "wb") as fh:
                     fh.write(blob)
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}") from exc
         else:
+            blob = emit(report, cfg.output_format)
             try:
                 sys.stdout.buffer.write(blob)
                 sys.stdout.buffer.flush()

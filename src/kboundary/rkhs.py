@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BaseMismatch, NotPsd, ShapeMismatch
-from .kernels import FiniteKernel, default_rank_tol, numerical_rank
+from .kernels import PSD_TOL, FiniteKernel, default_rank_tol, numerical_rank
 from .measures import DiscreteMeasure
 
 if TYPE_CHECKING:
@@ -80,21 +80,22 @@ def evaluate(f: RkhsElement, label) -> complex:
     return complex(f.base.gram[i, :] @ f.coeffs)
 
 
-def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> BoundaryFactorization:
+def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,
+                       psd_tol: float = PSD_TOL) -> BoundaryFactorization:
     """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum, as
     the counting-measure factorization of K.
 
     Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
     retained; feature column n is sqrt(lam_n) * v_n evaluated on the points,
-    the strongest first.  Raises NotPsd when an eigenvalue lies below minus
-    that cutoff.
+    the strongest first.  Raises NotPsd when an eigenvalue lies below
+    -psd_tol * ||G||_2, the cutoff of kernels.check_positive_definite.
     """
     from .factorization import BoundaryFactorization
 
     rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
     spec = K.spectrum
-    if not spec.is_psd(rank_tol):
-        raise NotPsd(f"eigenvalue {spec.values[0]!r} negative beyond tolerance")
+    if not spec.is_psd(psd_tol):
+        raise NotPsd(f"eigenvalue {float(spec.values[0])!r} negative beyond tolerance")
     features = np.ascontiguousarray(spec.factor(rank_tol)[:, ::-1], dtype=complex)
     return BoundaryFactorization(
         kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features
@@ -117,9 +118,12 @@ def verify_parseval(F: BoundaryFactorization, seed: int = 0, trials: int = 4) ->
             break
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = RkhsElement(base=F.kernel, coeffs=xi)
-        nrm2 = norm_squared(f)
-        coeffs = np.conj(F.features).T @ f.coeffs  # <f, beta_n> = conj((W f)_n)
-        dev = abs(nrm2 - float(np.abs(coeffs) ** 2 @ np.ones(coeffs.size)))
+        # Gram entries near the float limit overflow here; numpy stays quiet,
+        # so that kb's stderr carries only kb's own messages.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm2 = norm_squared(f)
+            coeffs = np.conj(F.features).T @ f.coeffs  # <f, beta_n> = conj((W f)_n)
+            dev = abs(nrm2 - float(np.abs(coeffs) ** 2 @ np.ones(coeffs.size)))
         residual = max(residual, dev / max(1.0, abs(nrm2)))
     return residual
 

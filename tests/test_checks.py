@@ -3,6 +3,9 @@ report shape it gives, and the verdicts that depend on it."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,3 +140,38 @@ def test_renorm_builds_one_kernel_per_gram(monkeypatch):
     assert code == 0
     # The Szego kernel and the renormalized one.
     assert len(builds) == 2
+
+
+def test_factorize_judges_not_psd_by_psd_tol_not_rank_tol(tmp_path):
+    # Rounding leaves an eigenvalue near -4.5e-16 on the all-ones table, which
+    # kb validate calls PSD; a zero rank_tol must not make it NotPsd.
+    config = _table_config("factorize", np.ones((3, 3)))
+    config["tolerances"] = {"rank_tol": 0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, report = _run_main(["factorize", "--config", str(path)], tmp_path)
+    assert code == 0
+    assert report["checks"][0]["retained_rank"] == 1
+
+
+def test_not_psd_message_prints_a_plain_float(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_table_config("factorize", [[1.0, 2.0], [2.0, 1.0]])))
+    assert cli.main(["factorize", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "kb: NotPsd: eigenvalue -1.0 negative beyond tolerance\n"
+
+
+def test_overflowing_factorize_leaves_stderr_empty(tmp_path, capfd):
+    # A child process, so that numpy's warnings reach the real stderr rather
+    # than pytest's warning capture.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_table_config("factorize", [[1e308, 1e308], [1e308, 1e308]])))
+    out = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "kboundary.cli", "factorize", "--config",
+                           str(config), "--out", str(out)], env=env)
+    assert proc.returncode == 2
+    assert capfd.readouterr().err == ""
+    (check,) = [c for c in json.loads(out.read_text())["checks"]
+                if c["name"] == "parseval-reconstruction"]
+    assert check["relative_residual"] is None and check["passed"] is False

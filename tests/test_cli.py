@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from kboundary import cli
 from kboundary.errors import ConfigError, KernelBoundaryError
+from kboundary.selfcheck import Check
 
 SZEGO_VALIDATE = {
     "command": "validate",
@@ -240,26 +242,49 @@ def test_non_finite_tolerances_are_config_errors(tolerances, tmp_path, capsys):
     assert "config error: tolerances must be finite" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _strict_loads(blob):
+    return json.loads(blob, parse_constant=_reject_constant)
+
+
+def _kb_with_matrices(monkeypatch, out, matrices):
+    """``kb validate --out out`` through ``main``, with a pipeline that yields
+    ``matrices``; returns the exit code."""
+    checks = [Check("positive-definite", False, {"min_eigenvalue": -1.5})]
+    monkeypatch.setitem(cli.PIPELINES, "validate", lambda cfg: (checks, matrices, {"seed": 0}))
+    return cli.main(["validate", "--out", str(out)])
+
+
+def _assert_bit_exact(loaded, mat):
+    expected = np.atleast_2d(np.asarray(mat, dtype=complex))
+    assert loaded.dtype == np.complex128 and loaded.shape == expected.shape
+    assert loaded.tobytes() == expected.tobytes()
+
+
+EXTREMES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+
+
 @pytest.mark.parametrize(
     "mat",
     [
-        np.array([[-0.0, 5e-324], [1e300, -1e300]]),
+        np.array([[-0.0, 5e-324, np.nan], [1e300, -1e300, -np.inf]]),
         np.array(
             [
                 [complex(-0.0, -0.0), complex(0.0, 5e-324), complex(1e300, -5e-324)],
-                [complex(-5e-324, -1e300), complex(0.5, 0.25), complex(1e300, -0.0)],
+                [complex(-5e-324, -1e300), complex(np.inf, np.nan), complex(1e300, -0.0)],
             ]
         ),
-        np.array([complex(1.0, -0.0), complex(5e-324, 1e300)]),
+        np.array([complex(1.0, -0.0), complex(5e-324, 1e300), complex(-np.inf, np.inf)]),
     ],
     ids=["real", "complex", "vector"],
 )
-def test_matrix_to_json_matches_per_entry_conversion(mat):
-    per_entry = [
-        [{"re": float(np.real(z)), "im": float(np.imag(z))} for z in row]
-        for row in np.atleast_2d(np.asarray(mat, dtype=complex))
-    ]
-    assert json.dumps(cli._matrix_to_json(mat)) == json.dumps(per_entry)
+def test_sidecar_round_trip_is_bit_exact(mat, monkeypatch, tmp_path):
+    out = tmp_path / "report.json"
+    assert _kb_with_matrices(monkeypatch, out, {"gram": mat}) == 2
+    _assert_bit_exact(cli.parse_report(str(out))["matrices"]["gram"], mat)
 
 
 class TestPipelines:
@@ -300,38 +325,48 @@ class TestPipelines:
 
 
 def _reference_json(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
-def _edge_report(matrices: dict) -> dict:
-    return {
-        "command": "validate",
-        "version": "0",
-        "seed_record": {"seed": 0},
-        "passed": False,
-        "checks": [{"name": "positive-definite", "passed": False, "min_eigenvalue": -1.5}],
-        "matrices": {name: cli._matrix_to_json(mat) for name, mat in matrices.items()},
-        "timing": {"seconds": 0.25},
-    }
+FACTORIZE_TABLE = {
+    "command": "factorize",
+    "kernel": {
+        "variant": "table",
+        "table": [
+            [{"re": 2.0}, {"re": 1.0, "im": -0.5}],
+            [{"re": 1.0, "im": 0.5}, {"re": 2.0}],
+        ],
+    },
+}
+
+
+def _pipeline_configs():
+    """A config of every pipeline: each worked config, plus factorize."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield pytest.param(json.loads(path.read_text()), id=path.stem)
+    yield pytest.param(FACTORIZE_TABLE, id="factorize-table")
 
 
 class TestEmit:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-    def test_worked_config_reports_match_json_dumps(self, path):
-        report, _ = cli.run(cli.parse_config(json.loads(path.read_text())))
-        assert cli.emit(report) == _reference_json(report)
+    def test_worked_config_reports_match_json_dumps(self, path, tmp_path):
+        out = tmp_path / "report.json"
+        command = json.loads(path.read_text())["command"]
+        cli.main([command, "--config", str(path), "--out", str(out)])
+        blob = out.read_bytes()
+        report = _strict_loads(blob)
+        assert blob == _reference_json(report)
+        for name, entry in report["matrices"].items():
+            assert entry["file"] == f"report.{name}.npy"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["report.json", *(e["file"] for e in report["matrices"].values())]
+        )
+        cli.parse_report(str(out))
 
     @pytest.mark.parametrize(
         "matrices",
         [
-            {
-                "gram": np.array(
-                    [
-                        [complex(-0.0, 5e-324), complex(1e300, np.nan)],
-                        [complex(np.inf, -np.inf), complex(-1e300, -0.0)],
-                    ]
-                )
-            },
+            {"gram": np.array([[complex(a, b) for b in EXTREMES] for a in EXTREMES])},
             {"gram": np.zeros((0, 0))},
             {"frame": np.zeros((3, 0))},
             {"gram": np.array([[0.5 - 0.25j]])},
@@ -340,26 +375,45 @@ class TestEmit:
         ],
         ids=["extreme-values", "empty", "n-by-0", "1-by-1", "non-square-and-two", "no-matrices"],
     )
-    def test_edge_reports_match_json_dumps(self, matrices):
-        report = _edge_report(matrices)
-        assert cli.emit(report) == _reference_json(report)
+    def test_edge_reports_match_json_dumps(self, matrices, monkeypatch, tmp_path):
+        out = tmp_path / "edge.json"
+        assert _kb_with_matrices(monkeypatch, out, matrices) == 2
+        blob = out.read_bytes()
+        assert blob == _reference_json(_strict_loads(blob))
+        loaded = cli.parse_report(str(out))["matrices"]
+        assert sorted(loaded) == sorted(matrices)
+        for name, mat in matrices.items():
+            _assert_bit_exact(loaded[name], mat)
+            assert (tmp_path / f"edge.{name}.npy").read_bytes().startswith(b"\x93NUMPY")
 
     def test_report_without_matrices_key_matches_json_dumps(self):
-        report = _edge_report({})
-        del report["matrices"]
+        report = {
+            "command": "validate",
+            "version": "0",
+            "seed_record": {"seed": 0},
+            "passed": False,
+            "checks": [{"name": "positive-definite", "passed": False, "min_eigenvalue": -1.5}],
+            "timing": {"seconds": 0.25},
+        }
         assert cli.emit(report) == _reference_json(report)
 
     def _report(self):
         report, _ = cli.run(cli.parse_config(SZEGO_VALIDATE))
         return report
 
-    def test_json_round_trip(self):
-        report = self._report()
-        assert cli.parse_report(cli.emit(report, "json")) == report
+    def test_json_round_trip(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(SZEGO_VALIDATE))
+        out = tmp_path / "report.json"
+        assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 0
+        parsed, report = cli.parse_report(str(out)), self._report()
+        assert parsed.pop("timing").keys() == report.pop("timing").keys()
+        assert parsed.pop("matrices")["gram"].tobytes() == report.pop("matrices")["gram"].tobytes()
+        assert parsed == report
 
     def test_json_stable_key_order(self):
         report = self._report()
-        assert cli.emit(report, "json") == cli.emit(json.loads(json.dumps(report)), "json")
+        assert cli.emit(report, "json") == cli.emit(dict(reversed(report.items())), "json")
 
     def test_report_without_matrices_is_valid_json(self):
         report, _ = cli.run(
@@ -375,7 +429,7 @@ class TestEmit:
                 }
             )
         )
-        parsed = cli.parse_report(cli.emit(report, "json"))
+        parsed = _strict_loads(cli.emit(report, "json"))
         assert parsed["matrices"] == {}
         assert parsed["command"] == "morphism-check"
 
@@ -399,6 +453,91 @@ class TestEmit:
         ]
         assert len(data_rows) == 4
         assert "i,j,re,im" in blob
+
+    def test_csv_lists_the_matrix_entries_and_writes_no_sidecar(self, monkeypatch, tmp_path):
+        mat = np.array([[complex(-0.0, 5e-324), 1e300], [0.5, complex(0.25, -1.0)]])
+        monkeypatch.setitem(cli.PIPELINES, "validate", lambda cfg: ([], {"gram": mat}, {}))
+        out = tmp_path / "report.csv"
+        assert cli.main(["validate", "--out", str(out), "--format", "csv"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        assert out.read_text().splitlines()[1:] == [
+            "# matrix gram rows=2 cols=2", "i,j,re,im", "0,0,-0.0,5e-324", "0,1,1e+300,0.0",
+            "1,0,0.5,0.0", "1,1,0.25,-1.0",
+        ]
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("config", list(_pipeline_configs()))
+    def test_every_pipeline_report_is_strict_json(self, config, tmp_path):
+        report, _ = cli.run(cli.parse_config(config))
+        _strict_loads(cli.emit(report))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        assert cli.main([config["command"], "--config", str(path), "--out", str(out)]) in (0, 2)
+        _strict_loads(out.read_bytes())
+        cli.parse_report(str(out))
+
+    def test_stdout_report_names_no_file_and_writes_none(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(FACTORIZE_TABLE))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["factorize", "--config", str(path)]) == 0
+        entry = _strict_loads(capsys.readouterr().out)["matrices"]["frame"]
+        assert entry["file"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+        assert cli.main(["factorize", "--config", str(path), "--out", "r.json"]) == 0
+        written = _strict_loads((tmp_path / "r.json").read_bytes())["matrices"]["frame"]
+        assert written == {**entry, "file": "r.frame.npy"}
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda npy, entry: npy.write_bytes(npy.read_bytes()[:-1] + b"\x01"),
+            lambda npy, entry: npy.write_bytes(npy.read_bytes()[:-16]),
+            lambda npy, entry: entry.update(shape=[1, 5]),
+            lambda npy, entry: entry.update(dtype="complex64"),
+            lambda npy, entry: entry.update(file="../report.gram.npy"),
+            lambda npy, entry: entry.update(file=None),
+        ],
+        ids=["flipped-byte", "truncated", "entry-shape", "entry-dtype", "outside-path",
+             "no-file"],
+    )
+    def test_tampered_sidecar_or_entry_is_refused(self, tamper, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(SZEGO_VALIDATE))
+        out = tmp_path / "report.json"
+        assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 0
+        report = _strict_loads(out.read_bytes())
+        tamper(tmp_path / "report.gram.npy", report["matrices"]["gram"])
+        out.write_bytes(_reference_json(report))
+        with pytest.raises(ValueError):
+            cli.parse_report(str(out))
+
+    def test_non_standard_constant_in_a_report_is_refused(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text('{"checks": [{"value": NaN}]}')
+        with pytest.raises(ValueError):
+            cli.parse_report(str(out))
+
+    def test_two_runs_give_identical_reports_and_sidecars(self, tmp_path):
+        path = CONFIGS / "clark_two_atoms.json"
+        blobs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            out = tmp_path / run / "report.json"
+            assert cli.main(["clark", "--config", str(path), "--out", str(out)]) == 0
+            without_timing = re.sub(rb'\n  "timing": \{[^}]*\}', b"", out.read_bytes())
+            assert b'"timing"' not in without_timing
+            blobs.append((without_timing, (tmp_path / run / "report.gram.npy").read_bytes()))
+        assert blobs[0] == blobs[1]
+
+    def test_importing_cli_does_not_load_hashlib(self):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, kboundary.cli; print('hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": package_root}, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestMainEntry:
