@@ -465,7 +465,7 @@ def parse_report(path: str) -> dict:
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise ValueError(f"sidecar {file} does not match its sha256")
         mat = np.load(io.BytesIO(blob), allow_pickle=False)
-        if _npy(mat, file)[0] != entry:
+        if [list(mat.shape), mat.dtype.name] != [entry["shape"], entry["dtype"]]:
             raise ValueError(f"sidecar {file} does not match its shape and dtype")
         report["matrices"][name] = mat
     return report
