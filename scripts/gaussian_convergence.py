@@ -25,8 +25,8 @@ def main():
     K = szego_real_part_kernel()
     print(f"{'N':>9} {'cov error':>12} {'4 max|G|/sqrt(N)':>18} {'consistency':>12}")
     for n in args.sizes:
-        err = moment_errors(K, args.seed, n)[0]
-        cons = consistency_check(K, [0, 2], n, seed=args.seed)
+        err, _, cov, seed_record = moment_errors(K, args.seed, n)
+        cons = consistency_check(K, [0, 2], cov, seed_record)
         print(f"{n:>9} {err:>12.4e} {covariance_bound(K, n):>18.4e} "
               f"{cons['empirical_deviation']:>12.4e}")
 

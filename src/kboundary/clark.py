@@ -241,10 +241,10 @@ def normalized_transform_V(ctx: RenormContext, g) -> np.ndarray:
     """(V_mu g)(s_i) = (1/conj(E_i)) sum_x g(x) conj(features[i, x]) mu(x).
 
     Identical to the plain adjoint transform applied to the renormalized
-    factorization.
+    factorization; an (m, k) matrix g gives one column per column of g.
     """
     raw = apply_V(ctx.factorization, g)
-    return raw / np.conj(ctx.expectations)
+    return (raw.T / np.conj(ctx.expectations)).T
 
 
 def density_criterion(obj) -> dict:

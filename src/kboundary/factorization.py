@@ -42,7 +42,7 @@ from .kernels import (
     spectrum,
 )
 from .measures import DiscreteMeasure
-from .rkhs import RkhsElement, same_base
+from .rkhs import RkhsElement, as_columns, same_base
 
 FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
 MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
@@ -143,8 +143,12 @@ def l2_inner(g, h, measure: DiscreteMeasure) -> complex:
     return complex(np.sum(gv * np.conj(hv) * measure.weights))
 
 
-def l2_norm_squared(g, measure: DiscreteMeasure) -> float:
-    return l2_inner(g, g, measure).real
+def l2_norm_squared(g, measure: DiscreteMeasure):
+    """sum_x |g(x)|^2 mu(x): a float, or an array of one per column of an
+    (m, k) matrix g."""
+    gv = as_columns(g, measure.size, "L2 array")
+    w = measure.weights if gv.ndim == 1 else measure.weights[:, None]
+    return np.sum(gv * np.conj(gv) * w, axis=0).real
 
 
 def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -182,7 +186,8 @@ def _require_factorization(F: BoundaryFactorization) -> None:
 
 
 def apply_W(F: BoundaryFactorization, f: RkhsElement) -> np.ndarray:
-    """Isometry W: kernel sections to boundary features, as a vector over atoms.
+    """Isometry W: kernel sections to boundary features, as a vector over atoms
+    (an (m, k) matrix, one column per element, when f holds k elements).
 
     On generators W K(., s) = k_s; the extension off the generators is
     conjugate-linear, W f = sum_i conj(xi_i) k_{s_i}.  With sections taken
@@ -200,16 +205,14 @@ def apply_W(F: BoundaryFactorization, f: RkhsElement) -> np.ndarray:
 def apply_V(F: BoundaryFactorization, g) -> np.ndarray:
     """Adjoint transform (V g)(s_i) = sum_x g(x) conj(k_{s_i}(x)) mu(x).
 
-    Returns the values of V g at every base point.  On a verified
-    factorization, feeding a feature row k_t back through V reproduces
-    the factorization identity: the output is the Gram row of t.
+    Returns the values of V g at every base point, or an (n, k) matrix for
+    the k columns of an (m, k) matrix g.  On a verified factorization,
+    feeding a feature row k_t back through V reproduces the factorization
+    identity: the output is the Gram row of t.
     """
-    gv = np.asarray(g, dtype=complex).ravel()
-    if gv.size != F.n_atoms:
-        raise ShapeMismatch(
-            f"L2 vector has length {gv.size}, measure has {F.n_atoms} atoms"
-        )
-    return np.conj(F.features) @ (F.measure.weights * gv)
+    gv = as_columns(g, F.n_atoms, "L2 array")
+    w = F.measure.weights if gv.ndim == 1 else F.measure.weights[:, None]
+    return np.conj(F.features) @ (w * gv)
 
 
 def range_projection(F: BoundaryFactorization) -> np.ndarray:
@@ -262,6 +265,7 @@ def schwarz_bound_check(F: BoundaryFactorization, g, xi) -> dict:
         raise ShapeMismatch(
             f"coefficient vector has length {xv.size}, kernel has {F.n_points} points"
         )
+    g = np.asarray(g, dtype=complex).ravel()
     vg = apply_V(F, g)
     lhs = float(np.abs(np.sum(xv * vg)) ** 2)
     quad = np.real(np.conj(xv) @ (F.kernel.gram @ xv))

@@ -186,17 +186,19 @@ def log_density(M_F: FiniteKernel, z) -> float:
     return -(n * np.log(np.pi) + logdet + quad)
 
 
-def consistency_check(
-    K: FiniteKernel, subset, N: int, seed: int = 0
-) -> dict:
+def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) -> dict:
     """Marginalization consistency of the realized process.
+
+    ``covariance`` and ``seed_record`` are the empirical covariance of the
+    full process and its record, as ``moments(realize(K, seed), N)``
+    returns them, so that the caller's stream is not drawn twice.
 
     exact_ok asserts structurally that restricting the factor rows
     reproduces the principal Gram submatrix within EXACT_TOL * ||G||_2.
-    The empirical deviation compares the subset's block of the full
-    process's empirical covariance (the covariance of its projected
-    samples) against a directly realized process on the subset (sampled
-    from the derived seed+1 stream).
+    The empirical deviation compares the subset's block of that covariance
+    (the covariance of its projected samples) against a directly realized
+    process on the subset, sampled from the derived seed+1 stream with the
+    record's count and chunk size.
     """
     idx = list(subset)
     n = K.size
@@ -204,15 +206,17 @@ def consistency_check(
         if not (0 <= int(i) < n):
             raise IndexOutOfRange(f"subset index {i!r} outside range 0..{n - 1}")
     idx = [int(i) for i in idx]
+    cov = np.asarray(covariance)
+    if cov.shape != (n, n):
+        raise ShapeMismatch(f"covariance has shape {cov.shape}, kernel has {n} points")
 
-    R = realize(K, seed=seed)
+    R = realize(K)
     L_sub = R.factor[idx, :]
     sub_gram = K.gram[np.ix_(idx, idx)]
     exact_dev = float(np.abs(L_sub @ np.conj(L_sub).T - sub_gram).max())
     exact_ok = relative_residual(exact_dev, K) <= EXACT_TOL
 
-    emp_projected = moments(R, N)[1][np.ix_(idx, idx)]
-    R_sub = realize(K.restrict(idx), seed=seed + 1)
-    emp_direct = moments(R_sub, N)[1]
-    deviation = float(np.abs(emp_projected - emp_direct).max())
+    R_sub = realize(K.restrict(idx), seed=seed_record["seed"] + 1)
+    emp_direct = moments(R_sub, seed_record["count"], seed_record["chunk_size"])[1]
+    deviation = float(np.abs(cov[np.ix_(idx, idx)] - emp_direct).max())
     return {"exact_ok": exact_ok, "empirical_deviation": deviation}

@@ -175,3 +175,4 @@ def test_overflowing_factorize_leaves_stderr_empty(tmp_path, capfd):
     (check,) = [c for c in json.loads(out.read_text())["checks"]
                 if c["name"] == "parseval-reconstruction"]
     assert check["relative_residual"] is None and check["passed"] is False
+    assert check["residual"] is None

@@ -14,12 +14,14 @@ from kboundary import (
     NotAFactorization,
     PointSet,
     RkhsElement,
+    ShapeMismatch,
     apply_V,
     apply_W,
     check_isometry,
     check_morphism,
     l2_norm_squared,
     minimality_test,
+    norm_squared,
     parseval_factorize,
     pullback,
     pullback_isometry_residual,
@@ -220,6 +222,100 @@ class TestApplyV:
         g = np.conj(vh[-1])
         assert np.abs(weighted @ g).max() <= 1e-12
         np.testing.assert_allclose(apply_V(F, g), 0.0, atol=1e-12)
+
+
+def _batch_factorizations():
+    """Parseval and non-uniform-weight induced factorizations, n = 0, 1, 5, 12."""
+    rng = np.random.default_rng(23)
+    out = []
+    for n in (0, 1, 5, 12):
+        A = rng.standard_normal((n, n + 1)) + 1j * rng.standard_normal((n, n + 1))
+        out.append(pytest.param(parseval_factorize(_kernel_from_gram(A @ np.conj(A).T)),
+                                id=f"parseval-n{n}"))
+        m = int(rng.integers(1, 9))
+        w = rng.uniform(0.2, 1.0, size=m)
+        phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w, normalized=False)
+        out.append(pytest.param(BoundaryFactorization.induced(measure, phi), id=f"induced-n{n}"))
+    return out
+
+
+# Reference copies of the 1-D formulas, which a 1-D call must keep bit for bit.
+def _norm_squared_1d(G, xi):
+    return complex(np.conj(xi) @ (G @ xi)).real
+
+
+def _apply_W_1d(F, xi):
+    return F.features.T @ np.conj(xi)
+
+
+def _apply_V_1d(F, g):
+    return np.conj(F.features) @ (F.measure.weights * g)
+
+
+def _l2_norm_squared_1d(g, w):
+    return complex(np.sum(g * np.conj(g) * w)).real
+
+
+@pytest.mark.parametrize("F", _batch_factorizations())
+class TestBatchAxis:
+    """A 2-D call gives, column by column, the 1-D call on that column, within
+    1e-14 of the column's own scale; the scales are ||G||_2 ||x||^2 for the
+    quadratic forms and sqrt(||G||_2) ||x|| for the linear maps (x the
+    column, its L2(mu) norm for V), and ||g||^2_mu for l2_norm_squared."""
+
+    K_COLUMNS = 4
+
+    def _columns(self, F, rows, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, self.K_COLUMNS)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_rkhs_side(self, F):
+        X = self._columns(F, F.n_points, 1)
+        G = F.kernel.gram
+        norm_G = F.kernel.spectrum.norm
+        nrm2 = norm_squared(RkhsElement(base=F.kernel, coeffs=X))
+        WX = apply_W(F, RkhsElement(base=F.kernel, coeffs=X))
+        assert nrm2.shape == (self.K_COLUMNS,)
+        assert WX.shape == (F.n_atoms, self.K_COLUMNS)
+        for j in range(self.K_COLUMNS):
+            f = RkhsElement(base=F.kernel, coeffs=X[:, j])
+            single_nrm2 = norm_squared(f)
+            single_W = apply_W(F, f)
+            assert single_nrm2 == _norm_squared_1d(G, X[:, j])
+            assert single_W.tobytes() == _apply_W_1d(F, X[:, j]).tobytes()
+            x2 = float(np.sum(np.abs(X[:, j]) ** 2))
+            assert abs(nrm2[j] - single_nrm2) <= 1e-14 * norm_G * x2
+            assert np.abs(WX[:, j] - single_W).max(initial=0.0) <= 1e-14 * np.sqrt(norm_G * x2)
+
+    def test_l2_side(self, F):
+        Y = self._columns(F, F.n_atoms, 2)
+        w = F.measure.weights
+        norm_G = F.kernel.spectrum.norm
+        l2 = l2_norm_squared(Y, F.measure)
+        VY = apply_V(F, Y)
+        assert l2.shape == (self.K_COLUMNS,)
+        assert VY.shape == (F.n_points, self.K_COLUMNS)
+        for j in range(self.K_COLUMNS):
+            single_l2 = l2_norm_squared(Y[:, j], F.measure)
+            single_V = apply_V(F, Y[:, j])
+            assert single_l2 == _l2_norm_squared_1d(Y[:, j], w)
+            assert single_V.tobytes() == _apply_V_1d(F, Y[:, j]).tobytes()
+            assert abs(l2[j] - single_l2) <= 1e-14 * single_l2
+            assert np.abs(VY[:, j] - single_V).max(initial=0.0) <= 1e-14 * np.sqrt(
+                norm_G * single_l2)
+
+    def test_shape_mismatch(self, F):
+        n, m = F.n_points, F.n_atoms
+        for bad in (np.zeros((n + 1, 2)), np.zeros((n, 2, 2))):
+            with pytest.raises(ShapeMismatch):
+                RkhsElement(base=F.kernel, coeffs=bad)
+        for bad in (np.zeros((m + 1, 2)), np.zeros((m, 2, 2))):
+            with pytest.raises(ShapeMismatch):
+                apply_V(F, bad)
+            with pytest.raises(ShapeMismatch):
+                l2_norm_squared(bad, F.measure)
 
 
 class TestCheckIsometry:

@@ -18,6 +18,7 @@ from kboundary import (
     empirical_covariance,
     log_density,
     minimality_test,
+    moments,
     realize,
     sample,
 )
@@ -138,28 +139,34 @@ class TestLogDensity:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def _full_moments(K, N, seed):
+    """(covariance, seed record) of N draws of K's process at ``seed``."""
+    _, cov, seed_record = moments(realize(K, seed=seed), N)
+    return cov, seed_record
+
+
 class TestConsistency:
     def test_full_subset(self):
         K = _table_kernel(np.eye(3), field_tag="real")
-        res = consistency_check(K, [0, 1, 2], 20_000, seed=1)
+        res = consistency_check(K, [0, 1, 2], *_full_moments(K, 20_000, seed=1))
         assert res["exact_ok"]
 
     def test_identity_submatrix_exact(self):
         K = _table_kernel(np.eye(3), field_tag="real")
-        res = consistency_check(K, [0, 2], 20_000, seed=2)
+        res = consistency_check(K, [0, 2], *_full_moments(K, 20_000, seed=2))
         assert res["exact_ok"]
 
     def test_szego_grid_subsample(self):
         ps = PointSet.from_points([0.0, 0.2, -0.3, 0.25j, -0.1 - 0.4j])
         K = assemble_gram(KernelSpec.szego(), ps)
-        res = consistency_check(K, [1, 3], 100_000, seed=8)
+        res = consistency_check(K, [1, 3], *_full_moments(K, 100_000, seed=8))
         assert res["exact_ok"]
         assert res["empirical_deviation"] <= 0.03
 
     def test_index_out_of_range(self):
         K = _table_kernel(np.eye(2))
         with pytest.raises(IndexOutOfRange):
-            consistency_check(K, [0, 5], 100, seed=0)
+            consistency_check(K, [0, 5], *_full_moments(K, 100, seed=0))
 
 
 def test_sampled_factorization_is_not_minimal():

@@ -14,7 +14,8 @@ from kboundary import (
     realize,
     sample,
 )
-from kboundary.selfcheck import szego_real_part_kernel
+from kboundary import gaussian
+from kboundary.selfcheck import check_gaussian_realization, szego_real_part_kernel
 
 
 def _table_kernel(matrix, field_tag):
@@ -108,3 +109,24 @@ def test_realized_rank_does_not_depend_on_units(make, rank, scale):
     K = make()
     scaled = FiniteKernel(points=K.points, gram=scale * K.gram, field_tag=K.field_tag)
     assert realize(scaled).rank == rank
+
+
+def test_realization_check_draws_each_stream_once(monkeypatch):
+    # Two-stream reference: the full process's covariance and the subset's
+    # own seed + 1 process, each drawn straight from moments.
+    seed, N, subset = 3, 20_000, [0, 2]
+    K = szego_real_part_kernel()
+    full = moments(realize(K, seed=seed), N)[1]
+    direct = moments(realize(K.restrict(subset), seed=seed + 1), N)[1]
+    expected = float(np.abs(full[np.ix_(subset, subset)] - direct).max())
+
+    streams = []
+
+    def counting(R, count, *args):
+        streams.append((R.seed, R.kernel.size, count))
+        return moments(R, count, *args)
+
+    monkeypatch.setattr(gaussian, "moments", counting)
+    check = check_gaussian_realization(seed=seed, n_draws=N)
+    assert check.details["consistency_deviation"] == expected
+    assert sorted(streams) == [(seed, 2, N), (seed, 4, N), (seed + 1, 2, N)]

@@ -154,6 +154,36 @@ class TestVerifyParseval:
             K = _random_psd(rng, int(rng.integers(1, 12)), complex_entries=bool(rng.integers(2)))
             assert verify_parseval(parseval_factorize(K)) <= 1e-10
 
+    def test_overflowed_norm_identity_is_nan(self):
+        # max(residual, nan) would keep the finite reconstruction term.
+        F = parseval_factorize(_table_kernel([[1e308, 1e308], [1e308, 1e308]]))
+        assert np.isnan(verify_parseval(F))
+
+    def test_array_pass_matches_per_trial_loop(self):
+        rng = np.random.default_rng(11)
+        for k in range(30):
+            K = _random_psd(rng, int(rng.integers(1, 12)), complex_entries=bool(k % 2))
+            F = parseval_factorize(K)
+            if k % 3 == 0:  # a broken frame, so the norm-identity term counts
+                F = _counting_factorization(K, 1.01 * F.features.T)
+            for seed, trials in ((0, 4), (k, 1), (k + 1, 7), (2, 0)):
+                expected = _verify_parseval_loop(F, seed, trials)
+                assert abs(verify_parseval(F, seed=seed, trials=trials) - expected) <= 1e-14
+
+
+def _verify_parseval_loop(F, seed, trials):
+    """Reference: the per-trial loop that verify_parseval replaces."""
+    residual = F.residual
+    rng = np.random.default_rng(seed)
+    n = F.n_points
+    for _ in range(trials):
+        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nrm2 = complex(np.conj(xi) @ (F.kernel.gram @ xi)).real
+        coeffs = np.conj(F.features).T @ xi
+        dev = abs(nrm2 - float(np.abs(coeffs) ** 2 @ np.ones(coeffs.size)))
+        residual = max(residual, dev / max(1.0, abs(nrm2)))
+    return residual
+
 
 def _analysis(F, f):
     """Frame coefficients c_n = <f, beta_n>, the conjugate of W f."""

@@ -29,6 +29,7 @@ from kboundary import (
     consistency_check,
     kernels,
     minimality_test,
+    moments,
     parseval_factorize,
     realize,
     renormalize,
@@ -117,8 +118,10 @@ def _verdicts(gram) -> dict:
         except NotAFactorization:
             verdicts["apply_W"] = "rejects"
     try:
-        verdicts["realize"] = realize(K).rank
-        verdicts["exact"] = consistency_check(K, [0], N=2, seed=0)["exact_ok"]
+        R = realize(K)
+        verdicts["realize"] = R.rank
+        _, cov, seed_record = moments(R, 2)
+        verdicts["exact"] = consistency_check(K, [0], cov, seed_record)["exact_ok"]
     except NotPsd:
         verdicts["realize"] = "not psd"
     return verdicts
