@@ -4,8 +4,11 @@ Usage:  kb <command> --config <file.json> [--seed N] [--out path] [--format json
 
 Commands: validate, factorize, gaussian-sample, clark, renorm,
 morphism-check, verify-all.  Configs are validated strictly against the
-shipped JSON schema (unknown fields rejected).  Exit code 0 when every
-check passes, 2 on a check failure, 1 on a config or domain error.
+shipped JSON schema (unknown fields rejected).  The shipped schema decides
+validity: a small acceptor over it proves a valid config valid, and
+jsonschema is loaded only for a config the acceptor cannot prove, to decide
+it and to explain a rejection.  Exit code 0 when every check passes, 2 on
+a check failure, 1 on a config or domain error (a negative --seed too).
 A JSON report written to --out keeps each matrix in a digest-pinned .npy
 file beside it.  Reports are deterministic for a fixed (config, seed)
 apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -25,7 +29,6 @@ import sys
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__, clark, factorization, kernels, measures, rkhs, selfcheck
@@ -35,8 +38,15 @@ from .selfcheck import Check
 log = logging.getLogger("kboundary")
 
 def load_schema() -> dict:
+    """A fresh copy of the shipped job-config schema."""
     with resources.files("kboundary.schema").joinpath("job_config.schema.json").open() as fh:
         return json.load(fh)
+
+
+@functools.cache
+def _schema() -> dict:
+    """The shipped schema, read once per process; callers must not change it."""
+    return load_schema()
 
 
 def _to_float(x) -> float:
@@ -47,79 +57,222 @@ def _to_float(x) -> float:
         return math.inf
 
 
+def _non_finite(obj) -> ConfigError:
+    return ConfigError(f"complex numbers must be finite, got {obj!r}")
+
+
 def _to_complex(obj) -> complex:
     z = complex(_to_float(obj["re"]), _to_float(obj.get("im", 0.0)))
     if not cmath.isfinite(z):
-        raise ConfigError(f"complex numbers must be finite, got {obj!r}")
+        raise _non_finite(obj)
     return z
 
 
+# -- validity -----------------------------------------------------------------
+#
+# The shipped schema decides which configs are valid.  ``_proves`` accepts a
+# config when it can prove it valid against that schema, so that a valid
+# config never loads jsonschema; jsonschema decides every config it cannot
+# prove, and explains each rejection.
+
+# Keywords that do not constrain the instance.
+_ANNOTATIONS = frozenset(("$schema", "$defs", "title", "description", "$comment"))
+# JSON type -> the exact Python types that ``_proves`` accepts for it.
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
+               "number": (int, float)}
+
+
+def _proves(x, schema) -> bool:
+    """True only when ``x`` is valid against ``schema``, a subschema of the
+    shipped one; False means "not proven", for jsonschema to decide.
+
+    Only type, enum, properties, required, additionalProperties, items,
+    minItems, minimum and ``#/$defs/<name>`` references are implemented,
+    on exact JSON types (``type(x) is dict`` and so on).  Any other keyword,
+    such as oneOf, is not proven, nor are bools, dict subclasses, integral
+    floats as integers and NaN against a minimum.
+    """
+    if type(schema) is not dict:
+        return False
+    for key, rule in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "type":
+            ok = type(rule) is str and type(x) in _JSON_TYPES.get(rule, ())
+        elif key == "enum":
+            ok = type(x) is str and x in rule
+        elif key == "required":
+            ok = type(x) is dict and all(name in x for name in rule)
+        elif key == "properties":
+            ok = type(x) is dict and all(
+                _proves(x[name], sub) for name, sub in rule.items() if name in x
+            )
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            ok = type(x) is dict and all(
+                type(name) is str and (name in known or _proves(value, rule))
+                for name, value in x.items()
+            )
+        elif key == "items":
+            ok = type(x) is list and all(_proves(item, rule) for item in x)
+        elif key == "minItems":
+            ok = type(x) is list and len(x) >= rule
+        elif key == "minimum":
+            ok = type(x) in _JSON_TYPES["number"] and x >= rule
+        elif key == "$ref":
+            ok = _proves(x, _local_def(rule))
+        else:
+            return False
+        if not ok:
+            return False
+    return True
+
+
+def _local_def(ref: str):
+    """The subschema that ``ref`` names when it is ``#/$defs/<name>``, else
+    None; a name holding "~", "/" or "%" would need JSON-pointer decoding."""
+    name = ref.removeprefix("#/$defs/")
+    if name == ref or any(c in name for c in "~/%"):
+        return None
+    return _schema().get("$defs", {}).get(name)
+
+
+@functools.cache
+def _validator():
+    import jsonschema  # only here: a config that _proves accepts never loads it
+
+    # jsonschema.validate minus its check_schema call: the shipped schema is
+    # checked against its metaschema once, by the test suite.
+    return jsonschema.validators.validator_for(_schema())(_schema())
+
+
+def _explain(view) -> None:
+    """The ConfigError of jsonschema's best-matching error on ``view``, the
+    message ``jsonschema.validate`` gives, raised when there is one."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(view))
+    if error is not None:
+        raise ConfigError(f"config does not match schema: {error.message}")
+
+
+# -- cnum arrays -----------------------------------------------------------------
+
 _CNUM_KEYS = frozenset(("re", "im"))
-_NUMBER_TYPES = (int, float)
+_NUMBER_TYPES = frozenset(_JSON_TYPES["number"])
+# Where the schema puts cnum arrays: parent key ("" for the root) -> fields.
+_CNUM_FIELDS = {"": ("points",), "kernel": ("table",),
+                "morphism": ("target_features", "source_features")}
 
 
-def _is_cnum(z) -> bool:
-    """True when ``z`` is a cnum the schema accepts, with every part exactly
-    an int or a float (bool, numpy scalars and Decimal are left to the schema)."""
-    return (
-        type(z) is dict
-        and z.keys() <= _CNUM_KEYS
-        and type(z.get("re")) in _NUMBER_TYPES
-        and type(z.get("im", 0.0)) in _NUMBER_TYPES
-    )
+def _floats(values: list) -> np.ndarray:
+    """``_to_float`` of each value, as a float64 vector."""
+    try:
+        return np.fromiter(map(float, values), float, len(values))
+    except OverflowError:
+        return np.fromiter(map(_to_float, values), float, len(values))
 
 
-def _is_cnum_rows(rows) -> bool:
-    return type(rows) is list and all(
-        type(row) is list and all(map(_is_cnum, row)) for row in rows
-    )
+def _decode_cnums(cnums: list) -> np.ndarray | None:
+    """The complex vector of ``cnums`` when each is a cnum the schema accepts
+    with every part exactly an int or a float, else None (bools, numpy
+    scalars, Decimal and dict subclasses are left to jsonschema).
+
+    Entry k is bit-equal to ``complex(_to_float(re), _to_float(im))`` of
+    cnum k, a non-finite one included.
+    """
+    if set(map(type, cnums)) - {dict} or not all(map(_CNUM_KEYS.issuperset, cnums)):
+        return None
+    re = [z.get("re") for z in cnums]
+    im = [z.get("im", 0.0) for z in cnums]
+    if not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
+        return None
+    out = np.empty(len(cnums), dtype=complex)
+    out.real = _floats(re)
+    out.imag = _floats(im)
+    return out
 
 
-def _schema_view(data):
-    """A shallow copy of ``data`` in which every cnum array that ``_is_cnum``
-    accepts throughout is replaced by ``[]``.
+def _row_major(array, points: bool) -> list | None:
+    """The entries of ``array``, a list of lists, in row-major order; None
+    for any other shape.  With ``points`` an entry may also be a single cnum
+    (a dict), and a row must be nonempty, as the schema's points are."""
+    if type(array) is not list:
+        return None
+    flat = []
+    for entry in array:
+        if type(entry) is list and (entry or not points):
+            flat += entry
+        elif points and type(entry) is dict:
+            flat.append(entry)
+        else:
+            return None
+    return flat
 
-    ``[]`` is valid wherever these arrays sit and an accepted array yields no
-    schema error, so jsonschema finds the same errors on the view as on
-    ``data``, without walking each number; a rejected array stays for
-    jsonschema to explain.
+
+def _screen_cnum_arrays(data) -> tuple[object, dict]:
+    """(view, decoded) for a raw config.
+
+    ``decoded`` maps each cnum-array field of ``data`` ("points", "table",
+    "target_features", "source_features") that ``_decode_cnums`` accepts
+    throughout to its complex vector in row-major order.  ``view`` is a
+    shallow copy of ``data`` in which each such array is ``[]``: ``[]`` is
+    valid wherever these arrays sit and an accepted array is valid, so the
+    view has the schema errors of ``data`` and can be checked without
+    walking each number.  A rejected array stays for jsonschema.
     """
     if type(data) is not dict:
-        return data
-    view = dict(data)
-    points = view.get("points")
-    if type(points) is list and all(
-        _is_cnum(p) or (type(p) is list and p and all(map(_is_cnum, p))) for p in points
-    ):
-        view["points"] = []
-    nested = {"kernel": ("table",), "morphism": ("target_features", "source_features")}
-    for key, fields in nested.items():
-        if type(view.get(key)) is dict:
-            sub = view[key] = dict(view[key])
-            for field in fields:
-                if _is_cnum_rows(sub.get(field)):
-                    sub[field] = []
-    return view
+        return data, {}
+    view, decoded = dict(data), {}
+    for parent, fields in _CNUM_FIELDS.items():
+        holder = view
+        if parent:
+            if type(view.get(parent)) is not dict:
+                continue
+            holder = view[parent] = dict(view[parent])
+        for field in fields:
+            flat = _row_major(holder.get(field), points=field == "points")
+            z = None if flat is None else _decode_cnums(flat)
+            if z is not None:
+                decoded[field] = z
+                holder[field] = []
+    return view, decoded
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[_to_complex(z) for z in row] for row in rows])
+def _cnum_vector(rows, z: np.ndarray | None) -> np.ndarray:
+    """The cnums of ``rows`` in row-major order as a complex vector: ``z``
+    when the screen decoded them, else each through ``_to_complex``.  A
+    non-finite number is a ConfigError naming the first such cnum."""
+    if z is None:
+        return np.array([_to_complex(c) for row in rows for c in row], dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise _non_finite([c for row in rows for c in row][int(bad.argmax())])
+    return z
 
 
-def _parse_points(raw) -> kernels.PointSet:
+def _parse_matrix(rows, name: str, z: np.ndarray | None = None) -> np.ndarray:
+    """``rows`` as a complex matrix, shaped as ``np.array`` shapes it (no rows
+    give an empty vector); ``z`` as in ``_cnum_vector``."""
+    flat = _cnum_vector(rows, z)
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ConfigError(f"{name} rows must all have the same length")
+    return flat.reshape(len(rows), *widths)
+
+
+def _parse_points(raw, z: np.ndarray | None = None) -> kernels.PointSet:
     if not raw:
         raise ConfigError("points must be a nonempty list")
     scalar = isinstance(raw[0], dict)
     if any(isinstance(entry, dict) != scalar for entry in raw):
         raise ConfigError("points must be all scalars or all coordinate tuples")
     if scalar:
-        coords = [_to_complex(entry) for entry in raw]
-    else:
-        dims = {len(entry) for entry in raw}
-        if len(dims) != 1:
-            raise ConfigError("all point tuples must share one dimension")
-        coords = [[_to_complex(z) for z in entry] for entry in raw]
-    return kernels.PointSet.from_points(coords)
+        return kernels.PointSet.from_points(_cnum_vector([raw], z))
+    dims = {len(entry) for entry in raw}
+    if len(dims) != 1:
+        raise ConfigError("all point tuples must share one dimension")
+    return kernels.PointSet.from_points(_cnum_vector(raw, z).reshape(len(raw), *dims))
 
 
 def _parse_circle_measure(raw) -> measures.CircleMeasure:
@@ -132,7 +285,7 @@ def _parse_discrete_measure(raw) -> measures.DiscreteMeasure:
     )
 
 
-def _parse_kernel(raw) -> kernels.KernelSpec:
+def _parse_kernel(raw, table: np.ndarray | None = None) -> kernels.KernelSpec:
     variant = raw["variant"]
     if variant == "szego":
         return kernels.KernelSpec.szego()
@@ -144,7 +297,7 @@ def _parse_kernel(raw) -> kernels.KernelSpec:
         return kernels.KernelSpec.debranges_rovnyak(_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
-    return kernels.KernelSpec.from_table(_parse_matrix(raw["table"]))
+    return kernels.KernelSpec.from_table(_parse_matrix(raw["table"], "kernel.table", table))
 
 
 @dataclasses.dataclass
@@ -161,24 +314,25 @@ class JobConfig:
     sample_count: int | None = None
     output_path: str | None = None
     output_format: str = "json"
+    # The cnum arrays that _screen_cnum_arrays decoded, by field; the
+    # morphism's features are read here at run time, and a field missing here
+    # is parsed entry by entry.
+    cnum_arrays: dict = dataclasses.field(default_factory=dict, repr=False)
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
     """Strict parse of a raw config dict; unknown fields are rejected.
 
-    jsonschema explains every rejection, with the message
-    ``jsonschema.validate`` gives.  Cnum arrays (points, table, morphism
-    features) are screened directly by ``_is_cnum`` and shown to jsonschema
-    as ``[]`` when every entry passes (``_schema_view``).  A non-finite
-    complex number is a ``ConfigError``.
+    The shipped schema decides validity.  ``_screen_cnum_arrays`` decodes
+    every cnum array (points, table, morphism features) that it accepts,
+    and ``_proves`` accepts the rest when it can prove it valid; jsonschema
+    is imported only for a config it cannot prove, to decide it and to
+    explain a rejection with the message ``jsonschema.validate`` gives.  A
+    non-finite complex number is a ``ConfigError``.
     """
-    # jsonschema.validate minus its check_schema call: the shipped schema is
-    # checked against its metaschema once, by the test suite.
-    schema = load_schema()
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(_schema_view(data)))
-    if error is not None:
-        raise ConfigError(f"config does not match schema: {error.message}")
+    view, decoded = _screen_cnum_arrays(data)
+    if not _proves(view, _schema()):
+        _explain(view)
 
     cfg_command = data.get("command")
     if command is not None and cfg_command is not None and command != cfg_command:
@@ -197,8 +351,10 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
         out = data.get("output", {})
         return JobConfig(
             command=resolved,
-            kernel=_parse_kernel(data["kernel"]) if "kernel" in data else None,
-            points=_parse_points(data["points"]) if "points" in data else None,
+            kernel=(_parse_kernel(data["kernel"], decoded.get("table"))
+                    if "kernel" in data else None),
+            points=(_parse_points(data["points"], decoded.get("points"))
+                    if "points" in data else None),
             measure=_parse_circle_measure(data["measure"]) if "measure" in data else None,
             morphism=data.get("morphism"),
             **tol,
@@ -206,6 +362,7 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             sample_count=data.get("sample_count"),
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
+            cnum_arrays=decoded,
         )
     except KernelBoundaryError:
         raise
@@ -329,13 +486,17 @@ def _run_morphism_check(cfg: JobConfig):
     morphism = factorization.MeasureMorphism(
         source=source, target=target, map=dict(raw["map"])
     )
-    target_features = _parse_matrix(raw["target_features"])
+    decoded = cfg.cnum_arrays
+    target_features = _parse_matrix(raw["target_features"], "morphism.target_features",
+                                    decoded.get("target_features"))
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
     F1 = factorization.BoundaryFactorization.induced(target, target_features)
     if "source_features" in raw:
         F2 = factorization.BoundaryFactorization(
-            kernel=F1.kernel, measure=source, features=_parse_matrix(raw["source_features"])
+            kernel=F1.kernel, measure=source,
+            features=_parse_matrix(raw["source_features"], "morphism.source_features",
+                                   decoded.get("source_features")),
         )
     else:
         F2 = factorization.pullback(F1, morphism)
@@ -499,7 +660,9 @@ def main(argv=None) -> int:
             data = {"command": args.command}
         cfg = parse_config(data, command=args.command)
         if args.seed is not None:
-            cfg.seed = int(args.seed)
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+            cfg.seed = args.seed
         if args.out is not None:
             cfg.output_path = args.out
         if args.fmt is not None:

@@ -1,3 +1,5 @@
+import collections
+import copy
 import json
 import os
 import re
@@ -170,6 +172,279 @@ class TestParseConfig:
             assert got is None or not got.startswith("config does not match schema")
         else:
             assert got == expected
+
+
+WORKED_CONFIGS = {path.stem: json.loads(path.read_text())
+                  for path in sorted(CONFIGS.glob("*.json"))}
+# Valid configs that between them reach every part of the schema.
+VALID_CONFIGS = [
+    *WORKED_CONFIGS.values(),
+    SZEGO_VALIDATE,
+    CLARK_TWO_ATOMS,
+    TABLE_AND_POINTS := {
+        "command": "factorize",
+        "kernel": {"variant": "table", "table": [[{"re": 2}, {"re": 1.0, "im": -0.5}],
+                                                 [{"re": 1.0, "im": 0.5}, {"re": 2.0}]]},
+        "points": [[{"re": 0.1}, {"re": 0, "im": 0.2}], [{"re": 0.3}, {"re": -0.1}]],
+        "tolerances": {"psd_tol": 0, "fact_tol": 1e-9, "rank_tol": 1e-12},
+        "sample_count": 3,
+        "seed": 0,
+        "output": {"path": "r.json", "format": "csv"},
+    },
+    {
+        "command": "validate",
+        "kernel": {"variant": "debranges-rovnyak", "dim": 2,
+                   "measure": {"atoms": [0.0, 1], "weights": [0.5, 0.5]}},
+        "measure": {"atoms": [], "weights": []},
+    },
+    FEATURES := _morphism_config(target_features=[[{"re": 1.0}]],
+                                 source_features=[[{"re": -1, "im": 0}]]),
+]
+
+
+def _accepts(config) -> bool:
+    """The acceptor's answer: the cnum screen, then ``_proves`` on its view."""
+    view, _ = cli._screen_cnum_arrays(config)
+    return cli._proves(view, cli._schema())
+
+
+def _paths(obj, prefix=()):
+    """Every path (a tuple of keys and indices) into ``obj``, the root first."""
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, (*prefix, key))
+
+
+# Values that the acceptor must not take for what the schema asks: bools and
+# integral floats for numbers and integers, negatives and NaN against a
+# minimum, strings, nulls, and wrongly nested cnums.
+SUSPECT_VALUES = st.sampled_from([
+    True, False, 0, 1, -1, 1.0, -0.5, 2.0, float("nan"), float("inf"), "", "szego", "table",
+    None, [], {}, [{"re": 1.0}], {"re": 1.0}, [[{"re": 1.0}]], {"re": True}, {"im": 1.0},
+]) | JSON_SCALARS | CNUM_ARRAYS
+NEW_KEYS = st.sampled_from(["re", "im", "x", "seed", "points", "table", "variant", "atoms"])
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutate(config, data):
+    """A copy of ``config`` with one drawn change at one drawn path."""
+    root = [copy.deepcopy(config)]
+    path = data.draw(st.sampled_from(list(_paths(root[0]))))
+    parent, key = (root, 0) if not path else (_at(root[0], path[:-1]), path[-1])
+    value = parent[key]
+    change = data.draw(st.sampled_from(["set", "delete", "add", "wrap", "unwrap", "subclass"]))
+    if change == "set" or (change == "delete" and parent is root):
+        parent[key] = data.draw(SUSPECT_VALUES)
+    elif change == "delete":
+        del parent[key]
+    elif change == "add" and isinstance(value, dict):
+        value[data.draw(NEW_KEYS)] = data.draw(SUSPECT_VALUES)
+    elif change == "wrap":
+        parent[key] = [value]
+    elif change == "unwrap" and isinstance(value, (dict, list)) and value:
+        parent[key] = next(iter(value.values())) if isinstance(value, dict) else value[0]
+    elif change == "subclass" and isinstance(value, dict):
+        parent[key] = collections.OrderedDict(value)
+    elif change == "subclass" and isinstance(value, list):
+        parent[key] = tuple(value)
+    return root[0]
+
+
+class TestAcceptor:
+    @pytest.mark.parametrize("config", VALID_CONFIGS)
+    def test_proves_the_valid_configs(self, config):
+        jsonschema.validate(instance=config, schema=cli.load_schema())
+        assert _accepts(config)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_accepted_configs_are_valid(self, data):
+        config = data.draw(st.sampled_from(VALID_CONFIGS))
+        for _ in range(data.draw(st.integers(1, 3))):
+            config = _mutate(config, data)
+        if _accepts(config):
+            jsonschema.validate(instance=config, schema=cli.load_schema())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_accepted_cnum_arrays_are_valid(self, data):
+        config = copy.deepcopy(data.draw(st.sampled_from([TABLE_AND_POINTS, FEATURES])))
+        holder = config.get("kernel") or config["morphism"]
+        for field in ("table", "target_features", "source_features"):
+            if field in holder:
+                holder[field] = data.draw(CNUM_ARRAYS)
+        config["points"] = data.draw(CNUM_ARRAYS)
+        if _accepts(config):
+            jsonschema.validate(instance=config, schema=cli.load_schema())
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "validate", "seed": True},
+            {"command": "validate", "seed": 1.0},
+            {"command": "validate", "seed": float("nan")},
+            {"command": "validate", "tolerances": {"psd_tol": float("nan")}},
+            collections.OrderedDict(command="validate"),
+            {"command": "validate", "kernel": collections.OrderedDict(variant="szego")},
+            {"command": "validate", "points": [{"re": np.float64(0.5)}]},
+        ],
+        ids=["bool", "integral-float", "nan-integer", "nan-minimum", "dict-subclass-root",
+             "dict-subclass-kernel", "numpy-scalar"],
+    )
+    def test_leaves_what_it_cannot_prove_to_jsonschema(self, config):
+        """jsonschema decides these, so parse_config follows its verdict."""
+        assert not _accepts(config)
+        error = jsonschema.exceptions.best_match(
+            jsonschema.Draft202012Validator(cli.load_schema()).iter_errors(config))
+        try:
+            cli.parse_config(config)
+            got = ""
+        except ConfigError as exc:
+            got = str(exc)
+        if error is None:
+            assert not got.startswith("config does not match schema")
+        else:
+            assert got == f"config does not match schema: {error.message}"
+
+    def test_worked_configs_leave_jsonschema_unloaded(self, tmp_path):
+        jobs = [(config["command"], str(CONFIGS / f"{name}.json"), str(tmp_path / f"{name}.json"))
+                for name, config in WORKED_CONFIGS.items()]
+        rejected = tmp_path / "rejected.json"
+        rejected.write_text('{"command": "validate", "seed": -1}')
+        code = (
+            "import json, sys\n"
+            "from kboundary import cli\n"
+            "for command, path, out in json.loads(sys.argv[1]):\n"
+            "    assert cli.main([command, '--config', path, '--out', out]) in (0, 2), path\n"
+            "print('jsonschema' in sys.modules)\n"
+            "assert cli.main(['validate', '--config', sys.argv[2]]) == 1\n"
+            "print('jsonschema' in sys.modules)\n"
+        )
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs), str(rejected)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": package_root})
+        assert proc.stdout.split() == ["False", "True"]
+
+
+def _reference_vector(cnums) -> np.ndarray:
+    """The per-entry decode: complex(_to_float(re), _to_float(im)) of each cnum."""
+    return np.array([complex(cli._to_float(z["re"]), cli._to_float(z.get("im", 0.0)))
+                     for z in cnums], dtype=complex)
+
+
+# Parts whose float value is easy to get wrong: signed zeros, subnormals,
+# huge values, integers that float() must round, and int/float mixes.
+EXACT_PARTS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2**53 + 1, -(2**53 + 3),
+               2**63 + 5, 2**64 + 1, 3, -7, 0.1, 1 / 3]
+
+
+def _exact_cnum(i: int) -> dict:
+    re = EXACT_PARTS[i % len(EXACT_PARTS)]
+    if i % 3 == 0:
+        return {"re": re}
+    return {"re": re, "im": EXACT_PARTS[(5 * i + 1) % len(EXACT_PARTS)]}
+
+
+class TestDecode:
+    def test_table_is_bit_exact(self):
+        n = 6
+        upper = {(i, j): _exact_cnum(i * n + j) for i in range(n) for j in range(i + 1, n)}
+
+        def entry(i, j):
+            if i == j:
+                return {"re": EXACT_PARTS[i]}
+            if i < j:
+                return upper[i, j]
+            z = upper[j, i]
+            return {"re": z["re"], "im": -z.get("im", 0.0)}
+
+        table = [[entry(i, j) for j in range(n)] for i in range(n)]
+        config = {"command": "validate", "kernel": {"variant": "table", "table": table}}
+        assert "table" in cli._screen_cnum_arrays(config)[1]
+        got = cli.parse_config(config).kernel.table
+        expected = _reference_vector([z for row in table for z in row]).reshape(n, n)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [None, 1, 3])
+    def test_points_are_bit_exact(self, dim):
+        cnums = [_exact_cnum(i) for i in range(2 * len(EXACT_PARTS) * (dim or 1))]
+        points = cnums if dim is None else [cnums[k:k + dim] for k in range(0, len(cnums), dim)]
+        config = {"command": "validate", "kernel": {"variant": "szego"}, "points": points}
+        assert "points" in cli._screen_cnum_arrays(config)[1]
+        got = cli.parse_config(config).points.coords
+        expected = _reference_vector(cnums).reshape(len(points), -1)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field", ["target_features", "source_features"])
+    def test_features_are_bit_exact(self, field):
+        rows = [[_exact_cnum(3 * i + j) for j in range(3)] for i in range(9)]
+        config = _morphism_config(**{"target_features": [[{"re": 1.0}]], field: rows})
+        decoded = cli.parse_config(config).cnum_arrays[field]
+        expected = _reference_vector([z for row in rows for z in row])
+        assert decoded.tobytes() == expected.tobytes()
+        got = cli._parse_matrix(rows, field, decoded)
+        assert got.tobytes() == cli._parse_matrix(rows, field).tobytes()
+        assert got.tobytes() == expected.reshape(9, 3).tobytes()
+
+    def test_an_integer_beyond_the_float_range_names_its_cnum(self):
+        huge = {"re": 0.5, "im": 10**400}
+        table = [[{"re": 1.0}, {"re": 2.0}], [huge, {"re": -(10**400)}]]
+        config = {"command": "validate", "kernel": {"variant": "table", "table": table}}
+        assert "table" in cli._screen_cnum_arrays(config)[1]
+        with pytest.raises(ConfigError) as raised:
+            cli.parse_config(config)
+        assert str(raised.value) == f"complex numbers must be finite, got {huge!r}"
+
+    def test_first_non_finite_cnum_in_row_major_order_is_named(self):
+        rows = [[{"re": 0.0}, {"re": 0.0, "im": float("nan")}],
+                [{"re": float("inf")}, {"re": 0.0}]]
+        for z in (cli._screen_cnum_arrays({"points": rows})[1]["points"], None):
+            with pytest.raises(ConfigError, match=r"got \{'re': 0\.0, 'im': nan\}"):
+                cli._parse_matrix(rows, "table", z)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "validate",
+         "kernel": {"variant": "table", "table": [[{"re": 1.0}], [{"re": 1.0}, {"re": 2.0}]]}},
+        _morphism_config(target_features=[[{"re": 1.0}], [{"re": 1.0}, {"re": 2.0}]]),
+        _morphism_config(target_features=[[{"re": 1.0}]],
+                         source_features=[[{"re": 1.0}, {"re": 2.0}], []]),
+    ],
+    ids=["kernel.table", "morphism.target_features", "morphism.source_features"],
+)
+def test_ragged_cnum_arrays_are_config_errors(config, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([config["command"], "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"kb: config error: [a-z._]+ rows must all have the same length\n", err)
+
+
+def test_ragged_table_parsed_entry_by_entry_is_a_config_error():
+    """A table that only jsonschema accepts takes the per-entry path."""
+    table = [[{"re": np.float64(1.0)}], [{"re": 1.0}, {"re": 2.0}]]
+    with pytest.raises(ConfigError, match="kernel.table rows must all have the same length"):
+        cli.parse_config({"command": "validate", "kernel": {"variant": "table", "table": table}})
+
+
+@pytest.mark.parametrize("name", ["verify_all", "clark_two_atoms", "renorm_two_atoms",
+                                  "gaussian_identity"])
+def test_negative_seed_option_is_a_config_error(name, capsys):
+    command = WORKED_CONFIGS[name]["command"]
+    assert cli.main([command, "--config", str(CONFIGS / f"{name}.json"), "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "kb: config error: --seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize(
