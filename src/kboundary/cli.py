@@ -239,10 +239,14 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
     return view, decoded
 
 
-def _cnum_vector(rows, z: np.ndarray | None) -> np.ndarray:
+def _cnum_vector(rows, z: np.ndarray | None = None) -> np.ndarray:
     """The cnums of ``rows`` in row-major order as a complex vector: ``z``
-    when the screen decoded them, else each through ``_to_complex``.  A
-    non-finite number is a ConfigError naming the first such cnum."""
+    when the screen decoded them, else ``rows`` decoded by ``_decode_cnums``,
+    else each through ``_to_complex``.  A non-finite number is a ConfigError
+    naming the first such cnum."""
+    if z is None:
+        flat = _row_major(rows, points=False)
+        z = None if flat is None else _decode_cnums(flat)
     if z is None:
         return np.array([_to_complex(c) for row in rows for c in row], dtype=complex)
     bad = ~np.isfinite(z)
@@ -314,10 +318,6 @@ class JobConfig:
     sample_count: int | None = None
     output_path: str | None = None
     output_format: str = "json"
-    # The cnum arrays that _screen_cnum_arrays decoded, by field; the
-    # morphism's features are read here at run time, and a field missing here
-    # is parsed entry by entry.
-    cnum_arrays: dict = dataclasses.field(default_factory=dict, repr=False)
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
@@ -362,7 +362,6 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             sample_count=data.get("sample_count"),
             output_path=out.get("path"),
             output_format=out.get("format", "json"),
-            cnum_arrays=decoded,
         )
     except KernelBoundaryError:
         raise
@@ -486,17 +485,14 @@ def _run_morphism_check(cfg: JobConfig):
     morphism = factorization.MeasureMorphism(
         source=source, target=target, map=dict(raw["map"])
     )
-    decoded = cfg.cnum_arrays
-    target_features = _parse_matrix(raw["target_features"], "morphism.target_features",
-                                    decoded.get("target_features"))
+    target_features = _parse_matrix(raw["target_features"], "morphism.target_features")
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
     F1 = factorization.BoundaryFactorization.induced(target, target_features)
     if "source_features" in raw:
         F2 = factorization.BoundaryFactorization(
             kernel=F1.kernel, measure=source,
-            features=_parse_matrix(raw["source_features"], "morphism.source_features",
-                                   decoded.get("source_features")),
+            features=_parse_matrix(raw["source_features"], "morphism.source_features"),
         )
     else:
         F2 = factorization.pullback(F1, morphism)

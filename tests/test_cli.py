@@ -386,11 +386,10 @@ class TestDecode:
     def test_features_are_bit_exact(self, field):
         rows = [[_exact_cnum(3 * i + j) for j in range(3)] for i in range(9)]
         config = _morphism_config(**{"target_features": [[{"re": 1.0}]], field: rows})
-        decoded = cli.parse_config(config).cnum_arrays[field]
+        decoded = cli._screen_cnum_arrays(config)[1][field]
         expected = _reference_vector([z for row in rows for z in row])
         assert decoded.tobytes() == expected.tobytes()
-        got = cli._parse_matrix(rows, field, decoded)
-        assert got.tobytes() == cli._parse_matrix(rows, field).tobytes()
+        got = cli._parse_matrix(rows, field)
         assert got.tobytes() == expected.reshape(9, 3).tobytes()
 
     def test_an_integer_beyond_the_float_range_names_its_cnum(self):
@@ -405,9 +404,14 @@ class TestDecode:
     def test_first_non_finite_cnum_in_row_major_order_is_named(self):
         rows = [[{"re": 0.0}, {"re": 0.0, "im": float("nan")}],
                 [{"re": float("inf")}, {"re": 0.0}]]
-        for z in (cli._screen_cnum_arrays({"points": rows})[1]["points"], None):
+        # The screen's vector, the matrix's own decoding, and entry by entry
+        # (a numpy scalar part makes _decode_cnums refuse the rows).
+        per_entry = [rows[0], [{"re": float("inf")}, {"re": np.float64(0.0)}]]
+        assert cli._decode_cnums([c for row in per_entry for c in row]) is None
+        for matrix, z in ((rows, cli._screen_cnum_arrays({"points": rows})[1]["points"]),
+                          (rows, None), (per_entry, None)):
             with pytest.raises(ConfigError, match=r"got \{'re': 0\.0, 'im': nan\}"):
-                cli._parse_matrix(rows, "table", z)
+                cli._parse_matrix(matrix, "table", z)
 
 
 @pytest.mark.parametrize(
