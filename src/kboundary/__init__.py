@@ -63,7 +63,6 @@ from .factorization import (
     verify_factorization,
 )
 from .gaussian import (
-    GaussianRealization,
     SampleBatch,
     consistency_check,
     empirical_covariance,

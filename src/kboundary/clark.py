@@ -26,8 +26,6 @@ soon as there are at least as many distinct points z as atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import (
@@ -39,7 +37,7 @@ from .errors import (
     ZeroExpectation,
 )
 from .factorization import BoundaryFactorization, apply_V, minimality_test
-from .kernels import FiniteKernel, PointSet, _check_in_disk, _hermitian_mirror, numerical_rank
+from .kernels import FiniteKernel, PointSet, _check_in_disk, numerical_rank
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
@@ -192,24 +190,14 @@ def expectation_vector(F: BoundaryFactorization) -> np.ndarray:
 class RenormContext:
     """A factorization together with its mean-normalized companion.
 
-    kren_gram[i, j] = gram[i, j] / (E_i conj(E_j)) and
-    kren_features[i, x] = features[i, x] / E_i, so the factorization
-    identity survives renormalization verbatim.
+    kren_factorization has the kernel gram[i, j] / (E_i conj(E_j)) and the
+    features features[i, x] / E_i, so the factorization identity survives
+    renormalization verbatim.
     """
 
     factorization: BoundaryFactorization
     expectations: np.ndarray
-    kren_gram: np.ndarray
-    kren_features: np.ndarray
-
-    @cached_property
-    def kren_factorization(self) -> BoundaryFactorization:
-        """The renormalized factorization, built once: the fields are frozen."""
-        return BoundaryFactorization(
-            kernel=FiniteKernel(points=self.factorization.kernel.points, gram=self.kren_gram),
-            measure=self.factorization.measure,
-            features=self.kren_features,
-        )
+    kren_factorization: BoundaryFactorization
 
 
 def renormalize(F: BoundaryFactorization) -> RenormContext:
@@ -226,14 +214,15 @@ def renormalize(F: BoundaryFactorization) -> RenormContext:
         raise ZeroExpectation(
             f"feature mean for point index {worst} has modulus {abs(E[worst])!r}"
         )
-    denom = np.outer(E, np.conj(E))
-    kren_gram = _hermitian_mirror(F.kernel.gram / denom)
-    kren_features = F.features / E[:, None]
+    kren_kernel = FiniteKernel(
+        points=F.kernel.points, gram=F.kernel.gram / np.outer(E, np.conj(E))
+    )
     return RenormContext(
         factorization=F,
         expectations=E,
-        kren_gram=kren_gram,
-        kren_features=kren_features,
+        kren_factorization=BoundaryFactorization(
+            kernel=kren_kernel, measure=F.measure, features=F.features / E[:, None]
+        ),
     )
 
 

@@ -475,7 +475,7 @@ def _run_renorm(cfg: JobConfig):
         Check("inverse-mean-matches-b", cross <= selfcheck.INVERSE_MEAN_TOL,
               {"max_abs_error": cross}),
     ]
-    return checks, {"kren_gram": ctx.kren_gram}, {"seed": cfg.seed, "n_points": len(zs)}
+    return checks, {"kren_gram": ctx.kren_factorization.kernel.gram}, {"seed": cfg.seed, "n_points": len(zs)}
 
 
 def _run_morphism_check(cfg: JobConfig):

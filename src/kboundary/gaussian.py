@@ -1,19 +1,21 @@
 """Gaussian realization of a finite kernel as a boundary process.
 
-Every PSD kernel admits a zero-mean Gaussian process with the kernel as
-covariance.  At desk scale the process is a random vector: draws are
-L w with L a spectral square root of the Gram matrix and w a standard
-Gaussian vector, real normals for real kernels and circularly-symmetric
-complex normals (E w conj(w) = 1, E w^2 = 0) for complex ones, so that
-E(k_s conj(k_t)) = K(s, t) holds in both conventions.
+Every boundary factorization (Phi, mu) of a PSD kernel K carries a
+zero-mean Gaussian process with covariance K: for g standard normal on the
+atoms, X = Phi (sqrt(mu) g) has E(X_s conj(X_t)) = sum_x k_s(x) conj(k_t(x))
+mu(x) = K(s, t).  Draws are L g with L = Phi sqrt(mu), for the spectral
+factorization that ``realize`` returns (counting measure, so L = Phi), a
+Clark K_b factorization through its atoms, or any other.  g is real for
+real kernels and circularly-symmetric complex (E g conj(g) = 1,
+E g^2 = 0) for complex ones, so the identity holds in both conventions.
 
 Sampling is chunked over a counter-based generator keyed by
-(seed, chunk index): a fixed (seed, chunk layout, N) always reproduces
-the same batch, and chunks are independent so parallel evaluation cannot
-reorder the stream.  ``moments`` reads the same chunks as ``sample`` but
-keeps only running sums, so its memory does not grow with N.  A Gram
-matrix with zero imaginary part gets a real factor, so real-tagged draws
-and their sums stay in real arithmetic.
+(seed, chunk index): a fixed (factorization, seed, chunk layout, N)
+always reproduces the same batch, and chunks are independent so parallel
+evaluation cannot reorder the stream.  ``moments`` reads the same chunks
+as ``sample`` but keeps only running sums, so its memory does not grow
+with N.  An L with zero imaginary part is used as a real matrix, so
+real-tagged draws and their sums stay in real arithmetic.
 
 The finite-marginal density uses the standard Gaussian normalization,
 (2 pi)^(-n/2) det(M)^(-1/2) in the real case and pi^(-n) det(M)^(-1) in
@@ -26,40 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotPsd, ShapeMismatch, SingularCovariance
-from .kernels import FiniteKernel, relative_residual
+from .errors import IndexOutOfRange, ShapeMismatch, SingularCovariance
+from .factorization import BoundaryFactorization
+from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
+from .rkhs import parseval_factorize
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
 DENSITY_TOL = 1e-12
-EXACT_TOL = 1e-12  # restricted factor against the Gram block, relative to ||G||_2
-
-
-@dataclass(frozen=True)
-class GaussianRealization:
-    """Spectral factor L (n x r) with L L^* = G, plus the sampling seed.
-
-    L is float64 when given real and complex128 otherwise."""
-
-    kernel: FiniteKernel
-    factor: np.ndarray
-    seed: int
-    field_tag: str = "complex"
-
-    def __post_init__(self):
-        L = np.asarray(self.factor)
-        L = L.astype(complex if np.iscomplexobj(L) else float, copy=False)
-        if L.ndim != 2 or L.shape[0] != self.kernel.size:
-            raise ShapeMismatch(
-                f"factor must have {self.kernel.size} rows, got shape {L.shape}"
-            )
-        L.setflags(write=False)
-        object.__setattr__(self, "factor", L)
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
-
-    @property
-    def rank(self) -> int:
-        return int(self.factor.shape[1])
+EXACT_TOL = 1e-12  # restricted factorization against the Gram block, relative to ||G||_2
 
 
 @dataclass(frozen=True)
@@ -79,17 +56,11 @@ class SampleBatch:
         return int(self.draws.shape[0])
 
 
-def realize(K: FiniteKernel, seed: int = 0) -> GaussianRealization:
-    """Spectral square root of the Gram matrix from K.spectrum, dropping
-    eigenvalues at or below FACTOR_TOL * ||G||_2.  Raises NotPsd when one lies
-    below -FACTOR_TOL * ||G||_2.  The factor is real for a real Gram matrix.
-    """
-    spec = K.spectrum
-    if not spec.is_psd(FACTOR_TOL):
-        raise NotPsd(f"kernel has min eigenvalue {spec.values[0]!r}; cannot realize")
-    return GaussianRealization(
-        kernel=K, factor=spec.factor(FACTOR_TOL), seed=seed, field_tag=K.field_tag
-    )
+def realize(K: FiniteKernel) -> BoundaryFactorization:
+    """The spectral factorization of K whose process the sampler draws:
+    ``parseval_factorize`` with eigenvalues at or below FACTOR_TOL * ||G||_2
+    dropped.  Raises NotPsd when one lies below -FACTOR_TOL * ||G||_2."""
+    return parseval_factorize(K, rank_tol=FACTOR_TOL, psd_tol=FACTOR_TOL)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -97,42 +68,40 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_chunks(R: GaussianRealization, N: int, chunk_size: int):
-    """Yield the N draws of R as chunks of at most chunk_size rows, chunk i
-    drawn from the Philox stream keyed by (seed, i)."""
+def _seed_record(seed: int, N: int, chunk_size: int) -> dict:
+    return {"seed": int(seed) & (2**64 - 1), "chunk_size": int(chunk_size), "count": int(N)}
+
+
+def _draw_chunks(F: BoundaryFactorization, record: dict):
+    """Yield the draws of F's process that ``record`` names, as chunks of at
+    most chunk_size rows, chunk i drawn from the Philox stream keyed by
+    (seed, i)."""
+    N, chunk_size = record["count"], record["chunk_size"]
     if N < 1:
         raise ShapeMismatch("sample count must be >= 1")
     if chunk_size < 1:
         raise ShapeMismatch("chunk size must be >= 1")
-    r = R.rank
+    L = _real_if_zero_imag(F.features * np.sqrt(F.measure.weights))
+    L = np.ascontiguousarray(L)  # a strided .real view slows the products
     for chunk_index, start in enumerate(range(0, N, chunk_size)):
-        count = min(chunk_size, N - start)
-        rng = _chunk_rng(R.seed, chunk_index)
-        if R.field_tag == "real":
-            w = rng.standard_normal((count, r))
+        rng = _chunk_rng(record["seed"], chunk_index)
+        shape = (min(chunk_size, N - start), F.n_atoms)
+        if F.kernel.field_tag == "real":
+            g = rng.standard_normal(shape)
         else:
-            w = (
-                rng.standard_normal((count, r))
-                + 1j * rng.standard_normal((count, r))
-            ) / np.sqrt(2.0)
-        yield w @ R.factor.T
-
-
-def _seed_record(R: GaussianRealization, N: int, chunk_size: int) -> dict:
-    return {"seed": R.seed, "chunk_size": int(chunk_size), "count": int(N)}
+            g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        yield g @ L.T
 
 
 def sample(
-    R: GaussianRealization, N: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    F: BoundaryFactorization, N: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> SampleBatch:
-    """Draw N realizations of the process; zero mean by construction.
+    """Draw N realizations of F's process; zero mean by construction.
 
     Holds the whole N x n batch; callers that need only the mean and the
     covariance use ``moments``."""
-    return SampleBatch(
-        draws=np.vstack(list(_draw_chunks(R, N, chunk_size))),
-        seed_record=_seed_record(R, N, chunk_size),
-    )
+    record = _seed_record(seed, N, chunk_size)
+    return SampleBatch(draws=np.vstack(list(_draw_chunks(F, record))), seed_record=record)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -145,9 +114,10 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
 
 
 def moments(
-    R: GaussianRealization, N: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+    F: BoundaryFactorization, N: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> tuple:
-    """(mean, covariance, seed_record) of the draws of ``sample(R, N, chunk_size)``.
+    """(mean, covariance, seed_record) of the draws of
+    ``sample(F, N, seed, chunk_size)``.
 
     The covariance is the zero-mean estimator of ``empirical_covariance``.
     Each chunk is added to the running sums of d and d d^* and then
@@ -155,11 +125,12 @@ def moments(
     """
     if N < 2:
         raise ShapeMismatch("need at least two draws")
+    record = _seed_record(seed, N, chunk_size)
     total = outer = 0.0
-    for d in _draw_chunks(R, N, chunk_size):
+    for d in _draw_chunks(F, record):
         total = total + d.sum(axis=0)
         outer = outer + d.T @ d.conj()
-    return total / N, outer / N, _seed_record(R, N, chunk_size)
+    return total / N, outer / N, record
 
 
 def log_density(M_F: FiniteKernel, z) -> float:
@@ -190,15 +161,15 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     """Marginalization consistency of the realized process.
 
     ``covariance`` and ``seed_record`` are the empirical covariance of the
-    full process and its record, as ``moments(realize(K, seed), N)``
+    full process and its record, as ``moments(realize(K), N, seed)``
     returns them, so that the caller's stream is not drawn twice.
 
-    exact_ok asserts structurally that restricting the factor rows
-    reproduces the principal Gram submatrix within EXACT_TOL * ||G||_2.
-    The empirical deviation compares the subset's block of that covariance
-    (the covariance of its projected samples) against a directly realized
-    process on the subset, sampled from the derived seed+1 stream with the
-    record's count and chunk size.
+    exact_ok asserts structurally that the subset's rows of the realized
+    features factorize the principal Gram submatrix within
+    EXACT_TOL * ||G||_2.  The empirical deviation compares the subset's
+    block of that covariance (the covariance of its projected samples)
+    against a directly realized process on the subset, sampled from the
+    derived seed+1 stream with the record's count and chunk size.
     """
     idx = list(subset)
     n = K.size
@@ -210,13 +181,13 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     if cov.shape != (n, n):
         raise ShapeMismatch(f"covariance has shape {cov.shape}, kernel has {n} points")
 
-    R = realize(K)
-    L_sub = R.factor[idx, :]
-    sub_gram = K.gram[np.ix_(idx, idx)]
-    exact_dev = float(np.abs(L_sub @ np.conj(L_sub).T - sub_gram).max())
-    exact_ok = relative_residual(exact_dev, K) <= EXACT_TOL
+    F, K_sub = realize(K), K.restrict(idx)
+    restricted = BoundaryFactorization(kernel=K_sub, measure=F.measure, features=F.features[idx])
+    exact_ok = relative_residual(restricted.residual, K) <= EXACT_TOL
 
-    R_sub = realize(K.restrict(idx), seed=seed_record["seed"] + 1)
-    emp_direct = moments(R_sub, seed_record["count"], seed_record["chunk_size"])[1]
+    emp_direct = moments(
+        realize(K_sub), seed_record["count"], seed_record["seed"] + 1,
+        seed_record["chunk_size"],
+    )[1]
     deviation = float(np.abs(cov[np.ix_(idx, idx)] - emp_direct).max())
     return {"exact_ok": exact_ok, "empirical_deviation": deviation}

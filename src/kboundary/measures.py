@@ -21,8 +21,17 @@ from .errors import InvalidMeasure
 NORMALIZATION_TOL = 1e-12
 
 
+def _as_floats(values, message: str) -> np.ndarray:
+    """``values`` as a float array; an integer beyond the float range raises
+    InvalidMeasure with ``message``, as an infinite entry would."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise InvalidMeasure(message) from None
+
+
 def _as_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = _as_floats(weights, "all weights must be finite")
     if w.ndim != 1:
         raise InvalidMeasure("weights must be a 1-d array")
     if not np.all(np.isfinite(w)):
@@ -61,7 +70,7 @@ class DiscreteMeasure:
                 f"normalized measure must have total mass 1, got {w.sum()!r}"
             )
         if self.coords is not None:
-            c = np.atleast_2d(np.asarray(self.coords, dtype=float))
+            c = np.atleast_2d(_as_floats(self.coords, "coords must lie in [0,1)^k"))
             if c.shape[0] != len(atoms):
                 raise InvalidMeasure("coords must supply one tuple per atom")
             if not np.all((c >= 0.0) & (c < 1.0)):  # NaN fails too
@@ -98,7 +107,7 @@ class CircleMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.atoms, dtype=float)
+        x = _as_floats(self.atoms, "atoms must lie in [0,1)")
         if x.ndim != 1 or x.size == 0:
             raise InvalidMeasure("atoms must be a nonempty 1-d array")
         if not np.all((x >= 0.0) & (x < 1.0)):  # NaN fails too

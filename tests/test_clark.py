@@ -36,6 +36,12 @@ from kboundary import (
     szego_eval,
     verify_factorization,
 )
+from kboundary.kernels import _hermitian_mirror
+from kboundary.selfcheck import (
+    _random_feature_factorization,
+    random_circle_measure,
+    random_interior,
+)
 
 POINT_MASS = CircleMeasure(atoms=[0.0], weights=[1.0])
 TWO_ATOMS = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
@@ -220,8 +226,8 @@ class TestExpectationAndRenormalization:
         zs = np.array([0.2, 0.4j, -0.3])
         F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), zs)
         np.testing.assert_allclose(expectation_vector(F), 1.0, atol=1e-14)
-        ctx = renormalize(F)
-        np.testing.assert_allclose(ctx.kren_gram, F.kernel.gram, atol=1e-14)
+        kren = renormalize(F).kren_factorization
+        np.testing.assert_allclose(kren.kernel.gram, F.kernel.gram, atol=1e-14)
 
     def test_szego_features_give_cauchy_transform(self):
         mu = POINT_MASS
@@ -253,12 +259,11 @@ class TestExpectationAndRenormalization:
             features=phi,
         )
         ctx = renormalize(F)
+        kren = ctx.kren_factorization
         np.testing.assert_allclose(ctx.expectations, [1.0, 0.5], atol=1e-15)
-        np.testing.assert_allclose(
-            ctx.kren_gram, [[1.0, 1.0], [1.0, 4.0]], atol=1e-15
-        )
-        np.testing.assert_allclose(ctx.kren_features[1], [2.0, -2.0], atol=1e-15)
-        assert verify_factorization(ctx.kren_factorization) <= 1e-12
+        np.testing.assert_allclose(kren.kernel.gram, [[1.0, 1.0], [1.0, 4.0]], atol=1e-15)
+        np.testing.assert_allclose(kren.features[1], [2.0, -2.0], atol=1e-15)
+        assert verify_factorization(kren) <= 1e-12
 
     def test_zero_expectation_fails_fast(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
@@ -272,6 +277,19 @@ class TestExpectationAndRenormalization:
         with pytest.raises(ZeroExpectation):
             renormalize(F)
 
+    def test_renormalized_kernel_is_the_mirrored_quotient_bit_for_bit(self):
+        # FiniteKernel mirrors the quotient itself; renormalize adds nothing.
+        rng = np.random.default_rng(83)
+        corpus = [_random_feature_factorization(rng, mean_shift=2.0) for _ in range(60)]
+        corpus += [build_szego_factorization(random_circle_measure(rng), random_interior(rng, 5))
+                   for _ in range(20)]
+        for F in corpus:
+            E = expectation_vector(F)
+            kren = renormalize(F).kren_factorization
+            reference = _hermitian_mirror(F.kernel.gram / np.outer(E, np.conj(E)))
+            assert kren.kernel.gram.tobytes() == reference.tobytes()
+            assert kren.features.tobytes() == (F.features / E[:, None]).tobytes()
+
     def test_near_floor_expectations_keep_relative_accuracy(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
         eps = 1e-3
@@ -282,9 +300,9 @@ class TestExpectationAndRenormalization:
             measure=meas,
             features=phi,
         )
-        ctx = renormalize(F)
-        residual = verify_factorization(ctx.kren_factorization)
-        scale = float(np.abs(ctx.kren_gram).max())
+        kren = renormalize(F).kren_factorization
+        residual = verify_factorization(kren)
+        scale = float(np.abs(kren.kernel.gram).max())
         assert residual <= 1e-9 * scale
 
 
@@ -301,10 +319,11 @@ class TestNormalizedTransform:
             features=phi,
         )
         ctx = renormalize(F)
+        kren = ctx.kren_factorization
         for t in range(2):
-            out = normalized_transform_V(ctx, ctx.kren_features[t])
-            np.testing.assert_allclose(out, ctx.kren_gram[t, :], atol=1e-12)
-            via_plain = apply_V(ctx.kren_factorization, ctx.kren_features[t])
+            out = normalized_transform_V(ctx, kren.features[t])
+            np.testing.assert_allclose(out, kren.kernel.gram[t, :], atol=1e-12)
+            via_plain = apply_V(kren, kren.features[t])
             np.testing.assert_allclose(out, via_plain, atol=1e-12)
 
     def test_zero_input(self):

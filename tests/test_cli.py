@@ -488,8 +488,17 @@ def test_non_finite_cnums_are_config_errors(text, tmp_path, capsys):
         '{"command": "morphism-check", "morphism": {"source": {"atoms": ["a"],'
         ' "weights": [Infinity]}, "target": {"atoms": ["a"], "weights": [1.0]},'
         ' "map": {"a": "a"}, "target_features": [[{"re": 1.0}]]}}',
+        # Integers beyond the float range, which float() cannot convert.
+        '{"command": "clark", "measure": {"atoms": [0.0, 0.5], "weights": [0.5, 1%s]},'
+        ' "sample_count": 5}' % ("0" * 400),
+        '{"command": "clark", "measure": {"atoms": [0.0, -1%s], "weights": [0.5, 0.5]},'
+        ' "sample_count": 5}' % ("0" * 400),
+        '{"command": "morphism-check", "morphism": {"source": {"atoms": ["a"],'
+        ' "weights": [1%s]}, "target": {"atoms": ["a"], "weights": [1.0]},'
+        ' "map": {"a": "a"}, "target_features": [[{"re": 1.0}]]}}' % ("0" * 400),
     ],
-    ids=["nan-atom", "nan-weight", "infinite-discrete-weight"],
+    ids=["nan-atom", "nan-weight", "infinite-discrete-weight", "huge-integer-weight",
+         "huge-integer-atom", "huge-integer-discrete-weight"],
 )
 def test_non_finite_measures_are_rejected(text, tmp_path, capsys):
     path = tmp_path / "job.json"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kboundary import (
     BaseMismatch,
     BoundaryFactorization,
+    CircleMeasure,
     DiscreteMeasure,
     FiniteKernel,
     InvalidMeasure,
@@ -61,6 +62,18 @@ def induced_factorization(rng, n, m):
     return BoundaryFactorization(
         kernel=_kernel_from_gram(gram), measure=measure, features=phi
     )
+
+
+@pytest.mark.parametrize("make", [
+    lambda big: DiscreteMeasure(atoms=("a", "b"), weights=[1, big], normalized=False),
+    lambda big: DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.5],
+                                coords=[[0.5], [big]]),
+    lambda big: CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, big]),
+    lambda big: CircleMeasure(atoms=[0.0, -big], weights=[0.5, 0.5]),
+], ids=["discrete-weight", "discrete-coord", "circle-weight", "circle-atom"])
+def test_measure_integers_beyond_the_float_range_are_invalid(make):
+    with pytest.raises(InvalidMeasure):
+        make(10**400)
 
 
 class TestDiscreteMeasure:

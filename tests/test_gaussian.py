@@ -35,18 +35,18 @@ def _table_kernel(matrix, field_tag="complex"):
 
 class TestRealize:
     def test_identity_factor(self):
-        R = realize(_table_kernel(np.eye(2)))
-        np.testing.assert_allclose(R.factor @ np.conj(R.factor).T, np.eye(2), atol=1e-12)
+        F = realize(_table_kernel(np.eye(2)))
+        np.testing.assert_allclose(F.features @ np.conj(F.features).T, np.eye(2), atol=1e-12)
 
     def test_two_by_two(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        R = realize(_table_kernel(G))
-        np.testing.assert_allclose(R.factor @ np.conj(R.factor).T, G, atol=1e-12)
+        F = realize(_table_kernel(G))
+        np.testing.assert_allclose(F.features @ np.conj(F.features).T, G, atol=1e-12)
 
     def test_rank_one(self):
-        R = realize(_table_kernel([[1.0, 1.0], [1.0, 1.0]]))
-        assert R.rank == 1
-        col = R.factor[:, 0]
+        F = realize(_table_kernel([[1.0, 1.0], [1.0, 1.0]]))
+        assert F.n_atoms == 1
+        col = F.features[:, 0]
         assert abs(col[0] - col[1]) <= 1e-12
         np.testing.assert_allclose(np.abs(col), [1.0, 1.0], atol=1e-12)
 
@@ -56,9 +56,9 @@ class TestRealize:
 
     def test_deterministic(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        R1 = realize(_table_kernel(G), seed=9)
-        R2 = realize(_table_kernel(G), seed=9)
-        assert np.array_equal(R1.factor, R2.factor)
+        F1 = realize(_table_kernel(G))
+        F2 = realize(_table_kernel(G))
+        assert np.array_equal(F1.features, F2.features)
 
 
 class TestSample:
@@ -68,20 +68,20 @@ class TestSample:
 
     def test_scalar_real_mean(self):
         K = _table_kernel([[1.0]], field_tag="real")
-        batch = sample(realize(K, seed=12345), 1_000_000)
+        batch = sample(realize(K), 1_000_000, seed=12345)
         assert abs(batch.draws.mean()) <= 0.005
 
     def test_fixed_seed_bit_identical(self):
         K = _table_kernel([[2.0, 1.0], [1.0, 2.0]], field_tag="real")
-        b1 = sample(realize(K, seed=77), 10_000)
-        b2 = sample(realize(K, seed=77), 10_000)
+        b1 = sample(realize(K), 10_000, seed=77)
+        b2 = sample(realize(K), 10_000, seed=77)
         assert np.array_equal(b1.draws, b2.draws)
 
     def test_chunked_layout_is_part_of_the_contract(self):
         K = _table_kernel([[1.0]], field_tag="real")
-        R = realize(K, seed=5)
-        b1 = sample(R, 3000, chunk_size=1024)
-        b2 = sample(R, 3000, chunk_size=1024)
+        F = realize(K)
+        b1 = sample(F, 3000, seed=5, chunk_size=1024)
+        b2 = sample(F, 3000, seed=5, chunk_size=1024)
         assert np.array_equal(b1.draws, b2.draws)
         assert b1.seed_record == {"seed": 5, "chunk_size": 1024, "count": 3000}
 
@@ -102,7 +102,7 @@ class TestEmpiricalCovariance:
 
     def test_identity_real(self):
         K = _table_kernel(np.eye(2), field_tag="real")
-        batch = sample(realize(K, seed=101), 200_000)
+        batch = sample(realize(K), 200_000, seed=101)
         emp = empirical_covariance(batch)
         assert np.abs(emp - np.eye(2)).max() <= 0.02
 
@@ -111,7 +111,7 @@ class TestEmpiricalCovariance:
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         G = A @ np.conj(A).T
         K = _table_kernel(G)
-        batch = sample(realize(K, seed=55), 200_000)
+        batch = sample(realize(K), 200_000, seed=55)
         emp = empirical_covariance(batch)
         assert np.abs(emp - G).max() <= 4.0 * np.abs(G).max() / np.sqrt(200_000)
 
@@ -141,7 +141,7 @@ class TestLogDensity:
 
 def _full_moments(K, N, seed):
     """(covariance, seed record) of N draws of K's process at ``seed``."""
-    _, cov, seed_record = moments(realize(K, seed=seed), N)
+    _, cov, seed_record = moments(realize(K), N, seed)
     return cov, seed_record
 
 
@@ -176,7 +176,7 @@ def test_sampled_factorization_is_not_minimal():
     A = rng.standard_normal((3, 3))
     G = A @ A.T
     K = _table_kernel(G, field_tag="real")
-    batch = sample(realize(K, seed=19), 64)
+    batch = sample(realize(K), 64, seed=19)
     weights = np.full(64, 1.0 / 64.0)
     measure = DiscreteMeasure(atoms=tuple(range(64)), weights=weights, normalized=True)
     F = BoundaryFactorization(kernel=K, measure=measure, features=batch.draws.T)

@@ -4,18 +4,28 @@ import numpy as np
 import pytest
 
 from kboundary import (
+    BoundaryFactorization,
+    CircleMeasure,
+    DiscreteMeasure,
     FiniteKernel,
+    InnerFunctionB,
     KernelSpec,
     PointSet,
     ShapeMismatch,
     assemble_gram,
+    build_kb_factorization,
     empirical_covariance,
     moments,
     realize,
     sample,
 )
 from kboundary import gaussian
-from kboundary.selfcheck import check_gaussian_realization, szego_real_part_kernel
+from kboundary.selfcheck import (
+    check_gaussian_realization,
+    covariance_bound,
+    random_interior,
+    szego_real_part_kernel,
+)
 
 
 def _table_kernel(matrix, field_tag):
@@ -44,57 +54,58 @@ KERNELS = {
 @pytest.mark.parametrize("N, chunk_size", [(12_000, 3_000), (10_007, 1_024)],
                          ids=["divides", "remainder"])
 def test_moments_match_the_materialized_batch(name, N, chunk_size):
-    R = realize(KERNELS[name](), seed=41)
-    batch = sample(R, N, chunk_size)
-    mean, cov, record = moments(R, N, chunk_size)
+    F = realize(KERNELS[name]())
+    batch = sample(F, N, 41, chunk_size)
+    mean, cov, record = moments(F, N, 41, chunk_size)
     np.testing.assert_allclose(cov, empirical_covariance(batch), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(mean, batch.draws.mean(axis=0), rtol=1e-13, atol=0.0)
     assert record == batch.seed_record == {"seed": 41, "chunk_size": chunk_size, "count": N}
 
 
 def test_moments_of_a_rank_zero_kernel_are_zero():
-    R = realize(_table_kernel(np.zeros((3, 3)), "real"), seed=2)
-    assert R.rank == 0
-    mean, cov, _ = moments(R, 5_000, chunk_size=1_000)
+    F = realize(_table_kernel(np.zeros((3, 3)), "real"))
+    assert F.n_atoms == 0
+    mean, cov, _ = moments(F, 5_000, 2, chunk_size=1_000)
     assert mean.shape == (3,) and cov.shape == (3, 3)
     assert not mean.any() and not cov.any()
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
 def test_moments_need_two_draws(N):
-    R = realize(_table_kernel(np.eye(2), "real"))
+    F = realize(_table_kernel(np.eye(2), "real"))
     with pytest.raises(ShapeMismatch):
-        moments(R, N)
+        moments(F, N)
 
 
 def test_moments_chunk_size_validated():
-    R = realize(_table_kernel(np.eye(2), "real"))
+    F = realize(_table_kernel(np.eye(2), "real"))
     with pytest.raises(ShapeMismatch):
-        moments(R, 100, chunk_size=0)
+        moments(F, 100, chunk_size=0)
 
 
 def test_moments_memory_is_flat_in_the_sample_count():
     # The materialized 2e6 x 4 complex batch alone is 128 MB.
-    R = realize(szego_real_part_kernel(), seed=3)
+    F = realize(szego_real_part_kernel())
     tracemalloc.start()
     try:
-        moments(R, 2_000_000)
+        moments(F, 2_000_000, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
-def test_real_gram_gives_a_real_factor():
-    assert realize(szego_real_part_kernel()).factor.dtype == np.float64
-    assert realize(_complex_szego_kernel()).factor.dtype == np.complex128
+def test_real_gram_gives_a_real_covariance():
+    assert moments(realize(szego_real_part_kernel()), 100)[1].dtype == np.float64
+    assert moments(realize(_complex_szego_kernel()), 100)[1].dtype == np.complex128
 
 
 def test_realize_keeps_full_rank_of_a_tiny_identity():
-    R = realize(_table_kernel(1e-11 * np.eye(2), "real"), seed=4)
-    assert R.rank == 2
-    np.testing.assert_allclose(R.factor @ R.factor.T, 1e-11 * np.eye(2), rtol=1e-12)
-    draws = sample(R, 100).draws
+    F = realize(_table_kernel(1e-11 * np.eye(2), "real"))
+    assert F.n_atoms == 2
+    np.testing.assert_allclose(F.features @ np.conj(F.features).T, 1e-11 * np.eye(2),
+                               rtol=1e-12)
+    draws = sample(F, 100, 4).draws
     assert np.all(draws != 0.0)
 
 
@@ -108,7 +119,7 @@ def test_realize_keeps_full_rank_of_a_tiny_identity():
 def test_realized_rank_does_not_depend_on_units(make, rank, scale):
     K = make()
     scaled = FiniteKernel(points=K.points, gram=scale * K.gram, field_tag=K.field_tag)
-    assert realize(scaled).rank == rank
+    assert realize(scaled).n_atoms == rank
 
 
 def test_realization_check_draws_each_stream_once(monkeypatch):
@@ -116,17 +127,54 @@ def test_realization_check_draws_each_stream_once(monkeypatch):
     # own seed + 1 process, each drawn straight from moments.
     seed, N, subset = 3, 20_000, [0, 2]
     K = szego_real_part_kernel()
-    full = moments(realize(K, seed=seed), N)[1]
-    direct = moments(realize(K.restrict(subset), seed=seed + 1), N)[1]
+    full = moments(realize(K), N, seed)[1]
+    direct = moments(realize(K.restrict(subset)), N, seed + 1)[1]
     expected = float(np.abs(full[np.ix_(subset, subset)] - direct).max())
 
     streams = []
 
-    def counting(R, count, *args):
-        streams.append((R.seed, R.kernel.size, count))
-        return moments(R, count, *args)
+    def counting(F, count, seed=0, *args):
+        streams.append((seed, F.kernel.size, count))
+        return moments(F, count, seed, *args)
 
     monkeypatch.setattr(gaussian, "moments", counting)
     check = check_gaussian_realization(seed=seed, n_draws=N)
     assert check.details["consistency_deviation"] == expected
     assert sorted(streams) == [(seed, 2, N), (seed, 4, N), (seed + 1, 2, N)]
+
+
+def _kb_factorization():
+    """K_b of a three-atom Clark measure, factorized through its atoms."""
+    mu = CircleMeasure(atoms=[0.1, 0.45, 0.8], weights=[0.5, 0.3, 0.2])
+    zs = random_interior(np.random.default_rng(5), 8)
+    return build_kb_factorization(InnerFunctionB(measure=mu), zs)
+
+
+def _weighted_factorization():
+    """Features on four atoms of unequal weight, with the kernel they induce."""
+    rng = np.random.default_rng(23)
+    phi = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    measure = DiscreteMeasure(atoms=("a", "b", "c", "d"), weights=[0.05, 0.15, 0.3, 0.5])
+    return BoundaryFactorization.induced(measure, phi)
+
+
+@pytest.mark.parametrize("make", [_kb_factorization, _weighted_factorization],
+                         ids=["clark-kb", "weighted-induced"])
+def test_a_factorization_is_sampled_through_its_atoms(make):
+    # X = Phi (sqrt(mu) g) has covariance Phi D Phi^* = G, whatever the weights.
+    F = make()
+    N = 200_000
+    mean, cov, record = moments(F, N, 17)
+    assert F.n_atoms < F.n_points
+    assert np.abs(cov - F.kernel.gram).max() <= covariance_bound(F.kernel, N)
+    assert np.all(np.abs(mean) <= 5.0 * np.sqrt(np.diag(F.kernel.gram).real / N))
+    assert record == {"seed": 17, "chunk_size": gaussian.DEFAULT_CHUNK_SIZE, "count": N}
+
+
+def test_counting_measure_draws_are_the_features_times_the_normals():
+    # sqrt(1) = 1 exactly, so a spectral draw is g @ features^T bit for bit.
+    F = realize(szego_real_part_kernel())
+    draws = sample(F, 10, 9).draws
+    g = gaussian._chunk_rng(9, 0).standard_normal((10, F.n_atoms))
+    expected = g @ np.ascontiguousarray(F.features.real).T
+    assert draws.tobytes() == expected.astype(complex).tobytes()

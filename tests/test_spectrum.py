@@ -119,7 +119,7 @@ def _verdicts(gram) -> dict:
             verdicts["apply_W"] = "rejects"
     try:
         R = realize(K)
-        verdicts["realize"] = R.rank
+        verdicts["realize"] = R.n_atoms
         _, cov, seed_record = moments(R, 2)
         verdicts["exact"] = consistency_check(K, [0], cov, seed_record)["exact_ok"]
     except NotPsd:
@@ -144,7 +144,7 @@ def _two_atom_factorization(scale: float) -> BoundaryFactorization:
 @pytest.mark.parametrize("k", range(-13, 9))
 def test_feature_verdicts_do_not_depend_on_units(k):
     F = _two_atom_factorization(10.0**k)
-    np.testing.assert_allclose(renormalize(F).kren_gram, [[1.0, 1.0], [1.0, 4.0]],
+    np.testing.assert_allclose(renormalize(F).kren_factorization.kernel.gram, [[1.0, 1.0], [1.0, 4.0]],
                                rtol=1e-14, atol=0.0)
     ident = MeasureMorphism(source=F.measure, target=F.measure, map={"0": "0", "1": "1"})
     one_ulp = BoundaryFactorization(kernel=F.kernel, measure=F.measure,
