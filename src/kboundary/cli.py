@@ -379,8 +379,7 @@ def _require(cfg: JobConfig, field: str):
 def _build_kernel(cfg: JobConfig) -> kernels.FiniteKernel:
     spec = _require(cfg, "kernel")
     if cfg.points is None and spec.variant == "table":
-        n = spec.table.shape[0]
-        points = kernels.PointSet.from_points(np.arange(n, dtype=complex))
+        points = kernels.index_points(spec.table.shape[0])
     else:
         points = _require(cfg, "points")
     return kernels.assemble_gram(spec, points)

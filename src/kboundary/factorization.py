@@ -37,6 +37,7 @@ from .kernels import (
     PointSet,
     Spectrum,
     default_rank_tol,
+    index_points,
     numerical_rank,
     relative_residual,
     spectrum,
@@ -77,7 +78,7 @@ class BoundaryFactorization:
                 f"features must have {measure.size} columns, got shape {phi.shape}"
             )
         if points is None:
-            points = PointSet.from_points(range(phi.shape[0]))
+            points = index_points(phi.shape[0])
         kernel = FiniteKernel(points=points, gram=_induced_gram(phi, measure.weights))
         return cls(kernel=kernel, measure=measure, features=phi)
 
@@ -93,6 +94,15 @@ class BoundaryFactorization:
         are those of conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
         B = np.sqrt(self.measure.weights)[:, None] * self.features.T
         return spectrum(B @ np.conj(B).T)
+
+    @cached_property
+    def feature_projector(self) -> np.ndarray:
+        """Orthogonal projection onto the eigenvectors of feature_spectrum
+        above the frame cutoff default_rank_tol(n_points), computed once and
+        read-only."""
+        S = self.feature_spectrum.projector(default_rank_tol(self.n_points))
+        S.setflags(write=False)
+        return S
 
     @property
     def n_points(self) -> int:
@@ -218,18 +228,17 @@ def apply_V(F: BoundaryFactorization, g) -> np.ndarray:
 def range_projection(F: BoundaryFactorization) -> np.ndarray:
     """Matrix of P = W W^* on L^2(mu): mu-orthogonal projection onto span{k_s}.
 
-    D^(1/2) P D^(-1/2) projects onto the eigenvectors of F.feature_spectrum
-    above the frame cutoff: a projection even on degenerate kernels.
+    D^(1/2) P D^(-1/2) is F.feature_projector: a projection even on
+    degenerate kernels.
     """
     sqrt_w = np.sqrt(F.measure.weights)
-    S = F.feature_spectrum.projector(default_rank_tol(F.n_points))
-    return S * sqrt_w[None, :] / sqrt_w[:, None]
+    return F.feature_projector * sqrt_w[None, :] / sqrt_w[:, None]
 
 
 def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
     """Eigenvalues of the range projection, computed on its Hermitian
     similarity transform D^(1/2) P D^(-1/2); they lie in {0, 1}."""
-    return spectrum(F.feature_spectrum.projector(default_rank_tol(F.n_points))).values
+    return spectrum(F.feature_projector).values
 
 
 def check_isometry(F: BoundaryFactorization) -> dict:

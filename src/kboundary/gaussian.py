@@ -164,6 +164,10 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     full process and its record, as ``moments(realize(K), N, seed)``
     returns them, so that the caller's stream is not drawn twice.
 
+    ``subset`` is a nonempty sequence of integer indices into K's points;
+    an empty subset, or an entry that is a bool, a float or outside
+    0..n-1, raises IndexOutOfRange naming it.
+
     exact_ok asserts structurally that the subset's rows of the realized
     features factorize the principal Gram submatrix within
     EXACT_TOL * ||G||_2.  The empirical deviation compares the subset's
@@ -173,8 +177,13 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     """
     idx = list(subset)
     n = K.size
+    if not idx:
+        raise IndexOutOfRange("subset is empty")
     for i in idx:
-        if not (0 <= int(i) < n):
+        # bool is an int subclass, and int(1.5) would truncate: both refused.
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise IndexOutOfRange(f"subset index {i!r} is not an integer")
+        if not (0 <= i < n):
             raise IndexOutOfRange(f"subset index {i!r} outside range 0..{n - 1}")
     idx = [int(i) for i in idx]
     cov = np.asarray(covariance)

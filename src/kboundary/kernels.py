@@ -10,13 +10,18 @@ are intrinsically real carry the field tag ``"real"`` so downstream
 consumers (Gaussian sampling, densities) can pick the right convention.
 Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
 eigendecomposition) or ``numerical_rank`` (the one SVD).
+
+``FiniteKernel`` validates and mirrors its Gram once, when it is built, in
+one pass over ``g`` and its conjugate transpose.  The index point set
+0..n-1 (``index_points``) and the strict-lower mask of each size are built
+once and shared: both are frozen, so no holder can change them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +94,13 @@ class PointSet:
         return cls(labels=tuple(labels), coords=arr)
 
 
+@lru_cache(maxsize=256)
+def index_points(n: int) -> PointSet:
+    """The index points 0, 1, ..., n-1 (labels ``p0``..), one shared instance
+    per n: a PointSet is frozen and its coords are read-only."""
+    return PointSet.from_points(np.arange(n, dtype=complex))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to evaluate, plus its domain constraint.
@@ -152,9 +164,11 @@ class FiniteKernel:
         n = self.points.size
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
-        _require_hermitian(g, "gram matrix is not Hermitian")
-        # Mirror the upper triangle so Hermitian symmetry holds bit for bit.
-        g = _hermitian_mirror(g)
+        gh = _require_hermitian(g, "gram matrix is not Hermitian")
+        # Mirror the upper triangle so Hermitian symmetry holds bit for bit,
+        # as _hermitian_mirror(g) does.
+        g = np.where(_strict_lower(n), gh, g)
+        np.fill_diagonal(g, g.diagonal().real)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         if self.field_tag not in ("real", "complex"):
@@ -192,10 +206,21 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _require_hermitian(g: np.ndarray, message: str) -> None:
-    """Raise NotHermitian unless ``g`` is Hermitian to HERMITIAN_TOL * max|g|."""
-    if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * np.abs(g).max():
+def _require_hermitian(g: np.ndarray, message: str) -> np.ndarray:
+    """``g.conj().T``, after raising NotHermitian unless ``g`` is Hermitian to
+    HERMITIAN_TOL * max|g|."""
+    gh = g.conj().T
+    if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
         raise NotHermitian(message)
+    return gh
+
+
+@lru_cache(maxsize=256)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only n x n mask of the strict lower triangle, shared per n."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _hermitian_mirror(g: np.ndarray) -> np.ndarray:

@@ -8,11 +8,16 @@ Two flavors are used throughout:
 * ``CircleMeasure`` -- atoms are points of [0,1) identified with the unit
   circle via e(x) = exp(i 2 pi x).  Finite atomic measures on the circle
   are automatically singular with respect to arc length.
+
+Measures are frozen with read-only arrays, so ``DiscreteMeasure.counting``
+hands out one shared instance per size.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +39,9 @@ def _as_weights(weights) -> np.ndarray:
     w = _as_floats(weights, "all weights must be finite")
     if w.ndim != 1:
         raise InvalidMeasure("weights must be a 1-d array")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvalidMeasure("all weights must be finite")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise InvalidMeasure("all weights must be strictly positive")
     return w
 
@@ -87,16 +92,22 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @classmethod
-    def counting(cls, n: int) -> "DiscreteMeasure":
-        """Counting measure on n atoms labeled 0..n-1 (weights 1, not normalized)."""
-        return cls(atoms=tuple(range(n)), weights=np.ones(n), normalized=False)
+    @staticmethod
+    def counting(n: int) -> "DiscreteMeasure":
+        """Counting measure on n atoms labeled 0..n-1 (weights 1, not
+        normalized), one shared instance per n."""
+        return _counting_measure(operator.index(n))
 
     def index(self, atom) -> int:
         try:
             return self.atoms.index(atom)
         except ValueError:
             raise InvalidMeasure(f"unknown atom {atom!r}") from None
+
+
+@lru_cache(maxsize=256)
+def _counting_measure(n: int) -> DiscreteMeasure:
+    return DiscreteMeasure(atoms=tuple(range(n)), weights=np.ones(n), normalized=False)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ vector by vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,6 +124,16 @@ def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,
     )
 
 
+@lru_cache(maxsize=32)
+def _parseval_probes(seed: int, trials: int, n: int) -> np.ndarray:
+    """The (n, trials) read-only coefficients of verify_parseval's seeded
+    random elements, drawn once per (seed, trials, n)."""
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, n))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]).T
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def verify_parseval(F: BoundaryFactorization, seed: int = 0, trials: int = 4) -> float:
     """Reconstruction residual of a counting-measure factorization.
 
@@ -132,8 +143,7 @@ def verify_parseval(F: BoundaryFactorization, seed: int = 0, trials: int = 4) ->
     | ||f||^2 - sum_n |<f, beta_n>|^2 | over ``trials`` seeded random
     elements f, judged in one array pass.  A NaN in either term is returned.
     """
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, F.n_points))
-    f = RkhsElement(base=F.kernel, coeffs=(draws[:, 0] + 1j * draws[:, 1]).T)
+    f = RkhsElement(base=F.kernel, coeffs=_parseval_probes(seed, trials, F.n_points))
     # Gram entries near the float limit overflow here; numpy stays quiet,
     # so that kb's stderr carries only kb's own messages.
     with np.errstate(over="ignore", invalid="ignore"):

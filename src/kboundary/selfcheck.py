@@ -8,6 +8,13 @@ corpus, keeping the worst value.  Each criterion builds its corpus from the
 given master seed, so the CLI ``verify-all`` command and the test suite
 share one implementation.  All tolerances are fixed here; nothing is
 calibrated at run time.
+
+The corpora are rebuilt from the seed on every call, apart from objects
+that are frozen and fixed by their arguments: the index point sets and
+counting measures (one per size, see ``kernels`` and ``measures``), the
+probe elements of ``rkhs.verify_parseval``, and the Herglotz corpus of the
+last seed, which two criteria read.  Sharing them changes no report: a run
+with warm caches equals one with cold caches.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import clark, factorization, gaussian, kernels, measures, rkhs
+from .errors import DomainViolation
 
 HERGLOTZ_TOL = 1e-10  # |Re[(1+b)/(1-b)] - Poisson[mu]|
 MODULUS_TOL = 1e-3  # |1 - |b|| on the grid below
@@ -28,6 +37,7 @@ MODULUS_MARGIN = 2e-3  # least circular distance of a grid angle to an atom
 INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
 ISOMETRY_DRAWS = 10
 ISOMETRY_TOL = 1e-12  # pullback isometry residual
+CIRCLE_DRAW_ATTEMPTS = 100_000  # rejection draws per random circle measure
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,7 @@ def _random_psd_kernel(rng: np.random.Generator, n_max: int = 20) -> kernels.Fin
     else:
         A = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     G = A @ np.conj(A).T
-    pts = kernels.PointSet.from_points(np.arange(n, dtype=complex))
-    return kernels.FiniteKernel(points=pts, gram=G)
+    return kernels.FiniteKernel(points=kernels.index_points(n), gram=G)
 
 
 def _random_feature_factorization(
@@ -154,13 +163,25 @@ def random_circle_measure(
     rng: np.random.Generator, max_atoms: int = 6, min_sep: float = 0.1
 ) -> measures.CircleMeasure:
     """1 to ``max_atoms`` atoms, circular gaps >= ``min_sep``, weights drawn
-    uniform on [1, 3] and normalized."""
+    uniform on [1, 3] and normalized.
+
+    The atoms are rejection-sampled: sorted uniform draws until every gap
+    is at least ``min_sep``.  The m gaps sum to 1, so m * min_sep >= 1
+    (m >= 2) raises DomainViolation at once, and so does a draw of m atoms
+    that no CIRCLE_DRAW_ATTEMPTS draws accept."""
     m = int(rng.integers(1, max_atoms + 1))
-    while True:
+    if m > 1 and m * min_sep >= 1.0:
+        raise DomainViolation(f"{m} atoms cannot keep circular gaps >= {min_sep!r}")
+    for _ in range(CIRCLE_DRAW_ATTEMPTS):
         atoms = np.sort(rng.uniform(0.0, 1.0, size=m))
-        gaps = np.diff(np.concatenate([atoms, [atoms[0] + 1.0]]))
-        if m == 1 or gaps.min() >= min_sep:
+        if m == 1 or (
+            (atoms[1:] - atoms[:-1]).min() >= min_sep and (atoms[0] + 1.0) - atoms[-1] >= min_sep
+        ):
             break
+    else:
+        raise DomainViolation(
+            f"none of {CIRCLE_DRAW_ATTEMPTS} draws of {m} atoms kept circular gaps >= {min_sep!r}"
+        )
     w = rng.uniform(1.0, 3.0, size=m)
     w = w / w.sum()
     return measures.CircleMeasure(atoms=atoms, weights=w)
@@ -398,10 +419,14 @@ def check_clark_exactness(seed: int = 0) -> Check:
     )
 
 
-def _herglotz_corpus(seed: int, n_measures: int = 20):
+@lru_cache(maxsize=1)
+def _herglotz_corpus(seed: int, n_measures: int = 20) -> tuple:
+    """(circle measures, read-only interior points) of ``seed``, built once
+    for the two criteria that read them."""
     rng = _rng(seed, 7)
-    corpus = [random_circle_measure(rng) for _ in range(n_measures)]
+    corpus = tuple(random_circle_measure(rng) for _ in range(n_measures))
     zs = random_interior(rng, 100)
+    zs.setflags(write=False)
     return corpus, zs
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -167,6 +169,22 @@ class TestConsistency:
         K = _table_kernel(np.eye(2))
         with pytest.raises(IndexOutOfRange):
             consistency_check(K, [0, 5], *_full_moments(K, 100, seed=0))
+
+    @pytest.mark.parametrize(
+        "subset, named",
+        [([], "subset is empty"), ([1.5], "1.5"), ([True, 1], "True"),
+         ([0, np.True_], "True"), ([np.float64(1.0)], "1.0")],
+    )
+    def test_bad_subset_entries_are_named(self, subset, named):
+        K = _table_kernel(np.eye(2))
+        with pytest.raises(IndexOutOfRange, match=re.escape(named)):
+            consistency_check(K, subset, *_full_moments(K, 100, seed=0))
+
+    def test_numpy_integer_indices_are_accepted(self):
+        K = _table_kernel(np.eye(3), field_tag="real")
+        moments_ = _full_moments(K, 2_000, seed=3)
+        assert (consistency_check(K, np.array([0, 2]), *moments_)
+                == consistency_check(K, [0, 2], *moments_))
 
 
 def test_sampled_factorization_is_not_minimal():
