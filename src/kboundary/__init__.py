@@ -52,7 +52,6 @@ from .factorization import (
     apply_W,
     check_isometry,
     check_morphism,
-    l2_inner,
     l2_norm_squared,
     minimality_test,
     projection_spectrum,
@@ -78,13 +77,11 @@ from .clark import (
     build_kb_factorization,
     build_szego_factorization,
     cauchy_transform,
-    density_criterion,
     expectation_vector,
     herglotz_poisson_check,
     inner_modulus_check,
     kb_eval,
     kb_feature,
-    normalized_transform_V,
     polydisk_density_test,
     renormalize,
 )

@@ -1,6 +1,6 @@
 """Circle-measure machinery: Cauchy transforms, inner functions, the
 de Branges-Rovnyak-type kernel with its exact finite-sum factorization,
-kernel renormalization and density tests.
+kernel renormalization and the polydisk density test.
 
 For a finite atomic probability measure mu on the circle the Cauchy
 transform is the finite sum C(z) = sum_j w_j / (1 - z conj(e(x_j))).
@@ -36,8 +36,10 @@ from .errors import (
     ShapeMismatch,
     ZeroExpectation,
 )
-from .factorization import BoundaryFactorization, apply_V, minimality_test
-from .kernels import FiniteKernel, PointSet, _check_in_disk, numerical_rank
+# apply_V stays importable from here: perfbench/selftest.py reads clark.apply_V.
+from .factorization import BoundaryFactorization, apply_V  # noqa: F401
+from .kernels import (FiniteKernel, KernelSpec, PointSet, _check_in_disk, assemble_gram,
+                      numerical_rank)
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
@@ -134,10 +136,8 @@ def build_kb_factorization(B: InnerFunctionB, points) -> BoundaryFactorization:
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
     zs = ps.coords[:, 0]
-    gram = kb_eval(B, zs[:, None], zs[None, :])
-    kernel = FiniteKernel(points=ps, gram=gram, field_tag="complex")
     return BoundaryFactorization(
-        kernel=kernel,
+        kernel=assemble_gram(KernelSpec.debranges_rovnyak(B.measure), ps),
         measure=B.measure.as_discrete(),
         features=kb_feature(B, zs[:, None], B.measure.atoms),
     )
@@ -188,14 +188,15 @@ def expectation_vector(F: BoundaryFactorization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RenormContext:
-    """A factorization together with its mean-normalized companion.
+    """The feature means E of a factorization and its mean-normalized companion.
 
     kren_factorization has the kernel gram[i, j] / (E_i conj(E_j)) and the
     features features[i, x] / E_i, so the factorization identity survives
-    renormalization verbatim.
+    renormalization verbatim.  The co-isometry V_mu from L^2(mu) onto H(K)
+    of the renormalized kernel is ``apply_V(ctx.kren_factorization, g)``,
+    and the density criterion is ``minimality_test(ctx.kren_factorization)``.
     """
 
-    factorization: BoundaryFactorization
     expectations: np.ndarray
     kren_factorization: BoundaryFactorization
 
@@ -218,40 +219,11 @@ def renormalize(F: BoundaryFactorization) -> RenormContext:
         points=F.kernel.points, gram=F.kernel.gram / np.outer(E, np.conj(E))
     )
     return RenormContext(
-        factorization=F,
         expectations=E,
         kren_factorization=BoundaryFactorization(
             kernel=kren_kernel, measure=F.measure, features=F.features / E[:, None]
         ),
     )
-
-
-def normalized_transform_V(ctx: RenormContext, g) -> np.ndarray:
-    """(V_mu g)(s_i) = (1/conj(E_i)) sum_x g(x) conj(features[i, x]) mu(x).
-
-    Identical to the plain adjoint transform applied to the renormalized
-    factorization; an (m, k) matrix g gives one column per column of g.
-    """
-    raw = apply_V(ctx.factorization, g)
-    return (raw.T / np.conj(ctx.expectations)).T
-
-
-def density_criterion(obj) -> dict:
-    """Do the (renormalized) features span L^2(mu)?
-
-    Accepts a RenormContext or a BoundaryFactorization.  Density of the
-    feature span is equivalent to the adjoint transform being defined on
-    all of L^2(mu) as a co-isometry, and, in the finite model, to full
-    feature rank.
-    """
-    F = obj.kren_factorization if isinstance(obj, RenormContext) else obj
-    result = minimality_test(F)
-    rank = result["feature_rank"]
-    return {
-        "is_dense": result["is_minimal"],
-        "rank": rank,
-        "deficiency": F.n_atoms - rank,
-    }
 
 
 def _density_atoms(measure) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import io
@@ -55,17 +54,6 @@ def _to_float(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf
-
-
-def _non_finite(obj) -> ConfigError:
-    return ConfigError(f"complex numbers must be finite, got {obj!r}")
-
-
-def _to_complex(obj) -> complex:
-    z = complex(_to_float(obj["re"]), _to_float(obj.get("im", 0.0)))
-    if not cmath.isfinite(z):
-        raise _non_finite(obj)
-    return z
 
 
 # -- validity -----------------------------------------------------------------
@@ -173,19 +161,22 @@ def _floats(values: list) -> np.ndarray:
         return np.fromiter(map(_to_float, values), float, len(values))
 
 
-def _decode_cnums(cnums: list) -> np.ndarray | None:
-    """The complex vector of ``cnums`` when each is a cnum the schema accepts
-    with every part exactly an int or a float, else None (bools, numpy
-    scalars, Decimal and dict subclasses are left to jsonschema).
+def _decode_cnums(cnums: list, exact: bool = False) -> np.ndarray | None:
+    """The complex vector of ``cnums``, entry k bit-equal to
+    ``complex(_to_float(re), _to_float(im))`` of cnum k, a non-finite one
+    included.
 
-    Entry k is bit-equal to ``complex(_to_float(re), _to_float(im))`` of
-    cnum k, a non-finite one included.
+    With ``exact``, None unless each is a cnum the schema accepts with every
+    part exactly an int or a float (bools, numpy scalars, Decimal and dict
+    subclasses are left to jsonschema); without it, ``cnums`` must be cnums
+    that jsonschema accepted.
     """
-    if set(map(type, cnums)) - {dict} or not all(map(_CNUM_KEYS.issuperset, cnums)):
+    if exact and (set(map(type, cnums)) - {dict}
+                  or not all(map(_CNUM_KEYS.issuperset, cnums))):
         return None
     re = [z.get("re") for z in cnums]
     im = [z.get("im", 0.0) for z in cnums]
-    if not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
+    if exact and not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
         return None
     out = np.empty(len(cnums), dtype=complex)
     out.real = _floats(re)
@@ -232,7 +223,7 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
             holder = view[parent] = dict(view[parent])
         for field in fields:
             flat = _row_major(holder.get(field), points=field == "points")
-            z = None if flat is None else _decode_cnums(flat)
+            z = None if flat is None else _decode_cnums(flat, exact=True)
             if z is not None:
                 decoded[field] = z
                 holder[field] = []
@@ -241,17 +232,14 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
 
 def _cnum_vector(rows, z: np.ndarray | None = None) -> np.ndarray:
     """The cnums of ``rows`` in row-major order as a complex vector: ``z``
-    when the screen decoded them, else ``rows`` decoded by ``_decode_cnums``,
-    else each through ``_to_complex``.  A non-finite number is a ConfigError
-    naming the first such cnum."""
+    when the screen decoded them, else decoded by ``_decode_cnums``.  A
+    non-finite number is a ConfigError naming the first such cnum."""
     if z is None:
-        flat = _row_major(rows, points=False)
-        z = None if flat is None else _decode_cnums(flat)
-    if z is None:
-        return np.array([_to_complex(c) for row in rows for c in row], dtype=complex)
+        z = _decode_cnums([c for row in rows for c in row])
     bad = ~np.isfinite(z)
     if bad.any():
-        raise _non_finite([c for row in rows for c in row][int(bad.argmax())])
+        first = [c for row in rows for c in row][int(bad.argmax())]
+        raise ConfigError(f"complex numbers must be finite, got {first!r}")
     return z
 
 
@@ -437,8 +425,7 @@ def _clark_points(cfg: JobConfig) -> np.ndarray:
         if cfg.points.dim != 1:
             raise ConfigError("clark pipelines need 1-dim complex points")
         return cfg.points.coords[:, 0]
-    rng = np.random.default_rng([cfg.seed, 100])
-    return selfcheck.random_interior(rng, int(cfg.sample_count or 50))
+    return selfcheck.random_interior(selfcheck._rng(cfg.seed, 100), int(cfg.sample_count or 50))
 
 
 def _run_clark(cfg: JobConfig):
@@ -496,7 +483,7 @@ def _run_morphism_check(cfg: JobConfig):
     else:
         F2 = factorization.pullback(F1, morphism)
     verdicts = factorization.check_morphism(morphism, F1, F2)
-    worst_iso = selfcheck.pullback_isometry_error(morphism, np.random.default_rng([cfg.seed, 200]))
+    worst_iso = selfcheck.pullback_isometry_error(morphism, selfcheck._rng(cfg.seed, 200))
     checks = [
         Check("pushforward", verdicts["pushforward_ok"]),
         Check("sigma-algebra", verdicts["sigma_ok"]),

@@ -144,15 +144,6 @@ class MeasureMorphism:
         return idx
 
 
-def l2_inner(g, h, measure: DiscreteMeasure) -> complex:
-    """Weighted inner product <g, h> = sum_x g(x) conj(h(x)) mu(x)."""
-    gv = np.asarray(g, dtype=complex).ravel()
-    hv = np.asarray(h, dtype=complex).ravel()
-    if gv.size != measure.size or hv.size != measure.size:
-        raise ShapeMismatch("L2 vectors must have one entry per atom")
-    return complex(np.sum(gv * np.conj(hv) * measure.weights))
-
-
 def l2_norm_squared(g, measure: DiscreteMeasure):
     """sum_x |g(x)|^2 mu(x): a float, or an array of one per column of an
     (m, k) matrix g."""

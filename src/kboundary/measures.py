@@ -98,12 +98,6 @@ class DiscreteMeasure:
         normalized), one shared instance per n."""
         return _counting_measure(operator.index(n))
 
-    def index(self, atom) -> int:
-        try:
-            return self.atoms.index(atom)
-        except ValueError:
-            raise InvalidMeasure(f"unknown atom {atom!r}") from None
-
 
 @lru_cache(maxsize=256)
 def _counting_measure(n: int) -> DiscreteMeasure:

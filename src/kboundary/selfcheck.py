@@ -38,6 +38,11 @@ INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
 ISOMETRY_DRAWS = 10
 ISOMETRY_TOL = 1e-12  # pullback isometry residual
 CIRCLE_DRAW_ATTEMPTS = 100_000  # rejection draws per random circle measure
+RANDOM_KERNEL_MAX_POINTS = 20  # random PSD kernels have 1..20 points
+RANDOM_FEATURE_MAX_POINTS = 6  # random feature factorizations: 1..6 points
+RANDOM_FEATURE_MAX_ATOMS = 8  # and 1..8 atoms
+HERGLOTZ_MEASURES = 20  # circle measures in the Herglotz corpus
+INTERIOR_RADIUS = 0.9  # random interior points lie in |z| <= 0.9
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _random_psd_kernel(rng: np.random.Generator, n_max: int = 20) -> kernels.FiniteKernel:
-    n = int(rng.integers(1, n_max + 1))
+def _random_psd_kernel(rng: np.random.Generator) -> kernels.FiniteKernel:
+    n = int(rng.integers(1, RANDOM_KERNEL_MAX_POINTS + 1))
     r = int(rng.integers(1, n + 2))
     if rng.random() < 0.5:
         A = rng.standard_normal((n, r))
@@ -146,11 +151,11 @@ def _random_psd_kernel(rng: np.random.Generator, n_max: int = 20) -> kernels.Fin
 
 
 def _random_feature_factorization(
-    rng: np.random.Generator, n_max: int = 6, m_max: int = 8, mean_shift: float = 0.0
+    rng: np.random.Generator, mean_shift: float = 0.0
 ) -> factorization.BoundaryFactorization:
     """Exact factorization: the kernel is the one the features induce."""
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
+    n = int(rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1))
+    m = int(rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1))
     phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) + mean_shift
     w = rng.uniform(0.2, 1.0, size=m)
     meas = measures.DiscreteMeasure(
@@ -187,9 +192,9 @@ def random_circle_measure(
     return measures.CircleMeasure(atoms=atoms, weights=w)
 
 
-def random_interior(rng: np.random.Generator, count: int, radius: float = 0.9) -> np.ndarray:
-    """``count`` points uniform in area on the disk of the given radius."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points uniform in area on the disk of radius INTERIOR_RADIUS."""
+    r = INTERIOR_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, size=count))
     th = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return r * np.exp(1j * th)
 
@@ -420,11 +425,11 @@ def check_clark_exactness(seed: int = 0) -> Check:
 
 
 @lru_cache(maxsize=1)
-def _herglotz_corpus(seed: int, n_measures: int = 20) -> tuple:
+def _herglotz_corpus(seed: int) -> tuple:
     """(circle measures, read-only interior points) of ``seed``, built once
     for the two criteria that read them."""
     rng = _rng(seed, 7)
-    corpus = tuple(random_circle_measure(rng) for _ in range(n_measures))
+    corpus = tuple(random_circle_measure(rng) for _ in range(HERGLOTZ_MEASURES))
     zs = random_interior(rng, 100)
     zs.setflags(write=False)
     return corpus, zs

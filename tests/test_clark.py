@@ -21,14 +21,12 @@ from kboundary import (
     build_kb_factorization,
     build_szego_factorization,
     cauchy_transform,
-    density_criterion,
     expectation_vector,
     herglotz_poisson_check,
     inner_modulus_check,
     kb_eval,
     kb_feature,
     minimality_test,
-    normalized_transform_V,
     parseval_factorize,
     polydisk_density_test,
     polydisk_szego_eval,
@@ -307,6 +305,8 @@ class TestExpectationAndRenormalization:
 
 
 class TestNormalizedTransform:
+    """V_mu is the plain transform V of the renormalized factorization."""
+
     def test_feature_row_reproduces_kren_gram_row(self):
         rng = np.random.default_rng(67)
         meas = DiscreteMeasure(atoms=("0", "1", "2"), weights=[0.5, 0.25, 0.25])
@@ -321,15 +321,17 @@ class TestNormalizedTransform:
         ctx = renormalize(F)
         kren = ctx.kren_factorization
         for t in range(2):
-            out = normalized_transform_V(ctx, kren.features[t])
+            g = kren.features[t]
+            out = apply_V(ctx.kren_factorization, g)
             np.testing.assert_allclose(out, kren.kernel.gram[t, :], atol=1e-12)
-            via_plain = apply_V(kren, kren.features[t])
-            np.testing.assert_allclose(out, via_plain, atol=1e-12)
+            # (V_mu g)(s_i) = (1/conj(E_i)) sum_x g(x) conj(features[i, x]) mu(x)
+            by_formula = (np.conj(phi) * meas.weights) @ g / np.conj(ctx.expectations)
+            np.testing.assert_allclose(out, by_formula, atol=1e-12)
 
     def test_zero_input(self):
         F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, 0.3])
         ctx = renormalize(F)
-        np.testing.assert_allclose(normalized_transform_V(ctx, [0.0, 0.0]), 0.0)
+        np.testing.assert_allclose(apply_V(ctx.kren_factorization, [0.0, 0.0]), 0.0)
 
     def test_mu_orthogonal_input_is_annihilated(self):
         rng = np.random.default_rng(71)
@@ -345,19 +347,21 @@ class TestNormalizedTransform:
         weighted = np.conj(phi) * meas.weights[None, :]
         _, _, vh = np.linalg.svd(weighted)
         g = np.conj(vh[-1])
-        np.testing.assert_allclose(normalized_transform_V(ctx, g), 0.0, atol=1e-12)
+        np.testing.assert_allclose(apply_V(ctx.kren_factorization, g), 0.0, atol=1e-12)
 
 
 class TestDensityCriterion:
+    """The density criterion is the feature-rank test, minimality_test."""
+
     def test_two_atom_clark_is_dense(self):
         F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, -0.3j])
-        res = density_criterion(F)
-        assert res == {"is_dense": True, "rank": 2, "deficiency": 0}
+        res = minimality_test(F)
+        assert res == {"is_minimal": True, "feature_rank": 2}
 
     def test_single_row_two_atoms(self):
         F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2])
-        res = density_criterion(F)
-        assert res["deficiency"] == 1
+        res = minimality_test(F)
+        assert F.n_atoms - res["feature_rank"] == 1
 
     def test_counting_parseval_is_dense(self):
         rng = np.random.default_rng(73)
@@ -366,11 +370,11 @@ class TestDensityCriterion:
             points=PointSet.from_points(np.arange(4, dtype=complex)), gram=A @ A.T
         )
         F = parseval_factorize(K)
-        assert density_criterion(F)["is_dense"]
+        assert minimality_test(F)["is_minimal"]
 
     def test_renorm_context_accepted(self):
         F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, -0.3j])
-        assert density_criterion(renormalize(F))["is_dense"]
+        assert minimality_test(renormalize(F).kren_factorization)["is_minimal"]
 
 
 class TestPolydiskDensity:

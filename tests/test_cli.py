@@ -392,6 +392,26 @@ class TestDecode:
         got = cli._parse_matrix(rows, field)
         assert got.tobytes() == expected.reshape(9, 3).tobytes()
 
+    def test_cnums_the_screen_leaves_are_bit_exact(self):
+        # numpy scalar parts and dict subclasses pass jsonschema but not the
+        # exact-type screen; the same decode body reads them.
+        class Cnum(dict):
+            pass
+
+        cnums = []
+        for i in range(2 * len(EXACT_PARTS)):
+            z = _exact_cnum(i)
+            if i % 2 and isinstance(z["re"], float):
+                z["re"] = np.float64(z["re"])
+            cnums.append(Cnum(z) if i % 5 == 0 else z)
+        cnums += [{"re": np.int64(-(2**62)), "im": np.float64(-0.0)},
+                  {"re": np.float32(0.1), "im": np.int32(-3)}]
+        assert cli._decode_cnums(cnums, exact=True) is None
+        config = {"command": "validate", "kernel": {"variant": "szego"}, "points": cnums}
+        assert "points" not in cli._screen_cnum_arrays(config)[1]
+        got = cli.parse_config(config).points.coords
+        assert got.tobytes() == _reference_vector(cnums).reshape(-1, 1).tobytes()
+
     def test_an_integer_beyond_the_float_range_names_its_cnum(self):
         huge = {"re": 0.5, "im": 10**400}
         table = [[{"re": 1.0}, {"re": 2.0}], [huge, {"re": -(10**400)}]]
@@ -404,10 +424,10 @@ class TestDecode:
     def test_first_non_finite_cnum_in_row_major_order_is_named(self):
         rows = [[{"re": 0.0}, {"re": 0.0, "im": float("nan")}],
                 [{"re": float("inf")}, {"re": 0.0}]]
-        # The screen's vector, the matrix's own decoding, and entry by entry
-        # (a numpy scalar part makes _decode_cnums refuse the rows).
+        # The screen's vector, the matrix's own decoding, and rows that the
+        # exact-type screen refuses (a numpy scalar part).
         per_entry = [rows[0], [{"re": float("inf")}, {"re": np.float64(0.0)}]]
-        assert cli._decode_cnums([c for row in per_entry for c in row]) is None
+        assert cli._decode_cnums([c for row in per_entry for c in row], exact=True) is None
         for matrix, z in ((rows, cli._screen_cnum_arrays({"points": rows})[1]["points"]),
                           (rows, None), (per_entry, None)):
             with pytest.raises(ConfigError, match=r"got \{'re': 0\.0, 'im': nan\}"):

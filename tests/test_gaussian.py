@@ -173,7 +173,8 @@ class TestConsistency:
     @pytest.mark.parametrize(
         "subset, named",
         [([], "subset is empty"), ([1.5], "1.5"), ([True, 1], "True"),
-         ([0, np.True_], "True"), ([np.float64(1.0)], "1.0")],
+         ([0, np.True_], "True"), ([np.float64(1.0)], "1.0"),
+         ([0, 0], "subset index 0 is repeated"), ([1, 0, 1], "subset index 1 is repeated")],
     )
     def test_bad_subset_entries_are_named(self, subset, named):
         K = _table_kernel(np.eye(2))
