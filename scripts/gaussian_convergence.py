@@ -7,12 +7,14 @@ size from the seeded chunked sampler (streamed through ``moments``, so
 memory stays flat in N), and prints the max-abs
 covariance error next to the 4 max|G| / sqrt(N) reference scale, both as
 ``kb gaussian-sample`` computes them, plus the marginal-consistency
-deviation for a fixed subset.
+deviation for a fixed subset.  A library error, such as a size below two
+draws, ends the run with one line on stderr and exit code 1.
 """
 
 import argparse
+import sys
 
-from kboundary import consistency_check
+from kboundary import KernelBoundaryError, consistency_check
 from kboundary.selfcheck import covariance_bound, moment_errors, szego_real_part_kernel
 
 
@@ -25,11 +27,15 @@ def main():
 
     K = szego_real_part_kernel()
     print(f"{'N':>9} {'cov error':>12} {'4 max|G|/sqrt(N)':>18} {'consistency':>12}")
-    for n in args.sizes:
-        err, _, cov, seed_record = moment_errors(K, args.seed, n)
-        cons = consistency_check(K, [0, 2], cov, seed_record)
-        print(f"{n:>9} {err:>12.4e} {covariance_bound(K, n):>18.4e} "
-              f"{cons['empirical_deviation']:>12.4e}")
+    try:
+        for n in args.sizes:
+            err, _, cov, seed_record = moment_errors(K, args.seed, n)
+            cons = consistency_check(K, [0, 2], cov, seed_record)
+            print(f"{n:>9} {err:>12.4e} {covariance_bound(K, n):>18.4e} "
+                  f"{cons['empirical_deviation']:>12.4e}")
+    except KernelBoundaryError as exc:
+        sys.stdout.flush()
+        sys.exit(f"gaussian_convergence: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -11,11 +11,14 @@ E g^2 = 0) for complex ones, so the identity holds in both conventions.
 
 Sampling is chunked over a counter-based generator keyed by
 (seed, chunk index): a fixed (factorization, seed, chunk layout, N)
-always reproduces the same batch, and chunks are independent so parallel
-evaluation cannot reorder the stream.  ``moments`` reads the same chunks
-as ``sample`` but keeps only running sums, so its memory does not grow
-with N.  An L with zero imaginary part is used as a real matrix, so
-real-tagged draws and their sums stay in real arithmetic.
+always reproduces the same normals g, and chunks are independent so
+parallel evaluation cannot reorder the stream.  ``sample`` maps each
+chunk to the points as g L^T.  ``moments`` reads the same normals but
+keeps running sums over the atoms, sum g and sum g g^*, and maps them
+through L once at the end: sum d = L sum g and sum d d^* = L (sum g g^*)
+L^*.  So one chunk holds chunk x r values, not chunk x n, and its memory
+does not grow with N.  An L with zero imaginary part is used as a real
+matrix, so real-tagged draws and their sums stay in real arithmetic.
 
 The finite-marginal density uses the standard Gaussian normalization,
 (2 pi)^(-n/2) det(M)^(-1/2) in the real case and pi^(-n) det(M)^(-1) in
@@ -72,25 +75,28 @@ def _seed_record(seed: int, N: int, chunk_size: int) -> dict:
     return {"seed": int(seed) & (2**64 - 1), "chunk_size": int(chunk_size), "count": int(N)}
 
 
-def _draw_chunks(F: BoundaryFactorization, record: dict):
-    """Yield the draws of F's process that ``record`` names, as chunks of at
-    most chunk_size rows, chunk i drawn from the Philox stream keyed by
-    (seed, i)."""
+def _atom_normals(F: BoundaryFactorization, record: dict):
+    """Yield the standard normals on F's atoms that ``record`` names, as
+    chunks of at most chunk_size rows, chunk i drawn from the Philox stream
+    keyed by (seed, i): real for a real-tagged kernel, circular otherwise."""
     N, chunk_size = record["count"], record["chunk_size"]
     if N < 1:
         raise ShapeMismatch("sample count must be >= 1")
     if chunk_size < 1:
         raise ShapeMismatch("chunk size must be >= 1")
-    L = _real_if_zero_imag(F.features * np.sqrt(F.measure.weights))
-    L = np.ascontiguousarray(L)  # a strided .real view slows the products
     for chunk_index, start in enumerate(range(0, N, chunk_size)):
         rng = _chunk_rng(record["seed"], chunk_index)
         shape = (min(chunk_size, N - start), F.n_atoms)
         if F.kernel.field_tag == "real":
-            g = rng.standard_normal(shape)
+            yield rng.standard_normal(shape)
         else:
-            g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        yield g @ L.T
+            yield (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _draw_factor(F: BoundaryFactorization) -> np.ndarray:
+    """L = Phi sqrt(mu), real when its imaginary part is zero."""
+    L = _real_if_zero_imag(F.features * np.sqrt(F.measure.weights))
+    return np.ascontiguousarray(L)  # a strided .real view slows the products
 
 
 def sample(
@@ -101,7 +107,9 @@ def sample(
     Holds the whole N x n batch; callers that need only the mean and the
     covariance use ``moments``."""
     record = _seed_record(seed, N, chunk_size)
-    return SampleBatch(draws=np.vstack(list(_draw_chunks(F, record))), seed_record=record)
+    L = _draw_factor(F)
+    draws = np.vstack([g @ L.T for g in _atom_normals(F, record)])
+    return SampleBatch(draws=draws, seed_record=record)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -119,18 +127,22 @@ def moments(
     """(mean, covariance, seed_record) of the draws of
     ``sample(F, N, seed, chunk_size)``.
 
-    The covariance is the zero-mean estimator of ``empirical_covariance``.
-    Each chunk is added to the running sums of d and d d^* and then
-    dropped, so memory stays at one chunk whatever N is.
+    The covariance is the zero-mean estimator of ``empirical_covariance``,
+    summed in atom coordinates: each chunk of normals g adds ones @ g and
+    g^T conj(g) to r-wide running sums m and S and is dropped, and the
+    results are L m / N and L S L^* / N with L = Phi sqrt(mu).  Memory
+    stays at one chunk x r block whatever N is, and the draws d = g L^T
+    are never formed.  Equal to the point-space sums up to rounding.
     """
     if N < 2:
         raise ShapeMismatch("need at least two draws")
     record = _seed_record(seed, N, chunk_size)
     total = outer = 0.0
-    for d in _draw_chunks(F, record):
-        total = total + d.sum(axis=0)
-        outer = outer + d.T @ d.conj()
-    return total / N, outer / N, record
+    for g in _atom_normals(F, record):
+        total = total + np.ones(g.shape[0]) @ g
+        outer = outer + g.T @ g.conj()
+    L = _draw_factor(F)
+    return (L @ total) / N, (L @ outer @ L.conj().T) / N, record
 
 
 def log_density(M_F: FiniteKernel, z) -> float:

@@ -173,7 +173,10 @@ def random_circle_measure(
     The atoms are rejection-sampled: sorted uniform draws until every gap
     is at least ``min_sep``.  The m gaps sum to 1, so m * min_sep >= 1
     (m >= 2) raises DomainViolation at once, and so does a draw of m atoms
-    that no CIRCLE_DRAW_ATTEMPTS draws accept."""
+    that no CIRCLE_DRAW_ATTEMPTS draws accept.  ``max_atoms < 1`` raises
+    DomainViolation before anything is drawn from ``rng``."""
+    if max_atoms < 1:
+        raise DomainViolation(f"max_atoms must be >= 1, got {max_atoms!r}")
     m = int(rng.integers(1, max_atoms + 1))
     if m > 1 and m * min_sep >= 1.0:
         raise DomainViolation(f"{m} atoms cannot keep circular gaps >= {min_sep!r}")

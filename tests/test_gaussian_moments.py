@@ -50,11 +50,48 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
+def _kb_factorization():
+    """K_b of a three-atom Clark measure, factorized through its atoms."""
+    mu = CircleMeasure(atoms=[0.1, 0.45, 0.8], weights=[0.5, 0.3, 0.2])
+    zs = random_interior(np.random.default_rng(5), 8)
+    return build_kb_factorization(InnerFunctionB(measure=mu), zs)
+
+
+def _weighted_factorization():
+    """Features on four atoms of unequal weight, with the kernel they induce."""
+    rng = np.random.default_rng(23)
+    phi = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    measure = DiscreteMeasure(atoms=("a", "b", "c", "d"), weights=[0.05, 0.15, 0.3, 0.5])
+    return BoundaryFactorization.induced(measure, phi)
+
+
+def _kb_wide_factorization(field_tag):
+    """K_b of a seven-atom Clark measure on three points (more atoms than
+    points), its kernel carrying ``field_tag``."""
+    mu = CircleMeasure(atoms=np.arange(7) / 7.0 + 0.03,
+                       weights=[0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
+    F = build_kb_factorization(InnerFunctionB(measure=mu),
+                               random_interior(np.random.default_rng(11), 3))
+    kernel = FiniteKernel(points=F.kernel.points, gram=F.kernel.gram, field_tag=field_tag)
+    return BoundaryFactorization(kernel=kernel, measure=F.measure, features=F.features)
+
+
+FACTORIZATIONS = {
+    **{name: (lambda make=make: realize(make())) for name, make in KERNELS.items()},
+    "clark-kb": _kb_factorization,  # r < n
+    "weighted-induced": _weighted_factorization,  # r < n
+    "clark-kb-wide-real": lambda: _kb_wide_factorization("real"),  # r > n
+    "clark-kb-wide-complex": lambda: _kb_wide_factorization("complex"),  # r > n
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 @pytest.mark.parametrize("N, chunk_size", [(12_000, 3_000), (10_007, 1_024)],
                          ids=["divides", "remainder"])
 def test_moments_match_the_materialized_batch(name, N, chunk_size):
-    F = realize(KERNELS[name]())
+    # The reference sums the materialized point-space batch; moments sums
+    # over the atoms and maps through L once.
+    F = FACTORIZATIONS[name]()
     batch = sample(F, N, 41, chunk_size)
     mean, cov, record = moments(F, N, 41, chunk_size)
     np.testing.assert_allclose(cov, empirical_covariance(batch), rtol=1e-13, atol=0.0)
@@ -89,6 +126,21 @@ def test_moments_memory_is_flat_in_the_sample_count():
     tracemalloc.start()
     try:
         moments(F, 2_000_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_moments_memory_is_one_chunk_of_atoms_not_of_points():
+    # A real rank-3 kernel on 400 points: one 8192 x 400 float64 chunk of
+    # draws is 26 MB, the 8192 x 3 chunk of normals 0.2 MB.
+    phi = np.random.default_rng(8).standard_normal((400, 3))
+    F = realize(_table_kernel(phi @ phi.T, "real"))
+    assert F.n_atoms == 3
+    tracemalloc.start()
+    try:
+        moments(F, 3 * 8192, 5, chunk_size=8192)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,21 +193,6 @@ def test_realization_check_draws_each_stream_once(monkeypatch):
     check = check_gaussian_realization(seed=seed, n_draws=N)
     assert check.details["consistency_deviation"] == expected
     assert sorted(streams) == [(seed, 2, N), (seed, 4, N), (seed + 1, 2, N)]
-
-
-def _kb_factorization():
-    """K_b of a three-atom Clark measure, factorized through its atoms."""
-    mu = CircleMeasure(atoms=[0.1, 0.45, 0.8], weights=[0.5, 0.3, 0.2])
-    zs = random_interior(np.random.default_rng(5), 8)
-    return build_kb_factorization(InnerFunctionB(measure=mu), zs)
-
-
-def _weighted_factorization():
-    """Features on four atoms of unequal weight, with the kernel they induce."""
-    rng = np.random.default_rng(23)
-    phi = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    measure = DiscreteMeasure(atoms=("a", "b", "c", "d"), weights=[0.05, 0.15, 0.3, 0.5])
-    return BoundaryFactorization.induced(measure, phi)
 
 
 @pytest.mark.parametrize("make", [_kb_factorization, _weighted_factorization],

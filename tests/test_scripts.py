@@ -41,3 +41,20 @@ def test_clark_sweep_library_error_is_one_stderr_line():
         "clark_sweep: DomainViolation: none of 100000 draws of 12 atoms kept "
         "circular gaps >= 0.08"]
     assert done.stdout.splitlines()[0].split()[0] == "atoms"
+
+
+def test_clark_sweep_refuses_max_atoms_below_one_in_one_stderr_line():
+    done = _run("clark_sweep.py", "--max-atoms", "0")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "clark_sweep: DomainViolation: max_atoms must be >= 1, got 0"]
+    assert done.stdout.splitlines()[0].split()[0] == "atoms"
+
+
+def test_gaussian_convergence_library_error_is_one_stderr_line():
+    # moments needs at least two draws; the first size has one.
+    done = _run("gaussian_convergence.py", "--sizes", "1")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "gaussian_convergence: ShapeMismatch: need at least two draws"]
+    assert done.stdout.splitlines()[0].split()[0] == "N"

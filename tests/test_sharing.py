@@ -237,6 +237,15 @@ def test_random_circle_measure_refuses_crowded_atoms_instead_of_hanging(
     assert proc.stdout.strip() == message
 
 
+@pytest.mark.parametrize("max_atoms", [0, -3])
+def test_random_circle_measure_refuses_fewer_than_one_atom_before_drawing(max_atoms):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainViolation, match=f"max_atoms must be >= 1, got {max_atoms}"):
+        selfcheck.random_circle_measure(rng, max_atoms)
+    assert rng.bit_generator.state == state
+
+
 def test_one_atom_never_needs_a_gap():
     for seed in range(10):
         mu = selfcheck.random_circle_measure(np.random.default_rng(seed), 1, 0.99)
