@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from kboundary import (InnerFunctionB, KernelBoundaryError, build_kb_factorization,
-                       minimality_test, verify_factorization)
+from kboundary import (KernelBoundaryError, build_kb_factorization, minimality_test,
+                       verify_factorization)
 from kboundary.selfcheck import (
     herglotz_error,
     modulus_deviation,
@@ -37,12 +37,11 @@ def main():
     try:
         for _ in range(args.trials):
             mu = random_circle_measure(rng, args.max_atoms, min_sep=0.08)
-            b = InnerFunctionB(measure=mu)
             zs = random_interior(rng, mu.size + 2)
-            F = build_kb_factorization(b, zs)
+            F = build_kb_factorization(mu, zs)
             residual = verify_factorization(F)
             rank = minimality_test(F)["feature_rank"]
-            herglotz = herglotz_error(b, random_interior(rng, 40))
+            herglotz = herglotz_error(mu, random_interior(rng, 40))
             modulus = modulus_deviation(mu)
             print(f"{mu.size:>5} {len(zs):>6} {residual:>12.3e} {rank:>4} "
                   f"{herglotz:>12.3e} {modulus:>18.3e}")

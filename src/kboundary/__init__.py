@@ -71,7 +71,6 @@ from .gaussian import (
     sample,
 )
 from .clark import (
-    InnerFunctionB,
     RenormContext,
     b_eval,
     build_kb_factorization,

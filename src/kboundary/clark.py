@@ -44,7 +44,6 @@ from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
 EXPECTATION_TOL = 1e-12  # |E_i| relative to sum_x |k_i(x)| mu(x)
-ATOM_MATCH_TOL = 1e-15
 
 
 def cauchy_transform(mu: CircleMeasure, z):
@@ -58,18 +57,17 @@ def cauchy_transform(mu: CircleMeasure, z):
     return np.sum(mu.weights / (1.0 - zv[..., None] * np.conj(e)), axis=-1)[()]
 
 
-@dataclass(frozen=True)
-class InnerFunctionB:
-    """Inner function of a circle measure, b(z) = 1 - 1/C(z); b(0) = 0."""
-
-    measure: CircleMeasure
+def _first_point(z, mask) -> complex:
+    """The first point of ``z`` (in C order) where ``mask`` holds."""
+    return complex(np.ravel(z)[np.argmax(np.ravel(mask))])
 
 
-def b_eval(B: InnerFunctionB, z):
+def b_eval(mu: CircleMeasure, z):
     """Evaluate b(z) = 1 - 1/C(z) at interior points (a scalar or an array)."""
-    C = cauchy_transform(B.measure, z)
-    if np.any(np.abs(C) < CAUCHY_ZERO_TOL):
-        raise CauchyZero(f"Cauchy transform vanishes at a point of z = {z!r}")
+    C = cauchy_transform(mu, z)
+    vanishes = np.abs(C) < CAUCHY_ZERO_TOL
+    if np.any(vanishes):
+        raise CauchyZero(f"Cauchy transform vanishes at z = {_first_point(z, vanishes)!r}")
     return 1.0 - 1.0 / C
 
 
@@ -82,7 +80,7 @@ def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
     return th[gaps.min(axis=1) >= margin]
 
 
-def inner_modulus_check(B: InnerFunctionB, thetas, r: float) -> float:
+def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
     """Max over the grid of | 1 - |b(r e(theta))| |.
 
     The grid must keep circular distance >= 1e-3 from every atom; the
@@ -90,34 +88,29 @@ def inner_modulus_check(B: InnerFunctionB, thetas, r: float) -> float:
     """
     if not (0.0 < r < 1.0):
         raise DomainViolation(f"radius must lie in (0,1), got {r!r}")
-    th = atom_gap_grid(B.measure, thetas, 1e-3)
+    th = atom_gap_grid(mu, thetas, 1e-3)
     if th.size < np.size(thetas):
         raise DomainViolation("theta grid comes closer than 1e-3 to an atom")
     zs = r * np.exp(2j * np.pi * th)
-    return float(np.abs(1.0 - np.abs(b_eval(B, zs))).max()) if th.size else 0.0
+    return float(np.abs(1.0 - np.abs(b_eval(mu, zs))).max()) if th.size else 0.0
 
 
-def kb_eval(B: InnerFunctionB, z, w):
+def kb_eval(mu: CircleMeasure, z, w):
     """K_b(z, w) = (1 - b(z) conj(b(w))) / (1 - z conj(w)), broadcast over
-    ``z`` and ``w``."""
-    zv = _check_in_disk(z)
-    wv = _check_in_disk(w)
-    return ((1.0 - b_eval(B, zv) * np.conj(b_eval(B, wv))) / (1.0 - zv * np.conj(wv)))[()]
+    ``z`` and ``w``.  b_eval checks z, then w, against the disk; it cannot
+    raise CauchyZero, since Re C > 1/2 on the disk."""
+    bz, bw = b_eval(mu, z), b_eval(mu, w)
+    zv, wv = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    return ((1.0 - bz * np.conj(bw)) / (1.0 - zv * np.conj(wv)))[()]
 
 
-def _atom_index(mu: CircleMeasure, x) -> np.ndarray:
-    hits = np.abs(mu.atoms - np.asarray(x, dtype=float)[..., None]) <= ATOM_MATCH_TOL
-    if np.any(hits.sum(axis=-1) != 1):
-        raise InvalidMeasure(f"{x!r} is not an atom of the measure")
-    return hits.argmax(axis=-1)
-
-
-def kb_feature(B: InnerFunctionB, z, x):
-    """Boundary feature k_z(x) at atoms x, with b(e(x)) = 1 (radial limit);
-    broadcast over ``z`` and ``x``."""
-    zv = _check_in_disk(z)
-    e = B.measure.boundary_points()[_atom_index(B.measure, x)]
-    return ((1.0 - b_eval(B, zv)) / (1.0 - zv * np.conj(e)))[()]
+def kb_feature(mu: CircleMeasure, z) -> np.ndarray:
+    """Boundary features k_z(x_j) = (1 - b(z)) / (1 - z conj(e(x_j))) at every
+    atom of ``mu``, in atom order, on a new last axis; b(e(x_j)) = 1 is the
+    radial limit at an atom."""
+    one_minus_b = (1.0 - b_eval(mu, z))[..., None]
+    zv = np.asarray(z, dtype=complex)[..., None]
+    return one_minus_b / (1.0 - zv * np.conj(mu.boundary_points()))
 
 
 def _as_pointset(points) -> PointSet:
@@ -126,7 +119,7 @@ def _as_pointset(points) -> PointSet:
     return PointSet.from_points(points)
 
 
-def build_kb_factorization(B: InnerFunctionB, points) -> BoundaryFactorization:
+def build_kb_factorization(mu: CircleMeasure, points) -> BoundaryFactorization:
     """Exact factorization of the K_b Gram matrix through the atoms of mu.
 
     The features span L^2(mu) (minimality) as soon as the number of
@@ -135,11 +128,10 @@ def build_kb_factorization(B: InnerFunctionB, points) -> BoundaryFactorization:
     ps = _as_pointset(points)
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
-    zs = ps.coords[:, 0]
     return BoundaryFactorization(
-        kernel=assemble_gram(KernelSpec.debranges_rovnyak(B.measure), ps),
-        measure=B.measure.as_discrete(),
-        features=kb_feature(B, zs[:, None], B.measure.atoms),
+        kernel=assemble_gram(KernelSpec.debranges_rovnyak(mu), ps),
+        measure=mu.as_discrete(),
+        features=kb_feature(mu, ps.coords[:, 0]),
     )
 
 
@@ -161,22 +153,21 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     return BoundaryFactorization.induced(mu.as_discrete(), features, ps)
 
 
-def herglotz_poisson_check(B: InnerFunctionB, z) -> dict:
+def herglotz_poisson_check(mu: CircleMeasure, z) -> dict:
     """Herglotz real part against the Poisson integral of mu, at interior
     points ``z`` (a scalar or an array; each value has the shape of ``z``).
 
     lhs = Re[(1 + b(z)) / (1 - b(z))],
     rhs = sum_j w_j (1 - |z|^2) / |e(x_j) - z|^2.
     """
-    zv = _check_in_disk(z)
-    bz = b_eval(B, zv)
-    if np.any(np.abs(1.0 - bz) < CAUCHY_ZERO_TOL):
-        raise BAtOne(f"b(z) = 1 within tolerance at a point of z = {z!r}")
+    bz = b_eval(mu, z)
+    at_one = np.abs(1.0 - bz) < CAUCHY_ZERO_TOL
+    if np.any(at_one):
+        raise BAtOne(f"b(z) = 1 within tolerance at z = {_first_point(z, at_one)!r}")
     lhs = np.real((1.0 + bz) / (1.0 - bz))
-    e = B.measure.boundary_points()
+    zv = np.asarray(z, dtype=complex)[..., None]
     rhs = np.sum(
-        B.measure.weights * (1.0 - np.abs(zv[..., None]) ** 2) / np.abs(e - zv[..., None]) ** 2,
-        axis=-1,
+        mu.weights * (1.0 - np.abs(zv) ** 2) / np.abs(mu.boundary_points() - zv) ** 2, axis=-1
     )
     return {"lhs": lhs[()], "rhs": rhs[()], "abs_error": np.abs(lhs - rhs)[()]}
 
@@ -213,7 +204,7 @@ def renormalize(F: BoundaryFactorization) -> RenormContext:
     if cancelled.any():
         worst = int(np.argmax(cancelled))
         raise ZeroExpectation(
-            f"feature mean for point index {worst} has modulus {abs(E[worst])!r}"
+            f"feature mean for point index {worst} has modulus {float(abs(E[worst]))!r}"
         )
     kren_kernel = FiniteKernel(
         points=F.kernel.points, gram=F.kernel.gram / np.outer(E, np.conj(E))

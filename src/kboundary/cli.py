@@ -8,7 +8,8 @@ shipped JSON schema (unknown fields rejected).  The shipped schema decides
 validity: a small acceptor over it proves a valid config valid, and
 jsonschema is loaded only for a config the acceptor cannot prove, to decide
 it and to explain a rejection.  Exit code 0 when every check passes, 2 on
-a check failure, 1 on a config or domain error (a negative --seed too).
+a check failure, 1 on a config or domain error (a negative --seed too) or
+when memory runs out.
 A JSON report written to --out keeps each matrix in a digest-pinned .npy
 file beside it.  Reports are deterministic for a fixed (config, seed)
 apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
@@ -431,11 +432,10 @@ def _clark_points(cfg: JobConfig) -> np.ndarray:
 def _run_clark(cfg: JobConfig):
     mu = _require(cfg, "measure")
     zs = _clark_points(cfg)
-    b = clark.InnerFunctionB(measure=mu)
-    F = clark.build_kb_factorization(b, zs)
+    F = clark.build_kb_factorization(mu, zs)
     residual = factorization.verify_factorization(F)
     minimal = factorization.minimality_test(F, rank_tol=cfg.rank_tol)
-    herglotz = selfcheck.herglotz_error(b, zs)
+    herglotz = selfcheck.herglotz_error(mu, zs)
     modulus = selfcheck.modulus_deviation(mu)
     checks = [
         _residual_check("factorization-residual", residual, F.kernel, cfg.fact_tol),
@@ -673,6 +673,9 @@ def main(argv=None) -> int:
         return 1
     except KernelBoundaryError as exc:
         print(f"kb: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"kb: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

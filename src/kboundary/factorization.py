@@ -153,8 +153,10 @@ def l2_norm_squared(g, measure: DiscreteMeasure):
 
 
 def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Phi D Phi^*: the Gram matrix that features Phi induce under weights D."""
-    return (features * weights[None, :]) @ np.conj(features).T
+    """Phi D Phi^*: the Gram matrix that features Phi induce under weights D;
+    an overflow stays quiet, for FiniteKernel to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (features * weights[None, :]) @ np.conj(features).T
 
 
 def verify_factorization(F: BoundaryFactorization) -> float:
@@ -327,10 +329,13 @@ def pullback(F1: BoundaryFactorization, m: MeasureMorphism) -> BoundaryFactoriza
 
 
 def pullback_isometry_residual(m: MeasureMorphism, f) -> float:
-    """|  ||f o phi||^2_{mu_2} - ||f||^2_{mu_1} | for a function f on target atoms."""
+    """|  ||f o phi||^2_{mu_2} - ||f||^2_{mu_1} | / ||f||^2_{mu_1} for f on the
+    target atoms (0/0 reads 0); an overflowed norm gives NaN, quietly."""
     fv = np.asarray(f, dtype=complex).ravel()
     if fv.size != m.target.size:
         raise ShapeMismatch("f must have one value per target atom")
-    lhs = float(np.sum(np.abs(fv[m.target_index_of_source]) ** 2 * m.source.weights))
-    rhs = float(np.sum(np.abs(fv) ** 2 * m.target.weights))
-    return abs(lhs - rhs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lhs = np.sum(np.abs(fv[m.target_index_of_source]) ** 2 * m.source.weights)
+        rhs = np.sum(np.abs(fv) ** 2 * m.target.weights)
+        dev = np.abs(lhs - rhs)
+        return float(dev / rhs) if dev else 0.0

@@ -160,7 +160,7 @@ def log_density(M_F: FiniteKernel, z) -> float:
     spec = M_F.spectrum
     if n == 0 or spec.values[0] <= DENSITY_TOL * spec.norm:
         raise SingularCovariance(
-            f"marginal covariance has min eigenvalue {spec.values[0] if n else 0.0!r}"
+            f"marginal covariance has min eigenvalue {float(spec.values[0]) if n else 0.0!r}"
         )
     logdet = float(np.sum(np.log(spec.values)))
     quad = float(np.sum(np.abs(np.conj(spec.vectors).T @ zv) ** 2 / spec.values))

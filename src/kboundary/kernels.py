@@ -238,7 +238,7 @@ def _check_in_disk(z) -> np.ndarray:
     either way, is rejected too."""
     zv = np.asarray(z, dtype=complex)
     if not np.all(np.abs(zv) < DISK_RADIUS_BOUND):
-        worst = np.abs(zv).max()
+        worst = float(np.abs(zv).max())
         raise DomainViolation(
             f"evaluation point has |z| = {worst!r}, outside the open disk guard"
         )
@@ -278,10 +278,9 @@ def _kernel_callable(spec: KernelSpec):
         return lambda c: polydisk_szego_eval(c[:, None, :], c[None, :, :])
     if spec.variant == "debranges-rovnyak":
         # Imported here: clark builds on this module.
-        from .clark import InnerFunctionB, kb_eval
+        from .clark import kb_eval
 
-        b = InnerFunctionB(measure=spec.measure)
-        return lambda c: kb_eval(b, c[:, None, 0], c[None, :, 0])
+        return lambda c: kb_eval(spec.measure, c[:, None, 0], c[None, :, 0])
     raise ShapeMismatch(f"no callable for variant {spec.variant!r}")
 
 

@@ -72,7 +72,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if self.normalized and abs(w.sum() - 1.0) > NORMALIZATION_TOL:
             raise InvalidMeasure(
-                f"normalized measure must have total mass 1, got {w.sum()!r}"
+                f"normalized measure must have total mass 1, got {float(w.sum())!r}"
             )
         if self.coords is not None:
             c = np.atleast_2d(_as_floats(self.coords, "coords must lie in [0,1)^k"))
@@ -124,7 +124,7 @@ class CircleMeasure:
             raise InvalidMeasure("weights and atoms must have equal length")
         if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
             raise InvalidMeasure(
-                f"circle measure must be a probability measure, got mass {w.sum()!r}"
+                f"circle measure must be a probability measure, got mass {float(w.sum())!r}"
             )
         x.setflags(write=False)
         object.__setattr__(self, "atoms", x)

@@ -32,6 +32,8 @@ from .measures import DiscreteMeasure
 if TYPE_CHECKING:
     from .factorization import BoundaryFactorization
 
+PARSEVAL_TRIALS = 4  # seeded random elements in verify_parseval's norm identity
+
 
 def same_base(a: FiniteKernel, b: FiniteKernel) -> bool:
     if a is b:
@@ -125,25 +127,25 @@ def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,
 
 
 @lru_cache(maxsize=32)
-def _parseval_probes(seed: int, trials: int, n: int) -> np.ndarray:
-    """The (n, trials) read-only coefficients of verify_parseval's seeded
-    random elements, drawn once per (seed, trials, n)."""
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, n))
+def _parseval_probes(seed: int, n: int) -> np.ndarray:
+    """The (n, PARSEVAL_TRIALS) read-only coefficients of verify_parseval's
+    seeded random elements, drawn once per (seed, n)."""
+    draws = np.random.default_rng(seed).standard_normal((PARSEVAL_TRIALS, 2, n))
     coeffs = (draws[:, 0] + 1j * draws[:, 1]).T
     coeffs.setflags(write=False)
     return coeffs
 
 
-def verify_parseval(F: BoundaryFactorization, seed: int = 0, trials: int = 4) -> float:
+def verify_parseval(F: BoundaryFactorization, seed: int = 0) -> float:
     """Reconstruction residual of a counting-measure factorization.
 
     Returns the max of (a) F.residual, the max-abs entry of the
     reconstruction identity sum_n beta_n(s_i) conj(beta_n(s_j)) - K(s_i, s_j),
     and (b) the relative Parseval norm-identity deviation
-    | ||f||^2 - sum_n |<f, beta_n>|^2 | over ``trials`` seeded random
+    | ||f||^2 - sum_n |<f, beta_n>|^2 | over PARSEVAL_TRIALS seeded random
     elements f, judged in one array pass.  A NaN in either term is returned.
     """
-    f = RkhsElement(base=F.kernel, coeffs=_parseval_probes(seed, trials, F.n_points))
+    f = RkhsElement(base=F.kernel, coeffs=_parseval_probes(seed, F.n_points))
     # Gram entries near the float limit overflow here; numpy stays quiet,
     # so that kb's stderr carries only kb's own messages.
     with np.errstate(over="ignore", invalid="ignore"):

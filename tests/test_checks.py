@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,66 @@ def test_overflowing_factorize_leaves_stderr_empty(tmp_path, capfd):
                 if c["name"] == "parseval-reconstruction"]
     assert check["relative_residual"] is None and check["passed"] is False
     assert check["residual"] is None
+
+
+def _collapse_config(rng, scale):
+    """A morphism-check config of a random valid collapse: each target weight
+    is the sum of the source weights mapped onto it, all times ``scale``."""
+    m_target = int(rng.integers(1, 5))
+    m_source = m_target + int(rng.integers(0, 4))
+    idx = np.concatenate([np.arange(m_target), rng.integers(0, m_target, m_source - m_target)])
+    w_source = rng.uniform(0.1, 1.0, m_source) * scale
+    w_target = np.zeros(m_target)
+    np.add.at(w_target, idx, w_source)
+    features = rng.standard_normal((2, m_target))
+    return {"command": "morphism-check", "seed": int(rng.integers(1000)), "morphism": {
+        "source": {"atoms": [f"s{i}" for i in range(m_source)], "weights": w_source.tolist()},
+        "target": {"atoms": [f"t{j}" for j in range(m_target)], "weights": w_target.tolist()},
+        "map": {f"s{i}": f"t{j}" for i, j in enumerate(idx)},
+        "target_features": [[{"re": float(v)} for v in row] for row in features],
+    }}
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e8])
+def test_pullback_isometry_verdict_does_not_depend_on_weight_units(scale):
+    rng = np.random.default_rng(0)  # the same 200 morphisms at every scale
+    for _ in range(200):
+        report, _ = cli.run(cli.parse_config(_collapse_config(rng, scale)))
+        (check,) = [c for c in report["checks"] if c["name"] == "pullback-isometry"]
+        assert check["passed"], check
+
+
+@pytest.mark.parametrize("weight, feature, code, err", [
+    (1e308, 1.0, 2, ""),
+    (1.0, 1e200, 1, "kb: DomainViolation: gram entries must be finite\n"),
+], ids=["weights-1e308", "features-1e200"])
+def test_overflowing_morphism_check_fails_without_numpy_warnings(weight, feature, code, err,
+                                                                 tmp_path, capsys):
+    one_atom = {"atoms": ["a"], "weights": [weight]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "morphism-check", "morphism": {
+        "source": one_atom, "target": one_atom, "map": {"a": "a"},
+        "target_features": [[{"re": feature}]]}}))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["morphism-check", "--config", str(config), "--out", str(out)]) == code
+    assert caught == [] and capsys.readouterr().err == err
+    if code == 2:
+        # The overflowed norms give a NaN residual, which must reach the check.
+        (check,) = [c for c in json.loads(out.read_text())["checks"]
+                    if c["name"] == "pullback-isometry"]
+        assert check == {"name": "pullback-isometry", "passed": False, "max_residual": None}
+
+
+def test_clark_factorizes_atoms_closer_than_1e_15(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "clark",
+                                  "measure": {"atoms": [0.0, 1e-16], "weights": [0.5, 0.5]}}))
+    code, report = _run_main(["clark", "--config", str(config)], tmp_path)
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["factorization-residual"]["passed"]
+    # The two features agree to rounding, so the feature rank is 1 and the
+    # minimality verdict, not a lookup error, decides the exit code.
+    assert checks["minimality"]["feature_rank"] == 1 and code == 2

@@ -12,7 +12,6 @@ from kboundary import (
     DiscreteMeasure,
     DomainViolation,
     FiniteKernel,
-    InnerFunctionB,
     InvalidMeasure,
     PointSet,
     ZeroExpectation,
@@ -34,7 +33,8 @@ from kboundary import (
     szego_eval,
     verify_factorization,
 )
-from kboundary.kernels import _hermitian_mirror
+from kboundary.factorization import FACTORIZATION_TOL
+from kboundary.kernels import _hermitian_mirror, relative_residual
 from kboundary.selfcheck import (
     _random_feature_factorization,
     random_circle_measure,
@@ -68,99 +68,93 @@ class TestCauchyTransform:
 class TestInnerFunction:
     def test_vanishes_at_origin(self):
         for mu in (POINT_MASS, TWO_ATOMS):
-            assert b_eval(InnerFunctionB(measure=mu), 0.0) == pytest.approx(0.0)
+            assert b_eval(mu, 0.0) == pytest.approx(0.0)
 
     @given(z=interior)
     def test_point_mass_gives_identity(self, z):
-        assert b_eval(InnerFunctionB(measure=POINT_MASS), z) == pytest.approx(z)
+        assert b_eval(POINT_MASS, z) == pytest.approx(z)
 
     @given(z=interior)
     def test_two_atoms_give_square(self, z):
-        assert b_eval(InnerFunctionB(measure=TWO_ATOMS), z) == pytest.approx(z * z)
+        assert b_eval(TWO_ATOMS, z) == pytest.approx(z * z)
 
     @given(z=interior)
     def test_strictly_contractive(self, z):
         rng_measure = CircleMeasure(atoms=[0.1, 0.4, 0.75], weights=[0.2, 0.5, 0.3])
-        assert abs(b_eval(InnerFunctionB(measure=rng_measure), z)) < 1.0
+        assert abs(b_eval(rng_measure, z)) < 1.0
 
     def test_modulus_grows_with_radius(self):
         # trend toward unimodular boundary values at a non-atom angle
-        b = InnerFunctionB(
-            measure=CircleMeasure(atoms=[0.15, 0.6, 0.9], weights=[0.5, 0.2, 0.3])
-        )
+        mu = CircleMeasure(atoms=[0.15, 0.6, 0.9], weights=[0.5, 0.2, 0.3])
         theta = 0.33
         radii = np.linspace(0.9, 1.0 - 1e-6, 25)
-        mods = [abs(b_eval(b, r * np.exp(2j * np.pi * theta))) for r in radii]
+        mods = [abs(b_eval(mu, r * np.exp(2j * np.pi * theta))) for r in radii]
         assert all(m2 >= m1 - 1e-12 for m1, m2 in zip(mods, mods[1:]))
 
 
 class TestInnerModulus:
     def test_point_mass_deviation_is_one_minus_r(self):
-        b = InnerFunctionB(measure=POINT_MASS)
         for r in (0.5, 0.9, 1.0 - 1e-6):
-            assert inner_modulus_check(b, [0.2, 0.4, 0.8], r) == pytest.approx(
+            assert inner_modulus_check(POINT_MASS, [0.2, 0.4, 0.8], r) == pytest.approx(
                 1.0 - r, abs=1e-12
             )
 
     def test_two_atom_deviation_is_one_minus_r_squared(self):
-        b = InnerFunctionB(measure=TWO_ATOMS)
         r = 1.0 - 1e-6
-        dev = inner_modulus_check(b, [0.2, 0.31, 0.77], r)
+        dev = inner_modulus_check(TWO_ATOMS, [0.2, 0.31, 0.77], r)
         assert dev <= 3e-6
         assert dev == pytest.approx(1.0 - r**2, abs=1e-12)
 
     def test_small_radius_deviation_near_one(self):
-        b = InnerFunctionB(measure=POINT_MASS)
-        assert inner_modulus_check(b, [0.3], 0.01) == pytest.approx(0.99, abs=1e-12)
+        assert inner_modulus_check(POINT_MASS, [0.3], 0.01) == pytest.approx(0.99, abs=1e-12)
 
     def test_atom_margin_enforced(self):
-        b = InnerFunctionB(measure=POINT_MASS)
         with pytest.raises(DomainViolation):
-            inner_modulus_check(b, [5e-4], 0.9)
+            inner_modulus_check(POINT_MASS, [5e-4], 0.9)
 
 
 class TestKbKernel:
     @given(z=interior, w=interior)
     def test_point_mass_kernel_is_one(self, z, w):
-        assert kb_eval(InnerFunctionB(measure=POINT_MASS), z, w) == pytest.approx(1.0)
+        assert kb_eval(POINT_MASS, z, w) == pytest.approx(1.0)
 
     @given(z=interior, w=interior)
     def test_two_atom_kernel(self, z, w):
         expected = 1.0 + z * np.conj(w)
-        assert kb_eval(InnerFunctionB(measure=TWO_ATOMS), z, w) == pytest.approx(expected)
+        assert kb_eval(TWO_ATOMS, z, w) == pytest.approx(expected)
 
     def test_origin(self):
-        assert kb_eval(InnerFunctionB(measure=TWO_ATOMS), 0.0, 0.0) == pytest.approx(1.0)
+        assert kb_eval(TWO_ATOMS, 0.0, 0.0) == pytest.approx(1.0)
 
 
 class TestKbFeature:
     def test_point_mass_feature_is_constant_one(self):
-        b = InnerFunctionB(measure=POINT_MASS)
         for z in (0.3, -0.2 + 0.4j):
-            assert kb_feature(b, z, 0.0) == pytest.approx(1.0)
+            assert kb_feature(POINT_MASS, z) == pytest.approx([1.0])
 
     def test_two_atom_features(self):
-        b = InnerFunctionB(measure=TWO_ATOMS)
         z = 0.3 - 0.2j
-        assert kb_feature(b, z, 0.0) == pytest.approx(1.0 + z)
-        assert kb_feature(b, z, 0.5) == pytest.approx(1.0 - z)
+        assert kb_feature(TWO_ATOMS, z) == pytest.approx([1.0 + z, 1.0 - z])
 
     def test_mass_check_at_origin(self):
-        b = InnerFunctionB(measure=TWO_ATOMS)
-        values = np.array([kb_feature(b, 0.0, x) for x in TWO_ATOMS.atoms])
+        values = kb_feature(TWO_ATOMS, 0.0)
         np.testing.assert_allclose(values, 1.0, atol=1e-14)
         mass = float(np.sum(np.abs(values) ** 2 * TWO_ATOMS.weights))
-        assert mass == pytest.approx(kb_eval(b, 0.0, 0.0).real)
+        assert mass == pytest.approx(kb_eval(TWO_ATOMS, 0.0, 0.0).real)
 
-    def test_non_atom_rejected(self):
-        b = InnerFunctionB(measure=TWO_ATOMS)
-        with pytest.raises(InvalidMeasure):
-            kb_feature(b, 0.3, 0.25)
+    def test_atom_axis_is_last_and_in_atom_order(self):
+        mu = CircleMeasure(atoms=[0.7, 0.05, 0.4], weights=[0.2, 0.5, 0.3])
+        zs = np.array([[0.1, -0.3j], [0.5 + 0.2j, 0.0]])
+        features = kb_feature(mu, zs)
+        assert features.shape == (2, 2, 3)
+        for j, e in enumerate(mu.boundary_points()):
+            expected = (1.0 - b_eval(mu, zs)) / (1.0 - zs * np.conj(e))
+            np.testing.assert_allclose(features[..., j], expected, rtol=1e-15, atol=0.0)
 
 
 class TestBuildKbFactorization:
     def test_point_mass_all_ones(self):
-        F = build_kb_factorization(InnerFunctionB(measure=POINT_MASS), [0.3, -0.4])
+        F = build_kb_factorization(POINT_MASS, [0.3, -0.4])
         np.testing.assert_allclose(F.kernel.gram, np.ones((2, 2)), atol=1e-14)
         np.testing.assert_allclose(F.features, np.ones((2, 1)), atol=1e-14)
         assert verify_factorization(F) <= 1e-14
@@ -168,15 +162,23 @@ class TestBuildKbFactorization:
 
     def test_two_atoms_two_points(self):
         zs = np.array([0.2, 0.5j])
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), zs)
+        F = build_kb_factorization(TWO_ATOMS, zs)
         expected = 1.0 + zs[:, None] * np.conj(zs)[None, :]
         np.testing.assert_allclose(F.kernel.gram, expected, atol=1e-14)
         assert verify_factorization(F) <= 1e-12
         assert minimality_test(F)["feature_rank"] == 2
 
     def test_single_point_two_atoms_not_minimal(self):
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2])
+        F = build_kb_factorization(TWO_ATOMS, [0.2])
         assert not minimality_test(F)["is_minimal"]
+
+    @pytest.mark.parametrize("atoms", [[0.0, 1e-16], [0.3, 0.3 + 5e-16]])
+    def test_atoms_closer_than_1e_15_factorize(self, atoms):
+        # Distinct atoms this close are a valid measure: each feature column
+        # belongs to the atom at its position, whatever the atoms' spacing.
+        mu = CircleMeasure(atoms=atoms, weights=[0.5, 0.5])
+        F = build_kb_factorization(mu, [0.2, -0.3j, 0.5 + 0.1j])
+        assert relative_residual(verify_factorization(F), F.kernel) <= FACTORIZATION_TOL
 
     def test_random_measures_factorize_exactly(self):
         rng = np.random.default_rng(61)
@@ -190,39 +192,38 @@ class TestBuildKbFactorization:
             zs = 0.8 * np.sqrt(rng.uniform(size=m + 2)) * np.exp(
                 2j * np.pi * rng.uniform(size=m + 2)
             )
-            F = build_kb_factorization(InnerFunctionB(measure=mu), zs)
+            F = build_kb_factorization(mu, zs)
             assert verify_factorization(F) <= 1e-10
             assert minimality_test(F)["feature_rank"] == m
 
 
 class TestHerglotzPoisson:
     def test_origin(self):
-        res = herglotz_poisson_check(InnerFunctionB(measure=TWO_ATOMS), 0.0)
+        res = herglotz_poisson_check(TWO_ATOMS, 0.0)
         assert res["lhs"] == pytest.approx(1.0)
         assert res["rhs"] == pytest.approx(1.0)
 
     def test_point_mass_at_half(self):
-        res = herglotz_poisson_check(InnerFunctionB(measure=POINT_MASS), 0.5)
+        res = herglotz_poisson_check(POINT_MASS, 0.5)
         assert res["lhs"] == pytest.approx(3.0)
         assert res["rhs"] == pytest.approx(3.0)
 
     @given(z=interior)
     def test_identity_random_points(self, z):
-        res = herglotz_poisson_check(InnerFunctionB(measure=TWO_ATOMS), z)
+        res = herglotz_poisson_check(TWO_ATOMS, z)
         assert res["abs_error"] <= 1e-12
 
     def test_b_at_one_guard(self):
         # b -> 1 radially at an atom; close enough trips the guard while
         # still clearing the interior domain bound.
-        b = InnerFunctionB(measure=POINT_MASS)
         with pytest.raises(BAtOne):
-            herglotz_poisson_check(b, 1.0 - 5e-15)
+            herglotz_poisson_check(POINT_MASS, 1.0 - 5e-15)
 
 
 class TestExpectationAndRenormalization:
     def test_two_atom_clark_expectations_are_one(self):
         zs = np.array([0.2, 0.4j, -0.3])
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), zs)
+        F = build_kb_factorization(TWO_ATOMS, zs)
         np.testing.assert_allclose(expectation_vector(F), 1.0, atol=1e-14)
         kren = renormalize(F).kren_factorization
         np.testing.assert_allclose(kren.kernel.gram, F.kernel.gram, atol=1e-14)
@@ -232,10 +233,9 @@ class TestExpectationAndRenormalization:
         zs = np.array([0.25, -0.4 + 0.1j])
         F = build_szego_factorization(mu, zs)
         E = expectation_vector(F)
-        b = InnerFunctionB(measure=mu)
         for z, e in zip(zs, E):
             assert e == pytest.approx(cauchy_transform(mu, z))
-            assert 1.0 / e == pytest.approx(1.0 - b_eval(b, z))
+            assert 1.0 / e == pytest.approx(1.0 - b_eval(mu, z))
 
     def test_zero_features_zero_expectations(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
@@ -329,7 +329,7 @@ class TestNormalizedTransform:
             np.testing.assert_allclose(out, by_formula, atol=1e-12)
 
     def test_zero_input(self):
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, 0.3])
+        F = build_kb_factorization(TWO_ATOMS, [0.2, 0.3])
         ctx = renormalize(F)
         np.testing.assert_allclose(apply_V(ctx.kren_factorization, [0.0, 0.0]), 0.0)
 
@@ -354,12 +354,12 @@ class TestDensityCriterion:
     """The density criterion is the feature-rank test, minimality_test."""
 
     def test_two_atom_clark_is_dense(self):
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, -0.3j])
+        F = build_kb_factorization(TWO_ATOMS, [0.2, -0.3j])
         res = minimality_test(F)
         assert res == {"is_minimal": True, "feature_rank": 2}
 
     def test_single_row_two_atoms(self):
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2])
+        F = build_kb_factorization(TWO_ATOMS, [0.2])
         res = minimality_test(F)
         assert F.n_atoms - res["feature_rank"] == 1
 
@@ -373,7 +373,7 @@ class TestDensityCriterion:
         assert minimality_test(F)["is_minimal"]
 
     def test_renorm_context_accepted(self):
-        F = build_kb_factorization(InnerFunctionB(measure=TWO_ATOMS), [0.2, -0.3j])
+        F = build_kb_factorization(TWO_ATOMS, [0.2, -0.3j])
         assert minimality_test(renormalize(F).kren_factorization)["is_minimal"]
 
 
@@ -420,11 +420,10 @@ class TestPolydiskDensity:
 def test_kb_factorization_identity_is_algebraic(z):
     # one fixed three-atom measure, identity checked at a hypothesis-driven point
     mu = CircleMeasure(atoms=[0.12, 0.45, 0.8], weights=[0.3, 0.45, 0.25])
-    b = InnerFunctionB(measure=mu)
     e = mu.boundary_points()
-    feature = (1.0 - b_eval(b, z)) / (1.0 - z * np.conj(e))
+    feature = (1.0 - b_eval(mu, z)) / (1.0 - z * np.conj(e))
     total = float(np.sum(np.abs(feature) ** 2 * mu.weights).real)
-    assert total == pytest.approx(kb_eval(b, z, z).real, abs=1e-10)
+    assert total == pytest.approx(kb_eval(mu, z, z).real, abs=1e-10)
 
 
 def _disk(rng, shape):
@@ -432,10 +431,15 @@ def _disk(rng, shape):
 
 
 THREE_ATOMS = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
-B3 = InnerFunctionB(measure=THREE_ATOMS)
 _RNG = np.random.default_rng(3)
 Z, W = _disk(_RNG, (4, 1)), _disk(_RNG, (1, 3))
 Z3, W3 = _disk(_RNG, (4, 1, 3)), _disk(_RNG, (1, 3, 3))
+
+
+def _kb_feature_per_atom(z):
+    """kb_feature of THREE_ATOMS with its atom axis unpacked, one value per atom."""
+    features = kb_feature(THREE_ATOMS, z)
+    return {j: features[..., j][()] for j in range(THREE_ATOMS.size)}
 
 
 @pytest.mark.parametrize(
@@ -445,16 +449,16 @@ Z3, W3 = _disk(_RNG, (4, 1, 3)), _disk(_RNG, (1, 3, 3))
         (szego_eval, (Z, W), 0),
         (polydisk_szego_eval, (Z3, W3), 1),
         (partial(cauchy_transform, THREE_ATOMS), (Z,), 0),
-        (partial(b_eval, B3), (Z,), 0),
-        (partial(kb_eval, B3), (Z, W), 0),
-        (partial(kb_feature, B3), (Z, THREE_ATOMS.atoms), 0),
-        (partial(herglotz_poisson_check, B3), (Z,), 0),
+        (partial(b_eval, THREE_ATOMS), (Z,), 0),
+        (partial(kb_eval, THREE_ATOMS), (Z, W), 0),
+        (_kb_feature_per_atom, (Z,), 0),
+        (partial(herglotz_poisson_check, THREE_ATOMS), (Z,), 0),
     ],
     ids=["szego", "polydisk-szego", "cauchy", "b", "kb", "kb-feature", "herglotz"],
 )
 def test_evaluators_broadcast_like_their_pointwise_calls(evaluator, args, core):
     def values(out):
-        return [out["lhs"], out["rhs"]] if isinstance(out, dict) else [out]
+        return list(out.values()) if isinstance(out, dict) else [out]
 
     arrays = np.broadcast_arrays(*args)
     batch = arrays[0].shape[: arrays[0].ndim - core]

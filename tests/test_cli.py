@@ -905,3 +905,19 @@ def test_reports_are_deterministic_for_fixed_config_and_seed():
     r1, _ = cli.run(cli.parse_config(CLARK_TWO_ATOMS))
     r2, _ = cli.run(cli.parse_config(CLARK_TWO_ATOMS))
     assert cli.emit(_strip_timing(r1)) == cli.emit(_strip_timing(r2))
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+                 "and data type complex128"),
+     "kb: out of memory: Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+     "and data type complex128\n"),
+    (MemoryError(), "kb: out of memory: allocation failed\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_stderr_line_and_exit_one(exc, err, monkeypatch, capsys):
+    def exhausted(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.PIPELINES, "validate", exhausted)
+    assert cli.main(["validate"]) == 1
+    assert capsys.readouterr() == ("", err)

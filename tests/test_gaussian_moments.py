@@ -8,7 +8,6 @@ from kboundary import (
     CircleMeasure,
     DiscreteMeasure,
     FiniteKernel,
-    InnerFunctionB,
     KernelSpec,
     PointSet,
     ShapeMismatch,
@@ -54,7 +53,7 @@ def _kb_factorization():
     """K_b of a three-atom Clark measure, factorized through its atoms."""
     mu = CircleMeasure(atoms=[0.1, 0.45, 0.8], weights=[0.5, 0.3, 0.2])
     zs = random_interior(np.random.default_rng(5), 8)
-    return build_kb_factorization(InnerFunctionB(measure=mu), zs)
+    return build_kb_factorization(mu, zs)
 
 
 def _weighted_factorization():
@@ -70,8 +69,7 @@ def _kb_wide_factorization(field_tag):
     points), its kernel carrying ``field_tag``."""
     mu = CircleMeasure(atoms=np.arange(7) / 7.0 + 0.03,
                        weights=[0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
-    F = build_kb_factorization(InnerFunctionB(measure=mu),
-                               random_interior(np.random.default_rng(11), 3))
+    F = build_kb_factorization(mu, random_interior(np.random.default_rng(11), 3))
     kernel = FiniteKernel(points=F.kernel.points, gram=F.kernel.gram, field_tag=field_tag)
     return BoundaryFactorization(kernel=kernel, measure=F.measure, features=F.features)
 

@@ -17,7 +17,7 @@ from kboundary import (
     polydisk_szego_eval,
     szego_eval,
 )
-from kboundary.clark import InnerFunctionB, b_eval, kb_eval
+from kboundary.clark import b_eval, kb_eval
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
@@ -213,7 +213,7 @@ DBR_MEASURE = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
         (
             KernelSpec.debranges_rovnyak(DBR_MEASURE),
             1,
-            lambda z, w: kb_eval(InnerFunctionB(measure=DBR_MEASURE), z[0], w[0]),
+            lambda z, w: kb_eval(DBR_MEASURE, z[0], w[0]),
         ),
     ],
     ids=["szego", "polydisk-2", "polydisk-3", "debranges-rovnyak"],
@@ -276,7 +276,7 @@ def test_hermitian_mirror_is_bit_identical_to_index_assignment(n):
         lambda: szego_eval(np.nan, 0.2),
         lambda: szego_eval(0.2, complex(0.1, np.nan)),
         lambda: polydisk_szego_eval([0.1, np.nan], [0.2, 0.3]),
-        lambda: b_eval(InnerFunctionB(measure=DBR_MEASURE), complex(np.nan, 0.0)),
+        lambda: b_eval(DBR_MEASURE, complex(np.nan, 0.0)),
     ],
     ids=["szego-z", "szego-w", "polydisk", "b-eval"],
 )

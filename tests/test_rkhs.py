@@ -21,6 +21,7 @@ from kboundary import (
     tightness_test,
     verify_parseval,
 )
+from kboundary.rkhs import PARSEVAL_TRIALS
 
 
 @pytest.fixture
@@ -166,17 +167,17 @@ class TestVerifyParseval:
             F = parseval_factorize(K)
             if k % 3 == 0:  # a broken frame, so the norm-identity term counts
                 F = _counting_factorization(K, 1.01 * F.features.T)
-            for seed, trials in ((0, 4), (k, 1), (k + 1, 7), (2, 0)):
-                expected = _verify_parseval_loop(F, seed, trials)
-                assert abs(verify_parseval(F, seed=seed, trials=trials) - expected) <= 1e-14
+            for seed in (0, k, k + 1, 2):
+                expected = _verify_parseval_loop(F, seed)
+                assert abs(verify_parseval(F, seed=seed) - expected) <= 1e-14
 
 
-def _verify_parseval_loop(F, seed, trials):
+def _verify_parseval_loop(F, seed):
     """Reference: the per-trial loop that verify_parseval replaces."""
     residual = F.residual
     rng = np.random.default_rng(seed)
     n = F.n_points
-    for _ in range(trials):
+    for _ in range(PARSEVAL_TRIALS):
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nrm2 = complex(np.conj(xi) @ (F.kernel.gram @ xi)).real
         coeffs = np.conj(F.features).T @ xi

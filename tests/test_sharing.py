@@ -162,8 +162,9 @@ def test_feature_projector_is_computed_once_and_read_only():
 
 
 def test_parseval_probes_are_read_only_and_equal_to_fresh_draws():
-    for seed, trials, n in ((0, 4, 7), (11, 2, 3), (0, 4, 0)):
-        probes = rkhs._parseval_probes(seed, trials, n)
+    trials = rkhs.PARSEVAL_TRIALS
+    for seed, n in ((0, 7), (11, 3), (0, 0)):
+        probes = rkhs._parseval_probes(seed, n)
         draws = np.random.default_rng(seed).standard_normal((trials, 2, n))
         assert probes.tobytes() == (draws[:, 0] + 1j * draws[:, 1]).T.tobytes()
         assert probes.shape == (n, trials) and not probes.flags.writeable
