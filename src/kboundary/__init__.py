@@ -34,7 +34,6 @@ from .kernels import (
     assemble_gram,
     check_positive_definite,
     polydisk_szego_eval,
-    szego_eval,
 )
 from .rkhs import (
     RkhsElement,

@@ -129,7 +129,7 @@ def build_kb_factorization(mu: CircleMeasure, points) -> BoundaryFactorization:
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
     return BoundaryFactorization(
-        kernel=assemble_gram(KernelSpec.debranges_rovnyak(mu), ps),
+        kernel=assemble_gram(KernelSpec(measure=mu), ps),
         measure=mu.as_discrete(),
         features=kb_feature(mu, ps.coords[:, 0]),
     )

@@ -278,28 +278,49 @@ def _parse_discrete_measure(raw) -> measures.DiscreteMeasure:
     )
 
 
-def _parse_kernel(raw, table: np.ndarray | None = None) -> kernels.KernelSpec:
+def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None = None):
+    """The closed-form kernel that ``raw`` names, or its table as a
+    ``FiniteKernel`` over ``points`` (the index points when None)."""
     variant = raw["variant"]
     if variant == "szego":
-        return kernels.KernelSpec.szego()
+        return kernels.KernelSpec()
     if variant == "polydisk-szego":
-        return kernels.KernelSpec.polydisk(int(raw.get("dim", 1)))
+        return kernels.KernelSpec(dim=int(raw.get("dim", 1)))
     if variant == "debranges-rovnyak":
         if "measure" not in raw:
             raise ConfigError("debranges-rovnyak kernel requires a measure")
-        return kernels.KernelSpec.debranges_rovnyak(_parse_circle_measure(raw["measure"]))
+        return kernels.KernelSpec(measure=_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
-    return kernels.KernelSpec.from_table(_parse_matrix(raw["table"], "kernel.table", table))
+    return kernels.FiniteKernel.from_table(
+        _parse_matrix(raw["table"], "kernel.table", table), points)
+
+
+def _parse_morphism(raw, decoded: dict) -> tuple:
+    """(MeasureMorphism, target features, source features or None) of a raw
+    morphism, each feature matrix from its ``decoded`` vector when the
+    screen decoded it."""
+    source = _parse_discrete_measure(raw["source"])
+    target = _parse_discrete_measure(raw["target"])
+    morphism = factorization.MeasureMorphism(source=source, target=target, map=dict(raw["map"]))
+    target_features = _parse_matrix(raw["target_features"], "morphism.target_features",
+                                    decoded.get("target_features"))
+    if target_features.ndim != 2 or target_features.shape[1] != target.size:
+        raise ConfigError("target_features must be n_points x n_target_atoms")
+    source_features = None
+    if "source_features" in raw:
+        source_features = _parse_matrix(raw["source_features"], "morphism.source_features",
+                                        decoded.get("source_features"))
+    return morphism, target_features, source_features
 
 
 @dataclasses.dataclass
 class JobConfig:
     command: str
-    kernel: kernels.KernelSpec | None = None
+    kernel: kernels.KernelSpec | kernels.FiniteKernel | None = None
     points: kernels.PointSet | None = None
     measure: measures.CircleMeasure | None = None
-    morphism: dict | None = None
+    morphism: tuple | None = None  # as _parse_morphism returns it
     psd_tol: float = kernels.PSD_TOL
     fact_tol: float = factorization.FACTORIZATION_TOL
     rank_tol: float | None = None
@@ -338,14 +359,16 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
         if not all(np.isfinite(v) for v in tol.values()):
             raise ConfigError(f"tolerances must be finite, got {tol!r}")
         out = data.get("output", {})
+        points = (_parse_points(data["points"], decoded.get("points"))
+                  if "points" in data else None)
         return JobConfig(
             command=resolved,
-            kernel=(_parse_kernel(data["kernel"], decoded.get("table"))
+            kernel=(_parse_kernel(data["kernel"], points, decoded.get("table"))
                     if "kernel" in data else None),
-            points=(_parse_points(data["points"], decoded.get("points"))
-                    if "points" in data else None),
+            points=points,
             measure=_parse_circle_measure(data["measure"]) if "measure" in data else None,
-            morphism=data.get("morphism"),
+            morphism=(_parse_morphism(data["morphism"], decoded)
+                      if "morphism" in data else None),
             **tol,
             seed=int(data.get("seed", 0)),
             sample_count=data.get("sample_count"),
@@ -366,12 +389,10 @@ def _require(cfg: JobConfig, field: str):
 
 
 def _build_kernel(cfg: JobConfig) -> kernels.FiniteKernel:
-    spec = _require(cfg, "kernel")
-    if cfg.points is None and spec.variant == "table":
-        points = kernels.index_points(spec.table.shape[0])
-    else:
-        points = _require(cfg, "points")
-    return kernels.assemble_gram(spec, points)
+    kernel = _require(cfg, "kernel")
+    if isinstance(kernel, kernels.FiniteKernel):
+        return kernel
+    return kernels.assemble_gram(kernel, _require(cfg, "points"))
 
 
 def _residual_check(name: str, residual: float, K: kernels.FiniteKernel, tol: float,
@@ -465,21 +486,11 @@ def _run_renorm(cfg: JobConfig):
 
 
 def _run_morphism_check(cfg: JobConfig):
-    raw = _require(cfg, "morphism")
-    source = _parse_discrete_measure(raw["source"])
-    target = _parse_discrete_measure(raw["target"])
-    morphism = factorization.MeasureMorphism(
-        source=source, target=target, map=dict(raw["map"])
-    )
-    target_features = _parse_matrix(raw["target_features"], "morphism.target_features")
-    if target_features.ndim != 2 or target_features.shape[1] != target.size:
-        raise ConfigError("target_features must be n_points x n_target_atoms")
-    F1 = factorization.BoundaryFactorization.induced(target, target_features)
-    if "source_features" in raw:
+    morphism, target_features, source_features = _require(cfg, "morphism")
+    F1 = factorization.BoundaryFactorization.induced(morphism.target, target_features)
+    if source_features is not None:
         F2 = factorization.BoundaryFactorization(
-            kernel=F1.kernel, measure=source,
-            features=_parse_matrix(raw["source_features"], "morphism.source_features"),
-        )
+            kernel=F1.kernel, measure=morphism.source, features=source_features)
     else:
         F2 = factorization.pullback(F1, morphism)
     verdicts = factorization.check_morphism(morphism, F1, F2)

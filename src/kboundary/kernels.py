@@ -3,7 +3,8 @@
 A kernel here is a Hermitian positive definite function on S x S for a
 finite point set S.  Closed forms cover the Szego kernel of the disk,
 its k-fold polydisk product and the de Branges-Rovnyak-type kernel built
-from a circle measure; arbitrary Hermitian tables are accepted as well.
+from a circle measure (``KernelSpec``); an arbitrary Hermitian table is a
+``FiniteKernel`` itself (``FiniteKernel.from_table``).
 
 All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
@@ -20,7 +21,7 @@ once and shared: both are frozen, so no holder can change them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -103,52 +104,24 @@ def index_points(n: int) -> PointSet:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to evaluate, plus its domain constraint.
+    """A closed-form kernel, named by its parameters.
 
-    Variants: ``szego`` (k=1 disk), ``polydisk-szego`` (k-fold product),
-    ``debranges-rovnyak`` (needs a circle measure), ``table`` (explicit
-    Hermitian matrix).
+    Without a measure, the Szego kernel of the polydisk in ``dim``
+    variables (the disk for ``dim`` 1); with a circle measure, the de
+    Branges-Rovnyak kernel K_b of its inner function, in one variable.  An
+    explicit Gram is a ``FiniteKernel`` (``FiniteKernel.from_table``).
     """
 
-    variant: str
     dim: int = 1
     measure: CircleMeasure | None = None
-    table: np.ndarray | None = field(default=None)
-
-    VARIANTS = ("szego", "polydisk-szego", "debranges-rovnyak", "table")
 
     def __post_init__(self):
-        if self.variant not in self.VARIANTS:
-            raise ShapeMismatch(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "debranges-rovnyak" and self.measure is None:
-            raise ShapeMismatch("debranges-rovnyak variant requires a measure")
-        if self.variant == "table":
-            if self.table is None:
-                raise ShapeMismatch("table variant requires a matrix")
-            t = _require_finite(np.asarray(self.table, dtype=complex), "table entries")
-            if t.ndim != 2 or t.shape[0] != t.shape[1]:
-                raise ShapeMismatch("table must be square")
-            _require_hermitian(t, "table variant requires a Hermitian matrix")
-            t.setflags(write=False)
-            object.__setattr__(self, "table", t)
         if self.dim < 1:
             raise ShapeMismatch("kernel dimension must be >= 1")
-
-    @classmethod
-    def szego(cls) -> "KernelSpec":
-        return cls(variant="szego")
-
-    @classmethod
-    def polydisk(cls, k: int) -> "KernelSpec":
-        return cls(variant="polydisk-szego", dim=k)
-
-    @classmethod
-    def debranges_rovnyak(cls, measure: CircleMeasure) -> "KernelSpec":
-        return cls(variant="debranges-rovnyak", measure=measure)
-
-    @classmethod
-    def from_table(cls, matrix) -> "KernelSpec":
-        return cls(variant="table", table=matrix)
+        if self.measure is not None and self.dim != 1:
+            raise ShapeMismatch(
+                f"the de Branges-Rovnyak kernel has one variable, got dim {self.dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,7 +137,9 @@ class FiniteKernel:
         n = self.points.size
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
-        gh = _require_hermitian(g, "gram matrix is not Hermitian")
+        gh = g.conj().T
+        if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
+            raise NotHermitian("gram matrix is not Hermitian")
         # Mirror the upper triangle so Hermitian symmetry holds bit for bit,
         # as _hermitian_mirror(g) does.
         g = np.where(_strict_lower(n), gh, g)
@@ -173,6 +148,15 @@ class FiniteKernel:
         object.__setattr__(self, "gram", g)
         if self.field_tag not in ("real", "complex"):
             raise ShapeMismatch(f"field_tag must be real or complex, got {self.field_tag!r}")
+
+    @classmethod
+    def from_table(cls, table, points: PointSet | None = None) -> "FiniteKernel":
+        """The kernel whose Gram is ``table`` over ``points`` (the index points
+        0..n-1 when None), tagged real when ``table`` has zero imaginary part."""
+        g = np.asarray(table, dtype=complex)
+        if points is None:
+            points = index_points(g.shape[0] if g.ndim else 0)
+        return cls(points=points, gram=g, field_tag="complex" if g.imag.any() else "real")
 
     @cached_property
     def spectrum(self) -> "Spectrum":
@@ -206,15 +190,6 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _require_hermitian(g: np.ndarray, message: str) -> np.ndarray:
-    """``g.conj().T``, after raising NotHermitian unless ``g`` is Hermitian to
-    HERMITIAN_TOL * max|g|."""
-    gh = g.conj().T
-    if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
-        raise NotHermitian(message)
-    return gh
-
-
 @lru_cache(maxsize=256)
 def _strict_lower(n: int) -> np.ndarray:
     """Read-only n x n mask of the strict lower triangle, shared per n."""
@@ -245,19 +220,10 @@ def _check_in_disk(z) -> np.ndarray:
     return zv
 
 
-def szego_eval(z, w):
-    """Szego kernel of the disk, 1 / (1 - z conj(w)).
-
-    ``z`` and ``w`` are scalars or broadcastable arrays; a scalar pair
-    gives a numpy complex scalar.
-    """
-    zv = _check_in_disk(z)
-    wv = _check_in_disk(w)
-    return (1.0 / (1.0 - zv * np.conj(wv)))[()]
-
-
 def polydisk_szego_eval(z, w):
-    """Product of 1-d Szego kernels over the coordinates of the polydisk.
+    """Szego kernel of the polydisk, the product of the disk's
+    1 / (1 - z_j conj(w_j)) over the coordinates: the one Szego evaluator,
+    the disk's for a single coordinate.
 
     The last axis of ``z`` and ``w`` is the coordinate axis (a scalar is a
     one-coordinate point); the leading axes broadcast.  A pair of points
@@ -274,39 +240,23 @@ def polydisk_szego_eval(z, w):
 
 def _kernel_callable(spec: KernelSpec):
     """Evaluator mapping an (n, k) coordinate array to the n x n Gram matrix."""
-    if spec.variant in ("szego", "polydisk-szego"):
+    if spec.measure is None:
         return lambda c: polydisk_szego_eval(c[:, None, :], c[None, :, :])
-    if spec.variant == "debranges-rovnyak":
-        # Imported here: clark builds on this module.
-        from .clark import kb_eval
+    # Imported here: clark builds on this module.
+    from .clark import kb_eval
 
-        return lambda c: kb_eval(spec.measure, c[:, None, 0], c[None, :, 0])
-    raise ShapeMismatch(f"no callable for variant {spec.variant!r}")
+    return lambda c: kb_eval(spec.measure, c[:, None, 0], c[None, :, 0])
 
 
 def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
     """Evaluate the kernel over the point set in one array evaluation.
 
     ``FiniteKernel`` mirrors the upper triangle, so the result is
-    Hermitian exactly.  Disk-type kernels require every coordinate strictly
-    inside the unit disk; the table variant requires a matrix of matching
-    size.
+    Hermitian exactly.  The points must have ``spec.dim`` coordinates, each
+    strictly inside the unit disk.
     """
-    n = points.size
-    if spec.variant == "table":
-        if spec.table.shape != (n, n):
-            raise ShapeMismatch(
-                f"table is {spec.table.shape}, point set has {n} points"
-            )
-        tag = "real" if np.abs(spec.table.imag).max(initial=0.0) == 0.0 else "complex"
-        return FiniteKernel(points=points, gram=spec.table, field_tag=tag)
-
-    expected_dim = spec.dim if spec.variant == "polydisk-szego" else 1
-    if points.dim != expected_dim:
-        raise DimensionMismatch(
-            f"variant {spec.variant!r} expects {expected_dim}-dim points, "
-            f"got {points.dim}"
-        )
+    if points.dim != spec.dim:
+        raise DimensionMismatch(f"kernel expects {spec.dim}-dim points, got {points.dim}")
     gram = _kernel_callable(spec)(points.coords)
     return FiniteKernel(points=points, gram=gram, field_tag="complex")
 

@@ -22,13 +22,14 @@ def _report(number, result):
 
 def test_criterion_01_parseval_reconstruction():
     # 200 random Hermitian PSD matrices (n <= 20): factorize then verify,
-    # max-abs residual <= 1e-10.
+    # max-abs residual <= 1e-10 relative to ||G||_2.
     _report(1, selfcheck.check_parseval_reconstruction(seed=ACCEPTANCE_SEED))
 
 
 def test_criterion_02_transform_pair():
-    # Counting-measure factorizations of the same corpus: W isometry <= 1e-9,
-    # V.W generator identity <= 1e-9, projection idempotency and
+    # Counting-measure factorizations of the same corpus: W isometry <= 1e-9
+    # relative to ||f||^2, V.W generator identity <= 1e-9 relative to
+    # ||G||_2, projection idempotency and
     # mu-self-adjointness <= 1e-9, projection spectrum within 1e-7 of {0,1}.
     _report(2, selfcheck.check_transform_pair(seed=ACCEPTANCE_SEED))
 

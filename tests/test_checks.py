@@ -240,3 +240,24 @@ def test_clark_factorizes_atoms_closer_than_1e_15(tmp_path, capsys):
     # The two features agree to rounding, so the feature rank is 1 and the
     # minimality verdict, not a lookup error, decides the exit code.
     assert checks["minimality"]["feature_rank"] == 1 and code == 2
+
+
+@pytest.mark.parametrize("seed, name", [
+    (87264865, "parseval-reconstruction"),
+    (2091079095, "transform-pair"),
+], ids=["parseval-reconstruction", "transform-pair"])
+def test_verify_all_judges_residuals_on_the_kernels_scale(seed, name, tmp_path):
+    # Each seed draws a kernel whose dropped eigenvalues leave a residual
+    # above the bound in absolute terms (2.4e-10 at ||G||_2 = 58.5, and a
+    # 2.3e-9 isometry deviation), but within it relative to the kernel.
+    code, report = _run_main(["verify-all", "--seed", str(seed)], tmp_path)
+    (check,) = [c for c in report["checks"] if c["name"] == name]
+    assert check["passed"] and code == 0
+
+
+def test_morphism_checker_isometry_residual_shows_rounding():
+    from kboundary.selfcheck import ISOMETRY_TOL, check_morphism_examples
+
+    check = check_morphism_examples(seed=0)
+    assert check.passed
+    assert 0.0 < check.details["max_isometry_residual"] <= ISOMETRY_TOL

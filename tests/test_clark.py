@@ -30,7 +30,6 @@ from kboundary import (
     polydisk_density_test,
     polydisk_szego_eval,
     renormalize,
-    szego_eval,
     verify_factorization,
 )
 from kboundary.factorization import FACTORIZATION_TOL
@@ -446,7 +445,7 @@ def _kb_feature_per_atom(z):
     # core: trailing axes that one call consumes (the polydisk coordinate axis)
     "evaluator, args, core",
     [
-        (szego_eval, (Z, W), 0),
+        (polydisk_szego_eval, (Z[..., None], W[..., None]), 1),
         (polydisk_szego_eval, (Z3, W3), 1),
         (partial(cauchy_transform, THREE_ATOMS), (Z,), 0),
         (partial(b_eval, THREE_ATOMS), (Z,), 0),

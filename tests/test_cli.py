@@ -368,7 +368,7 @@ class TestDecode:
         table = [[entry(i, j) for j in range(n)] for i in range(n)]
         config = {"command": "validate", "kernel": {"variant": "table", "table": table}}
         assert "table" in cli._screen_cnum_arrays(config)[1]
-        got = cli.parse_config(config).kernel.table
+        got = cli.parse_config(config).kernel.gram
         expected = _reference_vector([z for row in table for z in row]).reshape(n, n)
         assert got.tobytes() == expected.tobytes()
 
@@ -653,6 +653,30 @@ def _pipeline_configs():
     for path in sorted(CONFIGS.glob("*.json")):
         yield pytest.param(json.loads(path.read_text()), id=path.stem)
     yield pytest.param(FACTORIZE_TABLE, id="factorize-table")
+
+
+@pytest.mark.parametrize("command", ["validate", "factorize"])
+def test_table_points_label_the_kernel_without_changing_the_report(command, tmp_path):
+    points = [[{"re": 0.1}, {"re": 0, "im": 0.2}], [{"re": 0.3}, {"re": -0.1}]]
+    runs = []
+    for name, extra in (("index", {}), ("points", {"points": points})):
+        folder = tmp_path / name
+        folder.mkdir()
+        (folder / "job.json").write_text(json.dumps({**FACTORIZE_TABLE, "command": command, **extra}))
+        out = folder / "report.json"
+        assert cli.main([command, "--config", str(folder / "job.json"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["timing"]
+        runs.append((report, {p.name: p.read_bytes() for p in folder.glob("report.*.npy")}))
+    assert runs[0] == runs[1] and runs[0][1]
+
+
+def test_table_and_points_of_different_sizes_exit_one(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "validate", "points": [{"re": 0.1}, {"re": 0.2}],
+                                "kernel": {"variant": "table", "table": [[{"re": 1.0}]]}}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "kb: ShapeMismatch: gram must be 2x2, got (1, 1)\n")
 
 
 class TestEmit:

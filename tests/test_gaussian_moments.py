@@ -38,7 +38,7 @@ def _table_kernel(matrix, field_tag):
 
 def _complex_szego_kernel():
     ps = PointSet.from_points([0.0, 0.3 + 0.2j, -0.25j, -0.4 + 0.1j])
-    return assemble_gram(KernelSpec.szego(), ps)
+    return assemble_gram(KernelSpec(), ps)
 
 
 KERNELS = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,9 @@ from kboundary import (
     assemble_gram,
     check_positive_definite,
     polydisk_szego_eval,
-    szego_eval,
 )
 from kboundary.clark import b_eval, kb_eval
+from kboundary.kernels import index_points
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
@@ -25,23 +27,38 @@ disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infi
 class TestSzegoEval:
     def test_zero_left_argument_forces_one(self):
         for w in (0.0, 0.5, -0.3 + 0.4j, 0.9j):
-            assert szego_eval(0.0, w) == 1.0
+            assert polydisk_szego_eval(0.0, w) == 1.0
 
     def test_half_half(self):
-        assert szego_eval(0.5, 0.5) == pytest.approx(4.0 / 3.0)
+        assert polydisk_szego_eval(0.5, 0.5) == pytest.approx(4.0 / 3.0)
 
     def test_imaginary_half(self):
-        assert szego_eval(0.5j, 0.5j) == pytest.approx(4.0 / 3.0)
+        assert polydisk_szego_eval(0.5j, 0.5j) == pytest.approx(4.0 / 3.0)
 
     def test_domain_guard(self):
         with pytest.raises(DomainViolation):
-            szego_eval(1.0, 0.0)
+            polydisk_szego_eval(1.0, 0.0)
         with pytest.raises(DomainViolation):
-            szego_eval(0.2, 1.0 + 0.0j)
+            polydisk_szego_eval(0.2, 1.0 + 0.0j)
 
     @given(z=disk_points, w=disk_points)
     def test_hermitian_symmetry(self, z, w):
-        assert szego_eval(z, w) == pytest.approx(np.conj(szego_eval(w, z)))
+        assert polydisk_szego_eval(z, w) == pytest.approx(
+            np.conj(polydisk_szego_eval(w, z))
+        )
+
+
+def test_one_coordinate_polydisk_szego_is_the_disk_closed_form_bit_for_bit():
+    rng = np.random.default_rng(50)
+    radius = 0.9 * np.sqrt(rng.uniform(size=(2, 50)))
+    z, w = radius * np.exp(2j * np.pi * rng.uniform(size=(2, 50)))
+    want = 1.0 / (1.0 - z[:, None] * np.conj(w)[None, :])
+    got = polydisk_szego_eval(z[:, None, None], w[None, :, None])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for zi, wi in zip(z[:5], w[:5]):
+        scalar = polydisk_szego_eval(zi, wi)
+        closed_form = 1.0 / (1.0 - np.asarray(zi) * np.conj(wi))
+        assert np.asarray(scalar).tobytes() == closed_form.tobytes()
 
 
 class TestPolydiskSzego:
@@ -82,55 +99,83 @@ class TestPointSet:
 
 class TestAssembleGram:
     def test_szego_two_points(self):
-        K = assemble_gram(KernelSpec.szego(), PointSet.from_points([0.0, 0.5]))
+        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
         expected = np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]])
         np.testing.assert_allclose(K.gram, expected, atol=1e-15)
 
     def test_szego_single_point(self):
-        K = assemble_gram(KernelSpec.szego(), PointSet.from_points([0.0]))
+        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0]))
         assert K.gram[0, 0] == 1.0
 
     def test_polydisk_single_point(self):
         ps = PointSet.from_points([(0.5, 0.5)])
-        K = assemble_gram(KernelSpec.polydisk(2), ps)
+        K = assemble_gram(KernelSpec(dim=2), ps)
         assert K.gram[0, 0] == pytest.approx(16.0 / 9.0)
 
     def test_hermitian_bit_for_bit(self):
         ps = PointSet.from_points([0.1 + 0.2j, -0.3j, 0.4, 0.2 - 0.6j])
-        K = assemble_gram(KernelSpec.szego(), ps)
+        K = assemble_gram(KernelSpec(), ps)
         assert np.array_equal(K.gram, np.conj(K.gram).T)
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
-            assemble_gram(KernelSpec.szego(), PointSet.from_points([0.2, 1.0]))
+            assemble_gram(KernelSpec(), PointSet.from_points([0.2, 1.0]))
 
     def test_table_size_mismatch(self):
-        spec = KernelSpec.from_table(np.eye(3))
-        with pytest.raises(ShapeMismatch):
-            assemble_gram(spec, PointSet.from_points([0.0, 0.1]))
+        with pytest.raises(ShapeMismatch, match=r"^gram must be 2x2, got \(3, 3\)$"):
+            FiniteKernel.from_table(np.eye(3), PointSet.from_points([0.0, 0.1]))
 
     def test_table_requires_hermitian(self):
-        with pytest.raises(NotHermitian):
-            KernelSpec.from_table(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NotHermitian, match="^gram matrix is not Hermitian$"):
+            FiniteKernel.from_table(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_table_field_tag(self):
         ps = PointSet.from_points([0.0, 1.0])
-        real = assemble_gram(KernelSpec.from_table(np.eye(2)), ps)
+        real = FiniteKernel.from_table(np.eye(2), ps)
         assert real.field_tag == "real"
-        cplx = assemble_gram(
-            KernelSpec.from_table(np.array([[1.0, 1j], [-1j, 1.0]])), ps
-        )
+        cplx = FiniteKernel.from_table(np.array([[1.0, 1j], [-1j, 1.0]]), ps)
         assert cplx.field_tag == "complex"
 
     def test_dimension_check(self):
         ps = PointSet.from_points([(0.1, 0.2)])
-        with pytest.raises(DimensionMismatch):
-            assemble_gram(KernelSpec.szego(), ps)
+        with pytest.raises(DimensionMismatch, match="^kernel expects 1-dim points, got 2$"):
+            assemble_gram(KernelSpec(), ps)
+        with pytest.raises(DimensionMismatch, match="^kernel expects 2-dim points, got 1$"):
+            assemble_gram(KernelSpec(dim=2), PointSet.from_points([0.1]))
+
+
+class TestKernelSpec:
+    def test_parameters_name_the_kernel(self):
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == ["dim", "measure"]
+        assert (KernelSpec().dim, KernelSpec().measure) == (1, None)
+        assert not hasattr(KernelSpec, "from_table") and not hasattr(KernelSpec, "VARIANTS")
+
+    def test_debranges_rovnyak_kernel_has_one_variable(self):
+        mu = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
+        with pytest.raises(ShapeMismatch):
+            KernelSpec(dim=2, measure=mu)
+
+
+class TestFromTable:
+    def test_index_points_when_none_are_given(self):
+        K = FiniteKernel.from_table([[2.0, 1j], [-1j, 2.0]])
+        assert K.points is index_points(2)
+        assert K.field_tag == "complex"
+        assert FiniteKernel.from_table(np.eye(3)).field_tag == "real"
+
+    @pytest.mark.parametrize("table, shape", [
+        (np.ones((2, 3)), r"2x2, got \(2, 3\)"),
+        (np.ones(2), r"2x2, got \(2,\)"),
+        (np.array(1.0), r"0x0, got \(\)"),
+    ], ids=["non-square", "1-d", "0-d"])
+    def test_a_table_that_is_not_square_is_a_shape_mismatch(self, table, shape):
+        with pytest.raises(ShapeMismatch, match=f"^gram must be {shape}$"):
+            FiniteKernel.from_table(table)
 
 
 class TestCheckPositiveDefinite:
     def test_szego_worked_gram(self):
-        K = assemble_gram(KernelSpec.szego(), PointSet.from_points([0.0, 0.5]))
+        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
         report = check_positive_definite(K, tol=1e-10)
         assert report.is_psd
         assert report.min_eigenvalue > 0
@@ -164,7 +209,7 @@ class TestCheckPositiveDefinite:
     zs=st.lists(disk_points, min_size=1, max_size=20, unique=True),
 )
 def test_szego_grams_are_psd(zs):
-    K = assemble_gram(KernelSpec.szego(), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(), PointSet.from_points(zs))
     assert check_positive_definite(K, tol=1e-10).is_psd
 
 
@@ -175,14 +220,14 @@ def test_szego_grams_are_psd(zs):
     ),
 )
 def test_polydisk_grams_are_psd(zs):
-    K = assemble_gram(KernelSpec.polydisk(2), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(dim=2), PointSet.from_points(zs))
     assert check_positive_definite(K, tol=1e-10).is_psd
 
 
 def test_principal_submatrices_stay_psd():
     rng = np.random.default_rng(11)
     zs = 0.8 * np.sqrt(rng.uniform(size=12)) * np.exp(2j * np.pi * rng.uniform(size=12))
-    K = assemble_gram(KernelSpec.szego(), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(), PointSet.from_points(zs))
     for _ in range(20):
         size = rng.integers(1, 12)
         subset = rng.choice(12, size=size, replace=False)
@@ -194,7 +239,7 @@ def test_debranges_rovnyak_variant_matches_clark_closed_form():
 
     mu = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
     ps = PointSet.from_points([0.2, 0.3j, -0.1 + 0.4j])
-    K = assemble_gram(KernelSpec.debranges_rovnyak(mu), ps)
+    K = assemble_gram(KernelSpec(measure=mu), ps)
     zs = ps.coords[:, 0]
     expected = 1.0 + zs[:, None] * np.conj(zs)[None, :]
     np.testing.assert_allclose(K.gram, expected, atol=1e-13)
@@ -207,11 +252,11 @@ DBR_MEASURE = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
 @pytest.mark.parametrize(
     "spec, dim, scalar",
     [
-        (KernelSpec.szego(), 1, lambda z, w: szego_eval(z[0], w[0])),
-        (KernelSpec.polydisk(2), 2, polydisk_szego_eval),
-        (KernelSpec.polydisk(3), 3, polydisk_szego_eval),
+        (KernelSpec(), 1, lambda z, w: polydisk_szego_eval(z[0], w[0])),
+        (KernelSpec(dim=2), 2, polydisk_szego_eval),
+        (KernelSpec(dim=3), 3, polydisk_szego_eval),
         (
-            KernelSpec.debranges_rovnyak(DBR_MEASURE),
+            KernelSpec(measure=DBR_MEASURE),
             1,
             lambda z, w: kb_eval(DBR_MEASURE, z[0], w[0]),
         ),
@@ -230,8 +275,8 @@ def test_array_assembly_matches_scalar_evaluators(spec, dim, scalar, n):
 @pytest.mark.parametrize(
     "spec, coords",
     [
-        (KernelSpec.polydisk(2), [(0.1, 0.2j), (0.3, np.exp(2.1j))]),
-        (KernelSpec.debranges_rovnyak(DBR_MEASURE), [np.exp(-0.4j), 0.2]),
+        (KernelSpec(dim=2), [(0.1, 0.2j), (0.3, np.exp(2.1j))]),
+        (KernelSpec(measure=DBR_MEASURE), [np.exp(-0.4j), 0.2]),
     ],
     ids=["polydisk-2", "debranges-rovnyak"],
 )
@@ -273,8 +318,8 @@ def test_hermitian_mirror_is_bit_identical_to_index_assignment(n):
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: szego_eval(np.nan, 0.2),
-        lambda: szego_eval(0.2, complex(0.1, np.nan)),
+        lambda: polydisk_szego_eval(np.nan, 0.2),
+        lambda: polydisk_szego_eval(0.2, complex(0.1, np.nan)),
         lambda: polydisk_szego_eval([0.1, np.nan], [0.2, 0.3]),
         lambda: b_eval(DBR_MEASURE, complex(np.nan, 0.0)),
     ],

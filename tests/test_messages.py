@@ -20,8 +20,8 @@ from kboundary import (
     ZeroExpectation,
     clark,
     log_density,
+    polydisk_szego_eval,
     renormalize,
-    szego_eval,
 )
 
 POINT_MASS = CircleMeasure(atoms=[0.0], weights=[1.0])
@@ -43,7 +43,7 @@ def _cauchy_zero(monkeypatch):
 ONE_MINUS = 1.0 - 5e-15  # b = z for the point mass, so |1 - b| < CAUCHY_ZERO_TOL here
 
 CASES = {
-    "disk-guard": (DomainViolation, lambda mp: szego_eval(0.9999999999999999, 0.0),
+    "disk-guard": (DomainViolation, lambda mp: polydisk_szego_eval(0.9999999999999999, 0.0),
                    "evaluation point has |z| = 0.9999999999999999, outside the open disk guard"),
     "normalized-mass": (InvalidMeasure, lambda mp: DiscreteMeasure(atoms=("a",), weights=[0.9]),
                         "normalized measure must have total mass 1, got 0.9"),

@@ -26,7 +26,7 @@ from kboundary.rkhs import PARSEVAL_TRIALS
 
 @pytest.fixture
 def szego_base():
-    return assemble_gram(KernelSpec.szego(), PointSet.from_points([0.0, 0.5]))
+    return assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
 
 
 def _table_kernel(matrix):

@@ -15,7 +15,6 @@ from kboundary import (
     DiscreteMeasure,
     DomainViolation,
     FiniteKernel,
-    KernelSpec,
     MeasureMorphism,
     NotAFactorization,
     NotHermitian,
@@ -157,8 +156,8 @@ def test_feature_verdicts_do_not_depend_on_units(k):
     [
         lambda: FiniteKernel(points=PointSet.from_points([0, 1]), gram=[[np.nan, 0], [0, 1]]),
         lambda: FiniteKernel(points=PointSet.from_points([0, 1]), gram=[[np.inf, 0], [0, 1]]),
-        lambda: KernelSpec.from_table([[np.inf, 0.0], [0.0, 1.0]]),
-        lambda: KernelSpec.from_table([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+        lambda: FiniteKernel.from_table([[np.inf, 0.0], [0.0, 1.0]]),
+        lambda: FiniteKernel.from_table([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
         lambda: PointSet.from_points([0.1, np.nan]),
         lambda: PointSet.from_points([(0.1, complex(np.inf, 0.0))]),
     ],
