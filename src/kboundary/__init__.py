@@ -23,6 +23,7 @@ from .errors import (
     ShapeMismatch,
     SingularCovariance,
     UnknownLabel,
+    WorkerDied,
     ZeroExpectation,
 )
 from .measures import CircleMeasure, DiscreteMeasure

@@ -282,14 +282,13 @@ def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None
     """The closed-form kernel that ``raw`` names, or its table as a
     ``FiniteKernel`` over ``points`` (the index points when None)."""
     variant = raw["variant"]
-    if variant == "szego":
-        return kernels.KernelSpec()
-    if variant == "polydisk-szego":
-        return kernels.KernelSpec(dim=int(raw.get("dim", 1)))
+    dim = int(raw.get("dim", 1))
+    if variant in ("szego", "polydisk-szego"):
+        return kernels.KernelSpec(dim=dim)
     if variant == "debranges-rovnyak":
         if "measure" not in raw:
             raise ConfigError("debranges-rovnyak kernel requires a measure")
-        return kernels.KernelSpec(measure=_parse_circle_measure(raw["measure"]))
+        return kernels.KernelSpec(dim=dim, measure=_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
     return kernels.FiniteKernel.from_table(

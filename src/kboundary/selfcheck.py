@@ -14,20 +14,27 @@ that are frozen and fixed by their arguments: the index point sets and
 counting measures (one per size, see ``kernels`` and ``measures``), the
 probe elements of ``rkhs.verify_parseval``, and the Herglotz corpus of the
 last seed, which two criteria read.  Sharing them changes no report: a run
-with warm caches equals one with cold caches.
+with warm caches equals one with cold caches.  ``run_all`` runs each
+criterion in a forked worker, so these caches are shared only within one
+worker: a worker starts from the caller's caches, and what it adds to
+them goes when it exits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import clark, factorization, gaussian, kernels, measures, rkhs
-from .errors import DomainViolation
+from .errors import DomainViolation, WorkerDied
 
 HERGLOTZ_TOL = 1e-10  # |Re[(1+b)/(1-b)] - Poisson[mu]|
 MODULUS_TOL = 1e-3  # |1 - |b|| on the grid below
@@ -554,6 +561,79 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list[Check]:
-    """Run every criterion; report determinism is checked by running the
-    CLI twice (it cannot be observed from inside a single run)."""
-    return [check(seed=seed) for check in ALL_CHECKS]
+    """Run every criterion in forked workers; their checks in ALL_CHECKS order.
+
+    One worker per CPU this process may run on, and at most one per
+    criterion, claims criterion indices from a pipe and writes back one
+    pickled (index, Check or exception, traceback text) record each.  The
+    exception of the lowest index is raised, as a serial loop would raise
+    it; a criterion whose worker ended without reporting raises
+    ``WorkerDied``.  No worker outlives the call.  Report determinism is
+    checked by running the CLI twice (it cannot be observed from inside a
+    single run).
+    """
+    n_workers = min(len(os.sched_getaffinity(0)), len(ALL_CHECKS))
+    claims, claims_in = os.pipe()
+    with os.fdopen(claims_in, "wb") as fh:
+        fh.write(bytes(range(len(ALL_CHECKS))))
+    # A worker that flushes an inherited buffer would print its text again.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, sources, results = [], [], {}
+    try:
+        for _ in range(n_workers):
+            source, sink = os.pipe()
+            sources.append(os.fdopen(source, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(seed, claims, sink)
+                pids.append(pid)
+            finally:
+                os.close(sink)
+        # Workers never wait on each other, so reading one pipe after the
+        # other cannot block for good.
+        for fh in sources:
+            while True:
+                try:
+                    index, result, trace = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):  # a worker's last record, or cut off
+                    break
+                results[index] = result, trace
+    finally:
+        os.close(claims)
+        for fh in sources:
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for index, check in enumerate(ALL_CHECKS):
+        if index not in results:
+            raise WorkerDied(
+                f"criterion {index + 1} ({check.__name__}) reported no result; worker "
+                f"exit statuses {[os.waitstatus_to_exitcode(s) for s in statuses]}")
+        result, trace = results[index]
+        if trace is not None:
+            raise result from _WorkerTraceback(trace)
+    return [results[index][0] for index in range(len(ALL_CHECKS))]
+
+
+def _work(seed: int, claims: int, sink: int):
+    """A worker: run each criterion whose index it claims from ``claims``
+    and write its record to ``sink``, flushed at once; never returns."""
+    status = 1
+    try:
+        with os.fdopen(sink, "wb") as fh:
+            while claimed := os.read(claims, 1):
+                index = claimed[0]
+                try:
+                    record = index, ALL_CHECKS[index](seed=seed), None
+                except Exception as exc:  # handed to the parent, which raises it
+                    record = index, exc, traceback.format_exc()
+                fh.write(pickle.dumps(record))
+                fh.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker, as text."""

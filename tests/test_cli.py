@@ -679,6 +679,33 @@ def test_table_and_points_of_different_sizes_exit_one(tmp_path, capsys):
     assert capsys.readouterr() == ("", "kb: ShapeMismatch: gram must be 2x2, got (1, 1)\n")
 
 
+TWO_DIM_POINTS = [[{"re": 0.1}, {"re": 0, "im": 0.2}], [{"re": 0.3}, {"re": -0.1}]]
+
+
+def test_szego_with_dim_is_the_polydisk_szego_kernel(tmp_path):
+    reports = []
+    for variant in ("szego", "polydisk-szego"):
+        path, out = tmp_path / f"{variant}.json", tmp_path / f"{variant}-report.json"
+        path.write_text(json.dumps({"command": "validate", "points": TWO_DIM_POINTS,
+                                    "kernel": {"variant": variant, "dim": 2}}))
+        assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["timing"], report["matrices"]["gram"]["file"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_debranges_rovnyak_with_dim_two_exits_one(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "validate", "points": TWO_DIM_POINTS,
+        "kernel": {"variant": "debranges-rovnyak", "dim": 2,
+                   "measure": {"atoms": [0.0, 0.5], "weights": [0.5, 0.5]}}}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "kb: ShapeMismatch: the de Branges-Rovnyak kernel has one variable, got dim 2\n")
+
+
 class TestEmit:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_worked_config_reports_match_json_dumps(self, path, tmp_path):
