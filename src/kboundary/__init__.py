@@ -21,7 +21,6 @@ from .errors import (
     NotHermitian,
     NotPsd,
     ShapeMismatch,
-    SingularCovariance,
     UnknownLabel,
     WorkerDied,
     ZeroExpectation,
@@ -65,7 +64,6 @@ from .gaussian import (
     SampleBatch,
     consistency_check,
     empirical_covariance,
-    log_density,
     moments,
     realize,
     sample,

@@ -417,7 +417,7 @@ def _run_validate(cfg: JobConfig):
 def _run_factorize(cfg: JobConfig):
     K = _build_kernel(cfg)
     F = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol, psd_tol=cfg.psd_tol)
-    residual = rkhs.verify_parseval(F, seed=cfg.seed)
+    residual = rkhs.verify_parseval(F)
     checks = [
         _residual_check("parseval-reconstruction", residual, K, cfg.fact_tol,
                         retained_rank=F.n_atoms),

@@ -49,10 +49,6 @@ class IndexOutOfRange(KernelBoundaryError):
     """Subset index outside the point range."""
 
 
-class SingularCovariance(KernelBoundaryError):
-    """Covariance not strictly positive definite; density undefined."""
-
-
 class CauchyZero(KernelBoundaryError):
     """Cauchy transform vanishes; 1 - 1/C undefined."""
 

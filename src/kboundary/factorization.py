@@ -35,7 +35,6 @@ from .errors import (
 from .kernels import (
     FiniteKernel,
     PointSet,
-    Spectrum,
     default_rank_tol,
     index_points,
     numerical_rank,
@@ -88,19 +87,14 @@ class BoundaryFactorization:
         return verify_factorization(self)
 
     @cached_property
-    def feature_spectrum(self) -> Spectrum:
-        """Spectrum of the features' mu-Gram B B^* on L^2(mu), B = D^(1/2) Phi^T
-        in sqrt-weighted coordinates, computed once.  Its nonzero eigenvalues
-        are those of conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
-        B = np.sqrt(self.measure.weights)[:, None] * self.features.T
-        return spectrum(B @ np.conj(B).T)
-
-    @cached_property
     def feature_projector(self) -> np.ndarray:
-        """Orthogonal projection onto the eigenvectors of feature_spectrum
-        above the frame cutoff default_rank_tol(n_points), computed once and
-        read-only."""
-        S = self.feature_spectrum.projector(default_rank_tol(self.n_points))
+        """Orthogonal projection onto the eigenvectors of the features' mu-Gram
+        B B^* on L^2(mu), B = D^(1/2) Phi^T in sqrt-weighted coordinates, above
+        the frame cutoff default_rank_tol(n_points); computed once and
+        read-only.  The nonzero eigenvalues of B B^* are those of
+        conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
+        B = np.sqrt(self.measure.weights)[:, None] * self.features.T
+        S = spectrum(B @ np.conj(B).T).projector(default_rank_tol(self.n_points))
         S.setflags(write=False)
         return S
 

@@ -19,10 +19,6 @@ through L once at the end: sum d = L sum g and sum d d^* = L (sum g g^*)
 L^*.  So one chunk holds chunk x r values, not chunk x n, and its memory
 does not grow with N.  An L with zero imaginary part is used as a real
 matrix, so real-tagged draws and their sums stay in real arithmetic.
-
-The finite-marginal density uses the standard Gaussian normalization,
-(2 pi)^(-n/2) det(M)^(-1/2) in the real case and pi^(-n) det(M)^(-1) in
-the circular complex case.
 """
 
 from __future__ import annotations
@@ -31,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch, SingularCovariance
+from .errors import IndexOutOfRange, ShapeMismatch
 from .factorization import BoundaryFactorization
 from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
-DENSITY_TOL = 1e-12
 EXACT_TOL = 1e-12  # restricted factorization against the Gram block, relative to ||G||_2
 
 
@@ -143,30 +138,6 @@ def moments(
         outer = outer + g.T @ g.conj()
     L = _draw_factor(F)
     return (L @ total) / N, (L @ outer @ L.conj().T) / N, record
-
-
-def log_density(M_F: FiniteKernel, z) -> float:
-    """Log density of the finite marginal at z, w.r.t. Lebesgue measure.
-
-    Real tag: -(1/2) [n log(2 pi) + log det M + z^T M^{-1} z].
-    Complex tag (circular): -[n log(pi) + log det M + z^* M^{-1} z].
-    Both terms are read from M_F.spectrum; raises SingularCovariance unless
-    every eigenvalue is above DENSITY_TOL * ||M||_2.
-    """
-    n = M_F.size
-    zv = np.asarray(z, dtype=complex).ravel()
-    if zv.size != n:
-        raise ShapeMismatch(f"point has length {zv.size}, marginal has {n}")
-    spec = M_F.spectrum
-    if n == 0 or spec.values[0] <= DENSITY_TOL * spec.norm:
-        raise SingularCovariance(
-            f"marginal covariance has min eigenvalue {float(spec.values[0]) if n else 0.0!r}"
-        )
-    logdet = float(np.sum(np.log(spec.values)))
-    quad = float(np.sum(np.abs(np.conj(spec.vectors).T @ zv) ** 2 / spec.values))
-    if M_F.field_tag == "real":
-        return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
-    return -(n * np.log(np.pi) + logdet + quad)
 
 
 def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) -> dict:

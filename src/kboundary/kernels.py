@@ -8,7 +8,7 @@ from a circle measure (``KernelSpec``); an arbitrary Hermitian table is a
 
 All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
-consumers (Gaussian sampling, densities) can pick the right convention.
+consumers (Gaussian sampling) can pick the right convention.
 Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
 eigendecomposition) or ``numerical_rank`` (the one SVD).
 
@@ -273,31 +273,45 @@ def _real_if_zero_imag(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """M = vectors diag(values) vectors^*, values ascending, norm = ||M||_2.
+    """M = vectors diag(values) vectors^*, values ascending.
 
+    Callers read it through the extreme eigenvalues, ``norm`` = ||M||_2, the
+    PSD verdict and the kept factor or projector, never through the arrays.
     An eigenvalue above ``rtol * norm`` is kept; M is PSD when none lies
-    below ``-tol * norm``.  No cutoff has an absolute floor: a backward-stable
-    solver is accurate to about eps * ||M||_2 (Weyl), so verdicts do not
-    depend on units."""
+    below ``-tol * norm``.  No cutoff has an absolute floor: a
+    backward-stable solver is accurate to about eps * ||M||_2 (Weyl), so
+    verdicts do not depend on units."""
 
     values: np.ndarray
     vectors: np.ndarray
-    norm: float
+
+    @property
+    def lower(self) -> float:
+        """The least eigenvalue, 0.0 for an empty matrix."""
+        return float(self.values[0]) if self.values.size else 0.0
+
+    @property
+    def upper(self) -> float:
+        """The greatest eigenvalue, 0.0 for an empty matrix."""
+        return float(self.values[-1]) if self.values.size else 0.0
+
+    @property
+    def norm(self) -> float:
+        return max(-self.lower, self.upper)
 
     def is_psd(self, tol: float) -> bool:
-        return not self.values.size or bool(self.values[0] >= -tol * self.norm)
-
-    def kept(self, rtol: float) -> np.ndarray:
-        return self.values > rtol * self.norm
+        return self.lower >= -tol * self.norm
 
     def factor(self, rtol: float) -> np.ndarray:
-        """Columns sqrt(lam) v over the kept eigenpairs, ascending."""
-        keep = self.kept(rtol)
-        return self.vectors[:, keep] * np.sqrt(self.values[keep])[None, :]
+        """Contiguous complex columns sqrt(lam) v over the kept eigenpairs,
+        the strongest first: M up to the dropped eigenvalues is F F^*."""
+        keep = self.values > rtol * self.norm
+        f = self.vectors[:, keep] * np.sqrt(self.values[keep])[None, :]
+        return np.ascontiguousarray(f[:, ::-1], dtype=complex)
 
     def projector(self, rtol: float) -> np.ndarray:
         """Orthogonal projection onto the kept eigenvectors."""
-        v = self.vectors[:, self.kept(rtol)]
+        v = self.vectors[:, self.values > rtol * self.norm]
         return v @ np.conj(v).T
 
 
@@ -307,8 +321,7 @@ def spectrum(M) -> Spectrum:
     values, vectors = np.linalg.eigh(_real_if_zero_imag(np.asarray(M)))
     values.setflags(write=False)
     vectors.setflags(write=False)
-    norm = float(max(-values[0], values[-1])) if values.size else 0.0
-    return Spectrum(values=values, vectors=vectors, norm=norm)
+    return Spectrum(values=values, vectors=vectors)
 
 
 def numerical_rank(A, rtol: float | None = None) -> int:
@@ -336,5 +349,5 @@ def check_positive_definite(K: FiniteKernel, tol: float = PSD_TOL) -> PsdReport:
     if tol < 0:
         raise ShapeMismatch("tolerance must be nonnegative")
     spec = K.spectrum
-    lo, hi = (float(spec.values[0]), float(spec.values[-1])) if K.size else (0.0, 0.0)
-    return PsdReport(min_eigenvalue=lo, max_eigenvalue=hi, is_psd=spec.is_psd(tol))
+    return PsdReport(min_eigenvalue=spec.lower, max_eigenvalue=spec.upper,
+                     is_psd=spec.is_psd(tol))

@@ -11,11 +11,11 @@ calibrated at run time.
 
 The corpora are rebuilt from the seed on every call, apart from objects
 that are frozen and fixed by their arguments: the index point sets and
-counting measures (one per size, see ``kernels`` and ``measures``), the
-probe elements of ``rkhs.verify_parseval``, and the Herglotz corpus of the
-last seed, which two criteria read.  Sharing them changes no report: a run
-with warm caches equals one with cold caches.  ``run_all`` runs each
-criterion in a forked worker, so these caches are shared only within one
+counting measures (one per size, see ``kernels`` and ``measures``) and
+the Herglotz corpus of the last seed, which two criteria read.  Sharing
+them changes no report: a run with warm caches equals one with cold
+caches.  ``run_all`` runs each criterion in a forked worker where the
+platform has ``os.fork``, so these caches are shared only within one
 worker: a worker starts from the caller's caches, and what it adds to
 them goes when it exits.
 """
@@ -283,8 +283,8 @@ def check_schwarz_bound(seed: int = 0) -> Check:
         # into an equality.
         g_eq = F.features.T @ np.conj(xi)
         res_eq = factorization.schwarz_bound_check(F, g_eq, xi)
-        rel = abs(res_eq["lhs"] - res_eq["rhs"]) / max(1.0, abs(res_eq["rhs"]))
-        worst_eq = max(worst_eq, rel)
+        dev, scale = abs(res_eq["lhs"] - res_eq["rhs"]), abs(res_eq["rhs"])
+        worst_eq = max(worst_eq, dev / scale if scale else math.inf if dev else 0.0)
     passed = violations == 0 and worst_eq <= 1e-9
     return Check("schwarz-bound", passed,
                  {"violations": violations, "max_equality_deviation": worst_eq})
@@ -568,11 +568,15 @@ def run_all(seed: int = 0) -> list[Check]:
     pickled (index, Check or exception, traceback text) record each.  The
     exception of the lowest index is raised, as a serial loop would raise
     it; a criterion whose worker ended without reporting raises
-    ``WorkerDied``.  No worker outlives the call.  Report determinism is
-    checked by running the CLI twice (it cannot be observed from inside a
-    single run).
+    ``WorkerDied``.  No worker outlives the call.  Where ``os.fork`` is
+    missing the criteria run in this process, in index order.  Report
+    determinism is checked by running the CLI twice (it cannot be observed
+    from inside a single run).
     """
-    n_workers = min(len(os.sched_getaffinity(0)), len(ALL_CHECKS))
+    if not hasattr(os, "fork"):
+        return [check(seed=seed) for check in ALL_CHECKS]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(cpus or 1, len(ALL_CHECKS))
     claims, claims_in = os.pipe()
     with os.fdopen(claims_in, "wb") as fh:
         fh.write(bytes(range(len(ALL_CHECKS))))

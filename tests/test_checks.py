@@ -176,7 +176,8 @@ def test_overflowing_factorize_leaves_stderr_empty(tmp_path, capfd):
     (check,) = [c for c in json.loads(out.read_text())["checks"]
                 if c["name"] == "parseval-reconstruction"]
     assert check["relative_residual"] is None and check["passed"] is False
-    assert check["residual"] is None
+    # ||G||_2 overflows, so the frame is empty and the residual is max |G_ij|.
+    assert check["residual"] == 1e308
 
 
 def _collapse_config(rng, scale):
@@ -253,6 +254,26 @@ def test_verify_all_judges_residuals_on_the_kernels_scale(seed, name, tmp_path):
     code, report = _run_main(["verify-all", "--seed", str(seed)], tmp_path)
     (check,) = [c for c in report["checks"] if c["name"] == name]
     assert check["passed"] and code == 0
+
+
+def test_schwarz_equality_is_judged_relative_to_its_own_scale(monkeypatch):
+    # Features scaled by 1e-3 make |rhs| << 1, and a V shrunk by 1e-6 breaks
+    # the equality case by 2e-6 relative, an error a max(1, |rhs|) floor hid.
+    # Shrunk, not grown: a grown V would also break the bound on one-atom draws.
+    from kboundary import factorization, selfcheck
+
+    random_factorization, apply_V = selfcheck._random_feature_factorization, factorization.apply_V
+
+    def small(rng, mean_shift=0.0):
+        F = random_factorization(rng, mean_shift)
+        return factorization.BoundaryFactorization.induced(F.measure, 1e-3 * F.features)
+
+    monkeypatch.setattr(selfcheck, "_random_feature_factorization", small)
+    assert selfcheck.check_schwarz_bound(seed=0).passed
+    monkeypatch.setattr(factorization, "apply_V", lambda F, g: (1.0 - 1e-6) * apply_V(F, g))
+    check = selfcheck.check_schwarz_bound(seed=0)
+    assert not check.passed and check.details["violations"] == 0
+    assert check.details["max_equality_deviation"] > 1e-6
 
 
 def test_morphism_checker_isometry_residual_shows_rounding():

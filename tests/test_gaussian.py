@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from kboundary import (
     BoundaryFactorization,
@@ -14,11 +13,9 @@ from kboundary import (
     PointSet,
     SampleBatch,
     ShapeMismatch,
-    SingularCovariance,
     assemble_gram,
     consistency_check,
     empirical_covariance,
-    log_density,
     minimality_test,
     moments,
     realize,
@@ -116,29 +113,6 @@ class TestEmpiricalCovariance:
         batch = sample(realize(K), 200_000, seed=55)
         emp = empirical_covariance(batch)
         assert np.abs(emp - G).max() <= 4.0 * np.abs(G).max() / np.sqrt(200_000)
-
-
-class TestLogDensity:
-    def test_standard_normal_at_mode(self):
-        K = _table_kernel([[1.0]], field_tag="real")
-        assert log_density(K, [0.0]) == pytest.approx(-0.5 * np.log(2 * np.pi))
-
-    def test_standard_normal_quadratic_term(self):
-        K = _table_kernel([[1.0]], field_tag="real")
-        assert log_density(K, [1.0]) == pytest.approx(-0.5 * np.log(2 * np.pi) - 0.5)
-
-    def test_circular_complex_normalization(self):
-        K = _table_kernel([[1.0]])
-        assert log_density(K, [0.0]) == pytest.approx(-np.log(np.pi))
-
-    def test_singular_covariance(self):
-        with pytest.raises(SingularCovariance):
-            log_density(_table_kernel([[1.0, 1.0], [1.0, 1.0]]), [0.0, 0.0])
-
-    def test_density_integrates_to_one(self):
-        K = _table_kernel([[0.7]], field_tag="real")
-        total, _ = quad(lambda x: np.exp(log_density(K, [x])), -10, 10)
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def _full_moments(K, N, seed):

@@ -16,10 +16,8 @@ from kboundary import (
     FiniteKernel,
     InvalidMeasure,
     PointSet,
-    SingularCovariance,
     ZeroExpectation,
     clark,
-    log_density,
     polydisk_szego_eval,
     renormalize,
 )
@@ -51,11 +49,6 @@ CASES = {
                     "circle measure must be a probability measure, got mass 0.9"),
     "zero-expectation": (ZeroExpectation, lambda mp: renormalize(_zero_mean_factorization()),
                          "feature mean for point index 0 has modulus 0.0"),
-    "singular-covariance": (
-        SingularCovariance,
-        lambda mp: log_density(FiniteKernel(points=PointSet.from_points([0.0, 0.5]),
-                                            gram=np.diag([1.0, 0.0])), [0.0, 0.0]),
-        "marginal covariance has min eigenvalue 0.0"),
     "cauchy-zero": (CauchyZero, _cauchy_zero, "Cauchy transform vanishes at z = (-0.9+0j)"),
     "b-at-one": (BAtOne, lambda mp: clark.herglotz_poisson_check(POINT_MASS, [0.0, ONE_MINUS]),
                  f"b(z) = 1 within tolerance at z = {complex(ONE_MINUS)!r}"),

@@ -21,7 +21,7 @@ from kboundary import (
     tightness_test,
     verify_parseval,
 )
-from kboundary.rkhs import PARSEVAL_TRIALS
+from kboundary.kernels import relative_residual
 
 
 @pytest.fixture
@@ -155,35 +155,40 @@ class TestVerifyParseval:
             K = _random_psd(rng, int(rng.integers(1, 12)), complex_entries=bool(rng.integers(2)))
             assert verify_parseval(parseval_factorize(K)) <= 1e-10
 
-    def test_overflowed_norm_identity_is_nan(self):
-        # max(residual, nan) would keep the finite reconstruction term.
+    def test_overflowed_gram_has_an_infinite_relative_residual(self):
+        # ||G||_2 overflows, so no eigenvalue is kept and no tolerance accepts
+        # the residual.
         F = parseval_factorize(_table_kernel([[1e308, 1e308], [1e308, 1e308]]))
-        assert np.isnan(verify_parseval(F))
+        assert F.n_atoms == 0
+        assert relative_residual(verify_parseval(F), F.kernel) == np.inf
 
-    def test_array_pass_matches_per_trial_loop(self):
+    def test_is_the_residual_where_the_norm_identity_is_larger(self):
+        # Scaled down, ||f||^2 < 1 for unit probes, so a norm identity divided
+        # by max(1, ||f||^2) exceeded the max-abs residual here.
+        K = _table_kernel(1e-3 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        F = _counting_factorization(K, 1.01 * parseval_factorize(K).features.T)
+        xi = np.ones(2)
+        deviation = abs(norm_squared(RkhsElement(base=K, coeffs=xi))
+                        - np.sum(np.abs(np.conj(F.features).T @ xi) ** 2))
+        assert deviation > F.residual
+        assert verify_parseval(F) == F.residual
+
+    def test_norm_identity_is_bounded_by_the_reconstruction_residual(self):
         rng = np.random.default_rng(11)
         for k in range(30):
             K = _random_psd(rng, int(rng.integers(1, 12)), complex_entries=bool(k % 2))
             F = parseval_factorize(K)
-            if k % 3 == 0:  # a broken frame, so the norm-identity term counts
+            if k % 3 == 0:  # a broken frame, so the residual is far above rounding
                 F = _counting_factorization(K, 1.01 * F.features.T)
-            for seed in (0, k, k + 1, 2):
-                expected = _verify_parseval_loop(F, seed)
-                assert abs(verify_parseval(F, seed=seed) - expected) <= 1e-14
-
-
-def _verify_parseval_loop(F, seed):
-    """Reference: the per-trial loop that verify_parseval replaces."""
-    residual = F.residual
-    rng = np.random.default_rng(seed)
-    n = F.n_points
-    for _ in range(PARSEVAL_TRIALS):
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nrm2 = complex(np.conj(xi) @ (F.kernel.gram @ xi)).real
-        coeffs = np.conj(F.features).T @ xi
-        dev = abs(nrm2 - float(np.abs(coeffs) ** 2 @ np.ones(coeffs.size)))
-        residual = max(residual, dev / max(1.0, abs(nrm2)))
-    return residual
+            assert verify_parseval(F) == F.residual
+            n = K.size
+            for _ in range(4):
+                xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                nrm2 = norm_squared(RkhsElement(base=K, coeffs=xi))
+                deviation = abs(nrm2 - np.sum(np.abs(np.conj(F.features).T @ xi) ** 2))
+                # |xi^* E xi| <= ||xi||^2 ||E||_2 <= ||xi||^2 n max|E_ij|
+                bound = (n * F.residual + 1e-13 * K.spectrum.norm) * np.sum(np.abs(xi) ** 2)
+                assert deviation <= bound
 
 
 def _analysis(F, f):

@@ -1,7 +1,7 @@
 """Shared frozen objects and one-pass kernel validation.
 
-Index point sets, counting measures, strict-lower masks, Parseval probes
-and the Herglotz corpus are built once and shared.  These tests pin that
+Index point sets, counting measures, strict-lower masks and the Herglotz
+corpus are built once and shared.  These tests pin that
 every shared object is read-only and equal to a freshly built one, that
 FiniteKernel's one-pass validation keeps its verdicts, messages and
 mirror bits, and that warm caches change no self-check report.
@@ -27,7 +27,7 @@ from kboundary import (
     PointSet,
     parseval_factorize,
 )
-from kboundary import factorization, kernels, measures, rkhs, selfcheck
+from kboundary import factorization, kernels, measures, selfcheck
 from kboundary.kernels import _hermitian_mirror, default_rank_tol, index_points
 
 PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
@@ -35,7 +35,7 @@ PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
 
 def _clear_caches():
     for cached in (kernels.index_points, kernels._strict_lower, measures._counting_measure,
-                   rkhs._parseval_probes, selfcheck._herglotz_corpus):
+                   selfcheck._herglotz_corpus):
         cached.cache_clear()
 
 
@@ -152,22 +152,14 @@ def test_feature_projector_is_computed_once_and_read_only():
     F = parseval_factorize(FiniteKernel(points=index_points(5), gram=A @ A.conj().T))
     P = F.feature_projector
     assert F.feature_projector is P and not P.flags.writeable
-    fresh = F.feature_spectrum.projector(default_rank_tol(F.n_points))
+    B = np.sqrt(F.measure.weights)[:, None] * F.features.T
+    fresh = kernels.spectrum(B @ B.conj().T).projector(default_rank_tol(F.n_points))
     assert P.tobytes() == fresh.tobytes()
     sqrt_w = np.sqrt(F.measure.weights)
     want = fresh * sqrt_w[None, :] / sqrt_w[:, None]
     assert factorization.range_projection(F).tobytes() == want.tobytes()
     assert (factorization.projection_spectrum(F).tobytes()
             == kernels.spectrum(fresh).values.tobytes())
-
-
-def test_parseval_probes_are_read_only_and_equal_to_fresh_draws():
-    trials = rkhs.PARSEVAL_TRIALS
-    for seed, n in ((0, 7), (11, 3), (0, 0)):
-        probes = rkhs._parseval_probes(seed, n)
-        draws = np.random.default_rng(seed).standard_normal((trials, 2, n))
-        assert probes.tobytes() == (draws[:, 0] + 1j * draws[:, 1]).T.tobytes()
-        assert probes.shape == (n, trials) and not probes.flags.writeable
 
 
 def _run_all_json(seed):

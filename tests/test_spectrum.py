@@ -1,6 +1,7 @@
 """The spectral core and the tolerance rule: one decomposition, every verdict
 relative to the scale of what it measures."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -34,7 +35,7 @@ from kboundary import (
     renormalize,
     tightness_test,
 )
-from kboundary.kernels import numerical_rank, spectrum
+from kboundary.kernels import PSD_TOL, default_rank_tol, numerical_rank, spectrum
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kboundary"
 
@@ -96,6 +97,47 @@ def hermitian_matrices(draw):
         A = A + 1j * rng.standard_normal((n, n))
     Q, _ = np.linalg.qr(A)
     return (Q * lam[None, :]) @ np.conj(Q).T
+
+
+def _check_spectrum(gram):
+    """Spectrum's bounds and factor against eigvalsh; returns (lower, upper,
+    norm, PSD verdict, factor column count)."""
+    spec = spectrum(gram)
+    lam = np.linalg.eigvalsh(gram)
+    n = lam.size
+    extremes = (lam[0], lam[-1]) if n else (0.0, 0.0)
+    # eigh and eigvalsh agree to rounding, not bit for bit.
+    np.testing.assert_allclose((spec.lower, spec.upper), extremes,
+                               rtol=0.0, atol=1e-13 * max(n, 1) * spec.norm)
+    assert spec.norm == max(-spec.lower, spec.upper)
+    assert spec.norm == pytest.approx(max(-extremes[0], extremes[1]), rel=1e-13 * max(n, 1))
+    rtol = default_rank_tol(n)
+    F = spec.factor(rtol)
+    assert F.dtype == np.complex128 and F.flags.c_contiguous
+    kept = lam[lam > rtol * spec.norm][::-1]
+    np.testing.assert_allclose(np.sum(np.abs(F) ** 2, axis=0), kept,
+                               rtol=1e-12, atol=1e-12 * spec.norm)
+    psd = spec.is_psd(PSD_TOL)
+    if psd:
+        assert np.abs(F @ np.conj(F).T - gram).max(initial=0.0) <= 1e-13 * max(n, 1) * spec.norm
+    return spec.lower, spec.upper, spec.norm, psd, F.shape[1]
+
+
+def test_spectrum_of_the_empty_matrix():
+    assert _check_spectrum(np.zeros((0, 0))) == (0.0, 0.0, 0.0, True, 0)
+    assert spectrum(np.zeros((0, 0))).projector(1e-12).shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=hermitian_matrices(), k=st.integers(1, 12))
+def test_spectrum_bounds_scale_with_the_matrix(gram, k):
+    lower, upper, norm, psd, rank = _check_spectrum(gram)
+    for c in (10.0**k, 10.0**-k):
+        c_lower, c_upper, c_norm, c_psd, c_rank = _check_spectrum(c * gram)
+        assert (c_psd, c_rank) == (psd, rank)
+        assert c_norm == pytest.approx(c * norm, rel=1e-12)
+        for got, want in ((c_lower, lower), (c_upper, upper)):
+            assert abs(got - c * want) <= 1e-12 * gram.shape[0] * c_norm
 
 
 def _verdicts(gram) -> dict:
@@ -195,3 +237,32 @@ def test_numpy_linalg_is_called_only_by_the_spectral_core():
         if found:
             calls[path.name] = sorted(found)
     assert calls == {"kernels.py": ["eigh", "svd"]}
+
+
+def _array_reads(path: Path) -> set:
+    """Names of the functions (or ``<module>``) in ``path`` that read an
+    attribute ``values`` or ``vectors``; a call such as ``dict.values()`` is
+    not a read."""
+    tree = ast.parse(path.read_text())
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in ("values", "vectors")
+                and id(node) not in called):
+            reads.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return reads
+
+
+def test_only_the_spectral_core_reads_a_spectrums_arrays():
+    # projection_spectrum reads the eigenvalues of a projector, all of which
+    # the transform-pair criterion judges.
+    reads = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if path.name != "kernels.py" and (found := _array_reads(path))}
+    assert reads == {"factorization.py": {"projection_spectrum"}}

@@ -56,6 +56,16 @@ def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker():
     assert json.dumps(pinned["checks"]) == _as_json(selfcheck.run_all(3))
 
 
+@pytest.mark.parametrize("missing", [("sched_getaffinity",), ("fork", "sched_getaffinity")],
+                         ids=["cpu-count", "in-process"])
+def test_run_all_is_the_same_where_the_platform_lacks_them(missing, monkeypatch):
+    forked = _as_json(selfcheck.run_all(5))
+    for name in missing:
+        monkeypatch.delattr(os, name)
+    assert _as_json(selfcheck.run_all(5)) == forked
+    _assert_no_child_left()
+
+
 def test_verify_all_raises_the_error_of_the_lowest_index(monkeypatch, capsys):
     def slow_error(seed):
         time.sleep(0.2)  # so that the later criterion fails first
