@@ -75,7 +75,7 @@ def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
     """The angles of ``thetas`` (mod 1, flattened) whose circular distance
     to every atom of ``mu`` is at least ``margin``."""
     th = np.asarray(thetas, dtype=float).ravel() % 1.0
-    gaps = np.abs(th[:, None] - mu.atoms[None, :])
+    gaps = np.abs(th[:, None] - mu.coords[:, 0])
     gaps = np.minimum(gaps, 1.0 - gaps)
     return th[gaps.min(axis=1) >= margin]
 
@@ -113,24 +113,18 @@ def kb_feature(mu: CircleMeasure, z) -> np.ndarray:
     return one_minus_b / (1.0 - zv * np.conj(mu.boundary_points()))
 
 
-def _as_pointset(points) -> PointSet:
-    if isinstance(points, PointSet):
-        return points
-    return PointSet.from_points(points)
-
-
 def build_kb_factorization(mu: CircleMeasure, points) -> BoundaryFactorization:
     """Exact factorization of the K_b Gram matrix through the atoms of mu.
 
     The features span L^2(mu) (minimality) as soon as the number of
     distinct interior points is at least the number of atoms.
     """
-    ps = _as_pointset(points)
+    ps = PointSet.from_points(points)
     if ps.dim != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
     return BoundaryFactorization(
         kernel=assemble_gram(KernelSpec(measure=mu), ps),
-        measure=mu.as_discrete(),
+        measure=mu,
         features=kb_feature(mu, ps.coords[:, 0]),
     )
 
@@ -144,13 +138,13 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     means reproduce the Cauchy transform: E_i = C(z_i), hence
     1 / E_i = 1 - b(z_i).
     """
-    ps = _as_pointset(points)
+    ps = PointSet.from_points(points)
     if ps.dim != 1:
         raise ShapeMismatch("Szego features need 1-dim complex points")
     zs = _check_in_disk(ps.coords[:, 0])
     e = mu.boundary_points()
     features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
-    return BoundaryFactorization.induced(mu.as_discrete(), features, ps)
+    return BoundaryFactorization.induced(mu, features, ps)
 
 
 def herglotz_poisson_check(mu: CircleMeasure, z) -> dict:
@@ -217,17 +211,7 @@ def renormalize(F: BoundaryFactorization) -> RenormContext:
     )
 
 
-def _density_atoms(measure) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(measure, CircleMeasure):
-        return measure.atoms.reshape(-1, 1), np.asarray(measure.weights)
-    if isinstance(measure, DiscreteMeasure):
-        if measure.coords is None:
-            raise InvalidMeasure("density test needs atom coordinates in [0,1)^k")
-        return measure.coords, np.asarray(measure.weights)
-    raise InvalidMeasure(f"unsupported measure type {type(measure).__name__}")
-
-
-def polydisk_density_test(measure, max_degree: int | None = None) -> dict:
+def polydisk_density_test(measure: DiscreteMeasure, max_degree: int | None = None) -> dict:
     """Rank growth of torus monomials e(n . x) evaluated at the atoms.
 
     For degrees d = 0..max_degree the monomials with multi-index entries
@@ -236,13 +220,15 @@ def polydisk_density_test(measure, max_degree: int | None = None) -> dict:
     of atoms at some degree.  For k = 1 and m distinct atoms the
     Vandermonde structure guarantees saturation at degree m - 1.
     """
-    coords, weights = _density_atoms(measure)
+    coords = measure.coords
+    if coords is None:
+        raise InvalidMeasure("density test needs atom coordinates in [0,1)^k")
     m, k = coords.shape
     if max_degree is None:
         max_degree = m
     if max_degree < 0:
         raise ShapeMismatch("max_degree must be nonnegative")
-    sqrt_w = np.sqrt(weights)
+    sqrt_w = np.sqrt(measure.weights)
     ranks = []
     saturated = False
     for d in range(max_degree + 1):

@@ -273,15 +273,22 @@ def _parse_circle_measure(raw) -> measures.CircleMeasure:
 
 
 def _parse_discrete_measure(raw) -> measures.DiscreteMeasure:
-    return measures.DiscreteMeasure(
-        atoms=tuple(raw["atoms"]), weights=raw["weights"], normalized=False
-    )
+    return measures.DiscreteMeasure(atoms=tuple(raw["atoms"]), weights=raw["weights"])
+
+
+# variant -> the kernel fields besides "variant" that it reads
+_KERNEL_FIELDS = {"szego": {"dim"}, "polydisk-szego": {"dim"},
+                  "debranges-rovnyak": {"dim", "measure"}, "table": {"table"}}
 
 
 def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None = None):
     """The closed-form kernel that ``raw`` names, or its table as a
-    ``FiniteKernel`` over ``points`` (the index points when None)."""
+    ``FiniteKernel`` over ``points`` (the index points when None).  A field
+    that the variant does not read is a ConfigError."""
     variant = raw["variant"]
+    unread = sorted(set(raw) - {"variant"} - _KERNEL_FIELDS[variant])
+    if unread:
+        raise ConfigError(f"{variant} kernel does not take {', '.join(unread)}")
     dim = int(raw.get("dim", 1))
     if variant in ("szego", "polydisk-szego"):
         return kernels.KernelSpec(dim=dim)

@@ -162,9 +162,7 @@ def _random_feature_factorization(
     m = int(rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1))
     phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) + mean_shift
     w = rng.uniform(0.2, 1.0, size=m)
-    meas = measures.DiscreteMeasure(
-        atoms=tuple(range(m)), weights=w, normalized=False
-    )
+    meas = measures.DiscreteMeasure(atoms=tuple(range(m)), weights=w)
     return factorization.BoundaryFactorization.induced(meas, phi)
 
 

@@ -706,6 +706,27 @@ def test_debranges_rovnyak_with_dim_two_exits_one(tmp_path, capsys):
         "", "kb: ShapeMismatch: the de Branges-Rovnyak kernel has one variable, got dim 2\n")
 
 
+TWO_ATOM_MEASURE = {"atoms": [0.0, 0.5], "weights": [0.5, 0.5]}
+ONE_POINT_TABLE = [[{"re": 1.0}]]
+
+
+@pytest.mark.parametrize("kernel, message", [
+    ({"variant": "szego", "measure": TWO_ATOM_MEASURE}, "szego kernel does not take measure"),
+    ({"variant": "polydisk-szego", "dim": 2, "table": ONE_POINT_TABLE},
+     "polydisk-szego kernel does not take table"),
+    ({"variant": "debranges-rovnyak", "measure": TWO_ATOM_MEASURE, "table": ONE_POINT_TABLE},
+     "debranges-rovnyak kernel does not take table"),
+    ({"variant": "table", "dim": 3, "measure": TWO_ATOM_MEASURE, "table": ONE_POINT_TABLE},
+     "table kernel does not take dim, measure"),
+], ids=["szego-measure", "polydisk-table", "debranges-table", "table-dim-measure"])
+def test_a_kernel_field_the_variant_does_not_read_exits_one(kernel, message, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "validate", "kernel": kernel,
+                                "points": [{"re": 0.1}]}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"kb: config error: {message}\n")
+
+
 class TestEmit:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_worked_config_reports_match_json_dumps(self, path, tmp_path):

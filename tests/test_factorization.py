@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from kboundary import (
     verify_factorization,
     verify_parseval,
 )
+from kboundary import factorization
 from kboundary.factorization import projection_spectrum
 
 
@@ -58,14 +61,14 @@ def induced_factorization(rng, n, m):
     w = rng.uniform(0.2, 1.0, size=m)
     gram = (phi * w[None, :]) @ np.conj(phi).T
     gram = (gram + np.conj(gram).T) / 2.0
-    measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w, normalized=False)
+    measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w)
     return BoundaryFactorization(
         kernel=_kernel_from_gram(gram), measure=measure, features=phi
     )
 
 
 @pytest.mark.parametrize("make", [
-    lambda big: DiscreteMeasure(atoms=("a", "b"), weights=[1, big], normalized=False),
+    lambda big: DiscreteMeasure(atoms=("a", "b"), weights=[1, big]),
     lambda big: DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.5],
                                 coords=[[0.5], [big]]),
     lambda big: CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, big]),
@@ -82,13 +85,35 @@ class TestDiscreteMeasure:
             DiscreteMeasure(atoms=("a",), weights=[0.0])
 
     def test_normalization_checked(self):
-        with pytest.raises(InvalidMeasure):
-            DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.6])
+        # Mass 1 is the rule of a circle measure, not of every measure.
+        assert DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.6]).total_mass() == \
+            pytest.approx(1.1)
+        with pytest.raises(InvalidMeasure, match="must be a probability measure"):
+            CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.6])
+
+    def test_a_circle_measure_is_a_discrete_measure_on_its_atoms(self):
+        mu = CircleMeasure(atoms=np.array([0.25, 0.5]), weights=[0.5, 0.5])
+        assert isinstance(mu, DiscreteMeasure)
+        assert mu.atoms == (0.25, 0.5) and mu.size == 2
+        assert mu.coords.tolist() == [[0.25], [0.5]] and not mu.coords.flags.writeable
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CircleMeasure(atoms=[0.0, 1.0], weights=[0.5, 0.5]),
+         "atom coordinates must lie in [0,1)"),
+        (lambda: DiscreteMeasure(atoms=("a", "b"), weights=[1, 1], coords=[[0.5], [1.5]]),
+         "atom coordinates must lie in [0,1)"),
+        (lambda: CircleMeasure(atoms=[0.5, 0.5], weights=[0.5, 0.5]),
+         "atom coordinates must be pairwise distinct"),
+        (lambda: DiscreteMeasure(atoms=("a", "b"), weights=[1, 1], coords=[[0.5], [0.5]]),
+         "atom coordinates must be pairwise distinct"),
+    ], ids=["circle-range", "discrete-range", "circle-repeated", "discrete-repeated"])
+    def test_circle_and_discrete_atoms_share_one_message(self, make, message):
+        with pytest.raises(InvalidMeasure, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_counting(self):
         mu = DiscreteMeasure.counting(3)
         assert mu.total_mass() == 3.0
-        assert not mu.normalized
 
 
 class TestVerifyFactorization:
@@ -130,8 +155,8 @@ def test_zero_kernel_has_an_empty_transform_pair():
         "sigma_ok": True,
         "diagram_ok": True,
     }
-    with pytest.raises(InvalidMeasure):  # an empty measure has mass 0, not 1
-        DiscreteMeasure(atoms=(), weights=[])
+    empty = DiscreteMeasure(atoms=(), weights=[])  # valid, as its counting measure is
+    assert empty.atoms == F.measure.atoms == () and empty.total_mass() == 0.0
 
 
 class TestMinimality:
@@ -248,7 +273,7 @@ def _batch_factorizations():
         m = int(rng.integers(1, 9))
         w = rng.uniform(0.2, 1.0, size=m)
         phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w, normalized=False)
+        measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w)
         out.append(pytest.param(BoundaryFactorization.induced(measure, phi), id=f"induced-n{n}"))
     return out
 
@@ -353,6 +378,40 @@ class TestCheckIsometry:
         spectrum = projection_spectrum(F)
         dist = np.minimum(np.abs(spectrum), np.abs(spectrum - 1.0))
         assert dist.max() <= 1e-7
+
+    @staticmethod
+    def _projection_defects(F, rng):
+        """(max |P W f - W f| / max |W f|, projection residual) of P = range_projection."""
+        coeffs = rng.standard_normal(F.n_points) + 1j * rng.standard_normal(F.n_points)
+        Wf = apply_W(F, RkhsElement(base=F.kernel, coeffs=coeffs))
+        moved = np.abs(factorization.range_projection(F) @ Wf - Wf).max() / np.abs(Wf).max()
+        return float(moved), factorization.check_isometry(F)["projection_residual"]
+
+    @staticmethod
+    def _weighted_factorizations():
+        """Induced factorizations of n < m points, weights drawn from U(0.2, 1)."""
+        rng = np.random.default_rng(43)
+        return [induced_factorization(rng, n, m) for n, m in ((1, 2), (3, 7), (5, 8), (2, 6))]
+
+    def test_range_projection_fixes_the_range_of_W_on_weighted_measures(self):
+        rng = np.random.default_rng(44)
+        for F in self._weighted_factorizations():
+            moved, residual = self._projection_defects(F, rng)
+            assert moved <= 1e-12
+            assert residual <= 1e-12
+
+    def test_a_range_projection_with_the_conjugation_swapped_fails(self, monkeypatch):
+        # D^(-1/2) Q D^(1/2) in place of D^(1/2) Q D^(-1/2): the adjoint P*,
+        # which equals P only when every weight is the same.
+        def swapped(F):
+            sqrt_w = np.sqrt(F.measure.weights)
+            return F.feature_projector * sqrt_w[:, None] / sqrt_w[None, :]
+
+        monkeypatch.setattr(factorization, "range_projection", swapped)
+        rng = np.random.default_rng(44)
+        for F in self._weighted_factorizations():
+            moved, residual = self._projection_defects(F, rng)
+            assert moved > 1e-3 and residual > 1e-3
 
 
 class TestSchwarzBound:

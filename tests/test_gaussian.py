@@ -171,7 +171,7 @@ def test_sampled_factorization_is_not_minimal():
     K = _table_kernel(G, field_tag="real")
     batch = sample(realize(K), 64, seed=19)
     weights = np.full(64, 1.0 / 64.0)
-    measure = DiscreteMeasure(atoms=tuple(range(64)), weights=weights, normalized=True)
+    measure = DiscreteMeasure(atoms=tuple(range(64)), weights=weights)
     F = BoundaryFactorization(kernel=K, measure=measure, features=batch.draws.T)
     result = minimality_test(F)
     assert not result["is_minimal"]

@@ -43,8 +43,6 @@ ONE_MINUS = 1.0 - 5e-15  # b = z for the point mass, so |1 - b| < CAUCHY_ZERO_TO
 CASES = {
     "disk-guard": (DomainViolation, lambda mp: polydisk_szego_eval(0.9999999999999999, 0.0),
                    "evaluation point has |z| = 0.9999999999999999, outside the open disk guard"),
-    "normalized-mass": (InvalidMeasure, lambda mp: DiscreteMeasure(atoms=("a",), weights=[0.9]),
-                        "normalized measure must have total mass 1, got 0.9"),
     "circle-mass": (InvalidMeasure, lambda mp: CircleMeasure(atoms=[0.0], weights=[0.9]),
                     "circle measure must be a probability measure, got mass 0.9"),
     "zero-expectation": (ZeroExpectation, lambda mp: renormalize(_zero_mean_factorization()),

@@ -58,8 +58,8 @@ def test_index_points_are_shared_read_only_and_equal_to_fresh(n):
 def test_counting_measure_is_shared_read_only_and_equal_to_fresh(m):
     shared = DiscreteMeasure.counting(m)
     assert DiscreteMeasure.counting(np.int64(m)) is shared
-    fresh = DiscreteMeasure(atoms=tuple(range(m)), weights=np.ones(m), normalized=False)
-    assert shared.atoms == fresh.atoms and shared.normalized is False
+    fresh = DiscreteMeasure(atoms=tuple(range(m)), weights=np.ones(m))
+    assert shared.atoms == fresh.atoms and shared.coords is None
     assert shared.weights.tobytes() == fresh.weights.tobytes()
     assert not shared.weights.flags.writeable
     with pytest.raises(ValueError):
@@ -89,9 +89,9 @@ def test_herglotz_corpus_is_read_only_and_equal_to_fresh():
     fresh_zs = selfcheck.random_interior(rng, 100)
     assert isinstance(corpus, tuple) and len(corpus) == len(fresh)
     for mu, nu in zip(corpus, fresh):
-        assert mu.atoms.tobytes() == nu.atoms.tobytes()
+        assert mu.atoms == nu.atoms and mu.coords.tobytes() == nu.coords.tobytes()
         assert mu.weights.tobytes() == nu.weights.tobytes()
-        assert not mu.atoms.flags.writeable and not mu.weights.flags.writeable
+        assert not mu.coords.flags.writeable and not mu.weights.flags.writeable
     assert zs.tobytes() == fresh_zs.tobytes()
 
 
@@ -200,7 +200,7 @@ def test_random_circle_measure_keeps_its_stream(max_atoms, min_sep):
         mu = selfcheck.random_circle_measure(np.random.default_rng(seed), max_atoms, min_sep)
         atoms, weights = _reference_circle_measure(
             np.random.default_rng(seed), max_atoms, min_sep)
-        assert mu.atoms.tobytes() == atoms.tobytes()
+        assert mu.coords.tobytes() == atoms.tobytes()
         assert mu.weights.tobytes() == weights.tobytes()
 
 
