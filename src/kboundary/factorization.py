@@ -42,7 +42,7 @@ from .kernels import (
     spectrum,
 )
 from .measures import DiscreteMeasure
-from .rkhs import RkhsElement, as_columns, same_base
+from .rkhs import RkhsElement, as_columns, norm_squared, same_base
 
 FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
 MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
@@ -57,7 +57,7 @@ class BoundaryFactorization:
     features: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.features, dtype=complex)
+        phi = np.array(self.features, dtype=complex)
         if phi.shape != (self.kernel.size, self.measure.size):
             raise ShapeMismatch(
                 f"features must be {self.kernel.size}x{self.measure.size}, "
@@ -254,19 +254,17 @@ def schwarz_bound_check(F: BoundaryFactorization, g, xi) -> dict:
 
     lhs = |sum_i xi_i (V g)(s_i)|^2,
     rhs = ||g||^2_{L2(mu)} * sum_{ij} xi_i conj(xi_j) K(s_i, s_j);
-    holds iff lhs <= rhs * (1 + 1e-9), with no absolute floor.
+    holds iff lhs <= rhs * (1 + 1e-9), with no absolute floor.  An (m, k)
+    matrix g with an (n, k) matrix xi gives one lhs, rhs and holds per
+    column pair; column counts that differ raise ShapeMismatch.
     """
-    xv = np.asarray(xi, dtype=complex).ravel()
-    if xv.size != F.n_points:
-        raise ShapeMismatch(
-            f"coefficient vector has length {xv.size}, kernel has {F.n_points} points"
-        )
-    g = np.asarray(g, dtype=complex).ravel()
-    vg = apply_V(F, g)
-    lhs = float(np.abs(np.sum(xv * vg)) ** 2)
-    quad = np.real(np.conj(xv) @ (F.kernel.gram @ xv))
-    rhs = float(l2_norm_squared(g, F.measure) * quad)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-9))}
+    f = RkhsElement(base=F.kernel, coeffs=xi)
+    gv = as_columns(g, F.n_atoms, "L2 array")
+    if gv.shape[1:] != f.coeffs.shape[1:]:
+        raise ShapeMismatch(f"g has shape {gv.shape}, xi has shape {f.coeffs.shape}")
+    lhs = np.abs(np.sum(f.coeffs * apply_V(F, gv), axis=0)) ** 2
+    rhs = l2_norm_squared(gv, F.measure) * norm_squared(f)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
 
 
 def check_morphism(
@@ -322,14 +320,12 @@ def pullback(F1: BoundaryFactorization, m: MeasureMorphism) -> BoundaryFactoriza
     )
 
 
-def pullback_isometry_residual(m: MeasureMorphism, f) -> float:
+def pullback_isometry_residual(m: MeasureMorphism, f):
     """|  ||f o phi||^2_{mu_2} - ||f||^2_{mu_1} | / ||f||^2_{mu_1} for f on the
-    target atoms (0/0 reads 0); an overflowed norm gives NaN, quietly."""
-    fv = np.asarray(f, dtype=complex).ravel()
-    if fv.size != m.target.size:
-        raise ShapeMismatch("f must have one value per target atom")
+    target atoms (0/0 reads 0), or one per column of an (m, k) matrix f; an
+    overflowed norm gives NaN, quietly."""
+    fv = as_columns(f, m.target.size, "f")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lhs = np.sum(np.abs(fv[m.target_index_of_source]) ** 2 * m.source.weights)
-        rhs = np.sum(np.abs(fv) ** 2 * m.target.weights)
-        dev = np.abs(lhs - rhs)
-        return float(dev / rhs) if dev else 0.0
+        rhs = l2_norm_squared(fv, m.target)
+        dev = np.abs(l2_norm_squared(fv[m.target_index_of_source], m.source) - rhs)
+        return dev / np.where(dev == 0, 1.0, rhs)

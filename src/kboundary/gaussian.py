@@ -45,7 +45,7 @@ class SampleBatch:
     seed_record: dict
 
     def __post_init__(self):
-        d = np.asarray(self.draws, dtype=complex)
+        d = np.array(self.draws, dtype=complex)
         d.setflags(write=False)
         object.__setattr__(self, "draws", d)
 

@@ -55,7 +55,7 @@ class PointSet:
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise ShapeMismatch("point labels must be pairwise distinct")
-        c = _require_finite(np.asarray(self.coords, dtype=complex), "point coordinates")
+        c = _require_finite(np.array(self.coords, dtype=complex), "point coordinates")
         if c.ndim == 1:
             c = c.reshape(-1, 1)
         if c.ndim != 2 or c.shape[0] != len(labels) or c.shape[1] < 1:
@@ -87,12 +87,11 @@ class PointSet:
         )
 
     @classmethod
-    def from_points(cls, points, labels=None) -> "PointSet":
-        """Build from a sequence of scalars (k=1) or coordinate tuples."""
+    def from_points(cls, points) -> "PointSet":
+        """Build from a sequence of scalars (k=1) or coordinate tuples, labeled
+        p0, p1, ...; other labels need ``PointSet(labels=..., coords=...)``."""
         arr = np.asarray(list(points), dtype=complex)
-        if labels is None:
-            labels = tuple(f"p{i}" for i in range(arr.shape[0]))
-        return cls(labels=tuple(labels), coords=arr)
+        return cls(labels=tuple(f"p{i}" for i in range(arr.shape[0])), coords=arr)
 
 
 @lru_cache(maxsize=256)

@@ -8,8 +8,8 @@ coordinates are its atoms, points of [0,1) identified with the unit circle
 via e(x) = exp(i 2 pi x).  Finite atomic measures on the circle are
 automatically singular with respect to arc length.
 
-Measures are frozen with read-only arrays, so ``DiscreteMeasure.counting``
-hands out one shared instance per size.
+Measures are frozen with read-only copies of the arrays they are given, so
+``DiscreteMeasure.counting`` hands out one shared instance per size.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ COORDS_RANGE = "atom coordinates must lie in [0,1)"
 
 
 def _as_floats(values, message: str) -> np.ndarray:
-    """``values`` as a float array; an integer beyond the float range raises
-    InvalidMeasure with ``message``, as an infinite entry would."""
+    """``values`` as a new float array; an integer beyond the float range
+    raises InvalidMeasure with ``message``, as an infinite entry would."""
     try:
-        return np.asarray(values, dtype=float)
+        return np.array(values, dtype=float)
     except OverflowError:
         raise InvalidMeasure(message) from None
 
@@ -108,10 +108,8 @@ class CircleMeasure(DiscreteMeasure):
         x = _as_floats(atoms, COORDS_RANGE)
         if x.ndim != 1 or x.size == 0:
             raise InvalidMeasure("atoms must be a nonempty 1-d array")
-        # A copy: a caller's array written later must not move the coordinates
-        # away from the labels.
         super().__init__(atoms=tuple(x.tolist()), weights=weights,
-                         coords=x.reshape(-1, 1).copy())
+                         coords=x.reshape(-1, 1))
         mass = float(self.weights.sum())
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise InvalidMeasure(

@@ -61,7 +61,9 @@ class RkhsElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        xi = as_columns(self.coeffs, self.base.size, "coefficient array")
+        # np.array keeps the memory order of the coefficients, and with it
+        # the rounding of the products they enter.
+        xi = np.array(as_columns(self.coeffs, self.base.size, "coefficient array"))
         xi.setflags(write=False)
         object.__setattr__(self, "coeffs", xi)
 

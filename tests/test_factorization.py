@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,22 @@ def _l2_norm_squared_1d(g, w):
     return complex(np.sum(g * np.conj(g) * w)).real
 
 
+def _schwarz_bound_1d(F, g, xi):
+    lhs = float(np.abs(np.sum(xi * _apply_V_1d(F, g))) ** 2)
+    quad = np.real(np.conj(xi) @ (F.kernel.gram @ xi))
+    return lhs, float(_l2_norm_squared_1d(g, F.measure.weights) * quad)
+
+
+def _split_morphism(target):
+    """Each atom a of ``target`` pulled back from atoms (a, 0) and (a, 1) of
+    weights w/4 and 3w/4, so the residual shows rounding."""
+    w = target.weights
+    source = DiscreteMeasure(atoms=tuple((a, h) for a in target.atoms for h in (0, 1)),
+                             weights=np.stack([w / 4, 3 * w / 4], axis=1).ravel())
+    return MeasureMorphism(source=source, target=target,
+                           map={(a, h): a for a in target.atoms for h in (0, 1)})
+
+
 @pytest.mark.parametrize("F", _batch_factorizations())
 class TestBatchAxis:
     """A 2-D call gives, column by column, the 1-D call on that column, within
@@ -344,6 +361,39 @@ class TestBatchAxis:
             assert np.abs(VY[:, j] - single_V).max(initial=0.0) <= 1e-14 * np.sqrt(
                 norm_G * single_l2)
 
+    def test_schwarz_bound(self, F):
+        Y = self._columns(F, F.n_atoms, 3)
+        X = self._columns(F, F.n_points, 4)
+        norm_G = F.kernel.spectrum.norm
+        res = schwarz_bound_check(F, Y, X)
+        assert {key: v.shape for key, v in res.items()} == dict.fromkeys(
+            ("lhs", "rhs", "holds"), (self.K_COLUMNS,))
+        for j in range(self.K_COLUMNS):
+            single = schwarz_bound_check(F, Y[:, j], X[:, j])
+            assert (single["lhs"], single["rhs"]) == _schwarz_bound_1d(F, Y[:, j], X[:, j])
+            assert res["holds"][j] == single["holds"]
+            scale = 1e-14 * _l2_norm_squared_1d(Y[:, j], F.measure.weights) * norm_G * float(
+                np.sum(np.abs(X[:, j]) ** 2))
+            assert abs(res["lhs"][j] - single["lhs"]) <= scale
+            assert abs(res["rhs"][j] - single["rhs"]) <= scale
+
+    def test_pullback_isometry(self, F):
+        morphism = _split_morphism(F.measure)
+        Y = self._columns(F, F.n_atoms, 5)
+        res = pullback_isometry_residual(morphism, Y)
+        assert res.shape == (self.K_COLUMNS,)
+        for j in range(self.K_COLUMNS):
+            assert abs(res[j] - pullback_isometry_residual(morphism, Y[:, j])) <= 1e-14
+        # A zero column reads 0/0 as 0; an overflowing one reads NaN, quietly.
+        Y[:, 0] = 0.0
+        Y[:, 1] = 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = pullback_isometry_residual(morphism, Y)
+        assert caught == []
+        assert res[0] == 0.0
+        assert np.isnan(res[1]) if F.n_atoms else res[1] == 0.0
+
     def test_shape_mismatch(self, F):
         n, m = F.n_points, F.n_atoms
         for bad in (np.zeros((n + 1, 2)), np.zeros((n, 2, 2))):
@@ -354,6 +404,13 @@ class TestBatchAxis:
                 apply_V(F, bad)
             with pytest.raises(ShapeMismatch):
                 l2_norm_squared(bad, F.measure)
+            with pytest.raises(ShapeMismatch):
+                pullback_isometry_residual(_split_morphism(F.measure), bad)
+        for g, xi in (((m + 1, 2), (n, 2)), ((m, 2), (n + 1, 2)), ((m + 1,), (n,)),
+                      ((m, 2), (n, 3)), ((m,), (n, 1)), ((m, 1), (n,)),
+                      ((m, 2, 2), (n, 2, 2))):
+            with pytest.raises(ShapeMismatch):
+                schwarz_bound_check(F, np.zeros(g), np.zeros(xi))
 
 
 class TestCheckIsometry:

@@ -3,6 +3,7 @@
 Index point sets, counting measures, strict-lower masks and the Herglotz
 corpus are built once and shared.  These tests pin that
 every shared object is read-only and equal to a freshly built one, that
+a frozen object keeps a read-only copy of each array it is given, that
 FiniteKernel's one-pass validation keeps its verdicts, messages and
 mirror bits, and that warm caches change no self-check report.
 """
@@ -20,11 +21,14 @@ import pytest
 import kboundary
 from kboundary import (
     BoundaryFactorization,
+    CircleMeasure,
     DiscreteMeasure,
     DomainViolation,
     FiniteKernel,
     NotHermitian,
     PointSet,
+    RkhsElement,
+    SampleBatch,
     parseval_factorize,
 )
 from kboundary import factorization, kernels, measures, selfcheck
@@ -69,6 +73,40 @@ def test_counting_measure_is_shared_read_only_and_equal_to_fresh(m):
 def test_counting_measure_size_must_be_an_integer():
     with pytest.raises(TypeError):
         DiscreteMeasure.counting(2.0)
+
+
+def _identity_kernel(n):
+    return FiniteKernel(points=index_points(n), gram=np.eye(n))
+
+
+@pytest.mark.parametrize("given, build", [
+    (np.array([0.25, 0.75]),
+     lambda a: DiscreteMeasure(atoms=("a", "b"), weights=a).weights),
+    (np.array([[0.1], [0.6]]),
+     lambda a: DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.5], coords=a).coords),
+    (np.array([0.25, 0.75]),
+     lambda a: CircleMeasure(atoms=[0.0, 0.5], weights=a).weights),
+    (np.array([[0.1 + 0.2j], [0.3j]]),
+     lambda a: PointSet(labels=("p", "q"), coords=a).coords),
+    (np.array([[1.0 + 0.0j]]),
+     lambda a: BoundaryFactorization(kernel=_identity_kernel(1),
+                                     measure=DiscreteMeasure.counting(1), features=a).features),
+    (np.array([[1.0 + 0.0j]]),
+     lambda a: BoundaryFactorization.induced(DiscreteMeasure.counting(1), a).features),
+    (np.array([[1.0 + 0.0j, 2.0j], [3.0, 4.0j]]).T,
+     lambda a: RkhsElement(base=_identity_kernel(2), coeffs=a).coeffs),
+    (np.array([[1.0 + 0.0j], [2.0j]]),
+     lambda a: SampleBatch(draws=a, seed_record={"seed": 0}).draws),
+], ids=["measure-weights", "measure-coords", "circle-weights", "point-coords",
+        "factorization-features", "induced-features", "rkhs-coeffs", "sample-draws"])
+def test_a_frozen_object_keeps_a_read_only_copy_of_the_callers_array(given, build):
+    kept = build(given)
+    assert given.flags.writeable and not kept.flags.writeable
+    assert not np.shares_memory(given, kept)
+    # The same memory order, so products with the copy round as with the
+    # caller's array (the rkhs case passes a Fortran-ordered matrix).
+    assert kept.strides == given.strides
+    np.testing.assert_array_equal(kept, given)
 
 
 def test_induced_factorizations_share_the_index_points():
