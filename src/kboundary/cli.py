@@ -1,6 +1,6 @@
 """Batch front end: JSON job configs in, machine-readable reports out.
 
-Usage:  kb <command> --config <file.json> [--seed N] [--out path] [--format json|csv]
+Usage:  kb <command> --config <file.json> [--seed N] [--out path]
 
 Commands: validate, factorize, gaussian-sample, clark, renorm,
 morphism-check, verify-all.  Configs are validated strictly against the
@@ -8,8 +8,8 @@ shipped JSON schema (unknown fields rejected).  The shipped schema decides
 validity: a small acceptor over it proves a valid config valid, and
 jsonschema is loaded only for a config the acceptor cannot prove, to decide
 it and to explain a rejection.  Exit code 0 when every check passes, 2 on
-a check failure, 1 on a config or domain error (a negative --seed too) or
-when memory runs out.
+a check failure, 1 on a usage, config or domain error (a negative --seed
+too) or when memory runs out.
 A JSON report written to --out keeps each matrix in a digest-pinned .npy
 file beside it.  Reports are deterministic for a fixed (config, seed)
 apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
@@ -76,10 +76,10 @@ def _proves(x, schema) -> bool:
     shipped one; False means "not proven", for jsonschema to decide.
 
     Only type, enum, properties, required, additionalProperties, items,
-    minItems, minimum and ``#/$defs/<name>`` references are implemented,
-    on exact JSON types (``type(x) is dict`` and so on).  Any other keyword,
-    such as oneOf, is not proven, nor are bools, dict subclasses, integral
-    floats as integers and NaN against a minimum.
+    minItems, minimum, maximum and ``#/$defs/<name>`` references are
+    implemented, on exact JSON types (``type(x) is dict`` and so on).  Any
+    other keyword, such as oneOf, is not proven, nor are bools, dict
+    subclasses, integral floats as integers and NaN against a bound.
     """
     if type(schema) is not dict:
         return False
@@ -108,6 +108,8 @@ def _proves(x, schema) -> bool:
             ok = type(x) is list and len(x) >= rule
         elif key == "minimum":
             ok = type(x) in _JSON_TYPES["number"] and x >= rule
+        elif key == "maximum":
+            ok = type(x) in _JSON_TYPES["number"] and x <= rule
         elif key == "$ref":
             ok = _proves(x, _local_def(rule))
         else:
@@ -333,7 +335,6 @@ class JobConfig:
     seed: int = 0
     sample_count: int | None = None
     output_path: str | None = None
-    output_format: str = "json"
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
@@ -379,7 +380,6 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             seed=int(data.get("seed", 0)),
             sample_count=data.get("sample_count"),
             output_path=out.get("path"),
-            output_format=out.get("format", "json"),
         )
     except KernelBoundaryError:
         raise
@@ -584,24 +584,13 @@ def _write_matrices(matrices: dict, report_path: str) -> dict:
     return entries
 
 
-def emit(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report.  JSON is strict (``Check`` nulls non-finite
+def emit(report: dict) -> bytes:
+    """Serialize a report as strict JSON (``Check`` nulls non-finite
     diagnostics), with a matrix not yet written by ``_write_matrices`` given
-    as its entry with ``"file": null``.  CSV lists each matrix row-major
-    under an \"i,j,re,im\" header."""
-    if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                          default=_unwritten_matrix)
-        return (text + "\n").encode()
-    if fmt != "csv":
-        raise ConfigError(f"unknown output format {fmt!r}")
-    lines = [f"# kb report command={report['command']} version={report['version']}"]
-    for name, mat in sorted(report.get("matrices", {}).items()):
-        lines.append(f"# matrix {name} rows={mat.shape[0]} cols={mat.shape[1]}")
-        lines.append("i,j,re,im")
-        for i, row in enumerate(zip(mat.real.tolist(), mat.imag.tolist())):
-            lines.extend(f"{i},{j},{re!r},{im!r}" for j, (re, im) in enumerate(zip(*row)))
-    return ("\n".join(lines) + "\n").encode()
+    as its entry with ``"file": null``."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                      default=_unwritten_matrix)
+    return (text + "\n").encode()
 
 
 def _reject_constant(name: str):
@@ -631,11 +620,18 @@ def parse_report(path: str) -> dict:
     return report
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are config errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("KB_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kb",
         description="Kernel boundary factorization and verification pipelines",
     )
@@ -643,17 +639,16 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the JSON job config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or UTF-8, or too many integer digits
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         else:
             data = {"command": args.command}
@@ -664,21 +659,18 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_path = args.out
-        if args.fmt is not None:
-            cfg.output_format = args.fmt
 
         report, code = run(cfg)
         if cfg.output_path:
             try:
-                if cfg.output_format == "json":
-                    report["matrices"] = _write_matrices(report["matrices"], cfg.output_path)
-                blob = emit(report, cfg.output_format)
+                report["matrices"] = _write_matrices(report["matrices"], cfg.output_path)
+                blob = emit(report)
                 with open(cfg.output_path, "wb") as fh:
                     fh.write(blob)
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}") from exc
         else:
-            blob = emit(report, cfg.output_format)
+            blob = emit(report)
             try:
                 sys.stdout.buffer.write(blob)
                 sys.stdout.buffer.flush()

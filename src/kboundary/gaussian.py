@@ -137,7 +137,9 @@ def moments(
         total = total + np.ones(g.shape[0]) @ g
         outer = outer + g.T @ g.conj()
     L = _draw_factor(F)
-    return (L @ total) / N, (L @ outer @ L.conj().T) / N, record
+    # A moment beyond the float range is inf or NaN, quietly, and fails its check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (L @ total) / N, (L @ outer @ L.conj().T) / N, record
 
 
 def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) -> dict:

@@ -137,8 +137,9 @@ class FiniteKernel:
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
         gh = g.conj().T
-        if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
-            raise NotHermitian("gram matrix is not Hermitian")
+        with np.errstate(over="ignore"):  # an overflowed difference reads inf
+            if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
+                raise NotHermitian("gram matrix is not Hermitian")
         # Mirror the upper triangle so Hermitian symmetry holds bit for bit,
         # as _hermitian_mirror(g) does.
         g = np.where(_strict_lower(n), gh, g)

@@ -86,7 +86,9 @@ class DiscreteMeasure:
         return len(self.atoms)
 
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        """The sum of the weights; inf, quietly, beyond the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
     @staticmethod
     def counting(n: int) -> "DiscreteMeasure":
@@ -110,7 +112,7 @@ class CircleMeasure(DiscreteMeasure):
             raise InvalidMeasure("atoms must be a nonempty 1-d array")
         super().__init__(atoms=tuple(x.tolist()), weights=weights,
                          coords=x.reshape(-1, 1))
-        mass = float(self.weights.sum())
+        mass = self.total_mass()
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise InvalidMeasure(
                 f"circle measure must be a probability measure, got mass {mass!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kboundary import cli
@@ -71,6 +71,20 @@ class TestParseConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
             cli.parse_config({"command": "validate", "bogus": 1})
+
+    def test_output_format_is_an_unknown_field(self):
+        with pytest.raises(ConfigError, match=r"Additional properties are not allowed "
+                                              r"\('format' was unexpected\)"):
+            cli.parse_config({"command": "validate", "output": {"format": "json"}})
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 10**400, 1e308],
+                             ids=["two-to-the-53-plus-one", "integer-beyond-floats", "1e308"])
+    def test_sample_count_beyond_two_to_the_53_is_rejected(self, count):
+        """Before the cap, such a count ran gaussian-sample without end and
+        raised a numpy ValueError in clark and renorm."""
+        with pytest.raises(ConfigError, match="is greater than the maximum of 9007199254740992"):
+            cli.parse_config({"command": "clark", "sample_count": count})
+        assert cli.parse_config({"command": "clark", "sample_count": 2**53}).sample_count == 2**53
 
     def test_nested_unknown_fields_rejected(self):
         cfg = dict(SZEGO_VALIDATE)
@@ -189,7 +203,7 @@ VALID_CONFIGS = [
         "tolerances": {"psd_tol": 0, "fact_tol": 1e-9, "rank_tol": 1e-12},
         "sample_count": 3,
         "seed": 0,
-        "output": {"path": "r.json", "format": "csv"},
+        "output": {"path": "r.json"},
     },
     {
         "command": "validate",
@@ -550,6 +564,35 @@ def test_non_finite_tolerances_are_config_errors(tolerances, tmp_path, capsys):
     assert "config error: tolerances must be finite" in err
 
 
+@pytest.mark.parametrize("config, code, err", [
+    ({"command": "validate",
+      "kernel": {"variant": "table", "table": [[{"re": 1}, {"re": 1e308}],
+                                               [{"re": -1e308}, {"re": 1}]]}},
+     1, "kb: NotHermitian: gram matrix is not Hermitian\n"),
+    ({"command": "validate", "points": [{"re": 0.1}],
+      "kernel": {"variant": "debranges-rovnyak",
+                 "measure": {"atoms": [0.0, 0.5], "weights": [1e308, 1e308]}}},
+     1, "kb: InvalidMeasure: circle measure must be a probability measure, got mass inf\n"),
+    ({"command": "morphism-check",
+      "morphism": {"source": {"atoms": ["a", "b"], "weights": [1e308, 1e308]},
+                   "target": {"atoms": ["a", "b"], "weights": [1e308, 1e308]},
+                   "map": {"a": "a", "b": "b"},
+                   "target_features": [[{"re": 1e-160}, {"re": 1e-160}]]}},
+     2, ""),
+    ({"command": "gaussian-sample", "sample_count": 50,
+      "kernel": {"variant": "table", "table": [[{"re": 1.0}, {"re": 0.0}],
+                                               [{"re": 0.0}, {"re": 1e308}]]}},
+     2, ""),
+], ids=["hermitian-difference", "circle-mass", "morphism-target-mass", "gaussian-covariance"])
+def test_an_overflow_writes_no_warning(config, code, err, tmp_path, capsys):
+    """The overflow reads inf, which gives the right verdict, so it stays quiet."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert cli.main([config["command"], "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -793,7 +836,7 @@ class TestEmit:
 
     def test_json_stable_key_order(self):
         report = self._report()
-        assert cli.emit(report, "json") == cli.emit(dict(reversed(report.items())), "json")
+        assert cli.emit(report) == cli.emit(dict(reversed(report.items())))
 
     def test_report_without_matrices_is_valid_json(self):
         report, _ = cli.run(
@@ -809,41 +852,9 @@ class TestEmit:
                 }
             )
         )
-        parsed = _strict_loads(cli.emit(report, "json"))
+        parsed = _strict_loads(cli.emit(report))
         assert parsed["matrices"] == {}
         assert parsed["command"] == "morphism-check"
-
-    def test_csv_two_by_two_gives_four_rows(self):
-        config = {
-            "command": "factorize",
-            "kernel": {
-                "variant": "table",
-                "table": [
-                    [{"re": 2.0}, {"re": 1.0}],
-                    [{"re": 1.0}, {"re": 2.0}],
-                ],
-            },
-        }
-        report, _ = cli.run(cli.parse_config(config))
-        blob = cli.emit(report, "csv").decode()
-        data_rows = [
-            line
-            for line in blob.splitlines()
-            if line and not line.startswith("#") and line != "i,j,re,im"
-        ]
-        assert len(data_rows) == 4
-        assert "i,j,re,im" in blob
-
-    def test_csv_lists_the_matrix_entries_and_writes_no_sidecar(self, monkeypatch, tmp_path):
-        mat = np.array([[complex(-0.0, 5e-324), 1e300], [0.5, complex(0.25, -1.0)]])
-        monkeypatch.setitem(cli.PIPELINES, "validate", lambda cfg: ([], {"gram": mat}, {}))
-        out = tmp_path / "report.csv"
-        assert cli.main(["validate", "--out", str(out), "--format", "csv"]) == 0
-        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
-        assert out.read_text().splitlines()[1:] == [
-            "# matrix gram rows=2 cols=2", "i,j,re,im", "0,0,-0.0,5e-324", "0,1,1e+300,0.0",
-            "1,0,0.5,0.0", "1,1,0.25,-1.0",
-        ]
 
 
 class TestSidecars:
@@ -927,6 +938,32 @@ class TestMainEntry:
         assert cli.main(["validate", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob", [b"\xff{}", b'{"seed": 1%s}' % (b"0" * 5000)],
+                             ids=["not-utf-8", "integer-beyond-the-digit-limit"])
+    def test_undecodable_config_exits_one(self, blob, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        assert cli.main(["validate", "--config", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"kb: config error: config is not valid JSON: .*\n", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--bogus"],
+        ["validate", "--seed", "abc"],
+        ["nosuch"],
+        ["validate", "--config", str(CONFIGS / "validate_szego.json"), "--format", "csv"],
+    ], ids=["unknown-option", "non-integer-seed", "unknown-command", "format"])
+    def test_usage_error_is_one_stderr_line_and_exit_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"kb: config error: .*\n", err)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["-h"])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kb ")
+
     def test_missing_file_exits_one(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "none.json")]) == 1
 
@@ -993,3 +1030,53 @@ def test_memory_error_is_one_stderr_line_and_exit_one(exc, err, monkeypatch, cap
     monkeypatch.setitem(cli.PIPELINES, "validate", exhausted)
     assert cli.main(["validate"]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+# -- end-to-end config fuzz ---------------------------------------------------
+
+# Valid configs of every command that reads a config: the worked configs
+# (one of them maps two atoms to one), a table, tolerances, a measure inside
+# a kernel and source features.
+FUZZ_BASES = [
+    *(config for name, config in WORKED_CONFIGS.items() if name != "verify_all"),
+    {**FACTORIZE_TABLE, "tolerances": {"psd_tol": 1e-10, "fact_tol": 1e-9, "rank_tol": 1e-12}},
+    {"command": "validate", "points": [{"re": 0.1}],
+     "kernel": {"variant": "debranges-rovnyak", "measure": TWO_ATOM_MEASURE}},
+    _morphism_config(target_features=[[{"re": 1.0}]], source_features=[[{"re": 1.0}]]),
+]
+FUZZED_FIELDS = ("points", "kernel", "measure", "morphism", "tolerances", "sample_count")
+# Literals that json.dumps cannot write: each key stands in for its value.
+LITERALS = {"<overflow>": "1e999", "<digits>": "1" + "0" * 5000}
+# Non-finite, huge, empty and mistyped values.
+HOSTILE_VALUES = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), "<overflow>", "<digits>",
+    1e308, -1e308, 10**400, -(10**400), 2**64,
+    [], {}, "", [[]], [{}], {"re": None},
+    None, True, "x", 0, -1, 0.5,
+])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_configs_exit_cleanly(data, tmp_path, monkeypatch, capsys):
+    """Any config: exit 0, 1 or 2, nothing on stdout with --out, and stderr
+    empty unless exit 1, which writes one line."""
+    monkeypatch.delenv("KB_LOG", raising=False)
+    config = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [path for path in _paths(config) if path and path[0] in FUZZED_FIELDS]
+        path = data.draw(st.sampled_from(paths))
+        _at(config, path[:-1])[path[-1]] = copy.deepcopy(data.draw(HOSTILE_VALUES))
+    text = json.dumps(config)
+    for token, literal in LITERALS.items():
+        text = text.replace(json.dumps(token), literal)
+    (tmp_path / "job.json").write_text(text)
+    code = cli.main([config["command"], "--config", str(tmp_path / "job.json"),
+                     "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and out == ""
+    if code == 1:
+        assert re.fullmatch(r"kb: [^\n]*\n", err), err
+    else:
+        assert err == ""
