@@ -31,9 +31,11 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, clark, factorization, kernels, measures, rkhs, selfcheck
+# Only what validate and factorize run; the other pipelines import the
+# self-check suite and the Clark machinery where they run.
+from . import __version__, factorization, kernels, measures, rkhs
+from .check import Check
 from .errors import ConfigError, KernelBoundaryError
-from .selfcheck import Check
 
 log = logging.getLogger("kboundary")
 
@@ -142,7 +144,10 @@ def _explain(view) -> None:
     message ``jsonschema.validate`` gives, raised when there is one."""
     import jsonschema
 
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(view))
+    try:
+        error = jsonschema.exceptions.best_match(_validator().iter_errors(view))
+    except RecursionError as exc:  # a message's repr of a deeply nested instance
+        raise ConfigError(f"config is nested too deeply: {exc}") from exc
     if error is not None:
         raise ConfigError(f"config does not match schema: {error.message}")
 
@@ -434,6 +439,8 @@ def _run_factorize(cfg: JobConfig):
 
 
 def _run_gaussian_sample(cfg: JobConfig):
+    from . import selfcheck
+
     K = _build_kernel(cfg)
     n_draws = int(cfg.sample_count or 10000)
     deviation, mean_moduli, emp, seed_record = selfcheck.moment_errors(K, cfg.seed, n_draws)
@@ -449,6 +456,8 @@ def _run_gaussian_sample(cfg: JobConfig):
 
 
 def _clark_points(cfg: JobConfig) -> np.ndarray:
+    from . import selfcheck
+
     if cfg.points is not None:
         if cfg.points.dim != 1:
             raise ConfigError("clark pipelines need 1-dim complex points")
@@ -457,6 +466,8 @@ def _clark_points(cfg: JobConfig) -> np.ndarray:
 
 
 def _run_clark(cfg: JobConfig):
+    from . import clark, selfcheck
+
     mu = _require(cfg, "measure")
     zs = _clark_points(cfg)
     F = clark.build_kb_factorization(mu, zs)
@@ -476,6 +487,8 @@ def _run_clark(cfg: JobConfig):
 
 
 def _run_renorm(cfg: JobConfig):
+    from . import clark, selfcheck
+
     mu = _require(cfg, "measure")
     zs = _clark_points(cfg)
     ctx = clark.renormalize(clark.build_szego_factorization(mu, zs))
@@ -492,6 +505,8 @@ def _run_renorm(cfg: JobConfig):
 
 
 def _run_morphism_check(cfg: JobConfig):
+    from . import selfcheck
+
     morphism, target_features, source_features = _require(cfg, "morphism")
     F1 = factorization.BoundaryFactorization.induced(morphism.target, target_features)
     if source_features is not None:
@@ -513,6 +528,8 @@ def _run_morphism_check(cfg: JobConfig):
 
 
 def _run_verify_all(cfg: JobConfig):
+    from . import selfcheck
+
     return selfcheck.run_all(seed=cfg.seed), {}, {"seed": cfg.seed}
 
 
@@ -627,10 +644,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv=None) -> int:
-    level = os.environ.get("KB_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """kb's argument parser, built on the first ``main`` call of a process."""
     parser = _ArgumentParser(
         prog="kb",
         description="Kernel boundary factorization and verification pipelines",
@@ -639,9 +655,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the JSON job config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="write the report here instead of stdout")
+    return parser
+
+
+def main(argv=None) -> int:
+    level = os.environ.get("KB_LOG", "warning").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -650,6 +672,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             except ValueError as exc:  # bad JSON or UTF-8, or too many integer digits
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError(f"config is nested too deeply: {exc}") from exc
         else:
             data = {"command": args.command}
         cfg = parse_config(data, command=args.command)

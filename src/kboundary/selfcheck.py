@@ -1,7 +1,7 @@
 """Seeded self-check suite, and the verdicts it shares with the ``kb`` pipelines.
 
 Every verdict, of a ``kb`` pipeline or of a criterion here, is one ``Check``
-record.  A quantity that ``kb <command>`` and ``kb verify-all`` both judge
+record (``kboundary.check``).  A quantity that ``kb <command>`` and ``kb verify-all`` both judge
 is computed by one function below, its bound a named constant: the
 pipeline applies it to the user's objects, and the criterion to its seeded
 corpus, keeping the worst value.  Each criterion builds its corpus from the
@@ -28,12 +28,12 @@ import pickle
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import clark, factorization, gaussian, kernels, measures, rkhs
+from .check import Check
 from .errors import DomainViolation, WorkerDied
 
 HERGLOTZ_TOL = 1e-10  # |Re[(1+b)/(1-b)] - Poisson[mu]|
@@ -50,47 +50,6 @@ RANDOM_FEATURE_MAX_POINTS = 6  # random feature factorizations: 1..6 points
 RANDOM_FEATURE_MAX_ATOMS = 8  # and 1..8 atoms
 HERGLOTZ_MEASURES = 20  # circle measures in the Herglotz corpus
 INTERIOR_RADIUS = 0.9  # random interior points lie in |z| <= 0.9
-
-
-@dataclass(frozen=True)
-class Check:
-    """One verdict: its name, whether it passed, and numerical details.
-
-    The details are made JSON-ready once, here: numpy scalars become Python
-    bool, int and float, and a non-finite float becomes None and fails the
-    check, so no report check carries NaN or Infinity.
-    """
-
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        non_finite = []
-        object.__setattr__(self, "details", _plain(self.details, non_finite))
-        object.__setattr__(self, "passed", bool(self.passed) and not non_finite)
-
-    def as_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, **self.details}
-
-
-def _plain(value, non_finite: list):
-    """``value`` with numpy scalars as Python ones and each non-finite float
-    as None, recorded in ``non_finite``; tuples become lists."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v, non_finite) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v, non_finite) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        if math.isfinite(value):
-            return float(value)
-        non_finite.append(value)
-        return None
-    return value
 
 
 def herglotz_error(mu: measures.CircleMeasure, zs) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kboundary import FiniteKernel, cli
-from kboundary.selfcheck import Check
+from kboundary.check import Check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kboundary import cli
 from kboundary.errors import ConfigError, KernelBoundaryError
-from kboundary.selfcheck import Check
+from kboundary.check import Check
 
 SZEGO_VALIDATE = {
     "command": "validate",
@@ -930,6 +930,30 @@ class TestSidecars:
                               env={**os.environ, "PYTHONPATH": package_root}, check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_validate_and_factorize_load_only_their_pipeline(self, tmp_path):
+        for command in ("validate", "factorize"):
+            (tmp_path / f"{command}.json").write_text(
+                json.dumps({**SZEGO_VALIDATE, "command": command}))
+        code = (
+            "import importlib, os, sys\n"
+            "from kboundary import cli\n"
+            "for command in ('validate', 'factorize'):\n"
+            "    config, out = (os.path.join(sys.argv[1], command + end) for end in ('.json', '.out'))\n"
+            "    assert cli.main([command, '--config', config, '--out', out]) == 0\n"
+            "print(sorted(m for m in ('kboundary.selfcheck', 'kboundary.gaussian',\n"
+            "                         'kboundary.clark') if m in sys.modules))\n"
+            "import kboundary\n"
+            "for name in kboundary.__all__:\n"
+            "    module = importlib.import_module('kboundary.' + kboundary._MODULE_OF[name])\n"
+            "    assert getattr(kboundary, name) is vars(module)[name], name\n"
+            "    assert name in dir(kboundary) and name not in vars(kboundary), name\n"
+        )
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": package_root})
+        assert proc.stdout.strip() == "[]"
+
 
 class TestMainEntry:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
@@ -957,6 +981,28 @@ class TestMainEntry:
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and re.fullmatch(r"kb: config error: .*\n", err)
+
+    @pytest.mark.parametrize("opening, inner, closing", [("[", "", "]"), ('{"a": ', "1", "}")],
+                             ids=["array", "object"])
+    def test_config_nested_beyond_the_recursion_limit_exits_one(self, opening, inner, closing,
+                                                                 tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        nested = opening * 100_000 + inner + closing * 100_000
+        path.write_text('{"command": "validate", "points": %s}' % nested)
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"kb: config error: config is nested too deeply: .*\n", err)
+
+    def test_configs_nested_near_the_recursion_limit_exit_one_line(self, tmp_path, capsys):
+        # Depths where json decodes the config but repr of it, in jsonschema's
+        # message, runs out of stack lie just below the limit.
+        path = tmp_path / "deep.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 300, limit + 10):
+            path.write_text('{"command": "validate", "points": %s}' % ("[" * depth + "]" * depth))
+            assert cli.main(["validate", "--config", str(path)]) == 1, depth
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(r"kb: config error: .*\n", err), depth
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as raised:

@@ -13,7 +13,7 @@ import pytest
 
 from kboundary import cli, selfcheck
 from kboundary.errors import DomainViolation, NotPsd
-from kboundary.selfcheck import Check
+from kboundary.check import Check
 
 PACKAGE_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -88,7 +88,7 @@ def test_a_worker_that_dies_ends_verify_all_with_one_error():
     code = textwrap.dedent("""
         import os, sys
         from kboundary import cli, selfcheck
-        from kboundary.selfcheck import Check
+        from kboundary.check import Check
 
         def dies(seed):
             os._exit(3)
