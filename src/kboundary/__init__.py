@@ -21,7 +21,7 @@ _EXPORTS = {
         "BAtOne", "BaseMismatch", "CauchyZero", "ConfigError", "DimensionMismatch",
         "DomainViolation", "IndexOutOfRange", "InvalidMeasure", "KernelBoundaryError",
         "LabelMismatch", "NotAFactorization", "NotHermitian", "NotPsd", "ShapeMismatch",
-        "UnknownLabel", "WorkerDied", "ZeroExpectation",
+        "WorkerDied", "ZeroExpectation",
     ),
     "measures": ("CircleMeasure", "DiscreteMeasure"),
     "kernels": (
@@ -29,8 +29,8 @@ _EXPORTS = {
         "check_positive_definite", "polydisk_szego_eval",
     ),
     "rkhs": (
-        "RkhsElement", "evaluate", "norm_squared", "parseval_factorize", "rkhs_inner",
-        "tightness_test", "verify_parseval",
+        "RkhsElement", "norm_squared", "parseval_factorize", "rkhs_inner", "tightness_test",
+        "verify_parseval",
     ),
     "factorization": (
         "BoundaryFactorization", "MeasureMorphism", "apply_V", "apply_W", "check_isometry",

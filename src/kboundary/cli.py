@@ -4,12 +4,10 @@ Usage:  kb <command> --config <file.json> [--seed N] [--out path]
 
 Commands: validate, factorize, gaussian-sample, clark, renorm,
 morphism-check, verify-all.  Configs are validated strictly against the
-shipped JSON schema (unknown fields rejected).  The shipped schema decides
-validity: a small acceptor over it proves a valid config valid, and
-jsonschema is loaded only for a config the acceptor cannot prove, to decide
-it and to explain a rejection.  Exit code 0 when every check passes, 2 on
-a check failure, 1 on a usage, config or domain error (a negative --seed
-too) or when memory runs out.
+shipped JSON schema (unknown fields rejected), which kb's own walker
+applies; a rejection names the first place that does not match.  Exit code
+0 when every check passes, 2 on a check failure, 1 on a usage, config or
+domain error (a negative --seed too) or when memory runs out.
 A JSON report written to --out keeps each matrix in a digest-pinned .npy
 file beside it.  Reports are deterministic for a fixed (config, seed)
 apart from the timing field.  Set KB_LOG=debug|info|warning for verbosity.
@@ -61,95 +59,111 @@ def _to_float(x) -> float:
 
 # -- validity -----------------------------------------------------------------
 #
-# The shipped schema decides which configs are valid.  ``_proves`` accepts a
-# config when it can prove it valid against that schema, so that a valid
-# config never loads jsonschema; jsonschema decides every config it cannot
-# prove, and explains each rejection.
+# The shipped schema alone decides which configs are valid, and ``_check``
+# alone applies it.
 
 # Keywords that do not constrain the instance.
 _ANNOTATIONS = frozenset(("$schema", "$defs", "title", "description", "$comment"))
-# JSON type -> the exact Python types that ``_proves`` accepts for it.
+# JSON type -> its exact Python types, the first naming it in a message; an
+# integral float is an integer too.
 _JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
-               "number": (int, float)}
+               "number": (float, int)}
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+          float: "a number", bool: "a boolean", type(None): "null"}
+# keyword -> the types it applies to; a value of another type passes it
+_APPLIES_TO = {"required": (dict,), "properties": (dict,), "additionalProperties": (dict,),
+               "items": (list,), "minItems": (list,), "minimum": (float, int),
+               "maximum": (float, int)}
+_NAME_CHARS = 32  # the most characters of a field name or string that a message shows
 
 
-def _proves(x, schema) -> bool:
-    """True only when ``x`` is valid against ``schema``, a subschema of the
-    shipped one; False means "not proven", for jsonschema to decide.
+def _clip(name) -> str:
+    """``name`` with control and non-ASCII characters escaped, cut to
+    ``_NAME_CHARS`` characters, so that a message stays one short line."""
+    text = json.dumps(str(name)[:_NAME_CHARS + 1])[1:-1]
+    return text if len(text) <= _NAME_CHARS else text[:_NAME_CHARS - 3] + "..."
 
-    Only type, enum, properties, required, additionalProperties, items,
-    minItems, minimum, maximum and ``#/$defs/<name>`` references are
-    implemented, on exact JSON types (``type(x) is dict`` and so on).  Any
-    other keyword, such as oneOf, is not proven, nor are bools, dict
-    subclasses, integral floats as integers and NaN against a bound.
-    """
-    if type(schema) is not dict:
-        return False
+
+def _kind(t: type) -> str:
+    """The JSON type of Python type ``t`` for a message, else ``t`` itself."""
+    return _KINDS.get(t) or f"a value of type {_clip(t.__name__)}"
+
+
+def _has_type(x, name: str) -> bool:
+    if name == "integer" and type(x) is float:
+        return x.is_integer()
+    return type(x) in _JSON_TYPES[name]
+
+
+def _resolve(schema: dict) -> dict:
+    """The ``#/$defs/<name>`` subschema that ``schema``'s $ref names, else ``schema``."""
+    ref = schema.get("$ref")
+    return schema if ref is None else _schema()["$defs"][ref.removeprefix("#/$defs/")]
+
+
+def _mismatch(path: str, reason: str):
+    raise ConfigError(f"config does not match schema at {path[1:] or 'the top level'}: {reason}")
+
+
+def _check(x, schema: dict, path: str = "") -> None:
+    """Raise a ConfigError at the first place where ``x`` does not match
+    ``schema``, a subschema of the shipped one; ``path`` is where ``x`` sits,
+    in ".name" and "[i]" steps.
+
+    Draft 2020-12 rules on JSON data: an integral float is an integer, a bool
+    is not a number, NaN passes a bound, and a keyword passes a value of a
+    type it does not apply to.  A type that json.load does not return (a dict
+    subclass, a numpy scalar) matches no ``type``.  Any other keyword raises
+    NotImplementedError."""
     for key, rule in schema.items():
-        if key in _ANNOTATIONS:
+        if key in _APPLIES_TO and type(x) not in _APPLIES_TO[key]:
             continue
         if key == "type":
-            ok = type(rule) is str and type(x) in _JSON_TYPES.get(rule, ())
+            if not _has_type(x, rule):
+                _mismatch(path, f"expected {_kind(_JSON_TYPES[rule][0])}, got {_kind(type(x))}")
         elif key == "enum":
-            ok = type(x) is str and x in rule
-        elif key == "required":
-            ok = type(x) is dict and all(name in x for name in rule)
-        elif key == "properties":
-            ok = type(x) is dict and all(
-                _proves(x[name], sub) for name, sub in rule.items() if name in x
-            )
-        elif key == "additionalProperties":
-            known = schema.get("properties", {})
-            ok = type(x) is dict and all(
-                type(name) is str and (name in known or _proves(value, rule))
-                for name, value in x.items()
-            )
-        elif key == "items":
-            ok = type(x) is list and all(_proves(item, rule) for item in x)
-        elif key == "minItems":
-            ok = type(x) is list and len(x) >= rule
-        elif key == "minimum":
-            ok = type(x) in _JSON_TYPES["number"] and x >= rule
-        elif key == "maximum":
-            ok = type(x) in _JSON_TYPES["number"] and x <= rule
+            if type(x) is not str or x not in rule:
+                got = f"'{_clip(x)}'" if type(x) is str else _kind(type(x))
+                _mismatch(path, f"expected one of {', '.join(rule)}, got {got}")
         elif key == "$ref":
-            ok = _proves(x, _local_def(rule))
-        else:
-            return False
-        if not ok:
-            return False
-    return True
-
-
-def _local_def(ref: str):
-    """The subschema that ``ref`` names when it is ``#/$defs/<name>``, else
-    None; a name holding "~", "/" or "%" would need JSON-pointer decoding."""
-    name = ref.removeprefix("#/$defs/")
-    if name == ref or any(c in name for c in "~/%"):
-        return None
-    return _schema().get("$defs", {}).get(name)
-
-
-@functools.cache
-def _validator():
-    import jsonschema  # only here: a config that _proves accepts never loads it
-
-    # jsonschema.validate minus its check_schema call: the shipped schema is
-    # checked against its metaschema once, by the test suite.
-    return jsonschema.validators.validator_for(_schema())(_schema())
-
-
-def _explain(view) -> None:
-    """The ConfigError of jsonschema's best-matching error on ``view``, the
-    message ``jsonschema.validate`` gives, raised when there is one."""
-    import jsonschema
-
-    try:
-        error = jsonschema.exceptions.best_match(_validator().iter_errors(view))
-    except RecursionError as exc:  # a message's repr of a deeply nested instance
-        raise ConfigError(f"config is nested too deeply: {exc}") from exc
-    if error is not None:
-        raise ConfigError(f"config does not match schema: {error.message}")
+            _check(x, _resolve(schema), path)
+        elif key == "oneOf":
+            # Over forms of disjoint types, as the shipped schema's are, x
+            # matches exactly one form when it matches the form of its type.
+            forms = {_resolve(form)["type"]: form for form in rule}
+            typed = [form for name, form in forms.items() if _has_type(x, name)]
+            if not typed:
+                expected = " or ".join(_kind(_JSON_TYPES[name][0]) for name in forms)
+                _mismatch(path, f"expected {expected}, got {_kind(type(x))}")
+            _check(x, typed[0], path)
+        elif key == "required":
+            for name in rule:
+                if name not in x:
+                    _mismatch(path, f"missing required field '{name}'")
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in x:
+                    _check(x[name], sub, f"{path}.{name}")
+        elif key == "additionalProperties":
+            for name, value in x.items():
+                if name not in schema.get("properties", ()):
+                    if rule is False:
+                        _mismatch(path, f"unknown field '{_clip(name)}'")
+                    _check(value, rule, f"{path}.{_clip(name)}")
+        elif key == "items":
+            for i, item in enumerate(x):
+                _check(item, rule, f"{path}[{i}]")
+        elif key == "minItems":
+            if len(x) < rule:
+                _mismatch(path, f"expected {rule} or more items, got {len(x)}")
+        elif key == "minimum":
+            if x < rule:
+                _mismatch(path, f"expected at least {rule}")
+        elif key == "maximum":
+            if x > rule:
+                _mismatch(path, f"expected at most {rule}")
+        elif key not in _ANNOTATIONS:
+            raise NotImplementedError(f"schema keyword {key!r}")
 
 
 # -- cnum arrays -----------------------------------------------------------------
@@ -169,22 +183,16 @@ def _floats(values: list) -> np.ndarray:
         return np.fromiter(map(_to_float, values), float, len(values))
 
 
-def _decode_cnums(cnums: list, exact: bool = False) -> np.ndarray | None:
+def _decode_cnums(cnums: list) -> np.ndarray | None:
     """The complex vector of ``cnums``, entry k bit-equal to
     ``complex(_to_float(re), _to_float(im))`` of cnum k, a non-finite one
-    included.
-
-    With ``exact``, None unless each is a cnum the schema accepts with every
-    part exactly an int or a float (bools, numpy scalars, Decimal and dict
-    subclasses are left to jsonschema); without it, ``cnums`` must be cnums
-    that jsonschema accepted.
-    """
-    if exact and (set(map(type, cnums)) - {dict}
-                  or not all(map(_CNUM_KEYS.issuperset, cnums))):
+    included; None unless each is a cnum that the schema accepts, a dict
+    whose parts are each exactly an int or a float."""
+    if set(map(type, cnums)) - {dict} or not all(map(_CNUM_KEYS.issuperset, cnums)):
         return None
     re = [z.get("re") for z in cnums]
     im = [z.get("im", 0.0) for z in cnums]
-    if exact and not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
+    if not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
         return None
     out = np.empty(len(cnums), dtype=complex)
     out.real = _floats(re)
@@ -218,7 +226,7 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
     shallow copy of ``data`` in which each such array is ``[]``: ``[]`` is
     valid wherever these arrays sit and an accepted array is valid, so the
     view has the schema errors of ``data`` and can be checked without
-    walking each number.  A rejected array stays for jsonschema.
+    walking each number.  A rejected array stays, for ``_check`` to explain.
     """
     if type(data) is not dict:
         return data, {}
@@ -231,19 +239,16 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
             holder = view[parent] = dict(view[parent])
         for field in fields:
             flat = _row_major(holder.get(field), points=field == "points")
-            z = None if flat is None else _decode_cnums(flat, exact=True)
+            z = None if flat is None else _decode_cnums(flat)
             if z is not None:
                 decoded[field] = z
                 holder[field] = []
     return view, decoded
 
 
-def _cnum_vector(rows, z: np.ndarray | None = None) -> np.ndarray:
-    """The cnums of ``rows`` in row-major order as a complex vector: ``z``
-    when the screen decoded them, else decoded by ``_decode_cnums``.  A
-    non-finite number is a ConfigError naming the first such cnum."""
-    if z is None:
-        z = _decode_cnums([c for row in rows for c in row])
+def _cnum_vector(rows, z: np.ndarray) -> np.ndarray:
+    """``z``, the screen's vector of the cnums of ``rows`` in row-major
+    order.  A non-finite number is a ConfigError naming the first such cnum."""
     bad = ~np.isfinite(z)
     if bad.any():
         first = [c for row in rows for c in row][int(bad.argmax())]
@@ -251,7 +256,7 @@ def _cnum_vector(rows, z: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _parse_matrix(rows, name: str, z: np.ndarray | None = None) -> np.ndarray:
+def _parse_matrix(rows, name: str, z: np.ndarray) -> np.ndarray:
     """``rows`` as a complex matrix, shaped as ``np.array`` shapes it (no rows
     give an empty vector); ``z`` as in ``_cnum_vector``."""
     flat = _cnum_vector(rows, z)
@@ -261,7 +266,7 @@ def _parse_matrix(rows, name: str, z: np.ndarray | None = None) -> np.ndarray:
     return flat.reshape(len(rows), *widths)
 
 
-def _parse_points(raw, z: np.ndarray | None = None) -> kernels.PointSet:
+def _parse_points(raw, z: np.ndarray) -> kernels.PointSet:
     if not raw:
         raise ConfigError("points must be a nonempty list")
     scalar = isinstance(raw[0], dict)
@@ -288,10 +293,10 @@ _KERNEL_FIELDS = {"szego": {"dim"}, "polydisk-szego": {"dim"},
                   "debranges-rovnyak": {"dim", "measure"}, "table": {"table"}}
 
 
-def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None = None):
-    """The closed-form kernel that ``raw`` names, or its table as a
-    ``FiniteKernel`` over ``points`` (the index points when None).  A field
-    that the variant does not read is a ConfigError."""
+def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None):
+    """The closed-form kernel that ``raw`` names, or its ``table`` (decoded)
+    as a ``FiniteKernel`` over ``points`` (the index points when None).  A
+    field that the variant does not read is a ConfigError."""
     variant = raw["variant"]
     unread = sorted(set(raw) - {"variant"} - _KERNEL_FIELDS[variant])
     if unread:
@@ -311,19 +316,18 @@ def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None
 
 def _parse_morphism(raw, decoded: dict) -> tuple:
     """(MeasureMorphism, target features, source features or None) of a raw
-    morphism, each feature matrix from its ``decoded`` vector when the
-    screen decoded it."""
+    morphism, each feature matrix from the screen's ``decoded`` vector."""
     source = _parse_discrete_measure(raw["source"])
     target = _parse_discrete_measure(raw["target"])
     morphism = factorization.MeasureMorphism(source=source, target=target, map=dict(raw["map"]))
     target_features = _parse_matrix(raw["target_features"], "morphism.target_features",
-                                    decoded.get("target_features"))
+                                    decoded["target_features"])
     if target_features.ndim != 2 or target_features.shape[1] != target.size:
         raise ConfigError("target_features must be n_points x n_target_atoms")
     source_features = None
     if "source_features" in raw:
         source_features = _parse_matrix(raw["source_features"], "morphism.source_features",
-                                        decoded.get("source_features"))
+                                        decoded["source_features"])
     return morphism, target_features, source_features
 
 
@@ -343,18 +347,14 @@ class JobConfig:
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
-    """Strict parse of a raw config dict; unknown fields are rejected.
+    """Strict parse of a config, JSON data as json.load returns it.
 
-    The shipped schema decides validity.  ``_screen_cnum_arrays`` decodes
-    every cnum array (points, table, morphism features) that it accepts,
-    and ``_proves`` accepts the rest when it can prove it valid; jsonschema
-    is imported only for a config it cannot prove, to decide it and to
-    explain a rejection with the message ``jsonschema.validate`` gives.  A
-    non-finite complex number is a ``ConfigError``.
+    ``_screen_cnum_arrays`` decodes each cnum array (points, table, morphism
+    features) that the schema accepts, and ``_check`` walks the rest against
+    the schema.  A mismatch or a non-finite complex number is a ConfigError.
     """
     view, decoded = _screen_cnum_arrays(data)
-    if not _proves(view, _schema()):
-        _explain(view)
+    _check(view, _schema())
 
     cfg_command = data.get("command")
     if command is not None and cfg_command is not None and command != cfg_command:
@@ -371,8 +371,7 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
         if not all(np.isfinite(v) for v in tol.values()):
             raise ConfigError(f"tolerances must be finite, got {tol!r}")
         out = data.get("output", {})
-        points = (_parse_points(data["points"], decoded.get("points"))
-                  if "points" in data else None)
+        points = _parse_points(data["points"], decoded["points"]) if "points" in data else None
         return JobConfig(
             command=resolved,
             kernel=(_parse_kernel(data["kernel"], points, decoded.get("table"))

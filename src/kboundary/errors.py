@@ -33,10 +33,6 @@ class BaseMismatch(KernelBoundaryError):
     """Operands refer to different base kernels."""
 
 
-class UnknownLabel(KernelBoundaryError):
-    """Point label not present in the point set."""
-
-
 class NotAFactorization(KernelBoundaryError):
     """Factorization identity residual exceeds the declared tolerance."""
 

@@ -31,7 +31,6 @@ from .errors import (
     DomainViolation,
     NotHermitian,
     ShapeMismatch,
-    UnknownLabel,
 )
 from .measures import CircleMeasure
 
@@ -72,12 +71,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return int(self.coords.shape[1])
-
-    def index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(f"unknown point label {label!r}") from None
 
     def restrict(self, indices) -> "PointSet":
         idx = list(indices)

@@ -67,13 +67,6 @@ class RkhsElement:
         xi.setflags(write=False)
         object.__setattr__(self, "coeffs", xi)
 
-    @classmethod
-    def kernel_section(cls, base: FiniteKernel, label) -> "RkhsElement":
-        """The generator K(., s) for the point labeled s."""
-        xi = np.zeros(base.size, dtype=complex)
-        xi[base.points.index(label)] = 1.0
-        return cls(base=base, coeffs=xi)
-
 
 def _single(f: RkhsElement) -> np.ndarray:
     if f.coeffs.ndim != 1:
@@ -94,13 +87,6 @@ def norm_squared(f: RkhsElement):
     if f.coeffs.ndim == 1:
         return rkhs_inner(f, f).real
     return np.sum(np.conj(f.coeffs) * (f.base.gram @ f.coeffs), axis=0).real
-
-
-def evaluate(f: RkhsElement, label) -> complex:
-    """Point evaluation f(s) = sum_i xi_i K(s, s_i); the reproducing property
-    makes this equal to rkhs_inner(f, K(., s))."""
-    i = f.base.points.index(label)
-    return complex(f.base.gram[i, :] @ _single(f))
 
 
 def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,

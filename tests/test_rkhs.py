@@ -10,11 +10,9 @@ from kboundary import (
     NotPsd,
     PointSet,
     RkhsElement,
-    UnknownLabel,
     apply_V,
     apply_W,
     assemble_gram,
-    evaluate,
     norm_squared,
     parseval_factorize,
     rkhs_inner,
@@ -55,12 +53,12 @@ def _random_psd(rng, n, complex_entries=True):
 
 class TestInnerProduct:
     def test_reproducing_pair(self, szego_base):
-        f = RkhsElement.kernel_section(szego_base, "p0")
-        g = RkhsElement.kernel_section(szego_base, "p1")
+        f = RkhsElement(base=szego_base, coeffs=np.eye(szego_base.size)[:, 0])
+        g = RkhsElement(base=szego_base, coeffs=np.eye(szego_base.size)[:, 1])
         assert rkhs_inner(f, g) == pytest.approx(szego_base.gram[1, 0])
 
     def test_section_self_inner(self, szego_base):
-        f = RkhsElement.kernel_section(szego_base, "p0")
+        f = RkhsElement(base=szego_base, coeffs=np.eye(szego_base.size)[:, 0])
         assert rkhs_inner(f, f) == pytest.approx(1.0)
 
     def test_difference_norm(self, szego_base):
@@ -78,37 +76,9 @@ class TestInnerProduct:
         other = _table_kernel(np.eye(2))
         with pytest.raises(BaseMismatch):
             rkhs_inner(
-                RkhsElement.kernel_section(szego_base, "p0"),
-                RkhsElement.kernel_section(other, "p0"),
+                RkhsElement(base=szego_base, coeffs=np.eye(szego_base.size)[:, 0]),
+                RkhsElement(base=other, coeffs=np.eye(other.size)[:, 0]),
             )
-
-
-class TestEvaluate:
-    def test_reproducing_property_exact(self, szego_base):
-        for i, s in enumerate(szego_base.points.labels):
-            for j, t in enumerate(szego_base.points.labels):
-                section = RkhsElement.kernel_section(szego_base, t)
-                assert evaluate(section, s) == szego_base.gram[i, j]
-
-    def test_zero_coefficients(self, szego_base):
-        zero = RkhsElement(base=szego_base, coeffs=[0.0, 0.0])
-        assert all(evaluate(zero, s) == 0.0 for s in szego_base.points.labels)
-
-    def test_sum_of_sections(self, szego_base):
-        f = RkhsElement(base=szego_base, coeffs=[1.0, 1.0])
-        assert evaluate(f, "p0") == pytest.approx(2.0)
-
-    def test_unknown_label(self, szego_base):
-        f = RkhsElement(base=szego_base, coeffs=[1.0, 0.0])
-        with pytest.raises(UnknownLabel):
-            evaluate(f, "nope")
-
-    def test_evaluation_agrees_with_inner_product(self, szego_base):
-        rng = np.random.default_rng(5)
-        f = RkhsElement(base=szego_base, coeffs=rng.standard_normal(2))
-        for s in szego_base.points.labels:
-            section = RkhsElement.kernel_section(szego_base, s)
-            assert evaluate(f, s) == pytest.approx(rkhs_inner(f, section))
 
 
 class TestParsevalFactorize:
@@ -215,7 +185,7 @@ class TestFrameExpand:
     def test_identity_gram_section(self):
         K = _table_kernel(np.eye(2))
         F = parseval_factorize(K)
-        f = RkhsElement.kernel_section(K, "p0")
+        f = RkhsElement(base=K, coeffs=np.eye(K.size)[:, 0])
         coeffs = _analysis(F, f)
         np.testing.assert_allclose(coeffs, np.conj(F.features[0, :]), atol=1e-12)
         np.testing.assert_allclose(F.features @ coeffs, [1.0, 0.0], atol=1e-12)
@@ -246,7 +216,7 @@ class TestFrameExpand:
         F = parseval_factorize(szego_base)
         other = _table_kernel(np.eye(2))
         with pytest.raises(BaseMismatch):
-            apply_W(F, RkhsElement.kernel_section(other, "p0"))
+            apply_W(F, RkhsElement(base=other, coeffs=np.eye(other.size)[:, 0]))
 
 
 class TestTightness:
