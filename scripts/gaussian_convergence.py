@@ -2,9 +2,9 @@
 """Empirical covariance convergence of the sampled boundary process.
 
 Draws the Gaussian process of the real part of a Szego Gram matrix over a
-small grid through its spectral factorization, in batches of increasing
-size from the seeded chunked sampler (streamed through ``moments``, so
-memory stays flat in N), and prints the max-abs
+small grid through its spectral factorization, at increasing sample
+sizes N through ``moments`` (the sums of N draws, drawn in law, so time
+and memory stay flat in N), and prints the max-abs
 covariance error next to the 4 max|G| / sqrt(N) reference scale, both as
 ``kb gaussian-sample`` computes them, plus the marginal-consistency
 deviation for a fixed subset.  A library error, such as a size below two

@@ -246,20 +246,31 @@ def _screen_cnum_arrays(data) -> tuple[object, dict]:
     return view, decoded
 
 
-def _cnum_vector(rows, z: np.ndarray) -> np.ndarray:
-    """``z``, the screen's vector of the cnums of ``rows`` in row-major
-    order.  A non-finite number is a ConfigError naming the first such cnum."""
+def _places(rows):
+    """"[i]" for each entry of ``rows`` that is one cnum and "[i][j]" for
+    each cnum of a row, in row-major order."""
+    for i, entry in enumerate(rows):
+        if type(entry) is dict:
+            yield f"[{i}]"
+        else:
+            yield from (f"[{i}][{j}]" for j in range(len(entry)))
+
+
+def _cnum_vector(rows, z: np.ndarray, name: str) -> np.ndarray:
+    """``z``, the screen's vector of the cnums of ``rows`` (rows, or single
+    cnums) in row-major order.  A non-finite number is a ConfigError naming
+    the place of the first such cnum in the array ``name``, not its value."""
     bad = ~np.isfinite(z)
     if bad.any():
-        first = [c for row in rows for c in row][int(bad.argmax())]
-        raise ConfigError(f"complex numbers must be finite, got {first!r}")
+        where = list(_places(rows))[int(bad.argmax())]
+        raise ConfigError(f"complex numbers must be finite, got a non-finite one at {name}{where}")
     return z
 
 
 def _parse_matrix(rows, name: str, z: np.ndarray) -> np.ndarray:
     """``rows`` as a complex matrix, shaped as ``np.array`` shapes it (no rows
     give an empty vector); ``z`` as in ``_cnum_vector``."""
-    flat = _cnum_vector(rows, z)
+    flat = _cnum_vector(rows, z, name)
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ConfigError(f"{name} rows must all have the same length")
@@ -273,11 +284,11 @@ def _parse_points(raw, z: np.ndarray) -> kernels.PointSet:
     if any(isinstance(entry, dict) != scalar for entry in raw):
         raise ConfigError("points must be all scalars or all coordinate tuples")
     if scalar:
-        return kernels.PointSet.from_points(_cnum_vector([raw], z))
+        return kernels.PointSet.from_points(_cnum_vector(raw, z, "points"))
     dims = {len(entry) for entry in raw}
     if len(dims) != 1:
         raise ConfigError("all point tuples must share one dimension")
-    return kernels.PointSet.from_points(_cnum_vector(raw, z).reshape(len(raw), *dims))
+    return kernels.PointSet.from_points(_cnum_vector(raw, z, "points").reshape(len(raw), *dims))
 
 
 def _parse_circle_measure(raw) -> measures.CircleMeasure:

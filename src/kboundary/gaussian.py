@@ -9,16 +9,15 @@ Clark K_b factorization through its atoms, or any other.  g is real for
 real kernels and circularly-symmetric complex (E g conj(g) = 1,
 E g^2 = 0) for complex ones, so the identity holds in both conventions.
 
-Sampling is chunked over a counter-based generator keyed by
-(seed, chunk index): a fixed (factorization, seed, chunk layout, N)
-always reproduces the same normals g, and chunks are independent so
-parallel evaluation cannot reorder the stream.  ``sample`` maps each
-chunk to the points as g L^T.  ``moments`` reads the same normals but
-keeps running sums over the atoms, sum g and sum g g^*, and maps them
-through L once at the end: sum d = L sum g and sum d d^* = L (sum g g^*)
-L^*.  So one chunk holds chunk x r values, not chunk x n, and its memory
-does not grow with N.  An L with zero imaginary part is used as a real
-matrix, so real-tagged draws and their sums stay in real arithmetic.
+A record (seed, N) names the draws: N rows of normals g on the atoms from
+one Philox stream keyed by the seed.  ``sample`` forms them and maps them
+to the points as g L^T.  ``moments`` needs only the sums over the atoms,
+sum g and sum g g^*, mapped through L once at the end: sum d = L sum g and
+sum d d^* = L (sum g g^*) L^*.  It draws those two sums from their joint
+law, the sample mean and the Bartlett factor of a Wishart matrix, so its
+cost and memory do not grow with N.  An L with zero imaginary part is used
+as a real matrix, so real-tagged draws and their sums stay in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .factorization import BoundaryFactorization
 from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
 
-DEFAULT_CHUNK_SIZE = 1 << 16
 FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
 EXACT_TOL = 1e-12  # restricted factorization against the Gram block, relative to ||G||_2
 
@@ -61,31 +59,21 @@ def realize(K: FiniteKernel) -> BoundaryFactorization:
     return parseval_factorize(K, rank_tol=FACTOR_TOL, psd_tol=FACTOR_TOL)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _seed_record(seed: int, N: int) -> dict:
+    return {"seed": int(seed) & (2**64 - 1), "count": int(N)}
 
 
-def _seed_record(seed: int, N: int, chunk_size: int) -> dict:
-    return {"seed": int(seed) & (2**64 - 1), "chunk_size": int(chunk_size), "count": int(N)}
+def _normals(rng: np.random.Generator, shape, F: BoundaryFactorization) -> np.ndarray:
+    """Standard normals of ``shape``: real for a real-tagged kernel of F,
+    circular complex (E|g|^2 = 1) otherwise."""
+    if F.kernel.field_tag == "real":
+        return rng.standard_normal(shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _atom_normals(F: BoundaryFactorization, record: dict):
-    """Yield the standard normals on F's atoms that ``record`` names, as
-    chunks of at most chunk_size rows, chunk i drawn from the Philox stream
-    keyed by (seed, i): real for a real-tagged kernel, circular otherwise."""
-    N, chunk_size = record["count"], record["chunk_size"]
-    if N < 1:
-        raise ShapeMismatch("sample count must be >= 1")
-    if chunk_size < 1:
-        raise ShapeMismatch("chunk size must be >= 1")
-    for chunk_index, start in enumerate(range(0, N, chunk_size)):
-        rng = _chunk_rng(record["seed"], chunk_index)
-        shape = (min(chunk_size, N - start), F.n_atoms)
-        if F.kernel.field_tag == "real":
-            yield rng.standard_normal(shape)
-        else:
-            yield (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _stream(record: dict) -> np.random.Generator:
+    """The one generator of ``record``'s draws: Philox keyed by its seed."""
+    return np.random.Generator(np.random.Philox(key=record["seed"]))
 
 
 def _draw_factor(F: BoundaryFactorization) -> np.ndarray:
@@ -94,17 +82,17 @@ def _draw_factor(F: BoundaryFactorization) -> np.ndarray:
     return np.ascontiguousarray(L)  # a strided .real view slows the products
 
 
-def sample(
-    F: BoundaryFactorization, N: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> SampleBatch:
-    """Draw N realizations of F's process; zero mean by construction.
+def sample(F: BoundaryFactorization, N: int, seed: int = 0) -> SampleBatch:
+    """Draw N realizations of F's process, g L^T for the N x r normals g of
+    the record (seed, N); zero mean by construction.
 
     Holds the whole N x n batch; callers that need only the mean and the
-    covariance use ``moments``."""
-    record = _seed_record(seed, N, chunk_size)
-    L = _draw_factor(F)
-    draws = np.vstack([g @ L.T for g in _atom_normals(F, record)])
-    return SampleBatch(draws=draws, seed_record=record)
+    covariance use ``moments``, which draws them in this batch's law."""
+    if N < 1:
+        raise ShapeMismatch("sample count must be >= 1")
+    record = _seed_record(seed, N)
+    g = _normals(_stream(record), (N, F.n_atoms), F)
+    return SampleBatch(draws=g @ _draw_factor(F).T, seed_record=record)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -116,26 +104,34 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     return (batch.draws.T @ np.conj(batch.draws)) / N
 
 
-def moments(
-    F: BoundaryFactorization, N: int, seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> tuple:
-    """(mean, covariance, seed_record) of the draws of
-    ``sample(F, N, seed, chunk_size)``.
+def moments(F: BoundaryFactorization, N: int, seed: int = 0) -> tuple:
+    """(mean, covariance, seed_record) of N draws of F's process, in the law
+    of ``sample(F, N, seed)``'s mean and ``empirical_covariance``.
 
-    The covariance is the zero-mean estimator of ``empirical_covariance``,
-    summed in atom coordinates: each chunk of normals g adds ones @ g and
-    g^T conj(g) to r-wide running sums m and S and is dropped, and the
-    results are L m / N and L S L^* / N with L = Phi sqrt(mu).  Memory
-    stays at one chunk x r block whatever N is, and the draws d = g L^T
-    are never formed.  Equal to the point-space sums up to rounding.
+    Both come from the atom sums m = sum g and S = sum g g^* as L m / N and
+    L S L^* / N, L = Phi sqrt(mu), and the sums are drawn from their joint
+    law: m = N gbar and S = T T^* + N gbar gbar^*, with gbar ~ N(0, I/N)
+    independent of the Wishart(N - 1, I) scatter T T^*.  T is its
+    lower-triangular Bartlett factor, T_ii^2 ~ chi^2(N - 1 - i) and
+    T_ij ~ N(0, 1) below the diagonal, i = 0..r-1; for a complex kernel,
+    gbar ~ CN(0, I/N), |T_ii|^2 ~ Gamma(N - 1 - i, 1) and T_ij ~ CN(0, 1).
+    So the cost is O(r^3 + n r (n + r)) whatever N is.  Below N - 1 = r the
+    factor does not exist, and the N x r normals of ``sample`` are summed.
     """
     if N < 2:
         raise ShapeMismatch("need at least two draws")
-    record = _seed_record(seed, N, chunk_size)
-    total = outer = 0.0
-    for g in _atom_normals(F, record):
-        total = total + np.ones(g.shape[0]) @ g
-        outer = outer + g.T @ g.conj()
+    record, r = _seed_record(seed, N), F.n_atoms
+    rng = _stream(record)
+    if N - 1 < r:
+        g = _normals(rng, (N, r), F)
+        total, outer = g.sum(axis=0), g.T @ g.conj()
+    else:
+        total = np.sqrt(N) * _normals(rng, r, F)  # N gbar
+        dof = (N - 1) - np.arange(r)
+        T = np.tril(_normals(rng, (r, r), F), -1)
+        T[np.diag_indices(r)] = np.sqrt(
+            rng.chisquare(dof) if F.kernel.field_tag == "real" else rng.gamma(dof))
+        outer = T @ T.conj().T + np.outer(total, total.conj()) / N
     L = _draw_factor(F)
     # A moment beyond the float range is inf or NaN, quietly, and fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,8 +153,8 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     features factorize the principal Gram submatrix within
     EXACT_TOL * ||G||_2.  The empirical deviation compares the subset's
     block of that covariance (the covariance of its projected samples)
-    against a directly realized process on the subset, sampled from the
-    derived seed+1 stream with the record's count and chunk size.
+    against a directly realized process on the subset, whose moments come
+    from the derived seed+1 record with the same count.
     """
     idx = list(subset)
     n = K.size
@@ -183,9 +179,6 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     restricted = BoundaryFactorization(kernel=K_sub, measure=F.measure, features=F.features[idx])
     exact_ok = relative_residual(restricted.residual, K) <= EXACT_TOL
 
-    emp_direct = moments(
-        realize(K_sub), seed_record["count"], seed_record["seed"] + 1,
-        seed_record["chunk_size"],
-    )[1]
+    emp_direct = moments(realize(K_sub), seed_record["count"], seed_record["seed"] + 1)[1]
     deviation = float(np.abs(cov[np.ix_(idx, idx)] - emp_direct).max())
     return {"exact_ok": exact_ok, "empirical_deviation": deviation}

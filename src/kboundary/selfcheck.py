@@ -80,7 +80,7 @@ def pullback_isometry_error(morphism: factorization.MeasureMorphism, rng) -> flo
 
 
 def moment_errors(K: kernels.FiniteKernel, seed: int, n_draws: int):
-    """Streamed moments of ``n_draws`` seeded draws of K's Gaussian process:
+    """``gaussian.moments`` of ``n_draws`` seeded draws of K's Gaussian process:
     (max |covariance - G|, |mean| per point, covariance, seed record)."""
     means, emp, seed_record = gaussian.moments(gaussian.realize(K), n_draws, seed)
     return float(np.abs(emp - K.gram).max()), np.abs(means), emp, seed_record

@@ -463,13 +463,14 @@ class TestDecode:
         assert "table" in cli._screen_cnum_arrays(config)[1]
         with pytest.raises(ConfigError) as raised:
             cli.parse_config(config)
-        assert str(raised.value) == f"complex numbers must be finite, got {huge!r}"
+        assert str(raised.value) == (
+            "complex numbers must be finite, got a non-finite one at kernel.table[1][0]")
 
     def test_first_non_finite_cnum_in_row_major_order_is_named(self):
         rows = [[{"re": 0.0}, {"re": 0.0, "im": float("nan")}],
                 [{"re": float("inf")}, {"re": 0.0}]]
         z = cli._screen_cnum_arrays({"points": rows})[1]["points"]
-        with pytest.raises(ConfigError, match=r"got \{'re': 0\.0, 'im': nan\}"):
+        with pytest.raises(ConfigError, match=r"got a non-finite one at table\[0\]\[1\]$"):
             cli._parse_matrix(rows, "table", z)
 
 
@@ -513,6 +514,35 @@ def test_a_rejection_is_one_short_line_naming_its_path(config, path, tmp_path, c
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and len(err.encode()) <= 200, err[:300]
     assert err.startswith(f"kb: config error: config does not match schema at {path}: ")
+
+
+HUGE = int("1" + "0" * 4200)  # beyond the float range, 4201 digits
+
+
+@pytest.mark.parametrize(
+    "config, place",
+    [
+        ({"command": "validate", "kernel": {"variant": "table", "table": [[{"re": HUGE}]]}},
+         "kernel.table[0][0]"),
+        ({"command": "validate", "kernel": {"variant": "szego"},
+          "points": [{"re": 0.1}, {"re": 0.2, "im": -HUGE}]}, "points[1]"),
+        ({"command": "validate", "kernel": {"variant": "szego", "dim": 2},
+          "points": [[{"re": 0.1}, {"re": 0.2}], [{"re": 0.1}, {"re": HUGE}]]}, "points[1][1]"),
+        (_morphism_config(target_features=[[{"re": 1.0}]],
+                          source_features=[[{"re": 1.0}, {"re": 2.0}], [{"re": HUGE}, {"re": 0}]]),
+         "morphism.source_features[1][0]"),
+    ],
+    ids=["table", "scalar-points", "tuple-points", "source-features"],
+)
+def test_a_non_finite_cnum_is_one_short_line_naming_its_place(config, place, tmp_path, capsys):
+    """The message names where the cnum sits, not its value: a 4201-digit
+    integer part does not make a long stderr line."""
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    assert cli.main([config["command"], "--config", str(tmp_path / "job.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) <= 200, err[:300]
+    assert err == (f"kb: config error: complex numbers must be finite, "
+                   f"got a non-finite one at {place}\n")
 
 
 def _subschemas(schema):

@@ -76,13 +76,13 @@ class TestSample:
         b2 = sample(realize(K), 10_000, seed=77)
         assert np.array_equal(b1.draws, b2.draws)
 
-    def test_chunked_layout_is_part_of_the_contract(self):
+    def test_seed_and_count_are_the_whole_record(self):
         K = _table_kernel([[1.0]], field_tag="real")
         F = realize(K)
-        b1 = sample(F, 3000, seed=5, chunk_size=1024)
-        b2 = sample(F, 3000, seed=5, chunk_size=1024)
+        b1 = sample(F, 3000, seed=5)
+        b2 = sample(F, 3000, seed=5)
         assert np.array_equal(b1.draws, b2.draws)
-        assert b1.seed_record == {"seed": 5, "chunk_size": 1024, "count": 3000}
+        assert b1.seed_record == {"seed": 5, "count": 3000}
 
     def test_count_validated(self):
         with pytest.raises(ShapeMismatch):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kboundary import (
     BoundaryFactorization,
@@ -83,24 +84,71 @@ FACTORIZATIONS = {
 }
 
 
+def _rank_three_factorization(field_tag):
+    """The spectral factorization of a full-rank kernel on three points."""
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((3, 3))
+    if field_tag == "complex":
+        A = A + 1j * rng.standard_normal((3, 3))
+    return realize(_table_kernel(A @ np.conj(A).T, field_tag))
+
+
+def _marginals(mean, cov):
+    """The real coordinates of (mean, covariance): real and imaginary parts
+    of each mean entry and of each covariance entry above the diagonal, and
+    the real diagonal."""
+    upper = cov[np.triu_indices(cov.shape[0], 1)]
+    return np.concatenate([mean.real, mean.imag, upper.real, upper.imag, np.diag(cov).real])
+
+
+LAW_REPLICATES = 1500
+LAW_ALPHA = 1e-3  # family-wise over every marginal of the four cases below
+LAW_MARGINALS = {"real": 3 + 3 + 3, "complex": 6 + 6 + 3}  # mean, off-diagonal, diagonal
+
+
+@pytest.mark.parametrize("N", [7, 2], ids=["bartlett", "direct"])
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+def test_moments_have_the_law_of_the_sampled_sums(field_tag, N):
+    # Two-sample KS per marginal, Bonferroni over all of them: moments at
+    # seeds 0.. against the mean and empirical covariance of sample at
+    # disjoint seeds.  r = 3, so N = 7 draws the Bartlett factor and N = 2
+    # (N - 1 < r) sums the normals.
+    F = _rank_three_factorization(field_tag)
+    assert F.n_atoms == 3
+    drawn = np.array([_marginals(*moments(F, N, seed)[:2]) for seed in range(LAW_REPLICATES)])
+    summed = []
+    for seed in range(LAW_REPLICATES, 2 * LAW_REPLICATES):
+        batch = sample(F, N, seed)
+        summed.append(_marginals(batch.draws.mean(axis=0), empirical_covariance(batch)))
+    summed = np.array(summed)
+    # A real factorization's imaginary parts are 0 on both sides.
+    varying = np.ptp(summed, axis=0) > 0.0
+    assert not drawn[:, ~varying].any() and not summed[:, ~varying].any()
+    assert varying.sum() == LAW_MARGINALS[field_tag]
+    p_values = [stats.ks_2samp(drawn[:, k], summed[:, k]).pvalue
+                for k in np.flatnonzero(varying)]
+    family = 2 * sum(LAW_MARGINALS.values())
+    assert min(p_values) > LAW_ALPHA / family, min(p_values)
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
-@pytest.mark.parametrize("N, chunk_size", [(12_000, 3_000), (10_007, 1_024)],
-                         ids=["divides", "remainder"])
-def test_moments_match_the_materialized_batch(name, N, chunk_size):
-    # The reference sums the materialized point-space batch; moments sums
-    # over the atoms and maps through L once.
+def test_moments_below_the_bartlett_rank_sum_the_sampled_draws(name):
+    # With N - 1 < r there is no Bartlett factor: moments sums the normals
+    # that sample draws from the same seed.
     F = FACTORIZATIONS[name]()
-    batch = sample(F, N, 41, chunk_size)
-    mean, cov, record = moments(F, N, 41, chunk_size)
-    np.testing.assert_allclose(cov, empirical_covariance(batch), rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(mean, batch.draws.mean(axis=0), rtol=1e-13, atol=0.0)
-    assert record == batch.seed_record == {"seed": 41, "chunk_size": chunk_size, "count": N}
+    N = 2
+    assert N - 1 < F.n_atoms
+    batch = sample(F, N, 41)
+    mean, cov, record = moments(F, N, 41)
+    np.testing.assert_allclose(cov, empirical_covariance(batch), rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(mean, batch.draws.mean(axis=0), rtol=1e-13, atol=1e-15)
+    assert record == batch.seed_record == {"seed": 41, "count": N}
 
 
 def test_moments_of_a_rank_zero_kernel_are_zero():
     F = realize(_table_kernel(np.zeros((3, 3)), "real"))
     assert F.n_atoms == 0
-    mean, cov, _ = moments(F, 5_000, 2, chunk_size=1_000)
+    mean, cov, _ = moments(F, 5_000, 2)
     assert mean.shape == (3,) and cov.shape == (3, 3)
     assert not mean.any() and not cov.any()
 
@@ -110,12 +158,6 @@ def test_moments_need_two_draws(N):
     F = realize(_table_kernel(np.eye(2), "real"))
     with pytest.raises(ShapeMismatch):
         moments(F, N)
-
-
-def test_moments_chunk_size_validated():
-    F = realize(_table_kernel(np.eye(2), "real"))
-    with pytest.raises(ShapeMismatch):
-        moments(F, 100, chunk_size=0)
 
 
 def test_moments_memory_is_flat_in_the_sample_count():
@@ -130,19 +172,34 @@ def test_moments_memory_is_flat_in_the_sample_count():
     assert peak < 16 * 2**20
 
 
-def test_moments_memory_is_one_chunk_of_atoms_not_of_points():
-    # A real rank-3 kernel on 400 points: one 8192 x 400 float64 chunk of
-    # draws is 26 MB, the 8192 x 3 chunk of normals 0.2 MB.
+def test_moments_memory_is_in_atoms_not_points():
+    # A real rank-3 kernel on 400 points: the 24576 x 400 float64 draws
+    # would be 79 MB, the 400 x 400 covariance is 1.3 MB.
     phi = np.random.default_rng(8).standard_normal((400, 3))
     F = realize(_table_kernel(phi @ phi.T, "real"))
     assert F.n_atoms == 3
     tracemalloc.start()
     try:
-        moments(F, 3 * 8192, 5, chunk_size=8192)
+        moments(F, 3 * 8192, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_moments_cost_does_not_grow_with_the_sample_count():
+    # N = 2^53, the largest sample_count a config may give: drawn in law,
+    # the moments are finite and the peak is a few r x r and n x n arrays.
+    F = realize(szego_real_part_kernel())
+    tracemalloc.start()
+    try:
+        mean, cov, record = moments(F, 2**53, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(mean).all() and np.isfinite(cov).all()
+    assert record == {"seed": 6, "count": 2**53}
+    assert peak < 2**20
 
 
 def test_real_gram_gives_a_real_covariance():
@@ -203,13 +260,13 @@ def test_a_factorization_is_sampled_through_its_atoms(make):
     assert F.n_atoms < F.n_points
     assert np.abs(cov - F.kernel.gram).max() <= covariance_bound(F.kernel, N)
     assert np.all(np.abs(mean) <= 5.0 * np.sqrt(np.diag(F.kernel.gram).real / N))
-    assert record == {"seed": 17, "chunk_size": gaussian.DEFAULT_CHUNK_SIZE, "count": N}
+    assert record == {"seed": 17, "count": N}
 
 
 def test_counting_measure_draws_are_the_features_times_the_normals():
     # sqrt(1) = 1 exactly, so a spectral draw is g @ features^T bit for bit.
     F = realize(szego_real_part_kernel())
     draws = sample(F, 10, 9).draws
-    g = gaussian._chunk_rng(9, 0).standard_normal((10, F.n_atoms))
+    g = np.random.Generator(np.random.Philox(key=9)).standard_normal((10, F.n_atoms))
     expected = g @ np.ascontiguousarray(F.features.real).T
     assert draws.tobytes() == expected.astype(complex).tobytes()
