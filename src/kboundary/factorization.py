@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import rkhs
 from .errors import (
     BaseMismatch,
     LabelMismatch,
@@ -42,7 +43,7 @@ from .kernels import (
     spectrum,
 )
 from .measures import DiscreteMeasure
-from .rkhs import RkhsElement, as_columns, norm_squared, same_base
+from .rkhs import RkhsElement, as_columns, same_base
 
 FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
 MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
@@ -138,19 +139,63 @@ class MeasureMorphism:
         return idx
 
 
+# The array cores below hold the one formula of each object.  They take
+# unvalidated arrays: ``features`` (..., n, m) and ``weights`` (..., m), with
+# a function on the atoms (coefficients on the points) given as one vector,
+# or as a (..., m, k) stack of column matrices, whose leading axes broadcast
+# against those of the features, as in numpy's matmul.  The public functions
+# validate their frozen objects and call them; verify-all's schwarz-bound
+# calls them on a zero-padded stack of factorizations.
+
+
+def _atom_weights(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The weights aligned with the atom axis of g: as they are for one
+    vector, and as a column for a stack of column matrices."""
+    return weights if g.ndim == 1 else weights[..., :, None]
+
+
+def _column_sums(x: np.ndarray):
+    """The sum of a vector, or of each column of a stack of column matrices."""
+    return np.sum(x, axis=-1 if x.ndim == 1 else -2)
+
+
+def _l2_norm_squared(weights: np.ndarray, g: np.ndarray):
+    """sum_x |g(x)|^2 mu(x), one per column of a stack of column matrices."""
+    return _column_sums(g * np.conj(g) * _atom_weights(weights, g)).real
+
+
+def _apply_W(features: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """W f = sum_i conj(xi_i) k_{s_i}, one column per column of xi."""
+    return features.swapaxes(-1, -2) @ np.conj(xi)
+
+
+def _apply_V(features: np.ndarray, weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(V g)(s_i) = sum_x g(x) conj(k_{s_i}(x)) mu(x), one column per column of g."""
+    return np.conj(features) @ (_atom_weights(weights, g) * g)
+
+
+def _schwarz_bound(features: np.ndarray, weights: np.ndarray, gram: np.ndarray,
+                   g: np.ndarray, xi: np.ndarray) -> dict:
+    """lhs = |sum_i xi_i (V g)(s_i)|^2 and rhs = ||g||^2_{L2(mu)} xi^* G xi,
+    each read from its core, and holds = lhs <= rhs (1 + 1e-9); g and xi are
+    both vectors or both stacks of column matrices."""
+    lhs = np.abs(_column_sums(xi * _apply_V(features, weights, g))) ** 2
+    rhs = _l2_norm_squared(weights, g) * rkhs._norm_squared(gram, xi)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
+
+
 def l2_norm_squared(g, measure: DiscreteMeasure):
     """sum_x |g(x)|^2 mu(x): a float, or an array of one per column of an
     (m, k) matrix g."""
-    gv = as_columns(g, measure.size, "L2 array")
-    w = measure.weights if gv.ndim == 1 else measure.weights[:, None]
-    return np.sum(gv * np.conj(gv) * w, axis=0).real
+    return _l2_norm_squared(measure.weights, as_columns(g, measure.size, "L2 array"))
 
 
 def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Phi D Phi^*: the Gram matrix that features Phi induce under weights D;
-    an overflow stays quiet, for FiniteKernel to reject."""
+    """Phi D Phi^*: the Gram matrix that features Phi induce under weights D,
+    one per factorization of a (..., n, m) stack; an overflow stays quiet, for
+    FiniteKernel to reject."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (features * weights[None, :]) @ np.conj(features).T
+        return (features * weights[..., None, :]) @ np.conj(features).swapaxes(-1, -2)
 
 
 def verify_factorization(F: BoundaryFactorization) -> float:
@@ -196,7 +241,7 @@ def apply_W(F: BoundaryFactorization, f: RkhsElement) -> np.ndarray:
     _require_factorization(F)
     if not same_base(f.base, F.kernel):
         raise BaseMismatch("element is not based on the factorized kernel")
-    return F.features.T @ np.conj(f.coeffs)
+    return _apply_W(F.features, f.coeffs)
 
 
 def apply_V(F: BoundaryFactorization, g) -> np.ndarray:
@@ -207,9 +252,7 @@ def apply_V(F: BoundaryFactorization, g) -> np.ndarray:
     feeding a feature row k_t back through V reproduces the factorization
     identity: the output is the Gram row of t.
     """
-    gv = as_columns(g, F.n_atoms, "L2 array")
-    w = F.measure.weights if gv.ndim == 1 else F.measure.weights[:, None]
-    return np.conj(F.features) @ (w * gv)
+    return _apply_V(F.features, F.measure.weights, as_columns(g, F.n_atoms, "L2 array"))
 
 
 def range_projection(F: BoundaryFactorization) -> np.ndarray:
@@ -262,9 +305,7 @@ def schwarz_bound_check(F: BoundaryFactorization, g, xi) -> dict:
     gv = as_columns(g, F.n_atoms, "L2 array")
     if gv.shape[1:] != f.coeffs.shape[1:]:
         raise ShapeMismatch(f"g has shape {gv.shape}, xi has shape {f.coeffs.shape}")
-    lhs = np.abs(np.sum(f.coeffs * apply_V(F, gv), axis=0)) ** 2
-    rhs = l2_norm_squared(gv, F.measure) * norm_squared(f)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-9)}
+    return _schwarz_bound(F.features, F.measure.weights, F.kernel.gram, gv, f.coeffs)
 
 
 def check_morphism(

@@ -81,12 +81,18 @@ def rkhs_inner(f: RkhsElement, g: RkhsElement) -> complex:
     return complex(np.conj(_single(g)) @ (f.base.gram @ _single(f)))
 
 
+def _norm_squared(gram: np.ndarray, xi: np.ndarray):
+    """xi^* G xi for one coefficient vector (a float), or one per column of a
+    (..., n, k) stack of column matrices against a (..., n, n) stack of Grams."""
+    if xi.ndim == 1:
+        return complex(np.conj(xi) @ (gram @ xi)).real
+    return np.sum(np.conj(xi) * (gram @ xi), axis=-2).real
+
+
 def norm_squared(f: RkhsElement):
     """||f||^2 = xi^* G xi: a float, or an array of one per column when f
     holds a coefficient matrix."""
-    if f.coeffs.ndim == 1:
-        return rkhs_inner(f, f).real
-    return np.sum(np.conj(f.coeffs) * (f.base.gram @ f.coeffs), axis=0).real
+    return _norm_squared(f.base.gram, f.coeffs)
 
 
 def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,

@@ -22,7 +22,6 @@ them goes when it exits.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import sys
@@ -222,26 +221,51 @@ def check_transform_pair(seed: int = 0) -> Check:
     )
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    z = rng.standard_normal((2, *shape))
+    return z[0] + 1j * z[1]
+
+
+def _random_feature_stack(rng: np.random.Generator, count: int):
+    """``count`` exact factorizations, each of n in 1..RANDOM_FEATURE_MAX_POINTS
+    points and m in 1..RANDOM_FEATURE_MAX_ATOMS atoms, as one stack zero-padded
+    to the largest sizes: (features, weights, points, atoms).  Features are
+    complex normal inside each n x m block and 0 outside it, weights uniform
+    on [0.2, 1] on every atom, padded or not; ``points`` and ``atoms`` mark
+    the rows and columns that belong to each factorization."""
+    n = rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1, size=count)
+    m = rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1, size=count)
+    points = np.arange(RANDOM_FEATURE_MAX_POINTS) < n[:, None]
+    atoms = np.arange(RANDOM_FEATURE_MAX_ATOMS) < m[:, None]
+    phi = _complex_normal(rng, (count, RANDOM_FEATURE_MAX_POINTS, RANDOM_FEATURE_MAX_ATOMS))
+    phi *= points[:, :, None] & atoms[:, None, :]
+    w = rng.uniform(0.2, 1.0, size=(count, RANDOM_FEATURE_MAX_ATOMS))
+    return phi, w, points, atoms
+
+
 def check_schwarz_bound(seed: int = 0) -> Check:
-    """500 random (g, xi, factorization) triples plus the equality case, the
-    two as the columns of one call per factorization."""
+    """500 random (g, xi, factorization) triples plus the equality case.
+
+    The triples are one zero-padded stack (``_random_feature_stack``), and
+    g and xi are 0 outside each triple's atoms and points, so the padding
+    adds exact zeros to every sum.  Each triple's random pair and equality
+    pair are two columns, and the whole stack goes through the library's
+    Schwarz-bound core, which reads V, ||g||^2_{L2(mu)} and xi^* G xi from
+    the cores behind apply_V, l2_norm_squared and rkhs.norm_squared."""
     rng = _rng(seed, 3)
-    violations = 0
-    worst_eq = 0.0
-    for _ in range(500):
-        F = _random_feature_factorization(rng)
-        m = F.n_atoms
-        n = F.n_points
-        g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # Parallel vectors: g = sum_i conj(xi_i) k_{s_i} turns the bound
-        # into an equality.
-        g_eq = F.features.T @ np.conj(xi)
-        res = factorization.schwarz_bound_check(F, np.array([g, g_eq]).T, np.array([xi, xi]).T)
-        if not res["holds"][0]:
-            violations += 1
-        dev, scale = abs(res["lhs"][1] - res["rhs"][1]), abs(res["rhs"][1])
-        worst_eq = max(worst_eq, dev / scale if scale else math.inf if dev else 0.0)
+    phi, w, points, atoms = _random_feature_stack(rng, 500)
+    g = _complex_normal(rng, atoms.shape) * atoms
+    xi = (_complex_normal(rng, points.shape) * points)[:, :, None]
+    # Parallel vectors: g = sum_i conj(xi_i) k_{s_i} turns the bound into
+    # an equality.
+    g_eq = factorization._apply_W(phi, xi)
+    res = factorization._schwarz_bound(phi, w, factorization._induced_gram(phi, w),
+                                       np.concatenate([g[:, :, None], g_eq], axis=2),
+                                       np.concatenate([xi, xi], axis=2))
+    violations = int(np.count_nonzero(~res["holds"][:, 0]))
+    dev, scale = np.abs(res["lhs"][:, 1] - res["rhs"][:, 1]), np.abs(res["rhs"][:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst_eq = float(np.max(np.where(dev == 0, 0.0, dev / scale)))
     passed = violations == 0 and worst_eq <= 1e-9
     return Check("schwarz-bound", passed,
                  {"violations": violations, "max_equality_deviation": worst_eq})

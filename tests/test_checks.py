@@ -260,20 +260,34 @@ def test_schwarz_equality_is_judged_relative_to_its_own_scale(monkeypatch):
     # Features scaled by 1e-3 make |rhs| << 1, and a V shrunk by 1e-6 breaks
     # the equality case by 2e-6 relative, an error a max(1, |rhs|) floor hid.
     # Shrunk, not grown: a grown V would also break the bound on one-atom draws.
+    # The shrink is planted in the library's V core, which the criterion's
+    # stack must go through.
     from kboundary import factorization, selfcheck
 
-    random_factorization, apply_V = selfcheck._random_feature_factorization, factorization.apply_V
+    random_stack, apply_V = selfcheck._random_feature_stack, factorization._apply_V
 
-    def small(rng, mean_shift=0.0):
-        F = random_factorization(rng, mean_shift)
-        return factorization.BoundaryFactorization.induced(F.measure, 1e-3 * F.features)
+    def small(rng, count):
+        phi, w, points, atoms = random_stack(rng, count)
+        return 1e-3 * phi, w, points, atoms
 
-    monkeypatch.setattr(selfcheck, "_random_feature_factorization", small)
+    monkeypatch.setattr(selfcheck, "_random_feature_stack", small)
     assert selfcheck.check_schwarz_bound(seed=0).passed
-    monkeypatch.setattr(factorization, "apply_V", lambda F, g: (1.0 - 1e-6) * apply_V(F, g))
+    monkeypatch.setattr(factorization, "_apply_V",
+                        lambda *args: (1.0 - 1e-6) * apply_V(*args))
     check = selfcheck.check_schwarz_bound(seed=0)
     assert not check.passed and check.details["violations"] == 0
     assert check.details["max_equality_deviation"] > 1e-6
+
+
+@pytest.mark.parametrize("core, defect", [
+    ("_apply_V", lambda apply_V: lambda phi, w, g: apply_V(np.conj(phi), w, g)),
+    ("_l2_norm_squared", lambda l2: lambda w, g: l2(np.ones_like(w), g)),
+], ids=["V-without-conjugate", "L2-norm-without-weights"])
+def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, core, defect):
+    from kboundary import factorization, selfcheck
+
+    monkeypatch.setattr(factorization, core, defect(getattr(factorization, core)))
+    assert not selfcheck.check_schwarz_bound(seed=0).passed
 
 
 def test_morphism_checker_isometry_residual_shows_rounding():

@@ -413,6 +413,41 @@ class TestBatchAxis:
                 schwarz_bound_check(F, np.zeros(g), np.zeros(xi))
 
 
+def test_zero_padded_stack_matches_each_factorization():
+    # verify-all's schwarz-bound stack: factorizations of mixed (n, m)
+    # zero-padded to one shape.  Slice t of the stacked Schwarz bound is the
+    # public call on the unpadded objects, within TestBatchAxis's scale
+    # 1e-14 ||g||^2_mu ||G||_2 ||xi||^2 per column.
+    from kboundary import selfcheck
+
+    rng = np.random.default_rng(31)
+    phi, w, points, atoms = selfcheck._random_feature_stack(rng, 60)
+    g = selfcheck._complex_normal(rng, (*atoms.shape, 3)) * atoms[:, :, None]
+    xi = selfcheck._complex_normal(rng, (*points.shape, 3)) * points[:, :, None]
+    stacked = factorization._schwarz_bound(phi, w, factorization._induced_gram(phi, w), g, xi)
+    assert {key: v.shape for key, v in stacked.items()} == dict.fromkeys(
+        ("lhs", "rhs", "holds"), (60, 3))
+    assert len({(int(p.sum()), int(a.sum())) for p, a in zip(points, atoms)}) > 10
+    for t in range(60):
+        n, m = int(points[t].sum()), int(atoms[t].sum())
+        measure = DiscreteMeasure(atoms=tuple(range(m)), weights=w[t, :m])
+        F = BoundaryFactorization.induced(measure, phi[t, :n, :m])
+        single = schwarz_bound_check(F, g[t, :m], xi[t, :n])
+        norm_G = F.kernel.spectrum.norm
+        for j in range(3):
+            scale = 1e-14 * l2_norm_squared(g[t, :m, j], measure) * norm_G * float(
+                np.sum(np.abs(xi[t, :n, j]) ** 2))
+            assert abs(stacked["lhs"][t, j] - single["lhs"][j]) <= scale
+            assert abs(stacked["rhs"][t, j] - single["rhs"][j]) <= scale
+            assert stacked["holds"][t, j] == single["holds"][j]
+    # The padded atoms' weights meet only exact zeros.
+    w_padded = np.where(atoms, w, rng.uniform(0.2, 5.0, size=w.shape))
+    moved = factorization._schwarz_bound(phi, w_padded,
+                                         factorization._induced_gram(phi, w_padded), g, xi)
+    for key in stacked:
+        assert np.array_equal(moved[key], stacked[key])
+
+
 class TestCheckIsometry:
     def test_verified_factorization(self):
         F = clark_two_atom_factorization()
