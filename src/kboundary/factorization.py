@@ -94,8 +94,8 @@ class BoundaryFactorization:
         the frame cutoff default_rank_tol(n_points); computed once and
         read-only.  The nonzero eigenvalues of B B^* are those of
         conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
-        B = np.sqrt(self.measure.weights)[:, None] * self.features.T
-        S = spectrum(B @ np.conj(B).T).projector(default_rank_tol(self.n_points))
+        B_Bh = _feature_gram(self.features, self.measure.weights)
+        S = spectrum(B_Bh).projector(default_rank_tol(self.n_points))
         S.setflags(write=False)
         return S
 
@@ -145,7 +145,8 @@ class MeasureMorphism:
 # or as a (..., m, k) stack of column matrices, whose leading axes broadcast
 # against those of the features, as in numpy's matmul.  The public functions
 # validate their frozen objects and call them; verify-all's schwarz-bound
-# calls them on a zero-padded stack of factorizations.
+# calls them on a zero-padded stack of factorizations, and its
+# parseval-reconstruction and transform-pair on stacks of spectral frames.
 
 
 def _atom_weights(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -198,10 +199,23 @@ def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return (features * weights[..., None, :]) @ np.conj(features).swapaxes(-1, -2)
 
 
+def _residual(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
+    """Max-abs entry of Phi D Phi^* - G, one per factorization of a stack;
+    0 for an empty kernel."""
+    recon = _induced_gram(features, weights)
+    return np.abs(recon - gram).max(axis=(-2, -1), initial=0.0)
+
+
 def verify_factorization(F: BoundaryFactorization) -> float:
     """Max-abs residual of the factorization identity Phi D Phi^* - G."""
-    recon = _induced_gram(F.features, F.measure.weights)
-    return float(np.abs(recon - F.kernel.gram).max()) if F.kernel.size else 0.0
+    return float(_residual(F.features, F.measure.weights, F.kernel.gram))
+
+
+def _feature_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """B B^* for B = D^(1/2) Phi^T, the features' mu-Gram on L^2(mu) in
+    sqrt-weighted coordinates, one per factorization of a stack."""
+    B = np.sqrt(weights)[..., :, None] * features.swapaxes(-1, -2)
+    return B @ np.conj(B).swapaxes(-1, -2)
 
 
 def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> dict:
@@ -217,14 +231,21 @@ def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> 
     return {"is_minimal": rank == F.n_atoms, "feature_rank": rank}
 
 
+def _require_residuals(residual, relative) -> None:
+    """Raise NotAFactorization, naming the first failing factorization of a
+    stack, unless each relative residual is <= FACTORIZATION_TOL."""
+    bad = np.flatnonzero(~(np.asarray(relative) <= FACTORIZATION_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NotAFactorization(
+            f"factorization residual {float(np.ravel(residual)[i])!r} is "
+            f"{float(np.ravel(relative)[i])!r} of ||G||_2, above {FACTORIZATION_TOL!r}"
+        )
+
+
 def _require_factorization(F: BoundaryFactorization) -> None:
     """Raise NotAFactorization unless residual / ||G||_2 <= FACTORIZATION_TOL."""
-    relative = relative_residual(F.residual, F.kernel)
-    if not relative <= FACTORIZATION_TOL:
-        raise NotAFactorization(
-            f"factorization residual {F.residual!r} is {relative!r} of ||G||_2, "
-            f"above {FACTORIZATION_TOL!r}"
-        )
+    _require_residuals(F.residual, relative_residual(F.residual, F.kernel))
 
 
 def apply_W(F: BoundaryFactorization, f: RkhsElement) -> np.ndarray:
@@ -261,8 +282,24 @@ def range_projection(F: BoundaryFactorization) -> np.ndarray:
     D^(1/2) P D^(-1/2) is F.feature_projector: a projection even on
     degenerate kernels.
     """
-    sqrt_w = np.sqrt(F.measure.weights)
-    return F.feature_projector * sqrt_w[None, :] / sqrt_w[:, None]
+    return _range_projection(F.feature_projector, F.measure.weights)
+
+
+def _range_projection(projector: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D^(-1/2) S D^(1/2) for the feature projector S, one per factorization
+    of a stack."""
+    sqrt_w = np.sqrt(weights)
+    return projector * sqrt_w[..., None, :] / sqrt_w[..., :, None]
+
+
+def _projection_residual(projector: np.ndarray, weights: np.ndarray):
+    """The larger of max |P^2 - P| and max |P_adj - P|, P the range projection
+    of the feature projector and P_adj its adjoint in the mu-weighted inner
+    product, one per factorization of a stack; a NaN propagates."""
+    P = _range_projection(projector, weights)
+    idem = np.abs(P @ P - P).max(axis=(-2, -1), initial=0.0)
+    adj = (np.conj(P).swapaxes(-1, -2) * weights[..., None, :]) / weights[..., :, None]
+    return np.maximum(idem, np.abs(adj - P).max(axis=(-2, -1), initial=0.0))
 
 
 def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
@@ -281,14 +318,10 @@ def check_isometry(F: BoundaryFactorization) -> dict:
     product.
     """
     _require_factorization(F)
-    P = range_projection(F)
-    idem = float(np.abs(P @ P - P).max()) if P.size else 0.0
-    d = F.measure.weights
-    adj = (np.conj(P).T * d[None, :]) / d[:, None]
-    self_adj = float(np.abs(adj - P).max()) if P.size else 0.0
     return {
         "wstar_w_residual": F.residual,
-        "projection_residual": max(idem, self_adj),
+        "projection_residual": float(
+            _projection_residual(F.feature_projector, F.measure.weights)),
     }
 
 

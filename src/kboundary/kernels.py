@@ -129,14 +129,11 @@ class FiniteKernel:
         n = self.points.size
         if g.shape != (n, n):
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
-        gh = g.conj().T
         with np.errstate(over="ignore"):  # an overflowed difference reads inf
-            if g.size and np.abs(g - gh).max() > HERMITIAN_TOL * np.abs(g).max():
+            if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * np.abs(g).max():
                 raise NotHermitian("gram matrix is not Hermitian")
-        # Mirror the upper triangle so Hermitian symmetry holds bit for bit,
-        # as _hermitian_mirror(g) does.
-        g = np.where(_strict_lower(n), gh, g)
-        np.fill_diagonal(g, g.diagonal().real)
+        # Mirror the upper triangle so Hermitian symmetry holds bit for bit.
+        g = _hermitian_mirror(g)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         if self.field_tag not in ("real", "complex"):
@@ -192,10 +189,13 @@ def _strict_lower(n: int) -> np.ndarray:
 
 
 def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
-    """Copy of the complex square ``g`` with its strict lower triangle
-    replaced by the conjugated upper one and its diagonal made real."""
-    out = np.where(np.tri(g.shape[0], k=-1, dtype=bool), g.conj().T, g)
-    np.fill_diagonal(out, out.diagonal().real)
+    """Copy of the complex square ``g``, or of each matrix of a (..., n, n)
+    stack, with its strict lower triangle replaced by the conjugated upper
+    one and its diagonal made real: the Gram that FiniteKernel stores."""
+    n = g.shape[-1]
+    out = np.where(_strict_lower(n), g.conj().swapaxes(-1, -2), g)
+    diagonal = np.arange(n)
+    out.imag[..., diagonal, diagonal] = 0.0
     return out
 
 
@@ -273,7 +273,13 @@ class Spectrum:
     An eigenvalue above ``rtol * norm`` is kept; M is PSD when none lies
     below ``-tol * norm``.  No cutoff has an absolute floor: a
     backward-stable solver is accurate to about eps * ||M||_2 (Weyl), so
-    verdicts do not depend on units."""
+    verdicts do not depend on units.
+
+    Each of these rules is one array core below (``_norm``, ``_is_psd``,
+    ``_kept``, ``_factor``, ``_projector``) that also takes leading stack
+    axes, as ``_eigh`` returns them for a stack of same-size matrices; the
+    methods call the cores on one matrix, and verify-all's random-kernel
+    criteria call them on whole stacks."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -288,30 +294,78 @@ class Spectrum:
         """The greatest eigenvalue, 0.0 for an empty matrix."""
         return float(self.values[-1]) if self.values.size else 0.0
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        return max(-self.lower, self.upper)
+        """||M||_2, computed once: the fields are frozen."""
+        return float(_norm(self.values))
 
     def is_psd(self, tol: float) -> bool:
-        return self.lower >= -tol * self.norm
+        return bool(_is_psd(self.values, tol))
 
     def factor(self, rtol: float) -> np.ndarray:
         """Contiguous complex columns sqrt(lam) v over the kept eigenpairs,
         the strongest first: M up to the dropped eigenvalues is F F^*."""
-        keep = self.values > rtol * self.norm
-        f = self.vectors[:, keep] * np.sqrt(self.values[keep])[None, :]
-        return np.ascontiguousarray(f[:, ::-1], dtype=complex)
+        return _factor(self.values, self.vectors, _kept(self.values, rtol))
 
     def projector(self, rtol: float) -> np.ndarray:
         """Orthogonal projection onto the kept eigenvectors."""
-        v = self.vectors[:, self.values > rtol * self.norm]
-        return v @ np.conj(v).T
+        return _projector(self.vectors, _kept(self.values, rtol))
+
+
+def _eigh(M: np.ndarray):
+    """The eigenpairs of the Hermitian M (lower triangle read), or of each
+    matrix of a (..., n, n) stack, in float64 when M has zero imaginary part.
+    Each matrix of a stack gets the eigenpairs a lone call gives it only if
+    the stack is of one field: all real, or each matrix with a nonzero
+    imaginary part."""
+    return np.linalg.eigh(_real_if_zero_imag(M))
+
+
+def _norm(values: np.ndarray):
+    """||M||_2 = max(-lambda_min, lambda_max) of each ascending spectrum in
+    ``values`` (..., n), 0 for an empty matrix."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1])
+    return np.maximum(-values[..., 0], values[..., -1])
+
+
+def _is_psd(values: np.ndarray, tol: float):
+    """The PSD verdict of each spectrum: no eigenvalue below -tol * ||M||_2."""
+    lower = values[..., 0] if values.shape[-1] else np.zeros(values.shape[:-1])
+    return lower >= -tol * _norm(values)
+
+
+def _kept(values: np.ndarray, rtol):
+    """The keep rule of every rank decision: the eigenvalues above
+    rtol * ||M||_2, ``rtol`` one cutoff or one per spectrum of a stack."""
+    return values > (rtol * _norm(values))[..., None]
+
+
+def _kept_columns(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept eigenvectors: the kept columns of one matrix, or for a stack
+    all n columns of each matrix with its dropped ones zeroed."""
+    return vectors[:, keep] if keep.ndim == 1 else vectors * keep[..., None, :]
+
+
+def _factor(values: np.ndarray, vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Contiguous complex columns sqrt(lam) v over the kept eigenpairs
+    (``_kept_columns``), the strongest first; in a stack the dropped
+    columns are zero and come last, so they add exact zeros to F F^*."""
+    lam = values[keep] if keep.ndim == 1 else np.where(keep, values, 0.0)
+    f = _kept_columns(vectors, keep) * np.sqrt(lam)[..., None, :]
+    return np.ascontiguousarray(f[..., ::-1], dtype=complex)
+
+
+def _projector(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """v v^* over the kept eigenvectors v (``_kept_columns``)."""
+    v = _kept_columns(vectors, keep)
+    return v @ np.conj(v).swapaxes(-1, -2)
 
 
 def spectrum(M) -> Spectrum:
     """Eigendecomposition of the Hermitian M (lower triangle read), in float64
     when M has zero imaginary part."""
-    values, vectors = np.linalg.eigh(_real_if_zero_imag(np.asarray(M)))
+    values, vectors = _eigh(np.asarray(M))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return Spectrum(values=values, vectors=vectors)
@@ -326,14 +380,19 @@ def numerical_rank(A, rtol: float | None = None) -> int:
     return int(np.count_nonzero(svals > rtol * svals.max(initial=0.0)))
 
 
+def _relative_residual(residual, norm):
+    """``residual / norm``, one per matrix of a stack: a zero residual is
+    relative 0; against a zero or overflowed norm any other is infinite, so no
+    tolerance accepts it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = np.where((0.0 < norm) & (norm < math.inf), np.divide(residual, norm), math.inf)
+    return np.where(residual == 0, 0.0, scaled)
+
+
 def relative_residual(residual: float, K: FiniteKernel) -> float:
     """``residual / ||G||_2`` (K.spectrum.norm), the one scale for judging a
-    residual of K's identities.  A zero residual is relative 0; against a zero
-    or overflowed norm any other is infinite, so no tolerance accepts it."""
-    if not residual:
-        return 0.0
-    norm = K.spectrum.norm
-    return residual / norm if 0.0 < norm < math.inf else math.inf
+    residual of K's identities, by the rule of ``_relative_residual``."""
+    return float(_relative_residual(residual, K.spectrum.norm))
 
 
 def check_positive_definite(K: FiniteKernel, tol: float = PSD_TOL) -> PsdReport:

@@ -109,12 +109,20 @@ def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,
 
     rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
     spec = K.spectrum
-    if not spec.is_psd(psd_tol):
-        raise NotPsd(f"eigenvalue {spec.lower!r} negative beyond tolerance")
+    _require_psd(spec.lower, spec.is_psd(psd_tol))
     features = spec.factor(rank_tol)
     return BoundaryFactorization(
         kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features
     )
+
+
+def _require_psd(lower, is_psd) -> None:
+    """Raise NotPsd, naming its least eigenvalue ``lower``, for the first
+    matrix whose PSD verdict ``is_psd`` is false: one, or one per matrix of a
+    stack."""
+    bad = np.flatnonzero(~np.asarray(is_psd))
+    if bad.size:
+        raise NotPsd(f"eigenvalue {float(np.ravel(lower)[bad[0]])!r} negative beyond tolerance")
 
 
 def verify_parseval(F: BoundaryFactorization) -> float:

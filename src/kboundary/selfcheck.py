@@ -9,6 +9,17 @@ given master seed, so the CLI ``verify-all`` command and the test suite
 share one implementation.  All tolerances are fixed here; nothing is
 calibrated at run time.
 
+A criterion whose corpus holds many small problems judges them as stacks,
+through the library's own array cores, not through one frozen object per
+problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
+and ``parseval-reconstruction`` and ``transform-pair`` group their 200
+random PSD kernels by size and field (``_spectral_frames``).  A stack is
+decomposed as it is, never padded, so each matrix gets the eigenpairs, and
+so the rank and PSD verdicts, of a lone call; zero padding is used only
+where it adds exact zeros to a sum, on the atoms past each kernel's rank.
+Each criterion takes its worst value with a NaN-propagating reduction, so
+that a NaN residual reads null and fails.
+
 The corpora are rebuilt from the seed on every call, apart from objects
 that are frozen and fixed by their arguments: the index point sets and
 counting measures (one per size, see ``kernels`` and ``measures``) and
@@ -28,6 +39,7 @@ import sys
 import time
 import traceback
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,15 +113,73 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _random_psd_kernel(rng: np.random.Generator) -> kernels.FiniteKernel:
+def _random_psd_gram(rng: np.random.Generator) -> np.ndarray:
+    """A A^* for a real or complex normal n x r matrix A, n in
+    1..RANDOM_KERNEL_MAX_POINTS and r in 1..n+1: a random PSD Gram, before
+    FiniteKernel's Hermitian mirror."""
     n = int(rng.integers(1, RANDOM_KERNEL_MAX_POINTS + 1))
     r = int(rng.integers(1, n + 2))
     if rng.random() < 0.5:
         A = rng.standard_normal((n, r))
     else:
         A = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    G = A @ np.conj(A).T
-    return kernels.FiniteKernel(points=kernels.index_points(n), gram=G)
+    return A @ np.conj(A).T
+
+
+def _by_size(matrices) -> list:
+    """Index arrays of the square ``matrices`` of each size, in draw order."""
+    groups = {}
+    for i, m in enumerate(matrices):
+        groups.setdefault(len(m), []).append(i)
+    return [np.array(index) for index in groups.values()]
+
+
+def _by_field(index: np.ndarray, stack: np.ndarray) -> list:
+    """``stack`` (with the indices ``index`` of its matrices) split into the
+    matrices with zero imaginary part and the others: (index, stack) pairs.
+    Each part is decomposed in its own field, as a lone matrix would be."""
+    complex_ = stack.imag.any(axis=(-2, -1))
+    return [(index[part], stack[part]) for part in (~complex_, complex_) if part.any()]
+
+
+class _Frames(NamedTuple):
+    """Spectral Parseval frames of a stack of same-size kernels, each as
+    parseval_factorize gives it, but zero-padded to n atoms."""
+
+    index: np.ndarray  # each kernel's place in the corpus
+    gram: np.ndarray  # (k, n, n) mirrored Grams
+    norm: np.ndarray  # (k,) ||G||_2
+    features: np.ndarray  # (k, n, n) kept columns first, the others zero
+    weights: np.ndarray  # (n,) the counting measure on the padded atoms
+    rank: np.ndarray  # (k,) kept columns
+    residual: np.ndarray  # (k,) max |Phi Phi^* - G|
+    relative: np.ndarray  # (k,) residual / ||G||_2
+
+
+def _spectral_frames(grams) -> list:
+    """The frames of the random PSD ``grams``, one ``_Frames`` per group of
+    one size and field, through the library's cores: the Hermitian mirror,
+    the decomposition (a stack, never padded: each matrix gets the eigenpairs
+    of a lone call), the PSD verdict (NotPsd as parseval_factorize raises it),
+    the keep rule and factor at default_rank_tol(n), and the residual of
+    F.residual.  The padded atoms carry zero features, so they add exact
+    zeros to every sum over the atoms."""
+    frames = []
+    for index in _by_size(grams):
+        stack = np.stack([grams[i] for i in index]).astype(complex, copy=False)
+        stack = kernels._hermitian_mirror(stack)
+        for idx, gram in _by_field(index, stack):
+            n = gram.shape[-1]
+            values, vectors = kernels._eigh(gram)
+            rkhs._require_psd(values[:, 0], kernels._is_psd(values, kernels.PSD_TOL))
+            keep = kernels._kept(values, kernels.default_rank_tol(n))
+            features = kernels._factor(values, vectors, keep)
+            weights = np.ones(n)
+            norm = kernels._norm(values)
+            residual = factorization._residual(features, weights, gram)
+            frames.append(_Frames(idx, gram, norm, features, weights, keep.sum(axis=-1),
+                                  residual, kernels._relative_residual(residual, norm)))
+    return frames
 
 
 def _random_feature_factorization(
@@ -164,45 +234,86 @@ def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def check_parseval_reconstruction(seed: int = 0) -> Check:
     """200 random Hermitian PSD matrices: factorize, verify within 1e-10 of
-    ||G||_2, the scale ``kb factorize`` judges the residual on."""
+    ||G||_2, the scale ``kb factorize`` judges the residual on.  The corpus
+    is factorized in stacks of one size and field (``_spectral_frames``)."""
     rng = _rng(seed, 1)
-    worst = 0.0
-    for _ in range(200):
-        K = _random_psd_kernel(rng)
-        residual = rkhs.verify_parseval(rkhs.parseval_factorize(K))
-        worst = max(worst, kernels.relative_residual(residual, K))
+    grams = [_random_psd_gram(rng) for _ in range(200)]
+    worst = float(np.max([np.max(f.relative) for f in _spectral_frames(grams)]))
     return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
+
+
+def _transform_corpus(rng: np.random.Generator, count: int):
+    """``count`` random PSD Grams, each followed in the draw order by the
+    (n, 3) coefficients of three complex normal elements: (grams, coeffs)."""
+    grams, coeffs = [], []
+    for _ in range(count):
+        grams.append(_random_psd_gram(rng))
+        draws = rng.standard_normal((3, 2, len(grams[-1])))
+        coeffs.append((draws[:, 0] + 1j * draws[:, 1]).T)
+    return grams, coeffs
+
+
+def _transform_residuals(frames: list, coeffs: list):
+    """Per kernel of the corpus, in draw order: the isometry deviation of
+    each of its elements, relative to ||f||^2 ((count, k) for the (n, k)
+    coefficient matrices ``coeffs``), and its generator residual, relative to
+    ||G||_2 (count,).  A residual above FACTORIZATION_TOL raises
+    NotAFactorization, as apply_W does."""
+    iso = np.empty((len(coeffs), coeffs[0].shape[1]))
+    gen = np.empty(len(coeffs))
+    for f in frames:
+        factorization._require_residuals(f.residual, f.relative)
+        xi = np.stack([coeffs[i] for i in f.index])
+        wf = factorization._apply_W(f.features, xi)
+        nrm2 = rkhs._norm_squared(f.gram, xi)
+        iso[f.index] = np.abs(factorization._l2_norm_squared(f.weights, wf) - nrm2) / nrm2
+        # Column t of V W K(., s_t) is checked against the Gram row of t.
+        sections = factorization._apply_W(f.features, np.eye(len(f.weights)))
+        back = factorization._apply_V(f.features, f.weights, sections)
+        gen[f.index] = kernels._relative_residual(
+            np.abs(back - f.gram.swapaxes(-1, -2)).max(axis=(-2, -1)), f.norm)
+    return iso, gen
+
+
+def _projections(frames: list, count: int):
+    """Per kernel of the corpus, in draw order: the projection residual of
+    its range projection (count,), and the eigenvalues of its feature
+    projector (a list).  Each projector decomposes the kernel's unpadded
+    r x r mu-Gram, cut at default_rank_tol(n), in stacks of one rank and
+    field, so that its bits are those of BoundaryFactorization's."""
+    mu_grams, cutoffs = [None] * count, np.empty(count)
+    for f in frames:
+        cutoffs[f.index] = kernels.default_rank_tol(len(f.weights))
+        for i, features, r in zip(f.index, f.features, f.rank):
+            mu_grams[i] = factorization._feature_gram(features[:, :r], f.weights[:r])
+    residual, spectra = np.empty(count), [None] * count
+    for index in _by_size(mu_grams):
+        for idx, stack in _by_field(index, np.stack([mu_grams[i] for i in index])):
+            values, vectors = kernels._eigh(stack)
+            S = kernels._projector(vectors, kernels._kept(values, cutoffs[idx]))
+            residual[idx] = factorization._projection_residual(S, np.ones(S.shape[-1]))
+            for jdx, projector in _by_field(idx, S):
+                for i, spec in zip(jdx, kernels._eigh(projector)[0]):
+                    spectra[i] = spec
+    return residual, spectra
 
 
 def check_transform_pair(seed: int = 0) -> Check:
     """Counting-measure transforms: isometry, V.W on generators, projection.
 
     Each kernel's three random elements, and its n kernel sections (the
-    columns of the identity), each go through the transforms as one matrix.
-    The isometry deviation of an element is relative to its ||f||^2, and
-    the generator residual to ||G||_2."""
-    rng = _rng(seed, 2)
-    worst_iso = worst_gen = worst_proj = worst_spec = 0.0
-    for _ in range(200):
-        K = _random_psd_kernel(rng)
-        F = rkhs.parseval_factorize(K)
-        draws = rng.standard_normal((3, 2, K.size))
-        f = rkhs.RkhsElement(base=K, coeffs=(draws[:, 0] + 1j * draws[:, 1]).T)
-        wf = factorization.apply_W(F, f)
-        nrm2 = rkhs.norm_squared(f)
-        iso_dev = np.abs(factorization.l2_norm_squared(wf, F.measure) - nrm2) / nrm2
-        worst_iso = max(worst_iso, float(iso_dev.max()))
-        sections = rkhs.RkhsElement(base=K, coeffs=np.eye(K.size))
-        # Column t of V W K(., s_t) is checked against the Gram row of t.
-        back = factorization.apply_V(F, factorization.apply_W(F, sections))
-        worst_gen = max(worst_gen, kernels.relative_residual(
-            float(np.abs(back - K.gram.T).max()), K))
-        res = factorization.check_isometry(F)
-        worst_proj = max(worst_proj, res["projection_residual"])
-        spec = factorization.projection_spectrum(F)
-        if spec.size:
-            dist = np.minimum(np.abs(spec), np.abs(spec - 1.0))
-            worst_spec = max(worst_spec, float(dist.max()))
+    columns of the identity), each go through the transforms as one matrix,
+    and the kernels of one size and field as one stack (``_spectral_frames``,
+    ``_transform_residuals``, ``_projections``).  The isometry deviation of
+    an element is relative to its ||f||^2, and the generator residual to
+    ||G||_2."""
+    grams, coeffs = _transform_corpus(_rng(seed, 2), 200)
+    frames = _spectral_frames(grams)
+    iso, gen = _transform_residuals(frames, coeffs)
+    proj, spectra = _projections(frames, len(grams))
+    spec = np.concatenate(spectra)
+    worst_iso, worst_gen, worst_proj = (float(np.max(x)) for x in (iso, gen, proj))
+    worst_spec = float(np.max(np.minimum(np.abs(spec), np.abs(spec - 1.0)), initial=0.0))
     passed = (
         worst_iso <= 1e-9
         and worst_gen <= 1e-9
@@ -354,8 +465,8 @@ def check_gaussian_realization(seed: int = 0, n_draws: int = 200_000) -> Check:
         field_tag="real",
     )
     errors = [moment_errors(K, seed, n_draws) for K in (K_szego, eye)]
-    worst_cov = max(cov_error for cov_error, _, _, _ in errors)
-    worst_mean = max(float(mean_moduli.max()) for _, mean_moduli, _, _ in errors)
+    worst_cov = float(np.max([cov_error for cov_error, _, _, _ in errors]))
+    worst_mean = float(np.max([mean_moduli.max() for _, mean_moduli, _, _ in errors]))
     _, _, szego_cov, szego_record = errors[0]
     cons = gaussian.consistency_check(K_szego, [0, 2], szego_cov, szego_record)
     # The runtime bound is part of the verdict; the seconds are not reported.
@@ -387,24 +498,25 @@ def check_clark_exactness(seed: int = 0) -> Check:
 
     zs = random_interior(rng, 100)
     ws = random_interior(rng, 100)
-    worst_b = float(max(
+    worst_b = float(np.max([
         np.abs(clark.b_eval(mu1, zs) - zs).max(),
         np.abs(clark.b_eval(mu2, zs) - zs * zs).max(),
-    ))
-    worst_k = float(max(
+    ]))
+    worst_k = float(np.max([
         np.abs(clark.kb_eval(mu1, zs, ws) - 1.0).max(),
         np.abs(clark.kb_eval(mu2, zs, ws) - (1.0 + zs * np.conj(ws))).max(),
-    ))
+    ]))
 
-    worst_res = 0.0
+    residuals = []
     ranks_ok = True
     for mu in (mu1, mu2):
         pts = random_interior(rng, 6)
         F = clark.build_kb_factorization(mu, pts)
-        worst_res = max(worst_res, factorization.verify_factorization(F))
+        residuals.append(factorization.verify_factorization(F))
         ranks_ok = ranks_ok and (
             factorization.minimality_test(F)["feature_rank"] == mu.size
         )
+    worst_res = float(np.max(residuals))
     passed = worst_b <= 1e-12 and worst_k <= 1e-12 and worst_res <= 1e-10 and ranks_ok
     return Check(
         "clark-exactness",
@@ -432,14 +544,14 @@ def _herglotz_corpus(seed: int) -> tuple:
 def check_poisson_herglotz(seed: int = 0) -> Check:
     """Re[(1+b)/(1-b)] equals the Poisson integral on random atomic measures."""
     corpus, zs = _herglotz_corpus(seed)
-    worst = max(herglotz_error(mu, zs) for mu in corpus)
+    worst = float(np.max([herglotz_error(mu, zs) for mu in corpus]))
     return Check("poisson-herglotz", worst <= HERGLOTZ_TOL, {"max_abs_error": worst})
 
 
 def check_inner_modulus(seed: int = 0) -> Check:
     """|b| approaches 1 at the boundary away from atoms."""
     corpus, _ = _herglotz_corpus(seed)
-    worst = max(modulus_deviation(mu) for mu in corpus)
+    worst = float(np.max([modulus_deviation(mu) for mu in corpus]))
     r = MODULUS_RADIUS
 
     mu1 = measures.CircleMeasure(atoms=[0.0], weights=[1.0])
@@ -466,22 +578,24 @@ def check_renormalization(seed: int = 0) -> Check:
     target = np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex)
     worked_err = float(np.abs(ctx.kren_factorization.kernel.gram - target).max())
 
-    worst_res = 0.0
-    min_expectation = np.inf
+    residuals, expectations = [], []
     kren_psd_ok = True
     for _ in range(100):
         ctx_r = clark.renormalize(_random_feature_factorization(rng, mean_shift=2.0))
-        min_expectation = min(min_expectation, float(np.abs(ctx_r.expectations).min()))
+        expectations.append(np.abs(ctx_r.expectations).min())
         residual, psd = renormalized_identity(ctx_r)
-        worst_res = max(worst_res, residual)
+        residuals.append(residual)
         kren_psd_ok = kren_psd_ok and psd.is_psd
+    worst_res = float(np.max(residuals))
+    min_expectation = float(np.min(expectations))
 
-    worst_cross = 0.0
+    cross = []
     for _ in range(10):
         mu = random_circle_measure(rng)
         zpts = random_interior(rng, 5)
         E = clark.expectation_vector(clark.build_szego_factorization(mu, zpts))
-        worst_cross = max(worst_cross, inverse_mean_error(mu, zpts, E))
+        cross.append(inverse_mean_error(mu, zpts, E))
+    worst_cross = float(np.max(cross))
 
     passed = (
         worked_err <= 1e-12
@@ -497,7 +611,7 @@ def check_renormalization(seed: int = 0) -> Check:
             "worked_example_error": worked_err,
             "max_identity_residual": worst_res,
             "kren_psd_ok": kren_psd_ok,
-            "min_expectation_modulus": float(min_expectation),
+            "min_expectation_modulus": min_expectation,
             "max_cross_check_error": worst_cross,
         },
     )

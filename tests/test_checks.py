@@ -1,6 +1,9 @@
 """One check record: the ``Check`` every pipeline and criterion returns, the
 report shape it gives, and the verdicts that depend on it."""
 
+import dataclasses
+import importlib
+import itertools
 import json
 import math
 import os
@@ -279,15 +282,128 @@ def test_schwarz_equality_is_judged_relative_to_its_own_scale(monkeypatch):
     assert check.details["max_equality_deviation"] > 1e-6
 
 
-@pytest.mark.parametrize("core, defect", [
-    ("_apply_V", lambda apply_V: lambda phi, w, g: apply_V(np.conj(phi), w, g)),
-    ("_l2_norm_squared", lambda l2: lambda w, g: l2(np.ones_like(w), g)),
-], ids=["V-without-conjugate", "L2-norm-without-weights"])
-def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, core, defect):
-    from kboundary import factorization, selfcheck
+def _projector_without_conjugate_transpose(vectors, keep):
+    v = vectors * keep[..., None, :]
+    return v @ v
 
-    monkeypatch.setattr(factorization, core, defect(getattr(factorization, core)))
-    assert not selfcheck.check_schwarz_bound(seed=0).passed
+
+@pytest.mark.parametrize("module, core, defect, criteria", [
+    ("factorization", "_apply_V", lambda apply_V: lambda phi, w, g: apply_V(np.conj(phi), w, g),
+     ["schwarz_bound", "transform_pair"]),
+    ("factorization", "_l2_norm_squared", lambda l2: lambda w, g: l2(np.ones_like(w), g),
+     ["schwarz_bound"]),
+    ("kernels", "_factor", lambda factor: lambda lam, v, keep: factor(lam**2, v, keep),
+     ["parseval_reconstruction", "transform_pair"]),
+    ("kernels", "_projector", lambda _: _projector_without_conjugate_transpose,
+     ["transform_pair"]),
+], ids=["V-without-conjugate", "L2-norm-without-weights", "factor-lambda-not-sqrt-lambda",
+        "projector-without-conjugate-transpose"])
+def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, module, core,
+                                                                defect, criteria):
+    # A table over the shared array cores: each defect must fail every
+    # criterion named beside it.  The criteria run their corpora through
+    # these cores; a criterion with its own copy of a formula would pass.
+    # transform-pair may instead raise NotAFactorization, as apply_W does
+    # when a factor no longer reproduces its kernel.
+    from kboundary import NotAFactorization, selfcheck
+
+    target = importlib.import_module(f"kboundary.{module}")
+    monkeypatch.setattr(target, core, defect(getattr(target, core)))
+    for name in criteria:
+        try:
+            assert not getattr(selfcheck, f"check_{name}")(seed=0).passed, name
+        except NotAFactorization:
+            assert name == "transform_pair"
+
+
+def _poisoned(func, at, poison):
+    """``func``, with ``poison`` applied to the result of its call number ``at``."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        out = func(*args, **kwargs)
+        return poison(out) if next(calls) == at else out
+
+    return wrapped
+
+
+def _nan_corner(a):
+    a = np.array(a)
+    a[..., 0, 0] = np.nan
+    return a
+
+
+def _nan_first(a):
+    a = np.array(a)
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("criterion, module, name, at, poison, detail", [
+    ("parseval_reconstruction", "factorization", "_induced_gram", 4, _nan_corner,
+     "max_residual"),
+    ("transform_pair", "factorization", "_l2_norm_squared", 4, _nan_first,
+     "max_isometry_residual"),
+    ("clark_exactness", "factorization", "verify_factorization", 1, lambda _: math.nan,
+     "max_factorization_residual"),
+    ("poisson_herglotz", "selfcheck", "herglotz_error", 2, lambda _: math.nan, "max_abs_error"),
+    ("inner_modulus", "selfcheck", "modulus_deviation", 2, lambda _: math.nan, "max_deviation"),
+    ("renormalization", "selfcheck", "renormalized_identity", 2,
+     lambda out: (math.nan, out[1]), "max_identity_residual"),
+    ("renormalization", "clark", "renormalize", 2,
+     lambda ctx: dataclasses.replace(ctx, expectations=_nan_first(ctx.expectations)),
+     "min_expectation_modulus"),
+    ("renormalization", "selfcheck", "inverse_mean_error", 2, lambda _: math.nan,
+     "max_cross_check_error"),
+    ("gaussian_realization", "selfcheck", "moment_errors", 1,
+     lambda out: (math.nan, *out[1:]), "max_covariance_error"),
+], ids=["parseval-residual", "transform-isometry", "clark-residual", "herglotz-error",
+        "modulus-deviation", "renorm-residual", "renorm-expectation", "renorm-cross-check",
+        "gaussian-covariance"])
+def test_a_nan_in_a_criterions_corpus_reads_null_and_fails(monkeypatch, criterion, module,
+                                                           name, at, poison, detail):
+    # The builtin max and min drop a NaN met after the first value; the
+    # criteria reduce with NaN-propagating numpy reductions instead.
+    from kboundary import selfcheck
+
+    target = importlib.import_module(f"kboundary.{module}")
+    monkeypatch.setattr(target, name, _poisoned(getattr(target, name), at, poison))
+    check = getattr(selfcheck, f"check_{criterion}")(seed=0)
+    assert check.as_json()[detail] is None and not check.passed
+
+
+@pytest.mark.parametrize("criterion", ["parseval_reconstruction", "transform_pair"])
+def test_a_non_psd_kernel_in_the_random_corpus_raises_not_psd(monkeypatch, criterion):
+    from kboundary import NotPsd, selfcheck
+
+    draw = selfcheck._random_psd_gram
+    monkeypatch.setattr(selfcheck, "_random_psd_gram", _poisoned(draw, 6, lambda g: -g))
+    with pytest.raises(NotPsd):
+        getattr(selfcheck, f"check_{criterion}")(seed=0)
+
+
+def test_a_factor_off_its_kernel_raises_not_a_factorization_in_transform_pair(monkeypatch):
+    # 1e-6 off in every kept column: far above FACTORIZATION_TOL of ||G||_2.
+    from kboundary import NotAFactorization, kernels, selfcheck
+
+    factor = kernels._factor
+    monkeypatch.setattr(kernels, "_factor", lambda *args: (1.0 + 1e-6) * factor(*args))
+    assert not selfcheck.check_parseval_reconstruction(seed=0).passed
+    with pytest.raises(NotAFactorization):
+        selfcheck.check_transform_pair(seed=0)
+
+
+def test_random_kernel_criteria_build_no_object_per_kernel(monkeypatch):
+    from kboundary import BoundaryFactorization, RkhsElement, selfcheck
+
+    built = []
+    for cls in (FiniteKernel, BoundaryFactorization, RkhsElement):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, post_init=cls.__post_init__: (built.append(self),
+                                                                       post_init(self))[1])
+    assert selfcheck.check_parseval_reconstruction(seed=0).passed
+    assert selfcheck.check_transform_pair(seed=0).passed
+    assert built == []
 
 
 def test_morphism_checker_isometry_residual_shows_rounding():

@@ -494,12 +494,13 @@ class TestCheckIsometry:
 
     def test_a_range_projection_with_the_conjugation_swapped_fails(self, monkeypatch):
         # D^(-1/2) Q D^(1/2) in place of D^(1/2) Q D^(-1/2): the adjoint P*,
-        # which equals P only when every weight is the same.
-        def swapped(F):
-            sqrt_w = np.sqrt(F.measure.weights)
-            return F.feature_projector * sqrt_w[:, None] / sqrt_w[None, :]
+        # which equals P only when every weight is the same.  Planted in the
+        # core that range_projection and check_isometry both read.
+        def swapped(projector, weights):
+            sqrt_w = np.sqrt(weights)
+            return projector * sqrt_w[..., :, None] / sqrt_w[..., None, :]
 
-        monkeypatch.setattr(factorization, "range_projection", swapped)
+        monkeypatch.setattr(factorization, "_range_projection", swapped)
         rng = np.random.default_rng(44)
         for F in self._weighted_factorizations():
             moved, residual = self._projection_defects(F, rng)

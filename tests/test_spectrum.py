@@ -266,3 +266,69 @@ def test_only_the_spectral_core_reads_a_spectrums_arrays():
     reads = {path.name: found for path in sorted(SRC.glob("*.py"))
              if path.name != "kernels.py" and (found := _array_reads(path))}
     assert reads == {"factorization.py": {"projection_spectrum"}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 87264865])
+def test_stacked_random_kernel_corpus_agrees_with_the_public_path(seed):
+    # Each slice of verify-all's stacks against the unstacked kernel: the
+    # mirror, spectrum, kept rank, factor and projection spectrum bit for
+    # bit (the decompositions are grouped, never padded), the residuals
+    # within 1e-14 of their scale (the padded atoms change the BLAS blocking).
+    from kboundary import factorization, selfcheck
+    from kboundary.factorization import apply_V, check_isometry, l2_norm_squared, \
+        projection_spectrum
+    from kboundary.kernels import index_points, relative_residual
+    from kboundary.rkhs import norm_squared
+
+    grams, coeffs = selfcheck._transform_corpus(selfcheck._rng(seed, 2), 200)
+    frames = selfcheck._spectral_frames(grams)
+    iso, gen = selfcheck._transform_residuals(frames, coeffs)
+    proj, spectra = selfcheck._projections(frames, len(grams))
+    assert sorted(i for f in frames for i in f.index) == list(range(200))
+    for f in frames:
+        values, vectors = kernels._eigh(f.gram)
+        xi = np.stack([coeffs[i] for i in f.index])
+        wf = factorization._apply_W(f.features, xi)
+        for j, i in enumerate(f.index):
+            K = FiniteKernel(points=index_points(len(grams[i])), gram=grams[i])
+            F = parseval_factorize(K)
+            r, norm = F.n_atoms, K.spectrum.norm
+            assert K.gram.tobytes() == f.gram[j].tobytes()
+            assert K.spectrum.values.tobytes() == values[j].tobytes()
+            assert K.spectrum.vectors.tobytes() == vectors[j].tobytes()
+            assert f.rank[j] == r and f.norm[j] == norm
+            assert F.features.tobytes() == np.ascontiguousarray(f.features[j, :, :r]).tobytes()
+            assert not f.features[j, :, r:].any()
+            assert abs(f.residual[j] - F.residual) <= 1e-14 * norm
+            assert abs(f.relative[j] - relative_residual(F.residual, K)) <= 1e-14
+            element = RkhsElement(base=K, coeffs=coeffs[i])
+            Wf = apply_W(F, element)
+            scale = np.abs(F.features).max() * np.abs(coeffs[i]).sum(axis=0).max()
+            assert np.abs(wf[j, :r] - Wf).max() <= 1e-14 * scale and not wf[j, r:].any()
+            l2, nrm2 = l2_norm_squared(Wf, F.measure), norm_squared(element)
+            assert np.all(np.abs(iso[i] - np.abs(l2 - nrm2) / nrm2) <= 1e-14 * l2 / nrm2)
+            back = apply_V(F, apply_W(F, RkhsElement(base=K, coeffs=np.eye(K.size))))
+            assert abs(gen[i] - relative_residual(float(np.abs(back - K.gram.T).max()), K)) \
+                <= 1e-14
+            assert abs(proj[i] - check_isometry(F)["projection_residual"]) <= 1e-14
+            assert spectra[i].tobytes() == projection_spectrum(F).tobytes()
+
+
+def test_spectrum_methods_keep_their_one_matrix_arithmetic():
+    # The methods read the stack-capable cores; on one matrix they must give
+    # the bits of the formulas they replaced, dropped eigenpairs included.
+    rng = np.random.default_rng(5)
+    for n, r in ((1, 1), (4, 2), (9, 9), (12, 5), (0, 0)):
+        for field in (0.0, 1.0):
+            A = rng.standard_normal((n, r)) + field * 1j * rng.standard_normal((n, r))
+            spec = spectrum(A @ np.conj(A).T)
+            values, vectors = spec.values, spec.vectors
+            norm = max(-spec.lower, spec.upper)
+            assert spec.norm == norm
+            keep = values > 1e-12 * norm
+            f = vectors[:, keep] * np.sqrt(values[keep])[None, :]
+            want = np.ascontiguousarray(f[:, ::-1], dtype=complex)
+            got = spec.factor(1e-12)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            v = vectors[:, keep]
+            assert spec.projector(1e-12).tobytes() == (v @ np.conj(v).T).tobytes()
