@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from . import kernels
 from .errors import (
     BAtOne,
     CauchyZero,
@@ -39,7 +40,7 @@ from .errors import (
 # apply_V stays importable from here: perfbench/selftest.py reads clark.apply_V.
 from .factorization import BoundaryFactorization, apply_V  # noqa: F401
 from .kernels import (FiniteKernel, KernelSpec, PointSet, _check_in_disk, assemble_gram,
-                      numerical_rank)
+                      default_rank_tol)
 from .measures import CircleMeasure, DiscreteMeasure
 
 CAUCHY_ZERO_TOL = 1e-14
@@ -166,9 +167,15 @@ def herglotz_poisson_check(mu: CircleMeasure, z) -> dict:
     return {"lhs": lhs[()], "rhs": rhs[()], "abs_error": np.abs(lhs - rhs)[()]}
 
 
+def _expectations(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E_i = sum_x features[i, x] mu(x), one vector per factorization of a
+    (..., n, m) stack."""
+    return (features @ weights[..., :, None])[..., 0]
+
+
 def expectation_vector(F: BoundaryFactorization) -> np.ndarray:
     """Feature means E_i = sum_x features[i, x] mu(x)."""
-    return F.features @ F.measure.weights
+    return _expectations(F.features, F.measure.weights)
 
 
 @dataclass(frozen=True)
@@ -186,29 +193,74 @@ class RenormContext:
     kren_factorization: BoundaryFactorization
 
 
-def renormalize(F: BoundaryFactorization) -> RenormContext:
-    """Divide kernel and features by the feature means.
+def _renormalize(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
+    """(E, kren Gram, kren features) of one factorization, or of each of a
+    (..., n, m) stack: the feature means, the quotient gram / (E E^*) with
+    FiniteKernel's Hermitian mirror, and features / E.
 
-    Fails fast with ZeroExpectation when a feature mean cancels, that is
-    |E_i| <= EXPECTATION_TOL * sum_x |k_i(x)| mu(x): renormalization is
-    undefined there, and the rule does not depend on the features' units.
-    """
-    E = expectation_vector(F)
-    cancelled = np.abs(E) <= EXPECTATION_TOL * (np.abs(F.features) @ F.measure.weights)
+    Raises ZeroExpectation, naming the first point in C order, where a
+    feature mean cancels: |E_i| <= EXPECTATION_TOL * sum_x |k_i(x)| mu(x).
+    Renormalization is undefined there, and the rule does not depend on the
+    features' units."""
+    E = _expectations(features, weights)
+    cancelled = np.abs(E) <= EXPECTATION_TOL * _expectations(np.abs(features), weights)
     if cancelled.any():
-        worst = int(np.argmax(cancelled))
+        worst = tuple(np.argwhere(cancelled)[0])
         raise ZeroExpectation(
-            f"feature mean for point index {worst} has modulus {float(abs(E[worst]))!r}"
+            f"feature mean for point index {worst[-1]} has modulus {float(abs(E[worst]))!r}"
         )
-    kren_kernel = FiniteKernel(
-        points=F.kernel.points, gram=F.kernel.gram / np.outer(E, np.conj(E))
-    )
+    quotient = gram / (E[..., :, None] * np.conj(E)[..., None, :])
+    return E, kernels._hermitian_mirror(quotient), features / E[..., :, None]
+
+
+def renormalize(F: BoundaryFactorization) -> RenormContext:
+    """Divide kernel and features by the feature means (``_renormalize``);
+    ZeroExpectation where a feature mean cancels."""
+    E, gram, features = _renormalize(F.features, F.measure.weights, F.kernel.gram)
     return RenormContext(
         expectations=E,
         kren_factorization=BoundaryFactorization(
-            kernel=kren_kernel, measure=F.measure, features=F.features / E[:, None]
+            kernel=FiniteKernel(points=F.kernel.points, gram=gram),
+            measure=F.measure, features=features,
         ),
     )
+
+
+def _monomial_rows(coords: np.ndarray, sqrt_w: np.ndarray, d: int) -> np.ndarray:
+    """The torus monomials e(n . x) with multi-index entries in 0..d (the
+    last varying fastest) at the atoms of each measure of a (..., m, k) stack
+    of coordinates, times the square roots of its weights (..., m): one
+    ((d+1)^k, m) matrix each."""
+    k = coords.shape[-1]
+    exponents = np.ascontiguousarray(np.indices((d + 1,) * k).reshape(k, -1).T)
+    phases = exponents @ coords.swapaxes(-1, -2)
+    return np.exp(2j * np.pi * phases) * sqrt_w[..., None, :]
+
+
+def _rank_sequences(coords: np.ndarray, weights: np.ndarray, max_degree: int) -> list:
+    """The rank sequence of each measure of a (g, m, k) stack of coordinates
+    with (g, m) weights: the numerical rank of its monomial rows of degree
+    d = 0, 1, ..., max_degree, stopped at the first degree whose rank is m.
+    The rows of one degree are decomposed as one stack, split by field
+    (``kernels._by_field``), so that each matrix gets the singular values,
+    and so the rank, of a lone call."""
+    g, m, _ = coords.shape
+    sqrt_w = np.sqrt(weights)
+    ranks = [[] for _ in range(g)]
+    open_ = np.arange(g)  # the measures not yet saturated, and their arrays
+    for d in range(max_degree + 1):
+        rows = _monomial_rows(coords, sqrt_w, d)
+        rtol = default_rank_tol(max(rows.shape[-2:]))
+        rank = np.empty(open_.size, dtype=int)
+        for part, stack in kernels._by_field(np.arange(open_.size), rows):
+            rank[part] = kernels._rank(kernels._svdvals(stack), rtol)
+        for i, r in zip(open_.tolist(), rank.tolist()):
+            ranks[i].append(r)
+        still = rank < m
+        if not still.any():
+            break
+        open_, coords, sqrt_w = open_[still], coords[still], sqrt_w[still]
+    return ranks
 
 
 def polydisk_density_test(measure: DiscreteMeasure, max_degree: int | None = None) -> dict:
@@ -218,27 +270,15 @@ def polydisk_density_test(measure: DiscreteMeasure, max_degree: int | None = Non
     in 0..d are evaluated at the atoms (sqrt-weighted, the L^2(mu)
     geometry); ``saturated`` records whether the rank reaches the number
     of atoms at some degree.  For k = 1 and m distinct atoms the
-    Vandermonde structure guarantees saturation at degree m - 1.
+    Vandermonde structure guarantees saturation at degree m - 1.  The
+    measure is a stack of one for ``_rank_sequences``.
     """
     coords = measure.coords
     if coords is None:
         raise InvalidMeasure("density test needs atom coordinates in [0,1)^k")
-    m, k = coords.shape
     if max_degree is None:
-        max_degree = m
+        max_degree = coords.shape[0]
     if max_degree < 0:
         raise ShapeMismatch("max_degree must be nonnegative")
-    sqrt_w = np.sqrt(measure.weights)
-    ranks = []
-    saturated = False
-    for d in range(max_degree + 1):
-        grids = np.meshgrid(*([np.arange(d + 1)] * k), indexing="ij")
-        exponents = np.stack([g.ravel() for g in grids], axis=1)
-        phases = exponents @ coords.T  # (n_monomials, m)
-        rows = np.exp(2j * np.pi * phases) * sqrt_w[None, :]
-        rank = numerical_rank(rows)
-        ranks.append(rank)
-        if rank == m:
-            saturated = True
-            break
-    return {"rank_sequence": ranks, "saturated": saturated}
+    (ranks,) = _rank_sequences(coords[None], measure.weights[None], max_degree)
+    return {"rank_sequence": ranks, "saturated": ranks[-1] == coords.shape[0]}

@@ -10,7 +10,8 @@ All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
 consumers (Gaussian sampling) can pick the right convention.
 Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
-eigendecomposition) or ``numerical_rank`` (the one SVD).
+eigendecomposition) or the rank rule ``_rank`` over ``_svdvals`` (the one
+SVD), which ``numerical_rank`` applies to one matrix.
 
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built, in
 one pass over ``g`` and its conjugate transpose.  The index point set
@@ -321,6 +322,16 @@ def _eigh(M: np.ndarray):
     return np.linalg.eigh(_real_if_zero_imag(M))
 
 
+def _by_field(index: np.ndarray, stack: np.ndarray) -> list:
+    """``stack`` (with the indices ``index`` of its matrices) split into the
+    matrices with zero imaginary part and the others: (index, stack) pairs.
+    Each part is decomposed in its own field, as a lone matrix would be."""
+    complex_ = stack.imag.any(axis=(-2, -1))
+    if complex_.all() or not complex_.any():
+        return [(index, stack)]
+    return [(index[part], stack[part]) for part in (~complex_, complex_)]
+
+
 def _norm(values: np.ndarray):
     """||M||_2 = max(-lambda_min, lambda_max) of each ascending spectrum in
     ``values`` (..., n), 0 for an empty matrix."""
@@ -371,13 +382,28 @@ def spectrum(M) -> Spectrum:
     return Spectrum(values=values, vectors=vectors)
 
 
+def _rank(svals: np.ndarray, rtol: float):
+    """The rank rule: the number of singular values in ``svals`` (..., k)
+    above rtol * sigma_max, one count per matrix of a stack."""
+    kept = svals > rtol * svals.max(axis=-1, initial=0.0, keepdims=True)
+    # count_nonzero over an axis is several times slower than over all.
+    return np.count_nonzero(kept) if kept.ndim == 1 else kept.sum(axis=-1)
+
+
+def _svdvals(A: np.ndarray) -> np.ndarray:
+    """The singular values of A, or of each matrix of a (..., n, m) stack, in
+    float64 when A has zero imaginary part; as with ``_eigh``, a stack gives
+    each matrix the values of a lone call only if it is of one field."""
+    return np.linalg.svd(_real_if_zero_imag(A), compute_uv=False)
+
+
 def numerical_rank(A, rtol: float | None = None) -> int:
-    """Number of singular values of A above rtol * sigma_max, rtol defaulting
-    to default_rank_tol(max(A.shape)); float64 when A has zero imaginary part."""
-    A = _real_if_zero_imag(np.asarray(A))
+    """Number of singular values of A above rtol * sigma_max (``_rank``), rtol
+    defaulting to default_rank_tol(max(A.shape)); float64 when A has zero
+    imaginary part."""
+    A = np.asarray(A)
     rtol = default_rank_tol(max(A.shape)) if rtol is None else rtol
-    svals = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(svals > rtol * svals.max(initial=0.0)))
+    return int(_rank(_svdvals(A), rtol))
 
 
 def _relative_residual(residual, norm):

@@ -14,6 +14,7 @@ Measures are frozen with read-only copies of the arrays they are given, so
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,11 +40,34 @@ def _as_weights(weights) -> np.ndarray:
     w = _as_floats(weights, "all weights must be finite")
     if w.ndim != 1:
         raise InvalidMeasure("weights must be a 1-d array")
+    return _check_weights(w)
+
+
+# The two checks below take one measure's array or a stack of measures' (a
+# leading axis per measure), so that a corpus of measures drawn as arrays is
+# validated by the rules of DiscreteMeasure without a frozen object each.
+
+
+def _check_weights(w: np.ndarray) -> np.ndarray:
+    """``w`` itself, after raising InvalidMeasure unless every weight is
+    finite and strictly positive."""
     if not np.isfinite(w).all():
         raise InvalidMeasure("all weights must be finite")
     if (w <= 0.0).any():
         raise InvalidMeasure("all weights must be strictly positive")
     return w
+
+
+def _check_coords(c: np.ndarray) -> np.ndarray:
+    """``c`` itself, (..., m, k), after raising InvalidMeasure unless every
+    coordinate lies in [0,1) and each measure's m tuples are pairwise
+    distinct."""
+    if not np.all((c >= 0.0) & (c < 1.0)):  # NaN fails too
+        raise InvalidMeasure(COORDS_RANGE)
+    measures = c.reshape(math.prod(c.shape[:-2]), *c.shape[-2:]).tolist()
+    if any(len(set(map(tuple, rows))) < len(rows) for rows in measures):
+        raise InvalidMeasure("atom coordinates must be pairwise distinct")
+    return c
 
 
 @dataclass(frozen=True)
@@ -67,11 +91,7 @@ class DiscreteMeasure:
             c = np.atleast_2d(_as_floats(self.coords, COORDS_RANGE))
             if c.shape[0] != len(atoms):
                 raise InvalidMeasure("coords must supply one tuple per atom")
-            if not np.all((c >= 0.0) & (c < 1.0)):  # NaN fails too
-                raise InvalidMeasure(COORDS_RANGE)
-            if len({tuple(row) for row in c}) != c.shape[0]:
-                raise InvalidMeasure("atom coordinates must be pairwise distinct")
-            c.setflags(write=False)
+            _check_coords(c).setflags(write=False)
             object.__setattr__(self, "coords", c)
         if len(set(atoms)) != len(atoms):
             raise InvalidMeasure("atom labels must be pairwise distinct")

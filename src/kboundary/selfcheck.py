@@ -12,11 +12,15 @@ calibrated at run time.
 A criterion whose corpus holds many small problems judges them as stacks,
 through the library's own array cores, not through one frozen object per
 problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
-and ``parseval-reconstruction`` and ``transform-pair`` group their 200
-random PSD kernels by size and field (``_spectral_frames``).  A stack is
-decomposed as it is, never padded, so each matrix gets the eigenpairs, and
-so the rank and PSD verdicts, of a lone call; zero padding is used only
-where it adds exact zeros to a sum, on the atoms past each kernel's rank.
+``parseval-reconstruction`` and ``transform-pair`` group their 200 random
+PSD kernels by size and field (``_spectral_frames``), ``renormalization``
+groups its 100 random factorizations by shape (``_renormalized_identities``)
+and ``polydisk-density`` its 80 measures by size (``_density_ranks``).  Their
+corpora are drawn as arrays, in the order the frozen objects were drawn.  A
+stack is decomposed as it is, never padded, so each matrix gets the
+eigenpairs or singular values, and so the rank and PSD verdicts, of a lone
+call; zero padding is used only where it adds exact zeros to a sum, on the
+atoms past each kernel's rank.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
@@ -126,20 +130,12 @@ def _random_psd_gram(rng: np.random.Generator) -> np.ndarray:
     return A @ np.conj(A).T
 
 
-def _by_size(matrices) -> list:
-    """Index arrays of the square ``matrices`` of each size, in draw order."""
+def _by_shape(arrays) -> list:
+    """Index arrays of the ``arrays`` of each shape, in draw order."""
     groups = {}
-    for i, m in enumerate(matrices):
-        groups.setdefault(len(m), []).append(i)
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
     return [np.array(index) for index in groups.values()]
-
-
-def _by_field(index: np.ndarray, stack: np.ndarray) -> list:
-    """``stack`` (with the indices ``index`` of its matrices) split into the
-    matrices with zero imaginary part and the others: (index, stack) pairs.
-    Each part is decomposed in its own field, as a lone matrix would be."""
-    complex_ = stack.imag.any(axis=(-2, -1))
-    return [(index[part], stack[part]) for part in (~complex_, complex_) if part.any()]
 
 
 class _Frames(NamedTuple):
@@ -165,10 +161,10 @@ def _spectral_frames(grams) -> list:
     F.residual.  The padded atoms carry zero features, so they add exact
     zeros to every sum over the atoms."""
     frames = []
-    for index in _by_size(grams):
+    for index in _by_shape(grams):
         stack = np.stack([grams[i] for i in index]).astype(complex, copy=False)
         stack = kernels._hermitian_mirror(stack)
-        for idx, gram in _by_field(index, stack):
+        for idx, gram in kernels._by_field(index, stack):
             n = gram.shape[-1]
             values, vectors = kernels._eigh(gram)
             rkhs._require_psd(values[:, 0], kernels._is_psd(values, kernels.PSD_TOL))
@@ -182,22 +178,37 @@ def _spectral_frames(grams) -> list:
     return frames
 
 
-def _random_feature_factorization(
-    rng: np.random.Generator, mean_shift: float = 0.0
-) -> factorization.BoundaryFactorization:
-    """Exact factorization: the kernel is the one the features induce."""
+def _random_features(rng: np.random.Generator, mean_shift: float = 0.0):
+    """The draws of one random feature factorization, (features, weights):
+    complex normal features (n, m) plus ``mean_shift``, n in
+    1..RANDOM_FEATURE_MAX_POINTS and m in 1..RANDOM_FEATURE_MAX_ATOMS, and
+    weights uniform on [0.2, 1]."""
     n = int(rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1))
     m = int(rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1))
     phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) + mean_shift
-    w = rng.uniform(0.2, 1.0, size=m)
-    meas = measures.DiscreteMeasure(atoms=tuple(range(m)), weights=w)
+    return phi, rng.uniform(0.2, 1.0, size=m)
+
+
+def _random_feature_factorization(
+    rng: np.random.Generator, mean_shift: float = 0.0
+) -> factorization.BoundaryFactorization:
+    """Exact factorization of ``_random_features``: the kernel is the one the
+    features induce."""
+    phi, w = _random_features(rng, mean_shift)
+    meas = measures.DiscreteMeasure(atoms=tuple(range(w.size)), weights=w)
     return factorization.BoundaryFactorization.induced(meas, phi)
 
 
 def random_circle_measure(
     rng: np.random.Generator, max_atoms: int = 6, min_sep: float = 0.1
 ) -> measures.CircleMeasure:
-    """1 to ``max_atoms`` atoms, circular gaps >= ``min_sep``, weights drawn
+    """The circle measure of ``_circle_draw``."""
+    return measures.CircleMeasure(*_circle_draw(rng, max_atoms, min_sep))
+
+
+def _circle_draw(rng: np.random.Generator, max_atoms: int, min_sep: float):
+    """The draws of one random circle measure, (atoms, weights): 1 to
+    ``max_atoms`` sorted atoms, circular gaps >= ``min_sep``, weights drawn
     uniform on [1, 3] and normalized.
 
     The atoms are rejection-sampled: sorted uniform draws until every gap
@@ -221,8 +232,7 @@ def random_circle_measure(
             f"none of {CIRCLE_DRAW_ATTEMPTS} draws of {m} atoms kept circular gaps >= {min_sep!r}"
         )
     w = rng.uniform(1.0, 3.0, size=m)
-    w = w / w.sum()
-    return measures.CircleMeasure(atoms=atoms, weights=w)
+    return atoms, w / w.sum()
 
 
 def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -287,12 +297,12 @@ def _projections(frames: list, count: int):
         for i, features, r in zip(f.index, f.features, f.rank):
             mu_grams[i] = factorization._feature_gram(features[:, :r], f.weights[:r])
     residual, spectra = np.empty(count), [None] * count
-    for index in _by_size(mu_grams):
-        for idx, stack in _by_field(index, np.stack([mu_grams[i] for i in index])):
+    for index in _by_shape(mu_grams):
+        for idx, stack in kernels._by_field(index, np.stack([mu_grams[i] for i in index])):
             values, vectors = kernels._eigh(stack)
             S = kernels._projector(vectors, kernels._kept(values, cutoffs[idx]))
             residual[idx] = factorization._projection_residual(S, np.ones(S.shape[-1]))
-            for jdx, projector in _by_field(idx, S):
+            for jdx, projector in kernels._by_field(idx, S):
                 for i, spec in zip(jdx, kernels._eigh(projector)[0]):
                     spectra[i] = spec
     return residual, spectra
@@ -565,8 +575,33 @@ def check_inner_modulus(seed: int = 0) -> Check:
                  {"max_deviation": worst, "point_mass_error": exact1, "two_atom_error": exact2})
 
 
+def _renormalized_identities(draws: list):
+    """Per (features, weights) draw, in draw order: the least |E_i|, the
+    identity residual and the PSD verdict of its renormalized factorization,
+    as ``renormalized_identity`` judges them.  The weights are checked once,
+    by DiscreteMeasure's rule, and the draws of one shape are one stack: the
+    induced Gram with FiniteKernel's mirror, clark._renormalize
+    (ZeroExpectation where a mean cancels), factorization._residual, and the
+    PSD verdict on each field's decomposition (``kernels._by_field``)."""
+    measures._check_weights(np.concatenate([w for _, w in draws]))
+    least, residual, psd = np.empty(len(draws)), np.empty(len(draws)), np.empty(len(draws), bool)
+    for index in _by_shape([phi for phi, _ in draws]):
+        phi = np.stack([draws[i][0] for i in index])
+        w = np.stack([draws[i][1] for i in index])
+        gram = kernels._hermitian_mirror(factorization._induced_gram(phi, w))
+        E, kren_gram, kren_phi = clark._renormalize(phi, w, gram)
+        least[index] = np.abs(E).min(axis=-1)
+        residual[index] = factorization._residual(kren_phi, w, kren_gram)
+        for idx, stack in kernels._by_field(index, kren_gram):
+            psd[idx] = kernels._is_psd(kernels._eigh(stack)[0], kernels.PSD_TOL)
+    return least, residual, psd
+
+
 def check_renormalization(seed: int = 0) -> Check:
-    """Worked renormalization, random mean-normalized identities, 1/E = 1 - b."""
+    """Worked renormalization, random mean-normalized identities, 1/E = 1 - b.
+
+    The 100 random factorizations are renormalized and judged in stacks of
+    one shape (``_renormalized_identities``)."""
     rng = _rng(seed, 9)
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
@@ -578,16 +613,11 @@ def check_renormalization(seed: int = 0) -> Check:
     target = np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex)
     worked_err = float(np.abs(ctx.kren_factorization.kernel.gram - target).max())
 
-    residuals, expectations = [], []
-    kren_psd_ok = True
-    for _ in range(100):
-        ctx_r = clark.renormalize(_random_feature_factorization(rng, mean_shift=2.0))
-        expectations.append(np.abs(ctx_r.expectations).min())
-        residual, psd = renormalized_identity(ctx_r)
-        residuals.append(residual)
-        kren_psd_ok = kren_psd_ok and psd.is_psd
+    expectations, residuals, psd = _renormalized_identities(
+        [_random_features(rng, mean_shift=2.0) for _ in range(100)])
     worst_res = float(np.max(residuals))
     min_expectation = float(np.min(expectations))
+    kren_psd_ok = bool(psd.all())
 
     cross = []
     for _ in range(10):
@@ -617,27 +647,38 @@ def check_renormalization(seed: int = 0) -> Check:
     )
 
 
-def check_polydisk_density(seed: int = 0) -> Check:
-    """Monomial rank saturation: degree m-1 for k=1, at most m for k=2."""
-    rng = _rng(seed, 10)
-    k1_ok = True
-    for _ in range(30):
-        mu = random_circle_measure(rng, max_atoms=8, min_sep=0.02)
-        res = clark.polydisk_density_test(mu)
-        sat_degree = len(res["rank_sequence"]) - 1
-        k1_ok = k1_ok and res["saturated"] and sat_degree == mu.size - 1
+def _density_ranks(draws: list) -> list:
+    """The rank sequence of each (coords (m, k), weights) draw, in draw
+    order, as polydisk_density_test takes it (up to degree m).  The draws of
+    one shape are one stack, validated by DiscreteMeasure's rules and run
+    through clark._rank_sequences."""
+    ranks = [None] * len(draws)
+    for index in _by_shape([coords for coords, _ in draws]):
+        coords = measures._check_coords(np.stack([draws[i][0] for i in index]))
+        w = measures._check_weights(np.stack([draws[i][1] for i in index]))
+        for i, seq in zip(index, clark._rank_sequences(coords, w, coords.shape[-2])):
+            ranks[i] = seq
+    return ranks
 
-    k2_ok = True
+
+def check_polydisk_density(seed: int = 0) -> Check:
+    """Monomial rank saturation: degree m-1 for k=1, at most m for k=2.
+
+    The 30 circle measures and the 50 measures on the 2-torus are drawn as
+    arrays and take their rank sequences in stacks of one size
+    (``_density_ranks``)."""
+    rng = _rng(seed, 10)
+    circle = [_circle_draw(rng, max_atoms=8, min_sep=0.02) for _ in range(30)]
+    torus = []
     for _ in range(50):
         m = int(rng.integers(1, 9))
         coords = rng.uniform(0.0, 1.0, size=(m, 2))
         w = rng.uniform(0.5, 1.5, size=m)
-        meas = measures.DiscreteMeasure(
-            atoms=tuple(range(m)), weights=w / w.sum(), coords=coords
-        )
-        res = clark.polydisk_density_test(meas)
-        k2_ok = k2_ok and res["saturated"]
-
+        torus.append((coords, w / w.sum()))
+    k1 = _density_ranks([(atoms[:, None], w) for atoms, w in circle])
+    # Saturated (the last rank is m), for k = 1 at degree m - 1 (m ranks).
+    k1_ok = all(seq[-1] == len(seq) == len(w) for seq, (_, w) in zip(k1, circle))
+    k2_ok = all(seq[-1] == len(w) for seq, (_, w) in zip(_density_ranks(torus), torus))
     return Check("polydisk-density", k1_ok and k2_ok, {"k1_ok": k1_ok, "k2_ok": k2_ok})
 
 

@@ -1,7 +1,7 @@
 """One check record: the ``Check`` every pipeline and criterion returns, the
 report shape it gives, and the verdicts that depend on it."""
 
-import dataclasses
+import collections
 import importlib
 import itertools
 import json
@@ -287,6 +287,14 @@ def _projector_without_conjugate_transpose(vectors, keep):
     return v @ v
 
 
+def _features_over_conj_mean(renormalize):
+    def defect(*args):
+        E, gram, features = renormalize(*args)
+        return E, gram, features * (E / np.conj(E))[..., :, None]
+
+    return defect
+
+
 @pytest.mark.parametrize("module, core, defect, criteria", [
     ("factorization", "_apply_V", lambda apply_V: lambda phi, w, g: apply_V(np.conj(phi), w, g),
      ["schwarz_bound", "transform_pair"]),
@@ -296,8 +304,14 @@ def _projector_without_conjugate_transpose(vectors, keep):
      ["parseval_reconstruction", "transform_pair"]),
     ("kernels", "_projector", lambda _: _projector_without_conjugate_transpose,
      ["transform_pair"]),
+    ("clark", "_renormalize", _features_over_conj_mean, ["renormalization"]),
+    ("kernels", "_rank", lambda rank: lambda svals, rtol: rank(svals, 1e-3),
+     ["polydisk_density"]),
+    ("clark", "_monomial_rows", lambda rows: lambda *args: rows(*args)[..., 1:, :],
+     ["polydisk_density"]),
 ], ids=["V-without-conjugate", "L2-norm-without-weights", "factor-lambda-not-sqrt-lambda",
-        "projector-without-conjugate-transpose"])
+        "projector-without-conjugate-transpose", "kren-features-over-conj-E",
+        "rank-cutoff-1e-3", "first-monomial-row-dropped"])
 def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, module, core,
                                                                 defect, criteria):
     # A table over the shared array cores: each defect must fail every
@@ -348,10 +362,8 @@ def _nan_first(a):
      "max_factorization_residual"),
     ("poisson_herglotz", "selfcheck", "herglotz_error", 2, lambda _: math.nan, "max_abs_error"),
     ("inner_modulus", "selfcheck", "modulus_deviation", 2, lambda _: math.nan, "max_deviation"),
-    ("renormalization", "selfcheck", "renormalized_identity", 2,
-     lambda out: (math.nan, out[1]), "max_identity_residual"),
-    ("renormalization", "clark", "renormalize", 2,
-     lambda ctx: dataclasses.replace(ctx, expectations=_nan_first(ctx.expectations)),
+    ("renormalization", "factorization", "_residual", 2, _nan_first, "max_identity_residual"),
+    ("renormalization", "clark", "_renormalize", 2, lambda out: (_nan_first(out[0]), *out[1:]),
      "min_expectation_modulus"),
     ("renormalization", "selfcheck", "inverse_mean_error", 2, lambda _: math.nan,
      "max_cross_check_error"),
@@ -394,16 +406,25 @@ def test_a_factor_off_its_kernel_raises_not_a_factorization_in_transform_pair(mo
 
 
 def test_random_kernel_criteria_build_no_object_per_kernel(monkeypatch):
-    from kboundary import BoundaryFactorization, RkhsElement, selfcheck
+    from kboundary import BoundaryFactorization, DiscreteMeasure, RkhsElement, selfcheck
 
     built = []
-    for cls in (FiniteKernel, BoundaryFactorization, RkhsElement):
+    for cls in (FiniteKernel, BoundaryFactorization, RkhsElement, DiscreteMeasure):
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, post_init=cls.__post_init__: (built.append(self),
                                                                        post_init(self))[1])
     assert selfcheck.check_parseval_reconstruction(seed=0).passed
     assert selfcheck.check_transform_pair(seed=0).passed
+    assert selfcheck.check_polydisk_density(seed=0).passed
     assert built == []
+    assert selfcheck.check_renormalization(seed=0).passed
+    # Only the worked example (its measure, and the kernel and factorization
+    # of F and of its renormalization) and the 10 Szego cross-checks (a
+    # circle measure, a kernel and a factorization each); none of the 100
+    # random factorizations.
+    assert collections.Counter(type(x).__name__ for x in built) == {
+        "DiscreteMeasure": 1, "CircleMeasure": 10, "FiniteKernel": 12,
+        "BoundaryFactorization": 12}
 
 
 def test_morphism_checker_isometry_residual_shows_rounding():

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -30,6 +31,9 @@ from kboundary import (
     polydisk_density_test,
     polydisk_szego_eval,
     renormalize,
+    clark,
+    factorization,
+    selfcheck,
     verify_factorization,
 )
 from kboundary.factorization import FACTORIZATION_TOL
@@ -287,6 +291,45 @@ class TestExpectationAndRenormalization:
             assert kren.kernel.gram.tobytes() == reference.tobytes()
             assert kren.features.tobytes() == (F.features / E[:, None]).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_slice_of_a_stack_renormalizes_as_its_factorization(self, seed):
+        # verify-all's renormalization corpus, renormalized in stacks of one
+        # shape, against renormalize and renormalized_identity on each draw.
+        rng = selfcheck._rng(seed, 9)
+        draws = [selfcheck._random_features(rng, mean_shift=2.0) for _ in range(100)]
+        least, residual, psd = selfcheck._renormalized_identities(draws)
+        for index in selfcheck._by_shape([phi for phi, _ in draws]):
+            phi = np.stack([draws[i][0] for i in index])
+            w = np.stack([draws[i][1] for i in index])
+            gram = _hermitian_mirror(factorization._induced_gram(phi, w))
+            E, kren_gram, kren_features = clark._renormalize(phi, w, gram)
+            for j, i in enumerate(index):
+                meas = DiscreteMeasure(atoms=tuple(range(w.shape[-1])), weights=draws[i][1])
+                ctx = renormalize(BoundaryFactorization.induced(meas, draws[i][0]))
+                kren = ctx.kren_factorization
+                kren_residual, report = selfcheck.renormalized_identity(ctx)
+                assert ctx.expectations.tobytes() == E[j].tobytes()
+                assert kren.kernel.gram.tobytes() == kren_gram[j].tobytes()
+                assert kren.features.tobytes() == kren_features[j].tobytes()
+                assert least[i] == np.abs(ctx.expectations).min()
+                assert residual[i] == kren_residual and psd[i] == report.is_psd
+
+    def test_a_cancelled_mean_in_the_stacked_draws_names_its_point(self, monkeypatch):
+        # Draw 7 gets a zero last feature row, so that its last mean is 0.
+        draw, sizes = selfcheck._random_features, []
+
+        def cancelled(rng, mean_shift=0.0):
+            phi, w = draw(rng, mean_shift)
+            sizes.append(len(phi))
+            if len(sizes) == 8:
+                phi[-1] = 0.0
+            return phi, w
+
+        monkeypatch.setattr(selfcheck, "_random_features", cancelled)
+        with pytest.raises(ZeroExpectation) as raised:
+            selfcheck.check_renormalization(seed=0)
+        assert str(raised.value) == f"feature mean for point index {sizes[7] - 1} has modulus 0.0"
+
     def test_near_floor_expectations_keep_relative_accuracy(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
         eps = 1e-3
@@ -412,6 +455,39 @@ class TestPolydiskDensity:
         meas = DiscreteMeasure(atoms=("a",), weights=[1.0])
         with pytest.raises(InvalidMeasure):
             polydisk_density_test(meas)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("max_degree", [None, 2])
+    def test_each_slice_of_a_stack_has_the_rank_sequence_of_its_measure(self, k, max_degree):
+        # The measures of a mixed-size corpus, grouped by size as verify-all's
+        # polydisk-density groups them, against the test on each measure.
+        rng = np.random.default_rng(97 + k)
+        draws = []
+        for _ in range(60):
+            m = int(rng.integers(1, 9))
+            w = rng.uniform(0.5, 1.5, m)
+            draws.append((rng.uniform(size=(m, k)), w / w.sum()))
+        if max_degree is None:
+            ranks = selfcheck._density_ranks(draws)
+        else:
+            ranks = [None] * len(draws)
+            for index in selfcheck._by_shape([coords for coords, _ in draws]):
+                coords = np.stack([draws[i][0] for i in index])
+                w = np.stack([draws[i][1] for i in index])
+                for i, seq in zip(index, clark._rank_sequences(coords, w, max_degree)):
+                    ranks[i] = seq
+        for (coords, w), seq in zip(draws, ranks):
+            meas = DiscreteMeasure(atoms=tuple(range(len(w))), weights=w, coords=coords)
+            assert seq == polydisk_density_test(meas, max_degree)["rank_sequence"]
+
+    @pytest.mark.parametrize("coords, message", [
+        ([[[0.1], [0.2]], [[0.3], [0.3]]], "pairwise distinct"),
+        ([[[0.1], [0.2]], [[0.3], [1.0]]], "must lie in [0,1)"),
+        ([[[0.1], [0.2]], [[0.3], [np.nan]]], "must lie in [0,1)"),
+    ])
+    def test_a_stack_of_measures_is_validated_as_each_measure_is(self, coords, message):
+        with pytest.raises(InvalidMeasure, match=re.escape(message)):
+            selfcheck._density_ranks([(np.array(c), np.full(2, 0.5)) for c in coords])
 
 
 @settings(max_examples=30, deadline=None)

@@ -220,8 +220,13 @@ def _reject_constant(name):
 
 
 def test_failed_renormalized_psd_check_keeps_the_report_strict(monkeypatch, tmp_path):
-    failing = kernels.PsdReport(min_eigenvalue=-1.0, max_eigenvalue=1.0, is_psd=False)
-    monkeypatch.setattr(kernels, "check_positive_definite", lambda K, tol=1e-10: failing)
+    # The criterion judges its 100 renormalized kernels in stacks; every PSD
+    # verdict of the stacks fails here.
+    from kboundary import selfcheck
+
+    identities = selfcheck._renormalized_identities
+    monkeypatch.setattr(selfcheck, "_renormalized_identities",
+                        lambda draws: (*identities(draws)[:2], np.zeros(len(draws), bool)))
     out = tmp_path / "report.json"
     assert cli.main(["verify-all", "--seed", "3", "--out", str(out)]) == 2
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
