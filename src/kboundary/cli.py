@@ -301,7 +301,7 @@ def _parse_discrete_measure(raw) -> measures.DiscreteMeasure:
 
 # variant -> the kernel fields besides "variant" that it reads
 _KERNEL_FIELDS = {"szego": {"dim"}, "polydisk-szego": {"dim"},
-                  "debranges-rovnyak": {"dim", "measure"}, "table": {"table"}}
+                  "debranges-rovnyak": {"measure"}, "table": {"table"}}
 
 
 def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None):
@@ -312,13 +312,12 @@ def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None
     unread = sorted(set(raw) - {"variant"} - _KERNEL_FIELDS[variant])
     if unread:
         raise ConfigError(f"{variant} kernel does not take {', '.join(unread)}")
-    dim = int(raw.get("dim", 1))
     if variant in ("szego", "polydisk-szego"):
-        return kernels.KernelSpec(dim=dim)
+        return kernels.KernelSpec(dim=int(raw.get("dim", 1)))
     if variant == "debranges-rovnyak":
         if "measure" not in raw:
             raise ConfigError("debranges-rovnyak kernel requires a measure")
-        return kernels.KernelSpec(dim=dim, measure=_parse_circle_measure(raw["measure"]))
+        return kernels.KernelSpec(measure=_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
     return kernels.FiniteKernel.from_table(
@@ -349,12 +348,8 @@ class JobConfig:
     points: kernels.PointSet | None = None
     measure: measures.CircleMeasure | None = None
     morphism: tuple | None = None  # as _parse_morphism returns it
-    psd_tol: float = kernels.PSD_TOL
-    fact_tol: float = factorization.FACTORIZATION_TOL
-    rank_tol: float | None = None
     seed: int = 0
     sample_count: int | None = None
-    output_path: str | None = None
 
 
 def parse_config(data: dict, command: str | None = None) -> JobConfig:
@@ -377,11 +372,6 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
         raise ConfigError("no command given")
 
     try:
-        # Unset tolerances keep the JobConfig defaults.
-        tol = {key: _to_float(v) for key, v in data.get("tolerances", {}).items()}
-        if not all(np.isfinite(v) for v in tol.values()):
-            raise ConfigError(f"tolerances must be finite, got {tol!r}")
-        out = data.get("output", {})
         points = _parse_points(data["points"], decoded["points"]) if "points" in data else None
         return JobConfig(
             command=resolved,
@@ -391,10 +381,8 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
             measure=_parse_circle_measure(data["measure"]) if "measure" in data else None,
             morphism=(_parse_morphism(data["morphism"], decoded)
                       if "morphism" in data else None),
-            **tol,
             seed=int(data.get("seed", 0)),
             sample_count=data.get("sample_count"),
-            output_path=out.get("path"),
         )
     except KernelBoundaryError:
         raise
@@ -416,33 +404,33 @@ def _build_kernel(cfg: JobConfig) -> kernels.FiniteKernel:
     return kernels.assemble_gram(kernel, _require(cfg, "points"))
 
 
-def _residual_check(name: str, residual: float, K: kernels.FiniteKernel, tol: float,
-                    **details) -> Check:
-    """Judge ``residual`` by kernels.relative_residual, so that the verdict does
-    not depend on units; an infinite relative residual is null and fails."""
+def _residual_check(name: str, residual: float, K: kernels.FiniteKernel, **details) -> Check:
+    """Judge ``residual`` by kernels.relative_residual against FACTORIZATION_TOL,
+    so that the verdict does not depend on units; an infinite relative
+    residual is null and fails."""
     relative = kernels.relative_residual(residual, K)
+    tol = factorization.FACTORIZATION_TOL
     return Check(name, relative <= tol, {"residual": residual, "relative_residual": relative,
                                          "tolerance": tol, **details})
 
 
 def _run_validate(cfg: JobConfig):
     K = _build_kernel(cfg)
-    report = kernels.check_positive_definite(K, tol=cfg.psd_tol)
+    report = kernels.check_positive_definite(K)
     checks = [Check("positive-definite", report.is_psd, {
         "min_eigenvalue": report.min_eigenvalue,
         "max_eigenvalue": report.max_eigenvalue,
-        "tolerance": cfg.psd_tol,
+        "tolerance": kernels.PSD_TOL,
     })]
     return checks, {"gram": K.gram}, {"seed": cfg.seed}
 
 
 def _run_factorize(cfg: JobConfig):
     K = _build_kernel(cfg)
-    F = rkhs.parseval_factorize(K, rank_tol=cfg.rank_tol, psd_tol=cfg.psd_tol)
+    F = rkhs.parseval_factorize(K)
     residual = rkhs.verify_parseval(F)
     checks = [
-        _residual_check("parseval-reconstruction", residual, K, cfg.fact_tol,
-                        retained_rank=F.n_atoms),
+        _residual_check("parseval-reconstruction", residual, K, retained_rank=F.n_atoms),
         Check("tightness", rkhs.tightness_test(F)),
     ]
     return checks, {"frame": F.features.T}, {"seed": cfg.seed}
@@ -482,11 +470,11 @@ def _run_clark(cfg: JobConfig):
     zs = _clark_points(cfg)
     F = clark.build_kb_factorization(mu, zs)
     residual = factorization.verify_factorization(F)
-    minimal = factorization.minimality_test(F, rank_tol=cfg.rank_tol)
+    minimal = factorization.minimality_test(F)
     herglotz = selfcheck.herglotz_error(mu, zs)
     modulus = selfcheck.modulus_deviation(mu)
     checks = [
-        _residual_check("factorization-residual", residual, F.kernel, cfg.fact_tol),
+        _residual_check("factorization-residual", residual, F.kernel),
         Check("minimality", minimal["is_minimal"] or len(zs) < mu.size,
               {"feature_rank": minimal["feature_rank"], "atoms": mu.size}),
         Check("poisson-herglotz", herglotz <= selfcheck.HERGLOTZ_TOL,
@@ -502,11 +490,10 @@ def _run_renorm(cfg: JobConfig):
     mu = _require(cfg, "measure")
     zs = _clark_points(cfg)
     ctx = clark.renormalize(clark.build_szego_factorization(mu, zs))
-    residual, psd = selfcheck.renormalized_identity(ctx, cfg.psd_tol)
+    residual, psd = selfcheck.renormalized_identity(ctx)
     cross = selfcheck.inverse_mean_error(mu, zs, ctx.expectations)
     checks = [
-        _residual_check("renormalized-identity", residual, ctx.kren_factorization.kernel,
-                        cfg.fact_tol),
+        _residual_check("renormalized-identity", residual, ctx.kren_factorization.kernel),
         Check("renormalized-psd", psd.is_psd, {"min_eigenvalue": psd.min_eigenvalue}),
         Check("inverse-mean-matches-b", cross <= selfcheck.INVERSE_MEAN_TOL,
               {"max_abs_error": cross}),
@@ -691,15 +678,13 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
             cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_path = args.out
 
         report, code = run(cfg)
-        if cfg.output_path:
+        if args.out:
             try:
-                report["matrices"] = _write_matrices(report["matrices"], cfg.output_path)
+                report["matrices"] = _write_matrices(report["matrices"], args.out)
                 blob = emit(report)
-                with open(cfg.output_path, "wb") as fh:
+                with open(args.out, "wb") as fh:
                     fh.write(blob)
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}") from exc

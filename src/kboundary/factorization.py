@@ -218,7 +218,7 @@ def _feature_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return B @ np.conj(B).swapaxes(-1, -2)
 
 
-def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> dict:
+def minimality_test(F: BoundaryFactorization) -> dict:
     """Finite model of tightness: do the features span L^2(mu)?
 
     The features k_{s_i} are rows of the feature matrix; they span the
@@ -227,7 +227,7 @@ def minimality_test(F: BoundaryFactorization, rank_tol: float | None = None) -> 
     which is the actual L^2(mu) geometry.
     """
     weighted = F.features * np.sqrt(F.measure.weights)[None, :]
-    rank = numerical_rank(weighted, rank_tol)
+    rank = numerical_rank(weighted)
     return {"is_minimal": rank == F.n_atoms, "feature_rank": rank}
 
 

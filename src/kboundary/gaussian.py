@@ -31,7 +31,7 @@ from .factorization import BoundaryFactorization
 from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
 
-FACTOR_TOL = 1e-10  # relative to ||G||_2, as every spectral cutoff
+FACTOR_TOL = 1e-10  # realize's rank cutoff, relative to ||G||_2; its NotPsd cutoff is PSD_TOL
 EXACT_TOL = 1e-12  # restricted factorization against the Gram block, relative to ||G||_2
 
 
@@ -55,8 +55,8 @@ class SampleBatch:
 def realize(K: FiniteKernel) -> BoundaryFactorization:
     """The spectral factorization of K whose process the sampler draws:
     ``parseval_factorize`` with eigenvalues at or below FACTOR_TOL * ||G||_2
-    dropped.  Raises NotPsd when one lies below -FACTOR_TOL * ||G||_2."""
-    return parseval_factorize(K, rank_tol=FACTOR_TOL, psd_tol=FACTOR_TOL)
+    dropped.  Raises NotPsd when one lies below -PSD_TOL * ||G||_2."""
+    return parseval_factorize(K, rank_tol=FACTOR_TOL)
 
 
 def _seed_record(seed: int, N: int) -> dict:

@@ -40,7 +40,7 @@ from .measures import CircleMeasure
 DISK_RADIUS_BOUND = 1.0 - 1e-15
 
 HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-10  # default PSD cutoff, relative to ||G||_2
+PSD_TOL = 1e-10  # the PSD cutoff of every verdict, relative to ||G||_2
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ class Spectrum:
     Callers read it through the extreme eigenvalues, ``norm`` = ||M||_2, the
     PSD verdict and the kept factor or projector, never through the arrays.
     An eigenvalue above ``rtol * norm`` is kept; M is PSD when none lies
-    below ``-tol * norm``.  No cutoff has an absolute floor: a
+    below ``-PSD_TOL * norm``.  No cutoff has an absolute floor: a
     backward-stable solver is accurate to about eps * ||M||_2 (Weyl), so
     verdicts do not depend on units.
 
@@ -300,8 +300,8 @@ class Spectrum:
         """||M||_2, computed once: the fields are frozen."""
         return float(_norm(self.values))
 
-    def is_psd(self, tol: float) -> bool:
-        return bool(_is_psd(self.values, tol))
+    def is_psd(self) -> bool:
+        return bool(_is_psd(self.values))
 
     def factor(self, rtol: float) -> np.ndarray:
         """Contiguous complex columns sqrt(lam) v over the kept eigenpairs,
@@ -340,10 +340,10 @@ def _norm(values: np.ndarray):
     return np.maximum(-values[..., 0], values[..., -1])
 
 
-def _is_psd(values: np.ndarray, tol: float):
-    """The PSD verdict of each spectrum: no eigenvalue below -tol * ||M||_2."""
+def _is_psd(values: np.ndarray):
+    """The PSD verdict of each spectrum: no eigenvalue below -PSD_TOL * ||M||_2."""
     lower = values[..., 0] if values.shape[-1] else np.zeros(values.shape[:-1])
-    return lower >= -tol * _norm(values)
+    return lower >= -PSD_TOL * _norm(values)
 
 
 def _kept(values: np.ndarray, rtol):
@@ -397,13 +397,11 @@ def _svdvals(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_real_if_zero_imag(A), compute_uv=False)
 
 
-def numerical_rank(A, rtol: float | None = None) -> int:
-    """Number of singular values of A above rtol * sigma_max (``_rank``), rtol
-    defaulting to default_rank_tol(max(A.shape)); float64 when A has zero
-    imaginary part."""
+def numerical_rank(A) -> int:
+    """Number of singular values of A above default_rank_tol(max(A.shape)) *
+    sigma_max (``_rank``); float64 when A has zero imaginary part."""
     A = np.asarray(A)
-    rtol = default_rank_tol(max(A.shape)) if rtol is None else rtol
-    return int(_rank(_svdvals(A), rtol))
+    return int(_rank(_svdvals(A), default_rank_tol(max(A.shape))))
 
 
 def _relative_residual(residual, norm):
@@ -421,11 +419,9 @@ def relative_residual(residual: float, K: FiniteKernel) -> float:
     return float(_relative_residual(residual, K.spectrum.norm))
 
 
-def check_positive_definite(K: FiniteKernel, tol: float = PSD_TOL) -> PsdReport:
-    """PSD check on K.spectrum: ``is_psd`` iff min_eig >= -tol * ||G||_2.  The
-    report carries both extreme eigenvalues so callers can judge margins."""
-    if tol < 0:
-        raise ShapeMismatch("tolerance must be nonnegative")
+def check_positive_definite(K: FiniteKernel) -> PsdReport:
+    """PSD check on K.spectrum: ``is_psd`` iff min_eig >= -PSD_TOL * ||G||_2.
+    The report carries both extreme eigenvalues so callers can judge margins."""
     spec = K.spectrum
     return PsdReport(min_eigenvalue=spec.lower, max_eigenvalue=spec.upper,
-                     is_psd=spec.is_psd(tol))
+                     is_psd=spec.is_psd())

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BaseMismatch, NotPsd, ShapeMismatch
-from .kernels import PSD_TOL, FiniteKernel, default_rank_tol, numerical_rank
+from .kernels import FiniteKernel, default_rank_tol, numerical_rank
 from .measures import DiscreteMeasure
 
 if TYPE_CHECKING:
@@ -95,21 +95,20 @@ def norm_squared(f: RkhsElement):
     return _norm_squared(f.base.gram, f.coeffs)
 
 
-def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None,
-                       psd_tol: float = PSD_TOL) -> BoundaryFactorization:
+def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> BoundaryFactorization:
     """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum, as
     the counting-measure factorization of K.
 
     Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
     retained; feature column n is sqrt(lam_n) * v_n evaluated on the points,
     the strongest first.  Raises NotPsd when an eigenvalue lies below
-    -psd_tol * ||G||_2, the cutoff of kernels.check_positive_definite.
+    -PSD_TOL * ||G||_2, the cutoff of kernels.check_positive_definite.
     """
     from .factorization import BoundaryFactorization
 
     rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
     spec = K.spectrum
-    _require_psd(spec.lower, spec.is_psd(psd_tol))
+    _require_psd(spec.lower, spec.is_psd())
     features = spec.factor(rank_tol)
     return BoundaryFactorization(
         kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features

@@ -106,11 +106,10 @@ def covariance_bound(K: kernels.FiniteKernel, n_draws: int) -> float:
     return 4.0 * float(np.abs(K.gram).max()) / np.sqrt(n_draws)
 
 
-def renormalized_identity(ctx: clark.RenormContext, psd_tol: float = kernels.PSD_TOL):
+def renormalized_identity(ctx: clark.RenormContext):
     """(identity residual, PSD report) of the renormalized factorization."""
     F = ctx.kren_factorization
-    return (factorization.verify_factorization(F),
-            kernels.check_positive_definite(F.kernel, tol=psd_tol))
+    return factorization.verify_factorization(F), kernels.check_positive_definite(F.kernel)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -167,7 +166,7 @@ def _spectral_frames(grams) -> list:
         for idx, gram in kernels._by_field(index, stack):
             n = gram.shape[-1]
             values, vectors = kernels._eigh(gram)
-            rkhs._require_psd(values[:, 0], kernels._is_psd(values, kernels.PSD_TOL))
+            rkhs._require_psd(values[:, 0], kernels._is_psd(values))
             keep = kernels._kept(values, kernels.default_rank_tol(n))
             features = kernels._factor(values, vectors, keep)
             weights = np.ones(n)
@@ -187,16 +186,6 @@ def _random_features(rng: np.random.Generator, mean_shift: float = 0.0):
     m = int(rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1))
     phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) + mean_shift
     return phi, rng.uniform(0.2, 1.0, size=m)
-
-
-def _random_feature_factorization(
-    rng: np.random.Generator, mean_shift: float = 0.0
-) -> factorization.BoundaryFactorization:
-    """Exact factorization of ``_random_features``: the kernel is the one the
-    features induce."""
-    phi, w = _random_features(rng, mean_shift)
-    meas = measures.DiscreteMeasure(atoms=tuple(range(w.size)), weights=w)
-    return factorization.BoundaryFactorization.induced(meas, phi)
 
 
 def random_circle_measure(
@@ -593,7 +582,7 @@ def _renormalized_identities(draws: list):
         least[index] = np.abs(E).min(axis=-1)
         residual[index] = factorization._residual(kren_phi, w, kren_gram)
         for idx, stack in kernels._by_field(index, kren_gram):
-            psd[idx] = kernels._is_psd(kernels._eigh(stack)[0], kernels.PSD_TOL)
+            psd[idx] = kernels._is_psd(kernels._eigh(stack)[0])
     return least, residual, psd
 
 

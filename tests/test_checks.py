@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kboundary import FiniteKernel, cli
+from kboundary import FiniteKernel, cli, rkhs
 from kboundary.check import Check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -101,7 +101,7 @@ SCALED_TABLE = [[1e8, 3e7], [3e7, 2e8]]
 def test_factorize_judges_the_residual_relative_to_the_gram_norm():
     report, code = cli.run(cli.parse_config(_table_config("factorize", SCALED_TABLE)))
     (check,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
-    # The absolute residual is above fact_tol; relative to ||G||_2 it is rounding.
+    # The absolute residual is above FACTORIZATION_TOL; relative to ||G||_2 it is rounding.
     assert check["residual"] > check["tolerance"]
     assert check["relative_residual"] <= 1e-14
     assert code == 0
@@ -148,14 +148,15 @@ def test_renorm_builds_one_kernel_per_gram(monkeypatch):
 
 def test_factorize_judges_not_psd_by_psd_tol_not_rank_tol(tmp_path):
     # Rounding leaves an eigenvalue near -4.5e-16 on the all-ones table, which
-    # kb validate calls PSD; a zero rank_tol must not make it NotPsd.
+    # kb validate calls PSD; kb factorize must not call it NotPsd, and neither
+    # may parseval_factorize at a zero rank_tol: NotPsd is judged at PSD_TOL.
     config = _table_config("factorize", np.ones((3, 3)))
-    config["tolerances"] = {"rank_tol": 0}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, report = _run_main(["factorize", "--config", str(path)], tmp_path)
     assert code == 0
     assert report["checks"][0]["retained_rank"] == 1
+    assert rkhs.parseval_factorize(FiniteKernel.from_table(np.ones((3, 3))), rank_tol=0).n_atoms == 1
 
 
 def test_not_psd_message_prints_a_plain_float(tmp_path, capsys):

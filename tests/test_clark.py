@@ -38,11 +38,7 @@ from kboundary import (
 )
 from kboundary.factorization import FACTORIZATION_TOL
 from kboundary.kernels import _hermitian_mirror, relative_residual
-from kboundary.selfcheck import (
-    _random_feature_factorization,
-    random_circle_measure,
-    random_interior,
-)
+from kboundary.selfcheck import _random_features, random_circle_measure, random_interior
 
 POINT_MASS = CircleMeasure(atoms=[0.0], weights=[1.0])
 TWO_ATOMS = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
@@ -281,7 +277,11 @@ class TestExpectationAndRenormalization:
     def test_renormalized_kernel_is_the_mirrored_quotient_bit_for_bit(self):
         # FiniteKernel mirrors the quotient itself; renormalize adds nothing.
         rng = np.random.default_rng(83)
-        corpus = [_random_feature_factorization(rng, mean_shift=2.0) for _ in range(60)]
+        corpus = []
+        for _ in range(60):
+            phi, w = _random_features(rng, mean_shift=2.0)
+            meas = DiscreteMeasure(atoms=tuple(range(w.size)), weights=w)
+            corpus.append(BoundaryFactorization.induced(meas, phi))
         corpus += [build_szego_factorization(random_circle_measure(rng), random_interior(rng, 5))
                    for _ in range(20)]
         for F in corpus:

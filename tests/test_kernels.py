@@ -176,7 +176,7 @@ class TestFromTable:
 class TestCheckPositiveDefinite:
     def test_szego_worked_gram(self):
         K = assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
-        report = check_positive_definite(K, tol=1e-10)
+        report = check_positive_definite(K)
         assert report.is_psd
         assert report.min_eigenvalue > 0
 
@@ -210,7 +210,7 @@ class TestCheckPositiveDefinite:
 )
 def test_szego_grams_are_psd(zs):
     K = assemble_gram(KernelSpec(), PointSet.from_points(zs))
-    assert check_positive_definite(K, tol=1e-10).is_psd
+    assert check_positive_definite(K).is_psd
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,7 +221,7 @@ def test_szego_grams_are_psd(zs):
 )
 def test_polydisk_grams_are_psd(zs):
     K = assemble_gram(KernelSpec(dim=2), PointSet.from_points(zs))
-    assert check_positive_definite(K, tol=1e-10).is_psd
+    assert check_positive_definite(K).is_psd
 
 
 def test_principal_submatrices_stay_psd():
@@ -231,7 +231,7 @@ def test_principal_submatrices_stay_psd():
     for _ in range(20):
         size = rng.integers(1, 12)
         subset = rng.choice(12, size=size, replace=False)
-        assert check_positive_definite(K.restrict(subset), tol=1e-10).is_psd
+        assert check_positive_definite(K.restrict(subset)).is_psd
 
 
 def test_debranges_rovnyak_variant_matches_clark_closed_form():
