@@ -29,10 +29,11 @@ that are frozen and fixed by their arguments: the index point sets and
 counting measures (one per size, see ``kernels`` and ``measures``) and
 the Herglotz corpus of the last seed, which two criteria read.  Sharing
 them changes no report: a run with warm caches equals one with cold
-caches.  ``run_all`` runs each criterion in a forked worker where the
-platform has ``os.fork``, so these caches are shared only within one
-worker: a worker starts from the caller's caches, and what it adds to
-them goes when it exits.
+caches.  ``run_all`` runs the criteria in the calling process and, where
+the platform has ``os.fork`` and the process may run on several CPUs, in
+forked workers, so these caches are shared only within one process: a
+worker starts from the caller's caches, and what it adds to them goes when
+it exits, while what the caller adds stays for its later calls.
 """
 
 from __future__ import annotations
@@ -686,22 +687,23 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list[Check]:
-    """Run every criterion in forked workers; their checks in ALL_CHECKS order.
+    """Run every criterion, in this process and in forked workers; their
+    checks in ALL_CHECKS order.
 
-    One worker per CPU this process may run on, and at most one per
-    criterion, claims criterion indices from a pipe and writes back one
-    pickled (index, Check or exception, traceback text) record each.  The
-    exception of the lowest index is raised, as a serial loop would raise
-    it; a criterion whose worker ended without reporting raises
-    ``WorkerDied``.  No worker outlives the call.  Where ``os.fork`` is
-    missing the criteria run in this process, in index order.  Report
-    determinism is checked by running the CLI twice (it cannot be observed
-    from inside a single run).
+    This process is one of the workers: it forks one fewer than the CPUs it
+    may run on, at most one per criterion, and none on one CPU or where
+    ``os.fork`` is missing.  Every worker, this process included, claims
+    criterion indices from one pipe and runs each through ``_run``; a forked
+    worker writes back one pickled (index, Check or exception, traceback
+    text) record each, which this process reads once its own claims run
+    out.  The exception of the lowest index is raised, as a serial loop
+    would raise it; a criterion whose forked worker ended without reporting
+    raises ``WorkerDied``.  No worker outlives the call.  Report determinism
+    is checked by running the CLI twice (it cannot be observed from inside
+    a single run).
     """
-    if not hasattr(os, "fork"):
-        return [check(seed=seed) for check in ALL_CHECKS]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(cpus or 1, len(ALL_CHECKS))
+    n_forks = min(cpus or 1, len(ALL_CHECKS)) - 1 if hasattr(os, "fork") else 0
     claims, claims_in = os.pipe()
     with os.fdopen(claims_in, "wb") as fh:
         fh.write(bytes(range(len(ALL_CHECKS))))
@@ -710,7 +712,7 @@ def run_all(seed: int = 0) -> list[Check]:
     sys.stderr.flush()
     pids, sources, results = [], [], {}
     try:
-        for _ in range(n_workers):
+        for _ in range(n_forks):
             source, sink = os.pipe()
             sources.append(os.fdopen(source, "rb"))
             try:
@@ -720,6 +722,8 @@ def run_all(seed: int = 0) -> list[Check]:
                 pids.append(pid)
             finally:
                 os.close(sink)
+        while claimed := os.read(claims, 1):
+            results[claimed[0]] = _run(claimed[0], seed)
         # Workers never wait on each other, so reading one pipe after the
         # other cannot block for good.
         for fh in sources:
@@ -745,19 +749,24 @@ def run_all(seed: int = 0) -> list[Check]:
     return [results[index][0] for index in range(len(ALL_CHECKS))]
 
 
+def _run(index: int, seed: int):
+    """Criterion ``index`` on ``seed``: (its Check, None), or (the exception
+    it raised, its traceback text), which run_all raises in index order."""
+    try:
+        return ALL_CHECKS[index](seed=seed), None
+    except Exception as exc:  # handed to run_all, which raises it
+        return exc, traceback.format_exc()
+
+
 def _work(seed: int, claims: int, sink: int):
-    """A worker: run each criterion whose index it claims from ``claims``
-    and write its record to ``sink``, flushed at once; never returns."""
+    """A forked worker: run each criterion whose index it claims from
+    ``claims`` and write its record to ``sink``, flushed at once; never
+    returns."""
     status = 1
     try:
         with os.fdopen(sink, "wb") as fh:
             while claimed := os.read(claims, 1):
-                index = claimed[0]
-                try:
-                    record = index, ALL_CHECKS[index](seed=seed), None
-                except Exception as exc:  # handed to the parent, which raises it
-                    record = index, exc, traceback.format_exc()
-                fh.write(pickle.dumps(record))
+                fh.write(pickle.dumps((claimed[0], *_run(claimed[0], seed))))
                 fh.flush()
         status = 0
     finally:
@@ -765,4 +774,4 @@ def _work(seed: int, claims: int, sink: int):
 
 
 class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a worker, as text."""
+    """The traceback of an exception raised in a criterion, as text."""

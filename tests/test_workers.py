@@ -1,5 +1,6 @@
-"""verify-all runs its criteria in forked workers: the same checks as a
-serial run, the lowest-index error, and no process left behind."""
+"""verify-all runs its criteria in the calling process and in forked
+workers: the same checks as a serial run, the lowest-index error, and no
+process left behind."""
 
 import json
 import os
@@ -38,7 +39,20 @@ def test_run_all_equals_the_criteria_run_in_process(seed):
     assert forked == _as_json(check(seed=seed) for check in selfcheck.ALL_CHECKS)
 
 
-def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker():
+def _forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _two_cpus(monkeypatch):
+    """run_all sees two CPUs, so it forks one worker, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker(monkeypatch):
+    # On one CPU the calling process is the only worker: nothing is forked.
     code = textwrap.dedent("""
         import json, os
         from kboundary import selfcheck
@@ -52,8 +66,12 @@ def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker():
                           timeout=120, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
     assert proc.returncode == 0, proc.stderr
     pinned = json.loads(proc.stdout)
-    assert pinned["forks"] == 1
+    assert pinned["forks"] == 0
+    _two_cpus(monkeypatch)
+    forks = _forks(monkeypatch)
     assert json.dumps(pinned["checks"]) == _as_json(selfcheck.run_all(3))
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("missing", [("sched_getaffinity",), ("fork", "sched_getaffinity")],
@@ -82,18 +100,52 @@ def test_verify_all_raises_the_error_of_the_lowest_index(monkeypatch, capsys):
     _assert_no_child_left()
 
 
+def test_an_error_in_the_caller_wins_over_a_higher_index_in_a_worker(monkeypatch, capsys):
+    caller = os.getpid()
+
+    def pinned(fails_in_worker):
+        def criterion(seed):
+            if os.getpid() == caller:
+                time.sleep(0.3)  # so that the worker claims every other index
+                raise NotPsd("the caller's error")
+            if fails_in_worker:
+                raise DomainViolation("a worker's error")
+            return _passes(seed)
+        return criterion
+
+    # The caller claims index 0 or 1, and the worker fails every index from
+    # 2 on; index 0 passes in the worker, in case the worker claims it.
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (pinned(False),) + (pinned(True),) * 9)
+    assert cli.main(["verify-all", "--seed", "0"]) == 1
+    assert capsys.readouterr() == ("", "kb: NotPsd: the caller's error\n")
+    _assert_no_child_left()
+
+
 def test_a_worker_that_dies_ends_verify_all_with_one_error():
     # In a child process, so that a collector that waits for good fails the
-    # test on the timeout instead of hanging the suite.
+    # test on the timeout instead of hanging the suite.  The dying criterion
+    # exits only in a forked worker, and the caller's criteria sleep, so
+    # that the worker claims it.
     code = textwrap.dedent("""
-        import os, sys
+        import os, sys, time
         from kboundary import cli, selfcheck
         from kboundary.check import Check
 
-        def dies(seed):
-            os._exit(3)
+        caller = os.getpid()
+        os.sched_getaffinity = lambda pid: {0, 1}
 
-        criteria = [lambda seed: Check("passes", True)] * 10
+        def passes(seed):
+            if os.getpid() == caller:
+                time.sleep(0.2)
+            return Check("passes", True)
+
+        def dies(seed):
+            if os.getpid() != caller:
+                os._exit(3)
+            return passes(seed)
+
+        criteria = [passes] * 10
         criteria[3] = dies
         selfcheck.ALL_CHECKS = tuple(criteria)
         code = cli.main(["verify-all", "--seed", "0"])
@@ -114,16 +166,24 @@ def test_a_worker_that_dies_ends_verify_all_with_one_error():
 
 
 def test_text_written_before_run_all_is_printed_once(monkeypatch, capfd):
+    caller = os.getpid()
+
     def prints(seed):
-        print("from a worker", flush=True)
+        if os.getpid() == caller:
+            time.sleep(0.3)  # so that the worker claims the other criterion
+        else:
+            print("from a worker", flush=True)
         return Check("prints", True)
 
-    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (prints,))
+    _two_cpus(monkeypatch)
+    forks = _forks(monkeypatch)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (prints, prints))
     # A buffered stream on the captured descriptor, as sys.stdout is on a pipe.
     with open(os.dup(1), "w", buffering=1 << 16) as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         stdout.write("before run_all;")
-        assert [check.name for check in selfcheck.run_all(0)] == ["prints"]
+        assert [check.name for check in selfcheck.run_all(0)] == ["prints", "prints"]
     out = capfd.readouterr().out
+    assert len(forks) == 1
     assert out.count("before run_all;") == 1 and out.count("from a worker") == 1
     _assert_no_child_left()
