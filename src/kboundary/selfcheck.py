@@ -16,7 +16,9 @@ problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
 PSD kernels by size and field (``_spectral_frames``), ``renormalization``
 groups its 100 random factorizations by shape (``_renormalized_identities``)
 and ``polydisk-density`` its 80 measures by size (``_density_ranks``).  Their
-corpora are drawn as arrays, in the order the frozen objects were drawn.  A
+corpora are drawn as arrays: the random PSD kernels and the Schwarz-bound
+triples in a few Generator calls for the whole corpus, the others in the
+order the frozen objects were drawn.  A
 stack is decomposed as it is, never padded, so each matrix gets the
 eigenpairs or singular values, and so the rank and PSD verdicts, of a lone
 call; zero padding is used only where it adds exact zeros to a sum, on the
@@ -117,17 +119,24 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def _random_psd_gram(rng: np.random.Generator) -> np.ndarray:
-    """A A^* for a real or complex normal n x r matrix A, n in
-    1..RANDOM_KERNEL_MAX_POINTS and r in 1..n+1: a random PSD Gram, before
-    FiniteKernel's Hermitian mirror."""
-    n = int(rng.integers(1, RANDOM_KERNEL_MAX_POINTS + 1))
-    r = int(rng.integers(1, n + 2))
-    if rng.random() < 0.5:
-        A = rng.standard_normal((n, r))
-    else:
-        A = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    return A @ np.conj(A).T
+def _random_psd_grams(rng: np.random.Generator, count: int) -> list:
+    """``count`` random PSD Grams, before FiniteKernel's Hermitian mirror:
+    A A^* for a normal n x r matrix A, real or complex with probability 1/2
+    each, n uniform on 1..RANDOM_KERNEL_MAX_POINTS and r on 1..n+1.  The
+    sizes, ranks and fields are drawn as three arrays and every normal in
+    one call, split per kernel in draw order."""
+    n = rng.integers(1, RANDOM_KERNEL_MAX_POINTS + 1, size=count)
+    r = rng.integers(1, n + 2)
+    parts = np.where(rng.random(count) < 0.5, 1, 2)  # real, or real and imaginary
+    sizes = parts * n * r
+    z = rng.standard_normal(int(sizes.sum()))
+    grams, start = [], 0
+    for size, p, rows, cols in zip(sizes.tolist(), parts.tolist(), n.tolist(), r.tolist()):
+        A = z[start:start + size].reshape(p, rows, cols)
+        A = A[0] if p == 1 else A[0] + 1j * A[1]
+        grams.append(A @ np.conj(A).T)
+        start += size
+    return grams
 
 
 def _by_shape(arrays) -> list:
@@ -236,21 +245,19 @@ def check_parseval_reconstruction(seed: int = 0) -> Check:
     """200 random Hermitian PSD matrices: factorize, verify within 1e-10 of
     ||G||_2, the scale ``kb factorize`` judges the residual on.  The corpus
     is factorized in stacks of one size and field (``_spectral_frames``)."""
-    rng = _rng(seed, 1)
-    grams = [_random_psd_gram(rng) for _ in range(200)]
+    grams = _random_psd_grams(_rng(seed, 1), 200)
     worst = float(np.max([np.max(f.relative) for f in _spectral_frames(grams)]))
     return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
 
 
 def _transform_corpus(rng: np.random.Generator, count: int):
-    """``count`` random PSD Grams, each followed in the draw order by the
-    (n, 3) coefficients of three complex normal elements: (grams, coeffs)."""
-    grams, coeffs = [], []
-    for _ in range(count):
-        grams.append(_random_psd_gram(rng))
-        draws = rng.standard_normal((3, 2, len(grams[-1])))
-        coeffs.append((draws[:, 0] + 1j * draws[:, 1]).T)
-    return grams, coeffs
+    """``count`` random PSD Grams (``_random_psd_grams``), then for each in
+    turn the (n, 3) coefficients of three complex normal elements, all drawn
+    in one call: (grams, coeffs)."""
+    grams = _random_psd_grams(rng, count)
+    sizes = np.cumsum([len(g) for g in grams])
+    z = rng.standard_normal((2, int(sizes[-1]), 3))
+    return grams, np.split(z[0] + 1j * z[1], sizes[:-1])
 
 
 def _transform_residuals(frames: list, coeffs: list):

@@ -389,8 +389,9 @@ def test_a_nan_in_a_criterions_corpus_reads_null_and_fails(monkeypatch, criterio
 def test_a_non_psd_kernel_in_the_random_corpus_raises_not_psd(monkeypatch, criterion):
     from kboundary import NotPsd, selfcheck
 
-    draw = selfcheck._random_psd_gram
-    monkeypatch.setattr(selfcheck, "_random_psd_gram", _poisoned(draw, 6, lambda g: -g))
+    draw = selfcheck._random_psd_grams
+    monkeypatch.setattr(selfcheck, "_random_psd_grams", _poisoned(
+        draw, 0, lambda grams: [-g if i == 6 else g for i, g in enumerate(grams)]))
     with pytest.raises(NotPsd):
         getattr(selfcheck, f"check_{criterion}")(seed=0)
 
