@@ -34,6 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .kernels import (
+    FACTORIZATION_TOL,
     FiniteKernel,
     PointSet,
     default_rank_tol,
@@ -45,7 +46,6 @@ from .kernels import (
 from .measures import DiscreteMeasure
 from .rkhs import RkhsElement, as_columns, same_base
 
-FACTORIZATION_TOL = 1e-9  # identity residual, relative to ||G||_2
 MORPHISM_TOL = 1e-12  # relative to the total mass and to max |features|
 
 

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .factorization import BoundaryFactorization
+from .factorization import FACTORIZATION_TOL, BoundaryFactorization
 from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
 
 FACTOR_TOL = 1e-10  # realize's rank cutoff, relative to ||G||_2; its NotPsd cutoff is PSD_TOL
-EXACT_TOL = 1e-12  # restricted factorization against the Gram block, relative to ||G||_2
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,12 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
 
     exact_ok asserts structurally that the subset's rows of the realized
     features factorize the principal Gram submatrix within
-    EXACT_TOL * ||G||_2.  The empirical deviation compares the subset's
-    block of that covariance (the covariance of its projected samples)
-    against a directly realized process on the subset, whose moments come
-    from the derived seed+1 record with the same count.
+    FACTORIZATION_TOL * ||G||_2, the tolerance of every factorization
+    verdict, which realize's FACTOR_TOL cutoff stays below.  The empirical
+    deviation compares the subset's block of that covariance (the
+    covariance of its projected samples) against a directly realized process
+    on the subset, whose moments come from the derived seed+1 record with
+    the same count.
     """
     idx = list(subset)
     n = K.size
@@ -177,7 +178,7 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
 
     F, K_sub = realize(K), K.restrict(idx)
     restricted = BoundaryFactorization(kernel=K_sub, measure=F.measure, features=F.features[idx])
-    exact_ok = relative_residual(restricted.residual, K) <= EXACT_TOL
+    exact_ok = relative_residual(restricted.residual, K) <= FACTORIZATION_TOL
 
     emp_direct = moments(realize(K_sub), seed_record["count"], seed_record["seed"] + 1)[1]
     deviation = float(np.abs(cov[np.ix_(idx, idx)] - emp_direct).max())

@@ -40,7 +40,18 @@ from .measures import CircleMeasure
 DISK_RADIUS_BOUND = 1.0 - 1e-15
 
 HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-10  # the PSD cutoff of every verdict, relative to ||G||_2
+
+# The tolerance ladder, each relative to ||G||_2.  A cutoff drops
+# eigenvalues, and a residual check then judges what was dropped: dropping
+# those at or below tau * ||G||_2 leaves ||G - Phi Phi^*||_2 at most
+# tau * ||G||_2 (Eckart-Young), plus the solver's backward error of about
+# eps * n * ||G||_2 (Weyl).  So every cutoff, plus that rounding term, is at
+# most the tolerance that judges it, at every n up to 10^6: PSD_TOL and
+# default_rank_tol(n) <= RANK_TOL_CAP below, and gaussian.FACTOR_TOL (1e-10),
+# all against FACTORIZATION_TOL.
+PSD_TOL = 1e-10  # the PSD cutoff of every verdict
+FACTORIZATION_TOL = 1e-9  # the identity residual of every factorization verdict
+RANK_TOL_CAP = FACTORIZATION_TOL / 2  # default_rank_tol(n) never exceeds it
 
 
 @dataclass(frozen=True)
@@ -256,8 +267,9 @@ def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
 
 
 def default_rank_tol(n: int) -> float:
-    """Relative cutoff for rank decisions on an n-dimensional problem."""
-    return 1e-12 * max(n, 1)
+    """Relative cutoff for rank decisions on an n-dimensional problem:
+    1e-12 * n, capped at RANK_TOL_CAP (from n = 500 on)."""
+    return min(1e-12 * max(n, 1), RANK_TOL_CAP)
 
 
 def _real_if_zero_imag(M: np.ndarray) -> np.ndarray:

@@ -132,6 +132,13 @@ class TestConsistency:
         res = consistency_check(K, [0, 2], *_full_moments(K, 20_000, seed=2))
         assert res["exact_ok"]
 
+    def test_an_eigenvalue_realize_drops_keeps_exact_ok(self):
+        # realize drops 5e-11 <= FACTOR_TOL * ||G||_2; the restricted residual
+        # is that eigenvalue, which exact_ok must accept on an exact PSD kernel.
+        K = _table_kernel(np.diag([1.0, 5e-11]), field_tag="real")
+        assert realize(K).n_atoms == 1
+        assert consistency_check(K, [1], *_full_moments(K, 100, seed=0))["exact_ok"]
+
     def test_szego_grid_subsample(self):
         ps = PointSet.from_points([0.0, 0.2, -0.3, 0.25j, -0.1 - 0.4j])
         K = assemble_gram(KernelSpec(), ps)

@@ -27,6 +27,7 @@ from kboundary import (
     check_positive_definite,
     cli,
     consistency_check,
+    gaussian,
     kernels,
     minimality_test,
     moments,
@@ -79,6 +80,72 @@ def test_numerical_rank_is_relative_to_the_largest_singular_value():
     assert kernels._rank(kernels._svdvals(A), 1e-5) == 1
     assert numerical_rank(np.zeros((2, 3))) == 0
     assert numerical_rank(np.zeros((0, 3))) == 0
+
+
+def _with_singular_values(rng, s, m, field):
+    """A len(s) x m matrix (m >= len(s)) with singular values ``s``: U diag(s) V^*
+    for Haar-like U and V, real or complex."""
+    def unitary(k):
+        A = rng.standard_normal((k, k))
+        return np.linalg.qr(A + 1j * rng.standard_normal((k, k)) if field else A)[0]
+
+    return (unitary(len(s)) * s[None, :]) @ np.conj(unitary(m)).T[:len(s)]
+
+
+@pytest.mark.parametrize("field", [False, True], ids=["real", "complex"])
+def test_the_rank_rule_counts_each_matrix_of_a_stack_against_its_own_sigma_max(field):
+    # Each matrix has its own sigma_max, 10^k apart, and singular values at
+    # 1 +- 1e-3 times rtol * sigma_max: a cutoff against sigma_min, or
+    # against another matrix's sigma_max, miscounts some rank.
+    rtol, rng = 1e-6, np.random.default_rng(11)
+    above, below = rtol * (1 + 1e-3), rtol * (1 - 1e-3)
+    spectra = {  # rank: singular values, relative to sigma_max
+        1: [1.0, below, below, 0.5 * below, 1e-3 * below],
+        2: [1.0, above, below, below, 0.1 * below],
+        3: [1.0, 0.3, above, below, 0.0],
+        5: [1.0, 0.5, 1e-3, 1e-5, above],
+    }
+    ranks, stack = [], []
+    for scale in (1e-8, 1.0, 1e8):
+        for rank, s in spectra.items():
+            ranks.append(rank)
+            stack.append(_with_singular_values(rng, scale * np.array(s), 7, field))
+    stack = np.array(stack)
+    assert stack.dtype == (complex if field else float)
+    assert kernels._rank(kernels._svdvals(stack), rtol).tolist() == ranks
+    assert [kernels._rank(kernels._svdvals(A), rtol) for A in stack] == ranks
+
+
+@pytest.mark.parametrize("n", [10, 1000, 1200])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
+def test_kb_factorize_passes_an_eigenvalue_planted_at_the_rank_cutoff(n, field, side):
+    # An exact PSD table: ones on the diagonal and one eigenvalue lam at
+    # (1 +- 1e-3) times default_rank_tol(n) * ||G||_2.  Dropped or kept,
+    # the factorization must pass kb factorize's residual check.  The complex
+    # table couples two points, eigenvalues 1/2 and 3/2, so ||G||_2 = 3/2.
+    table = np.eye(n, dtype=complex)
+    norm = 1.0
+    if field == "complex":
+        table[0, 1], table[1, 0], norm = 0.5j, -0.5j, 1.5
+    table[-1, -1] = side * default_rank_tol(n) * norm
+    K = FiniteKernel.from_table(table)
+    assert K.field_tag == field
+    F = parseval_factorize(K)
+    check = cli._residual_check("parseval-reconstruction", F.residual, K)
+    assert check.passed, check.details
+    assert F.n_atoms == (n if side > 1 else n - 1)
+
+
+def test_every_rank_cutoff_stays_within_the_factorization_tolerance():
+    # A cutoff drops eigenvalues that the residual check then judges: each
+    # cutoff plus the solver's rounding, about eps * n, must stay within it.
+    eps = np.finfo(float).eps
+    for n in range(1, 10**6 + 1):
+        assert default_rank_tol(n) + eps * n <= kernels.FACTORIZATION_TOL, n
+    for cutoff in (kernels.PSD_TOL, gaussian.FACTOR_TOL):
+        assert cutoff + eps * 10**6 <= kernels.FACTORIZATION_TOL
+    assert [default_rank_tol(n) for n in (1, 10, 499, 500)] == [1e-12 * n for n in (1, 10, 499, 500)]
 
 
 @st.composite
