@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .factorization import FACTORIZATION_TOL, BoundaryFactorization
-from .kernels import FiniteKernel, _real_if_zero_imag, relative_residual
+from .factorization import BoundaryFactorization
+from .kernels import FACTORIZATION_TOL, FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
 
 FACTOR_TOL = 1e-10  # realize's rank cutoff, relative to ||G||_2; its NotPsd cutoff is PSD_TOL

@@ -42,13 +42,12 @@ DISK_RADIUS_BOUND = 1.0 - 1e-15
 HERMITIAN_TOL = 1e-12
 
 # The tolerance ladder, each relative to ||G||_2.  A cutoff drops
-# eigenvalues, and a residual check then judges what was dropped: dropping
-# those at or below tau * ||G||_2 leaves ||G - Phi Phi^*||_2 at most
-# tau * ||G||_2 (Eckart-Young), plus the solver's backward error of about
-# eps * n * ||G||_2 (Weyl).  So every cutoff, plus that rounding term, is at
-# most the tolerance that judges it, at every n up to 10^6: PSD_TOL and
-# default_rank_tol(n) <= RANK_TOL_CAP below, and gaussian.FACTOR_TOL (1e-10),
-# all against FACTORIZATION_TOL.
+# eigenvalues that a residual check then judges: dropping those at or below
+# tau * ||G||_2 leaves ||G - Phi Phi^*||_2 <= tau * ||G||_2 (Eckart-Young),
+# plus a backward error of about eps * n * ||G||_2 (Weyl).  So each cutoff
+# (PSD_TOL, default_rank_tol(n) <= RANK_TOL_CAP and gaussian.FACTOR_TOL)
+# plus eps * n stays at or below FACTORIZATION_TOL, the tolerance that
+# judges it, for every n up to 10^6.
 PSD_TOL = 1e-10  # the PSD cutoff of every verdict
 FACTORIZATION_TOL = 1e-9  # the identity residual of every factorization verdict
 RANK_TOL_CAP = FACTORIZATION_TOL / 2  # default_rank_tol(n) never exceeds it

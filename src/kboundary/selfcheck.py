@@ -18,11 +18,10 @@ groups its 100 random factorizations by shape (``_renormalized_identities``)
 and ``polydisk-density`` its 80 measures by size (``_density_ranks``).  Their
 corpora are drawn as arrays: the random PSD kernels and the Schwarz-bound
 triples in a few Generator calls for the whole corpus, the others in the
-order the frozen objects were drawn.  A
-stack is decomposed as it is, never padded, so each matrix gets the
-eigenpairs or singular values, and so the rank and PSD verdicts, of a lone
-call; zero padding is used only where it adds exact zeros to a sum, on the
-atoms past each kernel's rank.
+order the frozen objects were drawn.  A stack is decomposed as it is, never
+padded, so each matrix gets the eigenpairs or singular values, and so the
+rank and PSD verdicts, of a lone call; zero padding is used only where it
+adds exact zeros to a sum, on the atoms past each kernel's rank.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
