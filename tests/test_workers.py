@@ -113,10 +113,11 @@ def test_an_error_in_the_caller_wins_over_a_higher_index_in_a_worker(monkeypatch
             return _passes(seed)
         return criterion
 
-    # The caller claims index 0 or 1, and the worker fails every index from
-    # 2 on; index 0 passes in the worker, in case the worker claims it.
+    # The caller claims one index, and the worker fails every other index
+    # from 3 on; indices 0 to 2 pass in the worker, in case it claims them
+    # before the caller's first claim.
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (pinned(False),) + (pinned(True),) * 9)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (pinned(False),) * 3 + (pinned(True),) * 7)
     assert cli.main(["verify-all", "--seed", "0"]) == 1
     assert capsys.readouterr() == ("", "kb: NotPsd: the caller's error\n")
     _assert_no_child_left()
