@@ -14,11 +14,13 @@ through the library's own array cores, not through one frozen object per
 problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
 ``parseval-reconstruction`` and ``transform-pair`` group their 200 random
 PSD kernels by size and field (``_spectral_frames``), ``renormalization``
-groups its 100 random factorizations by shape (``_renormalized_identities``)
-and ``polydisk-density`` its 80 measures by size (``_density_ranks``).  Their
-corpora are drawn as arrays: the random PSD kernels and the Schwarz-bound
-triples in a few Generator calls for the whole corpus, the others in the
-order the frozen objects were drawn.  A stack is decomposed as it is, never
+groups its 100 random factorizations by size (n, m)
+(``_renormalized_identities``) and ``polydisk-density`` its 80 measures by
+size (``_density_ranks``).  Their corpora are drawn as arrays: the random
+PSD kernels, the random feature factorizations (``_random_feature_stack``,
+which ``schwarz-bound`` and ``renormalization`` share) and the torus
+measures in a few Generator calls for the whole corpus, the circle
+measures one measure at a time.  A stack is decomposed as it is, never
 padded, so each matrix gets the eigenpairs or singular values, and so the
 rank and PSD verdicts, of a lone call; zero padding is used only where it
 adds exact zeros to a sum, on the atoms past each kernel's rank.
@@ -61,7 +63,6 @@ MODULUS_MARGIN = 2e-3  # least circular distance of a grid angle to an atom
 INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
 ISOMETRY_DRAWS = 10
 ISOMETRY_TOL = 1e-12  # pullback isometry residual, relative to ||f||^2
-CIRCLE_DRAW_ATTEMPTS = 100_000  # rejection draws per random circle measure
 RANDOM_KERNEL_MAX_POINTS = 20  # random PSD kernels have 1..20 points
 RANDOM_FEATURE_MAX_POINTS = 6  # random feature factorizations: 1..6 points
 RANDOM_FEATURE_MAX_ATOMS = 8  # and 1..8 atoms
@@ -138,11 +139,12 @@ def _random_psd_grams(rng: np.random.Generator, count: int) -> list:
     return grams
 
 
-def _by_shape(arrays) -> list:
-    """Index arrays of the ``arrays`` of each shape, in draw order."""
+def _by_shape(shapes) -> list:
+    """Index arrays of the draws of each shape, in draw order, given the
+    shape of each draw."""
     groups = {}
-    for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
     return [np.array(index) for index in groups.values()]
 
 
@@ -169,7 +171,7 @@ def _spectral_frames(grams) -> list:
     F.residual.  The padded atoms carry zero features, so they add exact
     zeros to every sum over the atoms."""
     frames = []
-    for index in _by_shape(grams):
+    for index in _by_shape(g.shape for g in grams):
         stack = np.stack([grams[i] for i in index]).astype(complex, copy=False)
         stack = kernels._hermitian_mirror(stack)
         for idx, gram in kernels._by_field(index, stack):
@@ -186,17 +188,6 @@ def _spectral_frames(grams) -> list:
     return frames
 
 
-def _random_features(rng: np.random.Generator, mean_shift: float = 0.0):
-    """The draws of one random feature factorization, (features, weights):
-    complex normal features (n, m) plus ``mean_shift``, n in
-    1..RANDOM_FEATURE_MAX_POINTS and m in 1..RANDOM_FEATURE_MAX_ATOMS, and
-    weights uniform on [0.2, 1]."""
-    n = int(rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1))
-    m = int(rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1))
-    phi = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) + mean_shift
-    return phi, rng.uniform(0.2, 1.0, size=m)
-
-
 def random_circle_measure(
     rng: np.random.Generator, max_atoms: int = 6, min_sep: float = 0.1
 ) -> measures.CircleMeasure:
@@ -209,26 +200,21 @@ def _circle_draw(rng: np.random.Generator, max_atoms: int, min_sep: float):
     ``max_atoms`` sorted atoms, circular gaps >= ``min_sep``, weights drawn
     uniform on [1, 3] and normalized.
 
-    The atoms are rejection-sampled: sorted uniform draws until every gap
-    is at least ``min_sep``.  The m gaps sum to 1, so m * min_sep >= 1
-    (m >= 2) raises DomainViolation at once, and so does a draw of m atoms
-    that no CIRCLE_DRAW_ATTEMPTS draws accept.  ``max_atoms < 1`` raises
-    DomainViolation before anything is drawn from ``rng``."""
+    The atoms follow the law of m sorted uniform draws conditioned on every
+    circular gap being at least ``min_sep``, drawn directly: the gaps are
+    min_sep + (1 - m * min_sep) D for flat-Dirichlet spacings D (those of
+    m - 1 sorted uniforms), laid out from a uniform first atom.  The m gaps
+    sum to 1, so m * min_sep >= 1 (m >= 2) raises DomainViolation.
+    ``max_atoms < 1`` raises DomainViolation before anything is drawn from
+    ``rng``."""
     if max_atoms < 1:
         raise DomainViolation(f"max_atoms must be >= 1, got {max_atoms!r}")
     m = int(rng.integers(1, max_atoms + 1))
     if m > 1 and m * min_sep >= 1.0:
         raise DomainViolation(f"{m} atoms cannot keep circular gaps >= {min_sep!r}")
-    for _ in range(CIRCLE_DRAW_ATTEMPTS):
-        atoms = np.sort(rng.uniform(0.0, 1.0, size=m))
-        if m == 1 or (
-            (atoms[1:] - atoms[:-1]).min() >= min_sep and (atoms[0] + 1.0) - atoms[-1] >= min_sep
-        ):
-            break
-    else:
-        raise DomainViolation(
-            f"none of {CIRCLE_DRAW_ATTEMPTS} draws of {m} atoms kept circular gaps >= {min_sep!r}"
-        )
+    u = rng.uniform(0.0, 1.0, size=m)
+    offsets = np.concatenate([[0.0], np.sort(u[1:])])
+    atoms = np.sort((u[0] + np.arange(m) * min_sep + (1.0 - m * min_sep) * offsets) % 1.0)
     w = rng.uniform(1.0, 3.0, size=m)
     return atoms, w / w.sum()
 
@@ -293,7 +279,7 @@ def _projections(frames: list, count: int):
         for i, features, r in zip(f.index, f.features, f.rank):
             mu_grams[i] = factorization._feature_gram(features[:, :r], f.weights[:r])
     residual, spectra = np.empty(count), [None] * count
-    for index in _by_shape(mu_grams):
+    for index in _by_shape(g.shape for g in mu_grams):
         for idx, stack in kernels._by_field(index, np.stack([mu_grams[i] for i in index])):
             values, vectors = kernels._eigh(stack)
             S = kernels._projector(vectors, kernels._kept(values, cutoffs[idx]))
@@ -343,18 +329,20 @@ def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-def _random_feature_stack(rng: np.random.Generator, count: int):
+def _random_feature_stack(rng: np.random.Generator, count: int, mean_shift: float = 0.0):
     """``count`` exact factorizations, each of n in 1..RANDOM_FEATURE_MAX_POINTS
     points and m in 1..RANDOM_FEATURE_MAX_ATOMS atoms, as one stack zero-padded
     to the largest sizes: (features, weights, points, atoms).  Features are
-    complex normal inside each n x m block and 0 outside it, weights uniform
-    on [0.2, 1] on every atom, padded or not; ``points`` and ``atoms`` mark
-    the rows and columns that belong to each factorization."""
+    complex normal plus ``mean_shift`` inside each n x m block and 0 outside
+    it, weights uniform on [0.2, 1] on every atom, padded or not; ``points``
+    and ``atoms`` mark the rows and columns that belong to each
+    factorization."""
     n = rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1, size=count)
     m = rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1, size=count)
     points = np.arange(RANDOM_FEATURE_MAX_POINTS) < n[:, None]
     atoms = np.arange(RANDOM_FEATURE_MAX_ATOMS) < m[:, None]
     phi = _complex_normal(rng, (count, RANDOM_FEATURE_MAX_POINTS, RANDOM_FEATURE_MAX_ATOMS))
+    phi += mean_shift
     phi *= points[:, :, None] & atoms[:, None, :]
     w = rng.uniform(0.2, 1.0, size=(count, RANDOM_FEATURE_MAX_ATOMS))
     return phi, w, points, atoms
@@ -571,23 +559,26 @@ def check_inner_modulus(seed: int = 0) -> Check:
                  {"max_deviation": worst, "point_mass_error": exact1, "two_atom_error": exact2})
 
 
-def _renormalized_identities(draws: list):
-    """Per (features, weights) draw, in draw order: the least |E_i|, the
-    identity residual and the PSD verdict of its renormalized factorization,
-    as ``renormalized_identity`` judges them.  The weights are checked once,
-    by DiscreteMeasure's rule, and the draws of one shape are one stack: the
-    induced Gram with FiniteKernel's mirror, clark._renormalize
+def _renormalized_identities(phi, w, points, atoms):
+    """Per factorization of a ``_random_feature_stack``, in draw order: the
+    least |E_i|, the identity residual and the PSD verdict of its
+    renormalized factorization, as ``renormalized_identity`` judges them.
+    The weights on the atoms are checked once, by DiscreteMeasure's rule, and
+    the factorizations of one (n, m) are one stack of the unpadded slices
+    phi[:, :n, :m] and w[:, :m], so that each keeps the arithmetic of a lone
+    call: the induced Gram with FiniteKernel's mirror, clark._renormalize
     (ZeroExpectation where a mean cancels), factorization._residual, and the
     PSD verdict on each field's decomposition (``kernels._by_field``)."""
-    measures._check_weights(np.concatenate([w for _, w in draws]))
-    least, residual, psd = np.empty(len(draws)), np.empty(len(draws)), np.empty(len(draws), bool)
-    for index in _by_shape([phi for phi, _ in draws]):
-        phi = np.stack([draws[i][0] for i in index])
-        w = np.stack([draws[i][1] for i in index])
-        gram = kernels._hermitian_mirror(factorization._induced_gram(phi, w))
-        E, kren_gram, kren_phi = clark._renormalize(phi, w, gram)
+    measures._check_weights(w[atoms])
+    n, m = points.sum(axis=-1).tolist(), atoms.sum(axis=-1).tolist()
+    least, residual, psd = np.empty(len(phi)), np.empty(len(phi)), np.empty(len(phi), bool)
+    for index in _by_shape(zip(n, m)):
+        rows, cols = n[index[0]], m[index[0]]
+        block, weights = phi[index, :rows, :cols], w[index, :cols]
+        gram = kernels._hermitian_mirror(factorization._induced_gram(block, weights))
+        E, kren_gram, kren_phi = clark._renormalize(block, weights, gram)
         least[index] = np.abs(E).min(axis=-1)
-        residual[index] = factorization._residual(kren_phi, w, kren_gram)
+        residual[index] = factorization._residual(kren_phi, weights, kren_gram)
         for idx, stack in kernels._by_field(index, kren_gram):
             psd[idx] = kernels._is_psd(kernels._eigh(stack)[0])
     return least, residual, psd
@@ -596,8 +587,9 @@ def _renormalized_identities(draws: list):
 def check_renormalization(seed: int = 0) -> Check:
     """Worked renormalization, random mean-normalized identities, 1/E = 1 - b.
 
-    The 100 random factorizations are renormalized and judged in stacks of
-    one shape (``_renormalized_identities``)."""
+    The 100 random factorizations are drawn as one stack
+    (``_random_feature_stack``), and renormalized and judged in stacks of
+    one size (n, m) (``_renormalized_identities``)."""
     rng = _rng(seed, 9)
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
@@ -610,7 +602,7 @@ def check_renormalization(seed: int = 0) -> Check:
     worked_err = float(np.abs(ctx.kren_factorization.kernel.gram - target).max())
 
     expectations, residuals, psd = _renormalized_identities(
-        [_random_features(rng, mean_shift=2.0) for _ in range(100)])
+        *_random_feature_stack(rng, 100, mean_shift=2.0))
     worst_res = float(np.max(residuals))
     min_expectation = float(np.min(expectations))
     kren_psd_ok = bool(psd.all())
@@ -649,7 +641,7 @@ def _density_ranks(draws: list) -> list:
     one shape are one stack, validated by DiscreteMeasure's rules and run
     through clark._rank_sequences."""
     ranks = [None] * len(draws)
-    for index in _by_shape([coords for coords, _ in draws]):
+    for index in _by_shape(coords.shape for coords, _ in draws):
         coords = measures._check_coords(np.stack([draws[i][0] for i in index]))
         w = measures._check_weights(np.stack([draws[i][1] for i in index]))
         for i, seq in zip(index, clark._rank_sequences(coords, w, coords.shape[-2])):
@@ -660,17 +652,16 @@ def _density_ranks(draws: list) -> list:
 def check_polydisk_density(seed: int = 0) -> Check:
     """Monomial rank saturation: degree m-1 for k=1, at most m for k=2.
 
-    The 30 circle measures and the 50 measures on the 2-torus are drawn as
-    arrays and take their rank sequences in stacks of one size
-    (``_density_ranks``)."""
+    The 30 circle measures are drawn as arrays, one measure at a time, and
+    the 50 measures on the 2-torus as three arrays for all of them (sizes,
+    coordinates and weights), sliced per measure.  Each takes its rank
+    sequence in a stack of one size (``_density_ranks``)."""
     rng = _rng(seed, 10)
     circle = [_circle_draw(rng, max_atoms=8, min_sep=0.02) for _ in range(30)]
-    torus = []
-    for _ in range(50):
-        m = int(rng.integers(1, 9))
-        coords = rng.uniform(0.0, 1.0, size=(m, 2))
-        w = rng.uniform(0.5, 1.5, size=m)
-        torus.append((coords, w / w.sum()))
+    sizes = rng.integers(1, 9, size=50).tolist()
+    coords = rng.uniform(0.0, 1.0, size=(50, 8, 2))
+    weights = rng.uniform(0.5, 1.5, size=(50, 8))
+    torus = [(c[:m], v[:m] / v[:m].sum()) for c, v, m in zip(coords, weights, sizes)]
     k1 = _density_ranks([(atoms[:, None], w) for atoms, w in circle])
     # Saturated (the last rank is m), for k = 1 at degree m - 1 (m ranks).
     k1_ok = all(seq[-1] == len(seq) == len(w) for seq, (_, w) in zip(k1, circle))

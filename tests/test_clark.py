@@ -38,7 +38,7 @@ from kboundary import (
 )
 from kboundary.factorization import FACTORIZATION_TOL
 from kboundary.kernels import _hermitian_mirror, relative_residual
-from kboundary.selfcheck import _random_features, random_circle_measure, random_interior
+from kboundary.selfcheck import _random_feature_stack, random_circle_measure, random_interior
 
 POINT_MASS = CircleMeasure(atoms=[0.0], weights=[1.0])
 TWO_ATOMS = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
@@ -277,11 +277,11 @@ class TestExpectationAndRenormalization:
     def test_renormalized_kernel_is_the_mirrored_quotient_bit_for_bit(self):
         # FiniteKernel mirrors the quotient itself; renormalize adds nothing.
         rng = np.random.default_rng(83)
+        phi, w, points, atoms = _random_feature_stack(rng, 60, mean_shift=2.0)
         corpus = []
-        for _ in range(60):
-            phi, w = _random_features(rng, mean_shift=2.0)
-            meas = DiscreteMeasure(atoms=tuple(range(w.size)), weights=w)
-            corpus.append(BoundaryFactorization.induced(meas, phi))
+        for features, weights, n, m in zip(phi, w, points.sum(axis=1), atoms.sum(axis=1)):
+            meas = DiscreteMeasure(atoms=tuple(range(m)), weights=weights[:m])
+            corpus.append(BoundaryFactorization.induced(meas, features[:n, :m]))
         corpus += [build_szego_factorization(random_circle_measure(rng), random_interior(rng, 5))
                    for _ in range(20)]
         for F in corpus:
@@ -294,18 +294,21 @@ class TestExpectationAndRenormalization:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_each_slice_of_a_stack_renormalizes_as_its_factorization(self, seed):
         # verify-all's renormalization corpus, renormalized in stacks of one
-        # shape, against renormalize and renormalized_identity on each draw.
+        # (n, m), against renormalize and renormalized_identity on each
+        # factorization's unpadded slice.
         rng = selfcheck._rng(seed, 9)
-        draws = [selfcheck._random_features(rng, mean_shift=2.0) for _ in range(100)]
-        least, residual, psd = selfcheck._renormalized_identities(draws)
-        for index in selfcheck._by_shape([phi for phi, _ in draws]):
-            phi = np.stack([draws[i][0] for i in index])
-            w = np.stack([draws[i][1] for i in index])
-            gram = _hermitian_mirror(factorization._induced_gram(phi, w))
-            E, kren_gram, kren_features = clark._renormalize(phi, w, gram)
+        phi, w, points, atoms = selfcheck._random_feature_stack(rng, 100, mean_shift=2.0)
+        least, residual, psd = selfcheck._renormalized_identities(phi, w, points, atoms)
+        sizes = list(zip(points.sum(axis=1).tolist(), atoms.sum(axis=1).tolist()))
+        for index in selfcheck._by_shape(sizes):
+            n, m = sizes[index[0]]
+            gram = _hermitian_mirror(factorization._induced_gram(phi[index, :n, :m],
+                                                                 w[index, :m]))
+            E, kren_gram, kren_features = clark._renormalize(phi[index, :n, :m], w[index, :m],
+                                                             gram)
             for j, i in enumerate(index):
-                meas = DiscreteMeasure(atoms=tuple(range(w.shape[-1])), weights=draws[i][1])
-                ctx = renormalize(BoundaryFactorization.induced(meas, draws[i][0]))
+                meas = DiscreteMeasure(atoms=tuple(range(m)), weights=w[i, :m])
+                ctx = renormalize(BoundaryFactorization.induced(meas, phi[i, :n, :m]))
                 kren = ctx.kren_factorization
                 kren_residual, report = selfcheck.renormalized_identity(ctx)
                 assert ctx.expectations.tobytes() == E[j].tobytes()
@@ -315,20 +318,20 @@ class TestExpectationAndRenormalization:
                 assert residual[i] == kren_residual and psd[i] == report.is_psd
 
     def test_a_cancelled_mean_in_the_stacked_draws_names_its_point(self, monkeypatch):
-        # Draw 7 gets a zero last feature row, so that its last mean is 0.
-        draw, sizes = selfcheck._random_features, []
+        # Draw 7 gets a zero last feature row in its block, after the shift,
+        # so that its last mean is 0.
+        draw, sizes = selfcheck._random_feature_stack, []
 
-        def cancelled(rng, mean_shift=0.0):
-            phi, w = draw(rng, mean_shift)
-            sizes.append(len(phi))
-            if len(sizes) == 8:
-                phi[-1] = 0.0
-            return phi, w
+        def cancelled(rng, count, mean_shift=0.0):
+            phi, w, points, atoms = draw(rng, count, mean_shift)
+            sizes.append(int(points[7].sum()))
+            phi[7, sizes[0] - 1, :] = 0.0
+            return phi, w, points, atoms
 
-        monkeypatch.setattr(selfcheck, "_random_features", cancelled)
+        monkeypatch.setattr(selfcheck, "_random_feature_stack", cancelled)
         with pytest.raises(ZeroExpectation) as raised:
             selfcheck.check_renormalization(seed=0)
-        assert str(raised.value) == f"feature mean for point index {sizes[7] - 1} has modulus 0.0"
+        assert str(raised.value) == f"feature mean for point index {sizes[0] - 1} has modulus 0.0"
 
     def test_near_floor_expectations_keep_relative_accuracy(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
@@ -471,7 +474,7 @@ class TestPolydiskDensity:
             ranks = selfcheck._density_ranks(draws)
         else:
             ranks = [None] * len(draws)
-            for index in selfcheck._by_shape([coords for coords, _ in draws]):
+            for index in selfcheck._by_shape(coords.shape for coords, _ in draws):
                 coords = np.stack([draws[i][0] for i in index])
                 w = np.stack([draws[i][1] for i in index])
                 for i, seq in zip(index, clark._rank_sequences(coords, w, max_degree)):

@@ -32,14 +32,23 @@ def test_script_runs_and_prints_its_header(script, args, header):
     assert done.stderr == ""
 
 
+def test_clark_sweep_draws_crowded_measures():
+    # Up to 12 atoms 0.08 apart: 12 * 0.08 < 1, so every draw can be met.
+    done = _run("clark_sweep.py", "--max-atoms", "12", "--trials", "12", "--seed", "0")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 13  # the header and twelve rows
+    assert max(int(line.split()[0]) for line in lines[1:]) > 6
+    assert done.stderr == ""
+
+
 def test_clark_sweep_library_error_is_one_stderr_line():
-    # The first measure draws 12 atoms, which no draw keeps 0.08 apart.
-    done = _run("clark_sweep.py", "--max-atoms", "13")
+    # The first measure draws 13 atoms, which cannot keep gaps of 0.08.
+    done = _run("clark_sweep.py", "--max-atoms", "15")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
-        "clark_sweep: DomainViolation: none of 100000 draws of 12 atoms kept "
-        "circular gaps >= 0.08"]
+        "clark_sweep: DomainViolation: 13 atoms cannot keep circular gaps >= 0.08"]
     assert done.stdout.splitlines()[0].split()[0] == "atoms"
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import kboundary
 from kboundary import (
@@ -232,14 +233,34 @@ def _reference_circle_measure(rng, max_atoms=6, min_sep=0.1):
     return atoms, w / w.sum()
 
 
-@pytest.mark.parametrize("max_atoms, min_sep", [(6, 0.1), (8, 0.02), (6, 0.08)])
-def test_random_circle_measure_keeps_its_stream(max_atoms, min_sep):
-    for seed in range(40):
-        mu = selfcheck.random_circle_measure(np.random.default_rng(seed), max_atoms, min_sep)
-        atoms, weights = _reference_circle_measure(
-            np.random.default_rng(seed), max_atoms, min_sep)
-        assert mu.coords.tobytes() == atoms.tobytes()
-        assert mu.weights.tobytes() == weights.tobytes()
+def _circular_gaps(atoms):
+    return np.diff(np.concatenate([atoms, [atoms[0] + 1.0]]))
+
+
+@pytest.mark.parametrize("max_atoms, min_sep", [(6, 0.1), (8, 0.02), (3, 0.2)])
+def test_random_circle_measure_draws_the_law_of_the_rejection_sampler(max_atoms, min_sep):
+    # The direct draw against rejection sampling, for each atom count m: a
+    # two-sample KS test on each sorted atom and on the least and the largest
+    # circular gap.  A gap may fall short of min_sep by rounding only.
+    draws, reference = {}, {}
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(12)
+    for _ in range(1000 * max_atoms):
+        mu = selfcheck.random_circle_measure(rng, max_atoms, min_sep)
+        atoms = mu.coords[:, 0]
+        assert ((0.0 <= atoms) & (atoms < 1.0)).all()
+        assert mu.size == 1 or _circular_gaps(atoms).min() >= min_sep - 4 * np.finfo(float).eps
+        draws.setdefault(mu.size, []).append(atoms)
+        ref_atoms, _ = _reference_circle_measure(ref_rng, max_atoms, min_sep)
+        reference.setdefault(ref_atoms.size, []).append(ref_atoms)
+    assert sorted(draws) == sorted(reference) == list(range(1, max_atoms + 1))
+    for m in draws:
+        samples = []
+        for atoms in (np.array(draws[m]), np.array(reference[m])):
+            gaps = np.apply_along_axis(_circular_gaps, 1, atoms)
+            samples.append(np.column_stack([atoms, gaps.min(axis=1), gaps.max(axis=1)]))
+        for column in range(m + 2):
+            pvalue = stats.ks_2samp(samples[0][:, column], samples[1][:, column]).pvalue
+            assert pvalue > 1e-4, (m, column, pvalue)
 
 
 @pytest.mark.parametrize(
@@ -247,21 +268,22 @@ def test_random_circle_measure_keeps_its_stream(max_atoms, min_sep):
     [
         # default_rng(7) draws m = 13 atoms: 13 * 0.08 >= 1, refused at once.
         (7, 13, "13 atoms cannot keep circular gaps >= 0.08"),
-        # default_rng(7) draws m = 12: 12 * 0.08 < 1, but a draw is accepted
-        # with chance about 4e-16, so the attempt budget runs out.
-        (7, 12, "none of 100000 draws of 12 atoms kept circular gaps >= 0.08"),
+        # default_rng(7) draws m = 12: 12 * 0.08 < 1, so the draw succeeds,
+        # where rejection sampling would accept with chance about 4e-16.
+        (7, 12, ""),
     ],
 )
 def test_random_circle_measure_refuses_crowded_atoms_instead_of_hanging(
         seed, max_atoms, message):
-    # In a child process, so that a rejection loop that never ends fails
-    # the test on the timeout instead of hanging the suite.
+    # In a child process, so that a draw that never ends fails the test on
+    # the timeout instead of hanging the suite.
     code = textwrap.dedent(f"""
         import numpy as np
         from kboundary.errors import DomainViolation
         from kboundary.selfcheck import random_circle_measure
         try:
-            random_circle_measure(np.random.default_rng({seed}), {max_atoms}, 0.08)
+            mu = random_circle_measure(np.random.default_rng({seed}), {max_atoms}, 0.08)
+            assert mu.size == {max_atoms}
         except DomainViolation as exc:
             print(exc)
     """)

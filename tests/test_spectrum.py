@@ -137,6 +137,68 @@ def test_kb_factorize_passes_an_eigenvalue_planted_at_the_rank_cutoff(n, field, 
     assert F.n_atoms == (n if side > 1 else n - 1)
 
 
+ROTATED_NORM = 50.0  # ||G||_2 of a rotated table, so that no cutoff reads it as 1
+
+
+def _rotated_table(n, field, planted, seed=0):
+    """Q diag(lam) Q^* for a random unitary Q, real or complex: lam is
+    ROTATED_NORM times 1, n - 2 values uniform on [0.1, 1] and ``planted``."""
+    rng = np.random.default_rng(seed)
+    lam = ROTATED_NORM * np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2), [planted]])
+    A = rng.standard_normal((n, n))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(A)
+    return (Q * lam[None, :]) @ np.conj(Q).T
+
+
+def _run_table(command, table) -> tuple:
+    """(report, exit code) of ``kb <command>`` on ``table``, through the CLI."""
+    entries = [[{"re": z.real, "im": z.imag} for z in row] for row in table.tolist()]
+    config = {"command": command, "kernel": {"variant": "table", "table": entries}}
+    return cli.run(cli.parse_config(config))
+
+
+ROTATED = pytest.mark.parametrize("n", [10, 100])
+FIELDS = pytest.mark.parametrize("field", ["real", "complex"])
+SIDES = pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
+
+
+@ROTATED
+@FIELDS
+@pytest.mark.parametrize("side, code", [(0.999, 0), (1.001, 2)], ids=["inside", "outside"])
+def test_kb_validate_judges_a_rotated_table_at_the_psd_tolerance(n, field, side, code):
+    # The least eigenvalue at -0.999 or -1.001 times PSD_TOL * ||G||_2, with
+    # the eigenvectors spread over every entry of the table.
+    report, exit_code = _run_table("validate", _rotated_table(n, field, -side * kernels.PSD_TOL))
+    (check,) = report["checks"]
+    assert exit_code == code and check["passed"] == (code == 0), check
+    assert check["min_eigenvalue"] == pytest.approx(-side * kernels.PSD_TOL * ROTATED_NORM,
+                                                    rel=1e-4)
+
+
+@ROTATED
+@FIELDS
+@SIDES
+def test_kb_factorize_passes_a_rotated_table_at_the_rank_cutoff(n, field, side):
+    table = _rotated_table(n, field, side * default_rank_tol(n))
+    report, exit_code = _run_table("factorize", table)
+    assert exit_code == 0, report["checks"]
+    (parseval,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
+    assert parseval["retained_rank"] == (n if side > 1 else n - 1)
+
+
+@ROTATED
+@FIELDS
+@SIDES
+def test_consistency_is_exact_on_a_rotated_table_at_the_realize_cutoff(n, field, side):
+    K = FiniteKernel.from_table(_rotated_table(n, field, side * gaussian.FACTOR_TOL))
+    assert K.field_tag == field
+    _, covariance, seed_record = moments(realize(K), 100, 0)
+    assert realize(K).n_atoms == (n if side > 1 else n - 1)
+    assert consistency_check(K, list(range(0, n, 2)), covariance, seed_record)["exact_ok"]
+
+
 def test_every_rank_cutoff_stays_within_the_factorization_tolerance():
     # A cutoff drops eigenvalues that the residual check then judges: each
     # cutoff plus the solver's rounding, about eps * n, must stay within it.
@@ -293,7 +355,8 @@ def test_failed_renormalized_psd_check_keeps_the_report_strict(monkeypatch, tmp_
 
     identities = selfcheck._renormalized_identities
     monkeypatch.setattr(selfcheck, "_renormalized_identities",
-                        lambda draws: (*identities(draws)[:2], np.zeros(len(draws), bool)))
+                        lambda phi, *rest: (*identities(phi, *rest)[:2],
+                                            np.zeros(len(phi), bool)))
     out = tmp_path / "report.json"
     assert cli.main(["verify-all", "--seed", "3", "--out", str(out)]) == 2
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
