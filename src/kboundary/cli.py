@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
@@ -168,7 +169,6 @@ def _check(x, schema: dict, path: str = "") -> None:
 
 # -- cnum arrays -----------------------------------------------------------------
 
-_CNUM_KEYS = frozenset(("re", "im"))
 _NUMBER_TYPES = frozenset(_JSON_TYPES["number"])
 # Where the schema puts cnum arrays: parent key ("" for the root) -> fields.
 _CNUM_FIELDS = {"": ("points",), "kernel": ("table",),
@@ -176,9 +176,9 @@ _CNUM_FIELDS = {"": ("points",), "kernel": ("table",),
 
 
 def _floats(values: list) -> np.ndarray:
-    """``_to_float`` of each value, as a float64 vector."""
+    """``_to_float`` of each value, ints and floats only, as a float64 vector."""
     try:
-        return np.fromiter(map(float, values), float, len(values))
+        return np.array(values, dtype=float)
     except OverflowError:
         return np.fromiter(map(_to_float, values), float, len(values))
 
@@ -187,16 +187,28 @@ def _decode_cnums(cnums: list) -> np.ndarray | None:
     """The complex vector of ``cnums``, entry k bit-equal to
     ``complex(_to_float(re), _to_float(im))`` of cnum k, a non-finite one
     included; None unless each is a cnum that the schema accepts, a dict
-    whose parts are each exactly an int or a float."""
-    if set(map(type, cnums)) - {dict} or not all(map(_CNUM_KEYS.issuperset, cnums)):
+    whose parts are each exactly an int or a float.
+
+    Each step is one C-level pass over the N cnums.  The parts are read with
+    ``dict.get``, None where absent.  Once every "re" part is an int or a
+    float, each cnum holds "re", and "im" where that part is not None, so its
+    length is at least 1 plus that.  The lengths sum to 2N minus the Nones
+    among the "im" parts exactly when no cnum has another key or an "im" of
+    null; a None among the "im" parts is then an absent one, read as 0."""
+    if set(map(type, cnums)) - {dict}:
         return None
-    re = [z.get("re") for z in cnums]
-    im = [z.get("im", 0.0) for z in cnums]
-    if not {*map(type, re), *map(type, im)} <= _NUMBER_TYPES:
+    n = len(cnums)
+    re = list(map(dict.get, cnums, repeat("re")))
+    im = list(map(dict.get, cnums, repeat("im")))
+    absent = im.count(None)
+    if sum(map(len, cnums)) != 2 * n - absent or not set(map(type, re)) <= _NUMBER_TYPES:
         return None
-    out = np.empty(len(cnums), dtype=complex)
+    if not set(map(type, im)) - {type(None)} <= _NUMBER_TYPES:
+        return None
+    out = np.zeros(n, dtype=complex)
     out.real = _floats(re)
-    out.imag = _floats(im)
+    if absent < n:
+        out.imag = _floats([0.0 if x is None else x for x in im] if absent else im)
     return out
 
 
@@ -663,8 +675,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if args.config is not None:
             try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
+                with open(args.config, "rb") as fh:
+                    text = fh.read().decode("utf-8")
+                if "\r" in text:  # universal newlines, as a text-mode read gives
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                data = json.loads(text)
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             except ValueError as exc:  # bad JSON or UTF-8, or too many integer digits

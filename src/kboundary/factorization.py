@@ -37,6 +37,7 @@ from .kernels import (
     FACTORIZATION_TOL,
     FiniteKernel,
     PointSet,
+    _eigvalsh,
     default_rank_tol,
     index_points,
     numerical_rank,
@@ -305,7 +306,7 @@ def _projection_residual(projector: np.ndarray, weights: np.ndarray):
 def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
     """Eigenvalues of the range projection, computed on its Hermitian
     similarity transform D^(1/2) P D^(-1/2); they lie in {0, 1}."""
-    return spectrum(F.feature_projector).values
+    return _eigvalsh(F.feature_projector)
 
 
 def check_isometry(F: BoundaryFactorization) -> dict:

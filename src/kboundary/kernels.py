@@ -10,8 +10,10 @@ All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
 consumers (Gaussian sampling) can pick the right convention.
 Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
-eigendecomposition) or the rank rule ``_rank`` over ``_svdvals`` (the one
-SVD), which ``numerical_rank`` applies to one matrix.
+eigendecomposition), its values alone (``eigenvalues``, through the one
+values-only decomposition ``_eigvalsh`` unless the spectrum is already
+computed) or the rank rule ``_rank`` over ``_svdvals`` (the one SVD), which
+``numerical_rank`` applies to one matrix.
 
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built, in
 one pass over ``g`` and its conjugate transpose.  The index point set
@@ -163,6 +165,18 @@ class FiniteKernel:
     def spectrum(self) -> "Spectrum":
         """spectrum(self.gram), computed once: the fields are frozen."""
         return spectrum(self.gram)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The ascending eigenvalues of the Gram, read-only and computed once:
+        ``spectrum.values`` when the spectrum is already computed, else
+        ``_eigvalsh`` alone, which skips the eigenvectors (about 4n^3/3 flops
+        against 9n^3)."""
+        if "spectrum" in self.__dict__:
+            return self.spectrum.values
+        values = _eigvalsh(self.gram)
+        values.setflags(write=False)
+        return values
 
     @property
     def size(self) -> int:
@@ -333,6 +347,16 @@ def _eigh(M: np.ndarray):
     return np.linalg.eigh(_real_if_zero_imag(M))
 
 
+def _eigvalsh(M: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of the Hermitian M (lower triangle read), or
+    of each matrix of a (..., n, n) stack, without the eigenvectors; in
+    float64 when M has zero imaginary part.  A stack gives each matrix the
+    values of a lone call under ``_eigh``'s field rule.  The values agree with
+    ``_eigh``'s to rounding, not bit for bit, so one reader of a matrix's
+    eigenvalues takes them all from one of the two."""
+    return np.linalg.eigvalsh(_real_if_zero_imag(M))
+
+
 def _by_field(index: np.ndarray, stack: np.ndarray) -> list:
     """``stack`` (with the indices ``index`` of its matrices) split into the
     matrices with zero imaginary part and the others: (index, stack) pairs.
@@ -425,14 +449,14 @@ def _relative_residual(residual, norm):
 
 
 def relative_residual(residual: float, K: FiniteKernel) -> float:
-    """``residual / ||G||_2`` (K.spectrum.norm), the one scale for judging a
-    residual of K's identities, by the rule of ``_relative_residual``."""
-    return float(_relative_residual(residual, K.spectrum.norm))
+    """``residual / ||G||_2`` (``_norm`` of K.eigenvalues), the one scale for
+    judging a residual of K's identities, by the rule of ``_relative_residual``."""
+    return float(_relative_residual(residual, float(_norm(K.eigenvalues))))
 
 
 def check_positive_definite(K: FiniteKernel) -> PsdReport:
-    """PSD check on K.spectrum: ``is_psd`` iff min_eig >= -PSD_TOL * ||G||_2.
+    """PSD check on K.eigenvalues: ``is_psd`` iff min_eig >= -PSD_TOL * ||G||_2.
     The report carries both extreme eigenvalues so callers can judge margins."""
-    spec = K.spectrum
-    return PsdReport(min_eigenvalue=spec.lower, max_eigenvalue=spec.upper,
-                     is_psd=spec.is_psd())
+    values = K.eigenvalues
+    lower, upper = (float(values[0]), float(values[-1])) if values.size else (0.0, 0.0)
+    return PsdReport(min_eigenvalue=lower, max_eigenvalue=upper, is_psd=bool(_is_psd(values)))

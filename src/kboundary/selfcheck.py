@@ -270,9 +270,10 @@ def _transform_residuals(frames: list, coeffs: list):
 def _projections(frames: list, count: int):
     """Per kernel of the corpus, in draw order: the projection residual of
     its range projection (count,), and the eigenvalues of its feature
-    projector (a list).  Each projector decomposes the kernel's unpadded
-    r x r mu-Gram, cut at default_rank_tol(n), in stacks of one rank and
-    field, so that its bits are those of BoundaryFactorization's."""
+    projector (a list), values only as ``projection_spectrum`` reads them.
+    Each projector decomposes the kernel's unpadded r x r mu-Gram, cut at
+    default_rank_tol(n), in stacks of one rank and field, so that its bits
+    are those of BoundaryFactorization's."""
     mu_grams, cutoffs = [None] * count, np.empty(count)
     for f in frames:
         cutoffs[f.index] = kernels.default_rank_tol(len(f.weights))
@@ -285,7 +286,7 @@ def _projections(frames: list, count: int):
             S = kernels._projector(vectors, kernels._kept(values, cutoffs[idx]))
             residual[idx] = factorization._projection_residual(S, np.ones(S.shape[-1]))
             for jdx, projector in kernels._by_field(idx, S):
-                for i, spec in zip(jdx, kernels._eigh(projector)[0]):
+                for i, spec in zip(jdx, kernels._eigvalsh(projector)):
                     spectra[i] = spec
     return residual, spectra
 
@@ -568,7 +569,8 @@ def _renormalized_identities(phi, w, points, atoms):
     phi[:, :n, :m] and w[:, :m], so that each keeps the arithmetic of a lone
     call: the induced Gram with FiniteKernel's mirror, clark._renormalize
     (ZeroExpectation where a mean cancels), factorization._residual, and the
-    PSD verdict on each field's decomposition (``kernels._by_field``)."""
+    PSD verdict on each field's eigenvalues (``kernels._by_field``,
+    ``kernels._eigvalsh``)."""
     measures._check_weights(w[atoms])
     n, m = points.sum(axis=-1).tolist(), atoms.sum(axis=-1).tolist()
     least, residual, psd = np.empty(len(phi)), np.empty(len(phi)), np.empty(len(phi), bool)
@@ -580,7 +582,7 @@ def _renormalized_identities(phi, w, points, atoms):
         least[index] = np.abs(E).min(axis=-1)
         residual[index] = factorization._residual(kren_phi, weights, kren_gram)
         for idx, stack in kernels._by_field(index, kren_gram):
-            psd[idx] = kernels._is_psd(kernels._eigh(stack)[0])
+            psd[idx] = kernels._is_psd(kernels._eigvalsh(stack))
     return least, residual, psd
 
 

@@ -419,6 +419,37 @@ def _exact_cnum(i: int) -> dict:
     return {"re": re, "im": EXACT_PARTS[(5 * i + 1) % len(EXACT_PARTS)]}
 
 
+def _identity_table(n: int, last: dict) -> list:
+    """The n x n identity as complex cnums, with ``last`` as its last entry."""
+    table = [[{"re": float(i == j), "im": 0.0} for j in range(n)] for i in range(n)]
+    table[-1][-1] = last
+    return table
+
+
+_AT = "config does not match schema at kernel.table"
+# (id, table, whether _decode_cnums decodes it, parse_config's ConfigError or None)
+DECODER_CASES = [
+    ("re-only-and-re-im", [[{"re": 2.0}, {"re": 1.0, "im": 0.5}],
+                           [{"re": 1, "im": -0.5}, {"re": 2}]], True, None),
+    ("extra-key-on-the-last-entry", _identity_table(88, {"re": 1.0, "im": 0.0, "x": 0.0}),
+     False, f"{_AT}[87][87]: unknown field 'x'"),
+    ("null-im", [[{"re": 1, "im": None}]], False, f"{_AT}[0][0].im: expected a number, got null"),
+    ("null-re", [[{"re": None, "im": 1.0}]], False,
+     f"{_AT}[0][0].re: expected a number, got null"),
+    ("im-without-re", [[{"im": 1.0}]], False, f"{_AT}[0][0]: missing required field 're'"),
+    ("bool-re", [[{"re": True}]], False, f"{_AT}[0][0].re: expected a number, got a boolean"),
+    ("bool-im", [[{"re": 1.0, "im": False}]], False,
+     f"{_AT}[0][0].im: expected a number, got a boolean"),
+    ("numeric-string", [[{"re": "1.0"}]], False,
+     f"{_AT}[0][0].re: expected a number, got a string"),
+    ("list-among-dicts", [[{"re": 1.0}, [1.0]], [{"re": 1.0}, {"re": 1.0}]], False,
+     f"{_AT}[0][1]: expected an object, got an array"),
+    ("integer-beyond-the-float-range", [[{"re": 10**400}]], True,
+     "complex numbers must be finite, got a non-finite one at kernel.table[0][0]"),
+]
+DECODER_CONTRACT = [case[1:] for case in DECODER_CASES]
+
+
 class TestDecode:
     def test_table_is_bit_exact(self):
         n = 6
@@ -475,6 +506,24 @@ class TestDecode:
         z = cli._screen_cnum_arrays({"points": rows})[1]["points"]
         with pytest.raises(ConfigError, match=r"got a non-finite one at table\[0\]\[1\]$"):
             cli._parse_matrix(rows, "table", z)
+
+    @pytest.mark.parametrize("table, decoded, error", DECODER_CONTRACT,
+                             ids=[case[0] for case in DECODER_CASES])
+    def test_the_screen_refuses_what_the_schema_refuses(self, table, decoded, error):
+        # The screen's None leaves the table for the schema walk to explain;
+        # a skipped key count or bool check would decode these instead.
+        flat = cli._row_major(table, points=False)
+        z = cli._decode_cnums(flat)
+        assert (z is not None) == decoded
+        if decoded:
+            assert z.tobytes() == _reference_vector(flat).tobytes()
+        config = {"command": "validate", "kernel": {"variant": "table", "table": table}}
+        if error is None:
+            cli.parse_config(config)
+        else:
+            with pytest.raises(ConfigError) as raised:
+                cli.parse_config(config)
+            assert str(raised.value) == error
 
 
 @pytest.mark.parametrize(

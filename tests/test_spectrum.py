@@ -171,10 +171,46 @@ def test_kb_validate_judges_a_rotated_table_at_the_psd_tolerance(n, field, side,
     # The least eigenvalue at -0.999 or -1.001 times PSD_TOL * ||G||_2, with
     # the eigenvectors spread over every entry of the table.
     report, exit_code = _run_table("validate", _rotated_table(n, field, -side * kernels.PSD_TOL))
+    _assert_validate(report, exit_code, code, -side * kernels.PSD_TOL * ROTATED_NORM)
+
+
+def _assert_validate(report, exit_code, code, planted):
+    """kb validate exited ``code``, with its least eigenvalue at ``planted``."""
     (check,) = report["checks"]
     assert exit_code == code and check["passed"] == (code == 0), check
-    assert check["min_eigenvalue"] == pytest.approx(-side * kernels.PSD_TOL * ROTATED_NORM,
-                                                    rel=1e-4)
+    assert check["min_eigenvalue"] == pytest.approx(planted, rel=1e-4)
+
+
+def _run_validate(table) -> tuple:
+    """(report, exit code) of the kb validate pipeline on ``table``, given
+    as a FiniteKernel: a JSON table of 10^6 cnums would cost seconds."""
+    return cli.run(cli.JobConfig(command="validate", kernel=FiniteKernel.from_table(table)))
+
+
+@pytest.mark.parametrize("n", [1000, 1200])
+@FIELDS
+@pytest.mark.parametrize("side, code", [(0.999, 0), (1.001, 2)], ids=["inside", "outside"])
+def test_kb_validate_judges_a_large_rotated_table_at_the_psd_tolerance(n, field, side, code):
+    # As above, at the north star's size.
+    report, exit_code = _run_validate(_rotated_table(n, field, -side * kernels.PSD_TOL))
+    _assert_validate(report, exit_code, code, -side * kernels.PSD_TOL * ROTATED_NORM)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 1200])
+@FIELDS
+@pytest.mark.parametrize("side, code", [(0.999, 0), (1.001, 2)], ids=["inside", "outside"])
+def test_kb_validate_judges_a_diagonal_table_at_the_psd_tolerance(n, field, side, code):
+    # Ones on the diagonal and the least eigenvalue at -0.999 or -1.001 times
+    # PSD_TOL * ||G||_2.  The complex table couples two points by +-1e-3 i,
+    # eigenvalues 1 -+ 1e-3, so ||G||_2 = 1.001.
+    table = np.eye(n, dtype=complex)
+    norm = 1.0
+    if field == "complex":
+        table[0, 1], table[1, 0], norm = 1e-3j, -1e-3j, 1.001
+    table[-1, -1] = -side * kernels.PSD_TOL * norm
+    report, exit_code = _run_validate(table)
+    _assert_validate(report, exit_code, code, -side * kernels.PSD_TOL * norm)
+    assert report["checks"][0]["max_eigenvalue"] == pytest.approx(norm, rel=1e-12)
 
 
 @ROTATED
@@ -371,7 +407,8 @@ def test_numpy_linalg_is_called_only_by_the_spectral_core():
         found = re.findall(r"\b(?:np|numpy)\.linalg\b(?:\.(\w+))?", path.read_text())
         if found:
             calls[path.name] = sorted(found)
-    assert calls == {"kernels.py": ["eigh", "svd"]}
+    # The spectral core: the decomposition, its values-only form and the SVD.
+    assert calls == {"kernels.py": ["eigh", "eigvalsh", "svd"]}
 
 
 def _array_reads(path: Path) -> set:
@@ -397,10 +434,10 @@ def _array_reads(path: Path) -> set:
 
 def test_only_the_spectral_core_reads_a_spectrums_arrays():
     # projection_spectrum reads the eigenvalues of a projector, all of which
-    # the transform-pair criterion judges.
+    # the transform-pair criterion judges, from the values-only core.
     reads = {path.name: found for path in sorted(SRC.glob("*.py"))
              if path.name != "kernels.py" and (found := _array_reads(path))}
-    assert reads == {"factorization.py": {"projection_spectrum"}}
+    assert reads == {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 87264865])
