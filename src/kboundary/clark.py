@@ -102,7 +102,12 @@ def kb_eval(mu: CircleMeasure, z, w):
     raise CauchyZero, since Re C > 1/2 on the disk."""
     bz, bw = b_eval(mu, z), b_eval(mu, w)
     zv, wv = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    return ((1.0 - bz * np.conj(bw)) / (1.0 - zv * np.conj(wv)))[()]
+    # The numerator and the denominator are each one array, computed in place.
+    numerator = np.asarray(bz * np.conj(bw))
+    np.subtract(1.0, numerator, out=numerator)
+    denominator = np.asarray(zv * np.conj(wv))
+    np.subtract(1.0, denominator, out=denominator)
+    return np.divide(numerator, denominator, out=numerator)[()]
 
 
 def kb_feature(mu: CircleMeasure, z) -> np.ndarray:
@@ -196,7 +201,9 @@ class RenormContext:
 def _renormalize(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
     """(E, kren Gram, kren features) of one factorization, or of each of a
     (..., n, m) stack: the feature means, the quotient gram / (E E^*) with
-    FiniteKernel's Hermitian mirror, and features / E.
+    FiniteKernel's Hermitian mirror, and features / E.  The quotient is one
+    new array: its upper triangle is divided a row panel at a time, and
+    mirrored in place.
 
     Raises ZeroExpectation, naming the first point in C order, where a
     feature mean cancels: |E_i| <= EXPECTATION_TOL * sum_x |k_i(x)| mu(x).
@@ -209,8 +216,12 @@ def _renormalize(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
         raise ZeroExpectation(
             f"feature mean for point index {worst[-1]} has modulus {float(abs(E[worst]))!r}"
         )
-    quotient = gram / (E[..., :, None] * np.conj(E)[..., None, :])
-    return E, kernels._hermitian_mirror(quotient), features / E[..., :, None]
+    quotient = np.empty(gram.shape, dtype=complex)
+    for rows in kernels._row_panels(gram.shape[-1]):
+        upper = np.s_[..., rows, rows.start:]
+        np.divide(gram[upper], E[..., rows, None] * np.conj(E)[..., None, rows.start:],
+                  out=quotient[upper])
+    return E, kernels._hermitian_mirror(quotient, in_place=True), features / E[..., :, None]
 
 
 def renormalize(F: BoundaryFactorization) -> RenormContext:

@@ -202,9 +202,10 @@ def _induced_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _residual(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
     """Max-abs entry of Phi D Phi^* - G, one per factorization of a stack;
-    0 for an empty kernel."""
-    recon = _induced_gram(features, weights)
-    return np.abs(recon - gram).max(axis=(-2, -1), initial=0.0)
+    0 for an empty kernel.  The difference overwrites the reconstruction."""
+    difference = _induced_gram(features, weights)
+    np.subtract(difference, gram, out=difference)
+    return np.abs(difference).max(axis=(-2, -1), initial=0.0)
 
 
 def verify_factorization(F: BoundaryFactorization) -> float:

@@ -13,12 +13,15 @@ Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
 eigendecomposition), its values alone (``eigenvalues``, through the one
 values-only decomposition ``_eigvalsh`` unless the spectrum is already
 computed) or the rank rule ``_rank`` over ``_svdvals`` (the one SVD), which
-``numerical_rank`` applies to one matrix.
+``numerical_rank`` applies to one matrix and ``Spectrum.factor_rank`` to
+the singular values a spectral factor has by construction.
 
-``FiniteKernel`` validates and mirrors its Gram once, when it is built, in
-one pass over ``g`` and its conjugate transpose.  The index point set
-0..n-1 (``index_points``) and the strict-lower mask of each size are built
-once and shared: both are frozen, so no holder can change them.
+``FiniteKernel`` validates and mirrors its Gram once, when it is built,
+into one new array; each Gram-sized pass (the checks, the mirror, the
+quotient of ``clark._renormalize``) runs a row panel at a time
+(``_row_panels``), so its temporaries stay a panel, not a Gram.  The index
+point set 0..n-1 (``index_points``) and the strict-lower mask of each size
+are built once and shared: both are frozen, so no holder can change them.
 """
 
 from __future__ import annotations
@@ -138,17 +141,16 @@ class FiniteKernel:
     field_tag: str = "complex"
 
     def __post_init__(self):
-        g = _require_finite(np.asarray(self.gram, dtype=complex), "gram entries")
+        g = np.asarray(self.gram, dtype=complex)
         n = self.points.size
         if g.shape != (n, n):
+            _require_finite(g, "gram entries")
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
-        with np.errstate(over="ignore"):  # an overflowed difference reads inf
-            if g.size and np.abs(g - g.conj().T).max() > HERMITIAN_TOL * np.abs(g).max():
-                raise NotHermitian("gram matrix is not Hermitian")
         # Mirror the upper triangle so Hermitian symmetry holds bit for bit.
-        g = _hermitian_mirror(g)
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        mirror = _hermitian_mirror(g)
+        _check_hermitian(g, mirror)
+        mirror.setflags(write=False)
+        object.__setattr__(self, "gram", mirror)
         if self.field_tag not in ("real", "complex"):
             raise ShapeMismatch(f"field_tag must be real or complex, got {self.field_tag!r}")
 
@@ -205,6 +207,19 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+# A Gram-sized pass works on row panels of about this many entries (1 MiB of
+# complex values), so that its temporaries stay that size.
+_PANEL_ENTRIES = 1 << 16
+
+
+def _row_panels(n: int) -> list:
+    """Consecutive row slices covering 0..n-1, each of at least one row and
+    about ``_PANEL_ENTRIES`` entries of an n x n matrix; one slice for n up
+    to 256."""
+    step = max(1, _PANEL_ENTRIES // max(n, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 @lru_cache(maxsize=256)
 def _strict_lower(n: int) -> np.ndarray:
     """Read-only n x n mask of the strict lower triangle, shared per n."""
@@ -213,12 +228,57 @@ def _strict_lower(n: int) -> np.ndarray:
     return mask
 
 
-def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
-    """Copy of the complex square ``g``, or of each matrix of a (..., n, n)
-    stack, with its strict lower triangle replaced by the conjugated upper
-    one and its diagonal made real: the Gram that FiniteKernel stores."""
-    n = g.shape[-1]
-    out = np.where(_strict_lower(n), g.conj().swapaxes(-1, -2), g)
+def _hermitian_defect(g: np.ndarray, mirror: np.ndarray) -> tuple:
+    """(max |g_ij - conj(g_ji)|, max |g_ij|) of the complex square ``g``, read
+    a row panel at a time against its ``_hermitian_mirror``: left of the
+    diagonal, mirror - g is the defect up to its sign, and on the diagonal
+    the defect is 2 |Im g_ii|.  Raises DomainViolation on a NaN or infinite
+    entry before any verdict reads the defect."""
+    worst = largest = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf
+        for rows in _row_panels(len(g)):
+            panel = g[rows]
+            modulus = np.abs(panel).max()
+            if not modulus < math.inf:  # a NaN or infinite part, or an overflow
+                _require_finite(panel, "gram entries")
+            largest = max(largest, modulus)
+            worst = max(worst, np.abs(mirror[rows, :rows.stop] - panel[:, :rows.stop]).max())
+        return max(worst, 2.0 * np.abs(g.imag.diagonal()).max(initial=0.0)), largest
+
+
+def _check_hermitian(g: np.ndarray, mirror: np.ndarray) -> None:
+    """Raise DomainViolation on a non-finite entry of the complex square
+    ``g``, then NotHermitian unless max |g_ij - conj(g_ji)| <= HERMITIAN_TOL *
+    max |g_ij|, whatever the scale of ``g``; a Hermitian ``g`` whose largest
+    modulus overflows float64 is a DomainViolation too.  ``mirror`` is
+    ``_hermitian_mirror(g)``."""
+    worst, largest = _hermitian_defect(g, mirror)
+    overflow = largest == math.inf  # every entry is finite: a modulus overflowed
+    if overflow:
+        # A quarter of g keeps every modulus and defect finite, and scales
+        # both sides of the rule exactly at these magnitudes.
+        quarter = g * 0.25
+        worst, largest = _hermitian_defect(quarter, _hermitian_mirror(quarter))
+    if worst > HERMITIAN_TOL * largest:
+        raise NotHermitian("gram matrix is not Hermitian")
+    if overflow:
+        raise DomainViolation("gram entry moduli must be finite")
+
+
+def _hermitian_mirror(g: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """The complex square ``g``, or each matrix of a (..., n, n) stack, with
+    its strict lower triangle replaced by the conjugated upper one and its
+    diagonal made real: the Gram that FiniteKernel stores.  Written into one
+    new C-ordered array, or into ``g`` itself with ``in_place``, a row panel
+    at a time: the panel's entries left of its diagonal block read the rows
+    above it, and those of the block its upper part, which no panel
+    writes."""
+    out = g if in_place else np.array(g, dtype=complex, order="C")
+    n = out.shape[-1]
+    for rows in _row_panels(n):
+        np.conjugate(g[..., :rows.start, rows].swapaxes(-1, -2), out=out[..., rows, :rows.start])
+        np.conjugate(g[..., rows, rows].swapaxes(-1, -2), out=out[..., rows, rows],
+                     where=_strict_lower(rows.stop - rows.start))
     diagonal = np.arange(n)
     out.imag[..., diagonal, diagonal] = 0.0
     return out
@@ -253,7 +313,12 @@ def polydisk_szego_eval(z, w):
         raise DimensionMismatch(
             f"point dimensions differ: {zv.shape[-1]} vs {wv.shape[-1]}"
         )
-    return np.prod(1.0 / (1.0 - zv * np.conj(wv)), axis=-1)[()]
+    # One array, computed in place; the product over coordinates needs a
+    # second only for the polydisk.
+    out = np.multiply(zv, np.conj(wv))
+    np.subtract(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    return (out[..., 0] if out.shape[-1] == 1 else np.prod(out, axis=-1))[()]
 
 
 def _kernel_callable(spec: KernelSpec):
@@ -336,6 +401,13 @@ class Spectrum:
     def projector(self, rtol: float) -> np.ndarray:
         """Orthogonal projection onto the kept eigenvectors."""
         return _projector(self.vectors, _kept(self.values, rtol))
+
+    def factor_rank(self, rtol: float) -> int:
+        """The rank of ``factor(rtol)`` by the rank rule of ``numerical_rank``,
+        with no SVD: the factor's columns are orthogonal, so its singular
+        values are the square roots of the kept eigenvalues."""
+        svals = np.sqrt(self.values[_kept(self.values, rtol)])
+        return int(_rank(svals, default_rank_tol(self.values.size)))
 
 
 def _eigh(M: np.ndarray):

@@ -33,6 +33,7 @@ from kboundary import (
     renormalize,
     clark,
     factorization,
+    kernels,
     selfcheck,
     verify_factorization,
 )
@@ -274,8 +275,12 @@ class TestExpectationAndRenormalization:
         with pytest.raises(ZeroExpectation):
             renormalize(F)
 
-    def test_renormalized_kernel_is_the_mirrored_quotient_bit_for_bit(self):
-        # FiniteKernel mirrors the quotient itself; renormalize adds nothing.
+    @pytest.mark.parametrize("panel_entries", [1, 1 << 16], ids=["one-row-panels", "default"])
+    def test_renormalized_kernel_is_the_mirrored_quotient_bit_for_bit(self, monkeypatch,
+                                                                       panel_entries):
+        # FiniteKernel mirrors the quotient itself; renormalize adds nothing,
+        # however many row panels the quotient and the mirror take.
+        monkeypatch.setattr(kernels, "_PANEL_ENTRIES", panel_entries)
         rng = np.random.default_rng(83)
         phi, w, points, atoms = _random_feature_stack(rng, 60, mean_shift=2.0)
         corpus = []
@@ -287,7 +292,10 @@ class TestExpectationAndRenormalization:
         for F in corpus:
             E = expectation_vector(F)
             kren = renormalize(F).kren_factorization
-            reference = _hermitian_mirror(F.kernel.gram / np.outer(E, np.conj(E)))
+            quotient = F.kernel.gram / np.outer(E, np.conj(E))
+            n = len(E)
+            reference = np.where(np.tri(n, k=-1, dtype=bool), quotient.conj().T, quotient)
+            reference.imag[np.arange(n), np.arange(n)] = 0.0
             assert kren.kernel.gram.tobytes() == reference.tobytes()
             assert kren.features.tobytes() == (F.features / E[:, None]).tobytes()
 

@@ -114,7 +114,7 @@ def test_values_only_commands_never_compute_eigenvectors(monkeypatch, tmp_path):
 
 def test_factorize_and_gaussian_sample_decompose_each_kernel_once(monkeypatch, tmp_path):
     calls = Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)

@@ -185,6 +185,101 @@ def test_hermitian_tolerance_is_relative_to_the_largest_entry():
         FiniteKernel(points=index_points(2), gram=[[scale, 4 * tilt], [0.0, 1.0]])
 
 
+def _whole_matrix_mirror(g):
+    """The mirror by whole-matrix formulas, as FiniteKernel once built it."""
+    n = g.shape[-1]
+    out = np.where(np.tri(n, k=-1, dtype=bool), np.conj(g).swapaxes(-1, -2), g)
+    out.imag[..., np.arange(n), np.arange(n)] = 0.0
+    return out
+
+
+def _whole_matrix_rejects(g) -> bool:
+    """The Hermitian rule on whole matrices, for finite moduli."""
+    return np.abs(g - g.conj().T).max() > kernels.HERMITIAN_TOL * np.abs(g).max()
+
+
+@pytest.mark.parametrize("n", [5, 17, 40])
+def test_row_panels_keep_the_whole_matrix_mirror_and_verdict(monkeypatch, n):
+    # Panels of 3 rows, and a last one of 1 or 2, so that every Gram-sized
+    # pass takes several.
+    monkeypatch.setattr(kernels, "_PANEL_ENTRIES", 3 * n)
+    assert [rows.stop - rows.start for rows in kernels._row_panels(n)][-2:] == [3, n % 3]
+    rng = np.random.default_rng(2000 + n)
+    g = _hermitian_with_signed_zeros(rng, n)
+    assert FiniteKernel(points=index_points(n), gram=g).gram.tobytes() == \
+        _whole_matrix_mirror(g).tobytes()
+    stack = np.stack([_hermitian_with_signed_zeros(rng, n) for _ in range(3)])
+    want = _whole_matrix_mirror(stack).tobytes()
+    assert _hermitian_mirror(stack).tobytes() == want
+    assert _hermitian_mirror(stack.copy(), in_place=True).tobytes() == want
+    for _ in range(30):
+        tilted = g.copy()
+        i, j = rng.integers(n, size=2)
+        tilt = rng.choice([0.4, 0.6, 2.0]) * kernels.HERMITIAN_TOL * np.abs(g).max()
+        tilted[i, j] += tilt * (1j if i == j else np.exp(2j * np.pi * rng.random()))
+        if _whole_matrix_rejects(tilted):
+            with pytest.raises(NotHermitian):
+                FiniteKernel(points=index_points(n), gram=tilted)
+        else:
+            FiniteKernel(points=index_points(n), gram=tilted)
+    # A NaN in the last row outranks a defect in the first panel.
+    tilted[0, 1] += 1.0
+    tilted[-1, -1] = np.nan
+    with pytest.raises(DomainViolation, match="gram entries must be finite"):
+        FiniteKernel(points=index_points(n), gram=tilted)
+
+
+@pytest.mark.parametrize("n", [17, 600])
+@pytest.mark.parametrize("row", [0, 300, -1])
+@pytest.mark.parametrize("side", [0.4, 0.6])
+def test_a_non_real_diagonal_is_judged_as_twice_its_imaginary_part(n, row, side):
+    # The diagonal's defect is |g_ii - conj(g_ii)| = 2 |Im g_ii|: beyond the
+    # tolerance at 0.6 of it, and mirrored to a real diagonal at 0.4; in the
+    # first, a middle and the last row panel at n = 600.
+    g = np.eye(n, dtype=complex)
+    row = min(row, n - 1)
+    g[row, row] += side * kernels.HERMITIAN_TOL * 1j
+    if side > 0.5:
+        with pytest.raises(NotHermitian):
+            FiniteKernel(points=index_points(n), gram=g)
+    else:
+        assert not FiniteKernel(points=index_points(n), gram=g).gram.imag.any()
+
+
+# Finite parts whose modulus, 2.1e308, overflows float64.
+OVERFLOWING = complex(1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("exponent", [0, -1, -600])
+def test_a_non_hermitian_table_is_rejected_whatever_its_scale(exponent):
+    table = np.array([[1.0, OVERFLOWING], [0.0, 1.0]]) * 2.0**exponent
+    with pytest.raises(NotHermitian, match="gram matrix is not Hermitian"):
+        FiniteKernel.from_table(table)
+
+
+def test_a_hermitian_gram_whose_moduli_overflow_is_a_domain_violation():
+    table = np.array([[1.0, OVERFLOWING], [np.conj(OVERFLOWING), 1.0]])
+    with pytest.raises(DomainViolation, match="gram entry moduli must be finite"):
+        FiniteKernel.from_table(table)
+    FiniteKernel.from_table(table / 2)  # moduli up to 1.06e308: a kernel
+
+
+@pytest.mark.parametrize("lower, error", [
+    ({"re": 0.0}, "NotHermitian: gram matrix is not Hermitian"),
+    ({"re": 1.5e308, "im": -1.5e308}, "DomainViolation: gram entry moduli must be finite"),
+], ids=["not-hermitian", "hermitian"])
+def test_kb_validate_rejects_an_overflowing_table_as_a_config_error(lower, error, tmp_path,
+                                                                    capsys):
+    from kboundary import cli
+
+    table = [[{"re": 1.0}, {"re": 1.5e308, "im": 1.5e308}], [lower, {"re": 1.0}]]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "validate",
+                                "kernel": {"variant": "table", "table": table}}))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"kb: {error}\n")
+
+
 def test_feature_projector_is_computed_once_and_read_only():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))

@@ -2,6 +2,7 @@
 relative to the scale of what it measures."""
 
 import ast
+import functools
 import json
 import re
 from pathlib import Path
@@ -116,6 +117,20 @@ def test_the_rank_rule_counts_each_matrix_of_a_stack_against_its_own_sigma_max(f
     assert [kernels._rank(kernels._svdvals(A), rtol) for A in stack] == ranks
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_factor_rank_is_the_rank_rule_on_the_factor(n, field):
+    # The factor's singular values, read from the spectrum, give the rank an
+    # SVD of the factor gives, at every cutoff around its kept eigenvalues.
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, max(1, n // 2)))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal(A.shape)
+    spec = spectrum(A @ np.conj(A).T)
+    for rtol in (0.0, 1e-12, default_rank_tol(n), 1e-3, 0.3, 0.99):
+        assert spec.factor_rank(rtol) == numerical_rank(spec.factor(rtol)), rtol
+
+
 @pytest.mark.parametrize("n", [10, 1000, 1200])
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
@@ -140,15 +155,27 @@ def test_kb_factorize_passes_an_eigenvalue_planted_at_the_rank_cutoff(n, field, 
 ROTATED_NORM = 50.0  # ||G||_2 of a rotated table, so that no cutoff reads it as 1
 
 
-def _rotated_table(n, field, planted, seed=0):
-    """Q diag(lam) Q^* for a random unitary Q, real or complex: lam is
-    ROTATED_NORM times 1, n - 2 values uniform on [0.1, 1] and ``planted``."""
+@functools.lru_cache(maxsize=None)
+def _rotation(n, field, seed):
+    """(middle, Q) of ``_rotated_table``: the n - 2 free eigenvalues and the
+    unitary, drawn once per size, field and seed and shared by every planted
+    value; both read-only."""
     rng = np.random.default_rng(seed)
-    lam = ROTATED_NORM * np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2), [planted]])
+    middle = rng.uniform(0.1, 1.0, n - 2)
     A = rng.standard_normal((n, n))
     if field == "complex":
         A = A + 1j * rng.standard_normal((n, n))
     Q, _ = np.linalg.qr(A)
+    middle.setflags(write=False)
+    Q.setflags(write=False)
+    return middle, Q
+
+
+def _rotated_table(n, field, planted, seed=0):
+    """Q diag(lam) Q^* for a random unitary Q, real or complex: lam is
+    ROTATED_NORM times 1, n - 2 values uniform on [0.1, 1] and ``planted``."""
+    middle, Q = _rotation(n, field, seed)
+    lam = ROTATED_NORM * np.concatenate([[1.0], middle, [planted]])
     return (Q * lam[None, :]) @ np.conj(Q).T
 
 
@@ -181,10 +208,10 @@ def _assert_validate(report, exit_code, code, planted):
     assert check["min_eigenvalue"] == pytest.approx(planted, rel=1e-4)
 
 
-def _run_validate(table) -> tuple:
-    """(report, exit code) of the kb validate pipeline on ``table``, given
+def _run_kernel(command, table) -> tuple:
+    """(report, exit code) of the kb <command> pipeline on ``table``, given
     as a FiniteKernel: a JSON table of 10^6 cnums would cost seconds."""
-    return cli.run(cli.JobConfig(command="validate", kernel=FiniteKernel.from_table(table)))
+    return cli.run(cli.JobConfig(command=command, kernel=FiniteKernel.from_table(table)))
 
 
 @pytest.mark.parametrize("n", [1000, 1200])
@@ -192,7 +219,7 @@ def _run_validate(table) -> tuple:
 @pytest.mark.parametrize("side, code", [(0.999, 0), (1.001, 2)], ids=["inside", "outside"])
 def test_kb_validate_judges_a_large_rotated_table_at_the_psd_tolerance(n, field, side, code):
     # As above, at the north star's size.
-    report, exit_code = _run_validate(_rotated_table(n, field, -side * kernels.PSD_TOL))
+    report, exit_code = _run_kernel("validate", _rotated_table(n, field, -side * kernels.PSD_TOL))
     _assert_validate(report, exit_code, code, -side * kernels.PSD_TOL * ROTATED_NORM)
 
 
@@ -208,7 +235,7 @@ def test_kb_validate_judges_a_diagonal_table_at_the_psd_tolerance(n, field, side
     if field == "complex":
         table[0, 1], table[1, 0], norm = 1e-3j, -1e-3j, 1.001
     table[-1, -1] = -side * kernels.PSD_TOL * norm
-    report, exit_code = _run_validate(table)
+    report, exit_code = _run_kernel("validate", table)
     _assert_validate(report, exit_code, code, -side * kernels.PSD_TOL * norm)
     assert report["checks"][0]["max_eigenvalue"] == pytest.approx(norm, rel=1e-12)
 
@@ -219,6 +246,16 @@ def test_kb_validate_judges_a_diagonal_table_at_the_psd_tolerance(n, field, side
 def test_kb_factorize_passes_a_rotated_table_at_the_rank_cutoff(n, field, side):
     table = _rotated_table(n, field, side * default_rank_tol(n))
     report, exit_code = _run_table("factorize", table)
+    assert exit_code == 0, report["checks"]
+    (parseval,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
+    assert parseval["retained_rank"] == (n if side > 1 else n - 1)
+
+
+@pytest.mark.parametrize("n, field", [(1000, "real"), (1000, "complex"), (1200, "real")])
+@SIDES
+def test_kb_factorize_passes_a_large_rotated_table_at_the_rank_cutoff(n, field, side):
+    # As above, at the north star's size, through the factorize pipeline.
+    report, exit_code = _run_kernel("factorize", _rotated_table(n, field, side * default_rank_tol(n)))
     assert exit_code == 0, report["checks"]
     (parseval,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
     assert parseval["retained_rank"] == (n if side > 1 else n - 1)
