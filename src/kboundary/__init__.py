@@ -21,7 +21,7 @@ _EXPORTS = {
         "BAtOne", "BaseMismatch", "CauchyZero", "ConfigError", "DimensionMismatch",
         "DomainViolation", "IndexOutOfRange", "InvalidMeasure", "KernelBoundaryError",
         "LabelMismatch", "NotAFactorization", "NotHermitian", "NotPsd", "ShapeMismatch",
-        "WorkerDied", "ZeroExpectation",
+        "ZeroExpectation",
     ),
     "measures": ("CircleMeasure", "DiscreteMeasure"),
     "kernels": (

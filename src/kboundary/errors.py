@@ -61,10 +61,6 @@ class InvalidMeasure(KernelBoundaryError):
     """Measure violates its construction invariants."""
 
 
-class WorkerDied(KernelBoundaryError):
-    """A verify-all worker process ended before reporting its criterion."""
-
-
 class ConfigError(KernelBoundaryError):
     """Job configuration failed to parse or validate."""
 

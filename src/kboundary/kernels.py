@@ -13,8 +13,7 @@ Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
 eigendecomposition), its values alone (``eigenvalues``, through the one
 values-only decomposition ``_eigvalsh`` unless the spectrum is already
 computed) or the rank rule ``_rank`` over ``_svdvals`` (the one SVD), which
-``numerical_rank`` applies to one matrix and ``Spectrum.factor_rank`` to
-the singular values a spectral factor has by construction.
+``numerical_rank`` applies to one matrix.
 
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built,
 into one new array; each Gram-sized pass (the checks, the mirror, the
@@ -401,13 +400,6 @@ class Spectrum:
     def projector(self, rtol: float) -> np.ndarray:
         """Orthogonal projection onto the kept eigenvectors."""
         return _projector(self.vectors, _kept(self.values, rtol))
-
-    def factor_rank(self, rtol: float) -> int:
-        """The rank of ``factor(rtol)`` by the rank rule of ``numerical_rank``,
-        with no SVD: the factor's columns are orthogonal, so its singular
-        values are the square roots of the kept eigenvalues."""
-        svals = np.sqrt(self.values[_kept(self.values, rtol)])
-        return int(_rank(svals, default_rank_tol(self.values.size)))
 
 
 def _eigh(M: np.ndarray):

@@ -45,7 +45,6 @@ import os
 import pickle
 import sys
 import time
-import traceback
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import clark, factorization, gaussian, kernels, measures, rkhs
 from .check import Check
-from .errors import DomainViolation, WorkerDied
+from .errors import DomainViolation
 
 HERGLOTZ_TOL = 1e-10  # |Re[(1+b)/(1-b)] - Poisson[mu]|
 MODULUS_TOL = 1e-3  # |1 - |b|| on the grid below
@@ -692,14 +691,15 @@ def run_all(seed: int = 0) -> list[Check]:
     This process is one of the workers: it forks one fewer than the CPUs it
     may run on, at most one per criterion, and none on one CPU or where
     ``os.fork`` is missing.  Every worker, this process included, claims
-    criterion indices from one pipe and runs each through ``_run``; a forked
-    worker writes back one pickled (index, Check or exception, traceback
-    text) record each, which this process reads once its own claims run
-    out.  The exception of the lowest index is raised, as a serial loop
-    would raise it; a criterion whose forked worker ended without reporting
-    raises ``WorkerDied``.  No worker outlives the call.  Report determinism
-    is checked by running the CLI twice (it cannot be observed from inside
-    a single run).
+    criterion indices from one pipe (``_claimed``); a forked worker writes
+    back one pickled (index, Check) record each, which this process reads
+    once its own claims run out.  A criterion that raised, or whose forked
+    worker ended before writing its record, left none, and runs again here
+    in index order once every worker is reaped: each criterion is
+    deterministic in its seed, so the lowest-index error is raised, with
+    its traceback, as a serial loop would raise it.  No worker outlives the
+    call.  Report determinism is checked by running the CLI twice (it
+    cannot be observed from inside a single run).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_forks = min(cpus or 1, len(ALL_CHECKS)) - 1 if hasattr(os, "fork") else 0
@@ -721,56 +721,45 @@ def run_all(seed: int = 0) -> list[Check]:
                 pids.append(pid)
             finally:
                 os.close(sink)
-        while claimed := os.read(claims, 1):
-            results[claimed[0]] = _run(claimed[0], seed)
+        results.update(_claimed(seed, claims))
         # Workers never wait on each other, so reading one pipe after the
         # other cannot block for good.
         for fh in sources:
             while True:
                 try:
-                    index, result, trace = pickle.load(fh)
+                    index, check = pickle.load(fh)
                 except (EOFError, pickle.UnpicklingError):  # a worker's last record, or cut off
                     break
-                results[index] = result, trace
+                results[index] = check
     finally:
         os.close(claims)
         for fh in sources:
             fh.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for index, check in enumerate(ALL_CHECKS):
-        if index not in results:
-            raise WorkerDied(
-                f"criterion {index + 1} ({check.__name__}) reported no result; worker "
-                f"exit statuses {[os.waitstatus_to_exitcode(s) for s in statuses]}")
-        result, trace = results[index]
-        if trace is not None:
-            raise result from _WorkerTraceback(trace)
-    return [results[index][0] for index in range(len(ALL_CHECKS))]
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [results[i] if i in results else check(seed=seed) for i, check in enumerate(ALL_CHECKS)]
 
 
-def _run(index: int, seed: int):
-    """Criterion ``index`` on ``seed``: (its Check, None), or (the exception
-    it raised, its traceback text), which run_all raises in index order."""
-    try:
-        return ALL_CHECKS[index](seed=seed), None
-    except Exception as exc:  # handed to run_all, which raises it
-        return exc, traceback.format_exc()
+def _claimed(seed: int, claims: int):
+    """(index, Check) of each criterion whose index this process claims from
+    ``claims``, until none is left; a criterion that raises yields nothing."""
+    while claimed := os.read(claims, 1):
+        try:
+            check = ALL_CHECKS[claimed[0]](seed=seed)
+        except Exception:  # run_all runs it again in the caller, which raises it
+            continue
+        yield claimed[0], check
 
 
 def _work(seed: int, claims: int, sink: int):
-    """A forked worker: run each criterion whose index it claims from
-    ``claims`` and write its record to ``sink``, flushed at once; never
-    returns."""
+    """A forked worker: write the record of each criterion it claims
+    (``_claimed``) to ``sink``, flushed at once; never returns."""
     status = 1
     try:
         with os.fdopen(sink, "wb") as fh:
-            while claimed := os.read(claims, 1):
-                fh.write(pickle.dumps((claimed[0], *_run(claimed[0], seed))))
+            for record in _claimed(seed, claims):
+                fh.write(pickle.dumps(record))
                 fh.flush()
         status = 0
     finally:
         os._exit(status)
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a criterion, as text."""

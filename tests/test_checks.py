@@ -107,6 +107,19 @@ def test_factorize_judges_the_residual_relative_to_the_gram_norm():
     assert code == 0
 
 
+def test_factorize_fails_a_frame_of_eigenvalues_planted_for_their_roots(monkeypatch):
+    # kb factorize's one check can read false: with frame columns lam v in
+    # place of sqrt(lam) v, the frame no longer reconstructs the Gram.
+    from kboundary import kernels
+
+    factor = kernels._factor
+    monkeypatch.setattr(kernels, "_factor", lambda lam, v, keep: factor(lam**2, v, keep))
+    report, code = cli.run(cli.parse_config(_table_config("factorize", SCALED_TABLE)))
+    assert code == 2
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("parseval-reconstruction", False)]
+
+
 @pytest.mark.parametrize("exponent", range(-12, 13))
 def test_factorize_verdict_does_not_move_under_rescaling(exponent):
     table = 10.0**exponent * np.array(SCALED_TABLE)
@@ -118,6 +131,9 @@ def test_zero_residual_on_a_zero_gram_passes():
     report, code = cli.run(cli.parse_config(_table_config("factorize", [[0.0]])))
     assert code == 0
     assert report["checks"][0]["relative_residual"] == 0.0
+    # Nothing is kept, so no eigenvalue is the smallest kept one.
+    assert report["checks"][0]["smallest_kept_eigenvalue"] is None
+    assert report["checks"][0]["largest_dropped_eigenvalue"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize"])

@@ -117,20 +117,6 @@ def test_the_rank_rule_counts_each_matrix_of_a_stack_against_its_own_sigma_max(f
     assert [kernels._rank(kernels._svdvals(A), rtol) for A in stack] == ranks
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("n", [1, 2, 9, 40])
-def test_factor_rank_is_the_rank_rule_on_the_factor(n, field):
-    # The factor's singular values, read from the spectrum, give the rank an
-    # SVD of the factor gives, at every cutoff around its kept eigenvalues.
-    rng = np.random.default_rng(n)
-    A = rng.standard_normal((n, max(1, n // 2)))
-    if field == "complex":
-        A = A + 1j * rng.standard_normal(A.shape)
-    spec = spectrum(A @ np.conj(A).T)
-    for rtol in (0.0, 1e-12, default_rank_tol(n), 1e-3, 0.3, 0.99):
-        assert spec.factor_rank(rtol) == numerical_rank(spec.factor(rtol)), rtol
-
-
 @pytest.mark.parametrize("n", [10, 1000, 1200])
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
@@ -247,8 +233,23 @@ def test_kb_factorize_passes_a_rotated_table_at_the_rank_cutoff(n, field, side):
     table = _rotated_table(n, field, side * default_rank_tol(n))
     report, exit_code = _run_table("factorize", table)
     assert exit_code == 0, report["checks"]
+    _assert_rank_margin(report, n, side)
+
+
+def _assert_rank_margin(report, n, side):
+    """kb factorize kept the planted eigenvalue above the rank cutoff and
+    dropped it below, and its report names the cutoff and the eigenvalues
+    on either side of it."""
     (parseval,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
     assert parseval["retained_rank"] == (n if side > 1 else n - 1)
+    assert parseval["rank_tolerance"] == default_rank_tol(n)
+    planted = side * default_rank_tol(n) * ROTATED_NORM
+    if side > 1:
+        assert parseval["smallest_kept_eigenvalue"] == pytest.approx(planted, rel=1e-4)
+        assert parseval["largest_dropped_eigenvalue"] is None
+    else:
+        assert parseval["smallest_kept_eigenvalue"] >= 0.1 * ROTATED_NORM * (1 - 1e-12)
+        assert parseval["largest_dropped_eigenvalue"] == pytest.approx(planted, rel=1e-4)
 
 
 @pytest.mark.parametrize("n, field", [(1000, "real"), (1000, "complex"), (1200, "real")])
@@ -257,8 +258,7 @@ def test_kb_factorize_passes_a_large_rotated_table_at_the_rank_cutoff(n, field, 
     # As above, at the north star's size, through the factorize pipeline.
     report, exit_code = _run_kernel("factorize", _rotated_table(n, field, side * default_rank_tol(n)))
     assert exit_code == 0, report["checks"]
-    (parseval,) = [c for c in report["checks"] if c["name"] == "parseval-reconstruction"]
-    assert parseval["retained_rank"] == (n if side > 1 else n - 1)
+    _assert_rank_margin(report, n, side)
 
 
 @ROTATED

@@ -1,9 +1,10 @@
 """verify-all runs its criteria in the calling process and in forked
-workers: the same checks as a serial run, the lowest-index error, and no
-process left behind."""
+workers: the same checks as a serial run, also when a worker dies, the
+lowest-index error, and no process left behind."""
 
 import json
 import os
+import select
 import subprocess
 import sys
 import textwrap
@@ -106,16 +107,16 @@ def test_an_error_in_the_caller_wins_over_a_higher_index_in_a_worker(monkeypatch
     def pinned(fails_in_worker):
         def criterion(seed):
             if os.getpid() == caller:
-                time.sleep(0.3)  # so that the worker claims every other index
                 raise NotPsd("the caller's error")
             if fails_in_worker:
                 raise DomainViolation("a worker's error")
             return _passes(seed)
         return criterion
 
-    # The caller claims one index, and the worker fails every other index
-    # from 3 on; indices 0 to 2 pass in the worker, in case it claims them
-    # before the caller's first claim.
+    # Whichever process claims each index, the caller fails every index it
+    # runs, and the worker every index from 3 on.  A criterion that raised in
+    # the worker runs again in the caller, so only the caller's error can be
+    # raised.
     _two_cpus(monkeypatch)
     monkeypatch.setattr(selfcheck, "ALL_CHECKS", (pinned(False),) * 3 + (pinned(True),) * 7)
     assert cli.main(["verify-all", "--seed", "0"]) == 1
@@ -123,68 +124,81 @@ def test_an_error_in_the_caller_wins_over_a_higher_index_in_a_worker(monkeypatch
     _assert_no_child_left()
 
 
-def test_a_worker_that_dies_ends_verify_all_with_one_error():
+def test_a_worker_that_dies_leaves_its_criteria_to_the_caller():
     # In a child process, so that a collector that waits for good fails the
-    # test on the timeout instead of hanging the suite.  The dying criterion
-    # exits only in a forked worker, and the caller's criteria sleep, so
-    # that the worker claims it.
+    # test on the timeout instead of hanging the suite.  The forked worker
+    # exits on every claim; the caller's first criterion waits until the
+    # worker has claimed one, so that the worker dies on a claim.
     code = textwrap.dedent("""
-        import os, sys, time
+        import json, os, select
         from kboundary import cli, selfcheck
-        from kboundary.check import Check
 
         caller = os.getpid()
         os.sched_getaffinity = lambda pid: {0, 1}
+        died, died_in = os.pipe()
+        waited = []
 
-        def passes(seed):
-            if os.getpid() == caller:
-                time.sleep(0.2)
-            return Check("passes", True)
+        def dies_in_a_worker(check):
+            def criterion(seed):
+                if os.getpid() != caller:
+                    os.write(died_in, b"x")
+                    os._exit(3)
+                if not waited:
+                    waited.append(bool(select.select([died], [], [], 30)[0]))
+                return check(seed=seed)
+            return criterion
 
-        def dies(seed):
-            if os.getpid() != caller:
-                os._exit(3)
-            return passes(seed)
-
-        criteria = [passes] * 10
-        criteria[3] = dies
-        selfcheck.ALL_CHECKS = tuple(criteria)
-        code = cli.main(["verify-all", "--seed", "0"])
+        serial = [check(seed=0).as_json() for check in selfcheck.ALL_CHECKS]
+        selfcheck.ALL_CHECKS = tuple(dies_in_a_worker(c) for c in selfcheck.ALL_CHECKS)
+        report, code = cli.run(cli.parse_config({"command": "verify-all", "seed": 0}))
         try:
             os.waitpid(-1, os.WNOHANG)
+            left = True
         except ChildProcessError:
-            print(code)
+            left = False
+        print(json.dumps({"same": report["checks"] == serial, "code": code, "left": left,
+                          "waited": waited}))
     """)
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
     assert time.perf_counter() - started < 30
-    assert proc.stdout == "1\n"
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("kb: WorkerDied: criterion 4 (dies) reported no result;")
-    assert "3" in lines[0].split("worker exit statuses", 1)[1]
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"same": True, "code": 0, "left": False,
+                                       "waited": [True]}
 
 
 def test_text_written_before_run_all_is_printed_once(monkeypatch, capfd):
     caller = os.getpid()
+    printed, printed_in = os.pipe()
+    waited = []
 
     def prints(seed):
-        if os.getpid() == caller:
-            time.sleep(0.3)  # so that the worker claims the other criterion
-        else:
+        if os.getpid() != caller:
             print("from a worker", flush=True)
-        return Check("prints", True)
+            os.write(printed_in, b"x")
+        elif not waited:  # so that the worker runs a criterion, and prints
+            waited.append(bool(select.select([printed], [], [], 30)[0]))
+        return Check("prints", True, {"pid": os.getpid()})
 
     _two_cpus(monkeypatch)
     forks = _forks(monkeypatch)
     monkeypatch.setattr(selfcheck, "ALL_CHECKS", (prints, prints))
     # A buffered stream on the captured descriptor, as sys.stdout is on a pipe.
-    with open(os.dup(1), "w", buffering=1 << 16) as stdout:
-        monkeypatch.setattr(sys, "stdout", stdout)
-        stdout.write("before run_all;")
-        assert [check.name for check in selfcheck.run_all(0)] == ["prints", "prints"]
+    try:
+        with open(os.dup(1), "w", buffering=1 << 16) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            stdout.write("before run_all;")
+            checks = selfcheck.run_all(0)
+    finally:
+        os.close(printed)
+        os.close(printed_in)
     out = capfd.readouterr().out
-    assert len(forks) == 1
-    assert out.count("before run_all;") == 1 and out.count("from a worker") == 1
+    assert [check.name for check in checks] == ["prints", "prints"]
+    assert len(forks) == 1 and False not in waited
+    # Each check names the process that made it: the worker prints once per
+    # check it made.
+    from_worker = sum(check.details["pid"] != caller for check in checks)
+    assert from_worker >= 1 and out.count("from a worker") == from_worker
+    assert out.count("before run_all;") == 1
     _assert_no_child_left()
