@@ -117,6 +117,21 @@ def test_the_rank_rule_counts_each_matrix_of_a_stack_against_its_own_sigma_max(f
     assert [kernels._rank(kernels._svdvals(A), rtol) for A in stack] == ranks
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 9, 40])
+def test_the_factor_has_full_column_rank_at_any_cutoff_from_the_default(n, field):
+    # An eigenvalue planted just above the cutoff rtol * lam_max is kept, and
+    # its column's norm sqrt(lam) exceeds sqrt(rtol) * sigma_max >=
+    # default_rank_tol(n) * sigma_max: the rank rule on the factor, as an SVD
+    # of it gives, keeps every column, which is why kb factorize reports no
+    # tightness check.
+    for rtol in (default_rank_tol(n), 1e-3, 0.3, 0.99):
+        F = spectrum(_rotated_table(n, field, (1 + 1e-3) * rtol)).factor(rtol)
+        assert F.shape[1] >= 2 and numerical_rank(F) == F.shape[1], rtol
+        assert np.linalg.norm(F[:, -1]) ** 2 == pytest.approx((1 + 1e-3) * rtol * ROTATED_NORM,
+                                                             rel=1e-5), rtol
+
+
 @pytest.mark.parametrize("n", [10, 1000, 1200])
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
