@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # module -> the public names the package reads from it
 _EXPORTS = {
     "errors": (
-        "BAtOne", "BaseMismatch", "CauchyZero", "ConfigError", "DimensionMismatch",
+        "BAtOne", "BaseMismatch", "ConfigError", "DimensionMismatch",
         "DomainViolation", "IndexOutOfRange", "InvalidMeasure", "KernelBoundaryError",
         "LabelMismatch", "NotAFactorization", "NotHermitian", "NotPsd", "ShapeMismatch",
         "ZeroExpectation",

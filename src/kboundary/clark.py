@@ -31,7 +31,6 @@ import numpy as np
 from . import kernels
 from .errors import (
     BAtOne,
-    CauchyZero,
     DomainViolation,
     InvalidMeasure,
     ShapeMismatch,
@@ -65,11 +64,7 @@ def _first_point(z, mask) -> complex:
 
 def b_eval(mu: CircleMeasure, z):
     """Evaluate b(z) = 1 - 1/C(z) at interior points (a scalar or an array)."""
-    C = cauchy_transform(mu, z)
-    vanishes = np.abs(C) < CAUCHY_ZERO_TOL
-    if np.any(vanishes):
-        raise CauchyZero(f"Cauchy transform vanishes at z = {_first_point(z, vanishes)!r}")
-    return 1.0 - 1.0 / C
+    return 1.0 - 1.0 / cauchy_transform(mu, z)
 
 
 def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
@@ -98,8 +93,7 @@ def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
 
 def kb_eval(mu: CircleMeasure, z, w):
     """K_b(z, w) = (1 - b(z) conj(b(w))) / (1 - z conj(w)), broadcast over
-    ``z`` and ``w``.  b_eval checks z, then w, against the disk; it cannot
-    raise CauchyZero, since Re C > 1/2 on the disk."""
+    ``z`` and ``w``.  b_eval checks z, then w, against the disk."""
     bz, bw = b_eval(mu, z), b_eval(mu, w)
     zv, wv = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     # The numerator and the denominator are each one array, computed in place.

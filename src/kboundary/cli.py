@@ -374,19 +374,16 @@ def parse_config(data: dict, command: str | None = None) -> JobConfig:
     view, decoded = _screen_cnum_arrays(data)
     _check(view, _schema())
 
-    cfg_command = data.get("command")
-    if command is not None and cfg_command is not None and command != cfg_command:
+    cfg_command = data["command"]
+    if command is not None and command != cfg_command:
         raise ConfigError(
             f"command line says {command!r} but config says {cfg_command!r}"
         )
-    resolved = command or cfg_command
-    if resolved is None:
-        raise ConfigError("no command given")
 
     try:
         points = _parse_points(data["points"], decoded["points"]) if "points" in data else None
         return JobConfig(
-            command=resolved,
+            command=cfg_command,
             kernel=(_parse_kernel(data["kernel"], points, decoded.get("table"))
                     if "kernel" in data else None),
             points=points,

@@ -45,10 +45,6 @@ class IndexOutOfRange(KernelBoundaryError):
     """Subset index outside the point range."""
 
 
-class CauchyZero(KernelBoundaryError):
-    """Cauchy transform vanishes; 1 - 1/C undefined."""
-
-
 class ZeroExpectation(KernelBoundaryError):
     """A feature mean vanishes; renormalization undefined."""
 

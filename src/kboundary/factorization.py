@@ -39,7 +39,6 @@ from .kernels import (
     PointSet,
     _eigvalsh,
     default_rank_tol,
-    index_points,
     numerical_rank,
     relative_residual,
     spectrum,
@@ -79,7 +78,7 @@ class BoundaryFactorization:
                 f"features must have {measure.size} columns, got shape {phi.shape}"
             )
         if points is None:
-            points = index_points(phi.shape[0])
+            points = PointSet(coords=np.arange(phi.shape[0], dtype=complex))
         kernel = FiniteKernel(points=points, gram=_induced_gram(phi, measure.weights))
         return cls(kernel=kernel, measure=measure, features=phi)
 

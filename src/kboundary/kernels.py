@@ -18,9 +18,9 @@ computed) or the rank rule ``_rank`` over ``_svdvals`` (the one SVD), which
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built,
 into one new array; each Gram-sized pass (the checks, the mirror, the
 quotient of ``clark._renormalize``) runs a row panel at a time
-(``_row_panels``), so its temporaries stay a panel, not a Gram.  The index
-point set 0..n-1 (``index_points``) and the strict-lower mask of each size
-are built once and shared: both are frozen, so no holder can change them.
+(``_row_panels``), so its temporaries stay a panel, not a Gram.  The
+strict-lower mask of each size is built once and shared: it is read-only,
+so no holder can change it.
 """
 
 from __future__ import annotations
@@ -59,20 +59,16 @@ RANK_TOL_CAP = FACTORIZATION_TOL / 2  # default_rank_tol(n) never exceeds it
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered finite point set with distinct labels and k-dim complex coords."""
+    """Ordered finite point set: row i of ``coords`` holds the k complex
+    coordinates of point i, which is how kb identifies that point."""
 
-    labels: tuple
     coords: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(set(labels)) != len(labels):
-            raise ShapeMismatch("point labels must be pairwise distinct")
         c = _require_finite(np.array(self.coords, dtype=complex), "point coordinates")
         if c.ndim == 1:
             c = c.reshape(-1, 1)
-        if c.ndim != 2 or c.shape[0] != len(labels) or c.shape[1] < 1:
+        if c.ndim != 2 or c.shape[1] < 1:
             raise ShapeMismatch(
                 f"coords must be (n_points, k>=1), got shape {c.shape}"
             )
@@ -81,32 +77,19 @@ class PointSet:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return int(self.coords.shape[0])
 
     @property
     def dim(self) -> int:
         return int(self.coords.shape[1])
 
     def restrict(self, indices) -> "PointSet":
-        idx = list(indices)
-        return PointSet(
-            labels=tuple(self.labels[i] for i in idx),
-            coords=self.coords[idx, :],
-        )
+        return PointSet(coords=self.coords[list(indices), :])
 
     @classmethod
     def from_points(cls, points) -> "PointSet":
-        """Build from a sequence of scalars (k=1) or coordinate tuples, labeled
-        p0, p1, ...; other labels need ``PointSet(labels=..., coords=...)``."""
-        arr = np.asarray(list(points), dtype=complex)
-        return cls(labels=tuple(f"p{i}" for i in range(arr.shape[0])), coords=arr)
-
-
-@lru_cache(maxsize=256)
-def index_points(n: int) -> PointSet:
-    """The index points 0, 1, ..., n-1 (labels ``p0``..), one shared instance
-    per n: a PointSet is frozen and its coords are read-only."""
-    return PointSet.from_points(np.arange(n, dtype=complex))
+        """Build from a sequence of scalars (k=1) or coordinate tuples."""
+        return cls(coords=np.asarray(list(points), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -133,7 +116,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FiniteKernel:
-    """Hermitian matrix of kernel values over a labeled point set."""
+    """Hermitian matrix of kernel values over a point set."""
 
     points: PointSet
     gram: np.ndarray
@@ -159,7 +142,7 @@ class FiniteKernel:
         0..n-1 when None), tagged real when ``table`` has zero imaginary part."""
         g = np.asarray(table, dtype=complex)
         if points is None:
-            points = index_points(g.shape[0] if g.ndim else 0)
+            points = PointSet(coords=np.arange(g.shape[0] if g.ndim else 0, dtype=complex))
         return cls(points=points, gram=g, field_tag="complex" if g.imag.any() else "real")
 
     @cached_property
@@ -358,10 +341,10 @@ def _real_if_zero_imag(M: np.ndarray) -> np.ndarray:
 class Spectrum:
     """M = vectors diag(values) vectors^*, values ascending.
 
-    Callers read it through the extreme eigenvalues, ``norm`` = ||M||_2, the
-    PSD verdict and the kept factor or projector, never through the arrays.
-    An eigenvalue above ``rtol * norm`` is kept; M is PSD when none lies
-    below ``-PSD_TOL * norm``.  No cutoff has an absolute floor: a
+    Callers read it through the least eigenvalue, the PSD verdict and the
+    kept factor or projector, never through the arrays.  An eigenvalue above
+    ``rtol * ||M||_2`` is kept; M is PSD when none lies below
+    ``-PSD_TOL * ||M||_2``.  No cutoff has an absolute floor: a
     backward-stable solver is accurate to about eps * ||M||_2 (Weyl), so
     verdicts do not depend on units.
 
@@ -378,16 +361,6 @@ class Spectrum:
     def lower(self) -> float:
         """The least eigenvalue, 0.0 for an empty matrix."""
         return float(self.values[0]) if self.values.size else 0.0
-
-    @property
-    def upper(self) -> float:
-        """The greatest eigenvalue, 0.0 for an empty matrix."""
-        return float(self.values[-1]) if self.values.size else 0.0
-
-    @cached_property
-    def norm(self) -> float:
-        """||M||_2, computed once: the fields are frozen."""
-        return float(_norm(self.values))
 
     def is_psd(self) -> bool:
         return bool(_is_psd(self.values))

@@ -64,6 +64,21 @@ class TestCauchyTransform:
         with pytest.raises(DomainViolation):
             cauchy_transform(POINT_MASS, 1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_real_part_exceeds_one_half_up_to_the_disk_guard(self, seed):
+        # Re 1/(1 - u) > 1/2 for |u| < 1, so Re C > 1/2 on the disk for every
+        # probability measure (Sarason 1994): C never vanishes, and
+        # b = 1 - 1/C is finite at every point the disk guard admits.  The
+        # least values lie opposite an atom, next to the guard.
+        rng = np.random.default_rng([seed, 42])
+        for _ in range(40):
+            mu = random_circle_measure(rng, 12, 0.02)
+            edge = (1.0 - 5e-15) * mu.boundary_points()
+            r = kernels.DISK_RADIUS_BOUND * np.sqrt(rng.uniform(0.0, 1.0, 200))
+            z = np.concatenate([edge, -edge, r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))])
+            assert cauchy_transform(mu, z).real.min() > 0.5 - 1e-12
+            assert np.isfinite(b_eval(mu, z)).all()
+
 
 class TestInnerFunction:
     def test_vanishes_at_origin(self):

@@ -19,7 +19,7 @@ from kboundary import (
     tightness_test,
     verify_parseval,
 )
-from kboundary.kernels import relative_residual
+from kboundary.kernels import _norm, relative_residual
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ class TestVerifyParseval:
                 nrm2 = norm_squared(RkhsElement(base=K, coeffs=xi))
                 deviation = abs(nrm2 - np.sum(np.abs(np.conj(F.features).T @ xi) ** 2))
                 # |xi^* E xi| <= ||xi||^2 ||E||_2 <= ||xi||^2 n max|E_ij|
-                bound = (n * F.residual + 1e-13 * K.spectrum.norm) * np.sum(np.abs(xi) ** 2)
+                bound = (n * F.residual + 1e-13 * _norm(K.spectrum.values)) * np.sum(np.abs(xi) ** 2)
                 assert deviation <= bound
 
 
@@ -217,6 +217,26 @@ class TestFrameExpand:
         other = _table_kernel(np.eye(2))
         with pytest.raises(BaseMismatch):
             apply_W(F, RkhsElement(base=other, coeffs=np.eye(other.size)[:, 0]))
+
+    def test_one_base_is_one_gram(self):
+        # kb names each point by its row, so a kernel's Gram is all that
+        # makes it a base: its coordinates, and whether it was restricted
+        # from a larger kernel, do not count.
+        gram = np.array([[2.0, 1.0], [1.0, 2.0]])
+        a = FiniteKernel(points=PointSet.from_points([0.1, 0.2]), gram=gram)
+        b = FiniteKernel(points=PointSet.from_points([0.5j, -0.3]), gram=gram)
+        section = np.array([1.0, 0.0])
+        F = parseval_factorize(a)
+        np.testing.assert_array_equal(apply_W(F, RkhsElement(base=b, coeffs=section)),
+                                      apply_W(F, RkhsElement(base=a, coeffs=section)))
+        with pytest.raises(BaseMismatch):
+            apply_W(F, RkhsElement(base=FiniteKernel(points=a.points, gram=2.0 * gram),
+                                   coeffs=section))
+        larger = FiniteKernel.from_table([[2.0, 0.5, 1.0], [0.5, 3.0, 0.5], [1.0, 0.5, 2.0]])
+        restricted = larger.restrict([2, 0])
+        np.testing.assert_array_equal(restricted.gram, gram)
+        np.testing.assert_array_equal(apply_W(F, RkhsElement(base=restricted, coeffs=section)),
+                                      apply_W(F, RkhsElement(base=a, coeffs=section)))
 
 
 class TestTightness:

@@ -1,7 +1,7 @@
 """Shared frozen objects and one-pass kernel validation.
 
-Index point sets, counting measures, strict-lower masks and the Herglotz
-corpus are built once and shared.  These tests pin that
+Counting measures, strict-lower masks and the Herglotz corpus are built
+once and shared.  These tests pin that
 every shared object is read-only and equal to a freshly built one, that
 a frozen object keeps a read-only copy of each array it is given, that
 FiniteKernel's one-pass validation keeps its verdicts, messages and
@@ -33,30 +33,14 @@ from kboundary import (
     parseval_factorize,
 )
 from kboundary import factorization, kernels, measures, selfcheck
-from kboundary.kernels import _hermitian_mirror, default_rank_tol, index_points
+from kboundary.kernels import _hermitian_mirror, default_rank_tol
 
 PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
 
 
 def _clear_caches():
-    for cached in (kernels.index_points, kernels._strict_lower, measures._counting_measure,
-                   selfcheck._herglotz_corpus):
+    for cached in (kernels._strict_lower, measures._counting_measure, selfcheck._herglotz_corpus):
         cached.cache_clear()
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
-def test_index_points_are_shared_read_only_and_equal_to_fresh(n):
-    shared = index_points(n)
-    assert index_points(n) is shared
-    assert not shared.coords.flags.writeable
-    for fresh in (PointSet.from_points(range(n)),
-                  PointSet.from_points(np.arange(n, dtype=complex))):
-        assert shared.labels == fresh.labels == tuple(f"p{i}" for i in range(n))
-        assert shared.coords.dtype == fresh.coords.dtype
-        assert shared.coords.shape == fresh.coords.shape == (n, 1)
-        assert shared.coords.tobytes() == fresh.coords.tobytes()
-    with pytest.raises(ValueError):
-        shared.coords[...] = 1.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 12])
@@ -77,7 +61,7 @@ def test_counting_measure_size_must_be_an_integer():
 
 
 def _identity_kernel(n):
-    return FiniteKernel(points=index_points(n), gram=np.eye(n))
+    return FiniteKernel(points=PointSet.from_points(range(n)), gram=np.eye(n))
 
 
 @pytest.mark.parametrize("given, build", [
@@ -88,7 +72,7 @@ def _identity_kernel(n):
     (np.array([0.25, 0.75]),
      lambda a: CircleMeasure(atoms=[0.0, 0.5], weights=a).weights),
     (np.array([[0.1 + 0.2j], [0.3j]]),
-     lambda a: PointSet(labels=("p", "q"), coords=a).coords),
+     lambda a: PointSet(coords=a).coords),
     (np.array([[1.0 + 0.0j]]),
      lambda a: BoundaryFactorization(kernel=_identity_kernel(1),
                                      measure=DiscreteMeasure.counting(1), features=a).features),
@@ -108,14 +92,6 @@ def test_a_frozen_object_keeps_a_read_only_copy_of_the_callers_array(given, buil
     # caller's array (the rkhs case passes a Fortran-ordered matrix).
     assert kept.strides == given.strides
     np.testing.assert_array_equal(kept, given)
-
-
-def test_induced_factorizations_share_the_index_points():
-    meas = DiscreteMeasure.counting(3)
-    F1 = BoundaryFactorization.induced(meas, np.ones((4, 3)))
-    F2 = BoundaryFactorization.induced(meas, 2.0 * np.ones((4, 3)))
-    assert F1.kernel.points is F2.kernel.points is index_points(4)
-    assert F1.kernel.gram.tobytes() != F2.kernel.gram.tobytes()
 
 
 def test_herglotz_corpus_is_read_only_and_equal_to_fresh():
@@ -154,7 +130,7 @@ def test_finite_kernel_gram_is_bit_identical_to_the_reference_mirror(n):
     rng = np.random.default_rng(1000 + n)
     g = _hermitian_with_signed_zeros(rng, n)
     before = g.copy()
-    K = FiniteKernel(points=index_points(n), gram=g)
+    K = FiniteKernel(points=PointSet.from_points(range(n)), gram=g)
     want = _hermitian_mirror(g)
     assert K.gram.dtype == want.dtype and K.gram.shape == want.shape
     assert K.gram.tobytes() == want.tobytes()
@@ -173,16 +149,16 @@ def test_finite_kernel_gram_is_bit_identical_to_the_reference_mirror(n):
 )
 def test_finite_kernel_rejects_with_the_same_messages(gram, error, message):
     with pytest.raises(error) as info:
-        FiniteKernel(points=index_points(2), gram=gram)
+        FiniteKernel(points=PointSet.from_points(range(2)), gram=gram)
     assert str(info.value) == message
 
 
 def test_hermitian_tolerance_is_relative_to_the_largest_entry():
     scale = 1e6
     tilt = 0.5 * kernels.HERMITIAN_TOL * scale
-    FiniteKernel(points=index_points(2), gram=[[scale, tilt], [0.0, 1.0]])
+    FiniteKernel(points=PointSet.from_points(range(2)), gram=[[scale, tilt], [0.0, 1.0]])
     with pytest.raises(NotHermitian):
-        FiniteKernel(points=index_points(2), gram=[[scale, 4 * tilt], [0.0, 1.0]])
+        FiniteKernel(points=PointSet.from_points(range(2)), gram=[[scale, 4 * tilt], [0.0, 1.0]])
 
 
 def _whole_matrix_mirror(g):
@@ -206,7 +182,7 @@ def test_row_panels_keep_the_whole_matrix_mirror_and_verdict(monkeypatch, n):
     assert [rows.stop - rows.start for rows in kernels._row_panels(n)][-2:] == [3, n % 3]
     rng = np.random.default_rng(2000 + n)
     g = _hermitian_with_signed_zeros(rng, n)
-    assert FiniteKernel(points=index_points(n), gram=g).gram.tobytes() == \
+    assert FiniteKernel(points=PointSet.from_points(range(n)), gram=g).gram.tobytes() == \
         _whole_matrix_mirror(g).tobytes()
     stack = np.stack([_hermitian_with_signed_zeros(rng, n) for _ in range(3)])
     want = _whole_matrix_mirror(stack).tobytes()
@@ -219,14 +195,14 @@ def test_row_panels_keep_the_whole_matrix_mirror_and_verdict(monkeypatch, n):
         tilted[i, j] += tilt * (1j if i == j else np.exp(2j * np.pi * rng.random()))
         if _whole_matrix_rejects(tilted):
             with pytest.raises(NotHermitian):
-                FiniteKernel(points=index_points(n), gram=tilted)
+                FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
         else:
-            FiniteKernel(points=index_points(n), gram=tilted)
+            FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
     # A NaN in the last row outranks a defect in the first panel.
     tilted[0, 1] += 1.0
     tilted[-1, -1] = np.nan
     with pytest.raises(DomainViolation, match="gram entries must be finite"):
-        FiniteKernel(points=index_points(n), gram=tilted)
+        FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
 
 
 @pytest.mark.parametrize("n", [17, 600])
@@ -241,9 +217,9 @@ def test_a_non_real_diagonal_is_judged_as_twice_its_imaginary_part(n, row, side)
     g[row, row] += side * kernels.HERMITIAN_TOL * 1j
     if side > 0.5:
         with pytest.raises(NotHermitian):
-            FiniteKernel(points=index_points(n), gram=g)
+            FiniteKernel(points=PointSet.from_points(range(n)), gram=g)
     else:
-        assert not FiniteKernel(points=index_points(n), gram=g).gram.imag.any()
+        assert not FiniteKernel(points=PointSet.from_points(range(n)), gram=g).gram.imag.any()
 
 
 # Finite parts whose modulus, 2.1e308, overflows float64.
@@ -283,7 +259,7 @@ def test_kb_validate_rejects_an_overflowing_table_as_a_config_error(lower, error
 def test_feature_projector_is_computed_once_and_read_only():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    F = parseval_factorize(FiniteKernel(points=index_points(5), gram=A @ A.conj().T))
+    F = parseval_factorize(FiniteKernel(points=PointSet.from_points(range(5)), gram=A @ A.conj().T))
     P = F.feature_projector
     assert F.feature_projector is P and not P.flags.writeable
     B = np.sqrt(F.measure.weights)[:, None] * F.features.T

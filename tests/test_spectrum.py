@@ -65,7 +65,7 @@ def test_spectrum_of_a_real_gram_is_real():
     spec = spectrum(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
     assert spec.vectors.dtype == np.float64
     np.testing.assert_allclose(spec.values, [1.0, 3.0], rtol=1e-15)
-    assert spec.norm == pytest.approx(3.0)
+    assert kernels._norm(spec.values) == pytest.approx(3.0)
     assert spectrum(np.array([[1.0, 1j], [-1j, 1.0]])).vectors.dtype == np.complex128
 
 
@@ -323,21 +323,21 @@ def _check_spectrum(gram):
     lam = np.linalg.eigvalsh(gram)
     n = lam.size
     extremes = (lam[0], lam[-1]) if n else (0.0, 0.0)
+    upper, norm = (float(spec.values[-1]) if n else 0.0), float(kernels._norm(spec.values))
     # eigh and eigvalsh agree to rounding, not bit for bit.
-    np.testing.assert_allclose((spec.lower, spec.upper), extremes,
-                               rtol=0.0, atol=1e-13 * max(n, 1) * spec.norm)
-    assert spec.norm == max(-spec.lower, spec.upper)
-    assert spec.norm == pytest.approx(max(-extremes[0], extremes[1]), rel=1e-13 * max(n, 1))
+    np.testing.assert_allclose((spec.lower, upper), extremes,
+                               rtol=0.0, atol=1e-13 * max(n, 1) * norm)
+    assert norm == pytest.approx(max(-extremes[0], extremes[1]), rel=1e-13 * max(n, 1))
     rtol = default_rank_tol(n)
     F = spec.factor(rtol)
     assert F.dtype == np.complex128 and F.flags.c_contiguous
-    kept = lam[lam > rtol * spec.norm][::-1]
+    kept = lam[lam > rtol * norm][::-1]
     np.testing.assert_allclose(np.sum(np.abs(F) ** 2, axis=0), kept,
-                               rtol=1e-12, atol=1e-12 * spec.norm)
+                               rtol=1e-12, atol=1e-12 * norm)
     psd = spec.is_psd()
     if psd:
-        assert np.abs(F @ np.conj(F).T - gram).max(initial=0.0) <= 1e-13 * max(n, 1) * spec.norm
-    return spec.lower, spec.upper, spec.norm, psd, F.shape[1]
+        assert np.abs(F @ np.conj(F).T - gram).max(initial=0.0) <= 1e-13 * max(n, 1) * norm
+    return spec.lower, upper, norm, psd, F.shape[1]
 
 
 def test_spectrum_of_the_empty_matrix():
@@ -501,7 +501,7 @@ def test_stacked_random_kernel_corpus_agrees_with_the_public_path(seed):
     from kboundary import factorization, selfcheck
     from kboundary.factorization import apply_V, check_isometry, l2_norm_squared, \
         projection_spectrum
-    from kboundary.kernels import index_points, relative_residual
+    from kboundary.kernels import relative_residual
     from kboundary.rkhs import norm_squared
 
     grams, coeffs = selfcheck._transform_corpus(selfcheck._rng(seed, 2), 200)
@@ -514,9 +514,9 @@ def test_stacked_random_kernel_corpus_agrees_with_the_public_path(seed):
         xi = np.stack([coeffs[i] for i in f.index])
         wf = factorization._apply_W(f.features, xi)
         for j, i in enumerate(f.index):
-            K = FiniteKernel(points=index_points(len(grams[i])), gram=grams[i])
+            K = _kernel(grams[i])
             F = parseval_factorize(K)
-            r, norm = F.n_atoms, K.spectrum.norm
+            r, norm = F.n_atoms, float(kernels._norm(K.spectrum.values))
             assert K.gram.tobytes() == f.gram[j].tobytes()
             assert K.spectrum.values.tobytes() == values[j].tobytes()
             assert K.spectrum.vectors.tobytes() == vectors[j].tobytes()
@@ -547,8 +547,7 @@ def test_spectrum_methods_keep_their_one_matrix_arithmetic():
             A = rng.standard_normal((n, r)) + field * 1j * rng.standard_normal((n, r))
             spec = spectrum(A @ np.conj(A).T)
             values, vectors = spec.values, spec.vectors
-            norm = max(-spec.lower, spec.upper)
-            assert spec.norm == norm
+            norm = max(-spec.lower, values[-1]) if n else 0.0
             keep = values > 1e-12 * norm
             f = vectors[:, keep] * np.sqrt(values[keep])[None, :]
             want = np.ascontiguousarray(f[:, ::-1], dtype=complex)
