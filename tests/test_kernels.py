@@ -80,6 +80,21 @@ class TestPolydiskSzego:
 
 
 class TestPointSet:
+    @pytest.mark.parametrize("coords, error", [
+        (np.zeros((2, 2, 1)), ShapeMismatch),
+        (np.zeros((2, 0)), ShapeMismatch),
+        (np.array([0.1, np.nan]), DomainViolation),
+    ])
+    def test_bad_coords_rejected(self, coords, error):
+        with pytest.raises(error):
+            PointSet(coords=coords)
+
+    def test_from_points_builds_one_read_only_row_per_point(self):
+        ps = PointSet.from_points([0.1, 0.2j])
+        assert (ps.size, ps.dim) == (2, 1)
+        assert ps.coords.dtype == np.complex128 and not ps.coords.flags.writeable
+        assert PointSet.from_points([(0.1, 0.2), (0.3, 0.4)]).coords.shape == (2, 2)
+
     def test_restrict(self):
         ps = PointSet.from_points([0.1, 0.2, 0.3])
         sub = ps.restrict([2, 0])

@@ -43,6 +43,21 @@ def _clear_caches():
         cached.cache_clear()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+def test_index_points_are_read_only_and_equal_to_fresh(n):
+    # from_table and induced build the points 0..n-1 when given none.
+    induced = BoundaryFactorization.induced(DiscreteMeasure.counting(1), np.ones((n, 1)))
+    built = (FiniteKernel.from_table(np.eye(n)).points, induced.kernel.points)
+    fresh = PointSet.from_points(range(n))
+    for points in built:
+        assert not points.coords.flags.writeable
+        assert points.coords.dtype == fresh.coords.dtype
+        assert points.coords.shape == fresh.coords.shape == (n, 1)
+        assert points.coords.tobytes() == fresh.coords.tobytes()
+        with pytest.raises(ValueError):
+            points.coords[...] = 1.0
+
+
 @pytest.mark.parametrize("m", [0, 1, 3, 12])
 def test_counting_measure_is_shared_read_only_and_equal_to_fresh(m):
     shared = DiscreteMeasure.counting(m)
