@@ -144,7 +144,7 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     zs = _check_in_disk(ps.coords[:, 0])
     e = mu.boundary_points()
     features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
-    return BoundaryFactorization.induced(mu, features, ps)
+    return BoundaryFactorization.induced(mu, features)
 
 
 def herglotz_poisson_check(mu: CircleMeasure, z) -> dict:
@@ -225,7 +225,7 @@ def renormalize(F: BoundaryFactorization) -> RenormContext:
     return RenormContext(
         expectations=E,
         kren_factorization=BoundaryFactorization(
-            kernel=FiniteKernel(points=F.kernel.points, gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=F.measure, features=features,
         ),
     )

@@ -34,7 +34,7 @@ import numpy as np
 # self-check suite and the Clark machinery where they run.
 from . import __version__, factorization, kernels, measures, rkhs
 from .check import Check
-from .errors import ConfigError, KernelBoundaryError
+from .errors import ConfigError, KernelBoundaryError, ShapeMismatch
 
 log = logging.getLogger("kboundary")
 
@@ -318,8 +318,9 @@ _KERNEL_FIELDS = {"szego": {"dim"}, "polydisk-szego": {"dim"},
 
 def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None):
     """The closed-form kernel that ``raw`` names, or its ``table`` (decoded)
-    as a ``FiniteKernel`` over ``points`` (the index points when None).  A
-    field that the variant does not read is a ConfigError."""
+    as a ``FiniteKernel``; ``points``, when given, are read for their count,
+    which must be the table's.  A field that the variant does not read is a
+    ConfigError."""
     variant = raw["variant"]
     unread = sorted(set(raw) - {"variant"} - _KERNEL_FIELDS[variant])
     if unread:
@@ -332,8 +333,10 @@ def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None
         return kernels.KernelSpec(measure=_parse_circle_measure(raw["measure"]))
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
-    return kernels.FiniteKernel.from_table(
-        _parse_matrix(raw["table"], "kernel.table", table), points)
+    gram = _parse_matrix(raw["table"], "kernel.table", table)
+    if points is not None and gram.shape != (points.size, points.size):
+        raise ShapeMismatch(f"gram must be {points.size}x{points.size}, got {gram.shape}")
+    return kernels.FiniteKernel.from_table(gram)
 
 
 def _parse_morphism(raw, decoded: dict) -> tuple:

@@ -36,7 +36,6 @@ from .errors import (
 from .kernels import (
     FACTORIZATION_TOL,
     FiniteKernel,
-    PointSet,
     _eigvalsh,
     default_rank_tol,
     numerical_rank,
@@ -68,18 +67,15 @@ class BoundaryFactorization:
         object.__setattr__(self, "features", phi)
 
     @classmethod
-    def induced(cls, measure: DiscreteMeasure, features,
-                points: PointSet | None = None) -> "BoundaryFactorization":
+    def induced(cls, measure: DiscreteMeasure, features) -> "BoundaryFactorization":
         """The factorization whose kernel is the one the features induce,
-        G = Phi D Phi^*, over ``points`` (index points 0..n-1 when None)."""
+        G = Phi D Phi^*."""
         phi = np.asarray(features, dtype=complex)
         if phi.ndim != 2 or phi.shape[1] != measure.size:
             raise ShapeMismatch(
                 f"features must have {measure.size} columns, got shape {phi.shape}"
             )
-        if points is None:
-            points = PointSet(coords=np.arange(phi.shape[0], dtype=complex))
-        kernel = FiniteKernel(points=points, gram=_induced_gram(phi, measure.weights))
+        kernel = FiniteKernel(gram=_induced_gram(phi, measure.weights))
         return cls(kernel=kernel, measure=measure, features=phi)
 
     @cached_property

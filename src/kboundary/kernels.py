@@ -83,9 +83,6 @@ class PointSet:
     def dim(self) -> int:
         return int(self.coords.shape[1])
 
-    def restrict(self, indices) -> "PointSet":
-        return PointSet(coords=self.coords[list(indices), :])
-
     @classmethod
     def from_points(cls, points) -> "PointSet":
         """Build from a sequence of scalars (k=1) or coordinate tuples."""
@@ -118,13 +115,12 @@ class KernelSpec:
 class FiniteKernel:
     """Hermitian matrix of kernel values over a point set."""
 
-    points: PointSet
     gram: np.ndarray
     field_tag: str = "complex"
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
-        n = self.points.size
+        n = g.shape[0] if g.ndim else 0
         if g.shape != (n, n):
             _require_finite(g, "gram entries")
             raise ShapeMismatch(f"gram must be {n}x{n}, got {g.shape}")
@@ -137,13 +133,11 @@ class FiniteKernel:
             raise ShapeMismatch(f"field_tag must be real or complex, got {self.field_tag!r}")
 
     @classmethod
-    def from_table(cls, table, points: PointSet | None = None) -> "FiniteKernel":
-        """The kernel whose Gram is ``table`` over ``points`` (the index points
-        0..n-1 when None), tagged real when ``table`` has zero imaginary part."""
+    def from_table(cls, table) -> "FiniteKernel":
+        """The kernel whose Gram is ``table``, tagged real when ``table`` has
+        zero imaginary part."""
         g = np.asarray(table, dtype=complex)
-        if points is None:
-            points = PointSet(coords=np.arange(g.shape[0] if g.ndim else 0, dtype=complex))
-        return cls(points=points, gram=g, field_tag="complex" if g.imag.any() else "real")
+        return cls(gram=g, field_tag="complex" if g.imag.any() else "real")
 
     @cached_property
     def spectrum(self) -> "Spectrum":
@@ -164,15 +158,11 @@ class FiniteKernel:
 
     @property
     def size(self) -> int:
-        return self.points.size
+        return self.gram.shape[0]
 
     def restrict(self, indices) -> "FiniteKernel":
         idx = list(indices)
-        return FiniteKernel(
-            points=self.points.restrict(idx),
-            gram=self.gram[np.ix_(idx, idx)],
-            field_tag=self.field_tag,
-        )
+        return FiniteKernel(gram=self.gram[np.ix_(idx, idx)], field_tag=self.field_tag)
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
     if points.dim != spec.dim:
         raise DimensionMismatch(f"kernel expects {spec.dim}-dim points, got {points.dim}")
     gram = _kernel_callable(spec)(points.coords)
-    return FiniteKernel(points=points, gram=gram, field_tag="complex")
+    return FiniteKernel(gram=gram, field_tag="complex")
 
 
 def default_rank_tol(n: int) -> float:

@@ -28,8 +28,8 @@ Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
 The corpora are rebuilt from the seed on every call, apart from objects
-that are frozen and fixed by their arguments: the index point sets and
-counting measures (one per size, see ``kernels`` and ``measures``) and
+that are frozen and fixed by their arguments: the counting measures and
+strict-lower masks (one per size, see ``measures`` and ``kernels``) and
 the Herglotz corpus of the last seed, which two criteria read.  Sharing
 them changes no report: a run with warm caches equals one with cold
 caches.  ``run_all`` runs the criteria in the calling process and, where
@@ -381,9 +381,7 @@ def _two_point_factorization(measure: measures.DiscreteMeasure, e_values, z_poin
     zs = np.asarray(z_points, dtype=complex)
     ev = np.asarray(e_values, dtype=complex)
     phi = 1.0 + zs[:, None] * np.conj(ev)[None, :]
-    return factorization.BoundaryFactorization.induced(
-        measure, phi, kernels.PointSet.from_points(zs)
-    )
+    return factorization.BoundaryFactorization.induced(measure, phi)
 
 
 def check_morphism_examples(seed: int = 0) -> Check:
@@ -444,20 +442,14 @@ def szego_real_part_kernel(points=(0.0, 0.35, -0.2, 0.4j)) -> kernels.FiniteKern
     """Real part of the Szego Gram matrix over a small point grid."""
     ps = kernels.PointSet.from_points(points)
     K = kernels.assemble_gram(kernels.KernelSpec(), ps)
-    return kernels.FiniteKernel(
-        points=ps, gram=K.gram.real.astype(complex), field_tag="real"
-    )
+    return kernels.FiniteKernel(gram=K.gram.real.astype(complex), field_tag="real")
 
 
 def check_gaussian_realization(seed: int = 0, n_draws: int = 200_000) -> Check:
     """Sampled covariance, means and marginal consistency at N = 2e5."""
     start = time.perf_counter()
     K_szego = szego_real_part_kernel()
-    eye = kernels.FiniteKernel(
-        points=kernels.PointSet.from_points([0.0, 0.1]),
-        gram=np.eye(2),
-        field_tag="real",
-    )
+    eye = kernels.FiniteKernel(gram=np.eye(2), field_tag="real")
     errors = [moment_errors(K, seed, n_draws) for K in (K_szego, eye)]
     worst_cov = float(np.max([cov_error for cov_error, _, _, _ in errors]))
     worst_mean = float(np.max([mean_moduli.max() for _, mean_moduli, _, _ in errors]))
@@ -595,9 +587,7 @@ def check_renormalization(seed: int = 0) -> Check:
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
     phi = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    F = factorization.BoundaryFactorization.induced(
-        meas, phi, kernels.PointSet.from_points([0.0, 1.0])
-    )
+    F = factorization.BoundaryFactorization.induced(meas, phi)
     ctx = clark.renormalize(F)
     target = np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex)
     worked_err = float(np.abs(ctx.kren_factorization.kernel.gram - target).max())

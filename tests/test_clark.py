@@ -14,7 +14,6 @@ from kboundary import (
     DomainViolation,
     FiniteKernel,
     InvalidMeasure,
-    PointSet,
     ZeroExpectation,
     apply_V,
     b_eval,
@@ -254,9 +253,7 @@ class TestExpectationAndRenormalization:
 
     def test_zero_features_zero_expectations(self):
         meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
-        K = FiniteKernel(
-            points=PointSet.from_points([0.0, 1.0]), gram=np.zeros((2, 2))
-        )
+        K = FiniteKernel(gram=np.zeros((2, 2)))
         F = BoundaryFactorization(
             kernel=K, measure=meas, features=np.zeros((2, 2))
         )
@@ -267,7 +264,7 @@ class TestExpectationAndRenormalization:
         phi = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         gram = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
         F = BoundaryFactorization(
-            kernel=FiniteKernel(points=PointSet.from_points([0.0, 1.0]), gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=meas,
             features=phi,
         )
@@ -283,7 +280,7 @@ class TestExpectationAndRenormalization:
         phi = np.array([[1.0, -1.0]], dtype=complex)
         gram = np.array([[1.0]], dtype=complex)
         F = BoundaryFactorization(
-            kernel=FiniteKernel(points=PointSet.from_points([0.0]), gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=meas,
             features=phi,
         )
@@ -362,7 +359,7 @@ class TestExpectationAndRenormalization:
         phi = np.array([[1.0 + eps, eps - 1.0]], dtype=complex)
         gram = np.array([[0.5 * abs(1 + eps) ** 2 + 0.5 * abs(eps - 1) ** 2]], dtype=complex)
         F = BoundaryFactorization(
-            kernel=FiniteKernel(points=PointSet.from_points([0.0]), gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=meas,
             features=phi,
         )
@@ -382,7 +379,7 @@ class TestNormalizedTransform:
         gram = (phi * meas.weights[None, :]) @ np.conj(phi).T
         gram = (gram + np.conj(gram).T) / 2.0
         F = BoundaryFactorization(
-            kernel=FiniteKernel(points=PointSet.from_points([0.0, 1.0]), gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=meas,
             features=phi,
         )
@@ -407,7 +404,7 @@ class TestNormalizedTransform:
         phi = rng.standard_normal((1, 3)) + 1.0
         gram = (phi * meas.weights[None, :]) @ np.conj(phi).T
         F = BoundaryFactorization(
-            kernel=FiniteKernel(points=PointSet.from_points([0.0]), gram=gram),
+            kernel=FiniteKernel(gram=gram),
             measure=meas,
             features=phi,
         )
@@ -434,9 +431,7 @@ class TestDensityCriterion:
     def test_counting_parseval_is_dense(self):
         rng = np.random.default_rng(73)
         A = rng.standard_normal((4, 3))
-        K = FiniteKernel(
-            points=PointSet.from_points(np.arange(4, dtype=complex)), gram=A @ A.T
-        )
+        K = FiniteKernel(gram=A @ A.T)
         F = parseval_factorize(K)
         assert minimality_test(F)["is_minimal"]
 

@@ -893,19 +893,37 @@ def _pipeline_configs():
     yield pytest.param(FACTORIZE_TABLE, id="factorize-table")
 
 
+def _cnum_rows(matrix) -> list:
+    return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in np.asarray(matrix)]
+
+
+PSD_TABLES = {
+    "complex-2x2": FACTORIZE_TABLE["kernel"]["table"],
+    "real-3x3": _cnum_rows([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+    "complex-3x3": _cnum_rows([[3.0, 1 - 1j, 0.5j], [1 + 1j, 3.0, 1.0], [-0.5j, 1.0, 3.0]]),
+}
+SCALAR_POINTS = [{"re": 0.1}, {"re": 0, "im": 0.2}, {"re": -0.3}]
+TUPLE_POINTS = [[{"re": 0.1}, {"re": 0, "im": 0.2}], [{"re": 0.3}, {"re": -0.1}],
+                [{"re": -0.2}, {"re": 0.4}]]
+
+
+@pytest.mark.parametrize("form", ["scalars", "tuples"])
+@pytest.mark.parametrize("table", list(PSD_TABLES))
 @pytest.mark.parametrize("command", ["validate", "factorize"])
-def test_table_points_label_the_kernel_without_changing_the_report(command, tmp_path):
-    points = [[{"re": 0.1}, {"re": 0, "im": 0.2}], [{"re": 0.3}, {"re": -0.1}]]
+def test_table_points_are_read_for_their_count_only(command, table, form, tmp_path):
+    rows = PSD_TABLES[table]
+    points = (SCALAR_POINTS if form == "scalars" else TUPLE_POINTS)[:len(rows)]
     runs = []
     for name, extra in (("index", {}), ("points", {"points": points})):
         folder = tmp_path / name
         folder.mkdir()
-        (folder / "job.json").write_text(json.dumps({**FACTORIZE_TABLE, "command": command, **extra}))
+        config = {"command": command, "kernel": {"variant": "table", "table": rows}, **extra}
+        (folder / "job.json").write_text(json.dumps(config))
         out = folder / "report.json"
         assert cli.main([command, "--config", str(folder / "job.json"), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        del report["timing"]
-        runs.append((report, {p.name: p.read_bytes() for p in folder.glob("report.*.npy")}))
+        without_timing = re.sub(rb'\n  "timing": \{[^}]*\}', b"", out.read_bytes())
+        assert b'"timing"' not in without_timing
+        runs.append((without_timing, {p.name: p.read_bytes() for p in folder.glob("report.*.npy")}))
     assert runs[0] == runs[1] and runs[0][1]
 
 

@@ -16,7 +16,6 @@ from kboundary import (
     LabelMismatch,
     MeasureMorphism,
     NotAFactorization,
-    PointSet,
     RkhsElement,
     ShapeMismatch,
     apply_V,
@@ -40,10 +39,7 @@ from kboundary.factorization import projection_spectrum
 
 
 def _kernel_from_gram(gram):
-    g = np.asarray(gram, dtype=complex)
-    return FiniteKernel(
-        points=PointSet.from_points(np.arange(g.shape[0], dtype=complex)), gram=g
-    )
+    return FiniteKernel(gram=gram)
 
 
 def clark_two_atom_factorization(z1=0.3 + 0.1j, z2=-0.4 + 0.2j):

@@ -24,12 +24,7 @@ from kboundary import (
 
 
 def _table_kernel(matrix, field_tag="complex"):
-    g = np.asarray(matrix, dtype=complex)
-    return FiniteKernel(
-        points=PointSet.from_points(np.arange(g.shape[0], dtype=complex)),
-        gram=g,
-        field_tag=field_tag,
-    )
+    return FiniteKernel(gram=matrix, field_tag=field_tag)
 
 
 class TestRealize:

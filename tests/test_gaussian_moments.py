@@ -29,12 +29,7 @@ from kboundary.selfcheck import (
 
 
 def _table_kernel(matrix, field_tag):
-    g = np.asarray(matrix, dtype=complex)
-    return FiniteKernel(
-        points=PointSet.from_points(np.arange(g.shape[0], dtype=complex)),
-        gram=g,
-        field_tag=field_tag,
-    )
+    return FiniteKernel(gram=matrix, field_tag=field_tag)
 
 
 def _complex_szego_kernel():
@@ -71,7 +66,7 @@ def _kb_wide_factorization(field_tag):
     mu = CircleMeasure(atoms=np.arange(7) / 7.0 + 0.03,
                        weights=[0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
     F = build_kb_factorization(mu, random_interior(np.random.default_rng(11), 3))
-    kernel = FiniteKernel(points=F.kernel.points, gram=F.kernel.gram, field_tag=field_tag)
+    kernel = FiniteKernel(gram=F.kernel.gram, field_tag=field_tag)
     return BoundaryFactorization(kernel=kernel, measure=F.measure, features=F.features)
 
 
@@ -225,7 +220,7 @@ def test_realize_keeps_full_rank_of_a_tiny_identity():
 )
 def test_realized_rank_does_not_depend_on_units(make, rank, scale):
     K = make()
-    scaled = FiniteKernel(points=K.points, gram=scale * K.gram, field_tag=K.field_tag)
+    scaled = FiniteKernel(gram=scale * K.gram, field_tag=K.field_tag)
     assert realize(scaled).n_atoms == rank
 
 

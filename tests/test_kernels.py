@@ -95,12 +95,6 @@ class TestPointSet:
         assert ps.coords.dtype == np.complex128 and not ps.coords.flags.writeable
         assert PointSet.from_points([(0.1, 0.2), (0.3, 0.4)]).coords.shape == (2, 2)
 
-    def test_restrict(self):
-        ps = PointSet.from_points([0.1, 0.2, 0.3])
-        sub = ps.restrict([2, 0])
-        assert (sub.size, sub.dim) == (2, 1)
-        assert sub.coords[:, 0].tolist() == [0.3, 0.1]
-
 
 class TestAssembleGram:
     def test_szego_two_points(self):
@@ -126,19 +120,14 @@ class TestAssembleGram:
         with pytest.raises(DomainViolation):
             assemble_gram(KernelSpec(), PointSet.from_points([0.2, 1.0]))
 
-    def test_table_size_mismatch(self):
-        with pytest.raises(ShapeMismatch, match=r"^gram must be 2x2, got \(3, 3\)$"):
-            FiniteKernel.from_table(np.eye(3), PointSet.from_points([0.0, 0.1]))
-
     def test_table_requires_hermitian(self):
         with pytest.raises(NotHermitian, match="^gram matrix is not Hermitian$"):
             FiniteKernel.from_table(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_table_field_tag(self):
-        ps = PointSet.from_points([0.0, 1.0])
-        real = FiniteKernel.from_table(np.eye(2), ps)
+        real = FiniteKernel.from_table(np.eye(2))
         assert real.field_tag == "real"
-        cplx = FiniteKernel.from_table(np.array([[1.0, 1j], [-1j, 1.0]]), ps)
+        cplx = FiniteKernel.from_table(np.array([[1.0, 1j], [-1j, 1.0]]))
         assert cplx.field_tag == "complex"
 
     def test_dimension_check(self):
@@ -162,20 +151,29 @@ class TestKernelSpec:
 
 
 class TestFromTable:
-    def test_index_points_when_none_are_given(self):
+    def test_a_kernel_is_its_gram_and_field_tag(self):
+        assert [f.name for f in dataclasses.fields(FiniteKernel)] == ["gram", "field_tag"]
+        assert not hasattr(PointSet, "restrict")
         K = FiniteKernel.from_table([[2.0, 1j], [-1j, 2.0]])
-        assert K.points.coords.tolist() == [[0j], [1 + 0j]]
-        assert K.field_tag == "complex"
+        assert (K.size, K.field_tag) == (2, "complex")
         assert FiniteKernel.from_table(np.eye(3)).field_tag == "real"
 
+    @pytest.mark.parametrize("build", [
+        FiniteKernel.from_table, lambda table: FiniteKernel(gram=table),
+    ], ids=["from_table", "constructor"])
     @pytest.mark.parametrize("table, shape", [
         (np.ones((2, 3)), r"2x2, got \(2, 3\)"),
         (np.ones(2), r"2x2, got \(2,\)"),
         (np.array(1.0), r"0x0, got \(\)"),
-    ], ids=["non-square", "1-d", "0-d"])
-    def test_a_table_that_is_not_square_is_a_shape_mismatch(self, table, shape):
+        (np.ones((2, 2, 2)), r"2x2, got \(2, 2, 2\)"),
+    ], ids=["non-square", "1-d", "0-d", "3-d"])
+    def test_a_table_that_is_not_square_is_a_shape_mismatch(self, build, table, shape):
         with pytest.raises(ShapeMismatch, match=f"^gram must be {shape}$"):
-            FiniteKernel.from_table(table)
+            build(table)
+
+    def test_a_non_finite_gram_of_the_wrong_shape_is_a_domain_violation(self):
+        with pytest.raises(DomainViolation, match="^gram entries must be finite$"):
+            FiniteKernel(gram=[[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestCheckPositiveDefinite:
@@ -186,16 +184,13 @@ class TestCheckPositiveDefinite:
         assert report.min_eigenvalue > 0
 
     def test_identity(self):
-        K = FiniteKernel(points=PointSet.from_points([0.0, 1.0]), gram=np.eye(2))
+        K = FiniteKernel(gram=np.eye(2))
         report = check_positive_definite(K)
         assert report.is_psd
         assert report.min_eigenvalue == pytest.approx(1.0)
 
     def test_indefinite(self):
-        K = FiniteKernel(
-            points=PointSet.from_points([0.0, 1.0]),
-            gram=np.array([[1.0, 2.0], [2.0, 1.0]]),
-        )
+        K = FiniteKernel(gram=np.array([[1.0, 2.0], [2.0, 1.0]]))
         report = check_positive_definite(K)
         assert not report.is_psd
         assert report.min_eigenvalue == pytest.approx(-1.0)
@@ -203,10 +198,7 @@ class TestCheckPositiveDefinite:
 
     def test_non_hermitian_rejected_at_construction(self):
         with pytest.raises(NotHermitian):
-            FiniteKernel(
-                points=PointSet.from_points([0.0, 1.0]),
-                gram=np.array([[1.0, 2.0], [0.0, 1.0]]),
-            )
+            FiniteKernel(gram=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kboundary import CircleMeasure, FiniteKernel, PointSet, cli, clark, factorization
+from kboundary import CircleMeasure, FiniteKernel, cli, clark, factorization
 from kboundary.kernels import polydisk_szego_eval
 
 N = 1000
@@ -58,8 +58,7 @@ def test_szego_evaluator_builds_its_gram_in_place(points):
 def test_finite_kernel_allocates_one_gram_beyond_its_input(points):
     c = points[:, None]
     gram = polydisk_szego_eval(c[:, None, :], c[None, :, :])
-    ps = PointSet.from_points(points)
-    assert _peak_grams(lambda: FiniteKernel(points=ps, gram=gram)) <= 1.25
+    assert _peak_grams(lambda: FiniteKernel(gram=gram)) <= 1.25
 
 
 def test_kb_gram_holds_one_numerator_and_one_denominator(points):

@@ -14,7 +14,6 @@ from kboundary import (
     DomainViolation,
     FiniteKernel,
     InvalidMeasure,
-    PointSet,
     ZeroExpectation,
     clark,
     polydisk_szego_eval,
@@ -26,7 +25,7 @@ POINT_MASS = CircleMeasure(atoms=[0.0], weights=[1.0])
 
 def _zero_mean_factorization():
     meas = DiscreteMeasure(atoms=("0", "1"), weights=[0.5, 0.5])
-    kernel = FiniteKernel(points=PointSet.from_points([0.0]), gram=[[1.0]])
+    kernel = FiniteKernel(gram=[[1.0]])
     return BoundaryFactorization(kernel=kernel, measure=meas, features=[[1.0, -1.0]])
 
 

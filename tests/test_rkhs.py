@@ -28,11 +28,7 @@ def szego_base():
 
 
 def _table_kernel(matrix):
-    n = len(matrix)
-    return FiniteKernel(
-        points=PointSet.from_points(np.arange(n, dtype=complex)),
-        gram=np.asarray(matrix, dtype=complex),
-    )
+    return FiniteKernel(gram=matrix)
 
 
 def _counting_factorization(base, frame):
@@ -220,18 +216,18 @@ class TestFrameExpand:
 
     def test_one_base_is_one_gram(self):
         # kb names each point by its row, so a kernel's Gram is all that
-        # makes it a base: its coordinates, and whether it was restricted
-        # from a larger kernel, do not count.
+        # makes it a base: two kernels built apart from one Gram are one
+        # base, and whether one was restricted from a larger kernel does not
+        # count.
         gram = np.array([[2.0, 1.0], [1.0, 2.0]])
-        a = FiniteKernel(points=PointSet.from_points([0.1, 0.2]), gram=gram)
-        b = FiniteKernel(points=PointSet.from_points([0.5j, -0.3]), gram=gram)
+        a = FiniteKernel(gram=gram)
+        b = FiniteKernel(gram=gram)
         section = np.array([1.0, 0.0])
         F = parseval_factorize(a)
         np.testing.assert_array_equal(apply_W(F, RkhsElement(base=b, coeffs=section)),
                                       apply_W(F, RkhsElement(base=a, coeffs=section)))
         with pytest.raises(BaseMismatch):
-            apply_W(F, RkhsElement(base=FiniteKernel(points=a.points, gram=2.0 * gram),
-                                   coeffs=section))
+            apply_W(F, RkhsElement(base=FiniteKernel(gram=2.0 * gram), coeffs=section))
         larger = FiniteKernel.from_table([[2.0, 0.5, 1.0], [0.5, 3.0, 0.5], [1.0, 0.5, 2.0]])
         restricted = larger.restrict([2, 0])
         np.testing.assert_array_equal(restricted.gram, gram)

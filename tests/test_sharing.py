@@ -43,21 +43,6 @@ def _clear_caches():
         cached.cache_clear()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
-def test_index_points_are_read_only_and_equal_to_fresh(n):
-    # from_table and induced build the points 0..n-1 when given none.
-    induced = BoundaryFactorization.induced(DiscreteMeasure.counting(1), np.ones((n, 1)))
-    built = (FiniteKernel.from_table(np.eye(n)).points, induced.kernel.points)
-    fresh = PointSet.from_points(range(n))
-    for points in built:
-        assert not points.coords.flags.writeable
-        assert points.coords.dtype == fresh.coords.dtype
-        assert points.coords.shape == fresh.coords.shape == (n, 1)
-        assert points.coords.tobytes() == fresh.coords.tobytes()
-        with pytest.raises(ValueError):
-            points.coords[...] = 1.0
-
-
 @pytest.mark.parametrize("m", [0, 1, 3, 12])
 def test_counting_measure_is_shared_read_only_and_equal_to_fresh(m):
     shared = DiscreteMeasure.counting(m)
@@ -76,7 +61,7 @@ def test_counting_measure_size_must_be_an_integer():
 
 
 def _identity_kernel(n):
-    return FiniteKernel(points=PointSet.from_points(range(n)), gram=np.eye(n))
+    return FiniteKernel(gram=np.eye(n))
 
 
 @pytest.mark.parametrize("given, build", [
@@ -145,7 +130,7 @@ def test_finite_kernel_gram_is_bit_identical_to_the_reference_mirror(n):
     rng = np.random.default_rng(1000 + n)
     g = _hermitian_with_signed_zeros(rng, n)
     before = g.copy()
-    K = FiniteKernel(points=PointSet.from_points(range(n)), gram=g)
+    K = FiniteKernel(gram=g)
     want = _hermitian_mirror(g)
     assert K.gram.dtype == want.dtype and K.gram.shape == want.shape
     assert K.gram.tobytes() == want.tobytes()
@@ -164,16 +149,16 @@ def test_finite_kernel_gram_is_bit_identical_to_the_reference_mirror(n):
 )
 def test_finite_kernel_rejects_with_the_same_messages(gram, error, message):
     with pytest.raises(error) as info:
-        FiniteKernel(points=PointSet.from_points(range(2)), gram=gram)
+        FiniteKernel(gram=gram)
     assert str(info.value) == message
 
 
 def test_hermitian_tolerance_is_relative_to_the_largest_entry():
     scale = 1e6
     tilt = 0.5 * kernels.HERMITIAN_TOL * scale
-    FiniteKernel(points=PointSet.from_points(range(2)), gram=[[scale, tilt], [0.0, 1.0]])
+    FiniteKernel(gram=[[scale, tilt], [0.0, 1.0]])
     with pytest.raises(NotHermitian):
-        FiniteKernel(points=PointSet.from_points(range(2)), gram=[[scale, 4 * tilt], [0.0, 1.0]])
+        FiniteKernel(gram=[[scale, 4 * tilt], [0.0, 1.0]])
 
 
 def _whole_matrix_mirror(g):
@@ -197,8 +182,7 @@ def test_row_panels_keep_the_whole_matrix_mirror_and_verdict(monkeypatch, n):
     assert [rows.stop - rows.start for rows in kernels._row_panels(n)][-2:] == [3, n % 3]
     rng = np.random.default_rng(2000 + n)
     g = _hermitian_with_signed_zeros(rng, n)
-    assert FiniteKernel(points=PointSet.from_points(range(n)), gram=g).gram.tobytes() == \
-        _whole_matrix_mirror(g).tobytes()
+    assert FiniteKernel(gram=g).gram.tobytes() == _whole_matrix_mirror(g).tobytes()
     stack = np.stack([_hermitian_with_signed_zeros(rng, n) for _ in range(3)])
     want = _whole_matrix_mirror(stack).tobytes()
     assert _hermitian_mirror(stack).tobytes() == want
@@ -210,14 +194,14 @@ def test_row_panels_keep_the_whole_matrix_mirror_and_verdict(monkeypatch, n):
         tilted[i, j] += tilt * (1j if i == j else np.exp(2j * np.pi * rng.random()))
         if _whole_matrix_rejects(tilted):
             with pytest.raises(NotHermitian):
-                FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
+                FiniteKernel(gram=tilted)
         else:
-            FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
+            FiniteKernel(gram=tilted)
     # A NaN in the last row outranks a defect in the first panel.
     tilted[0, 1] += 1.0
     tilted[-1, -1] = np.nan
     with pytest.raises(DomainViolation, match="gram entries must be finite"):
-        FiniteKernel(points=PointSet.from_points(range(n)), gram=tilted)
+        FiniteKernel(gram=tilted)
 
 
 @pytest.mark.parametrize("n", [17, 600])
@@ -232,9 +216,9 @@ def test_a_non_real_diagonal_is_judged_as_twice_its_imaginary_part(n, row, side)
     g[row, row] += side * kernels.HERMITIAN_TOL * 1j
     if side > 0.5:
         with pytest.raises(NotHermitian):
-            FiniteKernel(points=PointSet.from_points(range(n)), gram=g)
+            FiniteKernel(gram=g)
     else:
-        assert not FiniteKernel(points=PointSet.from_points(range(n)), gram=g).gram.imag.any()
+        assert not FiniteKernel(gram=g).gram.imag.any()
 
 
 # Finite parts whose modulus, 2.1e308, overflows float64.
@@ -274,7 +258,7 @@ def test_kb_validate_rejects_an_overflowing_table_as_a_config_error(lower, error
 def test_feature_projector_is_computed_once_and_read_only():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    F = parseval_factorize(FiniteKernel(points=PointSet.from_points(range(5)), gram=A @ A.conj().T))
+    F = parseval_factorize(FiniteKernel(gram=A @ A.conj().T))
     P = F.feature_projector
     assert F.feature_projector is P and not P.flags.writeable
     B = np.sqrt(F.measure.weights)[:, None] * F.features.T

@@ -43,8 +43,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kboundary"
 
 
 def _kernel(gram) -> FiniteKernel:
-    g = np.asarray(gram, dtype=complex)
-    return FiniteKernel(points=PointSet.from_points(np.arange(g.shape[0])), gram=g)
+    return FiniteKernel(gram=gram)
 
 
 TINY_INDEFINITE = 1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1e-12, 3e-12
@@ -413,8 +412,8 @@ def test_feature_verdicts_do_not_depend_on_units(k):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: FiniteKernel(points=PointSet.from_points([0, 1]), gram=[[np.nan, 0], [0, 1]]),
-        lambda: FiniteKernel(points=PointSet.from_points([0, 1]), gram=[[np.inf, 0], [0, 1]]),
+        lambda: FiniteKernel(gram=[[np.nan, 0], [0, 1]]),
+        lambda: FiniteKernel(gram=[[np.inf, 0], [0, 1]]),
         lambda: FiniteKernel.from_table([[np.inf, 0.0], [0.0, 1.0]]),
         lambda: FiniteKernel.from_table([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
         lambda: PointSet.from_points([0.1, np.nan]),
