@@ -12,9 +12,9 @@ calibrated at run time.
 A criterion whose corpus holds many small problems judges them as stacks,
 through the library's own array cores, not through one frozen object per
 problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
-``parseval-reconstruction`` and ``transform-pair`` group their 200 random
-PSD kernels by size and field (``_spectral_frames``), ``renormalization``
-groups its 100 random factorizations by size (n, m)
+``parseval-reconstruction`` and ``transform-pair`` share 200 random PSD
+kernels, grouped by size and field (``_spectral_frames``), ``renormalization``
+groups its 100 random factorizations by point count n
 (``_renormalized_identities``) and ``polydisk-density`` its 80 measures by
 size (``_density_ranks``).  Their corpora are drawn as arrays: the random
 PSD kernels, the random feature factorizations (``_random_feature_stack``,
@@ -23,27 +23,21 @@ measures in a few Generator calls for the whole corpus, the circle
 measures one measure at a time.  A stack is decomposed as it is, never
 padded, so each matrix gets the eigenpairs or singular values, and so the
 rank and PSD verdicts, of a lone call; zero padding is used only where it
-adds exact zeros to a sum, on the atoms past each kernel's rank.
+adds exact zeros to a sum: on the atoms past each kernel's rank, and on the
+atoms past each random factorization's own.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
 The corpora are rebuilt from the seed on every call, apart from objects
 that are frozen and fixed by their arguments: the counting measures and
-strict-lower masks (one per size, see ``measures`` and ``kernels``) and
-the Herglotz corpus of the last seed, which two criteria read.  Sharing
-them changes no report: a run with warm caches equals one with cold
-caches.  ``run_all`` runs the criteria in the calling process and, where
-the platform has ``os.fork`` and the process may run on several CPUs, in
-forked workers, so these caches are shared only within one process: a
-worker starts from the caller's caches, and what it adds to them goes when
-it exits, while what the caller adds stays for its later calls.
+strict-lower masks (one per size, see ``measures`` and ``kernels``), and
+the random-kernel and Herglotz corpora of the last seed, each read by two
+criteria.  Sharing them changes no report: a run with warm caches equals
+one with cold caches.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
 import time
 from functools import lru_cache
 from typing import NamedTuple
@@ -227,11 +221,23 @@ def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def check_parseval_reconstruction(seed: int = 0) -> Check:
     """200 random Hermitian PSD matrices: factorize, verify within 1e-10 of
-    ||G||_2, the scale ``kb factorize`` judges the residual on.  The corpus
-    is factorized in stacks of one size and field (``_spectral_frames``)."""
-    grams = _random_psd_grams(_rng(seed, 1), 200)
-    worst = float(np.max([np.max(f.relative) for f in _spectral_frames(grams)]))
+    ||G||_2, the scale ``kb factorize`` judges the residual on.  The frames
+    are those of ``transform-pair`` (``_random_kernel_corpus``)."""
+    _, frames = _random_kernel_corpus(seed)
+    worst = float(np.max([np.max(f.relative) for f in frames]))
     return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
+
+
+@lru_cache(maxsize=1)
+def _random_kernel_corpus(seed: int) -> tuple:
+    """(coefficients, spectral frames) of the 200 random PSD kernels of
+    ``seed`` (``_transform_corpus`` on stream 2, ``_spectral_frames``), with
+    read-only arrays, built once for the two criteria that read them."""
+    grams, coeffs = _transform_corpus(_rng(seed, 2), 200)
+    frames = tuple(_spectral_frames(grams))
+    for array in (*coeffs, *(a for f in frames for a in f)):
+        array.setflags(write=False)
+    return tuple(coeffs), frames
 
 
 def _transform_corpus(rng: np.random.Generator, count: int):
@@ -295,14 +301,13 @@ def check_transform_pair(seed: int = 0) -> Check:
 
     Each kernel's three random elements, and its n kernel sections (the
     columns of the identity), each go through the transforms as one matrix,
-    and the kernels of one size and field as one stack (``_spectral_frames``,
+    and the kernels of one size and field as one stack (``_random_kernel_corpus``,
     ``_transform_residuals``, ``_projections``).  The isometry deviation of
     an element is relative to its ||f||^2, and the generator residual to
     ||G||_2."""
-    grams, coeffs = _transform_corpus(_rng(seed, 2), 200)
-    frames = _spectral_frames(grams)
+    coeffs, frames = _random_kernel_corpus(seed)
     iso, gen = _transform_residuals(frames, coeffs)
-    proj, spectra = _projections(frames, len(grams))
+    proj, spectra = _projections(frames, len(coeffs))
     spec = np.concatenate(spectra)
     worst_iso, worst_gen, worst_proj = (float(np.max(x)) for x in (iso, gen, proj))
     worst_spec = float(np.max(np.minimum(np.abs(spec), np.abs(spec - 1.0)), initial=0.0))
@@ -551,23 +556,24 @@ def check_inner_modulus(seed: int = 0) -> Check:
                  {"max_deviation": worst, "point_mass_error": exact1, "two_atom_error": exact2})
 
 
-def _renormalized_identities(phi, w, points, atoms):
+def _renormalized_identities(phi, w, points):
     """Per factorization of a ``_random_feature_stack``, in draw order: the
     least |E_i|, the identity residual and the PSD verdict of its
     renormalized factorization, as ``renormalized_identity`` judges them.
-    The weights on the atoms are checked once, by DiscreteMeasure's rule, and
-    the factorizations of one (n, m) are one stack of the unpadded slices
-    phi[:, :n, :m] and w[:, :m], so that each keeps the arithmetic of a lone
-    call: the induced Gram with FiniteKernel's mirror, clark._renormalize
-    (ZeroExpectation where a mean cancels), factorization._residual, and the
-    PSD verdict on each field's eigenvalues (``kernels._by_field``,
-    ``kernels._eigvalsh``)."""
-    measures._check_weights(w[atoms])
-    n, m = points.sum(axis=-1).tolist(), atoms.sum(axis=-1).tolist()
+    Each factorization keeps all RANDOM_FEATURE_MAX_ATOMS atoms: a padded
+    atom has zero features and positive weight, so it adds exact zeros to E,
+    to Phi D Phi^* and to the residual.  The weights are checked once, by
+    DiscreteMeasure's rule, and the factorizations of one point count n are
+    one stack of the slices phi[:, :n], so that each keeps the arithmetic of
+    a lone call: the induced Gram with FiniteKernel's mirror,
+    clark._renormalize (ZeroExpectation where a mean cancels),
+    factorization._residual, and the PSD verdict on each field's eigenvalues
+    (``kernels._by_field``, ``kernels._eigvalsh``)."""
+    measures._check_weights(w)
+    n = points.sum(axis=-1).tolist()
     least, residual, psd = np.empty(len(phi)), np.empty(len(phi)), np.empty(len(phi), bool)
-    for index in _by_shape(zip(n, m)):
-        rows, cols = n[index[0]], m[index[0]]
-        block, weights = phi[index, :rows, :cols], w[index, :cols]
+    for index in _by_shape(n):
+        block, weights = phi[index, :n[index[0]]], w[index]
         gram = kernels._hermitian_mirror(factorization._induced_gram(block, weights))
         E, kren_gram, kren_phi = clark._renormalize(block, weights, gram)
         least[index] = np.abs(E).min(axis=-1)
@@ -582,7 +588,7 @@ def check_renormalization(seed: int = 0) -> Check:
 
     The 100 random factorizations are drawn as one stack
     (``_random_feature_stack``), and renormalized and judged in stacks of
-    one size (n, m) (``_renormalized_identities``)."""
+    one point count n (``_renormalized_identities``)."""
     rng = _rng(seed, 9)
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
@@ -593,7 +599,7 @@ def check_renormalization(seed: int = 0) -> Check:
     worked_err = float(np.abs(ctx.kren_factorization.kernel.gram - target).max())
 
     expectations, residuals, psd = _renormalized_identities(
-        *_random_feature_stack(rng, 100, mean_shift=2.0))
+        *_random_feature_stack(rng, 100, mean_shift=2.0)[:3])
     worst_res = float(np.max(residuals))
     min_expectation = float(np.min(expectations))
     kren_psd_ok = bool(psd.all())
@@ -675,81 +681,7 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list[Check]:
-    """Run every criterion, in this process and in forked workers; their
-    checks in ALL_CHECKS order.
-
-    This process is one of the workers: it forks one fewer than the CPUs it
-    may run on, at most one per criterion, and none on one CPU or where
-    ``os.fork`` is missing.  Every worker, this process included, claims
-    criterion indices from one pipe (``_claimed``); a forked worker writes
-    back one pickled (index, Check) record each, which this process reads
-    once its own claims run out.  A criterion that raised, or whose forked
-    worker ended before writing its record, left none, and runs again here
-    in index order once every worker is reaped: each criterion is
-    deterministic in its seed, so the lowest-index error is raised, with
-    its traceback, as a serial loop would raise it.  No worker outlives the
-    call.  Report determinism is checked by running the CLI twice (it
-    cannot be observed from inside a single run).
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_forks = min(cpus or 1, len(ALL_CHECKS)) - 1 if hasattr(os, "fork") else 0
-    claims, claims_in = os.pipe()
-    with os.fdopen(claims_in, "wb") as fh:
-        fh.write(bytes(range(len(ALL_CHECKS))))
-    # A worker that flushes an inherited buffer would print its text again.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, sources, results = [], [], {}
-    try:
-        for _ in range(n_forks):
-            source, sink = os.pipe()
-            sources.append(os.fdopen(source, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(seed, claims, sink)
-                pids.append(pid)
-            finally:
-                os.close(sink)
-        results.update(_claimed(seed, claims))
-        # Workers never wait on each other, so reading one pipe after the
-        # other cannot block for good.
-        for fh in sources:
-            while True:
-                try:
-                    index, check = pickle.load(fh)
-                except (EOFError, pickle.UnpicklingError):  # a worker's last record, or cut off
-                    break
-                results[index] = check
-    finally:
-        os.close(claims)
-        for fh in sources:
-            fh.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    return [results[i] if i in results else check(seed=seed) for i, check in enumerate(ALL_CHECKS)]
-
-
-def _claimed(seed: int, claims: int):
-    """(index, Check) of each criterion whose index this process claims from
-    ``claims``, until none is left; a criterion that raises yields nothing."""
-    while claimed := os.read(claims, 1):
-        try:
-            check = ALL_CHECKS[claimed[0]](seed=seed)
-        except Exception:  # run_all runs it again in the caller, which raises it
-            continue
-        yield claimed[0], check
-
-
-def _work(seed: int, claims: int, sink: int):
-    """A forked worker: write the record of each criterion it claims
-    (``_claimed``) to ``sink``, flushed at once; never returns."""
-    status = 1
-    try:
-        with os.fdopen(sink, "wb") as fh:
-            for record in _claimed(seed, claims):
-                fh.write(pickle.dumps(record))
-                fh.flush()
-        status = 0
-    finally:
-        os._exit(status)
+    """Run every criterion, in ALL_CHECKS order; the first that raises ends
+    the run.  Report determinism is checked by running the CLI twice (it
+    cannot be observed from inside a single run)."""
+    return [check(seed=seed) for check in ALL_CHECKS]

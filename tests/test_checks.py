@@ -17,6 +17,7 @@ import pytest
 
 from kboundary import FiniteKernel, cli, rkhs
 from kboundary.check import Check
+from kboundary.kernels import _hermitian_mirror
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -264,12 +265,12 @@ def test_clark_factorizes_atoms_closer_than_1e_15(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed, name", [
-    (13012, "parseval-reconstruction"),
+    (2307, "parseval-reconstruction"),
     (2307, "transform-pair"),
 ], ids=["parseval-reconstruction", "transform-pair"])
 def test_verify_all_judges_residuals_on_the_kernels_scale(seed, name, tmp_path):
-    # Each seed draws a kernel whose dropped eigenvalues leave a residual
-    # above the bound in absolute terms (1.04e-10 at ||G||_2 = 54.5, and a
+    # The seed draws kernels whose dropped eigenvalues leave a residual
+    # above the bound in absolute terms (1.63e-10 at ||G||_2 = 72.5, and a
     # 1.23e-9 isometry deviation at ||f||^2 = 788), but within it relative
     # to the kernel.
     code, report = _run_main(["verify-all", "--seed", str(seed)], tmp_path)
@@ -298,6 +299,24 @@ def test_schwarz_equality_is_judged_relative_to_its_own_scale(monkeypatch):
     check = selfcheck.check_schwarz_bound(seed=0)
     assert not check.passed and check.details["violations"] == 0
     assert check.details["max_equality_deviation"] > 1e-6
+
+
+def test_verify_all_raises_the_error_of_the_lowest_index(monkeypatch, capsys):
+    from kboundary import selfcheck
+    from kboundary.errors import DomainViolation, NotPsd
+
+    def raises(error):
+        def criterion(seed):
+            raise error
+
+        return criterion
+
+    criteria = [lambda seed: Check("passes", True, {"seed": seed})] * 10
+    criteria[1] = raises(NotPsd("the lower index"))
+    criteria[8] = raises(DomainViolation("the higher index"))
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", tuple(criteria))
+    assert cli.main(["verify-all", "--seed", "0"]) == 1
+    assert capsys.readouterr() == ("", "kb: NotPsd: the lower index\n")
 
 
 def _projector_without_conjugate_transpose(vectors, keep):
@@ -350,6 +369,37 @@ def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, mod
             assert not getattr(selfcheck, f"check_{name}")(seed=seed).passed, name
         except NotAFactorization:
             assert name == "transform_pair"
+
+
+def _quotient_over_E_Et(renormalize):
+    def defect(features, weights, gram):
+        E, _, kren_features = renormalize(features, weights, gram)
+        return E, _hermitian_mirror(gram / (E[..., :, None] * E[..., None, :])), kren_features
+
+    return defect
+
+
+def _conjugated_means(renormalize):
+    def defect(*args):
+        E, gram, features = renormalize(*args)
+        return np.conj(E), gram, features
+
+    return defect
+
+
+@pytest.mark.parametrize("defect, failed", [
+    (_features_over_conj_mean, ["renormalized-identity"]),
+    (_quotient_over_E_Et, ["renormalized-identity", "renormalized-psd"]),
+    (_conjugated_means, ["inverse-mean-matches-b"]),
+], ids=["features-over-conj-E", "quotient-over-E-E-transpose", "expectations-conjugated"])
+def test_each_renorm_check_fails_a_defect_planted_in_renormalize(monkeypatch, defect, failed):
+    from kboundary import clark
+
+    cfg = cli.parse_config(json.loads((CONFIGS / "renorm_two_atoms.json").read_text()))
+    monkeypatch.setattr(clark, "_renormalize", defect(clark._renormalize))
+    report, code = cli.run(cfg)
+    assert code == 2
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == failed
 
 
 def _poisoned(func, at, poison):

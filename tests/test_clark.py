@@ -314,21 +314,19 @@ class TestExpectationAndRenormalization:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_each_slice_of_a_stack_renormalizes_as_its_factorization(self, seed):
         # verify-all's renormalization corpus, renormalized in stacks of one
-        # (n, m), against renormalize and renormalized_identity on each
-        # factorization's unpadded slice.
+        # point count n, against renormalize and renormalized_identity on
+        # each factorization's slice over all of the stack's atoms.
         rng = selfcheck._rng(seed, 9)
-        phi, w, points, atoms = selfcheck._random_feature_stack(rng, 100, mean_shift=2.0)
-        least, residual, psd = selfcheck._renormalized_identities(phi, w, points, atoms)
-        sizes = list(zip(points.sum(axis=1).tolist(), atoms.sum(axis=1).tolist()))
+        phi, w, points, _ = selfcheck._random_feature_stack(rng, 100, mean_shift=2.0)
+        least, residual, psd = selfcheck._renormalized_identities(phi, w, points)
+        sizes = points.sum(axis=1).tolist()
         for index in selfcheck._by_shape(sizes):
-            n, m = sizes[index[0]]
-            gram = _hermitian_mirror(factorization._induced_gram(phi[index, :n, :m],
-                                                                 w[index, :m]))
-            E, kren_gram, kren_features = clark._renormalize(phi[index, :n, :m], w[index, :m],
-                                                             gram)
+            n = sizes[index[0]]
+            gram = _hermitian_mirror(factorization._induced_gram(phi[index, :n], w[index]))
+            E, kren_gram, kren_features = clark._renormalize(phi[index, :n], w[index], gram)
             for j, i in enumerate(index):
-                meas = DiscreteMeasure(atoms=tuple(range(m)), weights=w[i, :m])
-                ctx = renormalize(BoundaryFactorization.induced(meas, phi[i, :n, :m]))
+                meas = DiscreteMeasure(atoms=tuple(range(phi.shape[-1])), weights=w[i])
+                ctx = renormalize(BoundaryFactorization.induced(meas, phi[i, :n]))
                 kren = ctx.kren_factorization
                 kren_residual, report = selfcheck.renormalized_identity(ctx)
                 assert ctx.expectations.tobytes() == E[j].tobytes()

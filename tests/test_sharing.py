@@ -1,7 +1,7 @@
 """Shared frozen objects and one-pass kernel validation.
 
-Counting measures, strict-lower masks and the Herglotz corpus are built
-once and shared.  These tests pin that
+Counting measures, strict-lower masks and the random-kernel and Herglotz
+corpora are built once and shared.  These tests pin that
 every shared object is read-only and equal to a freshly built one, that
 a frozen object keeps a read-only copy of each array it is given, that
 FiniteKernel's one-pass validation keeps its verdicts, messages and
@@ -39,7 +39,8 @@ PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
 
 
 def _clear_caches():
-    for cached in (kernels._strict_lower, measures._counting_measure, selfcheck._herglotz_corpus):
+    for cached in (kernels._strict_lower, measures._counting_measure,
+                   selfcheck._random_kernel_corpus, selfcheck._herglotz_corpus):
         cached.cache_clear()
 
 
@@ -95,7 +96,6 @@ def test_a_frozen_object_keeps_a_read_only_copy_of_the_callers_array(given, buil
 
 
 def test_herglotz_corpus_is_read_only_and_equal_to_fresh():
-    selfcheck._herglotz_corpus.cache_clear()
     corpus, zs = selfcheck._herglotz_corpus(5)
     assert selfcheck._herglotz_corpus(5)[1] is zs
     assert not zs.flags.writeable
@@ -108,6 +108,20 @@ def test_herglotz_corpus_is_read_only_and_equal_to_fresh():
         assert mu.weights.tobytes() == nu.weights.tobytes()
         assert not mu.coords.flags.writeable and not mu.weights.flags.writeable
     assert zs.tobytes() == fresh_zs.tobytes()
+
+
+def test_random_kernel_corpus_is_read_only_and_equal_to_fresh():
+    coeffs, frames = selfcheck._random_kernel_corpus(5)
+    assert selfcheck._random_kernel_corpus(5)[1] is frames
+    grams, fresh_coeffs = selfcheck._transform_corpus(selfcheck._rng(5, 2), 200)
+    fresh = selfcheck._spectral_frames(grams)
+    assert isinstance(coeffs, tuple) and isinstance(frames, tuple)
+    assert len(coeffs) == 200 and len(frames) == len(fresh)
+    for c, d in zip(coeffs, fresh_coeffs):
+        assert not c.flags.writeable and c.tobytes() == d.tobytes()
+    for f, g in zip(frames, fresh):
+        for kept, built in zip(f, g):
+            assert not kept.flags.writeable and kept.tobytes() == built.tobytes()
 
 
 def _hermitian_with_signed_zeros(rng, n):
@@ -278,7 +292,7 @@ def _run_all_json(seed):
 def test_run_all_is_the_same_with_cold_and_warm_caches():
     _clear_caches()
     cold_a = _run_all_json(3)
-    # run_all's workers start from this process's caches: warm them here.
+    # Warm every cache with each criterion run on its own.
     for check in selfcheck.ALL_CHECKS:
         check(seed=3)
     warm_a = _run_all_json(3)
