@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "measures": ("CircleMeasure", "DiscreteMeasure"),
     "kernels": (
-        "FiniteKernel", "KernelSpec", "PointSet", "PsdReport", "assemble_gram",
+        "FiniteKernel", "KernelSpec", "PsdReport", "assemble_gram",
         "check_positive_definite", "polydisk_szego_eval",
     ),
     "rkhs": (

@@ -38,7 +38,7 @@ from .errors import (
 )
 # apply_V stays importable from here: perfbench/selftest.py reads clark.apply_V.
 from .factorization import BoundaryFactorization, apply_V  # noqa: F401
-from .kernels import (FiniteKernel, KernelSpec, PointSet, _check_in_disk, assemble_gram,
+from .kernels import (FiniteKernel, KernelSpec, _as_points, _check_in_disk, assemble_gram,
                       default_rank_tol)
 from .measures import CircleMeasure, DiscreteMeasure
 
@@ -119,13 +119,13 @@ def build_kb_factorization(mu: CircleMeasure, points) -> BoundaryFactorization:
     The features span L^2(mu) (minimality) as soon as the number of
     distinct interior points is at least the number of atoms.
     """
-    ps = PointSet.from_points(points)
-    if ps.dim != 1:
+    coords = _as_points(points)
+    if coords.shape[1] != 1:
         raise ShapeMismatch("K_b factorization needs 1-dim complex points")
     return BoundaryFactorization(
-        kernel=assemble_gram(KernelSpec(measure=mu), ps),
+        kernel=assemble_gram(KernelSpec(measure=mu), coords),
         measure=mu,
-        features=kb_feature(mu, ps.coords[:, 0]),
+        features=kb_feature(mu, coords[:, 0]),
     )
 
 
@@ -138,10 +138,10 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     means reproduce the Cauchy transform: E_i = C(z_i), hence
     1 / E_i = 1 - b(z_i).
     """
-    ps = PointSet.from_points(points)
-    if ps.dim != 1:
+    coords = _as_points(points)
+    if coords.shape[1] != 1:
         raise ShapeMismatch("Szego features need 1-dim complex points")
-    zs = _check_in_disk(ps.coords[:, 0])
+    zs = _check_in_disk(coords[:, 0])
     e = mu.boundary_points()
     features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
     return BoundaryFactorization.induced(mu, features)

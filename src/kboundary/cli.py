@@ -289,18 +289,18 @@ def _parse_matrix(rows, name: str, z: np.ndarray) -> np.ndarray:
     return flat.reshape(len(rows), *widths)
 
 
-def _parse_points(raw, z: np.ndarray) -> kernels.PointSet:
+def _parse_points(raw, z: np.ndarray) -> np.ndarray:
     if not raw:
         raise ConfigError("points must be a nonempty list")
     scalar = isinstance(raw[0], dict)
     if any(isinstance(entry, dict) != scalar for entry in raw):
         raise ConfigError("points must be all scalars or all coordinate tuples")
     if scalar:
-        return kernels.PointSet.from_points(_cnum_vector(raw, z, "points"))
+        return kernels._as_points(_cnum_vector(raw, z, "points"))
     dims = {len(entry) for entry in raw}
     if len(dims) != 1:
         raise ConfigError("all point tuples must share one dimension")
-    return kernels.PointSet.from_points(_cnum_vector(raw, z, "points").reshape(len(raw), *dims))
+    return kernels._as_points(_cnum_vector(raw, z, "points").reshape(len(raw), *dims))
 
 
 def _parse_circle_measure(raw) -> measures.CircleMeasure:
@@ -316,7 +316,7 @@ _KERNEL_FIELDS = {"szego": {"dim"}, "polydisk-szego": {"dim"},
                   "debranges-rovnyak": {"measure"}, "table": {"table"}}
 
 
-def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None):
+def _parse_kernel(raw, points: np.ndarray | None, table: np.ndarray | None):
     """The closed-form kernel that ``raw`` names, or its ``table`` (decoded)
     as a ``FiniteKernel``; ``points``, when given, are read for their count,
     which must be the table's.  A field that the variant does not read is a
@@ -334,8 +334,8 @@ def _parse_kernel(raw, points: kernels.PointSet | None, table: np.ndarray | None
     if "table" not in raw:
         raise ConfigError("table kernel requires a table")
     gram = _parse_matrix(raw["table"], "kernel.table", table)
-    if points is not None and gram.shape != (points.size, points.size):
-        raise ShapeMismatch(f"gram must be {points.size}x{points.size}, got {gram.shape}")
+    if points is not None and gram.shape != (len(points), len(points)):
+        raise ShapeMismatch(f"gram must be {len(points)}x{len(points)}, got {gram.shape}")
     return kernels.FiniteKernel.from_table(gram)
 
 
@@ -360,7 +360,7 @@ def _parse_morphism(raw, decoded: dict) -> tuple:
 class JobConfig:
     command: str
     kernel: kernels.KernelSpec | kernels.FiniteKernel | None = None
-    points: kernels.PointSet | None = None
+    points: np.ndarray | None = None  # as kernels._as_points returns them
     measure: measures.CircleMeasure | None = None
     morphism: tuple | None = None  # as _parse_morphism returns it
     seed: int = 0
@@ -473,9 +473,9 @@ def _clark_points(cfg: JobConfig) -> np.ndarray:
     from . import selfcheck
 
     if cfg.points is not None:
-        if cfg.points.dim != 1:
+        if cfg.points.shape[1] != 1:
             raise ConfigError("clark pipelines need 1-dim complex points")
-        return cfg.points.coords[:, 0]
+        return cfg.points[:, 0]
     return selfcheck.random_interior(selfcheck._rng(cfg.seed, 100), int(cfg.sample_count or 50))
 
 

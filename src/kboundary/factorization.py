@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rkhs
+from . import kernels, rkhs
 from .errors import (
     BaseMismatch,
     LabelMismatch,
@@ -36,11 +36,9 @@ from .errors import (
 from .kernels import (
     FACTORIZATION_TOL,
     FiniteKernel,
-    _eigvalsh,
     default_rank_tol,
     numerical_rank,
     relative_residual,
-    spectrum,
 )
 from .measures import DiscreteMeasure
 from .rkhs import RkhsElement, as_columns, same_base
@@ -91,7 +89,8 @@ class BoundaryFactorization:
         read-only.  The nonzero eigenvalues of B B^* are those of
         conj(Phi) D Phi^T (conj(G) if the identity is exact)."""
         B_Bh = _feature_gram(self.features, self.measure.weights)
-        S = spectrum(B_Bh).projector(default_rank_tol(self.n_points))
+        values, vectors = kernels._eigh(B_Bh)
+        S = kernels._projector(vectors, kernels._kept(values, default_rank_tol(self.n_points)))
         S.setflags(write=False)
         return S
 
@@ -302,7 +301,7 @@ def _projection_residual(projector: np.ndarray, weights: np.ndarray):
 def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
     """Eigenvalues of the range projection, computed on its Hermitian
     similarity transform D^(1/2) P D^(-1/2); they lie in {0, 1}."""
-    return _eigvalsh(F.feature_projector)
+    return kernels._eigvalsh(F.feature_projector)
 
 
 def check_isometry(F: BoundaryFactorization) -> dict:

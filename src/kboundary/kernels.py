@@ -1,19 +1,31 @@
 """Kernel definitions, Gram assembly and the spectral core.
 
 A kernel here is a Hermitian positive definite function on S x S for a
-finite point set S.  Closed forms cover the Szego kernel of the disk,
-its k-fold polydisk product and the de Branges-Rovnyak-type kernel built
-from a circle measure (``KernelSpec``); an arbitrary Hermitian table is a
-``FiniteKernel`` itself (``FiniteKernel.from_table``).
+finite point set S, the rows of an (n, k) complex coordinate array
+(``_as_points``): a point is its row.  Closed forms cover the Szego kernel
+of the disk, its k-fold polydisk product and the de Branges-Rovnyak-type
+kernel built from a circle measure (``KernelSpec``); an arbitrary Hermitian
+table is a ``FiniteKernel`` itself (``FiniteKernel.from_table``).
 
 All scalar storage is complex double precision.  Kernels whose values
 are intrinsically real carry the field tag ``"real"`` so downstream
 consumers (Gaussian sampling) can pick the right convention.
-Every PSD, rank, projection and clip decision reads ``spectrum`` (the one
-eigendecomposition), its values alone (``eigenvalues``, through the one
-values-only decomposition ``_eigvalsh`` unless the spectrum is already
-computed) or the rank rule ``_rank`` over ``_svdvals`` (the one SVD), which
-``numerical_rank`` applies to one matrix.
+Every PSD, rank, projection and clip decision reads ``spectrum`` (the
+(values, vectors) of ``_eigh``, the one eigendecomposition), its values
+alone (``eigenvalues``, through the one values-only decomposition
+``_eigvalsh`` unless the spectrum is already computed) or the rank rule
+``_rank`` over ``_svdvals`` (the one SVD), which ``numerical_rank`` applies
+to one matrix.
+
+Each spectral rule is one array core (``_norm``, ``_is_psd``, ``_kept``,
+``_factor``, ``_projector``) that reads ascending eigenvalues and takes
+leading stack axes, as ``_eigh`` returns them for a stack of same-size
+matrices: a lone reader calls it on one matrix, verify-all's random-kernel
+criteria on whole stacks, so the two agree bit for bit.  An eigenvalue
+above ``rtol * ||M||_2`` is kept; M is PSD when none lies below
+``-PSD_TOL * ||M||_2``.  No cutoff has an absolute floor: a backward-stable
+solver is accurate to about eps * ||M||_2 (Weyl), so verdicts do not depend
+on units.
 
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built,
 into one new array; each Gram-sized pass (the checks, the mirror, the
@@ -55,38 +67,6 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10  # the PSD cutoff of every verdict
 FACTORIZATION_TOL = 1e-9  # the identity residual of every factorization verdict
 RANK_TOL_CAP = FACTORIZATION_TOL / 2  # default_rank_tol(n) never exceeds it
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Ordered finite point set: row i of ``coords`` holds the k complex
-    coordinates of point i, which is how kb identifies that point."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = _require_finite(np.array(self.coords, dtype=complex), "point coordinates")
-        if c.ndim == 1:
-            c = c.reshape(-1, 1)
-        if c.ndim != 2 or c.shape[1] < 1:
-            raise ShapeMismatch(
-                f"coords must be (n_points, k>=1), got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def size(self) -> int:
-        return int(self.coords.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.coords.shape[1])
-
-    @classmethod
-    def from_points(cls, points) -> "PointSet":
-        """Build from a sequence of scalars (k=1) or coordinate tuples."""
-        return cls(coords=np.asarray(list(points), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -140,18 +120,22 @@ class FiniteKernel:
         return cls(gram=g, field_tag="complex" if g.imag.any() else "real")
 
     @cached_property
-    def spectrum(self) -> "Spectrum":
-        """spectrum(self.gram), computed once: the fields are frozen."""
-        return spectrum(self.gram)
+    def spectrum(self) -> tuple:
+        """(values, vectors) of ``_eigh`` on the Gram, values ascending,
+        read-only and computed once: the fields are frozen."""
+        values, vectors = _eigh(self.gram)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The ascending eigenvalues of the Gram, read-only and computed once:
-        ``spectrum.values`` when the spectrum is already computed, else
+        the values of ``spectrum`` when that is already computed, else
         ``_eigvalsh`` alone, which skips the eigenvectors (about 4n^3/3 flops
         against 9n^3)."""
         if "spectrum" in self.__dict__:
-            return self.spectrum.values
+            return self.spectrum[0]
         values = _eigvalsh(self.gram)
         values.setflags(write=False)
         return values
@@ -177,6 +161,20 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainViolation(f"{what} must be finite")
     return a
+
+
+def _as_points(points) -> np.ndarray:
+    """``points`` as a new read-only complex (n, k) array, k >= 1, row i the
+    coordinates of point i: a sequence of scalars (or a 1-d array) is n
+    points of one coordinate.  Raises DomainViolation on a NaN or infinite
+    coordinate and ShapeMismatch on any other shape."""
+    c = _require_finite(np.array(points, dtype=complex), "point coordinates")
+    if c.ndim == 1:
+        c = c.reshape(-1, 1)
+    if c.ndim != 2 or c.shape[1] < 1:
+        raise ShapeMismatch(f"coords must be (n_points, k>=1), got shape {c.shape}")
+    c.setflags(write=False)
+    return c
 
 
 # A Gram-sized pass works on row panels of about this many entries (1 MiB of
@@ -303,16 +301,18 @@ def _kernel_callable(spec: KernelSpec):
     return lambda c: kb_eval(spec.measure, c[:, None, 0], c[None, :, 0])
 
 
-def assemble_gram(spec: KernelSpec, points: PointSet) -> FiniteKernel:
-    """Evaluate the kernel over the point set in one array evaluation.
+def assemble_gram(spec: KernelSpec, points) -> FiniteKernel:
+    """Evaluate the kernel over the points (as ``_as_points`` reads them) in
+    one array evaluation.
 
     ``FiniteKernel`` mirrors the upper triangle, so the result is
     Hermitian exactly.  The points must have ``spec.dim`` coordinates, each
     strictly inside the unit disk.
     """
-    if points.dim != spec.dim:
-        raise DimensionMismatch(f"kernel expects {spec.dim}-dim points, got {points.dim}")
-    gram = _kernel_callable(spec)(points.coords)
+    coords = _as_points(points)
+    if coords.shape[1] != spec.dim:
+        raise DimensionMismatch(f"kernel expects {spec.dim}-dim points, got {coords.shape[1]}")
+    gram = _kernel_callable(spec)(coords)
     return FiniteKernel(gram=gram, field_tag="complex")
 
 
@@ -325,44 +325,6 @@ def default_rank_tol(n: int) -> float:
 def _real_if_zero_imag(M: np.ndarray) -> np.ndarray:
     """M.real when M has zero imaginary part, so it is decomposed in float64."""
     return M.real if np.iscomplexobj(M) and not M.imag.any() else M
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """M = vectors diag(values) vectors^*, values ascending.
-
-    Callers read it through the least eigenvalue, the PSD verdict and the
-    kept factor or projector, never through the arrays.  An eigenvalue above
-    ``rtol * ||M||_2`` is kept; M is PSD when none lies below
-    ``-PSD_TOL * ||M||_2``.  No cutoff has an absolute floor: a
-    backward-stable solver is accurate to about eps * ||M||_2 (Weyl), so
-    verdicts do not depend on units.
-
-    Each of these rules is one array core below (``_norm``, ``_is_psd``,
-    ``_kept``, ``_factor``, ``_projector``) that also takes leading stack
-    axes, as ``_eigh`` returns them for a stack of same-size matrices; the
-    methods call the cores on one matrix, and verify-all's random-kernel
-    criteria call them on whole stacks."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def lower(self) -> float:
-        """The least eigenvalue, 0.0 for an empty matrix."""
-        return float(self.values[0]) if self.values.size else 0.0
-
-    def is_psd(self) -> bool:
-        return bool(_is_psd(self.values))
-
-    def factor(self, rtol: float) -> np.ndarray:
-        """Contiguous complex columns sqrt(lam) v over the kept eigenpairs,
-        the strongest first: M up to the dropped eigenvalues is F F^*."""
-        return _factor(self.values, self.vectors, _kept(self.values, rtol))
-
-    def projector(self, rtol: float) -> np.ndarray:
-        """Orthogonal projection onto the kept eigenvectors."""
-        return _projector(self.vectors, _kept(self.values, rtol))
 
 
 def _eigh(M: np.ndarray):
@@ -433,15 +395,6 @@ def _projector(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """v v^* over the kept eigenvectors v (``_kept_columns``)."""
     v = _kept_columns(vectors, keep)
     return v @ np.conj(v).swapaxes(-1, -2)
-
-
-def spectrum(M) -> Spectrum:
-    """Eigendecomposition of the Hermitian M (lower triangle read), in float64
-    when M has zero imaginary part."""
-    values, vectors = _eigh(np.asarray(M))
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(values=values, vectors=vectors)
 
 
 def _rank(svals: np.ndarray, rtol: float):

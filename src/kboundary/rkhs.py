@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import kernels
 from .errors import BaseMismatch, NotPsd, ShapeMismatch
 from .kernels import FiniteKernel, default_rank_tol, numerical_rank
 from .measures import DiscreteMeasure
@@ -94,8 +95,9 @@ def norm_squared(f: RkhsElement):
 
 
 def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> BoundaryFactorization:
-    """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum, as
-    the counting-measure factorization of K.
+    """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum
+    through the cores ``kernels._is_psd``, ``_kept`` and ``_factor``, as the
+    counting-measure factorization of K.
 
     Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
     retained; feature column n is sqrt(lam_n) * v_n evaluated on the points,
@@ -105,9 +107,9 @@ def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> Bounda
     from .factorization import BoundaryFactorization
 
     rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
-    spec = K.spectrum
-    _require_psd(spec.lower, spec.is_psd())
-    features = spec.factor(rank_tol)
+    values, vectors = K.spectrum
+    _require_psd(values[:1], kernels._is_psd(values))
+    features = kernels._factor(values, vectors, kernels._kept(values, rank_tol))
     return BoundaryFactorization(
         kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features
     )

@@ -445,8 +445,7 @@ def check_morphism_examples(seed: int = 0) -> Check:
 
 def szego_real_part_kernel(points=(0.0, 0.35, -0.2, 0.4j)) -> kernels.FiniteKernel:
     """Real part of the Szego Gram matrix over a small point grid."""
-    ps = kernels.PointSet.from_points(points)
-    K = kernels.assemble_gram(kernels.KernelSpec(), ps)
+    K = kernels.assemble_gram(kernels.KernelSpec(), points)
     return kernels.FiniteKernel(gram=K.gram.real.astype(complex), field_tag="real")
 
 

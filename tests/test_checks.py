@@ -324,6 +324,31 @@ def _projector_without_conjugate_transpose(vectors, keep):
     return v @ v
 
 
+def test_kb_factorize_reads_its_psd_verdict_from_the_core(monkeypatch, tmp_path, capsys):
+    # The lone readers go through the cores that verify-all's stacks call: a
+    # PSD verdict planted false in kernels._is_psd reaches kb factorize.
+    from kboundary import kernels
+
+    monkeypatch.setattr(kernels, "_is_psd", lambda values: np.zeros(values.shape[:-1], bool))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_table_config("factorize", SCALED_TABLE)))
+    assert cli.main(["factorize", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("kb: NotPsd: eigenvalue ")
+
+
+def test_a_lone_isometry_check_reads_its_projector_from_the_core(monkeypatch):
+    # feature_projector goes through kernels._projector, as the stacked
+    # transform-pair criterion does.
+    from kboundary import factorization, kernels
+
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    K = FiniteKernel(gram=A @ np.conj(A).T)
+    assert factorization.check_isometry(rkhs.parseval_factorize(K))["projection_residual"] <= 1e-9
+    monkeypatch.setattr(kernels, "_projector", _projector_without_conjugate_transpose)
+    assert factorization.check_isometry(rkhs.parseval_factorize(K))["projection_residual"] > 1e-9
+
+
 def _features_over_conj_mean(renormalize):
     def defect(*args):
         E, gram, features = renormalize(*args)

@@ -476,7 +476,7 @@ class TestDecode:
         points = cnums if dim is None else [cnums[k:k + dim] for k in range(0, len(cnums), dim)]
         config = {"command": "validate", "kernel": {"variant": "szego"}, "points": points}
         assert "points" in cli._screen_cnum_arrays(config)[1]
-        got = cli.parse_config(config).points.coords
+        got = cli.parse_config(config).points
         expected = _reference_vector(cnums).reshape(len(points), -1)
         assert got.tobytes() == expected.tobytes()
 

@@ -10,7 +10,6 @@ from kboundary import (
     DiscreteMeasure,
     FiniteKernel,
     KernelSpec,
-    PointSet,
     ShapeMismatch,
     assemble_gram,
     build_kb_factorization,
@@ -33,8 +32,7 @@ def _table_kernel(matrix, field_tag):
 
 
 def _complex_szego_kernel():
-    ps = PointSet.from_points([0.0, 0.3 + 0.2j, -0.25j, -0.4 + 0.1j])
-    return assemble_gram(KernelSpec(), ps)
+    return assemble_gram(KernelSpec(), [0.0, 0.3 + 0.2j, -0.25j, -0.4 + 0.1j])
 
 
 KERNELS = {

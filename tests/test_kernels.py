@@ -12,13 +12,13 @@ from kboundary import (
     FiniteKernel,
     KernelSpec,
     NotHermitian,
-    PointSet,
     ShapeMismatch,
     assemble_gram,
     check_positive_definite,
     polydisk_szego_eval,
 )
-from kboundary.clark import b_eval, kb_eval
+from kboundary import kernels
+from kboundary.clark import b_eval, build_kb_factorization, kb_eval
 
 disk_points = st.complex_numbers(max_magnitude=0.85, allow_nan=False, allow_infinity=False)
 
@@ -79,46 +79,60 @@ class TestPolydiskSzego:
             polydisk_szego_eval([0.5, 1.0], [0.0, 0.0])
 
 
-class TestPointSet:
-    @pytest.mark.parametrize("coords, error", [
-        (np.zeros((2, 2, 1)), ShapeMismatch),
-        (np.zeros((2, 0)), ShapeMismatch),
-        (np.array([0.1, np.nan]), DomainViolation),
-    ])
-    def test_bad_coords_rejected(self, coords, error):
-        with pytest.raises(error):
-            PointSet(coords=coords)
+TWO_ATOMS = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
 
-    def test_from_points_builds_one_read_only_row_per_point(self):
-        ps = PointSet.from_points([0.1, 0.2j])
-        assert (ps.size, ps.dim) == (2, 1)
-        assert ps.coords.dtype == np.complex128 and not ps.coords.flags.writeable
-        assert PointSet.from_points([(0.1, 0.2), (0.3, 0.4)]).coords.shape == (2, 2)
+
+class TestPoints:
+    @pytest.mark.parametrize("coords, error, message", [
+        (np.zeros((2, 2, 1)), ShapeMismatch,
+         r"^coords must be \(n_points, k>=1\), got shape \(2, 2, 1\)$"),
+        (np.zeros((2, 0)), ShapeMismatch, r"^coords must be \(n_points, k>=1\), got shape \(2, 0\)$"),
+        (np.array([0.1, np.nan]), DomainViolation, "^point coordinates must be finite$"),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda coords: assemble_gram(KernelSpec(), coords),
+        lambda coords: build_kb_factorization(TWO_ATOMS, coords),
+    ], ids=["assemble_gram", "build_kb_factorization"])
+    def test_bad_coords_rejected(self, build, coords, error, message):
+        with pytest.raises(error, match=message):
+            build(coords)
+
+    def test_the_kernel_reads_one_read_only_complex_row_per_point(self, monkeypatch):
+        # A sequence of scalars is n points of one coordinate; the kernel
+        # evaluates a read-only complex copy, never the caller's array.
+        seen, evaluator = [], kernels._kernel_callable
+        monkeypatch.setattr(kernels, "_kernel_callable",
+                            lambda spec: lambda c: seen.append(c) or evaluator(spec)(c))
+        given = np.array([(0.1, 0.2), (0.3, 0.4)])
+        assemble_gram(KernelSpec(), [0.1, 0.2j])
+        assemble_gram(KernelSpec(dim=2), given)
+        build_kb_factorization(TWO_ATOMS, (0.1, 0.2j, -0.3))
+        assert [c.shape for c in seen] == [(2, 1), (2, 2), (3, 1)]
+        assert all(c.dtype == np.complex128 and not c.flags.writeable for c in seen)
+        assert not np.shares_memory(seen[1], given)
 
 
 class TestAssembleGram:
     def test_szego_two_points(self):
-        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
+        K = assemble_gram(KernelSpec(), [0.0, 0.5])
         expected = np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]])
         np.testing.assert_allclose(K.gram, expected, atol=1e-15)
 
     def test_szego_single_point(self):
-        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0]))
+        K = assemble_gram(KernelSpec(), [0.0])
         assert K.gram[0, 0] == 1.0
 
     def test_polydisk_single_point(self):
-        ps = PointSet.from_points([(0.5, 0.5)])
-        K = assemble_gram(KernelSpec(dim=2), ps)
+        K = assemble_gram(KernelSpec(dim=2), [(0.5, 0.5)])
         assert K.gram[0, 0] == pytest.approx(16.0 / 9.0)
 
     def test_hermitian_bit_for_bit(self):
-        ps = PointSet.from_points([0.1 + 0.2j, -0.3j, 0.4, 0.2 - 0.6j])
-        K = assemble_gram(KernelSpec(), ps)
+        K = assemble_gram(KernelSpec(), [0.1 + 0.2j, -0.3j, 0.4, 0.2 - 0.6j])
         assert np.array_equal(K.gram, np.conj(K.gram).T)
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
-            assemble_gram(KernelSpec(), PointSet.from_points([0.2, 1.0]))
+            assemble_gram(KernelSpec(), [0.2, 1.0])
 
     def test_table_requires_hermitian(self):
         with pytest.raises(NotHermitian, match="^gram matrix is not Hermitian$"):
@@ -131,11 +145,10 @@ class TestAssembleGram:
         assert cplx.field_tag == "complex"
 
     def test_dimension_check(self):
-        ps = PointSet.from_points([(0.1, 0.2)])
         with pytest.raises(DimensionMismatch, match="^kernel expects 1-dim points, got 2$"):
-            assemble_gram(KernelSpec(), ps)
+            assemble_gram(KernelSpec(), [(0.1, 0.2)])
         with pytest.raises(DimensionMismatch, match="^kernel expects 2-dim points, got 1$"):
-            assemble_gram(KernelSpec(dim=2), PointSet.from_points([0.1]))
+            assemble_gram(KernelSpec(dim=2), [0.1])
 
 
 class TestKernelSpec:
@@ -153,7 +166,7 @@ class TestKernelSpec:
 class TestFromTable:
     def test_a_kernel_is_its_gram_and_field_tag(self):
         assert [f.name for f in dataclasses.fields(FiniteKernel)] == ["gram", "field_tag"]
-        assert not hasattr(PointSet, "restrict")
+        assert not any(hasattr(kernels, name) for name in ("PointSet", "Spectrum", "spectrum"))
         K = FiniteKernel.from_table([[2.0, 1j], [-1j, 2.0]])
         assert (K.size, K.field_tag) == (2, "complex")
         assert FiniteKernel.from_table(np.eye(3)).field_tag == "real"
@@ -178,7 +191,7 @@ class TestFromTable:
 
 class TestCheckPositiveDefinite:
     def test_szego_worked_gram(self):
-        K = assemble_gram(KernelSpec(), PointSet.from_points([0.0, 0.5]))
+        K = assemble_gram(KernelSpec(), [0.0, 0.5])
         report = check_positive_definite(K)
         assert report.is_psd
         assert report.min_eigenvalue > 0
@@ -206,7 +219,7 @@ class TestCheckPositiveDefinite:
     zs=st.lists(disk_points, min_size=1, max_size=20, unique=True),
 )
 def test_szego_grams_are_psd(zs):
-    K = assemble_gram(KernelSpec(), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(), zs)
     assert check_positive_definite(K).is_psd
 
 
@@ -217,14 +230,14 @@ def test_szego_grams_are_psd(zs):
     ),
 )
 def test_polydisk_grams_are_psd(zs):
-    K = assemble_gram(KernelSpec(dim=2), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(dim=2), zs)
     assert check_positive_definite(K).is_psd
 
 
 def test_principal_submatrices_stay_psd():
     rng = np.random.default_rng(11)
     zs = 0.8 * np.sqrt(rng.uniform(size=12)) * np.exp(2j * np.pi * rng.uniform(size=12))
-    K = assemble_gram(KernelSpec(), PointSet.from_points(zs))
+    K = assemble_gram(KernelSpec(), zs)
     for _ in range(20):
         size = rng.integers(1, 12)
         subset = rng.choice(12, size=size, replace=False)
@@ -235,9 +248,8 @@ def test_debranges_rovnyak_variant_matches_clark_closed_form():
     from kboundary import CircleMeasure
 
     mu = CircleMeasure(atoms=[0.0, 0.5], weights=[0.5, 0.5])
-    ps = PointSet.from_points([0.2, 0.3j, -0.1 + 0.4j])
-    K = assemble_gram(KernelSpec(measure=mu), ps)
-    zs = ps.coords[:, 0]
+    zs = np.array([0.2, 0.3j, -0.1 + 0.4j])
+    K = assemble_gram(KernelSpec(measure=mu), zs)
     expected = 1.0 + zs[:, None] * np.conj(zs)[None, :]
     np.testing.assert_allclose(K.gram, expected, atol=1e-13)
 
@@ -263,9 +275,9 @@ DBR_MEASURE = CircleMeasure(atoms=[0.05, 0.3, 0.71], weights=[0.2, 0.5, 0.3])
 def test_array_assembly_matches_scalar_evaluators(spec, dim, scalar, n):
     rng = np.random.default_rng(n)
     radius = 0.9 * np.sqrt(rng.uniform(size=(n, dim)))
-    ps = PointSet.from_points(radius * np.exp(2j * np.pi * rng.uniform(size=(n, dim))))
-    K = assemble_gram(spec, ps)
-    expected = np.array([[scalar(z, w) for w in ps.coords] for z in ps.coords])
+    coords = radius * np.exp(2j * np.pi * rng.uniform(size=(n, dim)))
+    K = assemble_gram(spec, coords)
+    expected = np.array([[scalar(z, w) for w in coords] for z in coords])
     np.testing.assert_allclose(K.gram, expected, rtol=1e-14, atol=0.0)
 
 
@@ -279,7 +291,7 @@ def test_array_assembly_matches_scalar_evaluators(spec, dim, scalar, n):
 )
 def test_array_assembly_rejects_a_point_on_the_circle(spec, coords):
     with pytest.raises(DomainViolation):
-        assemble_gram(spec, PointSet.from_points(coords))
+        assemble_gram(spec, coords)
 
 
 def _mirror_by_index_assignment(g):

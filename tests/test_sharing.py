@@ -27,7 +27,6 @@ from kboundary import (
     DomainViolation,
     FiniteKernel,
     NotHermitian,
-    PointSet,
     RkhsElement,
     SampleBatch,
     parseval_factorize,
@@ -72,8 +71,7 @@ def _identity_kernel(n):
      lambda a: DiscreteMeasure(atoms=("a", "b"), weights=[0.5, 0.5], coords=a).coords),
     (np.array([0.25, 0.75]),
      lambda a: CircleMeasure(atoms=[0.0, 0.5], weights=a).weights),
-    (np.array([[0.1 + 0.2j], [0.3j]]),
-     lambda a: PointSet(coords=a).coords),
+    (np.array([[0.1 + 0.2j], [0.3j]]), kernels._as_points),
     (np.array([[1.0 + 0.0j]]),
      lambda a: BoundaryFactorization(kernel=_identity_kernel(1),
                                      measure=DiscreteMeasure.counting(1), features=a).features),
@@ -276,13 +274,14 @@ def test_feature_projector_is_computed_once_and_read_only():
     P = F.feature_projector
     assert F.feature_projector is P and not P.flags.writeable
     B = np.sqrt(F.measure.weights)[:, None] * F.features.T
-    fresh = kernels.spectrum(B @ B.conj().T).projector(default_rank_tol(F.n_points))
+    values, vectors = kernels._eigh(B @ B.conj().T)
+    fresh = kernels._projector(vectors, kernels._kept(values, default_rank_tol(F.n_points)))
     assert P.tobytes() == fresh.tobytes()
     sqrt_w = np.sqrt(F.measure.weights)
     want = fresh * sqrt_w[None, :] / sqrt_w[:, None]
     assert factorization.range_projection(F).tobytes() == want.tobytes()
     assert (factorization.projection_spectrum(F).tobytes()
-            == kernels.spectrum(fresh).values.tobytes())
+            == kernels._eigh(fresh)[0].tobytes())
 
 
 def _run_all_json(seed):
