@@ -336,7 +336,7 @@ def _parse_kernel(raw, points: np.ndarray | None, table: np.ndarray | None):
     gram = _parse_matrix(raw["table"], "kernel.table", table)
     if points is not None and gram.shape != (len(points), len(points)):
         raise ShapeMismatch(f"gram must be {len(points)}x{len(points)}, got {gram.shape}")
-    return kernels.FiniteKernel.from_table(gram)
+    return kernels.FiniteKernel(gram)
 
 
 def _parse_morphism(raw, decoded: dict) -> tuple:

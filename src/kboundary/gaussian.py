@@ -5,9 +5,11 @@ zero-mean Gaussian process with covariance K: for g standard normal on the
 atoms, X = Phi (sqrt(mu) g) has E(X_s conj(X_t)) = sum_x k_s(x) conj(k_t(x))
 mu(x) = K(s, t).  Draws are L g with L = Phi sqrt(mu), for the spectral
 factorization that ``realize`` returns (counting measure, so L = Phi), a
-Clark K_b factorization through its atoms, or any other.  g is real for
-real kernels and circularly-symmetric complex (E g conj(g) = 1,
-E g^2 = 0) for complex ones, so the identity holds in both conventions.
+Clark K_b factorization through its atoms, or any other.  g is real when
+L has zero imaginary part and circularly-symmetric complex (E g conj(g) =
+1, E g^2 = 0) otherwise, so the identity holds in both conventions.  That
+is the one field rule: it reads the data, not how the kernel was given, so
+a closed form and the table of its Gram draw the same process.
 
 A record (seed, N) names the draws: N rows of normals g on the atoms from
 one Philox stream keyed by the seed.  ``sample`` forms them and maps them
@@ -15,9 +17,8 @@ to the points as g L^T.  ``moments`` needs only the sums over the atoms,
 sum g and sum g g^*, mapped through L once at the end: sum d = L sum g and
 sum d d^* = L (sum g g^*) L^*.  It draws those two sums from their joint
 law, the sample mean and the Bartlett factor of a Wishart matrix, so its
-cost and memory do not grow with N.  An L with zero imaginary part is used
-as a real matrix, so real-tagged draws and their sums stay in real
-arithmetic.
+cost and memory do not grow with N.  A real L is used as a real matrix, so
+its draws and their sums stay in real arithmetic.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .errors import IndexOutOfRange, ShapeMismatch
 from .factorization import BoundaryFactorization
 from .kernels import FACTORIZATION_TOL, FiniteKernel, _real_if_zero_imag, relative_residual
 from .rkhs import parseval_factorize
-
-FACTOR_TOL = 1e-10  # realize's rank cutoff, relative to ||G||_2; its NotPsd cutoff is PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -53,19 +52,19 @@ class SampleBatch:
 
 def realize(K: FiniteKernel) -> BoundaryFactorization:
     """The spectral factorization of K whose process the sampler draws:
-    ``parseval_factorize`` with eigenvalues at or below FACTOR_TOL * ||G||_2
-    dropped.  Raises NotPsd when one lies below -PSD_TOL * ||G||_2."""
-    return parseval_factorize(K, rank_tol=FACTOR_TOL)
+    ``parseval_factorize(K)``, the frame that ``kb factorize`` reports.
+    Raises NotPsd when an eigenvalue lies below -PSD_TOL * ||G||_2."""
+    return parseval_factorize(K)
 
 
 def _seed_record(seed: int, N: int) -> dict:
     return {"seed": int(seed) & (2**64 - 1), "count": int(N)}
 
 
-def _normals(rng: np.random.Generator, shape, F: BoundaryFactorization) -> np.ndarray:
-    """Standard normals of ``shape``: real for a real-tagged kernel of F,
+def _normals(rng: np.random.Generator, shape, L: np.ndarray) -> np.ndarray:
+    """Standard normals of ``shape``: real for a real draw factor ``L``,
     circular complex (E|g|^2 = 1) otherwise."""
-    if F.kernel.field_tag == "real":
+    if not np.iscomplexobj(L):
         return rng.standard_normal(shape)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -89,9 +88,9 @@ def sample(F: BoundaryFactorization, N: int, seed: int = 0) -> SampleBatch:
     covariance use ``moments``, which draws them in this batch's law."""
     if N < 1:
         raise ShapeMismatch("sample count must be >= 1")
-    record = _seed_record(seed, N)
-    g = _normals(_stream(record), (N, F.n_atoms), F)
-    return SampleBatch(draws=g @ _draw_factor(F).T, seed_record=record)
+    record, L = _seed_record(seed, N), _draw_factor(F)
+    g = _normals(_stream(record), (N, F.n_atoms), L)
+    return SampleBatch(draws=g @ L.T, seed_record=record)
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -112,26 +111,25 @@ def moments(F: BoundaryFactorization, N: int, seed: int = 0) -> tuple:
     law: m = N gbar and S = T T^* + N gbar gbar^*, with gbar ~ N(0, I/N)
     independent of the Wishart(N - 1, I) scatter T T^*.  T is its
     lower-triangular Bartlett factor, T_ii^2 ~ chi^2(N - 1 - i) and
-    T_ij ~ N(0, 1) below the diagonal, i = 0..r-1; for a complex kernel,
+    T_ij ~ N(0, 1) below the diagonal, i = 0..r-1; for a complex L,
     gbar ~ CN(0, I/N), |T_ii|^2 ~ Gamma(N - 1 - i, 1) and T_ij ~ CN(0, 1).
     So the cost is O(r^3 + n r (n + r)) whatever N is.  Below N - 1 = r the
     factor does not exist, and the N x r normals of ``sample`` are summed.
     """
     if N < 2:
         raise ShapeMismatch("need at least two draws")
-    record, r = _seed_record(seed, N), F.n_atoms
+    record, r, L = _seed_record(seed, N), F.n_atoms, _draw_factor(F)
     rng = _stream(record)
     if N - 1 < r:
-        g = _normals(rng, (N, r), F)
+        g = _normals(rng, (N, r), L)
         total, outer = g.sum(axis=0), g.T @ g.conj()
     else:
-        total = np.sqrt(N) * _normals(rng, r, F)  # N gbar
+        total = np.sqrt(N) * _normals(rng, r, L)  # N gbar
         dof = (N - 1) - np.arange(r)
-        T = np.tril(_normals(rng, (r, r), F), -1)
+        T = np.tril(_normals(rng, (r, r), L), -1)
         T[np.diag_indices(r)] = np.sqrt(
-            rng.chisquare(dof) if F.kernel.field_tag == "real" else rng.gamma(dof))
+            rng.gamma(dof) if np.iscomplexobj(L) else rng.chisquare(dof))
         outer = T @ T.conj().T + np.outer(total, total.conj()) / N
-    L = _draw_factor(F)
     # A moment beyond the float range is inf or NaN, quietly, and fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
         return (L @ total) / N, (L @ outer @ L.conj().T) / N, record
@@ -151,8 +149,8 @@ def consistency_check(K: FiniteKernel, subset, covariance, seed_record: dict) ->
     exact_ok asserts structurally that the subset's rows of the realized
     features factorize the principal Gram submatrix within
     FACTORIZATION_TOL * ||G||_2, the tolerance of every factorization
-    verdict, which realize's FACTOR_TOL cutoff stays below.  The empirical
-    deviation compares the subset's block of that covariance (the
+    verdict, which realize's cutoff default_rank_tol(n) stays below.  The
+    empirical deviation compares the subset's block of that covariance (the
     covariance of its projected samples) against a directly realized process
     on the subset, whose moments come from the derived seed+1 record with
     the same count.

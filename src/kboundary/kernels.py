@@ -5,11 +5,11 @@ finite point set S, the rows of an (n, k) complex coordinate array
 (``_as_points``): a point is its row.  Closed forms cover the Szego kernel
 of the disk, its k-fold polydisk product and the de Branges-Rovnyak-type
 kernel built from a circle measure (``KernelSpec``); an arbitrary Hermitian
-table is a ``FiniteKernel`` itself (``FiniteKernel.from_table``).
+table is a ``FiniteKernel`` itself.
 
-All scalar storage is complex double precision.  Kernels whose values
-are intrinsically real carry the field tag ``"real"`` so downstream
-consumers (Gaussian sampling) can pick the right convention.
+All scalar storage is complex double precision.  A kernel carries no field
+of its own: a matrix with zero imaginary part is decomposed, and drawn
+from, in real arithmetic (``_real_if_zero_imag``), whatever built it.
 Every PSD, rank, projection and clip decision reads ``spectrum`` (the
 (values, vectors) of ``_eigh``, the one eigendecomposition), its values
 alone (``eigenvalues``, through the one values-only decomposition
@@ -61,9 +61,9 @@ HERMITIAN_TOL = 1e-12
 # eigenvalues that a residual check then judges: dropping those at or below
 # tau * ||G||_2 leaves ||G - Phi Phi^*||_2 <= tau * ||G||_2 (Eckart-Young),
 # plus a backward error of about eps * n * ||G||_2 (Weyl).  So each cutoff
-# (PSD_TOL, default_rank_tol(n) <= RANK_TOL_CAP and gaussian.FACTOR_TOL)
-# plus eps * n stays at or below FACTORIZATION_TOL, the tolerance that
-# judges it, for every n up to 10^6.
+# (PSD_TOL and default_rank_tol(n) <= RANK_TOL_CAP) plus eps * n stays at
+# or below FACTORIZATION_TOL, the tolerance that judges it, for every n up
+# to 10^6.
 PSD_TOL = 1e-10  # the PSD cutoff of every verdict
 FACTORIZATION_TOL = 1e-9  # the identity residual of every factorization verdict
 RANK_TOL_CAP = FACTORIZATION_TOL / 2  # default_rank_tol(n) never exceeds it
@@ -76,7 +76,7 @@ class KernelSpec:
     Without a measure, the Szego kernel of the polydisk in ``dim``
     variables (the disk for ``dim`` 1); with a circle measure, the de
     Branges-Rovnyak kernel K_b of its inner function, in one variable.  An
-    explicit Gram is a ``FiniteKernel`` (``FiniteKernel.from_table``).
+    explicit Gram is a ``FiniteKernel``.
     """
 
     dim: int = 1
@@ -96,7 +96,6 @@ class FiniteKernel:
     """Hermitian matrix of kernel values over a point set."""
 
     gram: np.ndarray
-    field_tag: str = "complex"
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
@@ -109,15 +108,6 @@ class FiniteKernel:
         _check_hermitian(g, mirror)
         mirror.setflags(write=False)
         object.__setattr__(self, "gram", mirror)
-        if self.field_tag not in ("real", "complex"):
-            raise ShapeMismatch(f"field_tag must be real or complex, got {self.field_tag!r}")
-
-    @classmethod
-    def from_table(cls, table) -> "FiniteKernel":
-        """The kernel whose Gram is ``table``, tagged real when ``table`` has
-        zero imaginary part."""
-        g = np.asarray(table, dtype=complex)
-        return cls(gram=g, field_tag="complex" if g.imag.any() else "real")
 
     @cached_property
     def spectrum(self) -> tuple:
@@ -146,7 +136,7 @@ class FiniteKernel:
 
     def restrict(self, indices) -> "FiniteKernel":
         idx = list(indices)
-        return FiniteKernel(gram=self.gram[np.ix_(idx, idx)], field_tag=self.field_tag)
+        return FiniteKernel(gram=self.gram[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -313,7 +303,7 @@ def assemble_gram(spec: KernelSpec, points) -> FiniteKernel:
     if coords.shape[1] != spec.dim:
         raise DimensionMismatch(f"kernel expects {spec.dim}-dim points, got {coords.shape[1]}")
     gram = _kernel_callable(spec)(coords)
-    return FiniteKernel(gram=gram, field_tag="complex")
+    return FiniteKernel(gram=gram)
 
 
 def default_rank_tol(n: int) -> float:

@@ -94,22 +94,21 @@ def norm_squared(f: RkhsElement):
     return _norm_squared(f.base.gram, f.coeffs)
 
 
-def parseval_factorize(K: FiniteKernel, rank_tol: float | None = None) -> BoundaryFactorization:
+def parseval_factorize(K: FiniteKernel) -> BoundaryFactorization:
     """Spectral Parseval frame of a PSD Gram matrix, read from K.spectrum
     through the cores ``kernels._is_psd``, ``_kept`` and ``_factor``, as the
     counting-measure factorization of K.
 
-    Eigenvalues above rank_tol * ||G||_2 (default_rank_tol(n) when None) are
-    retained; feature column n is sqrt(lam_n) * v_n evaluated on the points,
-    the strongest first.  Raises NotPsd when an eigenvalue lies below
+    Eigenvalues above default_rank_tol(n) * ||G||_2 are retained; feature
+    column n is sqrt(lam_n) * v_n evaluated on the points, the strongest
+    first.  Raises NotPsd when an eigenvalue lies below
     -PSD_TOL * ||G||_2, the cutoff of kernels.check_positive_definite.
     """
     from .factorization import BoundaryFactorization
 
-    rank_tol = default_rank_tol(K.size) if rank_tol is None else rank_tol
     values, vectors = K.spectrum
     _require_psd(values[:1], kernels._is_psd(values))
-    features = kernels._factor(values, vectors, kernels._kept(values, rank_tol))
+    features = kernels._factor(values, vectors, kernels._kept(values, default_rank_tol(K.size)))
     return BoundaryFactorization(
         kernel=K, measure=DiscreteMeasure.counting(features.shape[1]), features=features
     )

@@ -163,17 +163,32 @@ def test_renorm_builds_one_kernel_per_gram(monkeypatch):
     assert len(builds) == 2
 
 
-def test_factorize_judges_not_psd_by_psd_tol_not_rank_tol(tmp_path):
+def test_factorize_judges_not_psd_by_psd_tol_not_rank_tol(tmp_path, monkeypatch):
     # Rounding leaves an eigenvalue near -4.5e-16 on the all-ones table, which
     # kb validate calls PSD; kb factorize must not call it NotPsd, and neither
-    # may parseval_factorize at a zero rank_tol: NotPsd is judged at PSD_TOL.
+    # may parseval_factorize at a zero rank cutoff: NotPsd is judged at PSD_TOL.
     config = _table_config("factorize", np.ones((3, 3)))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, report = _run_main(["factorize", "--config", str(path)], tmp_path)
     assert code == 0
     assert report["checks"][0]["retained_rank"] == 1
-    assert rkhs.parseval_factorize(FiniteKernel.from_table(np.ones((3, 3))), rank_tol=0).n_atoms == 1
+    monkeypatch.setattr(rkhs, "default_rank_tol", lambda n: 0.0)
+    assert rkhs.parseval_factorize(FiniteKernel(np.ones((3, 3)))).n_atoms == 1
+
+
+def test_inner_modulus_fails_when_no_grid_angle_is_judged(tmp_path):
+    # An atom on every grid angle leaves no angle MODULUS_MARGIN from the
+    # atoms: with no evidence the deviation is NaN, which reads null and fails.
+    atoms = ((np.arange(64) + 0.5) / 64).tolist()
+    config = {"command": "clark", "measure": {"atoms": atoms, "weights": [1 / 64] * 64},
+              "points": [{"re": 0.1}, {"re": -0.2, "im": 0.3}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, report = _run_main(["clark", "--config", str(path)], tmp_path)
+    assert code == 2
+    (failed,) = [c for c in report["checks"] if not c["passed"]]
+    assert (failed["name"], failed["max_deviation"]) == ("inner-modulus", None)
 
 
 def test_not_psd_message_prints_a_plain_float(tmp_path, capsys):

@@ -40,11 +40,12 @@ def _planted_table(n, kind, field, seed=0):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["psd", "rank-deficient", "indefinite"])
 def test_values_only_verdict_agrees_with_the_spectrum(n, field, kind):
-    K = FiniteKernel.from_table(_planted_table(n, kind, field))
-    assert K.field_tag == field or n == 1  # a 1 x 1 Hermitian table is real
+    K = FiniteKernel(_planted_table(n, kind, field))
     report = check_positive_definite(K)
     assert "spectrum" not in K.__dict__  # the verdict decomposed without vectors
-    values, _ = K.spectrum
+    values, vectors = K.spectrum
+    # The frame's field is the table's; a 1 x 1 Hermitian table is real.
+    assert (vectors.dtype == np.float64) == (field == "real" or n == 1)
     assert report.is_psd == _is_psd(values) == (kind != "indefinite")
     norm = _norm(values)
     bound = 4 * EPS * n * norm
@@ -57,10 +58,10 @@ def test_values_only_verdict_agrees_with_the_spectrum(n, field, kind):
 
 def test_eigenvalues_reuse_a_computed_spectrum():
     table = _planted_table(5, "psd", "complex")
-    K = FiniteKernel.from_table(table)
+    K = FiniteKernel(table)
     values, _ = K.spectrum
     assert K.eigenvalues is values
-    lone = FiniteKernel.from_table(table)
+    lone = FiniteKernel(table)
     values = lone.eigenvalues
     assert lone.eigenvalues is values and not values.flags.writeable
     assert "spectrum" not in lone.__dict__

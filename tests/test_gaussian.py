@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -13,31 +14,30 @@ from kboundary import (
     SampleBatch,
     ShapeMismatch,
     assemble_gram,
+    cli,
     consistency_check,
     empirical_covariance,
     minimality_test,
     moments,
+    parseval_factorize,
     realize,
     sample,
 )
-
-
-def _table_kernel(matrix, field_tag="complex"):
-    return FiniteKernel(gram=matrix, field_tag=field_tag)
+from kboundary.kernels import default_rank_tol
 
 
 class TestRealize:
     def test_identity_factor(self):
-        F = realize(_table_kernel(np.eye(2)))
+        F = realize(FiniteKernel(np.eye(2)))
         np.testing.assert_allclose(F.features @ np.conj(F.features).T, np.eye(2), atol=1e-12)
 
     def test_two_by_two(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        F = realize(_table_kernel(G))
+        F = realize(FiniteKernel(G))
         np.testing.assert_allclose(F.features @ np.conj(F.features).T, G, atol=1e-12)
 
     def test_rank_one(self):
-        F = realize(_table_kernel([[1.0, 1.0], [1.0, 1.0]]))
+        F = realize(FiniteKernel([[1.0, 1.0], [1.0, 1.0]]))
         assert F.n_atoms == 1
         col = F.features[:, 0]
         assert abs(col[0] - col[1]) <= 1e-12
@@ -45,33 +45,33 @@ class TestRealize:
 
     def test_not_psd(self):
         with pytest.raises(NotPsd):
-            realize(_table_kernel([[1.0, 2.0], [2.0, 1.0]]))
+            realize(FiniteKernel([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_deterministic(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        F1 = realize(_table_kernel(G))
-        F2 = realize(_table_kernel(G))
+        F1 = realize(FiniteKernel(G))
+        F2 = realize(FiniteKernel(G))
         assert np.array_equal(F1.features, F2.features)
 
 
 class TestSample:
     def test_zero_kernel_draws_zero(self):
-        batch = sample(realize(_table_kernel([[0.0]])), 100)
+        batch = sample(realize(FiniteKernel([[0.0]])), 100)
         assert np.all(batch.draws == 0.0)
 
     def test_scalar_real_mean(self):
-        K = _table_kernel([[1.0]], field_tag="real")
+        K = FiniteKernel([[1.0]])
         batch = sample(realize(K), 1_000_000, seed=12345)
         assert abs(batch.draws.mean()) <= 0.005
 
     def test_fixed_seed_bit_identical(self):
-        K = _table_kernel([[2.0, 1.0], [1.0, 2.0]], field_tag="real")
+        K = FiniteKernel([[2.0, 1.0], [1.0, 2.0]])
         b1 = sample(realize(K), 10_000, seed=77)
         b2 = sample(realize(K), 10_000, seed=77)
         assert np.array_equal(b1.draws, b2.draws)
 
     def test_seed_and_count_are_the_whole_record(self):
-        K = _table_kernel([[1.0]], field_tag="real")
+        K = FiniteKernel([[1.0]])
         F = realize(K)
         b1 = sample(F, 3000, seed=5)
         b2 = sample(F, 3000, seed=5)
@@ -80,7 +80,7 @@ class TestSample:
 
     def test_count_validated(self):
         with pytest.raises(ShapeMismatch):
-            sample(realize(_table_kernel([[1.0]])), 0)
+            sample(realize(FiniteKernel([[1.0]])), 0)
 
 
 class TestEmpiricalCovariance:
@@ -94,7 +94,7 @@ class TestEmpiricalCovariance:
             empirical_covariance(batch)
 
     def test_identity_real(self):
-        K = _table_kernel(np.eye(2), field_tag="real")
+        K = FiniteKernel(np.eye(2))
         batch = sample(realize(K), 200_000, seed=101)
         emp = empirical_covariance(batch)
         assert np.abs(emp - np.eye(2)).max() <= 0.02
@@ -103,7 +103,7 @@ class TestEmpiricalCovariance:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         G = A @ np.conj(A).T
-        K = _table_kernel(G)
+        K = FiniteKernel(G)
         batch = sample(realize(K), 200_000, seed=55)
         emp = empirical_covariance(batch)
         assert np.abs(emp - G).max() <= 4.0 * np.abs(G).max() / np.sqrt(200_000)
@@ -117,19 +117,20 @@ def _full_moments(K, N, seed):
 
 class TestConsistency:
     def test_full_subset(self):
-        K = _table_kernel(np.eye(3), field_tag="real")
+        K = FiniteKernel(np.eye(3))
         res = consistency_check(K, [0, 1, 2], *_full_moments(K, 20_000, seed=1))
         assert res["exact_ok"]
 
     def test_identity_submatrix_exact(self):
-        K = _table_kernel(np.eye(3), field_tag="real")
+        K = FiniteKernel(np.eye(3))
         res = consistency_check(K, [0, 2], *_full_moments(K, 20_000, seed=2))
         assert res["exact_ok"]
 
     def test_an_eigenvalue_realize_drops_keeps_exact_ok(self):
-        # realize drops 5e-11 <= FACTOR_TOL * ||G||_2; the restricted residual
-        # is that eigenvalue, which exact_ok must accept on an exact PSD kernel.
-        K = _table_kernel(np.diag([1.0, 5e-11]), field_tag="real")
+        # realize drops 1e-12 <= default_rank_tol(2) * ||G||_2; the restricted
+        # residual is that eigenvalue, which exact_ok must accept on an exact
+        # PSD kernel.
+        K = FiniteKernel(np.diag([1.0, 0.5 * default_rank_tol(2)]))
         assert realize(K).n_atoms == 1
         assert consistency_check(K, [1], *_full_moments(K, 100, seed=0))["exact_ok"]
 
@@ -140,7 +141,7 @@ class TestConsistency:
         assert res["empirical_deviation"] <= 0.03
 
     def test_index_out_of_range(self):
-        K = _table_kernel(np.eye(2))
+        K = FiniteKernel(np.eye(2))
         with pytest.raises(IndexOutOfRange):
             consistency_check(K, [0, 5], *_full_moments(K, 100, seed=0))
 
@@ -151,12 +152,12 @@ class TestConsistency:
          ([0, 0], "subset index 0 is repeated"), ([1, 0, 1], "subset index 1 is repeated")],
     )
     def test_bad_subset_entries_are_named(self, subset, named):
-        K = _table_kernel(np.eye(2))
+        K = FiniteKernel(np.eye(2))
         with pytest.raises(IndexOutOfRange, match=re.escape(named)):
             consistency_check(K, subset, *_full_moments(K, 100, seed=0))
 
     def test_numpy_integer_indices_are_accepted(self):
-        K = _table_kernel(np.eye(3), field_tag="real")
+        K = FiniteKernel(np.eye(3))
         moments_ = _full_moments(K, 2_000, seed=3)
         assert (consistency_check(K, np.array([0, 2]), *moments_)
                 == consistency_check(K, [0, 2], *moments_))
@@ -168,7 +169,7 @@ def test_sampled_factorization_is_not_minimal():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((3, 3))
     G = A @ A.T
-    K = _table_kernel(G, field_tag="real")
+    K = FiniteKernel(G)
     batch = sample(realize(K), 64, seed=19)
     weights = np.full(64, 1.0 / 64.0)
     measure = DiscreteMeasure(atoms=tuple(range(64)), weights=weights)
@@ -176,3 +177,51 @@ def test_sampled_factorization_is_not_minimal():
     result = minimality_test(F)
     assert not result["is_minimal"]
     assert result["feature_rank"] <= 3
+
+
+def _gaussian_report(kernel, out, points=None):
+    """(exit code, report minus timing, covariance sidecar) of kb
+    gaussian-sample at N = 5000, seed 3, written to ``out``."""
+    config = {"command": "gaussian-sample", "kernel": kernel, "sample_count": 5000, "seed": 3}
+    if points is not None:
+        config["points"] = points
+    out.parent.mkdir()
+    path = out.parent / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["gaussian-sample", "--config", str(path), "--out", str(out)])
+    report = json.loads(out.read_text())
+    del report["timing"]
+    return code, report, np.load(out.parent / report["matrices"]["empirical_covariance"]["file"])
+
+
+def test_a_closed_form_and_the_table_of_its_gram_draw_one_process(tmp_path):
+    # One field rule, the data's: a Szego kernel on real points has a real
+    # Gram, so it draws the real normals that the table of that Gram draws.
+    z = [0.1, -0.35, 0.5, 0.72, -0.6]
+    table = [[{"re": float(x.real)} for x in row] for row in assemble_gram(KernelSpec(), z).gram]
+    closed = _gaussian_report({"variant": "szego"}, tmp_path / "szego" / "report.json",
+                              points=[{"re": x} for x in z])
+    tabled = _gaussian_report({"variant": "table", "table": table},
+                              tmp_path / "table" / "report.json")
+    assert closed[0] == tabled[0] == 0
+    assert cli.emit(closed[1]) == cli.emit(tabled[1])
+    assert not closed[2].imag.any()
+
+
+def _disk_points(n):
+    rng = np.random.default_rng(20261020)
+    return 0.9 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize("n", [12, 20, 30, 160])
+def test_the_sampler_draws_the_frame_that_kb_factorize_reports(n):
+    # One frame: realize is parseval_factorize, at its one rank cutoff.
+    z = _disk_points(n)
+    K = assemble_gram(KernelSpec(), z)
+    F = realize(K)
+    frame = parseval_factorize(K).features
+    assert (F.features.shape, F.features.tobytes()) == (frame.shape, frame.tobytes())
+    points = [{"re": float(w.real), "im": float(w.imag)} for w in z]
+    report, _ = cli.run(cli.parse_config(
+        {"command": "factorize", "kernel": {"variant": "szego"}, "points": points}))
+    assert report["checks"][0]["retained_rank"] == F.n_atoms

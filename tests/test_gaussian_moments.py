@@ -20,15 +20,12 @@ from kboundary import (
 )
 from kboundary import gaussian
 from kboundary.selfcheck import (
+    GAUSSIAN_DRAWS,
     check_gaussian_realization,
     covariance_bound,
     random_interior,
     szego_real_part_kernel,
 )
-
-
-def _table_kernel(matrix, field_tag):
-    return FiniteKernel(gram=matrix, field_tag=field_tag)
 
 
 def _complex_szego_kernel():
@@ -38,8 +35,6 @@ def _complex_szego_kernel():
 KERNELS = {
     "real": szego_real_part_kernel,
     "complex": _complex_szego_kernel,
-    # A real Gram under the complex tag: real factor, complex draws.
-    "complex-tag-real-gram": lambda: _table_kernel([[2.0, 1.0], [1.0, 2.0]], "complex"),
 }
 
 
@@ -58,32 +53,29 @@ def _weighted_factorization():
     return BoundaryFactorization.induced(measure, phi)
 
 
-def _kb_wide_factorization(field_tag):
+def _kb_wide_factorization():
     """K_b of a seven-atom Clark measure on three points (more atoms than
-    points), its kernel carrying ``field_tag``."""
+    points), whose complex features draw complex normals."""
     mu = CircleMeasure(atoms=np.arange(7) / 7.0 + 0.03,
                        weights=[0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
-    F = build_kb_factorization(mu, random_interior(np.random.default_rng(11), 3))
-    kernel = FiniteKernel(gram=F.kernel.gram, field_tag=field_tag)
-    return BoundaryFactorization(kernel=kernel, measure=F.measure, features=F.features)
+    return build_kb_factorization(mu, random_interior(np.random.default_rng(11), 3))
 
 
 FACTORIZATIONS = {
     **{name: (lambda make=make: realize(make())) for name, make in KERNELS.items()},
     "clark-kb": _kb_factorization,  # r < n
     "weighted-induced": _weighted_factorization,  # r < n
-    "clark-kb-wide-real": lambda: _kb_wide_factorization("real"),  # r > n
-    "clark-kb-wide-complex": lambda: _kb_wide_factorization("complex"),  # r > n
+    "clark-kb-wide-complex": _kb_wide_factorization,  # r > n
 }
 
 
-def _rank_three_factorization(field_tag):
+def _rank_three_factorization(field):
     """The spectral factorization of a full-rank kernel on three points."""
     rng = np.random.default_rng(29)
     A = rng.standard_normal((3, 3))
-    if field_tag == "complex":
+    if field == "complex":
         A = A + 1j * rng.standard_normal((3, 3))
-    return realize(_table_kernel(A @ np.conj(A).T, field_tag))
+    return realize(FiniteKernel(A @ np.conj(A).T))
 
 
 def _marginals(mean, cov):
@@ -100,13 +92,13 @@ LAW_MARGINALS = {"real": 3 + 3 + 3, "complex": 6 + 6 + 3}  # mean, off-diagonal,
 
 
 @pytest.mark.parametrize("N", [7, 2], ids=["bartlett", "direct"])
-@pytest.mark.parametrize("field_tag", ["real", "complex"])
-def test_moments_have_the_law_of_the_sampled_sums(field_tag, N):
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_moments_have_the_law_of_the_sampled_sums(field, N):
     # Two-sample KS per marginal, Bonferroni over all of them: moments at
     # seeds 0.. against the mean and empirical covariance of sample at
     # disjoint seeds.  r = 3, so N = 7 draws the Bartlett factor and N = 2
     # (N - 1 < r) sums the normals.
-    F = _rank_three_factorization(field_tag)
+    F = _rank_three_factorization(field)
     assert F.n_atoms == 3
     drawn = np.array([_marginals(*moments(F, N, seed)[:2]) for seed in range(LAW_REPLICATES)])
     summed = []
@@ -117,7 +109,7 @@ def test_moments_have_the_law_of_the_sampled_sums(field_tag, N):
     # A real factorization's imaginary parts are 0 on both sides.
     varying = np.ptp(summed, axis=0) > 0.0
     assert not drawn[:, ~varying].any() and not summed[:, ~varying].any()
-    assert varying.sum() == LAW_MARGINALS[field_tag]
+    assert varying.sum() == LAW_MARGINALS[field]
     p_values = [stats.ks_2samp(drawn[:, k], summed[:, k]).pvalue
                 for k in np.flatnonzero(varying)]
     family = 2 * sum(LAW_MARGINALS.values())
@@ -139,7 +131,7 @@ def test_moments_below_the_bartlett_rank_sum_the_sampled_draws(name):
 
 
 def test_moments_of_a_rank_zero_kernel_are_zero():
-    F = realize(_table_kernel(np.zeros((3, 3)), "real"))
+    F = realize(FiniteKernel(np.zeros((3, 3))))
     assert F.n_atoms == 0
     mean, cov, _ = moments(F, 5_000, 2)
     assert mean.shape == (3,) and cov.shape == (3, 3)
@@ -148,7 +140,7 @@ def test_moments_of_a_rank_zero_kernel_are_zero():
 
 @pytest.mark.parametrize("N", [-1, 0, 1])
 def test_moments_need_two_draws(N):
-    F = realize(_table_kernel(np.eye(2), "real"))
+    F = realize(FiniteKernel(np.eye(2)))
     with pytest.raises(ShapeMismatch):
         moments(F, N)
 
@@ -169,7 +161,7 @@ def test_moments_memory_is_in_atoms_not_points():
     # A real rank-3 kernel on 400 points: the 24576 x 400 float64 draws
     # would be 79 MB, the 400 x 400 covariance is 1.3 MB.
     phi = np.random.default_rng(8).standard_normal((400, 3))
-    F = realize(_table_kernel(phi @ phi.T, "real"))
+    F = realize(FiniteKernel(phi @ phi.T))
     assert F.n_atoms == 3
     tracemalloc.start()
     try:
@@ -201,7 +193,7 @@ def test_real_gram_gives_a_real_covariance():
 
 
 def test_realize_keeps_full_rank_of_a_tiny_identity():
-    F = realize(_table_kernel(1e-11 * np.eye(2), "real"))
+    F = realize(FiniteKernel(1e-11 * np.eye(2)))
     assert F.n_atoms == 2
     np.testing.assert_allclose(F.features @ np.conj(F.features).T, 1e-11 * np.eye(2),
                                rtol=1e-12)
@@ -213,19 +205,19 @@ def test_realize_keeps_full_rank_of_a_tiny_identity():
 @pytest.mark.parametrize(
     "make, rank",
     [(szego_real_part_kernel, 4),
-     (lambda: _table_kernel([[1.0, 1.0], [1.0, 1.0]], "real"), 1)],
+     (lambda: FiniteKernel([[1.0, 1.0], [1.0, 1.0]]), 1)],
     ids=["szego-real", "rank-one"],
 )
 def test_realized_rank_does_not_depend_on_units(make, rank, scale):
     K = make()
-    scaled = FiniteKernel(gram=scale * K.gram, field_tag=K.field_tag)
+    scaled = FiniteKernel(gram=scale * K.gram)
     assert realize(scaled).n_atoms == rank
 
 
 def test_realization_check_draws_each_stream_once(monkeypatch):
     # Two-stream reference: the full process's covariance and the subset's
     # own seed + 1 process, each drawn straight from moments.
-    seed, N, subset = 3, 20_000, [0, 2]
+    seed, N, subset = 3, GAUSSIAN_DRAWS, [0, 2]
     K = szego_real_part_kernel()
     full = moments(realize(K), N, seed)[1]
     direct = moments(realize(K.restrict(subset)), N, seed + 1)[1]
@@ -238,7 +230,7 @@ def test_realization_check_draws_each_stream_once(monkeypatch):
         return moments(F, count, seed, *args)
 
     monkeypatch.setattr(gaussian, "moments", counting)
-    check = check_gaussian_realization(seed=seed, n_draws=N)
+    check = check_gaussian_realization(seed=seed)
     assert check.details["consistency_deviation"] == expected
     assert sorted(streams) == [(seed, 2, N), (seed, 4, N), (seed + 1, 2, N)]
 

@@ -15,6 +15,7 @@ from kboundary import (
     ShapeMismatch,
     assemble_gram,
     check_positive_definite,
+    parseval_factorize,
     polydisk_szego_eval,
 )
 from kboundary import kernels
@@ -136,13 +137,14 @@ class TestAssembleGram:
 
     def test_table_requires_hermitian(self):
         with pytest.raises(NotHermitian, match="^gram matrix is not Hermitian$"):
-            FiniteKernel.from_table(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            FiniteKernel(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_table_field_tag(self):
-        real = FiniteKernel.from_table(np.eye(2))
-        assert real.field_tag == "real"
-        cplx = FiniteKernel.from_table(np.array([[1.0, 1j], [-1j, 1.0]]))
-        assert cplx.field_tag == "complex"
+        # The field is the data's: a table with zero imaginary part has a
+        # real frame, and one with a nonzero imaginary part a complex one.
+        assert not parseval_factorize(FiniteKernel(np.eye(2))).features.imag.any()
+        cplx = FiniteKernel(np.array([[1.0, 1j], [-1j, 1.0]]))
+        assert parseval_factorize(cplx).features.imag.any()
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch, match="^kernel expects 1-dim points, got 2$"):
@@ -165,15 +167,15 @@ class TestKernelSpec:
 
 class TestFromTable:
     def test_a_kernel_is_its_gram_and_field_tag(self):
-        assert [f.name for f in dataclasses.fields(FiniteKernel)] == ["gram", "field_tag"]
+        # The Gram alone: no field tag, and no second constructor for a table.
+        assert [f.name for f in dataclasses.fields(FiniteKernel)] == ["gram"]
         assert not any(hasattr(kernels, name) for name in ("PointSet", "Spectrum", "spectrum"))
-        K = FiniteKernel.from_table([[2.0, 1j], [-1j, 2.0]])
-        assert (K.size, K.field_tag) == (2, "complex")
-        assert FiniteKernel.from_table(np.eye(3)).field_tag == "real"
+        assert not hasattr(FiniteKernel, "from_table")
+        K = FiniteKernel([[2.0, 1j], [-1j, 2.0]])
+        assert K.size == 2 and K.gram.dtype == complex
 
-    @pytest.mark.parametrize("build", [
-        FiniteKernel.from_table, lambda table: FiniteKernel(gram=table),
-    ], ids=["from_table", "constructor"])
+    @pytest.mark.parametrize("build", [lambda table: FiniteKernel(gram=table)],
+                             ids=["constructor"])
     @pytest.mark.parametrize("table, shape", [
         (np.ones((2, 3)), r"2x2, got \(2, 3\)"),
         (np.ones(2), r"2x2, got \(2,\)"),

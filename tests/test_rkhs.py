@@ -227,7 +227,7 @@ class TestFrameExpand:
                                       apply_W(F, RkhsElement(base=a, coeffs=section)))
         with pytest.raises(BaseMismatch):
             apply_W(F, RkhsElement(base=FiniteKernel(gram=2.0 * gram), coeffs=section))
-        larger = FiniteKernel.from_table([[2.0, 0.5, 1.0], [0.5, 3.0, 0.5], [1.0, 0.5, 2.0]])
+        larger = FiniteKernel([[2.0, 0.5, 1.0], [0.5, 3.0, 0.5], [1.0, 0.5, 2.0]])
         restricted = larger.restrict([2, 0])
         np.testing.assert_array_equal(restricted.gram, gram)
         np.testing.assert_array_equal(apply_W(F, RkhsElement(base=restricted, coeffs=section)),

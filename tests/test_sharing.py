@@ -241,14 +241,14 @@ OVERFLOWING = complex(1.5e308, 1.5e308)
 def test_a_non_hermitian_table_is_rejected_whatever_its_scale(exponent):
     table = np.array([[1.0, OVERFLOWING], [0.0, 1.0]]) * 2.0**exponent
     with pytest.raises(NotHermitian, match="gram matrix is not Hermitian"):
-        FiniteKernel.from_table(table)
+        FiniteKernel(table)
 
 
 def test_a_hermitian_gram_whose_moduli_overflow_is_a_domain_violation():
     table = np.array([[1.0, OVERFLOWING], [np.conj(OVERFLOWING), 1.0]])
     with pytest.raises(DomainViolation, match="gram entry moduli must be finite"):
-        FiniteKernel.from_table(table)
-    FiniteKernel.from_table(table / 2)  # moduli up to 1.06e308: a kernel
+        FiniteKernel(table)
+    FiniteKernel(table / 2)  # moduli up to 1.06e308: a kernel
 
 
 @pytest.mark.parametrize("lower, error", [

@@ -29,7 +29,6 @@ from kboundary import (
     check_positive_definite,
     cli,
     consistency_check,
-    gaussian,
     kernels,
     minimality_test,
     moments,
@@ -155,9 +154,9 @@ def test_kb_factorize_passes_an_eigenvalue_planted_at_the_rank_cutoff(n, field, 
     if field == "complex":
         table[0, 1], table[1, 0], norm = 0.5j, -0.5j, 1.5
     table[-1, -1] = side * default_rank_tol(n) * norm
-    K = FiniteKernel.from_table(table)
-    assert K.field_tag == field
+    K = FiniteKernel(table)
     F = parseval_factorize(K)
+    assert F.features.imag.any() == (field == "complex")  # the table's field
     check = cli._residual_check("parseval-reconstruction", F.residual, K)
     assert check.passed, check.details
     assert F.n_atoms == (n if side > 1 else n - 1)
@@ -222,7 +221,7 @@ def _assert_validate(report, exit_code, code, planted):
 def _run_kernel(command, table) -> tuple:
     """(report, exit code) of the kb <command> pipeline on ``table``, given
     as a FiniteKernel: a JSON table of 10^6 cnums would cost seconds."""
-    return cli.run(cli.JobConfig(command=command, kernel=FiniteKernel.from_table(table)))
+    return cli.run(cli.JobConfig(command=command, kernel=FiniteKernel(table)))
 
 
 @pytest.mark.parametrize("n", [1000, 1200])
@@ -290,10 +289,11 @@ def test_kb_factorize_passes_a_large_rotated_table_at_the_rank_cutoff(n, field, 
 @FIELDS
 @SIDES
 def test_consistency_is_exact_on_a_rotated_table_at_the_realize_cutoff(n, field, side):
-    K = FiniteKernel.from_table(_rotated_table(n, field, side * gaussian.FACTOR_TOL))
-    assert K.field_tag == field
-    _, covariance, seed_record = moments(realize(K), 100, 0)
-    assert realize(K).n_atoms == (n if side > 1 else n - 1)
+    K = FiniteKernel(_rotated_table(n, field, side * default_rank_tol(n)))
+    F = realize(K)
+    assert F.features.imag.any() == (field == "complex")  # the table's field
+    _, covariance, seed_record = moments(F, 100, 0)
+    assert F.n_atoms == (n if side > 1 else n - 1)
     assert consistency_check(K, list(range(0, n, 2)), covariance, seed_record)["exact_ok"]
 
 
@@ -303,8 +303,7 @@ def test_every_rank_cutoff_stays_within_the_factorization_tolerance():
     eps = np.finfo(float).eps
     for n in range(1, 10**6 + 1):
         assert default_rank_tol(n) + eps * n <= kernels.FACTORIZATION_TOL, n
-    for cutoff in (kernels.PSD_TOL, gaussian.FACTOR_TOL):
-        assert cutoff + eps * 10**6 <= kernels.FACTORIZATION_TOL
+    assert kernels.PSD_TOL + eps * 10**6 <= kernels.FACTORIZATION_TOL
     assert [default_rank_tol(n) for n in (1, 10, 499, 500)] == [1e-12 * n for n in (1, 10, 499, 500)]
 
 
@@ -427,8 +426,8 @@ def test_feature_verdicts_do_not_depend_on_units(k):
     [
         lambda: FiniteKernel(gram=[[np.nan, 0], [0, 1]]),
         lambda: FiniteKernel(gram=[[np.inf, 0], [0, 1]]),
-        lambda: FiniteKernel.from_table([[np.inf, 0.0], [0.0, 1.0]]),
-        lambda: FiniteKernel.from_table([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+        lambda: FiniteKernel([[np.inf, 0.0], [0.0, 1.0]]),
+        lambda: FiniteKernel([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
         lambda: assemble_gram(KernelSpec(), [0.1, np.nan]),
         lambda: assemble_gram(KernelSpec(dim=2), [(0.1, complex(np.inf, 0.0))]),
     ],
