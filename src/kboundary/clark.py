@@ -77,7 +77,8 @@ def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
 
 
 def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
-    """Max over the grid of | 1 - |b(r e(theta))| |.
+    """Max over the grid of | 1 - |b(r e(theta))| |; NaN, which no bound
+    accepts, for an empty grid, which judges no angle.
 
     The grid must keep circular distance >= 1e-3 from every atom; the
     deviation decreases toward 0 as r increases toward 1.
@@ -88,7 +89,7 @@ def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
     if th.size < np.size(thetas):
         raise DomainViolation("theta grid comes closer than 1e-3 to an atom")
     zs = r * np.exp(2j * np.pi * th)
-    return float(np.abs(1.0 - np.abs(b_eval(mu, zs))).max()) if th.size else 0.0
+    return float(np.abs(1.0 - np.abs(b_eval(mu, zs))).max()) if th.size else np.nan
 
 
 def kb_eval(mu: CircleMeasure, z, w):
@@ -194,10 +195,10 @@ class RenormContext:
 
 def _renormalize(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
     """(E, kren Gram, kren features) of one factorization, or of each of a
-    (..., n, m) stack: the feature means, the quotient gram / (E E^*) with
-    FiniteKernel's Hermitian mirror, and features / E.  The quotient is one
-    new array: its upper triangle is divided a row panel at a time, and
-    mirrored in place.
+    (..., n, m) stack: the feature means, the quotient gram / (E E^*), and
+    features / E.  The quotient is one new array, divided a row panel at a
+    time; it is left unmirrored, for FiniteKernel (or a stack's reader) to
+    mirror once.
 
     Raises ZeroExpectation, naming the first point in C order, where a
     feature mean cancels: |E_i| <= EXPECTATION_TOL * sum_x |k_i(x)| mu(x).
@@ -212,15 +213,15 @@ def _renormalize(features: np.ndarray, weights: np.ndarray, gram: np.ndarray):
         )
     quotient = np.empty(gram.shape, dtype=complex)
     for rows in kernels._row_panels(gram.shape[-1]):
-        upper = np.s_[..., rows, rows.start:]
-        np.divide(gram[upper], E[..., rows, None] * np.conj(E)[..., None, rows.start:],
-                  out=quotient[upper])
-    return E, kernels._hermitian_mirror(quotient, in_place=True), features / E[..., :, None]
+        np.divide(gram[..., rows, :], E[..., rows, None] * np.conj(E)[..., None, :],
+                  out=quotient[..., rows, :])
+    return E, quotient, features / E[..., :, None]
 
 
 def renormalize(F: BoundaryFactorization) -> RenormContext:
-    """Divide kernel and features by the feature means (``_renormalize``);
-    ZeroExpectation where a feature mean cancels."""
+    """Divide kernel and features by the feature means (``_renormalize``),
+    the quotient mirrored once, by FiniteKernel; ZeroExpectation where a
+    feature mean cancels."""
     E, gram, features = _renormalize(F.features, F.measure.weights, F.kernel.gram)
     return RenormContext(
         expectations=E,

@@ -20,8 +20,9 @@ to one matrix.
 Each spectral rule is one array core (``_norm``, ``_is_psd``, ``_kept``,
 ``_factor``, ``_projector``) that reads ascending eigenvalues and takes
 leading stack axes, as ``_eigh`` returns them for a stack of same-size
-matrices: a lone reader calls it on one matrix, verify-all's random-kernel
-criteria on whole stacks, so the two agree bit for bit.  An eigenvalue
+matrices: a lone reader calls it on one matrix, verify-all's criteria on
+whole stacks, so a stack of one size and field agrees with the lone calls
+bit for bit.  An eigenvalue
 above ``rtol * ||M||_2`` is kept; M is PSD when none lies below
 ``-PSD_TOL * ||M||_2``.  No cutoff has an absolute floor: a backward-stable
 solver is accurate to about eps * ||M||_2 (Weyl), so verdicts do not depend
@@ -225,15 +226,14 @@ def _check_hermitian(g: np.ndarray, mirror: np.ndarray) -> None:
         raise DomainViolation("gram entry moduli must be finite")
 
 
-def _hermitian_mirror(g: np.ndarray, in_place: bool = False) -> np.ndarray:
+def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
     """The complex square ``g``, or each matrix of a (..., n, n) stack, with
     its strict lower triangle replaced by the conjugated upper one and its
     diagonal made real: the Gram that FiniteKernel stores.  Written into one
-    new C-ordered array, or into ``g`` itself with ``in_place``, a row panel
-    at a time: the panel's entries left of its diagonal block read the rows
-    above it, and those of the block its upper part, which no panel
-    writes."""
-    out = g if in_place else np.array(g, dtype=complex, order="C")
+    new C-ordered array a row panel at a time: the panel's entries left of
+    its diagonal block read the rows above it, and those of the block its
+    upper part."""
+    out = np.array(g, dtype=complex, order="C")
     n = out.shape[-1]
     for rows in _row_panels(n):
         np.conjugate(g[..., :rows.start, rows].swapaxes(-1, -2), out=out[..., rows, :rows.start])

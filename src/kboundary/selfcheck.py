@@ -11,29 +11,31 @@ calibrated at run time.
 
 A criterion whose corpus holds many small problems judges them as stacks,
 through the library's own array cores, not through one frozen object per
-problem: ``schwarz-bound`` zero-pads its 500 factorizations to one stack,
-``parseval-reconstruction`` and ``transform-pair`` share 200 random PSD
-kernels, grouped by size and field (``_spectral_frames``), ``renormalization``
-groups its 100 random factorizations by point count n
+problem.  ``schwarz-bound`` and ``transform-pair`` zero-pad their 500 and
+200 factorizations to one stack each, ``parseval-reconstruction`` groups
+its 200 random PSD kernels by size and field (``_spectral_frames``),
+``renormalization`` its 100 random factorizations by point count n
 (``_renormalized_identities``) and ``polydisk-density`` its 80 measures by
-size (``_density_ranks``).  Their corpora are drawn as arrays: the random
-PSD kernels, the random feature factorizations (``_random_feature_stack``,
-which ``schwarz-bound`` and ``renormalization`` share) and the torus
-measures in a few Generator calls for the whole corpus, the circle
-measures one measure at a time.  A stack is decomposed as it is, never
-padded, so each matrix gets the eigenpairs or singular values, and so the
-rank and PSD verdicts, of a lone call; zero padding is used only where it
-adds exact zeros to a sum: on the atoms past each kernel's rank, and on the
-atoms past each random factorization's own.
+size (``_density_ranks``).  Each corpus is drawn by one drawer per random
+law, as arrays: the random PSD kernels (``_random_psd_grams``), the random
+feature factorizations (``_random_feature_stack``, which ``schwarz-bound``,
+``transform-pair`` and ``renormalization`` draw on streams of their own)
+and the torus measures in a few Generator calls for the whole corpus, the
+circle measures one measure at a time.  Zero padding is used only where it
+adds exact zeros to a sum: on the atoms past each kernel's rank, and on
+the points and atoms past each random factorization's own.  A grouped
+stack is decomposed as it is, so each matrix gets the eigenpairs or
+singular values, and so the rank and PSD verdicts, of a lone call;
+``transform-pair`` decomposes its padded stack, whose padded rows and
+columns are zero, and agrees with the lone calls to rounding.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
 The corpora are rebuilt from the seed on every call, apart from objects
 that are frozen and fixed by their arguments: the counting measures and
 strict-lower masks (one per size, see ``measures`` and ``kernels``), and
-the random-kernel and Herglotz corpora of the last seed, each read by two
-criteria.  Sharing them changes no report: a run with warm caches equals
-one with cold caches.
+the Herglotz corpus of the last seed, read by two criteria.  Sharing them
+changes no report: a run with warm caches equals one with cold caches.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def modulus_deviation(mu: measures.CircleMeasure) -> float:
     the MODULUS_THETAS at least MODULUS_MARGIN from every atom; NaN, which
     fails the check, when every angle is that close to an atom."""
     grid = clark.atom_gap_grid(mu, MODULUS_THETAS, MODULUS_MARGIN)
-    return clark.inner_modulus_check(mu, grid, MODULUS_RADIUS) if grid.size else np.nan
+    return clark.inner_modulus_check(mu, grid, MODULUS_RADIUS)
 
 
 def inverse_mean_error(mu: measures.CircleMeasure, zs, expectations) -> float:
@@ -149,12 +151,8 @@ class _Frames(NamedTuple):
 
     index: np.ndarray  # each kernel's place in the corpus
     gram: np.ndarray  # (k, n, n) mirrored Grams
-    norm: np.ndarray  # (k,) ||G||_2
     features: np.ndarray  # (k, n, n) kept columns first, the others zero
-    weights: np.ndarray  # (n,) the counting measure on the padded atoms
-    rank: np.ndarray  # (k,) kept columns
-    residual: np.ndarray  # (k,) max |Phi Phi^* - G|
-    relative: np.ndarray  # (k,) residual / ||G||_2
+    relative: np.ndarray  # (k,) max |Phi Phi^* - G| / ||G||_2
 
 
 def _spectral_frames(grams) -> list:
@@ -173,13 +171,11 @@ def _spectral_frames(grams) -> list:
             n = gram.shape[-1]
             values, vectors = kernels._eigh(gram)
             rkhs._require_psd(values[:, 0], kernels._is_psd(values))
-            keep = kernels._kept(values, kernels.default_rank_tol(n))
-            features = kernels._factor(values, vectors, keep)
-            weights = np.ones(n)
-            norm = kernels._norm(values)
-            residual = factorization._residual(features, weights, gram)
-            frames.append(_Frames(idx, gram, norm, features, weights, keep.sum(axis=-1),
-                                  residual, kernels._relative_residual(residual, norm)))
+            features = kernels._factor(values, vectors,
+                                       kernels._kept(values, kernels.default_rank_tol(n)))
+            residual = factorization._residual(features, np.ones(n), gram)
+            frames.append(_Frames(idx, gram, features,
+                                  kernels._relative_residual(residual, kernels._norm(values))))
     return frames
 
 
@@ -223,96 +219,70 @@ def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def check_parseval_reconstruction(seed: int = 0) -> Check:
     """200 random Hermitian PSD matrices: factorize, verify within 1e-10 of
-    ||G||_2, the scale ``kb factorize`` judges the residual on.  The frames
-    are those of ``transform-pair`` (``_random_kernel_corpus``)."""
-    _, frames = _random_kernel_corpus(seed)
+    ||G||_2, the scale ``kb factorize`` judges the residual on.  The matrices
+    are factorized in stacks of one size and field (``_spectral_frames``)."""
+    frames = _spectral_frames(_random_psd_grams(_rng(seed, 2), 200))
     worst = float(np.max([np.max(f.relative) for f in frames]))
     return Check("parseval-reconstruction", worst <= 1e-10, {"max_residual": worst, "matrices": 200})
 
 
-@lru_cache(maxsize=1)
-def _random_kernel_corpus(seed: int) -> tuple:
-    """(coefficients, spectral frames) of the 200 random PSD kernels of
-    ``seed`` (``_transform_corpus`` on stream 2, ``_spectral_frames``), with
-    read-only arrays, built once for the two criteria that read them."""
-    grams, coeffs = _transform_corpus(_rng(seed, 2), 200)
-    frames = tuple(_spectral_frames(grams))
-    for array in (*coeffs, *(a for f in frames for a in f)):
-        array.setflags(write=False)
-    return tuple(coeffs), frames
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    z = rng.standard_normal((2, *shape))
+    return z[0] + 1j * z[1]
 
 
-def _transform_corpus(rng: np.random.Generator, count: int):
-    """``count`` random PSD Grams (``_random_psd_grams``), then for each in
-    turn the (n, 3) coefficients of three complex normal elements, all drawn
-    in one call: (grams, coeffs)."""
-    grams = _random_psd_grams(rng, count)
-    sizes = np.cumsum([len(g) for g in grams])
-    z = rng.standard_normal((2, int(sizes[-1]), 3))
-    return grams, np.split(z[0] + 1j * z[1], sizes[:-1])
-
-
-def _transform_residuals(frames: list, coeffs: list):
-    """Per kernel of the corpus, in draw order: the isometry deviation of
-    each of its elements, relative to ||f||^2 ((count, k) for the (n, k)
-    coefficient matrices ``coeffs``), and its generator residual, relative to
-    ||G||_2 (count,).  A residual above FACTORIZATION_TOL raises
-    NotAFactorization, as apply_W does."""
-    iso = np.empty((len(coeffs), coeffs[0].shape[1]))
-    gen = np.empty(len(coeffs))
-    for f in frames:
-        factorization._require_residuals(f.residual, f.relative)
-        xi = np.stack([coeffs[i] for i in f.index])
-        wf = factorization._apply_W(f.features, xi)
-        nrm2 = rkhs._norm_squared(f.gram, xi)
-        iso[f.index] = np.abs(factorization._l2_norm_squared(f.weights, wf) - nrm2) / nrm2
-        # Column t of V W K(., s_t) is checked against the Gram row of t.
-        sections = factorization._apply_W(f.features, np.eye(len(f.weights)))
-        back = factorization._apply_V(f.features, f.weights, sections)
-        gen[f.index] = kernels._relative_residual(
-            np.abs(back - f.gram.swapaxes(-1, -2)).max(axis=(-2, -1)), f.norm)
-    return iso, gen
-
-
-def _projections(frames: list, count: int):
-    """Per kernel of the corpus, in draw order: the projection residual of
-    its range projection (count,), and the eigenvalues of its feature
-    projector (a list), values only as ``projection_spectrum`` reads them.
-    Each projector decomposes the kernel's unpadded r x r mu-Gram, cut at
-    default_rank_tol(n), in stacks of one rank and field, so that its bits
-    are those of BoundaryFactorization's."""
-    mu_grams, cutoffs = [None] * count, np.empty(count)
-    for f in frames:
-        cutoffs[f.index] = kernels.default_rank_tol(len(f.weights))
-        for i, features, r in zip(f.index, f.features, f.rank):
-            mu_grams[i] = factorization._feature_gram(features[:, :r], f.weights[:r])
-    residual, spectra = np.empty(count), [None] * count
-    for index in _by_shape(g.shape for g in mu_grams):
-        for idx, stack in kernels._by_field(index, np.stack([mu_grams[i] for i in index])):
-            values, vectors = kernels._eigh(stack)
-            S = kernels._projector(vectors, kernels._kept(values, cutoffs[idx]))
-            residual[idx] = factorization._projection_residual(S, np.ones(S.shape[-1]))
-            for jdx, projector in kernels._by_field(idx, S):
-                for i, spec in zip(jdx, kernels._eigvalsh(projector)):
-                    spectra[i] = spec
-    return residual, spectra
+def _random_feature_stack(rng: np.random.Generator, count: int, mean_shift: float = 0.0):
+    """``count`` exact factorizations, each of n in 1..RANDOM_FEATURE_MAX_POINTS
+    points and m in 1..RANDOM_FEATURE_MAX_ATOMS atoms, as one stack zero-padded
+    to the largest sizes: (features, weights, points, atoms).  Features are
+    complex normal plus ``mean_shift`` inside each n x m block and 0 outside
+    it, weights uniform on [0.2, 1] on every atom, padded or not; ``points``
+    and ``atoms`` mark the rows and columns that belong to each
+    factorization.  The one drawer of schwarz-bound, transform-pair and
+    renormalization, each on its own stream."""
+    n = rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1, size=count)
+    m = rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1, size=count)
+    points = np.arange(RANDOM_FEATURE_MAX_POINTS) < n[:, None]
+    atoms = np.arange(RANDOM_FEATURE_MAX_ATOMS) < m[:, None]
+    phi = _complex_normal(rng, (count, RANDOM_FEATURE_MAX_POINTS, RANDOM_FEATURE_MAX_ATOMS))
+    phi += mean_shift
+    phi *= points[:, :, None] & atoms[:, None, :]
+    w = rng.uniform(0.2, 1.0, size=(count, RANDOM_FEATURE_MAX_ATOMS))
+    return phi, w, points, atoms
 
 
 def check_transform_pair(seed: int = 0) -> Check:
-    """Counting-measure transforms: isometry, V.W on generators, projection.
+    """Weighted transforms: isometry, V.W on generators, projection.
 
-    Each kernel's three random elements, and its n kernel sections (the
-    columns of the identity), each go through the transforms as one matrix,
-    and the kernels of one size and field as one stack (``_random_kernel_corpus``,
-    ``_transform_residuals``, ``_projections``).  The isometry deviation of
-    an element is relative to its ||f||^2, and the generator residual to
-    ||G||_2."""
-    coeffs, frames = _random_kernel_corpus(seed)
-    iso, gen = _transform_residuals(frames, coeffs)
-    proj, spectra = _projections(frames, len(coeffs))
-    spec = np.concatenate(spectra)
+    The 200 random factorizations are one zero-padded stack
+    (``_random_feature_stack``) of the kernels they induce, G = Phi D Phi^*
+    with FiniteKernel's mirror; a padded point or atom has zero features,
+    so it adds exact zeros to every sum and zero rows and columns to every
+    matrix.  Each factorization's three random elements, and its kernel
+    sections (the columns of the identity), are column matrices, and the
+    whole stack goes once through the cores of apply_W, apply_V,
+    l2_norm_squared, rkhs.norm_squared, feature_projector (cut at
+    default_rank_tol(n) for each factorization's n points), check_isometry
+    and projection_spectrum.  The isometry deviation of an element is
+    relative to its ||f||^2, and the generator residual to ||G||_2."""
+    rng = _rng(seed, 11)
+    phi, w, points, _ = _random_feature_stack(rng, 200)
+    gram = kernels._hermitian_mirror(factorization._induced_gram(phi, w))
+    xi = _complex_normal(rng, (*points.shape, 3)) * points[:, :, None]
+    norm2 = rkhs._norm_squared(gram, xi)
+    l2 = factorization._l2_norm_squared(w, factorization._apply_W(phi, xi))
+    iso = kernels._relative_residual(np.abs(l2 - norm2), norm2)
+    # Column t of V W K(., s_t) is checked against the Gram row of t.
+    back = factorization._apply_V(phi, w, factorization._apply_W(phi, np.eye(points.shape[-1])))
+    gen = kernels._relative_residual(np.abs(back - gram.swapaxes(-1, -2)).max(axis=(-2, -1)),
+                                     kernels._norm(kernels._eigvalsh(gram)))
+    values, vectors = kernels._eigh(factorization._feature_gram(phi, w))
+    cutoffs = [kernels.default_rank_tol(n) for n in points.sum(axis=-1).tolist()]
+    S = kernels._projector(vectors, kernels._kept(values, np.array(cutoffs)))
+    proj = factorization._projection_residual(S, w)
+    spec = kernels._eigvalsh(S)
     worst_iso, worst_gen, worst_proj = (float(np.max(x)) for x in (iso, gen, proj))
-    worst_spec = float(np.max(np.minimum(np.abs(spec), np.abs(spec - 1.0)), initial=0.0))
+    worst_spec = float(np.max(np.minimum(np.abs(spec), np.abs(spec - 1.0))))
     passed = (
         worst_iso <= 1e-9
         and worst_gen <= 1e-9
@@ -329,30 +299,6 @@ def check_transform_pair(seed: int = 0) -> Check:
             "max_spectrum_distance": worst_spec,
         },
     )
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    z = rng.standard_normal((2, *shape))
-    return z[0] + 1j * z[1]
-
-
-def _random_feature_stack(rng: np.random.Generator, count: int, mean_shift: float = 0.0):
-    """``count`` exact factorizations, each of n in 1..RANDOM_FEATURE_MAX_POINTS
-    points and m in 1..RANDOM_FEATURE_MAX_ATOMS atoms, as one stack zero-padded
-    to the largest sizes: (features, weights, points, atoms).  Features are
-    complex normal plus ``mean_shift`` inside each n x m block and 0 outside
-    it, weights uniform on [0.2, 1] on every atom, padded or not; ``points``
-    and ``atoms`` mark the rows and columns that belong to each
-    factorization."""
-    n = rng.integers(1, RANDOM_FEATURE_MAX_POINTS + 1, size=count)
-    m = rng.integers(1, RANDOM_FEATURE_MAX_ATOMS + 1, size=count)
-    points = np.arange(RANDOM_FEATURE_MAX_POINTS) < n[:, None]
-    atoms = np.arange(RANDOM_FEATURE_MAX_ATOMS) < m[:, None]
-    phi = _complex_normal(rng, (count, RANDOM_FEATURE_MAX_POINTS, RANDOM_FEATURE_MAX_ATOMS))
-    phi += mean_shift
-    phi *= points[:, :, None] & atoms[:, None, :]
-    w = rng.uniform(0.2, 1.0, size=(count, RANDOM_FEATURE_MAX_ATOMS))
-    return phi, w, points, atoms
 
 
 def check_schwarz_bound(seed: int = 0) -> Check:
@@ -375,9 +321,8 @@ def check_schwarz_bound(seed: int = 0) -> Check:
                                        np.concatenate([g[:, :, None], g_eq], axis=2),
                                        np.concatenate([xi, xi], axis=2))
     violations = int(np.count_nonzero(~res["holds"][:, 0]))
-    dev, scale = np.abs(res["lhs"][:, 1] - res["rhs"][:, 1]), np.abs(res["rhs"][:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        worst_eq = float(np.max(np.where(dev == 0, 0.0, dev / scale)))
+    lhs, rhs = res["lhs"][:, 1], res["rhs"][:, 1]
+    worst_eq = float(np.max(kernels._relative_residual(np.abs(lhs - rhs), np.abs(rhs))))
     passed = violations == 0 and worst_eq <= 1e-9
     return Check("schwarz-bound", passed,
                  {"violations": violations, "max_equality_deviation": worst_eq})
@@ -566,8 +511,8 @@ def _renormalized_identities(phi, w, points):
     to Phi D Phi^* and to the residual.  The weights are checked once, by
     DiscreteMeasure's rule, and the factorizations of one point count n are
     one stack of the slices phi[:, :n], so that each keeps the arithmetic of
-    a lone call: the induced Gram with FiniteKernel's mirror,
-    clark._renormalize (ZeroExpectation where a mean cancels),
+    a lone call: the induced Gram and the quotient of clark._renormalize
+    (ZeroExpectation where a mean cancels), each with FiniteKernel's mirror,
     factorization._residual, and the PSD verdict on each field's eigenvalues
     (``kernels._by_field``, ``kernels._eigvalsh``)."""
     measures._check_weights(w)
@@ -576,7 +521,8 @@ def _renormalized_identities(phi, w, points):
     for index in _by_shape(n):
         block, weights = phi[index, :n[index[0]]], w[index]
         gram = kernels._hermitian_mirror(factorization._induced_gram(block, weights))
-        E, kren_gram, kren_phi = clark._renormalize(block, weights, gram)
+        E, quotient, kren_phi = clark._renormalize(block, weights, gram)
+        kren_gram = kernels._hermitian_mirror(quotient)
         least[index] = np.abs(E).min(axis=-1)
         residual[index] = factorization._residual(kren_phi, weights, kren_gram)
         for idx, stack in kernels._by_field(index, kren_gram):

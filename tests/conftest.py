@@ -7,9 +7,9 @@ large eigendecompositions took 160 s instead of 35 s with OpenBLAS's
 default of one thread per CPU.  Subprocesses started by the tests inherit
 the setting.
 
-The self-check corpora that two criteria share are cached per seed, so each
-test starts and ends with empty caches: a defect planted in a test reaches
-a corpus built inside it, and leaves no poisoned corpus behind.
+The self-check corpus that two criteria share is cached per seed, so each
+test starts and ends with an empty cache: a defect planted in a test
+reaches a corpus built inside it, and leaves no poisoned corpus behind.
 """
 
 import os
@@ -27,9 +27,6 @@ assert "numpy" not in sys.modules, "numpy was imported before the BLAS thread co
 def _fresh_selfcheck_corpora():
     from kboundary import selfcheck
 
-    caches = (selfcheck._random_kernel_corpus, selfcheck._herglotz_corpus)
-    for cache in caches:
-        cache.cache_clear()
+    selfcheck._herglotz_corpus.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    selfcheck._herglotz_corpus.cache_clear()

@@ -1,3 +1,4 @@
+import math
 import re
 from functools import partial
 
@@ -125,6 +126,10 @@ class TestInnerModulus:
     def test_atom_margin_enforced(self):
         with pytest.raises(DomainViolation):
             inner_modulus_check(POINT_MASS, [5e-4], 0.9)
+
+    def test_an_empty_grid_judges_no_angle_and_reads_nan(self):
+        # No angle is no evidence: NaN, which no bound accepts, not 0.
+        assert math.isnan(inner_modulus_check(TWO_ATOMS, [], 0.5))
 
 
 class TestKbKernel:
@@ -323,7 +328,8 @@ class TestExpectationAndRenormalization:
         for index in selfcheck._by_shape(sizes):
             n = sizes[index[0]]
             gram = _hermitian_mirror(factorization._induced_gram(phi[index, :n], w[index]))
-            E, kren_gram, kren_features = clark._renormalize(phi[index, :n], w[index], gram)
+            E, quotient, kren_features = clark._renormalize(phi[index, :n], w[index], gram)
+            kren_gram = _hermitian_mirror(quotient)
             for j, i in enumerate(index):
                 meas = DiscreteMeasure(atoms=tuple(range(phi.shape[-1])), weights=w[i])
                 ctx = renormalize(BoundaryFactorization.induced(meas, phi[i, :n]))

@@ -50,7 +50,7 @@ def _peak_grams(call) -> float:
     return peak / GRAM_BYTES
 
 
-def test_szego_evaluator_builds_its_gram_in_place(points):
+def test_szego_evaluator_builds_its_gram_in_one_array(points):
     c = points[:, None]
     assert _peak_grams(lambda: polydisk_szego_eval(c[:, None, :], c[None, :, :])) <= 1.1
 

@@ -489,49 +489,84 @@ def test_spectral_cores_are_read_through_the_kernels_module():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 87264865])
-def test_stacked_random_kernel_corpus_agrees_with_the_public_path(seed):
-    # Each slice of verify-all's stacks against the unstacked kernel: the
-    # mirror, spectrum, kept rank, factor and projection spectrum bit for
-    # bit (the decompositions are grouped, never padded), the residuals
-    # within 1e-14 of their scale (the padded atoms change the BLAS blocking).
-    from kboundary import factorization, selfcheck
-    from kboundary.factorization import apply_V, check_isometry, l2_norm_squared, \
-        projection_spectrum
+def test_stacked_spectral_frames_agree_with_the_public_path(seed):
+    # Each slice of parseval-reconstruction's stacks against the unstacked
+    # kernel: the mirror, spectrum, kept rank and factor bit for bit (the
+    # decompositions are grouped, never padded), the relative residual
+    # within 1e-14 (the padded atoms change the BLAS blocking).
+    from kboundary import selfcheck
     from kboundary.kernels import relative_residual
-    from kboundary.rkhs import norm_squared
 
-    grams, coeffs = selfcheck._transform_corpus(selfcheck._rng(seed, 2), 200)
+    grams = selfcheck._random_psd_grams(selfcheck._rng(seed, 2), 200)
     frames = selfcheck._spectral_frames(grams)
-    iso, gen = selfcheck._transform_residuals(frames, coeffs)
-    proj, spectra = selfcheck._projections(frames, len(grams))
     assert sorted(i for f in frames for i in f.index) == list(range(200))
     for f in frames:
         values, vectors = kernels._eigh(f.gram)
-        xi = np.stack([coeffs[i] for i in f.index])
-        wf = factorization._apply_W(f.features, xi)
         for j, i in enumerate(f.index):
             K = _kernel(grams[i])
             F = parseval_factorize(K)
-            r, norm = F.n_atoms, float(kernels._norm(K.spectrum[0]))
+            r = F.n_atoms
             assert K.gram.tobytes() == f.gram[j].tobytes()
             assert K.spectrum[0].tobytes() == values[j].tobytes()
             assert K.spectrum[1].tobytes() == vectors[j].tobytes()
-            assert f.rank[j] == r and f.norm[j] == norm
             assert F.features.tobytes() == np.ascontiguousarray(f.features[j, :, :r]).tobytes()
             assert not f.features[j, :, r:].any()
-            assert abs(f.residual[j] - F.residual) <= 1e-14 * norm
             assert abs(f.relative[j] - relative_residual(F.residual, K)) <= 1e-14
-            element = RkhsElement(base=K, coeffs=coeffs[i])
-            Wf = apply_W(F, element)
-            scale = np.abs(F.features).max() * np.abs(coeffs[i]).sum(axis=0).max()
-            assert np.abs(wf[j, :r] - Wf).max() <= 1e-14 * scale and not wf[j, r:].any()
-            l2, nrm2 = l2_norm_squared(Wf, F.measure), norm_squared(element)
-            assert np.all(np.abs(iso[i] - np.abs(l2 - nrm2) / nrm2) <= 1e-14 * l2 / nrm2)
-            back = apply_V(F, apply_W(F, RkhsElement(base=K, coeffs=np.eye(K.size))))
-            assert abs(gen[i] - relative_residual(float(np.abs(back - K.gram.T).max()), K)) \
-                <= 1e-14
-            assert abs(proj[i] - check_isometry(F)["projection_residual"]) <= 1e-14
-            assert spectra[i].tobytes() == projection_spectrum(F).tobytes()
+
+
+def _recorded(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends (args, result) of
+    each call to ``calls[name]``."""
+    func = getattr(module, name)
+
+    def wrapped(*args):
+        out = func(*args)
+        calls.setdefault(name, []).append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 87264865])
+def test_stacked_feature_transforms_agree_with_the_public_path(monkeypatch, seed):
+    # Each slice of transform-pair's zero-padded stack, read from the cores
+    # as the criterion calls them, against the public calls on its
+    # factorization over all RANDOM_FEATURE_MAX_ATOMS atoms: W, ||Wf||^2,
+    # ||f||^2, V W on the kernel sections, the projection residual and the
+    # projection spectrum, within 1e-14 of each quantity's scale (the padding
+    # changes the BLAS blocking and, for one-point kernels, the field).
+    from kboundary import factorization, rkhs, selfcheck
+    from kboundary.factorization import apply_V, check_isometry, l2_norm_squared, \
+        projection_spectrum
+    from kboundary.rkhs import norm_squared
+
+    calls = {}
+    for module, name in ((selfcheck, "_random_feature_stack"), (factorization, "_apply_W"),
+                         (factorization, "_apply_V"), (factorization, "_l2_norm_squared"),
+                         (rkhs, "_norm_squared"), (factorization, "_projection_residual"),
+                         (kernels, "_eigvalsh")):
+        _recorded(monkeypatch, module, name, calls)
+    assert selfcheck.check_transform_pair(seed=seed).passed
+    (_, (phi, w, points, _)), = calls["_random_feature_stack"]
+    ((_, xi), wf), ((_, eye), sections) = calls["_apply_W"]
+    assert xi.shape == (200, phi.shape[1], 3) and eye.ndim == 2
+    ((_, back),), ((_, l2),) = calls["_apply_V"], calls["_l2_norm_squared"]
+    ((_, norm2),), ((_, proj),) = calls["_norm_squared"], calls["_projection_residual"]
+    (spectra,) = [out for _, out in calls["_eigvalsh"] if out.shape[-1] == phi.shape[-1]]
+    atoms = tuple(range(phi.shape[-1]))
+    for i, n in enumerate(points.sum(axis=1).tolist()):
+        F = BoundaryFactorization.induced(DiscreteMeasure(atoms=atoms, weights=w[i]), phi[i, :n])
+        element = RkhsElement(base=F.kernel, coeffs=xi[i, :n])
+        Wf = apply_W(F, element)
+        assert np.abs(wf[i] - Wf).max() <= 1e-14 * np.abs(Wf).max()
+        assert np.abs(l2[i] - l2_norm_squared(Wf, F.measure)).max() <= 1e-14 * l2[i].max()
+        assert np.abs(norm2[i] - norm_squared(element)).max() <= 1e-14 * norm2[i].max()
+        norm = float(kernels._norm(F.kernel.spectrum[0]))
+        gens = apply_V(F, apply_W(F, RkhsElement(base=F.kernel, coeffs=np.eye(n))))
+        assert np.abs(back[i, :n, :n] - gens).max() <= 1e-14 * norm
+        assert not back[i, n:].any() and not back[i, :, n:].any()
+        assert abs(proj[i] - check_isometry(F)["projection_residual"]) <= 1e-14
+        assert np.abs(spectra[i] - projection_spectrum(F)).max() <= 1e-14
 
 
 def test_the_cores_keep_their_one_matrix_arithmetic():

@@ -35,7 +35,6 @@ def test_run_all_equals_the_criteria_run_in_process(seed, monkeypatch):
     together = _as_json(selfcheck.run_all(seed))
     alone = []
     for check in selfcheck.ALL_CHECKS:
-        selfcheck._random_kernel_corpus.cache_clear()
         selfcheck._herglotz_corpus.cache_clear()
         alone.append(check(seed=seed))
     assert together == _as_json(alone)
