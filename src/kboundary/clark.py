@@ -46,20 +46,23 @@ CAUCHY_ZERO_TOL = 1e-14
 EXPECTATION_TOL = 1e-12  # |E_i| relative to sum_x |k_i(x)| mu(x)
 
 
+def _terms(e, w, z):
+    """w_j / (1 - z conj(e_j)) at each point of ``z``, one per atom on a new
+    last axis, for the boundary points ``e`` and weights ``w`` of one measure
+    or of a stack, its axes before the points' (..., 1, m): the terms of the
+    Cauchy transform, and with w = 1 the Szego features."""
+    return w / (1.0 - z[..., None] * np.conj(e))
+
+
+def _cauchy(e, w, z):
+    """C(z), the sum of ``_terms``; a padded atom of weight 0 adds an exact 0."""
+    return np.sum(_terms(e, w, z), axis=-1)
+
+
 def cauchy_transform(mu: CircleMeasure, z):
-    """C(z) = sum_j w_j / (1 - z conj(e(x_j))) for z in the open disk.
-
-    ``z`` is a scalar or an array; the sum over the atoms runs on a new last
-    axis, so the result has the shape of ``z`` (a numpy scalar for a scalar).
-    """
-    zv = _check_in_disk(z)
-    e = mu.boundary_points()
-    return np.sum(mu.weights / (1.0 - zv[..., None] * np.conj(e)), axis=-1)[()]
-
-
-def _first_point(z, mask) -> complex:
-    """The first point of ``z`` (in C order) where ``mask`` holds."""
-    return complex(np.ravel(z)[np.argmax(np.ravel(mask))])
+    """C(z) = sum_j w_j / (1 - z conj(e(x_j))) for z in the open disk, a
+    scalar or an array; the result has the shape of ``z``."""
+    return _cauchy(mu.boundary_points(), mu.weights, _check_in_disk(z))[()]
 
 
 def b_eval(mu: CircleMeasure, z):
@@ -67,13 +70,11 @@ def b_eval(mu: CircleMeasure, z):
     return 1.0 - 1.0 / cauchy_transform(mu, z)
 
 
-def atom_gap_grid(mu: CircleMeasure, thetas, margin: float) -> np.ndarray:
-    """The angles of ``thetas`` (mod 1, flattened) whose circular distance
-    to every atom of ``mu`` is at least ``margin``."""
-    th = np.asarray(thetas, dtype=float).ravel() % 1.0
-    gaps = np.abs(th[:, None] - mu.coords[:, 0])
-    gaps = np.minimum(gaps, 1.0 - gaps)
-    return th[gaps.min(axis=1) >= margin]
+def _atom_gaps(x, live, th) -> np.ndarray:
+    """The circular distance from each angle of ``th`` (k,) to the nearest atom
+    of ``x`` (m,) or (..., m) where ``live`` holds, broadcast to (..., k, m)."""
+    gaps = np.abs(th[:, None] - x[..., None, :])
+    return np.min(np.minimum(gaps, 1.0 - gaps), axis=-1, where=live, initial=np.inf)
 
 
 def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
@@ -85,8 +86,8 @@ def inner_modulus_check(mu: CircleMeasure, thetas, r: float) -> float:
     """
     if not (0.0 < r < 1.0):
         raise DomainViolation(f"radius must lie in (0,1), got {r!r}")
-    th = atom_gap_grid(mu, thetas, 1e-3)
-    if th.size < np.size(thetas):
+    th = np.asarray(thetas, dtype=float).ravel() % 1.0
+    if not np.all(_atom_gaps(mu.coords[:, 0], True, th) >= 1e-3):
         raise DomainViolation("theta grid comes closer than 1e-3 to an atom")
     zs = r * np.exp(2j * np.pi * th)
     return float(np.abs(1.0 - np.abs(b_eval(mu, zs))).max()) if th.size else np.nan
@@ -110,8 +111,7 @@ def kb_feature(mu: CircleMeasure, z) -> np.ndarray:
     atom of ``mu``, in atom order, on a new last axis; b(e(x_j)) = 1 is the
     radial limit at an atom."""
     one_minus_b = (1.0 - b_eval(mu, z))[..., None]
-    zv = np.asarray(z, dtype=complex)[..., None]
-    return one_minus_b / (1.0 - zv * np.conj(mu.boundary_points()))
+    return _terms(mu.boundary_points(), one_minus_b, np.asarray(z, dtype=complex))
 
 
 def build_kb_factorization(mu: CircleMeasure, points) -> BoundaryFactorization:
@@ -142,29 +142,31 @@ def build_szego_factorization(mu: CircleMeasure, points) -> BoundaryFactorizatio
     coords = _as_points(points)
     if coords.shape[1] != 1:
         raise ShapeMismatch("Szego features need 1-dim complex points")
-    zs = _check_in_disk(coords[:, 0])
-    e = mu.boundary_points()
-    features = 1.0 / (1.0 - zs[:, None] * np.conj(e)[None, :])
+    features = _terms(mu.boundary_points(), 1.0, _check_in_disk(coords[:, 0]))
     return BoundaryFactorization.induced(mu, features)
+
+
+def _herglotz_poisson(e, w, z) -> dict:
+    """``herglotz_poisson_check`` of one measure's boundary points ``e`` and
+    weights ``w``, or of each measure of a stack (``_terms``' broadcast), at
+    the points ``z`` inside the disk."""
+    bz = 1.0 - 1.0 / _cauchy(e, w, z)
+    at_one = np.abs(1.0 - bz) < CAUCHY_ZERO_TOL
+    if np.any(at_one):  # name the first such point in C order
+        first = complex(np.broadcast_to(z, at_one.shape)[at_one][0])
+        raise BAtOne(f"b(z) = 1 within tolerance at z = {first!r}")
+    lhs = np.real((1.0 + bz) / (1.0 - bz))
+    zv = z[..., None]
+    rhs = np.sum(w * (1.0 - np.abs(zv) ** 2) / np.abs(e - zv) ** 2, axis=-1)
+    return {"lhs": lhs[()], "rhs": rhs[()], "abs_error": np.abs(lhs - rhs)[()]}
 
 
 def herglotz_poisson_check(mu: CircleMeasure, z) -> dict:
     """Herglotz real part against the Poisson integral of mu, at interior
-    points ``z`` (a scalar or an array; each value has the shape of ``z``).
-
-    lhs = Re[(1 + b(z)) / (1 - b(z))],
-    rhs = sum_j w_j (1 - |z|^2) / |e(x_j) - z|^2.
+    points ``z`` (a scalar or an array; each value has the shape of ``z``):
+    lhs = Re[(1 + b(z)) / (1 - b(z))], rhs = sum_j w_j (1 - |z|^2) / |e(x_j) - z|^2.
     """
-    bz = b_eval(mu, z)
-    at_one = np.abs(1.0 - bz) < CAUCHY_ZERO_TOL
-    if np.any(at_one):
-        raise BAtOne(f"b(z) = 1 within tolerance at z = {_first_point(z, at_one)!r}")
-    lhs = np.real((1.0 + bz) / (1.0 - bz))
-    zv = np.asarray(z, dtype=complex)[..., None]
-    rhs = np.sum(
-        mu.weights * (1.0 - np.abs(zv) ** 2) / np.abs(mu.boundary_points() - zv) ** 2, axis=-1
-    )
-    return {"lhs": lhs[()], "rhs": rhs[()], "abs_error": np.abs(lhs - rhs)[()]}
+    return _herglotz_poisson(mu.boundary_points(), mu.weights, _check_in_disk(z))
 
 
 def _expectations(features: np.ndarray, weights: np.ndarray) -> np.ndarray:

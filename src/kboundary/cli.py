@@ -459,7 +459,7 @@ def _run_gaussian_sample(cfg: JobConfig):
     n_draws = int(cfg.sample_count or 10000)
     deviation, mean_moduli, emp, seed_record = selfcheck.moment_errors(K, cfg.seed, n_draws)
     cov_bound = selfcheck.covariance_bound(K, n_draws)
-    mean_bounds = 5.0 * np.sqrt(np.maximum(np.diag(K.gram).real, 0.0) / n_draws)
+    mean_bounds = selfcheck.mean_bounds(K, n_draws)
     checks = [
         Check("covariance-deviation", deviation <= cov_bound,
               {"deviation": deviation, "bound": cov_bound, "n_draws": n_draws}),

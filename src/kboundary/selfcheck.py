@@ -12,18 +12,19 @@ calibrated at run time.
 A criterion whose corpus holds many small problems judges them as stacks,
 through the library's own array cores, not through one frozen object per
 problem.  ``schwarz-bound`` and ``transform-pair`` zero-pad their 500 and
-200 factorizations to one stack each, ``parseval-reconstruction`` groups
-its 200 random PSD kernels by size and field (``_spectral_frames``),
-``renormalization`` its 100 random factorizations by point count n
-(``_renormalized_identities``) and ``polydisk-density`` its 80 measures by
-size (``_density_ranks``).  Each corpus is drawn by one drawer per random
-law, as arrays: the random PSD kernels (``_random_psd_grams``), the random
-feature factorizations (``_random_feature_stack``, which ``schwarz-bound``,
-``transform-pair`` and ``renormalization`` draw on streams of their own)
-and the torus measures in a few Generator calls for the whole corpus, the
-circle measures one measure at a time.  Zero padding is used only where it
-adds exact zeros to a sum: on the atoms past each kernel's rank, and on
-the points and atoms past each random factorization's own.  A grouped
+200 factorizations to one stack each, and ``poisson-herglotz``,
+``inner-modulus`` and ``renormalization`` their 20, 20 and 10 circle
+measures; ``parseval-reconstruction`` groups its 200 random PSD kernels by
+size and field (``_spectral_frames``), ``renormalization`` its 100 random
+factorizations by point count n (``_renormalized_identities``) and its
+Szego means by atom count (``_szego_means``), and ``polydisk-density`` its
+80 measures by size (``_density_ranks``).  Each corpus is drawn by one
+drawer per random law, in a few Generator calls for all of it: the random
+PSD kernels (``_random_psd_grams``), the random feature factorizations
+(``_random_feature_stack``), the circle measures (``_circle_draws``) and the
+torus measures.  Zero padding is used only where it adds exact zeros to a
+sum: on the atoms past each kernel's rank and past each circle measure's
+own, and on the points and atoms past each random factorization's.  A grouped
 stack is decomposed as it is, so each matrix gets the eigenpairs or
 singular values, and so the rank and PSD verdicts, of a lone call;
 ``transform-pair`` decomposes its padded stack, whose padded rows and
@@ -31,17 +32,15 @@ columns are zero, and agrees with the lone calls to rounding.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
-The corpora are rebuilt from the seed on every call, apart from objects
-that are frozen and fixed by their arguments: the counting measures and
-strict-lower masks (one per size, see ``measures`` and ``kernels``), and
-the Herglotz corpus of the last seed, read by two criteria.  Sharing them
-changes no report: a run with warm caches equals one with cold caches.
+The corpora are rebuilt from the seed on every call; only frozen objects
+fixed by their arguments are shared, the counting measures and strict-lower
+masks (one per size, see ``measures`` and ``kernels``), so a run with warm
+caches equals one with cold caches.
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +54,7 @@ MODULUS_TOL = 1e-3  # |1 - |b|| on the grid below
 MODULUS_RADIUS = 1.0 - 1e-6
 MODULUS_THETAS = (np.arange(64) + 0.5) / 64.0
 MODULUS_MARGIN = 2e-3  # least circular distance of a grid angle to an atom
+MODULUS_POINTS = MODULUS_RADIUS * np.exp(2j * np.pi * MODULUS_THETAS)
 INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
 GAUSSIAN_DRAWS = 200_000  # draws per kernel of gaussian-realization
 ISOMETRY_DRAWS = 10
@@ -62,28 +62,43 @@ ISOMETRY_TOL = 1e-12  # pullback isometry residual, relative to ||f||^2
 RANDOM_KERNEL_MAX_POINTS = 20  # random PSD kernels have 1..20 points
 RANDOM_FEATURE_MAX_POINTS = 6  # random feature factorizations: 1..6 points
 RANDOM_FEATURE_MAX_ATOMS = 8  # and 1..8 atoms
-HERGLOTZ_MEASURES = 20  # circle measures in the Herglotz corpus
+HERGLOTZ_MEASURES = 20  # random circle measures of poisson-herglotz and inner-modulus
 INTERIOR_RADIUS = 0.9  # random interior points lie in |z| <= 0.9
 
 
-def herglotz_error(mu: measures.CircleMeasure, zs) -> float:
-    """Worst Herglotz/Poisson identity error of mu's inner function over ``zs``."""
-    return float(clark.herglotz_poisson_check(mu, zs)["abs_error"].max())
+def _circle_stack(mu):
+    """(atoms, live, boundary points, weights) of a ``_circle_draws`` stack, the
+    last three (..., 1, m) for ``clark._terms``; a CircleMeasure is the stack
+    with no leading axis, all of it live."""
+    lone = isinstance(mu, measures.CircleMeasure)
+    atoms, w, live = (mu.coords[:, 0], mu.weights, np.ones(mu.size, bool)) if lone else mu
+    return atoms, live[..., None, :], np.exp(2j * np.pi * atoms)[..., None, :], w[..., None, :]
 
 
-def modulus_deviation(mu: measures.CircleMeasure) -> float:
-    """Worst |1 - |b|| of the inner function of ``mu`` at MODULUS_RADIUS, over
-    the MODULUS_THETAS at least MODULUS_MARGIN from every atom; NaN, which
-    fails the check, when every angle is that close to an atom."""
-    grid = clark.atom_gap_grid(mu, MODULUS_THETAS, MODULUS_MARGIN)
-    return clark.inner_modulus_check(mu, grid, MODULUS_RADIUS)
+def herglotz_error(mu, zs):
+    """Worst Herglotz/Poisson identity error over ``zs`` of the inner function
+    of each measure of ``mu``, a CircleMeasure or a ``_circle_draws`` stack."""
+    _, _, e, w = _circle_stack(mu)
+    return clark._herglotz_poisson(e, w, kernels._check_in_disk(zs))["abs_error"].max(axis=-1)
 
 
-def inverse_mean_error(mu: measures.CircleMeasure, zs, expectations) -> float:
-    """Worst |1/E - (1 - b)| over ``zs``, E the means of the Szego features
-    of ``mu`` at ``zs``."""
-    bvals = clark.b_eval(mu, zs)
-    return float(np.abs(1.0 / expectations - (1.0 - bvals)).max())
+def modulus_deviation(mu):
+    """Worst |1 - |b|| of the inner function of each measure of ``mu`` (as in
+    ``herglotz_error``) at MODULUS_RADIUS, over the MODULUS_THETAS at least
+    MODULUS_MARGIN from every atom; NaN, which fails the check, when every
+    angle is that close to an atom."""
+    atoms, live, e, w = _circle_stack(mu)
+    far = clark._atom_gaps(atoms, live, MODULUS_THETAS) >= MODULUS_MARGIN
+    dev = np.abs(1.0 - np.abs(1.0 - 1.0 / clark._cauchy(e, w, MODULUS_POINTS)))
+    return np.where(far.any(axis=-1), np.max(dev, axis=-1, where=far, initial=-np.inf), np.nan)[()]
+
+
+def inverse_mean_error(mu, zs, expectations):
+    """Worst |1/E - (1 - b)| over ``zs`` of each measure of ``mu`` (as in
+    ``herglotz_error``), E the means of its Szego features at ``zs``."""
+    _, _, e, w = _circle_stack(mu)
+    b = 1.0 - 1.0 / clark._cauchy(e, w, kernels._check_in_disk(zs))
+    return np.abs(1.0 / expectations - (1.0 - b)).max(axis=-1)
 
 
 def pullback_isometry_error(morphism: factorization.MeasureMorphism, rng) -> float:
@@ -104,6 +119,14 @@ def moment_errors(K: kernels.FiniteKernel, seed: int, n_draws: int):
 def covariance_bound(K: kernels.FiniteKernel, n_draws: int) -> float:
     """The CLT-scale budget 4 max|G| / sqrt(N) for a covariance error."""
     return 4.0 * float(np.abs(K.gram).max()) / np.sqrt(n_draws)
+
+
+def mean_bounds(K: kernels.FiniteKernel, n_draws: int) -> np.ndarray:
+    """5 sqrt((L L^*)_ss / N) at each point s, five standard deviations of the
+    mean that ``moment_errors`` draws from the draw factor L of K's cached
+    spectrum; where K(s, s) = 0, L's row is rounding noise and so is the mean."""
+    L = gaussian._draw_factor(gaussian.realize(K))
+    return 5.0 * np.sqrt(np.sum(np.abs(L) ** 2, axis=-1) / n_draws)
 
 
 def renormalized_identity(ctx: clark.RenormContext):
@@ -179,35 +202,39 @@ def _spectral_frames(grams) -> list:
     return frames
 
 
-def random_circle_measure(
-    rng: np.random.Generator, max_atoms: int = 6, min_sep: float = 0.1
-) -> measures.CircleMeasure:
-    """The circle measure of ``_circle_draw``."""
-    return measures.CircleMeasure(*_circle_draw(rng, max_atoms, min_sep))
+def random_circle_measure(rng: np.random.Generator, max_atoms: int = 6,
+                          min_sep: float = 0.1) -> measures.CircleMeasure:
+    """The circle measure of a ``_circle_draws`` stack of one."""
+    atoms, weights, live = _circle_draws(rng, 1, max_atoms, min_sep)
+    return measures.CircleMeasure(atoms[live], weights[live])
 
 
-def _circle_draw(rng: np.random.Generator, max_atoms: int, min_sep: float):
-    """The draws of one random circle measure, (atoms, weights): 1 to
-    ``max_atoms`` sorted atoms, circular gaps >= ``min_sep``, weights drawn
-    uniform on [1, 3] and normalized.
+def _circle_draws(rng: np.random.Generator, count: int, max_atoms: int, min_sep: float):
+    """``count`` random circle measures, (atoms, weights, live), each (count,
+    max_atoms): row i holds m_i sorted atoms with circular gaps >= ``min_sep``
+    and weights uniform on [1, 3], normalized, then atoms 0 of weight 0 where
+    ``live`` is false.  The sizes m, uniform on 1..max_atoms, are drawn first.
 
-    The atoms follow the law of m sorted uniform draws conditioned on every
+    The atoms follow the law of m sorted uniforms conditioned on every
     circular gap being at least ``min_sep``, drawn directly: the gaps are
     min_sep + (1 - m * min_sep) D for flat-Dirichlet spacings D (those of
     m - 1 sorted uniforms), laid out from a uniform first atom.  The m gaps
-    sum to 1, so m * min_sep >= 1 (m >= 2) raises DomainViolation.
-    ``max_atoms < 1`` raises DomainViolation before anything is drawn from
-    ``rng``."""
+    sum to 1, so m * min_sep >= 1 (m >= 2) raises DomainViolation, and
+    ``max_atoms < 1`` does so before anything is drawn from ``rng``."""
     if max_atoms < 1:
         raise DomainViolation(f"max_atoms must be >= 1, got {max_atoms!r}")
-    m = int(rng.integers(1, max_atoms + 1))
-    if m > 1 and m * min_sep >= 1.0:
-        raise DomainViolation(f"{m} atoms cannot keep circular gaps >= {min_sep!r}")
-    u = rng.uniform(0.0, 1.0, size=m)
-    offsets = np.concatenate([[0.0], np.sort(u[1:])])
-    atoms = np.sort((u[0] + np.arange(m) * min_sep + (1.0 - m * min_sep) * offsets) % 1.0)
-    w = rng.uniform(1.0, 3.0, size=m)
-    return atoms, w / w.sum()
+    m = rng.integers(1, max_atoms + 1, size=count)
+    crowded = m[(m > 1) & (m * min_sep >= 1.0)]
+    if crowded.size:
+        raise DomainViolation(f"{crowded[0]} atoms cannot keep circular gaps >= {min_sep!r}")
+    live = np.arange(max_atoms) < m[:, None]
+    u = rng.uniform(0.0, 1.0, size=(count, max_atoms))
+    spacings = np.sort(np.where(live[:, 1:], u[:, 1:], np.inf), axis=-1)
+    offsets = np.where(live, np.concatenate([np.zeros((count, 1)), spacings], axis=-1), 0.0)
+    x = u[:, :1] + np.arange(max_atoms) * min_sep + (1.0 - m[:, None] * min_sep) * offsets
+    atoms = np.where(live, np.sort(np.where(live, x % 1.0, np.inf), axis=-1), 0.0)
+    w = rng.uniform(1.0, 3.0, size=(count, max_atoms)) * live
+    return atoms, w / w.sum(axis=-1, keepdims=True), live
 
 
 def random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -467,28 +494,19 @@ def check_clark_exactness(seed: int = 0) -> Check:
     )
 
 
-@lru_cache(maxsize=1)
-def _herglotz_corpus(seed: int) -> tuple:
-    """(circle measures, read-only interior points) of ``seed``, built once
-    for the two criteria that read them."""
-    rng = _rng(seed, 7)
-    corpus = tuple(random_circle_measure(rng) for _ in range(HERGLOTZ_MEASURES))
-    zs = random_interior(rng, 100)
-    zs.setflags(write=False)
-    return corpus, zs
-
-
 def check_poisson_herglotz(seed: int = 0) -> Check:
-    """Re[(1+b)/(1-b)] equals the Poisson integral on random atomic measures."""
-    corpus, zs = _herglotz_corpus(seed)
-    worst = float(np.max([herglotz_error(mu, zs) for mu in corpus]))
+    """Re[(1+b)/(1-b)] equals the Poisson integral on random atomic measures,
+    one ``_circle_draws`` stack, at 100 random interior points."""
+    rng = _rng(seed, 7)
+    stack = _circle_draws(rng, HERGLOTZ_MEASURES, 6, 0.1)
+    worst = float(np.max(herglotz_error(stack, random_interior(rng, 100))))
     return Check("poisson-herglotz", worst <= HERGLOTZ_TOL, {"max_abs_error": worst})
 
 
 def check_inner_modulus(seed: int = 0) -> Check:
-    """|b| approaches 1 at the boundary away from atoms."""
-    corpus, _ = _herglotz_corpus(seed)
-    worst = float(np.max([modulus_deviation(mu) for mu in corpus]))
+    """|b| approaches 1 away from atoms, on poisson-herglotz's random measures."""
+    stack = _circle_draws(_rng(seed, 7), HERGLOTZ_MEASURES, 6, 0.1)
+    worst = float(np.max(modulus_deviation(stack)))
     r = MODULUS_RADIUS
 
     mu1 = measures.CircleMeasure(atoms=[0.0], weights=[1.0])
@@ -530,12 +548,25 @@ def _renormalized_identities(phi, w, points):
     return least, residual, psd
 
 
+def _szego_means(stack, zs) -> np.ndarray:
+    """The means E of the Szego features (``clark._terms``) of each
+    ``_circle_draws`` measure at its row of ``zs``: ``clark._expectations`` of
+    the slices [..., :m] of the measures of m atoms, a lone call's arithmetic."""
+    features, m = clark._terms(_circle_stack(stack)[2], 1.0, zs), stack[2].sum(axis=-1)
+    E = np.empty(zs.shape, dtype=complex)
+    for index in _by_shape(m.tolist()):
+        k = m[index[0]]
+        E[index] = clark._expectations(features[index, :, :k], stack[1][index, :k])
+    return E
+
+
 def check_renormalization(seed: int = 0) -> Check:
     """Worked renormalization, random mean-normalized identities, 1/E = 1 - b.
 
     The 100 random factorizations are drawn as one stack
     (``_random_feature_stack``), and renormalized and judged in stacks of
-    one point count n (``_renormalized_identities``)."""
+    one point count n (``_renormalized_identities``); the 10 Szego
+    cross-checks are one ``_circle_draws`` stack (``_szego_means``)."""
     rng = _rng(seed, 9)
 
     meas = measures.DiscreteMeasure(atoms=("0", "1"), weights=[0.75, 0.25])
@@ -551,13 +582,9 @@ def check_renormalization(seed: int = 0) -> Check:
     min_expectation = float(np.min(expectations))
     kren_psd_ok = bool(psd.all())
 
-    cross = []
-    for _ in range(10):
-        mu = random_circle_measure(rng)
-        zpts = random_interior(rng, 5)
-        E = clark.expectation_vector(clark.build_szego_factorization(mu, zpts))
-        cross.append(inverse_mean_error(mu, zpts, E))
-    worst_cross = float(np.max(cross))
+    stack = _circle_draws(rng, 10, 6, 0.1)
+    zpts = random_interior(rng, 50).reshape(10, 5)
+    worst_cross = float(np.max(inverse_mean_error(stack, zpts, _szego_means(stack, zpts))))
 
     passed = (
         worked_err <= 1e-12
@@ -596,17 +623,17 @@ def _density_ranks(draws: list) -> list:
 def check_polydisk_density(seed: int = 0) -> Check:
     """Monomial rank saturation: degree m-1 for k=1, at most m for k=2.
 
-    The 30 circle measures are drawn as arrays, one measure at a time, and
-    the 50 measures on the 2-torus as three arrays for all of them (sizes,
-    coordinates and weights), sliced per measure.  Each takes its rank
+    The 30 circle measures are one ``_circle_draws`` stack, and the 50
+    measures on the 2-torus three arrays for all of them (sizes, coordinates
+    and weights); each measure is sliced from them and takes its rank
     sequence in a stack of one size (``_density_ranks``)."""
     rng = _rng(seed, 10)
-    circle = [_circle_draw(rng, max_atoms=8, min_sep=0.02) for _ in range(30)]
+    circle = [(a[keep, None], w[keep]) for a, w, keep in zip(*_circle_draws(rng, 30, 8, 0.02))]
     sizes = rng.integers(1, 9, size=50).tolist()
     coords = rng.uniform(0.0, 1.0, size=(50, 8, 2))
     weights = rng.uniform(0.5, 1.5, size=(50, 8))
     torus = [(c[:m], v[:m] / v[:m].sum()) for c, v, m in zip(coords, weights, sizes)]
-    k1 = _density_ranks([(atoms[:, None], w) for atoms, w in circle])
+    k1 = _density_ranks(circle)
     # Saturated (the last rank is m), for k = 1 at degree m - 1 (m ranks).
     k1_ok = all(seq[-1] == len(seq) == len(w) for seq, (_, w) in zip(k1, circle))
     k2_ok = all(seq[-1] == len(w) for seq, (_, w) in zip(_density_ranks(torus), torus))

@@ -492,6 +492,13 @@ def _nan_first(a):
     return a
 
 
+def _nan_third(a):
+    # The third measure of a stacked criterion: a NaN after the first value.
+    a = np.array(a)
+    a[2] = np.nan
+    return a
+
+
 @pytest.mark.parametrize("criterion, module, name, at, poison, detail", [
     ("parseval_reconstruction", "factorization", "_induced_gram", 4, _nan_corner,
      "max_residual"),
@@ -499,12 +506,12 @@ def _nan_first(a):
      "max_isometry_residual"),
     ("clark_exactness", "factorization", "verify_factorization", 1, lambda _: math.nan,
      "max_factorization_residual"),
-    ("poisson_herglotz", "selfcheck", "herglotz_error", 2, lambda _: math.nan, "max_abs_error"),
-    ("inner_modulus", "selfcheck", "modulus_deviation", 2, lambda _: math.nan, "max_deviation"),
+    ("poisson_herglotz", "selfcheck", "herglotz_error", 0, _nan_third, "max_abs_error"),
+    ("inner_modulus", "selfcheck", "modulus_deviation", 0, _nan_third, "max_deviation"),
     ("renormalization", "factorization", "_residual", 2, _nan_first, "max_identity_residual"),
     ("renormalization", "clark", "_renormalize", 2, lambda out: (_nan_first(out[0]), *out[1:]),
      "min_expectation_modulus"),
-    ("renormalization", "selfcheck", "inverse_mean_error", 2, lambda _: math.nan,
+    ("renormalization", "selfcheck", "inverse_mean_error", 0, _nan_third,
      "max_cross_check_error"),
     ("gaussian_realization", "selfcheck", "moment_errors", 1,
      lambda out: (math.nan, *out[1:]), "max_covariance_error"),
@@ -553,15 +560,18 @@ def test_random_kernel_criteria_build_no_object_per_kernel(monkeypatch):
     assert selfcheck.check_parseval_reconstruction(seed=0).passed
     assert selfcheck.check_transform_pair(seed=0).passed
     assert selfcheck.check_polydisk_density(seed=0).passed
+    assert selfcheck.check_poisson_herglotz(seed=0).passed
     assert built == []
+    assert selfcheck.check_inner_modulus(seed=0).passed
     assert selfcheck.check_renormalization(seed=0).passed
-    # Only the worked example (its measure, and the kernel and factorization
-    # of F and of its renormalization) and the 10 Szego cross-checks (a
-    # circle measure, a kernel and a factorization each); none of the 100
-    # random factorizations.
+    # Only the worked examples: the point mass and the two-atom measure of
+    # inner-modulus, and renormalization's measure with the kernel and
+    # factorization of F and of its renormalization; none of the 20 random
+    # circle measures, the 100 random factorizations or the 10 Szego
+    # cross-checks.
     assert collections.Counter(type(x).__name__ for x in built) == {
-        "DiscreteMeasure": 1, "CircleMeasure": 10, "FiniteKernel": 12,
-        "BoundaryFactorization": 12}
+        "CircleMeasure": 2, "DiscreteMeasure": 1, "FiniteKernel": 2,
+        "BoundaryFactorization": 2}
 
 
 def test_morphism_checker_isometry_residual_shows_rounding():

@@ -225,3 +225,41 @@ def test_the_sampler_draws_the_frame_that_kb_factorize_reports(n):
     report, _ = cli.run(cli.parse_config(
         {"command": "factorize", "kernel": {"variant": "szego"}, "points": points}))
     assert report["checks"][0]["retained_rank"] == F.n_atoms
+
+
+def _zero_variance_config(seed, complex_field):
+    """gaussian-sample at N = 2000 on a random rank-3 Gram A A^* of 6 points
+    with a zero row and column inserted at index 3: K(3, 3) = 0."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, 3)) + (1j * rng.standard_normal((6, 3)) if complex_field else 0.0)
+    G = np.insert(np.insert(A @ A.conj().T, 3, 0.0, axis=0), 3, 0.0, axis=1)
+    table = [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in G]
+    return cli.parse_config({"command": "gaussian-sample", "seed": seed, "sample_count": 2000,
+                             "kernel": {"variant": "table", "table": table}})
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_mean_zero_judges_a_zero_variance_point_on_the_variance_drawn_there(complex_field):
+    # The draw factor's row at a point with K(s, s) = 0 is rounding noise, not
+    # zero, and so is the mean drawn there: a bound of 5 sqrt(K(s, s) / N) = 0
+    # failed correct kernels, one bound from the drawn variance does not.
+    for seed in range(20):
+        report, code = cli.run(_zero_variance_config(seed, complex_field))
+        assert code == 0, (seed, [c for c in report["checks"] if not c["passed"]])
+
+
+def test_mean_zero_still_fails_a_mean_planted_at_a_zero_variance_point(monkeypatch):
+    from kboundary import gaussian
+
+    draw = gaussian.moments
+
+    def planted(*args, **kwargs):
+        means, covariance, record = draw(*args, **kwargs)
+        means = means.astype(complex)
+        means[3] += 1e-3
+        return means, covariance, record
+
+    monkeypatch.setattr(gaussian, "moments", planted)
+    report, code = cli.run(_zero_variance_config(0, False))
+    assert code == 2
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["mean-zero"]

@@ -1,7 +1,6 @@
 """Shared frozen objects and one-pass kernel validation.
 
-Counting measures, strict-lower masks and the Herglotz corpus are built
-once and shared.  These tests pin that
+Counting measures and strict-lower masks are built once and shared.  These tests pin that
 every shared object is read-only and equal to a freshly built one, that
 a frozen object keeps a read-only copy of each array it is given, that
 FiniteKernel's one-pass validation keeps its verdicts, messages and
@@ -38,8 +37,7 @@ PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
 
 
 def _clear_caches():
-    for cached in (kernels._strict_lower, measures._counting_measure,
-                   selfcheck._herglotz_corpus):
+    for cached in (kernels._strict_lower, measures._counting_measure):
         cached.cache_clear()
 
 
@@ -91,21 +89,6 @@ def test_a_frozen_object_keeps_a_read_only_copy_of_the_callers_array(given, buil
     # caller's array (the rkhs case passes a Fortran-ordered matrix).
     assert kept.strides == given.strides
     np.testing.assert_array_equal(kept, given)
-
-
-def test_herglotz_corpus_is_read_only_and_equal_to_fresh():
-    corpus, zs = selfcheck._herglotz_corpus(5)
-    assert selfcheck._herglotz_corpus(5)[1] is zs
-    assert not zs.flags.writeable
-    rng = selfcheck._rng(5, 7)
-    fresh = [selfcheck.random_circle_measure(rng) for _ in range(20)]
-    fresh_zs = selfcheck.random_interior(rng, 100)
-    assert isinstance(corpus, tuple) and len(corpus) == len(fresh)
-    for mu, nu in zip(corpus, fresh):
-        assert mu.atoms == nu.atoms and mu.coords.tobytes() == nu.coords.tobytes()
-        assert mu.weights.tobytes() == nu.weights.tobytes()
-        assert not mu.coords.flags.writeable and not mu.weights.flags.writeable
-    assert zs.tobytes() == fresh_zs.tobytes()
 
 
 def _hermitian_with_signed_zeros(rng, n):
@@ -309,15 +292,19 @@ def _circular_gaps(atoms):
 def test_random_circle_measure_draws_the_law_of_the_rejection_sampler(max_atoms, min_sep):
     # The direct draw against rejection sampling, for each atom count m: a
     # two-sample KS test on each sorted atom and on the least and the largest
-    # circular gap.  A gap may fall short of min_sep by rounding only.
+    # circular gap.  A gap may fall short of min_sep by rounding only.  Each
+    # row of the stack is one measure: its live atoms first, then zero atoms
+    # of zero weight.
     draws, reference = {}, {}
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(12)
-    for _ in range(1000 * max_atoms):
-        mu = selfcheck.random_circle_measure(rng, max_atoms, min_sep)
-        atoms = mu.coords[:, 0]
+    stack = selfcheck._circle_draws(rng, 1000 * max_atoms, max_atoms, min_sep)
+    for row, weights, live in zip(*stack):
+        atoms, m = row[live], live.sum()
+        assert live[:m].all() and (row[m:] == 0.0).all() and (weights[m:] == 0.0).all()
+        assert (weights[:m] > 0.0).all() and abs(weights.sum() - 1.0) <= 1e-12
         assert ((0.0 <= atoms) & (atoms < 1.0)).all()
-        assert mu.size == 1 or _circular_gaps(atoms).min() >= min_sep - 4 * np.finfo(float).eps
-        draws.setdefault(mu.size, []).append(atoms)
+        assert m == 1 or _circular_gaps(atoms).min() >= min_sep - 4 * np.finfo(float).eps
+        draws.setdefault(m, []).append(atoms)
         ref_atoms, _ = _reference_circle_measure(ref_rng, max_atoms, min_sep)
         reference.setdefault(ref_atoms.size, []).append(ref_atoms)
     assert sorted(draws) == sorted(reference) == list(range(1, max_atoms + 1))

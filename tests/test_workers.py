@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kboundary import selfcheck
+from kboundary import kernels, measures, selfcheck
 
 PACKAGE_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,13 +29,15 @@ def _forbid_fork(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_run_all_equals_the_criteria_run_in_process(seed, monkeypatch):
-    # run_all shares its corpora between criteria; each criterion run alone,
-    # from empty caches, makes the same check.
+    # run_all shares only the cached counting measures and strict-lower
+    # masks between criteria; each criterion run alone, from empty caches,
+    # makes the same check.
     _forbid_fork(monkeypatch)
     together = _as_json(selfcheck.run_all(seed))
     alone = []
     for check in selfcheck.ALL_CHECKS:
-        selfcheck._herglotz_corpus.cache_clear()
+        kernels._strict_lower.cache_clear()
+        measures._counting_measure.cache_clear()
         alone.append(check(seed=seed))
     assert together == _as_json(alone)
 
@@ -44,7 +46,7 @@ def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker(monkeypatch):
     # The calling process is the one worker, on one CPU as on all of them.
     code = textwrap.dedent("""
         import json, os
-        from kboundary import selfcheck
+        from kboundary import kernels, measures, selfcheck
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         def fork():
             raise AssertionError("run_all forked")
