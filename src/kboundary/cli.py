@@ -347,8 +347,6 @@ def _parse_morphism(raw, decoded: dict) -> tuple:
     morphism = factorization.MeasureMorphism(source=source, target=target, map=dict(raw["map"]))
     target_features = _parse_matrix(raw["target_features"], "morphism.target_features",
                                     decoded["target_features"])
-    if target_features.ndim != 2 or target_features.shape[1] != target.size:
-        raise ConfigError("target_features must be n_points x n_target_atoms")
     source_features = None
     if "source_features" in raw:
         source_features = _parse_matrix(raw["source_features"], "morphism.source_features",

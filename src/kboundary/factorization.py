@@ -140,8 +140,8 @@ class MeasureMorphism:
 # or as a (..., m, k) stack of column matrices, whose leading axes broadcast
 # against those of the features, as in numpy's matmul.  The public functions
 # validate their frozen objects and call them; verify-all's schwarz-bound
-# calls them on a zero-padded stack of factorizations, and its
-# parseval-reconstruction and transform-pair on stacks of spectral frames.
+# and transform-pair call them on zero-padded stacks of weighted feature
+# factorizations.
 
 
 def _atom_weights(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -227,21 +227,14 @@ def minimality_test(F: BoundaryFactorization) -> dict:
     return {"is_minimal": rank == F.n_atoms, "feature_rank": rank}
 
 
-def _require_residuals(residual, relative) -> None:
-    """Raise NotAFactorization, naming the first failing factorization of a
-    stack, unless each relative residual is <= FACTORIZATION_TOL."""
-    bad = np.flatnonzero(~(np.asarray(relative) <= FACTORIZATION_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NotAFactorization(
-            f"factorization residual {float(np.ravel(residual)[i])!r} is "
-            f"{float(np.ravel(relative)[i])!r} of ||G||_2, above {FACTORIZATION_TOL!r}"
-        )
-
-
 def _require_factorization(F: BoundaryFactorization) -> None:
     """Raise NotAFactorization unless residual / ||G||_2 <= FACTORIZATION_TOL."""
-    _require_residuals(F.residual, relative_residual(F.residual, F.kernel))
+    relative = relative_residual(F.residual, F.kernel)
+    if not relative <= FACTORIZATION_TOL:
+        raise NotAFactorization(
+            f"factorization residual {F.residual!r} is {relative!r} of ||G||_2, "
+            f"above {FACTORIZATION_TOL!r}"
+        )
 
 
 def apply_W(F: BoundaryFactorization, f: RkhsElement) -> np.ndarray:
@@ -288,14 +281,20 @@ def _range_projection(projector: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return projector * sqrt_w[..., None, :] / sqrt_w[..., :, None]
 
 
-def _projection_residual(projector: np.ndarray, weights: np.ndarray):
-    """The larger of max |P^2 - P| and max |P_adj - P|, P the range projection
-    of the feature projector and P_adj its adjoint in the mu-weighted inner
-    product, one per factorization of a stack; a NaN propagates."""
+def _projection_residual(features: np.ndarray, weights: np.ndarray, projector: np.ndarray):
+    """The larger of max |P^2 - P| and max |P_adj - P|, plus the range
+    residual max |P k_s - k_s| / max |k_s(x)| (0 when every feature is 0): P
+    the range projection of the feature projector and P_adj its adjoint in
+    the mu-weighted inner product, one per factorization of a stack; a NaN
+    propagates."""
     P = _range_projection(projector, weights)
     idem = np.abs(P @ P - P).max(axis=(-2, -1), initial=0.0)
     adj = (np.conj(P).swapaxes(-1, -2) * weights[..., None, :]) / weights[..., :, None]
-    return np.maximum(idem, np.abs(adj - P).max(axis=(-2, -1), initial=0.0))
+    sections = features.swapaxes(-1, -2)
+    off_range = np.abs(P @ sections - sections).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(features).max(axis=(-2, -1), initial=0.0)
+    return (np.maximum(idem, np.abs(adj - P).max(axis=(-2, -1), initial=0.0))
+            + kernels._relative_residual(off_range, scale))
 
 
 def projection_spectrum(F: BoundaryFactorization) -> np.ndarray:
@@ -311,13 +310,14 @@ def check_isometry(F: BoundaryFactorization) -> dict:
     factorization identity, so its residual is the verify_factorization
     residual.  The projection residual is the max of |P^2 - P| and
     |P_adj - P| entries, the adjoint taken in the mu-weighted inner
-    product.
+    product, plus max |P k_s - k_s| relative to max |k_s(x)|, so that a
+    projection onto the wrong range fails it.
     """
     _require_factorization(F)
     return {
         "wstar_w_residual": F.residual,
         "projection_residual": float(
-            _projection_residual(F.feature_projector, F.measure.weights)),
+            _projection_residual(F.features, F.measure.weights, F.feature_projector)),
     }
 
 

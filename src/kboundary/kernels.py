@@ -10,7 +10,7 @@ table is a ``FiniteKernel`` itself.
 All scalar storage is complex double precision.  A kernel carries no field
 of its own: a matrix with zero imaginary part is decomposed, and drawn
 from, in real arithmetic (``_real_if_zero_imag``), whatever built it.
-Every PSD, rank, projection and clip decision reads ``spectrum`` (the
+Every PSD, rank and projection decision reads ``spectrum`` (the
 (values, vectors) of ``_eigh``, the one eigendecomposition), its values
 alone (``eigenvalues``, through the one values-only decomposition
 ``_eigvalsh`` unless the spectrum is already computed) or the rank rule
@@ -31,16 +31,16 @@ on units.
 ``FiniteKernel`` validates and mirrors its Gram once, when it is built,
 into one new array; each Gram-sized pass (the checks, the mirror, the
 quotient of ``clark._renormalize``) runs a row panel at a time
-(``_row_panels``), so its temporaries stay a panel, not a Gram.  The
-strict-lower mask of each size is built once and shared: it is read-only,
-so no holder can change it.
+(``_row_panels``), so its temporaries stay a panel, not a Gram.  Nothing
+built here outlives its call: the one module-level array, the strict-lower
+mask ``_STRICT_LOWER`` that the mirror reads, is read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -181,12 +181,10 @@ def _row_panels(n: int) -> list:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-@lru_cache(maxsize=256)
-def _strict_lower(n: int) -> np.ndarray:
-    """Read-only n x n mask of the strict lower triangle, shared per n."""
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+# The strict lower triangle of the largest diagonal block a row panel can
+# have, isqrt(_PANEL_ENTRIES) rows; a k-row block reads its k x k corner.
+_STRICT_LOWER = np.tri(math.isqrt(_PANEL_ENTRIES), k=-1, dtype=bool)
+_STRICT_LOWER.setflags(write=False)
 
 
 def _hermitian_defect(g: np.ndarray, mirror: np.ndarray) -> tuple:
@@ -236,9 +234,10 @@ def _hermitian_mirror(g: np.ndarray) -> np.ndarray:
     out = np.array(g, dtype=complex, order="C")
     n = out.shape[-1]
     for rows in _row_panels(n):
+        k = rows.stop - rows.start
         np.conjugate(g[..., :rows.start, rows].swapaxes(-1, -2), out=out[..., rows, :rows.start])
         np.conjugate(g[..., rows, rows].swapaxes(-1, -2), out=out[..., rows, rows],
-                     where=_strict_lower(rows.stop - rows.start))
+                     where=_STRICT_LOWER[:k, :k])
     diagonal = np.arange(n)
     out.imag[..., diagonal, diagonal] = 0.0
     return out

@@ -8,16 +8,15 @@ coordinates are its atoms, points of [0,1) identified with the unit circle
 via e(x) = exp(i 2 pi x).  Finite atomic measures on the circle are
 automatically singular with respect to arc length.
 
-Measures are frozen with read-only copies of the arrays they are given, so
-``DiscreteMeasure.counting`` hands out one shared instance per size.
+Measures are frozen with read-only copies of the arrays they are given.
+Each one belongs to its caller: ``DiscreteMeasure.counting`` builds a new
+measure on every call.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,14 +111,8 @@ class DiscreteMeasure:
 
     @staticmethod
     def counting(n: int) -> "DiscreteMeasure":
-        """Counting measure on n atoms labeled 0..n-1 (weights 1), one shared
-        instance per n."""
-        return _counting_measure(operator.index(n))
-
-
-@lru_cache(maxsize=256)
-def _counting_measure(n: int) -> DiscreteMeasure:
-    return DiscreteMeasure(atoms=tuple(range(n)), weights=np.ones(n))
+        """Counting measure on n atoms labeled 0..n-1 (weights 1)."""
+        return DiscreteMeasure(atoms=tuple(range(n)), weights=np.ones(n))
 
 
 class CircleMeasure(DiscreteMeasure):

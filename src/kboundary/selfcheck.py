@@ -32,10 +32,10 @@ columns are zero, and agrees with the lone calls to rounding.
 Each criterion takes its worst value with a NaN-propagating reduction, so
 that a NaN residual reads null and fails.
 
-The corpora are rebuilt from the seed on every call; only frozen objects
-fixed by their arguments are shared, the counting measures and strict-lower
-masks (one per size, see ``measures`` and ``kernels``), so a run with warm
-caches equals one with cold caches.
+The corpora are rebuilt from the seed on every call, and nothing a
+criterion builds outlives its call: the only arrays held at module level,
+the modulus grid ``MODULUS_THETAS`` and ``MODULUS_POINTS``, are read-only,
+so a run equals any earlier or later one of the same seed in one process.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ MODULUS_RADIUS = 1.0 - 1e-6
 MODULUS_THETAS = (np.arange(64) + 0.5) / 64.0
 MODULUS_MARGIN = 2e-3  # least circular distance of a grid angle to an atom
 MODULUS_POINTS = MODULUS_RADIUS * np.exp(2j * np.pi * MODULUS_THETAS)
+MODULUS_THETAS.setflags(write=False)
+MODULUS_POINTS.setflags(write=False)
 INVERSE_MEAN_TOL = 1e-12  # |1/E - (1 - b)| for Szego features
 GAUSSIAN_DRAWS = 200_000  # draws per kernel of gaussian-realization
 ISOMETRY_DRAWS = 10
@@ -306,7 +308,7 @@ def check_transform_pair(seed: int = 0) -> Check:
     values, vectors = kernels._eigh(factorization._feature_gram(phi, w))
     cutoffs = [kernels.default_rank_tol(n) for n in points.sum(axis=-1).tolist()]
     S = kernels._projector(vectors, kernels._kept(values, np.array(cutoffs)))
-    proj = factorization._projection_residual(S, w)
+    proj = factorization._projection_residual(phi, w, S)
     spec = kernels._eigvalsh(S)
     worst_iso, worst_gen, worst_proj = (float(np.max(x)) for x in (iso, gen, proj))
     worst_spec = float(np.max(np.minimum(np.abs(spec), np.abs(spec - 1.0))))

@@ -412,6 +412,10 @@ def _features_over_conj_mean(renormalize):
      ["transform_pair"], 0),
     ("factorization", "_range_projection", lambda _: _range_projection_conjugated_backwards,
      ["transform_pair"], 0),
+    # A projector onto D^(1/2) span{k_s}, the wrong range: it is still an
+    # idempotent, mu-self-adjoint projection, so only P k_s = k_s sees it.
+    ("factorization", "_feature_gram", lambda gram: lambda phi, w: gram(phi, w**2),
+     ["transform_pair"], 0),
     ("clark", "_renormalize", _features_over_conj_mean, ["renormalization"], 0),
     # A 1e-3 cutoff shows only on a corpus holding a measure whose monomial
     # matrix has sigma_min < 1e-3 sigma_max: about a third of the seeds (38
@@ -422,7 +426,7 @@ def _features_over_conj_mean(renormalize):
      ["polydisk_density"], 0),
 ], ids=["V-without-conjugate", "L2-norm-without-weights", "factor-lambda-not-sqrt-lambda",
         "projector-without-conjugate-transpose", "range-projection-D-half-swapped",
-        "kren-features-over-conj-E",
+        "feature-gram-weights-squared", "kren-features-over-conj-E",
         "rank-cutoff-1e-3", "first-monomial-row-dropped"])
 def test_schwarz_bound_fails_a_defect_planted_in_a_library_core(monkeypatch, module, core,
                                                                 defect, criteria, seed):

@@ -547,6 +547,26 @@ def test_ragged_cnum_arrays_are_config_errors(config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "features, error",
+    [
+        ({"target_features": [[{"re": 1.0}, {"re": 2.0}]]},
+         "features must have 1 columns, got shape (1, 2)"),
+        ({"target_features": [[{"re": 1.0}]], "source_features": [[{"re": 1.0}, {"re": 2.0}]]},
+         "features must be 1x1, got (1, 2)"),
+    ],
+    ids=["target_features", "source_features"],
+)
+def test_a_wrong_shaped_feature_matrix_fails_the_librarys_shape_rule(features, error, tmp_path,
+                                                                    capsys):
+    # Both feature matrices of a morphism are shaped by BoundaryFactorization
+    # alone; the CLI keeps no rule of its own.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_morphism_config(**features)))
+    assert cli.main(["morphism-check", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"kb: ShapeMismatch: {error}\n")
+
+
+@pytest.mark.parametrize(
     "config, path",
     [
         ({"command": "validate", "kernel": {"variant": "table", "table": {"a": [0] * 100_000}}},

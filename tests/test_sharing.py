@@ -1,14 +1,18 @@
-"""Shared frozen objects and one-pass kernel validation.
+"""Frozen objects, one-pass kernel validation, and nothing kept between calls.
 
-Counting measures and strict-lower masks are built once and shared.  These tests pin that
-every shared object is read-only and equal to a freshly built one, that
-a frozen object keeps a read-only copy of each array it is given, that
-FiniteKernel's one-pass validation keeps its verdicts, messages and
-mirror bits, and that warm caches change no self-check report.
+Every object the library builds belongs to its caller.  These tests pin
+that a counting measure is built afresh on each call, read-only and equal
+to one built by hand, that a frozen object keeps a read-only copy of each
+array it is given, that FiniteKernel's one-pass validation keeps its
+verdicts, messages and mirror bits, that no library function keeps a
+cache and every module-level array is read-only, and that an earlier run
+changes no self-check report.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -30,32 +34,46 @@ from kboundary import (
     SampleBatch,
     parseval_factorize,
 )
-from kboundary import factorization, kernels, measures, selfcheck
+from kboundary import factorization, kernels, selfcheck
 from kboundary.kernels import _hermitian_mirror, default_rank_tol
 
 PACKAGE_ROOT = str(Path(kboundary.__file__).resolve().parents[1])
 
 
-def _clear_caches():
-    for cached in (kernels._strict_lower, measures._counting_measure):
-        cached.cache_clear()
-
-
 @pytest.mark.parametrize("m", [0, 1, 3, 12])
 def test_counting_measure_is_shared_read_only_and_equal_to_fresh(m):
-    shared = DiscreteMeasure.counting(m)
-    assert DiscreteMeasure.counting(np.int64(m)) is shared
+    # Each call builds its own measure; none is shared between callers.
+    measure = DiscreteMeasure.counting(m)
+    assert DiscreteMeasure.counting(np.int64(m)) is not measure
     fresh = DiscreteMeasure(atoms=tuple(range(m)), weights=np.ones(m))
-    assert shared.atoms == fresh.atoms and shared.coords is None
-    assert shared.weights.tobytes() == fresh.weights.tobytes()
-    assert not shared.weights.flags.writeable
+    assert measure.atoms == fresh.atoms and measure.coords is None
+    assert measure.weights.tobytes() == fresh.weights.tobytes()
+    assert not measure.weights.flags.writeable
     with pytest.raises(ValueError):
-        shared.weights[...] = 2.0
+        measure.weights[...] = 2.0
 
 
 def test_counting_measure_size_must_be_an_integer():
     with pytest.raises(TypeError):
         DiscreteMeasure.counting(2.0)
+    with pytest.raises(ValueError):
+        DiscreteMeasure.counting(-1)
+
+
+def test_no_library_function_keeps_a_cache_and_every_module_array_is_read_only():
+    # Nothing the library builds outlives its call: the parsed schema and the
+    # argument parser are the only memos, and an array held by a module
+    # cannot be changed by one caller under another.
+    cached, writable = set(), []
+    for info in pkgutil.iter_modules(kboundary.__path__):
+        module = importlib.import_module(f"kboundary.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_info"):
+                cached.add(f"{value.__module__}.{value.__qualname__}")
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                writable.append(f"{module.__name__}.{name}")
+    assert cached == {"kboundary.cli._parser", "kboundary.cli._schema"}
+    assert writable == []
 
 
 def _identity_kernel(n):
@@ -256,20 +274,18 @@ def _run_all_json(seed):
     return json.dumps([check.as_json() for check in selfcheck.run_all(seed)])
 
 
-def test_run_all_is_the_same_with_cold_and_warm_caches():
-    _clear_caches()
-    cold_a = _run_all_json(3)
-    # Warm every cache with each criterion run on its own.
+def test_run_all_is_the_same_before_and_after_other_runs():
+    first_a = _run_all_json(3)
+    # Each criterion run on its own first, then the whole suite again.
     for check in selfcheck.ALL_CHECKS:
         check(seed=3)
-    warm_a = _run_all_json(3)
-    cold_b = _run_all_json(4)
+    after_a = _run_all_json(3)
+    first_b = _run_all_json(4)
     again_a = _run_all_json(3)
-    _clear_caches()
-    cold_b_again = _run_all_json(4)
-    assert cold_a == warm_a == again_a
-    assert cold_b == cold_b_again
-    assert cold_a != cold_b
+    again_b = _run_all_json(4)
+    assert first_a == after_a == again_a
+    assert first_b == again_b
+    assert first_a != first_b
 
 
 def _reference_circle_measure(rng, max_atoms=6, min_sep=0.1):

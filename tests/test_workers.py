@@ -1,6 +1,6 @@
 """verify-all runs its criteria one after another in the calling process:
-each check is the one its criterion makes alone on empty caches, on one CPU
-as on many, and where the platform lacks os.fork; nothing is forked."""
+each check is the one its criterion makes alone, on one CPU as on many,
+and where the platform lacks os.fork; nothing is forked."""
 
 import json
 import os
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kboundary import kernels, measures, selfcheck
+from kboundary import selfcheck
 
 PACKAGE_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,16 +29,9 @@ def _forbid_fork(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_run_all_equals_the_criteria_run_in_process(seed, monkeypatch):
-    # run_all shares only the cached counting measures and strict-lower
-    # masks between criteria; each criterion run alone, from empty caches,
-    # makes the same check.
     _forbid_fork(monkeypatch)
     together = _as_json(selfcheck.run_all(seed))
-    alone = []
-    for check in selfcheck.ALL_CHECKS:
-        kernels._strict_lower.cache_clear()
-        measures._counting_measure.cache_clear()
-        alone.append(check(seed=seed))
+    alone = [check(seed=seed) for check in selfcheck.ALL_CHECKS]
     assert together == _as_json(alone)
 
 
@@ -46,7 +39,7 @@ def test_run_all_on_one_cpu_gives_the_same_checks_from_one_worker(monkeypatch):
     # The calling process is the one worker, on one CPU as on all of them.
     code = textwrap.dedent("""
         import json, os
-        from kboundary import kernels, measures, selfcheck
+        from kboundary import selfcheck
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         def fork():
             raise AssertionError("run_all forked")
